@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -373,16 +373,11 @@ class Certificate:
     Residuals are relative (scaled by the magnitude of what they compare).
     Feasibility families are checked against `feas_tolerance`, the two
     strong-duality families and the profit identity against `tolerance`.
-    The embedded dual vectors extend the outcome's locational prices to a
-    full dual solution of each period's market program and carry the fleet
-    program's dual values.
     """
 
     residuals: dict[str, float]
     tolerance: float
     feas_tolerance: float
-    dam_duals: dict[str, float]
-    fleet_duals: dict[str, float]
 
     _DUALITY_FAMILIES = ("dam_strong_duality", "fleet_strong_duality", "profit_identity")
 
@@ -455,7 +450,7 @@ def certify(outcome: EquilibriumOutcome | None, tol: float | None = None) -> Cer
 
     # market-side checks per period
     dinput = dam_input_for(scenario, outcome.schedule)
-    dam_feas, dam_gap, dam_duals = _dam_residuals(dinput, outcome)
+    dam_feas, dam_gap = _dam_residuals(dinput, outcome)
     residuals["dam_feasibility"] = dam_feas
     residuals["dam_strong_duality"] = dam_gap
 
@@ -470,13 +465,7 @@ def certify(outcome: EquilibriumOutcome | None, tol: float | None = None) -> Cer
         1.0, abs(recomputed), abs(outcome.profit)
     )
 
-    return Certificate(
-        residuals=residuals,
-        tolerance=tol,
-        feas_tolerance=feas_tol,
-        dam_duals=dam_duals,
-        fleet_duals={k: float(v) for k, v in fleet_dual.primal.items()},
-    )
+    return Certificate(residuals=residuals, tolerance=tol, feas_tolerance=feas_tol)
 
 
 def _fleet_feasibility_residual(outcome: EquilibriumOutcome) -> float:
@@ -518,37 +507,30 @@ def _fleet_feasibility_residual(outcome: EquilibriumOutcome) -> float:
 
 
 def _dam_residuals(dinput, outcome):
-    """Feasibility of the stored dispatch plus the restricted-dual gap: fix
-    the balance duals at the outcome's prices and minimize the dual; any
-    corruption of the published prices makes the restricted dual infeasible
-    or strictly worse than the primal welfare."""
+    """Feasibility of the stored dispatch and bid prices plus the
+    restricted-dual gap: fix the balance duals at the outcome's prices and
+    minimize the dual; any corruption of the published prices makes the
+    restricted dual infeasible or strictly worse than the primal welfare.
+
+    Bid prices are not market LP columns (see `dam.StationDamBid`): their
+    value q * price joins the welfare, and the dual value of the bound pair
+    a column would carry, max(q * wtp_min, q * wtp_max), joins the dual."""
     net = dinput.network
     worst_feas = 0.0
     worst_gap = 0.0
-    duals: dict[str, float] = {}
 
     for t in range(net.horizon):
         lp = dam_mod.build_dam(dinput, period=t)
-        values = {}
+        values = dam_mod.period_values(dinput, outcome.dam, t)
+        bid_dual = 0.0
+        for bid in dinput.station_bids:
+            for m, q in enumerate(bid.quantities):
+                lo, up = bid.wtp_min[m][t], bid.wtp_max[m][t]
+                price = outcome.dam.wtp[bid.station_id][m][t]
+                scale = 1.0 + max(abs(lo), abs(up))
+                worst_feas = max(worst_feas, (lo - price) / scale, (price - up) / scale)
+                bid_dual += max(q[t] * lo, q[t] * up)
         for v in lp.variables:
-            name, rest = v.name.split("[", 1)
-            key = rest.rstrip("]")
-            parts = key.split(",")
-            if name == "wtp":
-                sid, m = parts[0], int(parts[1])
-                values[v.name] = outcome.dam.wtp[sid][m][t]
-            elif name == "gen":
-                values[v.name] = outcome.dam.gen[parts[0]][t]
-            elif name == "seg":
-                values[v.name] = outcome.dam.gen_segments[parts[0]][int(parts[1])][t]
-            elif name == "solar":
-                values[v.name] = outcome.dam.solar[parts[0]][t]
-            elif name == "angle":
-                values[v.name] = outcome.dam.angle[parts[0]][t]
-            elif name == "flow":
-                values[v.name] = outcome.dam.flow[parts[0]][t]
-            else:  # pragma: no cover - builder and extractor share names
-                raise KeyError(v.name)
             scale = 1.0 + max(abs(v.lower), abs(v.upper)) if math.isfinite(v.upper) else 1.0
             worst_feas = max(
                 worst_feas,
@@ -560,7 +542,7 @@ def _dam_residuals(dinput, outcome):
             scale = 1.0 + abs(con.rhs)
             worst_feas = max(worst_feas, abs(act - con.rhs) / scale)
 
-        welfare = lp.objective_value(values)
+        welfare = dam_mod.welfare(dinput, lp, values, outcome.dam.wtp, t)
         dual_lp = lpcore.dualize(lp)
         pinned = []
         for b in net.buses:
@@ -570,12 +552,11 @@ def _dam_residuals(dinput, outcome):
         if not rsol.is_optimal:
             worst_gap = max(worst_gap, math.inf)
             continue
-        gap = abs(welfare - rsol.objective) / max(1.0, abs(welfare), abs(rsol.objective))
+        dual_value = rsol.objective + bid_dual
+        gap = abs(welfare - dual_value) / max(1.0, abs(welfare), abs(dual_value))
         worst_gap = max(worst_gap, gap)
-        for name, value in rsol.primal.items():
-            duals[f"{name}@t{t}"] = float(value)
 
-    return worst_feas, worst_gap, duals
+    return worst_feas, worst_gap
 
 
 def _pin_variables(lp: lpcore.LinearProgram, pinned) -> lpcore.LinearProgram:

@@ -13,14 +13,11 @@ generation segment cost.
 
 from __future__ import annotations
 
-import csv
-import io
-import math
 from dataclasses import dataclass
 
 from . import lpcore
-from .lpcore import EQ, GE, LE, LinearProgram, LpBuilder
-from .model import ChargingStation, Network, Scenario
+from .lpcore import EQ, LinearProgram, LpBuilder
+from .model import ChargingStation, Network
 
 
 class DamStructureError(ValueError):
@@ -54,7 +51,10 @@ class StationDamBid:
     """Fixed purchase quantities per bid segment with price-bid bounds.
 
     Quantities are data here: the station side of the market takes the fleet
-    schedule as given, and only the bid prices clear inside the market LP.
+    schedule as given.  A bid price then enters welfare only as q * price and
+    in no constraint, so it clears in closed form rather than as a market LP
+    column: `solve_dam` clears it at `wtp_max` where the segment buys
+    (q > 0), at `wtp_min` otherwise.
     """
 
     station_id: str
@@ -95,9 +95,6 @@ class DamOutcome:
     lmp: dict[str, tuple[float, ...]]
     welfare: float
     period_welfare: tuple[float, ...]
-
-    def lmp_at(self, bus: str, t: int) -> float:
-        return self.lmp[bus][t]
 
 
 def station_bid_from_quantities(
@@ -154,10 +151,12 @@ def build_dam(inp: DamInput, period: int | None = None) -> LinearProgram:
 
     Periods do not couple, so the block LP and the per-period LPs clear
     identically; `solve_dam` uses the per-period form.  Variables:
-    wtp/gen/seg/solar/angle/flow; rows: gen_split (dispatch equals the sum of
+    gen/seg/solar/angle/flow; rows: gen_split (dispatch equals the sum of
     its cost segments), dc_flow (flow follows angle difference over
     reactance), balance (nodal balance with fixed demand plus fleet
     withdrawals on the rhs).  The reference bus angle is pinned to zero.
+    The objective leaves out the bid value sum q * price, a constant once
+    bid prices clear in closed form (see `StationDamBid` and `welfare`).
     """
     _check_input(inp)
     net = inp.network
@@ -165,14 +164,6 @@ def build_dam(inp: DamInput, period: int | None = None) -> LinearProgram:
     lp = LpBuilder(lpcore.MAX, name="dam" if period is None else f"dam[t={period}]")
 
     for t in _periods(inp, period):
-        for bid in inp.station_bids:
-            for m, q in enumerate(bid.quantities):
-                lp.add_variable(
-                    f"wtp[{bid.station_id},{m},{t}]",
-                    bid.wtp_min[m][t],
-                    bid.wtp_max[m][t],
-                    objective=q[t],
-                )
         for g in net.generators:
             lp.add_variable(f"gen[{g.id},{t}]", g.p_min, g.p_max)
             for k, seg in enumerate(g.segments):
@@ -257,9 +248,11 @@ def solve_dam(inp: DamInput, *, feas_tol: float = lpcore.FEAS_TOL) -> DamOutcome
             angle[b.id].append(sol.primal[f"angle[{b.id},{t}]"])
             lmp[b.id].append(-sol.dual[f"balance[{b.id},{t}]"])
         for bid in inp.station_bids:
-            for m in range(len(bid.quantities)):
-                wtp[bid.station_id][m].append(sol.primal[f"wtp[{bid.station_id},{m},{t}]"])
-        period_welfare.append(sol.objective)
+            for m, q in enumerate(bid.quantities):
+                wtp[bid.station_id][m].append(
+                    bid.wtp_max[m][t] if q[t] > 0.0 else bid.wtp_min[m][t]
+                )
+        period_welfare.append(welfare(inp, lp, sol.primal, wtp, t))
 
     outcome = DamOutcome(
         horizon=T,
@@ -275,6 +268,37 @@ def solve_dam(inp: DamInput, *, feas_tol: float = lpcore.FEAS_TOL) -> DamOutcome
     )
     _verify_outcome(inp, outcome, feas_tol)
     return outcome
+
+
+def welfare(inp: DamInput, lp: LinearProgram, values, wtp, t: int) -> float:
+    """Welfare of period t: the bid value sum q * price over the bid
+    segments, then `lp`'s objective terms at `values`, summed in that fixed
+    order so the result is reproducible bit for bit."""
+    terms = [
+        q[t] * wtp[bid.station_id][m][t]
+        for bid in inp.station_bids
+        for m, q in enumerate(bid.quantities)
+    ]
+    terms.extend(v.objective * values[v.name] for v in lp.variables)
+    return float(sum(terms))
+
+
+def period_values(inp: DamInput, out: DamOutcome, t: int) -> dict[str, float]:
+    """An outcome's period-t dispatch keyed by the variable names of
+    `build_dam(inp, period=t)`."""
+    net = inp.network
+    values = {}
+    for g in net.generators:
+        values[f"gen[{g.id},{t}]"] = out.gen[g.id][t]
+        for k in range(len(g.segments)):
+            values[f"seg[{g.id},{k},{t}]"] = out.gen_segments[g.id][k][t]
+    for s in net.solar_units:
+        values[f"solar[{s.id},{t}]"] = out.solar[s.id][t]
+    for b in net.buses:
+        values[f"angle[{b.id},{t}]"] = out.angle[b.id][t]
+    for ln in net.lines:
+        values[f"flow[{ln.id},{t}]"] = out.flow[ln.id][t]
+    return values
 
 
 def _verify_outcome(inp: DamInput, out: DamOutcome, feas_tol: float) -> None:
@@ -342,11 +366,6 @@ def build_dam_paper_dual(inp: DamInput, period: int | None = None) -> LinearProg
             lp.add_variable(f"price[balance[{b.id},{t}]]", objective=_balance_rhs(inp, b.id, t))
 
         # bound prices, mirroring the primal variable set
-        for bid in inp.station_bids:
-            for m in range(len(bid.quantities)):
-                add_bound_pair(
-                    f"wtp[{bid.station_id},{m},{t}]", bid.wtp_min[m][t], bid.wtp_max[m][t]
-                )
         for g in net.generators:
             add_bound_pair(f"gen[{g.id},{t}]", g.p_min, g.p_max)
             for k, seg in enumerate(g.segments):
@@ -366,9 +385,6 @@ def build_dam_paper_dual(inp: DamInput, period: int | None = None) -> LinearProg
             coeffs.update(extra)
             lp.add_constraint(f"col[{var}]", coeffs, EQ, rhs)
 
-        for bid in inp.station_bids:
-            for m, q in enumerate(bid.quantities):
-                stationarity(f"wtp[{bid.station_id},{m},{t}]", {}, q[t])
         for g in net.generators:
             stationarity(
                 f"gen[{g.id},{t}]",
@@ -478,29 +494,3 @@ def paper_dual_structural_diff(inp: DamInput, period: int | None = None) -> list
     if auto.sense != explicit.sense:
         diffs.append(f"sense mismatch: {auto.sense} != {explicit.sense}")
     return diffs
-
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-
-def lmp_matrix_csv(outcome: DamOutcome) -> str:
-    """Bus-by-period price matrix; header `bus,t0,t1,...`."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["bus"] + [f"t{t}" for t in range(outcome.horizon)])
-    for bus in outcome.lmp:
-        writer.writerow([bus] + [f"{v:.6f}" for v in outcome.lmp[bus]])
-    return buf.getvalue()
-
-
-def dispatch_long_csv(outcome: DamOutcome) -> str:
-    """Generator dispatch in long format; header `generator,period,mw`."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["generator", "period", "mw"])
-    for gid, series in outcome.gen.items():
-        for t, mw in enumerate(series):
-            writer.writerow([gid, t, f"{mw:.6f}"])
-    return buf.getvalue()

@@ -258,19 +258,13 @@ def _schedule_from_solution(inp, fleets, values, offers):
     return total, home, station, segments, energy, fleet_costs
 
 
-def solve_fleet(
-    inp: FleetInput,
-    *,
-    billing: str = BILLING_OFFER,
-    tie_break: bool = True,
-    feas_tol: float = lpcore.FEAS_TOL,
-) -> FleetSchedule:
-    """Clear every fleet; returns the merged schedule.
+def solve_fleet(inp: FleetInput, *, feas_tol: float = lpcore.FEAS_TOL) -> FleetSchedule:
+    """Clear every fleet under offer billing; returns the merged schedule.
 
     Infeasible fleets are diagnosed before solving (first period whose
-    cumulative driving cannot be recovered).  With `tie_break`, cost-neutral
-    ambiguity is resolved toward station charging; the reported costs are
-    always at the true prices.
+    cumulative driving cannot be recovered).  Cost-neutral ambiguity is
+    resolved toward station charging (see the module docstring); the
+    reported costs are always at the true prices.
     """
     _check_input(inp)
     for f in inp.fleets:
@@ -281,18 +275,15 @@ def solve_fleet(
     total, home, station, segments, energy, fleet_costs = {}, {}, {}, {}, {}, {}
     tie_applied = False
     for f in sorted(inp.fleets, key=lambda f: f.id):
-        base_lp = build_fleet(inp, billing=billing, fleet_ids={f.id})
+        base_lp = build_fleet(inp, fleet_ids={f.id})
         base = lpcore.require_optimal(base_lp, feas_tol=feas_tol)
         chosen = base
-        if tie_break:
-            bumped_lp = build_fleet(
-                inp, billing=billing, home_price_bump=TIE_BREAK_EPS, fleet_ids={f.id}
-            )
-            bumped = lpcore.require_optimal(bumped_lp, feas_tol=feas_tol)
-            true_cost = base_lp.objective_value(bumped.primal)
-            if true_cost <= base.objective + 1e-7 * max(1.0, abs(base.objective)):
-                chosen = bumped
-                tie_applied = True
+        bumped_lp = build_fleet(inp, home_price_bump=TIE_BREAK_EPS, fleet_ids={f.id})
+        bumped = lpcore.require_optimal(bumped_lp, feas_tol=feas_tol)
+        true_cost = base_lp.objective_value(bumped.primal)
+        if true_cost <= base.objective + 1e-7 * max(1.0, abs(base.objective)):
+            chosen = bumped
+            tie_applied = True
         parts = _schedule_from_solution(inp, [f], chosen.primal, inp.offers)
         total.update(parts[0])
         home.update(parts[1])
@@ -560,21 +551,3 @@ def dual_form_report(
         corrected_sign_status=corrected.status,
         tolerance=tol,
     )
-
-
-def schedule_csv(schedule: FleetSchedule) -> str:
-    """Long-format export; header `fleet,source,period,mw` where source is
-    `home` or a station id."""
-    import csv as _csv
-    import io as _io
-
-    buf = _io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(["fleet", "source", "period", "mw"])
-    for fid in sorted(schedule.total):
-        for t in range(schedule.horizon):
-            writer.writerow([fid, "home", t, f"{schedule.home[fid][t]:.6f}"])
-        for sid in sorted(schedule.station[fid]):
-            for t in range(schedule.horizon):
-                writer.writerow([fid, sid, t, f"{schedule.station[fid][sid][t]:.6f}"])
-    return buf.getvalue()

@@ -205,6 +205,10 @@ class ChargingStation:
 
 @dataclass(frozen=True)
 class SolverSettings:
+    """Search and solver settings.  `workers` is accepted and ignored: sweeps
+    run their levels serially (the simplex is pure Python and holds the GIL,
+    so threads cannot speed them up)."""
+
     feas_tol: float = 1e-8
     duality_tol: float = 1e-6
     budget: int = 400

@@ -174,11 +174,9 @@ class SweepEntry:
         return None if self.result is None else self.result.row
 
 
-def _run_sweep(scenario, axis, values, scale_fn, budget, seed, workers) -> list[SweepEntry]:
-    """Each level is an independent pipeline over immutable inputs, so levels
-    may run on worker threads; results are merged by input position, making
-    the output independent of completion order.  A failing level is
-    recorded, not fatal."""
+def _run_sweep(scenario, axis, values, scale_fn, budget, seed) -> list[SweepEntry]:
+    """Run each level's independent pipeline in input order.  A failing
+    level is recorded, not fatal."""
 
     def run_one(value) -> SweepEntry:
         try:
@@ -187,40 +185,23 @@ def _run_sweep(scenario, axis, values, scale_fn, budget, seed, workers) -> list[
         except Exception as exc:  # noqa: BLE001 - per-level isolation is the contract
             return SweepEntry(axis, float(value), None, str(exc))
 
-    values = list(values)
-    workers = scenario.settings.workers if workers is None else workers
-    if workers <= 1 or len(values) <= 1:
-        return [run_one(v) for v in values]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_one, values))
+    return [run_one(v) for v in values]
 
 
 def sweep_penetration(
-    scenario: Scenario,
-    levels,
-    budget: int | None = None,
-    seed: int | None = None,
-    workers: int | None = None,
+    scenario: Scenario, levels, budget: int | None = None, seed: int | None = None
 ) -> list[SweepEntry]:
     """Re-run the baseline study at each EV penetration level (fraction of
     total demand, EV included)."""
-    return _run_sweep(
-        scenario, "penetration_level", levels, scale_penetration, budget, seed, workers
-    )
+    return _run_sweep(scenario, "penetration_level", levels, scale_penetration, budget, seed)
 
 
 def sweep_pv(
-    scenario: Scenario,
-    multipliers,
-    budget: int | None = None,
-    seed: int | None = None,
-    workers: int | None = None,
+    scenario: Scenario, multipliers, budget: int | None = None, seed: int | None = None
 ) -> list[SweepEntry]:
     """Re-run the baseline study with solar availability scaled by each
     multiplier (0 removes solar entirely)."""
-    return _run_sweep(scenario, "pv_multiplier", multipliers, scale_solar, budget, seed, workers)
+    return _run_sweep(scenario, "pv_multiplier", multipliers, scale_solar, budget, seed)
 
 
 # ---------------------------------------------------------------------------

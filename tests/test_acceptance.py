@@ -5,6 +5,7 @@ pass/fail lines; each test also prints a one-line summary.
 """
 
 import dataclasses
+import hashlib
 import json
 import time
 
@@ -296,8 +297,19 @@ def test_criterion_8_sweep_trends(desk_penetration_sweep, desk_pv_sweep):
     )
 
 
+CRITERION_9_SHA256 = {
+    "outcome.json": "9f40672767f573bb27395ff4eb34d3f1491bdf1d9fe428b10ae25d2cec15b04e",
+    "certificate.json": "9d0e08f6192c3321dbd558d4bab0c81650eeeebb1a9d121751a979e13b728335",
+    "metrics.csv": "925f7d2a1f590ae7c4cef294ae38b1680421773572cec20b3a69344161097000",
+    "hourly_profile.csv": "64c464eaad054ceb581a6fff98829ba1756f468084df17d01c6e3480f45b84b1",
+    "bus_lmp_charged.csv": "63ba2e9bb8173c580818b137e9773f96098c684f4a638bb8ac64b0d016a345db",
+}
+
+
 def test_criterion_9_byte_identical_reruns(tmp_path):
-    """Same scenario file and seed: outcome JSON and every CSV byte-equal."""
+    """Same scenario file and seed: outcome JSON and every CSV byte-equal,
+    and equal to the pinned sha256 digests (desk scenario, budget 25, seed
+    11)."""
     scenario_path = tmp_path / "desk.json"
     md.save_scenario(sc.desk_scenario(), scenario_path)
     outs = []
@@ -317,4 +329,11 @@ def test_criterion_9_byte_identical_reruns(tmp_path):
     ]
     for name in files:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
-    print(f"\nACCEPTANCE 9 PASS: {len(files)} artifacts byte-identical across reruns")
+    # Pinned outputs: a change that alters any of them must update the
+    # digest here and say why.
+    for name, digest in CRITERION_9_SHA256.items():
+        assert hashlib.sha256((outs[0] / name).read_bytes()).hexdigest() == digest, name
+    print(
+        f"\nACCEPTANCE 9 PASS: {len(files)} artifacts byte-identical across reruns "
+        "and equal to the pinned digests"
+    )

@@ -187,6 +187,27 @@ class TestCertify:
         assert not cert.passed
         assert "fleet_feasibility" in cert.failing()
 
+    def test_corrupted_bid_price_fails_with_named_residual(self):
+        scenario = one_bus_scenario()
+        out = bl.evaluate(bl.Strategy(params_of(scenario), (20.0, 20.0)), scenario)
+        seg = scenario.station("c1").segments[0]
+        quantities = out.schedule.segments["f1"]["c1"][0]
+        t = next(t for t, q in enumerate(quantities) if q > 1e-6)
+        assert out.dam.wtp["c1"][0][t] == seg.wtp_max[t]
+
+        def with_price(price):
+            row = list(out.dam.wtp["c1"][0])
+            row[t] = price
+            bad_dam = dataclasses.replace(out.dam, wtp={"c1": (tuple(row),)})
+            return bl.certify(dataclasses.replace(out, dam=bad_dam))
+
+        lowered = with_price(seg.wtp_min[t])
+        assert not lowered.passed
+        assert "dam_strong_duality" in lowered.failing()
+        outside = with_price(seg.wtp_max[t] + 10.0)
+        assert not outside.passed
+        assert "dam_feasibility" in outside.failing()
+
     def test_refuses_missing_outcome(self):
         with pytest.raises(ValueError, match="no outcome"):
             bl.certify(None)

@@ -1,4 +1,5 @@
-"""Market clearing: builder, prices, explicit dual, invariants, exports."""
+"""Market clearing: builder, prices, closed-form bid prices, explicit dual,
+invariants."""
 
 import numpy as np
 import pytest
@@ -116,10 +117,11 @@ class TestBuildAndSolve:
         st = md.ChargingStation(
             "c1", "f1", (20.0,), (40.0,), (md.WtpSegment(10.0, (20.0,), (40.0,)),)
         )
-        bid = dam.station_bid_from_quantities(st, ((5.0,),))
-        wd = dam.FleetWithdrawal("f1", "b1", (5.0,))
-        out = dam.solve_dam(dam.DamInput(inp.network, (wd,), (bid,)))
-        assert out.wtp["c1"][0][0] == pytest.approx(40.0, abs=1e-9)
+        for quantity, price in ((5.0, 40.0), (0.0, 20.0)):
+            bid = dam.station_bid_from_quantities(st, ((quantity,),))
+            wd = dam.FleetWithdrawal("f1", "b1", (quantity,))
+            out = dam.solve_dam(dam.DamInput(inp.network, (wd,), (bid,)))
+            assert out.wtp["c1"][0][0] == pytest.approx(price, abs=1e-9)
 
     def test_congested_two_bus_prices(self):
         out = dam.solve_dam(two_bus(line_cap=10.0))
@@ -156,7 +158,15 @@ class TestBuildAndSolve:
             inp = random_dam_input(rng)
             out = dam.solve_dam(inp)
             block = lpcore.require_optimal(dam.build_dam(inp))
-            assert block.objective == pytest.approx(out.welfare, rel=1e-9, abs=1e-9)
+            bid_value = sum(
+                q[t] * out.wtp[bid.station_id][m][t]
+                for bid in inp.station_bids
+                for m, q in enumerate(bid.quantities)
+                for t in range(inp.network.horizon)
+            )
+            assert block.objective + bid_value == pytest.approx(
+                out.welfare, rel=1e-9, abs=1e-9
+            )
 
 
 class TestInvariants:
@@ -234,19 +244,3 @@ class TestExplicitDual:
             assert explicit.objective == pytest.approx(
                 primal.objective, rel=1e-7, abs=1e-7
             )
-
-
-class TestExports:
-    def test_lmp_matrix_csv(self):
-        out = dam.solve_dam(two_bus())
-        text = dam.lmp_matrix_csv(out)
-        lines = text.strip().split("\n")
-        assert lines[0] == "bus,t0"
-        assert lines[1].startswith("b1,10.000000")
-        assert lines[2].startswith("b2,30.000000")
-
-    def test_dispatch_long_csv(self):
-        out = dam.solve_dam(single_bus())
-        text = dam.dispatch_long_csv(out)
-        assert text.splitlines()[0] == "generator,period,mw"
-        assert "g1,0,50.000000" in text

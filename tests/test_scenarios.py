@@ -125,16 +125,6 @@ class TestSweeps:
             f: "n/a" for f in sc.TREND_FIELDS
         }
 
-    def test_concurrent_sweep_matches_serial(self):
-        scenario = one_bus_scenario(budget=15)
-        serial = sc.sweep_pv(scenario, [0.0, 1.0, 2.0], workers=1)
-        threaded = sc.sweep_pv(scenario, [0.0, 1.0, 2.0], workers=3)
-        assert [e.value for e in threaded] == [e.value for e in serial]
-        for a, b in zip(serial, threaded):
-            assert a.error == b.error
-            assert a.row.profit == b.row.profit
-            assert a.row.purchased_price == b.row.purchased_price
-
     def test_metrics_csv_layout(self, desk_pv_sweep):
         text = sc.metrics_csv(desk_pv_sweep)
         lines = text.splitlines()
