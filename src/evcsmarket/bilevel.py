@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -373,11 +373,16 @@ class Certificate:
     Residuals are relative (scaled by the magnitude of what they compare).
     Feasibility families are checked against `feas_tolerance`, the two
     strong-duality families and the profit identity against `tolerance`.
+    `worst` says where each family's residual peaks (the first place on
+    ties): a period for `offer_bounds` and the market families, a fleet id
+    for the fleet families.  `profit_identity` is one sum over the whole
+    outcome and has no entry.
     """
 
     residuals: dict[str, float]
     tolerance: float
     feas_tolerance: float
+    worst: dict[str, int | str | None] = field(default_factory=dict)
 
     _DUALITY_FAMILIES = ("dam_strong_duality", "fleet_strong_duality", "profit_identity")
 
@@ -405,16 +410,28 @@ class Certificate:
         mark = "PASS" if self.passed else "FAIL"
         lines = [f"certificate: {mark} (duality tol {self.tolerance:g}, feasibility tol {self.feas_tolerance:g})"]
         for family in sorted(self.residuals):
-            lines.append(f"  {family}: {self.residuals[family]:.3e}")
+            line = f"  {family}: {self.residuals[family]:.3e}"
+            if self.worst.get(family) is not None:
+                kind = "fleet" if family.startswith("fleet_") else "period"
+                line += f" at {kind} {self.worst[family]}"
+            lines.append(line)
         return "\n".join(lines)
 
 
 def certify(outcome: EquilibriumOutcome | None, tol: float | None = None) -> Certificate:
     """Check every constraint family of the bidding structure on an outcome:
-    offer bounds, fleet-side feasibility and value optimality, market-side
-    feasibility, and that the outcome's locational prices extend to an exact
-    dual solution (so both welfare-side and cost-side strong-duality
-    equalities hold at `tol`).  Refuses when there is no outcome."""
+    offer bounds, fleet-side feasibility and cost optimality, market-side
+    feasibility and welfare optimality at the outcome's locational prices,
+    and the profit identity.  Refuses when there is no outcome.
+
+    Optimality is proved by weak duality (`lpcore.lagrangian_bound`): each
+    fleet LP and each market-period LP is re-solved, and the bound of a dual
+    vector is compared with the outcome's cost or welfare.  Any multipliers
+    give a sound bound, so the check does not trust the simplex: on the
+    fleet side the multipliers are the re-solve's duals, on the market side
+    the re-solve's duals with the balance rows replaced by the published
+    prices.  A re-solve that is not optimal makes its residual infinite, so
+    a bad outcome fails the certificate instead of raising."""
     if outcome is None:
         raise ValueError("no outcome to certify")
     scenario = outcome.scenario
@@ -422,37 +439,44 @@ def certify(outcome: EquilibriumOutcome | None, tol: float | None = None) -> Cer
     feas_tol = max(scenario.settings.feas_tol * 10.0, 1e-12)
     T = scenario.network.horizon
     residuals: dict[str, float] = {}
+    worst: dict[str, int | str | None] = {}
 
     # offer bounds (upper-level constraint on the strategy)
-    viol = 0.0
-    for st in scenario.stations:
-        tau = outcome.offers[st.id]
-        for t in range(T):
+    per_period = []
+    for t in range(T):
+        viol = 0.0
+        for st in scenario.stations:
+            tau = outcome.offers[st.id]
             scale = 1.0 + max(abs(st.offer_min[t]), abs(st.offer_max[t]))
             viol = max(
                 viol,
                 (st.offer_min[t] - tau[t]) / scale,
                 (tau[t] - st.offer_max[t]) / scale,
             )
-    residuals["offer_bounds"] = max(viol, 0.0)
+        per_period.append((t, viol))
+    residuals["offer_bounds"], worst["offer_bounds"] = _peak(per_period)
 
     # fleet-side feasibility of the stored schedule
-    residuals["fleet_feasibility"] = _fleet_feasibility_residual(outcome)
-
-    # fleet-side strong duality: schedule cost vs the automatic dual optimum
-    finput = fleet_mod.fleet_input(scenario, outcome.offers)
-    fleet_dual_lp = lpcore.dualize(fleet_mod.build_fleet(finput))
-    fleet_dual = lpcore.require_optimal(fleet_dual_lp, feas_tol=scenario.settings.feas_tol)
-    gap = abs(outcome.schedule.cost - fleet_dual.objective)
-    residuals["fleet_strong_duality"] = gap / max(
-        1.0, abs(outcome.schedule.cost), abs(fleet_dual.objective)
+    residuals["fleet_feasibility"], worst["fleet_feasibility"] = _peak(
+        _fleet_feasibility(outcome).items()
     )
+
+    # fleet-side strong duality: schedule cost vs the sum of per-fleet bounds
+    bounds = _fleet_bounds(outcome)
+    residuals["fleet_strong_duality"] = _rel_gap(outcome.schedule.cost, sum(bounds.values()))
+    worst["fleet_strong_duality"] = _peak(
+        (fid, _rel_gap(outcome.schedule.fleet_costs[fid], bound)) for fid, bound in bounds.items()
+    )[1]
 
     # market-side checks per period
     dinput = dam_input_for(scenario, outcome.schedule)
-    dam_feas, dam_gap = _dam_residuals(dinput, outcome)
-    residuals["dam_feasibility"] = dam_feas
-    residuals["dam_strong_duality"] = dam_gap
+    try:
+        dam_feas, dam_gap = _dam_residuals(dinput, outcome)
+    except dam_mod.DamStructureError:
+        # segment quantities outside their widths; fleet_feasibility names them
+        dam_feas = dam_gap = (math.inf, None)
+    residuals["dam_feasibility"], worst["dam_feasibility"] = dam_feas
+    residuals["dam_strong_duality"], worst["dam_strong_duality"] = dam_gap
 
     # profit decomposition recomputed from raw outputs
     recomputed = 0.0
@@ -461,19 +485,54 @@ def certify(outcome: EquilibriumOutcome | None, tol: float | None = None) -> Cer
         series = outcome.schedule.station[st.fleet_id][st.id]
         for t in range(T):
             recomputed += series[t] * (outcome.offers[st.id][t] - outcome.dam.lmp[fleet.bus][t])
-    residuals["profit_identity"] = abs(recomputed - outcome.profit) / max(
-        1.0, abs(recomputed), abs(outcome.profit)
-    )
+    residuals["profit_identity"] = _rel_gap(recomputed, outcome.profit)
 
-    return Certificate(residuals=residuals, tolerance=tol, feas_tolerance=feas_tol)
+    return Certificate(residuals=residuals, tolerance=tol, feas_tolerance=feas_tol, worst=worst)
 
 
-def _fleet_feasibility_residual(outcome: EquilibriumOutcome) -> float:
+def _peak(items) -> tuple[float, int | str | None]:
+    """Largest value among (key, value) pairs and the first key attaining
+    it; (0.0, None) when there are none."""
+    best, where = 0.0, None
+    for key, value in items:
+        if where is None or value > best:
+            best, where = value, key
+    return best, where
+
+
+def _rel_gap(a: float, b: float) -> float:
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def _fleet_bounds(outcome: EquilibriumOutcome) -> dict[str, float]:
+    """Per fleet id, a lower bound on the fleet's least charging cost at the
+    outcome's offers: `lpcore.lagrangian_bound` of its LP at the duals of a
+    re-solve.  -inf when the re-solve is not optimal, or when the offers
+    leave their bands (which `offer_bounds` reports)."""
+    scenario = outcome.scenario
+    finput = fleet_mod.fleet_input(scenario, outcome.offers)
+    bounds = {}
+    for f in scenario.fleets:
+        try:
+            lp = fleet_mod.build_fleet(finput, fleet_ids={f.id})
+        except fleet_mod.FleetStructureError:
+            bounds[f.id] = -math.inf
+            continue
+        sol = lpcore.solve(lp, feas_tol=scenario.settings.feas_tol)
+        bounds[f.id] = lpcore.lagrangian_bound(lp, sol.dual) if sol.is_optimal else -math.inf
+    return bounds
+
+
+def _fleet_feasibility(outcome: EquilibriumOutcome) -> dict[str, float]:
+    """Largest scaled constraint violation of the stored schedule, per fleet id."""
     scenario = outcome.scenario
     sched = outcome.schedule
     T = scenario.network.horizon
-    worst = 0.0
+    per_fleet = {}
     for f in scenario.fleets:
+        worst = 0.0
         scale = 1.0 + max(f.energy_max, f.max_charge, 1.0)
         e = f.initial_energy
         for t in range(T):
@@ -503,25 +562,35 @@ def _fleet_feasibility_residual(outcome: EquilibriumOutcome) -> float:
             )
         if f.final_energy_min is not None:
             worst = max(worst, (f.final_energy_min - e) / scale)
-    return worst
+        per_fleet[f.id] = worst
+    return per_fleet
 
 
 def _dam_residuals(dinput, outcome):
-    """Feasibility of the stored dispatch and bid prices plus the
-    restricted-dual gap: fix the balance duals at the outcome's prices and
-    minimize the dual; any corruption of the published prices makes the
-    restricted dual infeasible or strictly worse than the primal welfare.
+    """Per-period feasibility of the stored dispatch and bid prices, and the
+    welfare gap to a weak-duality bound; returns two (peak residual, period)
+    pairs.
+
+    Each period's LP is re-solved, and its balance-row multipliers are
+    replaced by the outcome's prices (negated, see `dam`).  The Lagrangian
+    bound of those multipliers is an upper bound on the period's welfare
+    whatever the prices are, and it meets the stored welfare only when they
+    are dual optimal, so a corrupted price leaves a gap.  At prices from
+    this solver the bound is tight; at prices taken from another solver's
+    degenerate optimum the other re-solved duals need not complete them, and
+    the check is conservative.
 
     Bid prices are not market LP columns (see `dam.StationDamBid`): their
     value q * price joins the welfare, and the dual value of the bound pair
-    a column would carry, max(q * wtp_min, q * wtp_max), joins the dual."""
+    a column would carry, max(q * wtp_min, q * wtp_max), joins the bound."""
     net = dinput.network
-    worst_feas = 0.0
-    worst_gap = 0.0
+    feas = []
+    gaps = []
 
     for t in range(net.horizon):
         lp = dam_mod.build_dam(dinput, period=t)
         values = dam_mod.period_values(dinput, outcome.dam, t)
+        worst_feas = 0.0
         bid_dual = 0.0
         for bid in dinput.station_bids:
             for m, q in enumerate(bid.quantities):
@@ -541,33 +610,25 @@ def _dam_residuals(dinput, outcome):
             act = sum(coef * values[var] for var, coef in con.coefficients.items())
             scale = 1.0 + abs(con.rhs)
             worst_feas = max(worst_feas, abs(act - con.rhs) / scale)
+        feas.append((t, worst_feas))
 
         welfare = dam_mod.welfare(dinput, lp, values, outcome.dam.wtp, t)
-        dual_lp = lpcore.dualize(lp)
-        pinned = []
-        for b in net.buses:
-            pinned.append((lpcore.dual_variable_name(f"balance[{b.id},{t}]"), -outcome.dam.lmp[b.id][t]))
-        restricted = _pin_variables(dual_lp, pinned)
-        rsol = lpcore.solve(restricted)
-        if not rsol.is_optimal:
-            worst_gap = max(worst_gap, math.inf)
-            continue
-        dual_value = rsol.objective + bid_dual
-        gap = abs(welfare - dual_value) / max(1.0, abs(welfare), abs(dual_value))
-        worst_gap = max(worst_gap, gap)
+        gaps.append((t, _rel_gap(welfare, _welfare_bound(lp, outcome, t) + bid_dual)))
 
-    return worst_feas, worst_gap
+    return _peak(feas), _peak(gaps)
 
 
-def _pin_variables(lp: lpcore.LinearProgram, pinned) -> lpcore.LinearProgram:
-    table = dict(pinned)
-    variables = tuple(
-        lpcore.Variable(v.name, table[v.name], table[v.name], v.objective)
-        if v.name in table
-        else v
-        for v in lp.variables
-    )
-    return lpcore.LinearProgram(lp.sense, variables, lp.constraints, name=f"{lp.name}|pinned")
+def _welfare_bound(lp: lpcore.LinearProgram, outcome: EquilibriumOutcome, t: int) -> float:
+    """Upper bound on the optimum of `lp`, the period-t market LP: the
+    Lagrangian bound at the duals of a re-solve, with the balance rows at
+    the outcome's prices.  inf when the re-solve is not optimal."""
+    sol = lpcore.solve(lp, feas_tol=outcome.scenario.settings.feas_tol)
+    if not sol.is_optimal:
+        return math.inf
+    y = dict(sol.dual)
+    for b in outcome.scenario.network.buses:
+        y[f"balance[{b.id},{t}]"] = -outcome.dam.lmp[b.id][t]
+    return lpcore.lagrangian_bound(lp, y)
 
 
 # ---------------------------------------------------------------------------
@@ -706,6 +767,7 @@ def certificate_to_json(cert: Certificate) -> dict:
         "feas_tolerance": cert.feas_tolerance,
         "max_violation": cert.max_violation,
         "residuals": dict(sorted(cert.residuals.items())),
+        "worst": dict(sorted(cert.worst.items())),
         "failing": cert.failing(),
     }
 

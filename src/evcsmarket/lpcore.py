@@ -1,6 +1,7 @@
 """Generic linear programming layer: model container, bounded-variable
-revised simplex solver with dual extraction, automatic dualizer, and
-strong-duality / complementary-slackness checkers.
+revised simplex solver with dual extraction, automatic dualizer,
+strong-duality / complementary-slackness checkers, and a weak-duality
+(Lagrangian) bound that any row multipliers give.
 
 Sign conventions (fixed once, used everywhere in this package):
 
@@ -690,6 +691,41 @@ def dual_objective_value(lp: LinearProgram, sol: LpSolution) -> float:
             total += rc * v.lower
         elif status == AT_UPPER:
             total += rc * v.upper
+    return float(total)
+
+
+def lagrangian_bound(lp: LinearProgram, y: Mapping[str, float]) -> float:
+    """Weak-duality bound on the optimum of `lp` from any row multipliers.
+
+    Returns rhs . y + sum_j best(d_j * x_j over [lower_j, upper_j]) with
+    reduced costs d = c - A'y, where "best" is the minimum when minimizing
+    and the maximum when maximizing.  Inequality multipliers are first
+    clipped to their feasible sign under the marginal-value convention;
+    rows missing from `y` count as 0.  The result is a lower bound on the
+    minimum (an upper bound on the maximum) whatever `y` is, and equals the
+    optimum at an optimal dual vector; it is -inf (+inf when maximizing)
+    when a nonzero reduced cost meets an infinite bound.
+    """
+    minimizing = lp.sense == MIN
+    reduced = {v.name: v.objective for v in lp.variables}
+    total = 0.0
+    for con in lp.constraints:
+        yi = float(y.get(con.name, 0.0))
+        if con.relation != EQ:
+            yi = max(yi, 0.0) if (con.relation == GE) == minimizing else min(yi, 0.0)
+        if yi == 0.0:
+            continue
+        total += con.rhs * yi
+        for var, coef in con.coefficients.items():
+            reduced[var] -= coef * yi
+    for v in lp.variables:
+        d = reduced[v.name]
+        if d == 0.0:
+            continue
+        at = v.lower if (d > 0.0) == minimizing else v.upper
+        if not math.isfinite(at):
+            return -INF if minimizing else INF
+        total += d * at
     return float(total)
 
 

@@ -1,10 +1,12 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from evcsmarket import bilevel as bl
 from evcsmarket import model as md
 from evcsmarket import scenarios as sc
 
@@ -83,3 +85,66 @@ def desk_penetration_sweep(desk):
 @pytest.fixture(scope="session")
 def desk_pv_sweep(desk):
     return sc.sweep_pv(desk, desk.sweeps.pv_multipliers)
+
+
+def _random_bilevel_scenario(seed):
+    """One station, short horizon, ample capacity: the offer band straddles
+    the retail rate so the profit landscape has its knife edge inside."""
+    rng = np.random.default_rng(seed)
+    T = 2 if seed % 5 < 3 else 3
+    gen_cost = float(rng.uniform(5.0, 15.0))
+    second_cost = gen_cost + float(rng.uniform(5.0, 20.0))
+    tou = float(rng.uniform(25.0, 45.0))
+    lo = float(rng.uniform(5.0, 12.0))
+    hi = tou + float(rng.uniform(2.0, 12.0))
+    demand = float(rng.uniform(10.0, 40.0))
+    drive = float(rng.uniform(4.0, 9.0))
+
+    net = md.Network(
+        buses=(md.Bus("b1", -1.0, 1.0, True),),
+        lines=(),
+        generators=(
+            md.Generator(
+                "g1", "b1", 0.0, 260.0,
+                (
+                    md.CostSegment(0.0, demand + 8.0, gen_cost),
+                    md.CostSegment(0.0, 252.0 - demand, second_cost),
+                ),
+            ),
+        ),
+        solar_units=(),
+        demands=(md.Demand("d1", "b1", (demand,) * T),),
+        horizon=T,
+    )
+    driving = [0.0] * T
+    driving[-1] = drive
+    fleet = md.EVFleet(
+        id="f1", bus="b1",
+        max_charge=12.0, home_cap=12.0,
+        home_connectivity=(1.0,) * T,
+        station_caps={"c1": 12.0},
+        station_connectivity={"c1": (1.0,) * T},
+        energy_min=0.0, energy_max=30.0, initial_energy=0.0,
+        charge_efficiency=1.0, discharge_efficiency=1.0,
+        driving=tuple(driving),
+        tou=(tou,) * T,
+    )
+    station = md.ChargingStation(
+        "c1", "f1", (lo,) * T, (hi,) * T,
+        (md.WtpSegment(12.0, (0.0,) * T, (60.0,) * T),),
+    )
+    return md.Scenario(f"rand{seed}", net, (fleet,), (station,), md.SolverSettings(seed=seed))
+
+
+@pytest.fixture(scope="session")
+def bilevel_instances():
+    """The 20 instances of acceptance criterion 5, each with its grid
+    optimum and its search outcome: (scenario, levels, grid, searched)."""
+    results = []
+    for i in range(20):
+        scenario = _random_bilevel_scenario(900 + i)
+        levels = (5, 7, 9)[i % 3] if scenario.network.horizon == 2 else 5
+        grid = bl.brute_force(scenario, levels=levels)
+        searched = bl.optimize(scenario)
+        results.append((scenario, levels, grid, searched))
+    return results

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from evcsmarket import bilevel as bl
+from evcsmarket import dam
+from evcsmarket import fleet as fl
+from evcsmarket import lpcore
 from evcsmarket import model as md
 from evcsmarket import scenarios as sc
 from conftest import one_bus_scenario
@@ -208,6 +211,42 @@ class TestCertify:
         assert not outside.passed
         assert "dam_feasibility" in outside.failing()
 
+    def test_shifted_schedule_cost_fails_fleet_duality(self):
+        scenario = one_bus_scenario()
+        out = bl.evaluate(bl.Strategy(params_of(scenario), (20.0, 20.0)), scenario)
+        sched = dataclasses.replace(out.schedule, cost=out.schedule.cost * 1.01)
+        cert = bl.certify(dataclasses.replace(out, schedule=sched))
+        assert set(cert.failing()) == {"fleet_strong_duality"}
+
+    def test_unmeetable_driving_fails_without_raising(self):
+        scenario = one_bus_scenario()
+        out = bl.evaluate(bl.Strategy(params_of(scenario), (20.0, 20.0)), scenario)
+        fleet = dataclasses.replace(scenario.fleets[0], driving=(0.0, 500.0))
+        bad = dataclasses.replace(out, scenario=dataclasses.replace(scenario, fleets=(fleet,)))
+        cert = bl.certify(bad)
+        assert cert.residuals["fleet_strong_duality"] == float("inf")
+        assert cert.worst["fleet_strong_duality"] == "f1"
+        assert not cert.passed
+
+    def test_segment_above_width_fails_without_raising(self):
+        scenario = one_bus_scenario()
+        out = bl.evaluate(bl.Strategy(params_of(scenario), (20.0, 20.0)), scenario)
+        sched = out.schedule
+        segments = {"f1": {"c1": ((sched.segments["f1"]["c1"][0][0], 99.0),)}}
+        cert = bl.certify(dataclasses.replace(out, schedule=dataclasses.replace(sched, segments=segments)))
+        assert {"fleet_feasibility", "dam_feasibility", "dam_strong_duality"} <= set(cert.failing())
+        assert cert.residuals["dam_strong_duality"] == float("inf")
+
+    def test_worst_names_the_period(self):
+        scenario = one_bus_scenario()
+        out = bl.evaluate(bl.Strategy(params_of(scenario), (20.0, 20.0)), scenario)
+        bad_dam = dataclasses.replace(out.dam, lmp={"b1": (10.0, 10.0 + 0.5)})
+        cert = bl.certify(dataclasses.replace(out, dam=bad_dam, offers={"c1": (20.0, 90.0)}))
+        assert {"offer_bounds", "fleet_strong_duality", "dam_strong_duality"} <= set(cert.failing())
+        assert cert.worst["offer_bounds"] == 1
+        assert cert.worst["dam_strong_duality"] == 1
+        assert "dam_strong_duality: " in cert.summary() and " at period 1" in cert.summary()
+
     def test_refuses_missing_outcome(self):
         with pytest.raises(ValueError, match="no outcome"):
             bl.certify(None)
@@ -225,6 +264,60 @@ class TestCertify:
             "offer_bounds",
             "profit_identity",
         }
+        assert doc["worst"] == {
+            "dam_feasibility": 0,
+            "dam_strong_duality": 0,
+            "fleet_feasibility": "f1",
+            "fleet_strong_duality": "f1",
+            "offer_bounds": 0,
+        }
+
+
+def _cold_fleet_bound(outcome):
+    """The fleet optimum as a cold solve of the dualized LP over all fleets."""
+    finput = fl.fleet_input(outcome.scenario, outcome.offers)
+    return lpcore.require_optimal(lpcore.dualize(fl.build_fleet(finput))).objective
+
+
+def _cold_welfare_bound(lp, outcome, t):
+    """Optimum of the dual of `lp` with the balance duals pinned at the
+    outcome's prices: the restricted dual solved cold."""
+    dual = lpcore.dualize(lp)
+    pinned = {
+        lpcore.dual_variable_name(f"balance[{b.id},{t}]"): -outcome.dam.lmp[b.id][t]
+        for b in outcome.scenario.network.buses
+    }
+    variables = tuple(
+        lpcore.Variable(v.name, pinned[v.name], pinned[v.name], v.objective) if v.name in pinned else v
+        for v in dual.variables
+    )
+    restricted = lpcore.LinearProgram(dual.sense, variables, dual.constraints)
+    return lpcore.require_optimal(restricted).objective
+
+
+def _assert_bounds_match_cold_path(outcome):
+    fleet_bound = sum(bl._fleet_bounds(outcome).values())
+    cold = _cold_fleet_bound(outcome)
+    assert abs(fleet_bound - cold) <= 1e-9 * max(1.0, abs(cold))
+    dinput = bl.dam_input_for(outcome.scenario, outcome.schedule)
+    for t in range(outcome.scenario.network.horizon):
+        lp = dam.build_dam(dinput, period=t)
+        bound = bl._welfare_bound(lp, outcome, t)
+        cold = _cold_welfare_bound(lp, outcome, t)
+        assert abs(bound - cold) <= 1e-9 * max(1.0, abs(cold)), t
+
+
+class TestCertifyMatchesColdDuals:
+    """The certificate's bounds (re-solved primal duals, checked by
+    arithmetic) equal the optima of the dualized LPs they replace."""
+
+    def test_desk_outcome(self, desk_baseline):
+        _assert_bounds_match_cold_path(desk_baseline.outcome)
+
+    def test_criterion_5_instances(self, bilevel_instances):
+        for _, _, grid, searched in bilevel_instances:
+            _assert_bounds_match_cold_path(grid)
+            _assert_bounds_match_cold_path(searched)
 
 
 class TestOutcomeRoundTrip:

@@ -1,6 +1,10 @@
 """Command-line surface: exit codes, outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +96,16 @@ class TestRun:
         (out / "outcome.json").write_text(json.dumps(doc))
         assert run_cli("run", toy_path, "--out", out, "--certify") == 3
 
+    def test_certify_unmeetable_driving_exit_three(self, toy_path, tmp_path, capsys):
+        out = tmp_path / "cache"
+        assert run_cli("run", toy_path, "--out", out) == 0
+        doc = json.loads((out / "outcome.json").read_text())
+        doc["scenario"]["fleets"][0]["driving"] = [0.0, 500.0]
+        (out / "outcome.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("run", toy_path, "--out", out, "--certify") == 3
+        assert "fleet_strong_duality: inf at fleet f1" in capsys.readouterr().out
+
     def test_certify_without_cache_exit_two(self, toy_path, tmp_path):
         assert run_cli("run", toy_path, "--out", tmp_path / "fresh", "--certify") == 2
 
@@ -154,3 +168,16 @@ class TestSweep:
 
 def test_unknown_command_exit_two():
     assert main(["frobnicate"]) == 2
+
+
+def test_python_dash_m_entry_point():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "evcsmarket", "validate", "data/desk_5bus.json"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "scenario OK" in proc.stdout

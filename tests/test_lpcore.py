@@ -252,3 +252,42 @@ def test_write_lp_text_layout():
         "  -inf <= y <= inf\n"
         "end\n"
     )
+
+
+class TestLagrangianBound:
+    def test_tight_at_solver_duals(self):
+        # the 200 LPs of acceptance criterion 1
+        rng = np.random.default_rng(20240801)
+        for k in range(200):
+            lp = random_feasible_bounded_lp(rng, max_vars=12, max_cons=12)
+            sol = lc.solve(lp)
+            assert sol.is_optimal, f"instance {k}: {sol.status}"
+            bound = lc.lagrangian_bound(lp, sol.dual)
+            assert abs(bound - sol.objective) <= 1e-9 * max(1.0, abs(sol.objective)), k
+
+    def test_bounds_optimum_at_any_multipliers(self):
+        rng = np.random.default_rng(31)
+        for k in range(100):
+            lp = random_feasible_bounded_lp(rng, max_vars=10, max_cons=10)
+            opt = lc.solve(lp).objective
+            y = {c.name: float(rng.normal(0.0, 5.0)) for c in lp.constraints}
+            bound = lc.lagrangian_bound(lp, y)
+            slack = 1e-9 * max(1.0, abs(opt))
+            if lp.sense == lc.MIN:
+                assert bound <= opt + slack, k
+            else:
+                assert bound >= opt - slack, k
+
+    def test_wrong_sign_multiplier_is_clipped(self):
+        # min x on [0, 10] with x <= 5: optimum 0; "<=" rows of a
+        # minimization take multipliers <= 0, so +1 counts as 0
+        lp = build(lc.MIN, [("x", 0.0, 10.0, 1.0)], [("cap", {"x": 1.0}, lc.LE, 5.0)])
+        assert lc.lagrangian_bound(lp, {"cap": 1.0}) == 0.0
+
+    @pytest.mark.parametrize("sense, infinite", [(lc.MIN, -lc.INF), (lc.MAX, lc.INF)])
+    def test_free_variable_reduced_cost(self, sense, infinite):
+        # min x or max -x over a free x >= 3: the optimum is 3 or -3
+        sign = 1.0 if sense == lc.MIN else -1.0
+        lp = build(sense, [("x", -lc.INF, lc.INF, sign)], [("floor", {"x": 1.0}, lc.GE, 3.0)])
+        assert lc.lagrangian_bound(lp, {"floor": 0.5 * sign}) == infinite
+        assert lc.lagrangian_bound(lp, {"floor": sign}) == 3.0 * sign
