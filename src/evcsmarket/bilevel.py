@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -309,17 +309,7 @@ def optimize(
 
     assert best is not None
     info = SearchInfo(evaluations=ev.used, starts=n_started, seed=seed, budget=budget)
-    return EquilibriumOutcome(
-        scenario=best.scenario,
-        strategy=best.strategy,
-        offers=best.offers,
-        schedule=best.schedule,
-        dam=best.dam,
-        revenue=best.revenue,
-        cost=best.cost,
-        profit=best.profit,
-        search=info,
-    )
+    return replace(best, search=info)
 
 
 def brute_force(
@@ -348,17 +338,7 @@ def brute_force(
         if _better(outcome, best):
             best = outcome
     assert best is not None
-    return EquilibriumOutcome(
-        scenario=best.scenario,
-        strategy=best.strategy,
-        offers=best.offers,
-        schedule=best.schedule,
-        dam=best.dam,
-        revenue=best.revenue,
-        cost=best.cost,
-        profit=best.profit,
-        search=SearchInfo(evaluations=count, starts=0, seed=-1, budget=count),
-    )
+    return replace(best, search=SearchInfo(evaluations=count, starts=0, seed=-1, budget=count))
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +404,12 @@ def certify(outcome: EquilibriumOutcome | None, tol: float | None = None) -> Cer
     feasibility and welfare optimality at the outcome's locational prices,
     and the profit identity.  Refuses when there is no outcome.
 
+    Feasibility is checked against the LP the solver built: the schedule of
+    each fleet against `fleet.build_fleet` for that fleet, the dispatch of
+    each period against `dam.build_dam` for that period, both with
+    `lpcore.max_violation`, whose scaling the solvers' own post-checks share
+    at a looser limit.  A value that is not finite fails its family.
+
     Optimality is proved by weak duality (`lpcore.lagrangian_bound`): each
     fleet LP and each market-period LP is re-solved, and the bound of a dual
     vector is compared with the outcome's cost or welfare.  Any multipliers
@@ -446,34 +432,32 @@ def certify(outcome: EquilibriumOutcome | None, tol: float | None = None) -> Cer
     for t in range(T):
         viol = 0.0
         for st in scenario.stations:
-            tau = outcome.offers[st.id]
-            scale = 1.0 + max(abs(st.offer_min[t]), abs(st.offer_max[t]))
-            viol = max(
-                viol,
-                (st.offer_min[t] - tau[t]) / scale,
-                (tau[t] - st.offer_max[t]) / scale,
-            )
+            tau = outcome.offers[st.id][t]
+            viol = max(viol, _band_violation(tau, st.offer_min[t], st.offer_max[t]))
         per_period.append((t, viol))
     residuals["offer_bounds"], worst["offer_bounds"] = _peak(per_period)
 
-    # fleet-side feasibility of the stored schedule
+    # fleet side: the stored schedule against each fleet's LP, and the
+    # schedule cost vs the sum of per-fleet bounds
+    fleet_checks = _fleet_checks(outcome)
     residuals["fleet_feasibility"], worst["fleet_feasibility"] = _peak(
-        _fleet_feasibility(outcome).items()
+        (fid, feas) for fid, (feas, _) in fleet_checks.items()
     )
-
-    # fleet-side strong duality: schedule cost vs the sum of per-fleet bounds
-    bounds = _fleet_bounds(outcome)
-    residuals["fleet_strong_duality"] = _rel_gap(outcome.schedule.cost, sum(bounds.values()))
+    residuals["fleet_strong_duality"] = _rel_gap(
+        outcome.schedule.cost, sum(bound for _, bound in fleet_checks.values())
+    )
     worst["fleet_strong_duality"] = _peak(
-        (fid, _rel_gap(outcome.schedule.fleet_costs[fid], bound)) for fid, bound in bounds.items()
+        (fid, _rel_gap(outcome.schedule.fleet_costs[fid], bound))
+        for fid, (_, bound) in fleet_checks.items()
     )[1]
 
     # market-side checks per period
     dinput = dam_input_for(scenario, outcome.schedule)
     try:
         dam_feas, dam_gap = _dam_residuals(dinput, outcome)
-    except dam_mod.DamStructureError:
-        # segment quantities outside their widths; fleet_feasibility names them
+    except (dam_mod.DamStructureError, lpcore.LpDefinitionError):
+        # segment quantities outside their widths, or a withdrawal that is
+        # not finite; fleet_feasibility names them
         dam_feas = dam_gap = (math.inf, None)
     residuals["dam_feasibility"], worst["dam_feasibility"] = dam_feas
     residuals["dam_strong_duality"], worst["dam_strong_duality"] = dam_gap
@@ -500,70 +484,45 @@ def _peak(items) -> tuple[float, int | str | None]:
     return best, where
 
 
+def _band_violation(x: float, lo: float, up: float) -> float:
+    """How far x lies outside [lo, up], scaled as `lpcore.max_violation`
+    scales a bound; inf when x is not finite."""
+    if not math.isfinite(x):
+        return math.inf
+    scale = 1.0 + max(abs(lo), abs(up))
+    return max((lo - x) / scale, (x - up) / scale)
+
+
 def _rel_gap(a: float, b: float) -> float:
     if not (math.isfinite(a) and math.isfinite(b)):
         return math.inf
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def _fleet_bounds(outcome: EquilibriumOutcome) -> dict[str, float]:
-    """Per fleet id, a lower bound on the fleet's least charging cost at the
-    outcome's offers: `lpcore.lagrangian_bound` of its LP at the duals of a
-    re-solve.  -inf when the re-solve is not optimal, or when the offers
-    leave their bands (which `offer_bounds` reports)."""
+def _fleet_checks(outcome: EquilibriumOutcome) -> dict[str, tuple[float, float]]:
+    """Per fleet id, the stored schedule's `lpcore.max_violation` of the
+    fleet's LP and a lower bound on the fleet's least charging cost at the
+    outcome's offers: `lpcore.lagrangian_bound` of that LP at the duals of a
+    re-solve.  The bound is -inf when the re-solve is not optimal, or when
+    the offers leave their bands (which `offer_bounds` reports); the
+    schedule is then checked against the LP at the band floors, since no
+    price enters a fleet constraint."""
     scenario = outcome.scenario
     finput = fleet_mod.fleet_input(scenario, outcome.offers)
-    bounds = {}
+    checks = {}
     for f in scenario.fleets:
         try:
             lp = fleet_mod.build_fleet(finput, fleet_ids={f.id})
         except fleet_mod.FleetStructureError:
-            bounds[f.id] = -math.inf
-            continue
-        sol = lpcore.solve(lp, feas_tol=scenario.settings.feas_tol)
-        bounds[f.id] = lpcore.lagrangian_bound(lp, sol.dual) if sol.is_optimal else -math.inf
-    return bounds
-
-
-def _fleet_feasibility(outcome: EquilibriumOutcome) -> dict[str, float]:
-    """Largest scaled constraint violation of the stored schedule, per fleet id."""
-    scenario = outcome.scenario
-    sched = outcome.schedule
-    T = scenario.network.horizon
-    per_fleet = {}
-    for f in scenario.fleets:
-        worst = 0.0
-        scale = 1.0 + max(f.energy_max, f.max_charge, 1.0)
-        e = f.initial_energy
-        for t in range(T):
-            total = sched.total[f.id][t]
-            home = sched.home[f.id][t]
-            st_sum = sum(sched.station[f.id][s][t] for s in sched.station[f.id])
-            worst = max(worst, abs(total - home - st_sum) / scale)
-            worst = max(worst, (total - f.max_charge) / scale, -total / scale)
-            worst = max(
-                worst, (home - f.home_connectivity[t] * f.home_cap) / scale, -home / scale
-            )
-            for cid, cap in f.station_caps:
-                s_val = sched.station[f.id].get(cid, (0.0,) * T)[t]
-                conn = f.station_conn(cid)[t]
-                worst = max(worst, (s_val - conn * cap) / scale, -s_val / scale)
-            for st in scenario.stations_of(f.id):
-                for m, seg in enumerate(st.segments):
-                    q = sched.segments[f.id][st.id][m][t]
-                    worst = max(worst, (q - seg.width) / scale, -q / scale)
-                st_series = sched.station[f.id][st.id]
-                seg_sum = sum(sched.segments[f.id][st.id][m][t] for m in range(len(st.segments)))
-                worst = max(worst, abs(st_series[t] - seg_sum) / scale)
-            e = e - f.driving[t] / f.discharge_efficiency + total * f.charge_efficiency
-            worst = max(worst, abs(e - sched.energy[f.id][t]) / scale)
-            worst = max(
-                worst, (f.energy_min - e) / scale, (e - f.energy_max) / scale
-            )
-        if f.final_energy_min is not None:
-            worst = max(worst, (f.final_energy_min - e) / scale)
-        per_fleet[f.id] = worst
-    return per_fleet
+            floors = {st.id: st.offer_min for st in scenario.stations}
+            lp = fleet_mod.build_fleet(fleet_mod.fleet_input(scenario, floors), fleet_ids={f.id})
+            bound = -math.inf
+        else:
+            sol = lpcore.solve(lp, feas_tol=scenario.settings.feas_tol)
+            bound = lpcore.lagrangian_bound(lp, sol.dual) if sol.is_optimal else -math.inf
+        feas = lpcore.max_violation(lp, fleet_mod.schedule_values(finput, outcome.schedule, f))
+        checks[f.id] = (feas, bound)
+    return checks
 
 
 def _dam_residuals(dinput, outcome):
@@ -590,26 +549,14 @@ def _dam_residuals(dinput, outcome):
     for t in range(net.horizon):
         lp = dam_mod.build_dam(dinput, period=t)
         values = dam_mod.period_values(dinput, outcome.dam, t)
-        worst_feas = 0.0
+        worst_feas = lpcore.max_violation(lp, values)
         bid_dual = 0.0
         for bid in dinput.station_bids:
             for m, q in enumerate(bid.quantities):
                 lo, up = bid.wtp_min[m][t], bid.wtp_max[m][t]
                 price = outcome.dam.wtp[bid.station_id][m][t]
-                scale = 1.0 + max(abs(lo), abs(up))
-                worst_feas = max(worst_feas, (lo - price) / scale, (price - up) / scale)
+                worst_feas = max(worst_feas, _band_violation(price, lo, up))
                 bid_dual += max(q[t] * lo, q[t] * up)
-        for v in lp.variables:
-            scale = 1.0 + max(abs(v.lower), abs(v.upper)) if math.isfinite(v.upper) else 1.0
-            worst_feas = max(
-                worst_feas,
-                (v.lower - values[v.name]) / scale,
-                (values[v.name] - v.upper) / scale if math.isfinite(v.upper) else 0.0,
-            )
-        for con in lp.constraints:
-            act = sum(coef * values[var] for var, coef in con.coefficients.items())
-            scale = 1.0 + abs(con.rhs)
-            worst_feas = max(worst_feas, abs(act - con.rhs) / scale)
         feas.append((t, worst_feas))
 
         welfare = dam_mod.welfare(dinput, lp, values, outcome.dam.wtp, t)

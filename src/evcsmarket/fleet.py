@@ -264,7 +264,9 @@ def solve_fleet(inp: FleetInput, *, feas_tol: float = lpcore.FEAS_TOL) -> FleetS
     Infeasible fleets are diagnosed before solving (first period whose
     cumulative driving cannot be recovered).  Cost-neutral ambiguity is
     resolved toward station charging (see the module docstring); the
-    reported costs are always at the true prices.
+    reported costs are always at the true prices.  The merged schedule is
+    checked against each fleet's LP (`lpcore.max_violation`) and raises
+    FleetStructureError above 100 * feas_tol.
     """
     _check_input(inp)
     for f in inp.fleets:
@@ -274,8 +276,9 @@ def solve_fleet(inp: FleetInput, *, feas_tol: float = lpcore.FEAS_TOL) -> FleetS
 
     total, home, station, segments, energy, fleet_costs = {}, {}, {}, {}, {}, {}
     tie_applied = False
+    base_lps = {}
     for f in sorted(inp.fleets, key=lambda f: f.id):
-        base_lp = build_fleet(inp, fleet_ids={f.id})
+        base_lp = base_lps[f.id] = build_fleet(inp, fleet_ids={f.id})
         base = lpcore.require_optimal(base_lp, feas_tol=feas_tol)
         chosen = base
         bumped_lp = build_fleet(inp, home_price_bump=TIE_BREAK_EPS, fleet_ids={f.id})
@@ -303,21 +306,28 @@ def solve_fleet(inp: FleetInput, *, feas_tol: float = lpcore.FEAS_TOL) -> FleetS
         cost=float(sum(fleet_costs.values())),
         tie_break_applied=tie_applied,
     )
-    _verify_schedule(inp, schedule, feas_tol)
+    for f in inp.fleets:
+        violation = lpcore.max_violation(base_lps[f.id], schedule_values(inp, schedule, f))
+        if violation > feas_tol * 100.0:
+            raise FleetStructureError(f"fleet {f.id}: schedule violates its LP by {violation:.3e}")
     return schedule
 
 
-def _verify_schedule(inp: FleetInput, sched: FleetSchedule, feas_tol: float) -> None:
-    tol = feas_tol * 100.0
-    for f in inp.fleets:
-        scale = max(1.0, f.energy_max, f.max_charge)
-        for t in range(inp.horizon):
-            if not (f.energy_min - tol * scale <= sched.energy[f.id][t] <= f.energy_max + tol * scale):
-                raise FleetStructureError(
-                    f"fleet {f.id}: energy bound violated at period {t}"
-                )
-            if sched.total[f.id][t] > f.max_charge + tol * scale:
-                raise FleetStructureError(f"fleet {f.id}: charge cap violated at period {t}")
+def schedule_values(inp: FleetInput, sched: FleetSchedule, fleet: EVFleet) -> dict[str, float]:
+    """A schedule's series for one fleet keyed by the variable names of
+    `build_fleet(inp, fleet_ids={fleet.id})`."""
+    fid = fleet.id
+    stations = _fleet_stations(inp, fleet)
+    values = {}
+    for t in range(inp.horizon):
+        values[f"total[{fid},{t}]"] = sched.total[fid][t]
+        values[f"home[{fid},{t}]"] = sched.home[fid][t]
+        for s in stations:
+            values[f"station[{fid},{s.id},{t}]"] = sched.station[fid][s.id][t]
+            for m in range(len(s.segments)):
+                values[f"segment[{fid},{s.id},{m},{t}]"] = sched.segments[fid][s.id][m][t]
+        values[f"energy[{fid},{t}]"] = sched.energy[fid][t]
+    return values
 
 
 # ---------------------------------------------------------------------------

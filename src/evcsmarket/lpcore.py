@@ -729,6 +729,32 @@ def lagrangian_bound(lp: LinearProgram, y: Mapping[str, float]) -> float:
     return float(total)
 
 
+def max_violation(lp: LinearProgram, values: Mapping[str, float]) -> float:
+    """Largest scaled violation of `lp`'s bounds and rows at `values`; 0.0
+    when every one holds.
+
+    A bound violation is divided by 1 + max(|lower|, |upper|) when both
+    bounds are finite and by 1 otherwise; a row violation by 1 + |rhs|.
+    "<=" and ">=" rows count only their violated side.  A value that is not
+    finite gives inf, so NaN cannot slip through a comparison."""
+    worst = 0.0
+    for v in lp.variables:
+        x = values[v.name]
+        if not math.isfinite(x):
+            return INF
+        finite = math.isfinite(v.lower) and math.isfinite(v.upper)
+        scale = 1.0 + max(abs(v.lower), abs(v.upper)) if finite else 1.0
+        worst = max(worst, (v.lower - x) / scale, (x - v.upper) / scale)
+    for con in lp.constraints:
+        excess = _constraint_activity(con, values) - con.rhs
+        if con.relation == EQ:
+            excess = abs(excess)
+        elif con.relation == GE:
+            excess = -excess
+        worst = max(worst, excess / (1.0 + abs(con.rhs)))
+    return float(worst)
+
+
 def _constraint_activity(con: Constraint, values: Mapping[str, float]) -> float:
     return float(sum(coef * values[var] for var, coef in con.coefficients.items()))
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,21 @@ from conftest import one_bus_scenario
 
 def params_of(scenario):
     return bl.offer_parameters(scenario)
+
+
+def toy_outcome():
+    scenario = one_bus_scenario()
+    return bl.evaluate(bl.Strategy(params_of(scenario), (20.0, 20.0)), scenario)
+
+
+def corrupt_first(tree, fn):
+    """`tree` (a dict or tuple nest of series) with `fn` applied to its
+    first number."""
+    if isinstance(tree, dict):
+        key = next(iter(tree))
+        return {**tree, key: corrupt_first(tree[key], fn)}
+    head = corrupt_first(tree[0], fn) if isinstance(tree[0], tuple) else fn(tree[0])
+    return (head,) + tuple(tree[1:])
 
 
 class TestEvaluate:
@@ -247,6 +263,57 @@ class TestCertify:
         assert cert.worst["dam_strong_duality"] == 1
         assert "dam_strong_duality: " in cert.summary() and " at period 1" in cert.summary()
 
+    @pytest.mark.parametrize("field", ["total", "home", "station", "segments", "energy"])
+    @pytest.mark.parametrize(
+        "corrupt", [lambda x: x + 1.0, lambda x: math.nan], ids=["shift_1mw", "nan"]
+    )
+    def test_corrupted_schedule_entry_fails_fleet_feasibility(self, field, corrupt):
+        out = toy_outcome()
+        bad = corrupt_first(getattr(out.schedule, field), corrupt)
+        sched = dataclasses.replace(out.schedule, **{field: bad})
+        cert = bl.certify(dataclasses.replace(out, schedule=sched))
+        assert "fleet_feasibility" in cert.failing()
+        assert cert.worst["fleet_feasibility"] == "f1"
+
+    def test_nan_withdrawal_fails_market_families_without_raising(self):
+        out = toy_outcome()
+        total = corrupt_first(out.schedule.total, lambda x: math.nan)
+        sched = dataclasses.replace(out.schedule, total=total)
+        cert = bl.certify(dataclasses.replace(out, schedule=sched))
+        assert cert.residuals["dam_feasibility"] == math.inf
+        assert cert.residuals["dam_strong_duality"] == math.inf
+        assert not cert.passed
+
+    def test_nan_dispatch_fails_dam_feasibility(self):
+        out = toy_outcome()
+        bad_dam = dataclasses.replace(out.dam, gen=corrupt_first(out.dam.gen, lambda x: math.nan))
+        cert = bl.certify(dataclasses.replace(out, dam=bad_dam))
+        assert cert.residuals["dam_feasibility"] == math.inf
+        assert cert.worst["dam_feasibility"] == 0
+
+    @pytest.mark.parametrize(
+        "where, family",
+        [("offers", "offer_bounds"), ("wtp", "dam_feasibility"), ("lmp", "dam_strong_duality")],
+    )
+    def test_nan_price_fails_its_family_without_raising(self, where, family):
+        out = toy_outcome()
+        if where == "offers":
+            bad = dataclasses.replace(out, offers=corrupt_first(out.offers, lambda x: math.nan))
+        else:
+            prices = corrupt_first(getattr(out.dam, where), lambda x: math.nan)
+            bad = dataclasses.replace(out, dam=dataclasses.replace(out.dam, **{where: prices}))
+        cert = bl.certify(bad)
+        assert cert.residuals[family] == math.inf
+        assert cert.worst[family] == 0
+
+    def test_offers_outside_band_fail_only_offer_families(self):
+        # period 1 buys nothing at the station, so the profit identity holds;
+        # the schedule is checked against the LP at the band floors
+        out = toy_outcome()
+        assert out.schedule.station["f1"]["c1"][1] == 0.0
+        cert = bl.certify(dataclasses.replace(out, offers={"c1": (20.0, 90.0)}))
+        assert set(cert.failing()) == {"offer_bounds", "fleet_strong_duality"}
+
     def test_refuses_missing_outcome(self):
         with pytest.raises(ValueError, match="no outcome"):
             bl.certify(None)
@@ -296,7 +363,7 @@ def _cold_welfare_bound(lp, outcome, t):
 
 
 def _assert_bounds_match_cold_path(outcome):
-    fleet_bound = sum(bl._fleet_bounds(outcome).values())
+    fleet_bound = sum(bound for _, bound in bl._fleet_checks(outcome).values())
     cold = _cold_fleet_bound(outcome)
     assert abs(fleet_bound - cold) <= 1e-9 * max(1.0, abs(cold))
     dinput = bl.dam_input_for(outcome.scenario, outcome.schedule)

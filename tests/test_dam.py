@@ -112,6 +112,19 @@ class TestBuildAndSolve:
             dam.solve_dam(single_bus(demand=150.0))
         assert err.value.period == 0
 
+    def test_post_check_names_the_period(self, monkeypatch):
+        real_solve = lpcore.solve
+
+        def off_balance(lp, **kwargs):
+            sol = real_solve(lp, **kwargs)
+            if lp.name == "dam[t=1]":
+                sol.primal["gen[g1,1]"] += 1.0
+            return sol
+
+        monkeypatch.setattr(lpcore, "solve", off_balance)
+        with pytest.raises(dam.DamNumericalError, match="period 1: solution violates"):
+            dam.solve_dam(single_bus(horizon=2))
+
     def test_fixed_quantity_pushes_bid_to_ceiling(self):
         inp = single_bus()
         st = md.ChargingStation(

@@ -108,6 +108,18 @@ class TestSolve:
         assert sched.energy["f1"][-1] >= 12.0 - 1e-9
         assert sched.cost == pytest.approx(70.0, abs=1e-6)  # 7 MWh at the cheap hour
 
+    def test_post_check_rejects_a_schedule_off_its_lp(self, monkeypatch):
+        real_require_optimal = lpcore.require_optimal
+
+        def above_width(lp, **kwargs):
+            sol = real_require_optimal(lp, **kwargs)
+            sol.primal["segment[f1,c1,0,0]"] += 100.0
+            return sol
+
+        monkeypatch.setattr(lpcore, "require_optimal", above_width)
+        with pytest.raises(fl.FleetStructureError, match="fleet f1: schedule violates"):
+            fl.solve_fleet(toy_input((10.0, 30.0)))
+
 
 class TestStructure:
     def test_offers_must_stay_in_band(self):

@@ -291,3 +291,46 @@ class TestLagrangianBound:
         lp = build(sense, [("x", -lc.INF, lc.INF, sign)], [("floor", {"x": 1.0}, lc.GE, 3.0)])
         assert lc.lagrangian_bound(lp, {"floor": 0.5 * sign}) == infinite
         assert lc.lagrangian_bound(lp, {"floor": sign}) == 3.0 * sign
+
+
+class TestMaxViolation:
+    def test_small_at_solver_primal(self):
+        # the 200 LPs of acceptance criterion 1
+        rng = np.random.default_rng(20240801)
+        for k in range(200):
+            lp = random_feasible_bounded_lp(rng, max_vars=12, max_cons=12)
+            sol = lc.solve(lp)
+            assert sol.is_optimal, f"instance {k}: {sol.status}"
+            assert lc.max_violation(lp, sol.primal) <= 100 * lc.FEAS_TOL, k
+
+    @pytest.mark.parametrize(
+        "relation, value, expected",
+        [
+            (lc.LE, 2.0, 0.0),
+            (lc.LE, 7.0, 1.0),
+            (lc.GE, 7.0, 0.0),
+            (lc.GE, 2.0, 0.25),
+            (lc.EQ, 2.0, 0.25),
+            (lc.EQ, 7.0, 1.0),
+        ],
+    )
+    def test_only_the_violated_side_of_a_row_counts(self, relation, value, expected):
+        # x + y against rhs 3 with y = 0: a violation is scaled by 1 + |rhs|
+        lp = build(
+            lc.MIN,
+            [("x", -lc.INF, lc.INF, 0.0), ("y", -lc.INF, lc.INF, 0.0)],
+            [("row", {"x": 1.0, "y": 1.0}, relation, 3.0)],
+        )
+        assert lc.max_violation(lp, {"x": value, "y": 0.0}) == expected
+
+    def test_bound_violation_scaling(self):
+        # [2, 4] scales by 1 + 4; an infinite side scales by 1
+        lp = build(lc.MIN, [("x", 2.0, 4.0, 0.0), ("y", 2.0, lc.INF, 0.0)], [])
+        assert lc.max_violation(lp, {"x": 5.0, "y": 3.0}) == 0.2
+        assert lc.max_violation(lp, {"x": 3.0, "y": 0.0}) == 2.0
+        assert lc.max_violation(lp, {"x": 3.0, "y": 1e9}) == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_infinite(self, bad):
+        lp = build(lc.MIN, [("x", -lc.INF, lc.INF, 0.0)], [])
+        assert lc.max_violation(lp, {"x": bad}) == math.inf
