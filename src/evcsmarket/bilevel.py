@@ -417,9 +417,11 @@ def certify(outcome: EquilibriumOutcome | None, tol: float | None = None) -> Cer
     fleet side the multipliers are the re-solve's duals, on the market side
     the re-solve's duals with the balance rows replaced by the published
     prices.  A re-solve that is not optimal makes its residual infinite, so
-    a bad outcome fails the certificate instead of raising."""
+    a bad outcome fails the certificate instead of raising; so does a
+    series shorter than the horizon (see `_padded`)."""
     if outcome is None:
         raise ValueError("no outcome to certify")
+    outcome = _padded(outcome)
     scenario = outcome.scenario
     tol = scenario.settings.duality_tol if tol is None else tol
     feas_tol = max(scenario.settings.feas_tol * 10.0, 1e-12)
@@ -472,6 +474,27 @@ def certify(outcome: EquilibriumOutcome | None, tol: float | None = None) -> Cer
     residuals["profit_identity"] = _rel_gap(recomputed, outcome.profit)
 
     return Certificate(residuals=residuals, tolerance=tol, feas_tolerance=feas_tol, worst=worst)
+
+
+def _padded(outcome: EquilibriumOutcome) -> EquilibriumOutcome:
+    """The outcome with every series that `certify` reads filled up to the
+    horizon with NaN, so that a missing period fails the family reading it,
+    as a NaN there does, instead of raising IndexError."""
+    T = outcome.scenario.network.horizon
+
+    def pad(tree, depth):  # depth: dict or tuple levels above the series
+        if depth == 0:
+            return tuple(tree) + (math.nan,) * (T - len(tree))
+        if isinstance(tree, dict):
+            return {k: pad(v, depth - 1) for k, v in tree.items()}
+        return tuple(pad(v, depth - 1) for v in tree)
+
+    def with_padded(obj, **depths):
+        return replace(obj, **{name: pad(getattr(obj, name), d) for name, d in depths.items()})
+
+    schedule = with_padded(outcome.schedule, total=1, home=1, energy=1, station=2, segments=3)
+    dam = with_padded(outcome.dam, gen=1, solar=1, flow=1, angle=1, lmp=1, gen_segments=2, wtp=2)
+    return with_padded(replace(outcome, schedule=schedule, dam=dam), offers=1)
 
 
 def _peak(items) -> tuple[float, int | str | None]:
@@ -620,7 +643,6 @@ def outcome_to_json(outcome: EquilibriumOutcome) -> dict:
             "energy": {k: list(v) for k, v in sorted(outcome.schedule.energy.items())},
             "fleet_costs": dict(sorted(outcome.schedule.fleet_costs.items())),
             "cost": outcome.schedule.cost,
-            "tie_break_applied": outcome.schedule.tie_break_applied,
         },
         "dam": {
             "lmp": {k: list(v) for k, v in sorted(outcome.dam.lmp.items())},
@@ -673,7 +695,6 @@ def outcome_from_json(data: dict) -> EquilibriumOutcome:
         energy={k: tuple(v) for k, v in sched["energy"].items()},
         fleet_costs=dict(sched["fleet_costs"]),
         cost=float(sched["cost"]),
-        tie_break_applied=bool(sched["tie_break_applied"]),
     )
     dam_data = data["dam"]
     dam_out = dam_mod.DamOutcome(

@@ -6,15 +6,17 @@ offer prices are data), so `solve_fleet` clears each fleet separately and
 merges results by fleet id.
 
 Tie-breaking: when a station offer equals the retail rate the cost optimum
-is not unique.  Station charging is preferred, implemented as a 1e-6 $/MWh
-surcharge on home charging during the solve.  A post-check re-solves the
-unperturbed program and falls back to its schedule if the surcharge moved
-the true cost by more than rounding (it cannot on exact ties).
+is not unique.  Station charging is preferred: each fleet LP is solved once
+with a TIE_BREAK_EPS $/MWh surcharge on home charging, and costs are
+reported at the true prices.  For any true-cost optimum x*, the surcharged
+optimum x_b has home(x_b) <= home(x*) and true(x_b) <= true(x*) + 1e-6 *
+(home(x*) - home(x_b)): at most 1e-6 $ per MWh moved from home to a station
+(Mangasarian & Meyer, SIAM J. Control Optim. 17(6), 1979).  The
+certificate's `fleet_strong_duality` re-solves the true LP and is the judge.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from . import lpcore
@@ -106,7 +108,6 @@ class FleetSchedule:
     energy: dict[str, tuple[float, ...]]
     fleet_costs: dict[str, float]
     cost: float
-    tie_break_applied: bool
 
     def station_energy(self, fleet_id: str | None = None) -> float:
         fleets = [fleet_id] if fleet_id else list(self.station)
@@ -222,51 +223,44 @@ def build_fleet(
     return lp.build()
 
 
-def _schedule_from_solution(inp, fleets, values, offers):
-    total, home, station, segments, energy, fleet_costs = {}, {}, {}, {}, {}, {}
+def _schedule_from_solution(inp: FleetInput, f: EVFleet, values):
+    """One fleet's series (total, home, station, segments, energy) and its
+    cost at the true prices, from the primal values of its LP."""
     T = inp.horizon
-    for f in fleets:
-        stations = _fleet_stations(inp, f)
-        home_f = tuple(values[f"home[{f.id},{t}]"] for t in range(T))
-        st_f = {}
-        seg_f = {}
-        for s in stations:
-            seg_f[s.id] = tuple(
-                tuple(values[f"segment[{f.id},{s.id},{m},{t}]"] for t in range(T))
-                for m in range(len(s.segments))
-            )
-            st_f[s.id] = tuple(
-                sum(seg_f[s.id][m][t] for m in range(len(s.segments))) for t in range(T)
-            )
-        total_f = tuple(
-            home_f[t] + sum(st_f[s.id][t] for s in stations) for t in range(T)
+    stations = _fleet_stations(inp, f)
+    home = tuple(values[f"home[{f.id},{t}]"] for t in range(T))
+    station = {}
+    segments = {}
+    for s in stations:
+        segments[s.id] = tuple(
+            tuple(values[f"segment[{f.id},{s.id},{m},{t}]"] for t in range(T))
+            for m in range(len(s.segments))
         )
-        e = f.initial_energy
-        energy_f = []
-        for t in range(T):
-            e = e - f.driving[t] / f.discharge_efficiency + total_f[t] * f.charge_efficiency
-            energy_f.append(e)
-        cost = sum(home_f[t] * f.tou[t] for t in range(T))
-        for s in stations:
-            cost += sum(st_f[s.id][t] * offers[s.id][t] for t in range(T))
-        total[f.id] = total_f
-        home[f.id] = home_f
-        station[f.id] = st_f
-        segments[f.id] = seg_f
-        energy[f.id] = tuple(energy_f)
-        fleet_costs[f.id] = float(cost)
-    return total, home, station, segments, energy, fleet_costs
+        station[s.id] = tuple(
+            sum(segments[s.id][m][t] for m in range(len(s.segments))) for t in range(T)
+        )
+    total = tuple(home[t] + sum(station[s.id][t] for s in stations) for t in range(T))
+    e = f.initial_energy
+    energy = []
+    for t in range(T):
+        e = e - f.driving[t] / f.discharge_efficiency + total[t] * f.charge_efficiency
+        energy.append(e)
+    cost = sum(home[t] * f.tou[t] for t in range(T))
+    for s in stations:
+        cost += sum(station[s.id][t] * inp.offers[s.id][t] for t in range(T))
+    return total, home, station, segments, tuple(energy), float(cost)
 
 
 def solve_fleet(inp: FleetInput, *, feas_tol: float = lpcore.FEAS_TOL) -> FleetSchedule:
     """Clear every fleet under offer billing; returns the merged schedule.
 
     Infeasible fleets are diagnosed before solving (first period whose
-    cumulative driving cannot be recovered).  Cost-neutral ambiguity is
-    resolved toward station charging (see the module docstring); the
-    reported costs are always at the true prices.  The merged schedule is
-    checked against each fleet's LP (`lpcore.max_violation`) and raises
-    FleetStructureError above 100 * feas_tol.
+    cumulative driving cannot be recovered).  Each fleet's LP is solved
+    once, with the surcharge that breaks ties toward station charging (see
+    the module docstring); reported costs are at the true prices.  The
+    merged schedule is checked against that LP (`lpcore.max_violation`; the
+    surcharge moves no row or bound) and raises FleetStructureError above
+    100 * feas_tol.
     """
     _check_input(inp)
     for f in inp.fleets:
@@ -275,25 +269,13 @@ def solve_fleet(inp: FleetInput, *, feas_tol: float = lpcore.FEAS_TOL) -> FleetS
             raise FleetInfeasibleError(f.id, t_bad)
 
     total, home, station, segments, energy, fleet_costs = {}, {}, {}, {}, {}, {}
-    tie_applied = False
-    base_lps = {}
+    lps = {}
     for f in sorted(inp.fleets, key=lambda f: f.id):
-        base_lp = base_lps[f.id] = build_fleet(inp, fleet_ids={f.id})
-        base = lpcore.require_optimal(base_lp, feas_tol=feas_tol)
-        chosen = base
-        bumped_lp = build_fleet(inp, home_price_bump=TIE_BREAK_EPS, fleet_ids={f.id})
-        bumped = lpcore.require_optimal(bumped_lp, feas_tol=feas_tol)
-        true_cost = base_lp.objective_value(bumped.primal)
-        if true_cost <= base.objective + 1e-7 * max(1.0, abs(base.objective)):
-            chosen = bumped
-            tie_applied = True
-        parts = _schedule_from_solution(inp, [f], chosen.primal, inp.offers)
-        total.update(parts[0])
-        home.update(parts[1])
-        station.update(parts[2])
-        segments.update(parts[3])
-        energy.update(parts[4])
-        fleet_costs.update(parts[5])
+        lp = lps[f.id] = build_fleet(inp, home_price_bump=TIE_BREAK_EPS, fleet_ids={f.id})
+        values = lpcore.require_optimal(lp, feas_tol=feas_tol).primal
+        (
+            total[f.id], home[f.id], station[f.id], segments[f.id], energy[f.id], fleet_costs[f.id]
+        ) = _schedule_from_solution(inp, f, values)
 
     schedule = FleetSchedule(
         horizon=inp.horizon,
@@ -304,10 +286,9 @@ def solve_fleet(inp: FleetInput, *, feas_tol: float = lpcore.FEAS_TOL) -> FleetS
         energy=energy,
         fleet_costs=fleet_costs,
         cost=float(sum(fleet_costs.values())),
-        tie_break_applied=tie_applied,
     )
     for f in inp.fleets:
-        violation = lpcore.max_violation(base_lps[f.id], schedule_values(inp, schedule, f))
+        violation = lpcore.max_violation(lps[f.id], schedule_values(inp, schedule, f))
         if violation > feas_tol * 100.0:
             raise FleetStructureError(f"fleet {f.id}: schedule violates its LP by {violation:.3e}")
     return schedule

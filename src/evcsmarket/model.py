@@ -205,9 +205,7 @@ class ChargingStation:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Search and solver settings.  `workers` is accepted and ignored: sweeps
-    run their levels serially (the simplex is pure Python and holds the GIL,
-    so threads cannot speed them up)."""
+    """Search and solver settings."""
 
     feas_tol: float = 1e-8
     duality_tol: float = 1e-6
@@ -217,7 +215,6 @@ class SolverSettings:
     parameterization: str = PARAM_PER_STATION_PERIOD
     block_width: int = 6
     seed: int = 0
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -728,6 +725,7 @@ def scenario_from_json(data: Mapping[str, Any], base_dir=None) -> Scenario:
         )
 
         raw_settings = dict(data.get("settings", {}))
+        raw_settings.pop("workers", None)  # older files carry it; nothing reads it
         known = {f.name for f in fields(SolverSettings)}
         unknown = set(raw_settings) - known
         if unknown:
@@ -841,7 +839,6 @@ def scenario_to_json(scenario: Scenario) -> dict:
             "parameterization": scenario.settings.parameterization,
             "block_width": scenario.settings.block_width,
             "seed": scenario.settings.seed,
-            "workers": scenario.settings.workers,
         },
         "sweeps": {
             "penetration_levels": list(scenario.sweeps.penetration_levels),

@@ -237,7 +237,7 @@ def test_criterion_8_sweep_trends(desk_penetration_sweep, desk_pv_sweep):
 
 
 CRITERION_9_SHA256 = {
-    "outcome.json": "9f40672767f573bb27395ff4eb34d3f1491bdf1d9fe428b10ae25d2cec15b04e",
+    "outcome.json": "0540679062cc9d4e0f7683f66203a709e815d409b9c84ddb3ab440e82be2a917",
     "certificate.json": "9e9cfc1554ec21c90acd3304b80ddab564b5ff1298771016a824c746c16d0640",
     "metrics.csv": "925f7d2a1f590ae7c4cef294ae38b1680421773572cec20b3a69344161097000",
     "hourly_profile.csv": "64c464eaad054ceb581a6fff98829ba1756f468084df17d01c6e3480f45b84b1",

@@ -25,14 +25,29 @@ def toy_outcome():
     return bl.evaluate(bl.Strategy(params_of(scenario), (20.0, 20.0)), scenario)
 
 
-def corrupt_first(tree, fn):
-    """`tree` (a dict or tuple nest of series) with `fn` applied to its
-    first number."""
+def on_first_series(tree, fn):
+    """`tree` (a dict or tuple nest of series) with its first series
+    replaced by `fn(series)`."""
     if isinstance(tree, dict):
         key = next(iter(tree))
-        return {**tree, key: corrupt_first(tree[key], fn)}
-    head = corrupt_first(tree[0], fn) if isinstance(tree[0], tuple) else fn(tree[0])
-    return (head,) + tuple(tree[1:])
+        return {**tree, key: on_first_series(tree[key], fn)}
+    if isinstance(tree[0], tuple):
+        return (on_first_series(tree[0], fn),) + tuple(tree[1:])
+    return fn(tuple(tree))
+
+
+def corrupt_first(tree, fn):
+    """`tree` with `fn` applied to its first number."""
+    return on_first_series(tree, lambda series: (fn(series[0]),) + series[1:])
+
+
+def nan_first(tree):
+    return corrupt_first(tree, lambda x: math.nan)
+
+
+def truncate_first(tree):
+    """`tree` with its first series cut to one period (the toy has two)."""
+    return on_first_series(tree, lambda series: series[:1])
 
 
 class TestEvaluate:
@@ -265,11 +280,13 @@ class TestCertify:
 
     @pytest.mark.parametrize("field", ["total", "home", "station", "segments", "energy"])
     @pytest.mark.parametrize(
-        "corrupt", [lambda x: x + 1.0, lambda x: math.nan], ids=["shift_1mw", "nan"]
+        "corrupt",
+        [lambda tree: corrupt_first(tree, lambda x: x + 1.0), nan_first, truncate_first],
+        ids=["shift_1mw", "nan", "truncate"],
     )
     def test_corrupted_schedule_entry_fails_fleet_feasibility(self, field, corrupt):
         out = toy_outcome()
-        bad = corrupt_first(getattr(out.schedule, field), corrupt)
+        bad = corrupt(getattr(out.schedule, field))
         sched = dataclasses.replace(out.schedule, **{field: bad})
         cert = bl.certify(dataclasses.replace(out, schedule=sched))
         assert "fleet_feasibility" in cert.failing()
@@ -277,7 +294,7 @@ class TestCertify:
 
     def test_nan_withdrawal_fails_market_families_without_raising(self):
         out = toy_outcome()
-        total = corrupt_first(out.schedule.total, lambda x: math.nan)
+        total = nan_first(out.schedule.total)
         sched = dataclasses.replace(out.schedule, total=total)
         cert = bl.certify(dataclasses.replace(out, schedule=sched))
         assert cert.residuals["dam_feasibility"] == math.inf
@@ -285,26 +302,37 @@ class TestCertify:
         assert not cert.passed
 
     def test_nan_dispatch_fails_dam_feasibility(self):
+        # a NaN in period 0, or a series cut before period 1
         out = toy_outcome()
-        bad_dam = dataclasses.replace(out.dam, gen=corrupt_first(out.dam.gen, lambda x: math.nan))
-        cert = bl.certify(dataclasses.replace(out, dam=bad_dam))
-        assert cert.residuals["dam_feasibility"] == math.inf
-        assert cert.worst["dam_feasibility"] == 0
+        for corrupt, period in ((nan_first, 0), (truncate_first, 1)):
+            bad_dam = dataclasses.replace(out.dam, gen=corrupt(out.dam.gen))
+            cert = bl.certify(dataclasses.replace(out, dam=bad_dam))
+            assert cert.residuals["dam_feasibility"] == math.inf
+            assert cert.worst["dam_feasibility"] == period
 
     @pytest.mark.parametrize(
-        "where, family",
-        [("offers", "offer_bounds"), ("wtp", "dam_feasibility"), ("lmp", "dam_strong_duality")],
+        "where, family, corrupt, period",
+        [
+            pytest.param(where, family, corrupt, period, id=f"{where}-{family}{suffix}")
+            for corrupt, period, suffix in ((nan_first, 0, ""), (truncate_first, 1, "-truncate"))
+            for where, family in (
+                ("offers", "offer_bounds"),
+                ("wtp", "dam_feasibility"),
+                ("lmp", "dam_strong_duality"),
+            )
+        ],
     )
-    def test_nan_price_fails_its_family_without_raising(self, where, family):
+    def test_nan_price_fails_its_family_without_raising(self, where, family, corrupt, period):
+        # a NaN in period 0, or a series cut before period 1
         out = toy_outcome()
         if where == "offers":
-            bad = dataclasses.replace(out, offers=corrupt_first(out.offers, lambda x: math.nan))
+            bad = dataclasses.replace(out, offers=corrupt(out.offers))
         else:
-            prices = corrupt_first(getattr(out.dam, where), lambda x: math.nan)
+            prices = corrupt(getattr(out.dam, where))
             bad = dataclasses.replace(out, dam=dataclasses.replace(out.dam, **{where: prices}))
         cert = bl.certify(bad)
         assert cert.residuals[family] == math.inf
-        assert cert.worst[family] == 0
+        assert cert.worst[family] == period
 
     def test_offers_outside_band_fail_only_offer_families(self):
         # period 1 buys nothing at the station, so the profit identity holds;
@@ -398,3 +426,16 @@ class TestOutcomeRoundTrip:
         assert again.offers == out.offers
         assert again.schedule.cost == out.schedule.cost
         assert bl.certify(again).passed
+
+    def test_older_cache_format_reads_and_certifies(self):
+        # earlier outcome.json files also carry `schedule.tie_break_applied`
+        # and `scenario.settings.workers`, keys that are no longer written
+        out = toy_outcome()
+        current = bl.outcome_to_json(out)
+        older = json.loads(json.dumps(current))
+        older["schedule"]["tie_break_applied"] = True
+        older["scenario"]["settings"]["workers"] = 1
+        again = bl.outcome_from_json(older)
+        assert bl.certify(again).passed
+        assert again.schedule == out.schedule
+        assert bl.outcome_to_json(again) == current

@@ -4,11 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from evcsmarket import fleet as fl
 from evcsmarket import lpcore
 from evcsmarket import model as md
 from conftest import two_period_fleet
+from oracles import scipy_reference
 
 
 def toy_input(tau, tou=20.0, driving=(0.0, 10.0), e_init=0.0):
@@ -77,7 +79,6 @@ class TestSolve:
         assert sched.cost == pytest.approx(200.0, abs=1e-6)
         assert sched.station_energy() == pytest.approx(10.0, abs=1e-6)
         assert sum(sched.home["f1"]) == pytest.approx(0.0, abs=1e-6)
-        assert sched.tie_break_applied
 
     def test_tie_break_disabled_keeps_cost(self):
         inp = toy_input((20.0, 20.0))
@@ -119,6 +120,43 @@ class TestSolve:
         monkeypatch.setattr(lpcore, "require_optimal", above_width)
         with pytest.raises(fl.FleetStructureError, match="fleet f1: schedule violates"):
             fl.solve_fleet(toy_input((10.0, 30.0)))
+
+
+def assert_one_solve_matches_cold_path(inp):
+    """`solve_fleet` solves each fleet LP once, with the tie-break
+    surcharge.  Against a cold solve of the unsurcharged LP of each fleet:
+    the cost is within 1e-7 relative of its optimum and within 1e-6 of
+    HiGHS on it, and the surcharge never adds home charging."""
+    sched = fl.solve_fleet(inp)
+    for f in inp.fleets:
+        lp = fl.build_fleet(inp, fleet_ids={f.id})
+        cold = lpcore.require_optimal(lp)
+        cost = sched.fleet_costs[f.id]
+        assert abs(cost - cold.objective) <= 1e-7 * max(1.0, abs(cold.objective))
+        status, ref = scipy_reference(lp)
+        assert status == "optimal"
+        assert abs(cost - ref) <= 1e-6 * max(1.0, abs(ref))
+        cold_home = sum(cold.primal[f"home[{f.id},{t}]"] for t in range(inp.horizon))
+        assert sum(sched.home[f.id]) <= cold_home + 1e-6
+
+
+class TestOneSolveMatchesColdPath:
+    def test_offer_ties(self):
+        for tau in ((20.0, 20.0), (20.0, 10.0), (30.0, 20.0)):
+            assert_one_solve_matches_cold_path(toy_input(tau))
+
+    def test_criterion_5_instances(self, bilevel_instances):
+        for scenario, _, grid, searched in bilevel_instances:
+            for outcome in (grid, searched):
+                assert_one_solve_matches_cold_path(fl.fleet_input(scenario, outcome.offers))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_property_one_solve_matches_cold_path(seed):
+    inp = random_fleet_input(np.random.default_rng(seed))
+    assume(md.fleet_infeasibility_period(inp.fleets[0], inp.horizon) is None)
+    assert_one_solve_matches_cold_path(inp)
 
 
 class TestStructure:

@@ -256,6 +256,14 @@ class TestSerialization:
         with pytest.raises(md.ScenarioFormatError, match="unknown keys"):
             md.scenario_from_json(doc)
 
+    def test_legacy_workers_key_dropped(self):
+        doc = md.scenario_to_json(one_bus_scenario())
+        assert "workers" not in doc["settings"]
+        legacy = {**doc, "settings": {**doc["settings"], "workers": 4}}
+        loaded = md.scenario_from_json(legacy)
+        assert loaded == md.scenario_from_json(doc)
+        assert md.scenario_to_json(loaded) == doc
+
     def test_unsupported_schema_version(self):
         doc = md.scenario_to_json(one_bus_scenario())
         doc["schema_version"] = 99
