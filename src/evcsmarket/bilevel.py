@@ -9,6 +9,19 @@ fleet-then-market, each solved exactly.  The upper level is a multi-start
 coordinate pattern search over a configurable offer parameterization; a
 brute-force grid evaluator serves as the search oracle on small instances.
 
+The lower-level response is piecewise constant in the offers, so within one
+search most fleet and market-period LPs repeat.  Each `optimize` and
+`brute_force` call therefore passes one memo (a plain dict) through every
+`evaluate` to `fleet.solve_fleet` and `dam.solve_dam`.  Keys are
+("fleet", fleet id, offers of the fleet's stations), mapping to that
+fleet's schedule series and cost, and ("period", t, fleet withdrawals at
+t), mapping to that period's LP and its solution.  A hit skips the build,
+the solve and the post-check, all of which ran once when the entry was
+stored; bid prices, period welfare and profit are computed on every call.
+A key holds every input of its LP that can change within one scenario, and
+the solver is deterministic, so results match cold solves bit for bit.  The
+memo lives only as long as the call; `certify` never uses one.
+
 When followers are indifferent (offer price equal to the retail rate) the
 deterministic fleet tie-break resolves toward station charging, i.e. in the
 stations' favor; the search is therefore optimistic with respect to
@@ -160,16 +173,22 @@ def dam_input_for(scenario: Scenario, schedule: fleet_mod.FleetSchedule) -> dam_
     return dam_mod.DamInput(scenario.network, withdrawals, tuple(bids))
 
 
-def evaluate(strategy: Strategy, scenario: Scenario) -> EquilibriumOutcome:
+def evaluate(
+    strategy: Strategy, scenario: Scenario, *, memo: dict | None = None
+) -> EquilibriumOutcome:
     """Fleet response to the offers, market clearing of the response, and the
-    resulting station profit."""
+    resulting station profit.
+
+    `memo` is the lower-level memo of one search over `scenario` (see the
+    module docstring): `solve_fleet` and `solve_dam` read it and add what
+    they solve to it.  It must never be shared across scenarios.  Without
+    it every fleet LP and market-period LP is built and solved afresh."""
     offers = strategy.offers(scenario)
+    feas_tol = scenario.settings.feas_tol
     schedule = fleet_mod.solve_fleet(
-        fleet_mod.fleet_input(scenario, offers), feas_tol=scenario.settings.feas_tol
+        fleet_mod.fleet_input(scenario, offers), feas_tol=feas_tol, memo=memo
     )
-    dam_out = dam_mod.solve_dam(
-        dam_input_for(scenario, schedule), feas_tol=scenario.settings.feas_tol
-    )
+    dam_out = dam_mod.solve_dam(dam_input_for(scenario, schedule), feas_tol=feas_tol, memo=memo)
 
     revenue = 0.0
     cost = 0.0
@@ -194,7 +213,11 @@ def evaluate(strategy: Strategy, scenario: Scenario) -> EquilibriumOutcome:
 
 
 class _Evaluator:
-    """Memoizing wrapper; the budget counts distinct strategy evaluations."""
+    """Memoizing wrapper; the budget counts distinct strategy evaluations.
+
+    `cache` maps rounded strategy values to outcomes; `memo` is the
+    lower-level memo that every evaluation of this search shares, so each
+    distinct fleet LP and market-period LP is solved once per search."""
 
     def __init__(self, scenario, params, budget):
         self.scenario = scenario
@@ -202,6 +225,7 @@ class _Evaluator:
         self.budget = budget
         self.used = 0
         self.cache: dict[tuple, EquilibriumOutcome] = {}
+        self.memo: dict = {}
 
     def key(self, values):
         return tuple(round(v, 9) for v in values)
@@ -214,7 +238,7 @@ class _Evaluator:
         if self.used >= self.budget:
             return None
         self.used += 1
-        outcome = evaluate(Strategy(self.params, values), self.scenario)
+        outcome = evaluate(Strategy(self.params, values), self.scenario, memo=self.memo)
         self.cache[key] = outcome
         return outcome
 
@@ -332,8 +356,9 @@ def brute_force(
             axes.append(list(np.linspace(p.lower, p.upper, levels)))
     best: EquilibriumOutcome | None = None
     count = 0
+    memo: dict = {}
     for combo in itertools.product(*axes):
-        outcome = evaluate(Strategy(params, combo), scenario)
+        outcome = evaluate(Strategy(params, combo), scenario, memo=memo)
         count += 1
         if _better(outcome, best):
             best = outcome
@@ -477,24 +502,61 @@ def certify(outcome: EquilibriumOutcome | None, tol: float | None = None) -> Cer
 
 
 def _padded(outcome: EquilibriumOutcome) -> EquilibriumOutcome:
-    """The outcome with every series that `certify` reads filled up to the
-    horizon with NaN, so that a missing period fails the family reading it,
-    as a NaN there does, instead of raising IndexError."""
-    T = outcome.scenario.network.horizon
+    """The outcome with every series that `certify` reads present and filled
+    up to the horizon with NaN, so that a missing entity or period fails the
+    family reading it, as a NaN there does, instead of raising KeyError or
+    IndexError.  The entity keys (buses, generators, lines, solar units,
+    fleets, stations, segments) come from the scenario; a fleet without a
+    cost gets a NaN one."""
+    scenario = outcome.scenario
+    net = scenario.network
+    T = net.horizon
 
-    def pad(tree, depth):  # depth: dict or tuple levels above the series
-        if depth == 0:
-            return tuple(tree) + (math.nan,) * (T - len(tree))
-        if isinstance(tree, dict):
-            return {k: pad(v, depth - 1) for k, v in tree.items()}
-        return tuple(pad(v, depth - 1) for v in tree)
+    def pad(tree, shape):
+        # shape: None for a series, a row count for a tuple of series, or a
+        # dict of shapes by entity id; a missing tree (None) is empty
+        if shape is None:
+            series = tuple(tree or ())
+            return series + (math.nan,) * (T - len(series))
+        if isinstance(shape, int):
+            rows = tuple(pad(row, None) for row in tree or ())
+            return rows + (pad(None, None),) * (shape - len(rows))
+        tree = tree or {}
+        return {**tree, **{k: pad(tree.get(k), sub) for k, sub in shape.items()}}
 
-    def with_padded(obj, **depths):
-        return replace(obj, **{name: pad(getattr(obj, name), d) for name, d in depths.items()})
+    def with_padded(obj, **shapes):
+        return replace(obj, **{name: pad(getattr(obj, name), s) for name, s in shapes.items()})
 
-    schedule = with_padded(outcome.schedule, total=1, home=1, energy=1, station=2, segments=3)
-    dam = with_padded(outcome.dam, gen=1, solar=1, flow=1, angle=1, lmp=1, gen_segments=2, wtp=2)
-    return with_padded(replace(outcome, schedule=schedule, dam=dam), offers=1)
+    def ids(items):
+        return dict.fromkeys(x.id for x in items)
+
+    segments = {f.id: {} for f in scenario.fleets}
+    for st in scenario.stations:
+        segments.setdefault(st.fleet_id, {})[st.id] = len(st.segments)
+    station = {fid: dict.fromkeys(rows) for fid, rows in segments.items()}
+    fleets = ids(scenario.fleets)
+    schedule = with_padded(
+        outcome.schedule,
+        total=fleets,
+        home=fleets,
+        energy=fleets,
+        station=station,
+        segments=segments,
+    )
+    schedule = replace(
+        schedule, fleet_costs={**dict.fromkeys(fleets, math.nan), **schedule.fleet_costs}
+    )
+    dam = with_padded(
+        outcome.dam,
+        gen=ids(net.generators),
+        gen_segments={g.id: len(g.segments) for g in net.generators},
+        solar=ids(net.solar_units),
+        flow=ids(net.lines),
+        angle=ids(net.buses),
+        lmp=ids(net.buses),
+        wtp={st.id: len(st.segments) for st in scenario.stations},
+    )
+    return with_padded(replace(outcome, schedule=schedule, dam=dam), offers=ids(scenario.stations))
 
 
 def _peak(items) -> tuple[float, int | str | None]:

@@ -212,12 +212,22 @@ def build_dam(inp: DamInput, period: int | None = None) -> LinearProgram:
     return lp.build()
 
 
-def solve_dam(inp: DamInput, *, feas_tol: float = lpcore.FEAS_TOL) -> DamOutcome:
+def solve_dam(
+    inp: DamInput, *, feas_tol: float = lpcore.FEAS_TOL, memo: dict | None = None
+) -> DamOutcome:
     """Clear every period and extract locational prices from the nodal
     balance duals.  Raises DamInfeasibleError when a period cannot be
     served, and DamNumericalError naming the period when the solve is not
     optimal or its solution violates the period LP (`lpcore.max_violation`
-    above 100 * feas_tol)."""
+    above 100 * feas_tol).
+
+    `memo`, when given, holds each period's LP and checked solution under
+    ("period", t, withdrawals at t in `inp.withdrawals` order), all that a
+    period LP of one scenario depends on; a period found there skips the
+    build, the solve and the post-check.  Bid prices and welfare depend on
+    the bid quantities, which the key leaves out, so they are computed on
+    every call.  A memo belongs to one scenario and is written to only
+    after the post-check."""
     _check_input(inp)
     net = inp.network
     T = net.horizon
@@ -232,15 +242,23 @@ def solve_dam(inp: DamInput, *, feas_tol: float = lpcore.FEAS_TOL) -> DamOutcome
     period_welfare = []
 
     for t in range(T):
-        lp = build_dam(inp, period=t)
-        sol = lpcore.solve(lp, feas_tol=feas_tol)
-        if sol.status == lpcore.INFEASIBLE:
-            raise DamInfeasibleError(t, "supply cannot meet fixed demand plus fleet withdrawals")
-        if not sol.is_optimal:
-            raise DamNumericalError(f"period {t}: solver status {sol.status}")
-        violation = lpcore.max_violation(lp, sol.primal)
-        if violation > feas_tol * 100.0:
-            raise DamNumericalError(f"period {t}: solution violates its LP by {violation:.3e}")
+        key = ("period", t, tuple(w.power[t] for w in inp.withdrawals))
+        if memo is not None and key in memo:
+            lp, sol = memo[key]
+        else:
+            lp = build_dam(inp, period=t)
+            sol = lpcore.solve(lp, feas_tol=feas_tol)
+            if sol.status == lpcore.INFEASIBLE:
+                raise DamInfeasibleError(
+                    t, "supply cannot meet fixed demand plus fleet withdrawals"
+                )
+            if not sol.is_optimal:
+                raise DamNumericalError(f"period {t}: solver status {sol.status}")
+            violation = lpcore.max_violation(lp, sol.primal)
+            if violation > feas_tol * 100.0:
+                raise DamNumericalError(f"period {t}: solution violates its LP by {violation:.3e}")
+            if memo is not None:
+                memo[key] = (lp, sol)
 
         for g in net.generators:
             gen[g.id].append(sol.primal[f"gen[{g.id},{t}]"])

@@ -251,7 +251,9 @@ def _schedule_from_solution(inp: FleetInput, f: EVFleet, values):
     return total, home, station, segments, tuple(energy), float(cost)
 
 
-def solve_fleet(inp: FleetInput, *, feas_tol: float = lpcore.FEAS_TOL) -> FleetSchedule:
+def solve_fleet(
+    inp: FleetInput, *, feas_tol: float = lpcore.FEAS_TOL, memo: dict | None = None
+) -> FleetSchedule:
     """Clear every fleet under offer billing; returns the merged schedule.
 
     Infeasible fleets are diagnosed before solving (first period whose
@@ -261,6 +263,12 @@ def solve_fleet(inp: FleetInput, *, feas_tol: float = lpcore.FEAS_TOL) -> FleetS
     merged schedule is checked against that LP (`lpcore.max_violation`; the
     surcharge moves no row or bound) and raises FleetStructureError above
     100 * feas_tol.
+
+    `memo`, when given, holds each fleet's checked result under
+    ("fleet", fleet id, offers of its stations in `_fleet_stations` order),
+    the only inputs of its LP that change within one scenario; a fleet
+    found there skips the build, the solve and the post-check.  A memo
+    belongs to one scenario and is written to only after the post-check.
     """
     _check_input(inp)
     for f in inp.fleets:
@@ -269,13 +277,18 @@ def solve_fleet(inp: FleetInput, *, feas_tol: float = lpcore.FEAS_TOL) -> FleetS
             raise FleetInfeasibleError(f.id, t_bad)
 
     total, home, station, segments, energy, fleet_costs = {}, {}, {}, {}, {}, {}
-    lps = {}
+    solved = {}  # fleet id -> (memo key, LP, result) for the fleets solved here
     for f in sorted(inp.fleets, key=lambda f: f.id):
-        lp = lps[f.id] = build_fleet(inp, home_price_bump=TIE_BREAK_EPS, fleet_ids={f.id})
-        values = lpcore.require_optimal(lp, feas_tol=feas_tol).primal
+        key = ("fleet", f.id, tuple(inp.offers[s.id] for s in _fleet_stations(inp, f)))
+        result = None if memo is None else memo.get(key)
+        if result is None:
+            lp = build_fleet(inp, home_price_bump=TIE_BREAK_EPS, fleet_ids={f.id})
+            values = lpcore.require_optimal(lp, feas_tol=feas_tol).primal
+            result = _schedule_from_solution(inp, f, values)
+            solved[f.id] = (key, lp, result)
         (
             total[f.id], home[f.id], station[f.id], segments[f.id], energy[f.id], fleet_costs[f.id]
-        ) = _schedule_from_solution(inp, f, values)
+        ) = result
 
     schedule = FleetSchedule(
         horizon=inp.horizon,
@@ -288,9 +301,14 @@ def solve_fleet(inp: FleetInput, *, feas_tol: float = lpcore.FEAS_TOL) -> FleetS
         cost=float(sum(fleet_costs.values())),
     )
     for f in inp.fleets:
-        violation = lpcore.max_violation(lps[f.id], schedule_values(inp, schedule, f))
+        if f.id not in solved:
+            continue
+        key, lp, result = solved[f.id]
+        violation = lpcore.max_violation(lp, schedule_values(inp, schedule, f))
         if violation > feas_tol * 100.0:
             raise FleetStructureError(f"fleet {f.id}: schedule violates its LP by {violation:.3e}")
+        if memo is not None:
+            memo[key] = result
     return schedule
 
 

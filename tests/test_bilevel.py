@@ -50,6 +50,11 @@ def truncate_first(tree):
     return on_first_series(tree, lambda series: series[:1])
 
 
+def drop_first_key(tree):
+    """`tree` (a dict keyed by entity id) without its first entity."""
+    return dict(list(tree.items())[1:])
+
+
 class TestEvaluate:
     def test_toy_profit_decomposition(self):
         scenario = one_bus_scenario()  # LMP 10, retail 30
@@ -281,8 +286,13 @@ class TestCertify:
     @pytest.mark.parametrize("field", ["total", "home", "station", "segments", "energy"])
     @pytest.mark.parametrize(
         "corrupt",
-        [lambda tree: corrupt_first(tree, lambda x: x + 1.0), nan_first, truncate_first],
-        ids=["shift_1mw", "nan", "truncate"],
+        [
+            lambda tree: corrupt_first(tree, lambda x: x + 1.0),
+            nan_first,
+            truncate_first,
+            drop_first_key,
+        ],
+        ids=["shift_1mw", "nan", "truncate", "missing_key"],
     )
     def test_corrupted_schedule_entry_fails_fleet_feasibility(self, field, corrupt):
         out = toy_outcome()
@@ -291,6 +301,14 @@ class TestCertify:
         cert = bl.certify(dataclasses.replace(out, schedule=sched))
         assert "fleet_feasibility" in cert.failing()
         assert cert.worst["fleet_feasibility"] == "f1"
+
+    def test_missing_fleet_cost_does_not_raise(self):
+        # the stored total cost is what fleet_strong_duality checks
+        out = toy_outcome()
+        sched = dataclasses.replace(out.schedule, fleet_costs={})
+        cert = bl.certify(dataclasses.replace(out, schedule=sched))
+        assert cert.passed
+        assert cert.worst["fleet_strong_duality"] == "f1"
 
     def test_nan_withdrawal_fails_market_families_without_raising(self):
         out = toy_outcome()
@@ -314,7 +332,11 @@ class TestCertify:
         "where, family, corrupt, period",
         [
             pytest.param(where, family, corrupt, period, id=f"{where}-{family}{suffix}")
-            for corrupt, period, suffix in ((nan_first, 0, ""), (truncate_first, 1, "-truncate"))
+            for corrupt, period, suffix in (
+                (nan_first, 0, ""),
+                (truncate_first, 1, "-truncate"),
+                (drop_first_key, 0, "-missing-key"),
+            )
             for where, family in (
                 ("offers", "offer_bounds"),
                 ("wtp", "dam_feasibility"),
@@ -323,7 +345,7 @@ class TestCertify:
         ],
     )
     def test_nan_price_fails_its_family_without_raising(self, where, family, corrupt, period):
-        # a NaN in period 0, or a series cut before period 1
+        # a NaN in period 0, a series cut before period 1, or no series at all
         out = toy_outcome()
         if where == "offers":
             bad = dataclasses.replace(out, offers=corrupt(out.offers))
@@ -413,6 +435,39 @@ class TestCertifyMatchesColdDuals:
         for _, _, grid, searched in bilevel_instances:
             _assert_bounds_match_cold_path(grid)
             _assert_bounds_match_cold_path(searched)
+
+
+def _assert_memo_matches_cold(scenario, strategies):
+    """`evaluate` with one memo shared across `strategies` (each visited
+    twice, so the second visit is all hits) gives the document of a cold
+    `evaluate`."""
+    memo = {}
+    for strategy in strategies + strategies:
+        cold = bl.outcome_to_json(bl.evaluate(strategy, scenario))
+        assert bl.outcome_to_json(bl.evaluate(strategy, scenario, memo=memo)) == cold
+    assert memo
+
+
+class TestMemoMatchesColdPath:
+    def test_criterion_5_instances(self, bilevel_instances):
+        for scenario, _, grid, searched in bilevel_instances:
+            _assert_memo_matches_cold(scenario, [grid.strategy, searched.strategy])
+            # brute_force and optimize evaluate through their own memos
+            for outcome in (grid, searched):
+                cold = bl.evaluate(outcome.strategy, scenario)
+                expected = bl.outcome_to_json(dataclasses.replace(cold, search=outcome.search))
+                assert bl.outcome_to_json(outcome) == expected
+
+    def test_desk_search_offers(self, desk, desk_baseline):
+        # two fleets: the search moves one station at a time
+        outcome = desk_baseline.outcome
+        params = outcome.strategy.parameters
+        strategies = [
+            outcome.strategy,
+            bl.midpoint_strategy(desk, params),
+            bl.Strategy(params, (outcome.strategy.values[0],) + tuple(p.lower for p in params[1:])),
+        ]
+        _assert_memo_matches_cold(desk, strategies)
 
 
 class TestOutcomeRoundTrip:

@@ -126,6 +126,16 @@ class TestRun:
         assert run_cli("run", toy_path, "--out", out, "--certify") == 3
         assert "fleet_feasibility: inf at fleet f1" in capsys.readouterr().out
 
+    def test_certify_missing_key_in_cache_exit_three(self, toy_path, tmp_path, capsys):
+        out = tmp_path / "cache"
+        assert run_cli("run", toy_path, "--out", out) == 0
+        doc = json.loads((out / "outcome.json").read_text())
+        doc["schedule"]["home"] = {}
+        (out / "outcome.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("run", toy_path, "--out", out, "--certify") == 3
+        assert "fleet_feasibility: inf at fleet f1" in capsys.readouterr().out
+
     def test_certify_without_cache_exit_two(self, toy_path, tmp_path):
         assert run_cli("run", toy_path, "--out", tmp_path / "fresh", "--certify") == 2
 

@@ -122,6 +122,55 @@ class TestSolve:
             fl.solve_fleet(toy_input((10.0, 30.0)))
 
 
+def two_fleet_input(tau1, tau2):
+    """The toy fleet f1 at station c1 and a copy of it, f2, at station c2."""
+    f1, c1 = two_period_fleet()
+    f2 = dataclasses.replace(
+        f1, id="f2", station_caps={"c2": 10.0}, station_connectivity={"c2": (1.0, 1.0)}
+    )
+    c2 = dataclasses.replace(c1, id="c2", fleet_id="f2")
+    return fl.FleetInput((f1, f2), (c1, c2), 2, {"c1": tuple(tau1), "c2": tuple(tau2)})
+
+
+class TestMemo:
+    def test_unchanged_fleet_hits(self, monkeypatch):
+        memo = {}
+        fl.solve_fleet(two_fleet_input((30.0, 10.0), (30.0, 10.0)), memo=memo)
+        real_require_optimal = lpcore.require_optimal
+        solved = []
+
+        def counted(lp, **kwargs):
+            solved.append(lp.variables[0].name)
+            return real_require_optimal(lp, **kwargs)
+
+        monkeypatch.setattr(lpcore, "require_optimal", counted)
+        inp = two_fleet_input((30.0, 50.0), (30.0, 10.0))  # only f1's offers move
+        hit = fl.solve_fleet(inp, memo=memo)
+        assert solved == ["total[f1,0]"]
+        cold = fl.solve_fleet(inp)
+        assert hit == cold
+        assert hit.station["f2"] == cold.station["f2"] and hit.home["f2"] == cold.home["f2"]
+        assert set(memo) == {
+            ("fleet", "f1", ((30.0, 10.0),)),
+            ("fleet", "f1", ((30.0, 50.0),)),
+            ("fleet", "f2", ((30.0, 10.0),)),
+        }
+
+    def test_failed_post_check_stores_nothing(self, monkeypatch):
+        real_require_optimal = lpcore.require_optimal
+
+        def above_width(lp, **kwargs):
+            sol = real_require_optimal(lp, **kwargs)
+            sol.primal["segment[f1,c1,0,0]"] += 100.0
+            return sol
+
+        monkeypatch.setattr(lpcore, "require_optimal", above_width)
+        memo = {}
+        with pytest.raises(fl.FleetStructureError, match="fleet f1"):
+            fl.solve_fleet(toy_input((10.0, 30.0)), memo=memo)
+        assert memo == {}
+
+
 def assert_one_solve_matches_cold_path(inp):
     """`solve_fleet` solves each fleet LP once, with the tie-break
     surcharge.  Against a cold solve of the unsurcharged LP of each fleet:

@@ -1,5 +1,7 @@
 """The traced benchmark wraps package functions by name: each one it names
-must still exist, or `perfbench/run.py --trace 1` breaks."""
+must still exist, or `perfbench/run.py --trace 1` breaks.  Its gates also
+need the lower-level memo to live for one search only: the counts of two
+traced searches must repeat exactly."""
 
 import importlib
 import importlib.util
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from evcsmarket import bilevel, fleet
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -34,3 +38,36 @@ tracing = _load_tracing()
 def test_traced_target_exists(module, function):
     target = importlib.import_module(f"evcsmarket.{module}")
     assert callable(getattr(target, function, None)), f"evcsmarket.{module}.{function}"
+
+
+def _traced_desk_optimize(desk):
+    """Spans of one traced desk `optimize` at the scenario's own settings,
+    and the number of distinct (fleet id, station offers) inputs it gave
+    the fleet layer."""
+    inputs = set()
+    solve_fleet = fleet.solve_fleet
+
+    def recording(inp, **kwargs):
+        for f in inp.fleets:
+            offers = tuple((s.id, inp.offers[s.id]) for s in inp.stations if s.fleet_id == f.id)
+            inputs.add((f.id, offers))
+        return solve_fleet(inp, **kwargs)
+
+    for module, _ in tracing.LAYER_TARGETS:  # the tracer patches loaded modules
+        importlib.import_module(f"evcsmarket.{module}")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fleet, "solve_fleet", recording)
+        with tracing.Tracer() as tracer:
+            bilevel.optimize(desk)
+    return tracer.spans, len(inputs)
+
+
+def test_traced_desk_search_solves_each_distinct_input_once(desk):
+    runs = [_traced_desk_optimize(desk) for _ in range(2)]
+    counts = [tracing.counts(spans) for spans, _ in runs]
+    for spans, _ in runs:
+        assert tracing.check(spans) == []
+    assert counts[0] == counts[1]
+    c = counts[0]
+    assert c["lpcore.dam.solves"] == c["dam.period_distinct"] < c["dam.period_solves"]
+    assert c["lpcore.fleet.solves"] == runs[0][1] == runs[1][1]
