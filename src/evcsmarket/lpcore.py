@@ -414,11 +414,17 @@ class _Tableau:
         cols = self.basis
         delta = -sigma * w
         xb = self.x[cols]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_lo = np.where(delta < -_PIVOT_TOL, (xb - self.lo[cols]) / -delta, INF)
-            t_up = np.where(delta > _PIVOT_TOL, (self.up[cols] - xb) / delta, INF)
-        t_lo = np.nan_to_num(t_lo, nan=INF, posinf=INF)
-        t_up = np.nan_to_num(t_up, nan=INF, posinf=INF)
+        # only rows that move towards a bound are divided; a NaN (inf - inf
+        # in a non-finite basic) counts as no limit
+        with np.errstate(invalid="ignore"):
+            t_lo = np.divide(
+                xb - self.lo[cols], -delta, out=np.full(self.m, INF), where=delta < -_PIVOT_TOL
+            )
+            t_up = np.divide(
+                self.up[cols] - xb, delta, out=np.full(self.m, INF), where=delta > _PIVOT_TOL
+            )
+        t_lo[np.isnan(t_lo)] = INF
+        t_up[np.isnan(t_up)] = INF
         t_all = np.maximum(np.minimum(t_lo, t_up), 0.0)
 
         best_t = float(t_all.min()) if self.m else INF
