@@ -3,6 +3,13 @@ revised simplex solver with dual extraction, automatic dualizer,
 strong-duality / complementary-slackness checkers, and a weak-duality
 (Lagrangian) bound that any row multipliers give.
 
+Every solve starts from a lower-triangular crash basis: walking the
+structural columns, then the slacks, a column becomes basic on a row when it
+can zero that row's residual within its bounds and touches no row taken
+before it.  Only the rows left over start on a phase-1 artificial.  The
+start basis depends on the LP alone, so a solve never depends on what was
+solved before it.
+
 Sign conventions (fixed once, used everywhere in this package):
 
 * Constraint duals are *marginal values*: ``dual[c] = d(optimal objective) /
@@ -190,7 +197,9 @@ class LpSolution:
     module docstring.  `infeasibility_certificate` (row multipliers proving
     no feasible point exists) and `unbounded_ray` (an improving feasible
     direction) are diagnostic payloads kept for callers that want to turn a
-    failure into an actionable message.
+    failure into an actionable message.  `iterations` counts every simplex
+    pivot and bound flip; `phase1_iterations` is the part of it spent
+    reaching feasibility, so phase 2 took the difference.
     """
 
     status: str
@@ -200,6 +209,7 @@ class LpSolution:
     reduced_cost: dict[str, float] = field(default_factory=dict)
     variable_status: dict[str, str] = field(default_factory=dict)
     iterations: int = 0
+    phase1_iterations: int = 0
     infeasibility_certificate: dict[str, float] | None = None
     unbounded_ray: dict[str, float] | None = None
 
@@ -235,9 +245,51 @@ _POS_UPPER = 1
 _POS_FREE = 2
 
 
+def _crash(columns, lo, up, x, resid) -> dict[int, int]:
+    """Lower-triangular crash basis (Bixby 1992; Maros 2003, ch. 9).
+
+    Walks the non-fixed real columns in order.  A column is taken if it is
+    zero on every row taken so far; its row is the untaken row where its
+    coefficient is largest in magnitude (the first on ties), and it is
+    accepted only if the value that zeroes that row's residual lies within
+    its bounds.  An accepted column moves to that value, updating `x` and
+    `resid` in place.  Returns {row: column}.
+
+    Ordered by the taking, the chosen columns form a lower-triangular block
+    whose diagonal entries are their columns' largest, so with unit
+    artificials on the other rows the basis is nonsingular, and every
+    basic starts within its bounds.
+    """
+    taken: dict[int, int] = {}
+    for j, entries in enumerate(columns):
+        if not entries or lo[j] == up[j]:
+            continue
+        i, a = entries[0]
+        for k, coef in entries:
+            if k in taken:
+                break
+            if abs(coef) > abs(a):
+                i, a = k, coef
+        else:  # no entry on a taken row
+            step = resid[i] / a
+            if lo[j] <= x[j] + step <= up[j]:
+                x[j] += step
+                for k, coef in entries:
+                    resid[k] -= coef * step
+                resid[i] = 0.0
+                taken[i] = j
+    return taken
+
+
 class _Tableau:
     """Dense bounded-variable simplex state over columns = structural vars,
-    slacks, then phase-1 artificials."""
+    slacks, then phase-1 artificials.
+
+    Every row i reads A_i x + s_i + art_sign_i * art_i = b_i.  The start
+    basis is a lower-triangular crash (`_crash`): each row some real column
+    can satisfy within its bounds gets that column as its basic variable,
+    and every other row keeps its artificial, basic at the row's residual.
+    """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -255,16 +307,22 @@ class _Tableau:
         self.up = np.full(ncols + m, INF)
         self.b = np.zeros(m)
 
+        # the nonzeros of each real column as (row, coefficient), rows ascending
+        columns: list[list[tuple[int, float]]] = [[] for _ in range(ncols)]
         for j, v in enumerate(lp.variables):
             self.c[j] = sign * v.objective
             self.lo[j] = v.lower
             self.up[j] = v.upper
         for i, con in enumerate(lp.constraints):
             for var, coef in con.coefficients.items():
-                self.A[i, self.var_index[var]] = coef
+                j = self.var_index[var]
+                self.A[i, j] = coef
+                if coef != 0.0:
+                    columns[j].append((i, coef))
             self.b[i] = con.rhs
             s = n + i
             self.A[i, s] = 1.0
+            columns[s].append((i, 1.0))
             if con.relation == LE:
                 self.lo[s], self.up[s] = 0.0, INF
             elif con.relation == GE:
@@ -287,17 +345,20 @@ class _Tableau:
                 self.pos[j] = _POS_UPPER
 
         resid = self.b - self.A[:, : self.nreal] @ self.x[: self.nreal]
+        crashed = _crash(columns, self.lo, self.up, self.x, resid)
         self.art_sign = np.where(resid >= 0.0, 1.0, -1.0)
         for i in range(m):
             j = self.nreal + i
             self.A[i, j] = self.art_sign[i]
             self.lo[j], self.up[j] = 0.0, INF
-            self.x[j] = abs(resid[i])
             self.pos[j] = _POS_LOWER
+        self.x[self.nreal :] = np.abs(resid)
         self.basis = np.arange(self.nreal, self.ncols)
+        for i, j in crashed.items():
+            self.basis[i] = j
         self.in_basis = np.zeros(self.ncols, dtype=bool)
         self.in_basis[self.basis] = True
-        self.binv = np.diag(self.art_sign).astype(float)
+        self.binv = np.linalg.inv(self.A[:, self.basis])
         self.iterations = 0
         self.pivots_since_refactor = 0
 
@@ -445,7 +506,7 @@ class _Tableau:
         return best_t, leave_pos, hits_upper
 
 
-def _extract_solution(lp: LinearProgram, tab: _Tableau, feas_tol, opt_tol):
+def _extract_solution(lp: LinearProgram, tab: _Tableau, feas_tol, opt_tol, phase1_iterations):
     """Final verification and packaging; returns None if the claimed optimum
     does not survive an exact refactorization."""
     if not tab.refactor():
@@ -509,6 +570,7 @@ def _extract_solution(lp: LinearProgram, tab: _Tableau, feas_tol, opt_tol):
         reduced_cost=reduced,
         variable_status=status,
         iterations=tab.iterations,
+        phase1_iterations=phase1_iterations,
     )
 
 
@@ -541,10 +603,15 @@ def solve(
         max_iterations=max_iterations,
         allow_unbounded=False,
     )
-    if status == ITERATION_LIMIT:
-        return LpSolution(status=ITERATION_LIMIT, iterations=tab.iterations)
-    if status == NUMERICAL:
-        return LpSolution(status=NUMERICAL, iterations=tab.iterations)
+    phase1 = tab.iterations
+
+    def stopped(status, **payload):
+        return LpSolution(
+            status=status, iterations=tab.iterations, phase1_iterations=phase1, **payload
+        )
+
+    if status in (ITERATION_LIMIT, NUMERICAL):
+        return stopped(status)
 
     scale_b = 1.0 + float(np.max(np.abs(tab.b))) if m else 1.0
     infeas_mass = float(np.sum(tab.x[tab.nreal :]))
@@ -553,11 +620,7 @@ def solve(
         certificate = {
             con.name: float(y[i]) for i, con in enumerate(lp.constraints) if abs(y[i]) > 1e-12
         }
-        return LpSolution(
-            status=INFEASIBLE,
-            iterations=tab.iterations,
-            infeasibility_certificate=certificate,
-        )
+        return stopped(INFEASIBLE, infeasibility_certificate=certificate)
 
     # pin artificials at zero and pivot basic ones out where possible
     for i in range(m):
@@ -594,10 +657,8 @@ def solve(
         max_iterations=max_iterations,
         allow_unbounded=True,
     )
-    if status == ITERATION_LIMIT:
-        return LpSolution(status=ITERATION_LIMIT, iterations=tab.iterations)
-    if status == NUMERICAL:
-        return LpSolution(status=NUMERICAL, iterations=tab.iterations)
+    if status in (ITERATION_LIMIT, NUMERICAL):
+        return stopped(status)
     if status == UNBOUNDED:
         q, sigma, w = tab._ray
         ray = {lp.variables[q].name: sigma} if q < tab.n else {}
@@ -605,12 +666,10 @@ def solve(
             col = tab.basis[pos]
             if col < tab.n and abs(w[pos]) > 1e-12:
                 ray[lp.variables[col].name] = float(-sigma * w[pos])
-        return LpSolution(status=UNBOUNDED, iterations=tab.iterations, unbounded_ray=ray)
+        return stopped(UNBOUNDED, unbounded_ray=ray)
 
-    solution = _extract_solution(lp, tab, feas_tol, opt_tol)
-    if solution is not None:
-        return solution
-    return LpSolution(status=NUMERICAL, iterations=tab.iterations)
+    solution = _extract_solution(lp, tab, feas_tol, opt_tol, phase1)
+    return solution if solution is not None else stopped(NUMERICAL)
 
 
 def require_optimal(lp: LinearProgram, **kwargs) -> LpSolution:

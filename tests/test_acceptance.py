@@ -237,8 +237,8 @@ def test_criterion_8_sweep_trends(desk_penetration_sweep, desk_pv_sweep):
 
 
 CRITERION_9_SHA256 = {
-    "outcome.json": "0540679062cc9d4e0f7683f66203a709e815d409b9c84ddb3ab440e82be2a917",
-    "certificate.json": "9e9cfc1554ec21c90acd3304b80ddab564b5ff1298771016a824c746c16d0640",
+    "outcome.json": "c1bc6f669fe11cae4da223f832e1ebaac13d6b82c99085347d1b7194c8cb300a",
+    "certificate.json": "004319a2fd9401a5b4049a4646dab09f1b8052686e587fa893d7ceb306c456d8",
     "metrics.csv": "925f7d2a1f590ae7c4cef294ae38b1680421773572cec20b3a69344161097000",
     "hourly_profile.csv": "64c464eaad054ceb581a6fff98829ba1756f468084df17d01c6e3480f45b84b1",
     "bus_lmp_charged.csv": "63ba2e9bb8173c580818b137e9773f96098c684f4a638bb8ac64b0d016a345db",

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evcsmarket import bilevel as bl
+from evcsmarket import dam
+from evcsmarket import fleet as fl
 from evcsmarket import lpcore as lc
 from oracles import random_feasible_bounded_lp, scipy_reference, vertex_enumerate
 
@@ -17,6 +20,12 @@ def build(sense, variables, constraints):
     for args in constraints:
         b.add_constraint(*args)
     return b.build()
+
+
+def criterion_1_lps():
+    """The 200 random LPs of acceptance criterion 1."""
+    rng = np.random.default_rng(20240801)
+    return [random_feasible_bounded_lp(rng, max_vars=12, max_cons=12) for _ in range(200)]
 
 
 class TestSolveBasics:
@@ -256,10 +265,7 @@ def test_write_lp_text_layout():
 
 class TestLagrangianBound:
     def test_tight_at_solver_duals(self):
-        # the 200 LPs of acceptance criterion 1
-        rng = np.random.default_rng(20240801)
-        for k in range(200):
-            lp = random_feasible_bounded_lp(rng, max_vars=12, max_cons=12)
+        for k, lp in enumerate(criterion_1_lps()):
             sol = lc.solve(lp)
             assert sol.is_optimal, f"instance {k}: {sol.status}"
             bound = lc.lagrangian_bound(lp, sol.dual)
@@ -295,10 +301,7 @@ class TestLagrangianBound:
 
 class TestMaxViolation:
     def test_small_at_solver_primal(self):
-        # the 200 LPs of acceptance criterion 1
-        rng = np.random.default_rng(20240801)
-        for k in range(200):
-            lp = random_feasible_bounded_lp(rng, max_vars=12, max_cons=12)
+        for k, lp in enumerate(criterion_1_lps()):
             sol = lc.solve(lp)
             assert sol.is_optimal, f"instance {k}: {sol.status}"
             assert lc.max_violation(lp, sol.primal) <= 100 * lc.FEAS_TOL, k
@@ -334,3 +337,152 @@ class TestMaxViolation:
     def test_non_finite_value_is_infinite(self, bad):
         lp = build(lc.MIN, [("x", -lc.INF, lc.INF, 0.0)], [])
         assert lc.max_violation(lp, {"x": bad}) == math.inf
+
+
+# ---------------------------------------------------------------------------
+# crash start basis
+# ---------------------------------------------------------------------------
+
+
+def model_lps(outcome):
+    """Every fleet LP and market-period LP behind an evaluated outcome: each
+    fleet's LP as `solve_fleet` solves it (tie-break surcharge) and as
+    `certify` re-solves it (true costs), and each period's market LP."""
+    scenario = outcome.scenario
+    inp = fl.fleet_input(scenario, outcome.offers)
+    lps = [
+        fl.build_fleet(inp, home_price_bump=bump, fleet_ids={f.id})
+        for f in scenario.fleets
+        for bump in (fl.TIE_BREAK_EPS, 0.0)
+    ]
+    market = bl.dam_input_for(scenario, outcome.schedule)
+    lps.extend(dam.build_dam(market, period=t) for t in range(scenario.network.horizon))
+    return lps
+
+
+def lp_artificial(lp, row):
+    """Tableau column of a row's phase-1 artificial."""
+    return len(lp.variables) + len(lp.constraints) + row
+
+
+def solve_all_artificial(lp, monkeypatch):
+    """Solve from the all-artificial start: a crash that takes no column."""
+    with monkeypatch.context() as patch:
+        patch.setattr(lc, "_crash", lambda *args: {})
+        return lc.solve(lp)
+
+
+def assert_crash_matches_all_artificial(lps, monkeypatch):
+    for k, lp in enumerate(lps):
+        crashed = lc.solve(lp)
+        cold = solve_all_artificial(lp, monkeypatch)
+        assert crashed.status == cold.status == lc.OPTIMAL, (k, lp.name)
+        scale = max(1.0, abs(cold.objective))
+        assert abs(crashed.objective - cold.objective) <= 1e-9 * scale, (k, lp.name)
+        status, ref = scipy_reference(lp)
+        assert status == "optimal", (k, lp.name)
+        assert abs(crashed.objective - ref) <= 1e-6 * max(1.0, abs(ref)), (k, lp.name)
+
+
+class TestCrashStart:
+    def test_every_row_crashed_needs_no_phase_1(self, monkeypatch):
+        # x free covers the floor, y in [0, 10] the cap: both rows crash
+        lp = build(
+            lc.MIN,
+            [("x", -lc.INF, lc.INF, 1.0), ("y", 0.0, 10.0, -1.0)],
+            [("floor", {"x": 1.0}, lc.GE, 3.0), ("cap", {"x": 1.0, "y": 1.0}, lc.LE, 8.0)],
+        )
+        sol = lc.solve(lp)
+        assert sol.phase1_iterations == 0
+        assert sol.objective == pytest.approx(-2.0, abs=1e-9)
+        assert solve_all_artificial(lp, monkeypatch).phase1_iterations > 0
+
+    def test_column_outside_its_bounds_is_not_taken(self):
+        # x in [0, 1] cannot reach x = 5, so the row keeps its artificial
+        lp = build(
+            lc.MIN,
+            [("x", 0.0, 1.0, 0.0), ("y", 0.0, 10.0, 1.0)],
+            [("row", {"x": 1.0, "y": 1.0}, lc.EQ, 5.0)],
+        )
+        tab = lc._Tableau(lp)
+        assert tab.basis[0] == 1 and tab.x[1] == 5.0 and tab.x[0] == 0.0
+        lp = build(lc.MIN, [("x", 0.0, 1.0, 0.0)], [("row", {"x": 1.0}, lc.EQ, 5.0)])
+        assert lc._Tableau(lp).basis[0] == lp_artificial(lp, 0)
+        assert lc.solve(lp).status == lc.INFEASIBLE
+
+    def test_criterion_1_lps(self, monkeypatch):
+        assert_crash_matches_all_artificial(criterion_1_lps(), monkeypatch)
+
+    def test_criterion_5_instances(self, bilevel_instances, monkeypatch):
+        for _, _, grid, searched in bilevel_instances:
+            for outcome in (grid, searched):
+                assert_crash_matches_all_artificial(model_lps(outcome), monkeypatch)
+
+    def test_desk(self, desk_baseline, monkeypatch):
+        assert_crash_matches_all_artificial(model_lps(desk_baseline.outcome), monkeypatch)
+
+
+def random_lp_with_infinite_bounds(rng):
+    """A criterion-1 style LP with some bounds relaxed to infinity: still
+    feasible, possibly unbounded, and with free columns."""
+    lp = random_feasible_bounded_lp(rng, max_vars=8, max_cons=8)
+    variables = []
+    for v in lp.variables:
+        lower = -lc.INF if rng.random() < 0.3 else v.lower
+        upper = lc.INF if rng.random() < 0.3 else v.upper
+        variables.append(lc.Variable(v.name, lower, upper, v.objective))
+    return lc.LinearProgram(lp.sense, tuple(variables), lp.constraints, lp.name)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_property_crash_basis(seed):
+    """The crash gives an invertible basis whose basics start within their
+    bounds, with each crashed row's artificial at 0, the same every time."""
+    rng = np.random.default_rng(seed)
+    lp = random_lp_with_infinite_bounds(rng) if seed % 2 else random_feasible_bounded_lp(rng)
+    tab = lc._Tableau(lp)
+    basis = tab.basis
+    assert np.all(np.isfinite(tab.binv))
+    assert np.allclose(tab.binv @ tab.A[:, basis], np.eye(tab.m), atol=1e-9)
+    assert np.all(tab.lo[basis] <= tab.x[basis]) and np.all(tab.x[basis] <= tab.up[basis])
+    for i in range(tab.m):
+        if basis[i] != lp_artificial(lp, i):
+            assert basis[i] < tab.nreal
+            assert tab.x[lp_artificial(lp, i)] == 0.0
+    # the start point solves the slack- and artificial-augmented rows
+    scale = 1.0 + np.max(np.abs(tab.b), initial=0.0) + np.max(np.abs(tab.x), initial=0.0)
+    assert np.max(np.abs(tab.A @ tab.x - tab.b), initial=0.0) <= 1e-12 * scale
+    again = lc._Tableau(lp)
+    assert np.array_equal(again.basis, basis)
+    assert np.array_equal(again.x, tab.x)
+    assert np.array_equal(again.binv, tab.binv)
+
+
+def test_phase_counts_sum_to_iterations(monkeypatch):
+    """`phase1_iterations` is the pivots of the first `run`, and the rest of
+    `iterations` those of the second, on the 200 criterion-1 LPs and on an
+    infeasible LP (phase 1 only)."""
+    runs = []
+    original = lc._Tableau.run
+
+    def counted(self, *args, **kwargs):
+        before = self.iterations
+        status = original(self, *args, **kwargs)
+        runs.append(self.iterations - before)
+        return status
+
+    monkeypatch.setattr(lc._Tableau, "run", counted)
+    for k, lp in enumerate(criterion_1_lps()):
+        runs.clear()
+        sol = lc.solve(lp)
+        assert sol.is_optimal, k
+        phase1, phase2 = runs
+        assert sol.phase1_iterations == phase1, k
+        assert sol.iterations - sol.phase1_iterations == phase2, k
+
+    runs.clear()
+    lp = build(lc.MIN, [("x", 0.0, lc.INF, 0.0)], [("bad", {"x": 1.0}, lc.LE, -1.0)])
+    sol = lc.solve(lp)
+    assert sol.status == lc.INFEASIBLE
+    assert sol.phase1_iterations == sol.iterations == runs[0]
