@@ -255,10 +255,10 @@ def _crash(columns, lo, up, x, resid) -> dict[int, int]:
     its bounds.  An accepted column moves to that value, updating `x` and
     `resid` in place.  Returns {row: column}.
 
-    Ordered by the taking, the chosen columns form a lower-triangular block
-    whose diagonal entries are their columns' largest, so with unit
-    artificials on the other rows the basis is nonsingular, and every
-    basic starts within its bounds.
+    In the order they were taken, the chosen columns form a lower-triangular
+    block whose diagonal entries are their columns' largest, so with unit
+    artificials on the other rows the basis is nonsingular, and every basic
+    starts within its bounds.
     """
     taken: dict[int, int] = {}
     for j, entries in enumerate(columns):
