@@ -15,7 +15,7 @@ search most fleet and market-period LPs repeat.  Each `optimize` and
 `evaluate` to `fleet.solve_fleet` and `dam.solve_dam`.  Keys are
 ("fleet", fleet id, offers of the fleet's stations), mapping to that
 fleet's schedule series and cost, and ("period", t, fleet withdrawals at
-t), mapping to that period's LP and its solution.  A hit skips the build,
+t), mapping to that period's dispatch, prices and objective terms.  A hit skips the build,
 the solve and the post-check, all of which ran once when the entry was
 stored; bid prices, period welfare and profit are computed on every call.
 A key holds every input of its LP that can change within one scenario, and
@@ -267,13 +267,17 @@ def optimize(
     quarter of the band, halving down to the configured minimum step).
     Deterministic given the seed; never produces offers outside the
     per-period bands (expansion clips).  The budget caps the number of
-    distinct strategies evaluated.
+    distinct strategies evaluated.  Raises ValueError, before evaluating
+    anything, on a budget below 1 or a `step_min` that is not positive (the
+    step would never fall below it).
     """
     settings = scenario.settings
     budget = settings.budget if budget is None else budget
     seed = settings.seed if seed is None else seed
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if settings.step_min <= 0:
+        raise ValueError("settings.step_min must be > 0")
     params = offer_parameters(scenario)
     ev = _Evaluator(scenario, params, budget)
     rng = np.random.default_rng(seed)
@@ -597,16 +601,18 @@ def _fleet_checks(outcome: EquilibriumOutcome) -> dict[str, tuple[float, float]]
     checks = {}
     for f in scenario.fleets:
         try:
-            lp = fleet_mod.build_fleet(finput, fleet_ids={f.id})
+            lp, index = fleet_mod.build_fleet(finput, fleet_ids={f.id})
         except fleet_mod.FleetStructureError:
             floors = {st.id: st.offer_min for st in scenario.stations}
-            lp = fleet_mod.build_fleet(fleet_mod.fleet_input(scenario, floors), fleet_ids={f.id})
+            lp, index = fleet_mod.build_fleet(
+                fleet_mod.fleet_input(scenario, floors), fleet_ids={f.id}
+            )
             bound = -math.inf
         else:
             sol = lpcore.solve(lp, feas_tol=scenario.settings.feas_tol)
             bound = lpcore.lagrangian_bound(lp, sol.dual) if sol.is_optimal else -math.inf
-        feas = lpcore.max_violation(lp, fleet_mod.schedule_values(finput, outcome.schedule, f))
-        checks[f.id] = (feas, bound)
+        values = fleet_mod.schedule_values(finput, outcome.schedule, f, lp, index[f.id])
+        checks[f.id] = (lpcore.max_violation(lp, values), bound)
     return checks
 
 
@@ -632,8 +638,8 @@ def _dam_residuals(dinput, outcome):
     gaps = []
 
     for t in range(net.horizon):
-        lp = dam_mod.build_dam(dinput, period=t)
-        values = dam_mod.period_values(dinput, outcome.dam, t)
+        lp, index = dam_mod.build_dam(dinput, period=t)
+        values = dam_mod.period_values(dinput, outcome.dam, t, lp, index[t])
         worst_feas = lpcore.max_violation(lp, values)
         bid_dual = 0.0
         for bid in dinput.station_bids:
@@ -644,22 +650,25 @@ def _dam_residuals(dinput, outcome):
                 bid_dual += max(q[t] * lo, q[t] * up)
         feas.append((t, worst_feas))
 
-        welfare = dam_mod.welfare(dinput, lp, values, outcome.dam.wtp, t)
-        gaps.append((t, _rel_gap(welfare, _welfare_bound(lp, outcome, t) + bid_dual)))
+        welfare = dam_mod.welfare(dinput, (lp.objective * values).tolist(), outcome.dam.wtp, t)
+        gaps.append((t, _rel_gap(welfare, _welfare_bound(lp, index[t], outcome, t) + bid_dual)))
 
     return _peak(feas), _peak(gaps)
 
 
-def _welfare_bound(lp: lpcore.LinearProgram, outcome: EquilibriumOutcome, t: int) -> float:
-    """Upper bound on the optimum of `lp`, the period-t market LP: the
-    Lagrangian bound at the duals of a re-solve, with the balance rows at
-    the outcome's prices.  inf when the re-solve is not optimal."""
+def _welfare_bound(
+    lp: lpcore.LinearProgram, ix: dam_mod.PeriodIndex, outcome: EquilibriumOutcome, t: int
+) -> float:
+    """Upper bound on the optimum of `lp`, the period-t market LP placed as
+    `ix` says: the Lagrangian bound at the duals of a re-solve, with the
+    balance rows at the outcome's prices.  inf when the re-solve is not
+    optimal."""
     sol = lpcore.solve(lp, feas_tol=outcome.scenario.settings.feas_tol)
     if not sol.is_optimal:
         return math.inf
-    y = dict(sol.dual)
-    for b in outcome.scenario.network.buses:
-        y[f"balance[{b.id},{t}]"] = -outcome.dam.lmp[b.id][t]
+    y = sol.dual.tolist()
+    for row, b in zip(ix.balance, outcome.scenario.network.buses):
+        y[row] = -outcome.dam.lmp[b.id][t]
     return lpcore.lagrangian_bound(lp, y)
 
 

@@ -216,6 +216,13 @@ def trend_lines(entries):
     return sorted(verdicts.items())
 
 
+def _budget(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evcsmarket",
@@ -229,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="optimize offers, certify, write reports")
     p.add_argument("scenario")
-    p.add_argument("--budget", type=int, default=None, help="evaluation budget override")
+    p.add_argument("--budget", type=_budget, default=None, help="evaluation budget override")
     p.add_argument("--seed", type=int, default=None, help="search seed override")
     p.add_argument("--out", default=None, help="output directory (default $EVCSMARKET_OUT or ./out)")
     p.add_argument(
@@ -244,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     axis = p.add_mutually_exclusive_group(required=True)
     axis.add_argument("--penetration", help="comma-separated EV penetration levels in (0,1)")
     axis.add_argument("--pv", help="comma-separated solar capacity multipliers >= 0")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_budget, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)

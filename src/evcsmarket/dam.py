@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import lpcore
 from .lpcore import EQ, LinearProgram, LpBuilder
 from .model import ChargingStation, Network
@@ -115,6 +117,9 @@ def _check_input(inp: DamInput) -> None:
     T = net.horizon
     bus_ids = set(net.bus_ids())
     net.reference_bus()
+    for ln in net.lines:
+        if ln.from_bus not in bus_ids or ln.to_bus not in bus_ids:
+            raise DamStructureError(f"line {ln.id}: endpoint not in network")
     for w in inp.withdrawals:
         if w.bus not in bus_ids:
             raise DamStructureError(f"withdrawal {w.fleet_id}: bus {w.bus!r} not in network")
@@ -146,8 +151,26 @@ def _balance_rhs(inp: DamInput, bus: str, t: int) -> float:
     return rhs
 
 
-def build_dam(inp: DamInput, period: int | None = None) -> LinearProgram:
-    """Welfare-maximization LP for all periods (default) or a single one.
+@dataclass(frozen=True)
+class PeriodIndex:
+    """Where `build_dam` placed one period: the column of each generator,
+    solar unit, bus angle and line flow and the balance row of each bus, all
+    in network order; `seg[g]` holds the columns of generator g's cost
+    segments."""
+
+    gen: list[int]
+    seg: tuple[list[int], ...]
+    solar: list[int]
+    angle: list[int]
+    flow: list[int]
+    balance: list[int]
+
+
+def build_dam(
+    inp: DamInput, period: int | None = None
+) -> tuple[LinearProgram, dict[int, PeriodIndex]]:
+    """Welfare-maximization LP for all periods (default) or a single one,
+    and the `PeriodIndex` of each period it covers.
 
     Periods do not couple, so the block LP and the per-period LPs clear
     identically; `solve_dam` uses the per-period form.  Variables:
@@ -162,54 +185,60 @@ def build_dam(inp: DamInput, period: int | None = None) -> LinearProgram:
     net = inp.network
     ref = net.reference_bus()
     lp = LpBuilder(lpcore.MAX, name="dam" if period is None else f"dam[t={period}]")
+    index = {}
 
     for t in _periods(inp, period):
+        gen, seg = [], []
         for g in net.generators:
-            lp.add_variable(f"gen[{g.id},{t}]", g.p_min, g.p_max)
-            for k, seg in enumerate(g.segments):
-                lp.add_variable(f"seg[{g.id},{k},{t}]", seg.p_min, seg.p_max, objective=-seg.cost)
-        for s in net.solar_units:
-            lp.add_variable(f"solar[{s.id},{t}]", 0.0, s.available[t])
-        for b in net.buses:
-            if b.id == ref:
-                lp.add_variable(f"angle[{b.id},{t}]", 0.0, 0.0)
-            else:
-                lp.add_variable(f"angle[{b.id},{t}]", b.angle_min, b.angle_max)
-        for ln in net.lines:
-            lp.add_variable(f"flow[{ln.id},{t}]", ln.flow_min, ln.flow_max)
+            gen.append(lp.add_variable(f"gen[{g.id},{t}]", g.p_min, g.p_max))
+            seg.append([
+                lp.add_variable(f"seg[{g.id},{k},{t}]", s.p_min, s.p_max, objective=-s.cost)
+                for k, s in enumerate(g.segments)
+            ])
+        solar = [lp.add_variable(f"solar[{s.id},{t}]", 0.0, s.available[t]) for s in net.solar_units]
+        angle = {
+            b.id: lp.add_variable(
+                f"angle[{b.id},{t}]", *((0.0, 0.0) if b.id == ref else (b.angle_min, b.angle_max))
+            )
+            for b in net.buses
+        }
+        flow = [lp.add_variable(f"flow[{ln.id},{t}]", ln.flow_min, ln.flow_max) for ln in net.lines]
 
-        for g in net.generators:
-            coeffs = {f"gen[{g.id},{t}]": 1.0}
-            for k in range(len(g.segments)):
-                coeffs[f"seg[{g.id},{k},{t}]"] = -1.0
-            lp.add_constraint(f"gen_split[{g.id},{t}]", coeffs, EQ, 0.0)
-        for ln in net.lines:
+        for g, g_col, seg_cols in zip(net.generators, gen, seg):
+            lp.add_constraint(
+                f"gen_split[{g.id},{t}]", {g_col: 1.0, **dict.fromkeys(seg_cols, -1.0)}, EQ, 0.0
+            )
+        for ln, f_col in zip(net.lines, flow):
             lp.add_constraint(
                 f"dc_flow[{ln.id},{t}]",
                 {
-                    f"flow[{ln.id},{t}]": 1.0,
-                    f"angle[{ln.from_bus},{t}]": -1.0 / ln.reactance,
-                    f"angle[{ln.to_bus},{t}]": 1.0 / ln.reactance,
+                    f_col: 1.0,
+                    angle[ln.from_bus]: -1.0 / ln.reactance,
+                    angle[ln.to_bus]: 1.0 / ln.reactance,
                 },
                 EQ,
                 0.0,
             )
+        balance = []
         for b in net.buses:
-            coeffs: dict[str, float] = {}
-            for g in net.generators:
+            coeffs: dict[int, float] = {}
+            for g, g_col in zip(net.generators, gen):
                 if g.bus == b.id:
-                    coeffs[f"gen[{g.id},{t}]"] = 1.0
-            for s in net.solar_units:
+                    coeffs[g_col] = 1.0
+            for s, s_col in zip(net.solar_units, solar):
                 if s.bus == b.id:
-                    coeffs[f"solar[{s.id},{t}]"] = 1.0
-            for ln in net.lines:
+                    coeffs[s_col] = 1.0
+            for ln, f_col in zip(net.lines, flow):
                 if ln.from_bus == b.id:
-                    coeffs[f"flow[{ln.id},{t}]"] = coeffs.get(f"flow[{ln.id},{t}]", 0.0) - 1.0
+                    coeffs[f_col] = coeffs.get(f_col, 0.0) - 1.0
                 if ln.to_bus == b.id:
-                    coeffs[f"flow[{ln.id},{t}]"] = coeffs.get(f"flow[{ln.id},{t}]", 0.0) + 1.0
-            lp.add_constraint(f"balance[{b.id},{t}]", coeffs, EQ, _balance_rhs(inp, b.id, t))
+                    coeffs[f_col] = coeffs.get(f_col, 0.0) + 1.0
+            balance.append(
+                lp.add_constraint(f"balance[{b.id},{t}]", coeffs, EQ, _balance_rhs(inp, b.id, t))
+            )
+        index[t] = PeriodIndex(gen, tuple(seg), solar, list(angle.values()), flow, balance)
 
-    return lp.build()
+    return lp.build(), index
 
 
 def solve_dam(
@@ -221,10 +250,11 @@ def solve_dam(
     optimal or its solution violates the period LP (`lpcore.max_violation`
     above 100 * feas_tol).
 
-    `memo`, when given, holds each period's LP and checked solution under
-    ("period", t, withdrawals at t in `inp.withdrawals` order), all that a
-    period LP of one scenario depends on; a period found there skips the
-    build, the solve and the post-check.  Bid prices and welfare depend on
+    `memo`, when given, holds what each period's checked solution gave
+    (dispatch, prices and the LP's objective terms) under ("period", t,
+    withdrawals at t in `inp.withdrawals` order), all that a period LP of
+    one scenario depends on; a period found there skips the build, the
+    solve, the post-check and the read.  Bid prices and welfare depend on
     the bid quantities, which the key leaves out, so they are computed on
     every call.  A memo belongs to one scenario and is written to only
     after the post-check."""
@@ -240,13 +270,17 @@ def solve_dam(
     wtp = {bid.station_id: [[] for _ in bid.quantities] for bid in inp.station_bids}
     lmp = {b.id: [] for b in net.buses}
     period_welfare = []
+    # per entity series, in the order of the families `_read` returns
+    families = [
+        list(gen.values()), *gseg.values(), list(solar.values()), list(flow.values()),
+        list(angle.values()), list(lmp.values()),
+    ]
 
     for t in range(T):
         key = ("period", t, tuple(w.power[t] for w in inp.withdrawals))
-        if memo is not None and key in memo:
-            lp, sol = memo[key]
-        else:
-            lp = build_dam(inp, period=t)
+        period = None if memo is None else memo.get(key)
+        if period is None:
+            lp, index = build_dam(inp, period=t)
             sol = lpcore.solve(lp, feas_tol=feas_tol)
             if sol.status == lpcore.INFEASIBLE:
                 raise DamInfeasibleError(
@@ -257,26 +291,20 @@ def solve_dam(
             violation = lpcore.max_violation(lp, sol.primal)
             if violation > feas_tol * 100.0:
                 raise DamNumericalError(f"period {t}: solution violates its LP by {violation:.3e}")
+            period = _read(lp, index[t], sol)
             if memo is not None:
-                memo[key] = (lp, sol)
+                memo[key] = period
 
-        for g in net.generators:
-            gen[g.id].append(sol.primal[f"gen[{g.id},{t}]"])
-            for k in range(len(g.segments)):
-                gseg[g.id][k].append(sol.primal[f"seg[{g.id},{k},{t}]"])
-        for s in net.solar_units:
-            solar[s.id].append(sol.primal[f"solar[{s.id},{t}]"])
-        for ln in net.lines:
-            flow[ln.id].append(sol.primal[f"flow[{ln.id},{t}]"])
-        for b in net.buses:
-            angle[b.id].append(sol.primal[f"angle[{b.id},{t}]"])
-            lmp[b.id].append(-sol.dual[f"balance[{b.id},{t}]"])
+        *values, objective_terms = period
+        for series, family in zip(families, values):
+            for s, v in zip(series, family):
+                s.append(v)
         for bid in inp.station_bids:
             for m, q in enumerate(bid.quantities):
                 wtp[bid.station_id][m].append(
                     bid.wtp_max[m][t] if q[t] > 0.0 else bid.wtp_min[m][t]
                 )
-        period_welfare.append(welfare(inp, lp, sol.primal, wtp, t))
+        period_welfare.append(welfare(inp, objective_terms, wtp, t))
 
     return DamOutcome(
         horizon=T,
@@ -292,35 +320,50 @@ def solve_dam(
     )
 
 
-def welfare(inp: DamInput, lp: LinearProgram, values, wtp, t: int) -> float:
+def _read(lp: LinearProgram, ix: PeriodIndex, sol: lpcore.LpSolution) -> tuple[list, ...]:
+    """One period's solution by family: generator, segment (generator by
+    generator), solar, flow and angle values, the locational prices (the
+    negated balance duals, see the module docstring), and `lp`'s objective
+    terms (coefficient times value, column by column)."""
+    x = sol.primal
+    return (
+        *(x[cols].tolist() for cols in (ix.gen, *ix.seg, ix.solar, ix.flow, ix.angle)),
+        (-sol.dual[ix.balance]).tolist(),
+        (lp.objective * x).tolist(),
+    )
+
+
+def welfare(inp: DamInput, objective_terms, wtp, t: int) -> float:
     """Welfare of period t: the bid value sum q * price over the bid
-    segments, then `lp`'s objective terms at `values`, summed in that fixed
-    order so the result is reproducible bit for bit."""
+    segments, then the period LP's `objective_terms` (coefficient times
+    value, column by column), summed in that fixed order so the result is
+    reproducible bit for bit."""
     terms = [
         q[t] * wtp[bid.station_id][m][t]
         for bid in inp.station_bids
         for m, q in enumerate(bid.quantities)
     ]
-    terms.extend(v.objective * values[v.name] for v in lp.variables)
-    return float(sum(terms))
+    return float(sum(terms + objective_terms))
 
 
-def period_values(inp: DamInput, out: DamOutcome, t: int) -> dict[str, float]:
-    """An outcome's period-t dispatch keyed by the variable names of
-    `build_dam(inp, period=t)`."""
+def period_values(
+    inp: DamInput, out: DamOutcome, t: int, lp: LinearProgram, ix: PeriodIndex
+) -> np.ndarray:
+    """An outcome's period-t dispatch as one value per column of `lp`, the
+    LP that `build_dam(inp, period=t)` returned with `ix`."""
     net = inp.network
-    values = {}
-    for g in net.generators:
-        values[f"gen[{g.id},{t}]"] = out.gen[g.id][t]
-        for k in range(len(g.segments)):
-            values[f"seg[{g.id},{k},{t}]"] = out.gen_segments[g.id][k][t]
-    for s in net.solar_units:
-        values[f"solar[{s.id},{t}]"] = out.solar[s.id][t]
-    for b in net.buses:
-        values[f"angle[{b.id},{t}]"] = out.angle[b.id][t]
-    for ln in net.lines:
-        values[f"flow[{ln.id},{t}]"] = out.flow[ln.id][t]
-    return values
+    values = [0.0] * len(lp.variables)
+    placed = [
+        (ix.gen, [out.gen[g.id][t] for g in net.generators]),
+        *((cols, [s[t] for s in out.gen_segments[g.id]]) for g, cols in zip(net.generators, ix.seg)),
+        (ix.solar, [out.solar[s.id][t] for s in net.solar_units]),
+        (ix.angle, [out.angle[b.id][t] for b in net.buses]),
+        (ix.flow, [out.flow[ln.id][t] for ln in net.lines]),
+    ]
+    for cols, family in placed:
+        for j, v in zip(cols, family):
+            values[j] = v
+    return np.array(values)
 
 
 # ---------------------------------------------------------------------------
@@ -345,77 +388,59 @@ def build_dam_paper_dual(inp: DamInput, period: int | None = None) -> LinearProg
 
     NEG = (-lpcore.INF, 0.0)
 
-    def add_bound_pair(var, lower, upper):
-        lp.add_variable(f"bound_lo[{var}]", *NEG, objective=lower)
-        lp.add_variable(f"bound_up[{var}]", *NEG, objective=-upper)
-
     for t in _periods(inp, period):
         # prices of the equality rows
-        for g in net.generators:
-            lp.add_variable(f"price[gen_split[{g.id},{t}]]")
-        for ln in net.lines:
-            lp.add_variable(f"price[dc_flow[{ln.id},{t}]]")
-        for b in net.buses:
-            lp.add_variable(f"price[balance[{b.id},{t}]]", objective=_balance_rhs(inp, b.id, t))
+        split_price = {g.id: lp.add_variable(f"price[gen_split[{g.id},{t}]]") for g in net.generators}
+        flow_price = {ln.id: lp.add_variable(f"price[dc_flow[{ln.id},{t}]]") for ln in net.lines}
+        balance_price = {
+            b.id: lp.add_variable(f"price[balance[{b.id},{t}]]", objective=_balance_rhs(inp, b.id, t))
+            for b in net.buses
+        }
 
-        # bound prices, mirroring the primal variable set
-        for g in net.generators:
-            add_bound_pair(f"gen[{g.id},{t}]", g.p_min, g.p_max)
-            for k, seg in enumerate(g.segments):
-                add_bound_pair(f"seg[{g.id},{k},{t}]", seg.p_min, seg.p_max)
-        for s in net.solar_units:
-            add_bound_pair(f"solar[{s.id},{t}]", 0.0, s.available[t])
-        for b in net.buses:
-            if b.id == ref:
-                add_bound_pair(f"angle[{b.id},{t}]", 0.0, 0.0)
-            else:
-                add_bound_pair(f"angle[{b.id},{t}]", b.angle_min, b.angle_max)
-        for ln in net.lines:
-            add_bound_pair(f"flow[{ln.id},{t}]", ln.flow_min, ln.flow_max)
+        # bound prices, mirroring the primal variable set: (primal label, lo, up)
+        def bound_pair(var, lower, upper):
+            lo = lp.add_variable(f"bound_lo[{var}]", *NEG, objective=lower)
+            return var, lo, lp.add_variable(f"bound_up[{var}]", *NEG, objective=-upper)
 
-        def stationarity(var, extra, rhs):
-            coeffs = {f"bound_lo[{var}]": 1.0, f"bound_up[{var}]": -1.0}
-            coeffs.update(extra)
-            lp.add_constraint(f"col[{var}]", coeffs, EQ, rhs)
+        def stationarity(pair, extra, rhs):
+            var, lo, up = pair
+            lp.add_constraint(f"col[{var}]", {lo: 1.0, up: -1.0, **extra}, EQ, rhs)
 
+        gen_pairs, seg_pairs = [], []
         for g in net.generators:
-            stationarity(
-                f"gen[{g.id},{t}]",
-                {
-                    f"price[gen_split[{g.id},{t}]]": 1.0,
-                    f"price[balance[{g.bus},{t}]]": 1.0,
-                },
-                0.0,
+            gen_pairs.append(bound_pair(f"gen[{g.id},{t}]", g.p_min, g.p_max))
+            seg_pairs.append(
+                [bound_pair(f"seg[{g.id},{k},{t}]", c.p_min, c.p_max) for k, c in enumerate(g.segments)]
             )
-            for k, seg in enumerate(g.segments):
-                stationarity(
-                    f"seg[{g.id},{k},{t}]",
-                    {f"price[gen_split[{g.id},{t}]]": -1.0},
-                    -seg.cost,
-                )
-        for s in net.solar_units:
-            stationarity(
-                f"solar[{s.id},{t}]", {f"price[balance[{s.bus},{t}]]": 1.0}, 0.0
-            )
-        for b in net.buses:
-            extra: dict[str, float] = {}
+        solar_pairs = [bound_pair(f"solar[{s.id},{t}]", 0.0, s.available[t]) for s in net.solar_units]
+        angle_pairs = [
+            bound_pair(f"angle[{b.id},{t}]", *(0.0, 0.0) if b.id == ref else (b.angle_min, b.angle_max))
+            for b in net.buses
+        ]
+        flow_pairs = [bound_pair(f"flow[{ln.id},{t}]", ln.flow_min, ln.flow_max) for ln in net.lines]
+
+        for g, gen_pair, pairs in zip(net.generators, gen_pairs, seg_pairs):
+            stationarity(gen_pair, {split_price[g.id]: 1.0, balance_price[g.bus]: 1.0}, 0.0)
+            for seg, pair in zip(g.segments, pairs):
+                stationarity(pair, {split_price[g.id]: -1.0}, -seg.cost)
+        for s, pair in zip(net.solar_units, solar_pairs):
+            stationarity(pair, {balance_price[s.bus]: 1.0}, 0.0)
+        for b, pair in zip(net.buses, angle_pairs):
+            extra: dict[int, float] = {}
             for ln in net.lines:
+                col = flow_price[ln.id]
                 if ln.from_bus == b.id:
-                    extra[f"price[dc_flow[{ln.id},{t}]]"] = (
-                        extra.get(f"price[dc_flow[{ln.id},{t}]]", 0.0) - 1.0 / ln.reactance
-                    )
+                    extra[col] = extra.get(col, 0.0) - 1.0 / ln.reactance
                 if ln.to_bus == b.id:
-                    extra[f"price[dc_flow[{ln.id},{t}]]"] = (
-                        extra.get(f"price[dc_flow[{ln.id},{t}]]", 0.0) + 1.0 / ln.reactance
-                    )
-            stationarity(f"angle[{b.id},{t}]", extra, 0.0)
-        for ln in net.lines:
+                    extra[col] = extra.get(col, 0.0) + 1.0 / ln.reactance
+            stationarity(pair, extra, 0.0)
+        for ln, pair in zip(net.lines, flow_pairs):
             stationarity(
-                f"flow[{ln.id},{t}]",
+                pair,
                 {
-                    f"price[dc_flow[{ln.id},{t}]]": 1.0,
-                    f"price[balance[{ln.from_bus},{t}]]": -1.0,
-                    f"price[balance[{ln.to_bus},{t}]]": 1.0,
+                    flow_price[ln.id]: 1.0,
+                    balance_price[ln.from_bus]: -1.0,
+                    balance_price[ln.to_bus]: 1.0,
                 },
                 0.0,
             )
@@ -426,62 +451,62 @@ def build_dam_paper_dual(inp: DamInput, period: int | None = None) -> LinearProg
 def paper_dual_structural_diff(inp: DamInput, period: int | None = None) -> list[str]:
     """Structurally compare the hand-written dual with dualize(build_dam).
 
-    The automatic dual names variables dual[row] / rc_lo[v] / rc_up[v] and
+    The automatic dual labels variables dual[row] / rc_lo[v] / rc_up[v] and
     uses a non-negative upper-bound price; the explicit form uses price[row]
     / bound_lo[v] / bound_up[v] with both bound prices non-positive.  After
-    renaming and negating the upper-bound price the programs must agree
+    relabelling and negating the upper-bound price the programs must agree
     exactly; returns human-readable differences (empty when they do).
     """
-    auto = lpcore.dualize(build_dam(inp, period=period))
+    auto = lpcore.dualize(build_dam(inp, period=period)[0])
     explicit = build_dam_paper_dual(inp, period=period)
     diffs: list[str] = []
 
-    def explicit_name(auto_name: str) -> str:
-        if auto_name.startswith("dual["):
-            return "price[" + auto_name[len("dual[") :]
-        if auto_name.startswith("rc_lo["):
-            return "bound_lo[" + auto_name[len("rc_lo[") :]
-        if auto_name.startswith("rc_up["):
-            return "bound_up[" + auto_name[len("rc_up[") :]
-        return auto_name
+    renames = {"dual[": "price[", "rc_lo[": "bound_lo[", "rc_up[": "bound_up["}
+    names = []
+    for label in auto.variables:
+        prefix = label[: label.index("[") + 1]
+        names.append(renames.get(prefix, prefix) + label[len(prefix) :])
+    flip = np.array([-1.0 if label.startswith("rc_up[") else 1.0 for label in auto.variables])
+    # the automatic dual in the explicit form's signs
+    lower = np.where(flip < 0, -auto.upper, auto.lower)
+    upper = np.where(flip < 0, -auto.lower, auto.upper)
+    objective = flip * auto.objective
+    matrix = flip * auto.matrix
 
-    flipped = {v.name for v in auto.variables if v.name.startswith("rc_up[")}
-    evars = {v.name: v for v in explicit.variables}
-    for v in auto.variables:
-        name = explicit_name(v.name)
-        ev = evars.pop(name, None)
-        if ev is None:
+    ecols = {label: j for j, label in enumerate(explicit.variables)}
+    for j, name in enumerate(names):
+        k = ecols.pop(name, None)
+        if k is None:
             diffs.append(f"missing variable {name}")
             continue
-        flip = -1.0 if v.name in flipped else 1.0
-        lo, up = (flip * v.upper, flip * v.lower) if flip < 0 else (v.lower, v.upper)
-        if (lo, up) != (ev.lower, ev.upper):
-            diffs.append(f"{name}: bounds {ev.lower, ev.upper} != {(lo, up)}")
-        if abs(flip * v.objective - ev.objective) > 1e-12 * (1 + abs(ev.objective)):
-            diffs.append(f"{name}: objective {ev.objective} != {flip * v.objective}")
-    for leftover in evars:
+        theirs = (explicit.lower[k], explicit.upper[k])
+        if (lower[j], upper[j]) != theirs:
+            diffs.append(f"{name}: bounds {theirs} != {(lower[j], upper[j])}")
+        if abs(objective[j] - explicit.objective[k]) > 1e-12 * (1 + abs(explicit.objective[k])):
+            diffs.append(f"{name}: objective {explicit.objective[k]} != {objective[j]}")
+    for leftover in ecols:
         diffs.append(f"extra variable {leftover}")
 
-    econs = {c.name: c for c in explicit.constraints}
-    for con in auto.constraints:
-        ec = econs.pop(con.name, None)
-        if ec is None:
-            diffs.append(f"missing constraint {con.name}")
+    erows = {label: i for i, label in enumerate(explicit.constraints)}
+    for i, label in enumerate(auto.constraints):
+        k = erows.pop(label, None)
+        if k is None:
+            diffs.append(f"missing constraint {label}")
             continue
-        if con.relation != ec.relation or abs(con.rhs - ec.rhs) > 1e-12 * (1 + abs(con.rhs)):
-            diffs.append(f"{con.name}: relation/rhs mismatch")
+        rhs, their_rhs = auto.rhs[i], explicit.rhs[k]
+        if auto.relations[i] != explicit.relations[k] or abs(rhs - their_rhs) > 1e-12 * (1 + abs(rhs)):
+            diffs.append(f"{label}: relation/rhs mismatch")
             continue
-        mapped = {}
-        for var, coef in con.coefficients.items():
-            flip = -1.0 if var in flipped else 1.0
-            mapped[explicit_name(var)] = flip * coef
-        if set(mapped) != set(ec.coefficients):
-            diffs.append(f"{con.name}: different variable support")
+        mapped = {names[j]: matrix[i, j] for j in np.flatnonzero(auto.matrix[i])}
+        their_row = explicit.matrix[k]
+        theirs = {explicit.variables[j]: their_row[j] for j in np.flatnonzero(their_row)}
+        if set(mapped) != set(theirs):
+            diffs.append(f"{label}: different variable support")
             continue
-        for var, coef in mapped.items():
-            if abs(coef - ec.coefficients[var]) > 1e-12 * (1 + abs(coef)):
-                diffs.append(f"{con.name}: coefficient on {var} differs")
-    for leftover in econs:
+        for name, coef in mapped.items():
+            if abs(coef - theirs[name]) > 1e-12 * (1 + abs(coef)):
+                diffs.append(f"{label}: coefficient on {name} differs")
+    for leftover in erows:
         diffs.append(f"extra constraint {leftover}")
 
     if auto.sense != explicit.sense:

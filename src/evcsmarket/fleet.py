@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import lpcore
 from .lpcore import EQ, LinearProgram, LpBuilder
 from .model import ChargingStation, EVFleet, Scenario, fleet_infeasibility_period
@@ -145,14 +147,29 @@ def _fleet_stations(inp: FleetInput, fleet: EVFleet) -> list[ChargingStation]:
     return [inp.station(cid) for cid, _ in fleet.station_caps if inp.station(cid).fleet_id == fleet.id]
 
 
+@dataclass(frozen=True)
+class FleetColumns:
+    """Where `build_fleet` placed one fleet's columns, each list indexed by
+    period: `station[k]` and `segment[k][m]` belong to the fleet's k-th
+    station (in `_fleet_stations` order) and that station's m-th bid
+    segment."""
+
+    total: list[int]
+    home: list[int]
+    station: tuple[list[int], ...]
+    segment: tuple[tuple[list[int], ...], ...]
+    energy: list[int]
+
+
 def build_fleet(
     inp: FleetInput,
     *,
     billing: str = BILLING_OFFER,
     home_price_bump: float = 0.0,
     fleet_ids=None,
-) -> LinearProgram:
-    """Cost-minimization LP over {total, home, station, segment, energy}.
+) -> tuple[LinearProgram, dict[str, FleetColumns]]:
+    """Cost-minimization LP over {total, home, station, segment, energy},
+    and the `FleetColumns` of each fleet it covers, by fleet id.
 
     Station energy is priced at the offer price under the default billing;
     the `wtp_segments` variant prices each bid segment at its cleared bid
@@ -168,74 +185,74 @@ def build_fleet(
     lp = LpBuilder(lpcore.MIN, name="fleet")
     T = inp.horizon
     fleets = [f for f in inp.fleets if fleet_ids is None or f.id in fleet_ids]
+    index = {}
 
     for f in fleets:
         stations = _fleet_stations(inp, f)
+        total, home, energy = [], [], []
+        station = [[] for _ in stations]
+        segment = [[[] for _ in s.segments] for s in stations]
         for t in range(T):
-            lp.add_variable(f"total[{f.id},{t}]", 0.0, f.max_charge)
-            lp.add_variable(
+            total.append(lp.add_variable(f"total[{f.id},{t}]", 0.0, f.max_charge))
+            home.append(lp.add_variable(
                 f"home[{f.id},{t}]",
                 0.0,
                 f.home_connectivity[t] * f.home_cap,
                 objective=f.tou[t] + home_price_bump,
-            )
-            for s in stations:
+            ))
+            for k, s in enumerate(stations):
                 tau = inp.offers[s.id][t]
-                lp.add_variable(
+                station[k].append(lp.add_variable(
                     f"station[{f.id},{s.id},{t}]",
                     0.0,
                     f.station_conn(s.id)[t] * f.station_cap(s.id),
                     objective=tau if billing == BILLING_OFFER else 0.0,
-                )
+                ))
                 for m, seg in enumerate(s.segments):
                     price = 0.0
                     if billing == BILLING_WTP_SEGMENTS:
                         price = inp.segment_prices[s.id][m][t]
-                    lp.add_variable(
+                    segment[k][m].append(lp.add_variable(
                         f"segment[{f.id},{s.id},{m},{t}]", 0.0, seg.width, objective=price
-                    )
+                    ))
             final_floor = f.energy_min
             if t == T - 1 and f.final_energy_min is not None:
                 final_floor = max(f.energy_min, f.final_energy_min)
-            lp.add_variable(f"energy[{f.id},{t}]", final_floor, f.energy_max)
+            energy.append(lp.add_variable(f"energy[{f.id},{t}]", final_floor, f.energy_max))
 
         for t in range(T):
-            coeffs = {f"total[{f.id},{t}]": 1.0, f"home[{f.id},{t}]": -1.0}
-            for s in stations:
-                coeffs[f"station[{f.id},{s.id},{t}]"] = -1.0
+            coeffs = {total[t]: 1.0, home[t]: -1.0}
+            for cols in station:
+                coeffs[cols[t]] = -1.0
             lp.add_constraint(f"split[{f.id},{t}]", coeffs, EQ, 0.0)
-            for s in stations:
-                scoeffs = {f"station[{f.id},{s.id},{t}]": 1.0}
-                for m in range(len(s.segments)):
-                    scoeffs[f"segment[{f.id},{s.id},{m},{t}]"] = -1.0
+            for s, cols, seg_cols in zip(stations, station, segment):
+                scoeffs = {cols[t]: 1.0}
+                for m_cols in seg_cols:
+                    scoeffs[m_cols[t]] = -1.0
                 lp.add_constraint(f"station_split[{f.id},{s.id},{t}]", scoeffs, EQ, 0.0)
-            coeffs = {
-                f"energy[{f.id},{t}]": 1.0,
-                f"total[{f.id},{t}]": -f.charge_efficiency,
-            }
+            coeffs = {energy[t]: 1.0, total[t]: -f.charge_efficiency}
             rhs = -f.driving[t] / f.discharge_efficiency
             if t > 0:
-                coeffs[f"energy[{f.id},{t - 1}]"] = -1.0
+                coeffs[energy[t - 1]] = -1.0
             else:
                 rhs += f.initial_energy
             lp.add_constraint(f"energy_balance[{f.id},{t}]", coeffs, EQ, rhs)
 
-    return lp.build()
+        index[f.id] = FleetColumns(total, home, tuple(station), tuple(map(tuple, segment)), energy)
+
+    return lp.build(), index
 
 
-def _schedule_from_solution(inp: FleetInput, f: EVFleet, values):
+def _schedule_from_solution(inp: FleetInput, f: EVFleet, values, cols: FleetColumns):
     """One fleet's series (total, home, station, segments, energy) and its
-    cost at the true prices, from the primal values of its LP."""
+    cost at the true prices, from the primal values of its LP at `cols`."""
     T = inp.horizon
     stations = _fleet_stations(inp, f)
-    home = tuple(values[f"home[{f.id},{t}]"] for t in range(T))
+    home = tuple(values[cols.home].tolist())
     station = {}
     segments = {}
-    for s in stations:
-        segments[s.id] = tuple(
-            tuple(values[f"segment[{f.id},{s.id},{m},{t}]"] for t in range(T))
-            for m in range(len(s.segments))
-        )
+    for s, seg_cols in zip(stations, cols.segment):
+        segments[s.id] = tuple(tuple(values[m_cols].tolist()) for m_cols in seg_cols)
         station[s.id] = tuple(
             sum(segments[s.id][m][t] for m in range(len(s.segments))) for t in range(T)
         )
@@ -277,15 +294,15 @@ def solve_fleet(
             raise FleetInfeasibleError(f.id, t_bad)
 
     total, home, station, segments, energy, fleet_costs = {}, {}, {}, {}, {}, {}
-    solved = {}  # fleet id -> (memo key, LP, result) for the fleets solved here
+    solved = {}  # fleet id -> (memo key, LP, its columns, result) for the fleets solved here
     for f in sorted(inp.fleets, key=lambda f: f.id):
         key = ("fleet", f.id, tuple(inp.offers[s.id] for s in _fleet_stations(inp, f)))
         result = None if memo is None else memo.get(key)
         if result is None:
-            lp = build_fleet(inp, home_price_bump=TIE_BREAK_EPS, fleet_ids={f.id})
+            lp, index = build_fleet(inp, home_price_bump=TIE_BREAK_EPS, fleet_ids={f.id})
             values = lpcore.require_optimal(lp, feas_tol=feas_tol).primal
-            result = _schedule_from_solution(inp, f, values)
-            solved[f.id] = (key, lp, result)
+            result = _schedule_from_solution(inp, f, values, index[f.id])
+            solved[f.id] = (key, lp, index[f.id], result)
         (
             total[f.id], home[f.id], station[f.id], segments[f.id], energy[f.id], fleet_costs[f.id]
         ) = result
@@ -303,8 +320,8 @@ def solve_fleet(
     for f in inp.fleets:
         if f.id not in solved:
             continue
-        key, lp, result = solved[f.id]
-        violation = lpcore.max_violation(lp, schedule_values(inp, schedule, f))
+        key, lp, cols, result = solved[f.id]
+        violation = lpcore.max_violation(lp, schedule_values(inp, schedule, f, lp, cols))
         if violation > feas_tol * 100.0:
             raise FleetStructureError(f"fleet {f.id}: schedule violates its LP by {violation:.3e}")
         if memo is not None:
@@ -312,21 +329,23 @@ def solve_fleet(
     return schedule
 
 
-def schedule_values(inp: FleetInput, sched: FleetSchedule, fleet: EVFleet) -> dict[str, float]:
-    """A schedule's series for one fleet keyed by the variable names of
-    `build_fleet(inp, fleet_ids={fleet.id})`."""
+def schedule_values(
+    inp: FleetInput, sched: FleetSchedule, fleet: EVFleet, lp: LinearProgram, cols: FleetColumns
+) -> np.ndarray:
+    """A schedule's series for one fleet as one value per column of `lp`,
+    the LP that `build_fleet(inp, fleet_ids={fleet.id})` returned with
+    `cols` for that fleet."""
     fid = fleet.id
-    stations = _fleet_stations(inp, fleet)
-    values = {}
-    for t in range(inp.horizon):
-        values[f"total[{fid},{t}]"] = sched.total[fid][t]
-        values[f"home[{fid},{t}]"] = sched.home[fid][t]
-        for s in stations:
-            values[f"station[{fid},{s.id},{t}]"] = sched.station[fid][s.id][t]
-            for m in range(len(s.segments)):
-                values[f"segment[{fid},{s.id},{m},{t}]"] = sched.segments[fid][s.id][m][t]
-        values[f"energy[{fid},{t}]"] = sched.energy[fid][t]
-    return values
+    values = [0.0] * len(lp.variables)
+    placed = [(cols.total, sched.total[fid]), (cols.home, sched.home[fid])]
+    for s, s_cols, seg_cols in zip(_fleet_stations(inp, fleet), cols.station, cols.segment):
+        placed.append((s_cols, sched.station[fid][s.id]))
+        placed.extend(zip(seg_cols, sched.segments[fid][s.id]))
+    placed.append((cols.energy, sched.energy[fid]))
+    for series_cols, series in placed:
+        for j, v in zip(series_cols, series):
+            values[j] = v
+    return np.array(values)
 
 
 # ---------------------------------------------------------------------------
@@ -358,50 +377,44 @@ def build_fleet_paper_dual(
     lp = LpBuilder(lpcore.MAX, name=name)
     T = inp.horizon
     POS = (0.0, lpcore.INF)
+    FREE = (-lpcore.INF, lpcore.INF)
     seg_sign = -1.0 if corrected_segment_sign else 1.0
 
     for f in inp.fleets:
         stations = _fleet_stations(inp, f)
+        col = {}  # (family, *indices) -> column labelled family[fleet,*indices]
+
+        def var(family, *key, objective=0.0, bounds=POS):
+            label = ",".join(map(str, (f.id, *key)))
+            col[(family, *key)] = lp.add_variable(f"{family}[{label}]", *bounds, objective=objective)
+
         for t in range(T):
-            lp.add_variable(f"rate_lo[{f.id},{t}]", *POS)
-            lp.add_variable(f"rate_up[{f.id},{t}]", *POS, objective=-f.max_charge)
-            lp.add_variable(f"home_lo[{f.id},{t}]", *POS)
-            lp.add_variable(
-                f"home_up[{f.id},{t}]",
-                *POS,
-                objective=-f.home_connectivity[t] * f.home_cap,
-            )
+            var("rate_lo", t)
+            var("rate_up", t, objective=-f.max_charge)
+            var("home_lo", t)
+            var("home_up", t, objective=-f.home_connectivity[t] * f.home_cap)
             for s in stations:
-                lp.add_variable(f"st_lo[{f.id},{s.id},{t}]", *POS)
-                lp.add_variable(
-                    f"st_up[{f.id},{s.id},{t}]",
-                    *POS,
-                    objective=-f.station_conn(s.id)[t] * f.station_cap(s.id),
-                )
+                var("st_lo", s.id, t)
+                var("st_up", s.id, t, objective=-f.station_conn(s.id)[t] * f.station_cap(s.id))
                 for m, seg in enumerate(s.segments):
-                    lp.add_variable(f"seg_lo[{f.id},{s.id},{m},{t}]", *POS)
+                    var("seg_lo", s.id, m, t)
                     # positive sign as printed; the exact dual carries -width
-                    lp.add_variable(
-                        f"seg_up[{f.id},{s.id},{m},{t}]", *POS, objective=seg_sign * seg.width
-                    )
-            lp.add_variable(f"en_lo[{f.id},{t}]", *POS, objective=f.energy_min)
-            lp.add_variable(f"en_up[{f.id},{t}]", *POS, objective=-f.energy_max)
-            lp.add_variable(f"price_split[{f.id},{t}]")
+                    var("seg_up", s.id, m, t, objective=seg_sign * seg.width)
+            var("en_lo", t, objective=f.energy_min)
+            var("en_up", t, objective=-f.energy_max)
+            var("price_split", t, bounds=FREE)
             for s in stations:
-                lp.add_variable(f"price_station[{f.id},{s.id},{t}]")
-            lp.add_variable(
-                f"price_energy[{f.id},{t}]",
-                objective=-f.driving[t] / f.discharge_efficiency,
-            )
+                var("price_station", s.id, t, bounds=FREE)
+            var("price_energy", t, objective=-f.driving[t] / f.discharge_efficiency, bounds=FREE)
 
         for t in range(T):
             lp.add_constraint(
                 f"col[total[{f.id},{t}]]",
                 {
-                    f"rate_lo[{f.id},{t}]": 1.0,
-                    f"rate_up[{f.id},{t}]": -1.0,
-                    f"price_split[{f.id},{t}]": 1.0,
-                    f"price_energy[{f.id},{t}]": -f.charge_efficiency,
+                    col["rate_lo", t]: 1.0,
+                    col["rate_up", t]: -1.0,
+                    col["price_split", t]: 1.0,
+                    col["price_energy", t]: -f.charge_efficiency,
                 },
                 EQ,
                 0.0,
@@ -410,10 +423,10 @@ def build_fleet_paper_dual(
                 lp.add_constraint(
                     f"col[station[{f.id},{s.id},{t}]]",
                     {
-                        f"st_lo[{f.id},{s.id},{t}]": 1.0,
-                        f"st_up[{f.id},{s.id},{t}]": -1.0,
-                        f"price_station[{f.id},{s.id},{t}]": 1.0,
-                        f"price_split[{f.id},{t}]": -1.0,
+                        col["st_lo", s.id, t]: 1.0,
+                        col["st_up", s.id, t]: -1.0,
+                        col["price_station", s.id, t]: 1.0,
+                        col["price_split", t]: -1.0,
                     },
                     EQ,
                     0.0,  # rhs 0 as printed; offer-based billing implies the offer price here
@@ -422,30 +435,22 @@ def build_fleet_paper_dual(
                     lp.add_constraint(
                         f"col[segment[{f.id},{s.id},{m},{t}]]",
                         {
-                            f"seg_lo[{f.id},{s.id},{m},{t}]": 1.0,
-                            f"seg_up[{f.id},{s.id},{m},{t}]": -1.0,
-                            f"price_station[{f.id},{s.id},{t}]": -1.0,
+                            col["seg_lo", s.id, m, t]: 1.0,
+                            col["seg_up", s.id, m, t]: -1.0,
+                            col["price_station", s.id, t]: -1.0,
                         },
                         EQ,
                         segment_prices[s.id][m][t],
                     )
             lp.add_constraint(
                 f"col[home[{f.id},{t}]]",
-                {
-                    f"home_lo[{f.id},{t}]": 1.0,
-                    f"home_up[{f.id},{t}]": -1.0,
-                    f"price_split[{f.id},{t}]": -1.0,
-                },
+                {col["home_lo", t]: 1.0, col["home_up", t]: -1.0, col["price_split", t]: -1.0},
                 EQ,
                 f.tou[t],
             )
-            coeffs = {
-                f"en_lo[{f.id},{t}]": 1.0,
-                f"en_up[{f.id},{t}]": -1.0,
-                f"price_energy[{f.id},{t}]": 1.0,
-            }
+            coeffs = {col["en_lo", t]: 1.0, col["en_up", t]: -1.0, col["price_energy", t]: 1.0}
             if t < T - 1:
-                coeffs[f"price_energy[{f.id},{t + 1}]"] = -1.0
+                coeffs[col["price_energy", t + 1]] = -1.0
             lp.add_constraint(f"col[energy[{f.id},{t}]]", coeffs, EQ, 0.0)
 
     return lp.build()
@@ -535,13 +540,14 @@ def dual_form_report(
     """Solve both primal variants, their automatic duals, and the transcribed
     dual (as printed, and with its boundedness-breaking sign repaired), and
     report which equalities hold."""
-    offer_sol = lpcore.require_optimal(build_fleet(inp))
-    offer_dual = lpcore.require_optimal(lpcore.dualize(build_fleet(inp)))
+    offer_lp = build_fleet(inp)[0]
+    offer_sol = lpcore.require_optimal(offer_lp)
+    offer_dual = lpcore.require_optimal(lpcore.dualize(offer_lp))
 
     seg_primal = seg_dual = None
     if segment_prices is not None:
         seg_inp = replace(inp, segment_prices=dict(segment_prices))
-        seg_lp = build_fleet(seg_inp, billing=BILLING_WTP_SEGMENTS)
+        seg_lp = build_fleet(seg_inp, billing=BILLING_WTP_SEGMENTS)[0]
         seg_primal = lpcore.require_optimal(seg_lp).objective
         seg_dual = lpcore.require_optimal(lpcore.dualize(seg_lp)).objective
 

@@ -1,7 +1,14 @@
-"""Generic linear programming layer: model container, bounded-variable
-revised simplex solver with dual extraction, automatic dualizer,
-strong-duality / complementary-slackness checkers, and a weak-duality
-(Lagrangian) bound that any row multipliers give.
+"""Generic linear programming layer: an array-backed model container, a
+bounded-variable revised simplex solver with dual extraction, automatic
+dualizer, strong-duality / complementary-slackness checkers, and a
+weak-duality (Lagrangian) bound that any row multipliers give.
+
+An LP is arrays: per column an objective coefficient and two bounds, a
+dense constraint matrix, and per row a relation and a right-hand side.
+`LpBuilder` places columns and rows and returns their indices, and a
+solution comes back as arrays in that same order, so a caller keeps the
+indices it was given and reads results by them.  Column and row labels ride
+along only for `write_lp_text`, `dualize` and structural comparisons.
 
 Every solve starts from a lower-triangular crash basis: walking the
 structural columns, then the slacks, a column becomes basic on a row when it
@@ -12,13 +19,13 @@ solved before it.
 
 Sign conventions (fixed once, used everywhere in this package):
 
-* Constraint duals are *marginal values*: ``dual[c] = d(optimal objective) /
-  d(rhs of c)``.  Consequences at an optimum:
+* Constraint duals are *marginal values*: ``dual[i] = d(optimal objective) /
+  d(rhs of row i)``.  Consequences at an optimum:
     - minimize:  ">=" rows have dual >= 0, "<=" rows have dual <= 0.
     - maximize:  ">=" rows have dual <= 0, "<=" rows have dual >= 0.
     - "=" rows are free in both senses.
 * Reduced costs are marginal values of the *active variable bound*:
-  ``reduced_cost[v] = d(optimal objective) / d(bound v sits at)``.
+  ``reduced_cost[j] = d(optimal objective) / d(bound column j sits at)``.
     - minimize: at lower bound => rc >= 0, at upper bound => rc <= 0.
     - maximize: the opposite.
 
@@ -32,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -72,108 +79,97 @@ class LpSolveError(LpError):
         self.solution = solution
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    lower: float = -INF
-    upper: float = INF
-    objective: float = 0.0
-
-    def __post_init__(self):
-        if not self.name:
-            raise LpDefinitionError("variable needs a non-empty name")
-        if math.isnan(self.lower) or math.isnan(self.upper):
-            raise LpDefinitionError(f"{self.name}: NaN bound")
-        if self.lower == INF or self.upper == -INF:
-            raise LpDefinitionError(f"{self.name}: bound interval is empty")
-        if not math.isfinite(self.objective):
-            raise LpDefinitionError(f"{self.name}: objective coefficient must be finite")
-        if self.lower > self.upper:
-            raise LpDefinitionError(
-                f"{self.name}: lower bound {self.lower} exceeds upper bound {self.upper}"
-            )
-
-
-@dataclass(frozen=True)
-class Constraint:
-    name: str
-    coefficients: Mapping[str, float]
-    relation: str
-    rhs: float
-
-    def __post_init__(self):
-        if not self.name:
-            raise LpDefinitionError("constraint needs a non-empty name")
-        if self.relation not in (LE, EQ, GE):
-            raise LpDefinitionError(f"{self.name}: unknown relation {self.relation!r}")
-        if not math.isfinite(self.rhs):
-            raise LpDefinitionError(f"{self.name}: rhs must be finite")
-        for var, coef in self.coefficients.items():
-            if not math.isfinite(coef):
-                raise LpDefinitionError(f"{self.name}: non-finite coefficient on {var}")
-        object.__setattr__(self, "coefficients", dict(self.coefficients))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """Immutable LP: named variables with bounds, named relational rows."""
+    """LP over columns 0..n-1 and rows 0..m-1, held as arrays: `objective`,
+    `lower` and `upper` per column, the dense m x n `matrix`, and
+    `relations` and `rhs` per row.  `variables` and `constraints` are the
+    column and row labels; the solver never reads them.  Construction
+    copies and checks the arrays; nothing in the package writes to them
+    afterwards, and callers must not either."""
 
     sense: str
-    variables: tuple[Variable, ...]
-    constraints: tuple[Constraint, ...]
+    objective: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    matrix: np.ndarray
+    relations: np.ndarray
+    rhs: np.ndarray
+    variables: tuple[str, ...]
+    constraints: tuple[str, ...]
     name: str = "lp"
 
     def __post_init__(self):
         if self.sense not in (MIN, MAX):
             raise LpDefinitionError(f"sense must be {MIN!r} or {MAX!r}")
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        names = [v.name for v in self.variables]
-        if len(set(names)) != len(names):
-            raise LpDefinitionError("duplicate variable names")
-        cnames = [c.name for c in self.constraints]
-        if len(set(cnames)) != len(cnames):
-            raise LpDefinitionError("duplicate constraint names")
-        declared = set(names)
-        for con in self.constraints:
-            unknown = set(con.coefficients) - declared
-            if unknown:
-                raise LpDefinitionError(
-                    f"{con.name}: references undeclared variables {sorted(unknown)}"
-                )
+        variables, constraints = tuple(self.variables), tuple(self.constraints)
+        for labels in (variables, constraints):
+            if not all(labels) or len(set(labels)) != len(labels):
+                raise LpDefinitionError(f"{self.name}: labels must be distinct and non-empty")
+        # checked on the values as given, before they become arrays; NaN
+        # fails every comparison, so it fails these checks too
+        for label, lo, up, cost in zip(variables, self.lower, self.upper, self.objective):
+            if not (lo <= up and lo < INF and up > -INF and math.isfinite(cost)):
+                raise LpDefinitionError(f"{label}: bounds [{lo}, {up}] or objective {cost} invalid")
+        for label, relation, rhs in zip(constraints, self.relations, self.rhs):
+            if relation not in (LE, EQ, GE) or not math.isfinite(rhs):
+                raise LpDefinitionError(f"{label}: bad relation {relation!r} or rhs {rhs}")
+        n, m = len(variables), len(constraints)
+        for attr, dtype, shape in (
+            ("objective", float, (n,)),
+            ("lower", float, (n,)),
+            ("upper", float, (n,)),
+            ("matrix", float, (m, n)),
+            ("relations", str, (m,)),
+            ("rhs", float, (m,)),
+        ):
+            array = np.array(getattr(self, attr), dtype=dtype)
+            if array.shape != shape:
+                raise LpDefinitionError(f"{self.name}: {attr} has shape {array.shape}, not {shape}")
+            object.__setattr__(self, attr, array)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "constraints", constraints)
+        if not np.isfinite(self.matrix).all():
+            i = int(np.argmin(np.isfinite(self.matrix).all(axis=1)))
+            raise LpDefinitionError(f"{constraints[i]}: non-finite coefficient")
 
-    @property
-    def variable_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
-
-    @property
-    def constraint_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.constraints)
-
-    def objective_value(self, values: Mapping[str, float]) -> float:
-        return float(sum(v.objective * values[v.name] for v in self.variables))
+    def objective_value(self, values: np.ndarray) -> float:
+        """Objective at `values`, summed in column order."""
+        return float(sum((self.objective * values).tolist()))
 
 
 class LpBuilder:
-    """Incremental construction helper for LinearProgram."""
+    """Incremental construction helper for LinearProgram.  `add_variable`
+    and `add_constraint` return the index of the column or row they place;
+    a row's coefficients are keyed by column index."""
 
     def __init__(self, sense: str, name: str = "lp"):
         self.sense = sense
         self.name = name
-        self._variables: list[Variable] = []
-        self._constraints: list[Constraint] = []
+        self._columns: list[tuple[str, float, float, float]] = []
+        self._rows: list[tuple[str, Mapping[int, float], str, float]] = []
 
-    def add_variable(self, name, lower=-INF, upper=INF, objective=0.0) -> str:
-        self._variables.append(Variable(name, lower, upper, objective))
-        return name
+    def add_variable(self, label, lower=-INF, upper=INF, objective=0.0) -> int:
+        self._columns.append((label, lower, upper, objective))
+        return len(self._columns) - 1
 
-    def add_constraint(self, name, coefficients, relation, rhs) -> str:
-        self._constraints.append(Constraint(name, coefficients, relation, rhs))
-        return name
+    def add_constraint(self, label, coefficients: Mapping[int, float], relation, rhs) -> int:
+        self._rows.append((label, coefficients, relation, rhs))
+        return len(self._rows) - 1
 
     def build(self) -> LinearProgram:
+        n, m = len(self._columns), len(self._rows)
+        variables, lower, upper, objective = zip(*self._columns) if n else ((),) * 4
+        constraints, coefficients, relations, rhs = zip(*self._rows) if m else ((),) * 4
+        matrix = np.zeros((m, n))
+        for i, (label, row) in enumerate(zip(constraints, coefficients)):
+            for j, coef in row.items():
+                if not (isinstance(j, (int, np.integer)) and 0 <= j < n):
+                    raise LpDefinitionError(f"{label}: column {j!r} out of range")
+                matrix[i, j] = coef
         return LinearProgram(
-            self.sense, tuple(self._variables), tuple(self._constraints), self.name
+            self.sense, objective, lower, upper, matrix, relations, rhs,
+            variables, constraints, self.name,
         )
 
 
@@ -189,29 +185,35 @@ AT_UPPER = "at_upper"
 NONBASIC_FREE = "nonbasic_free"
 
 
-@dataclass
+def _empty():
+    return np.zeros(0)
+
+
+@dataclass(eq=False)
 class LpSolution:
-    """Result of `solve`.
+    """Result of `solve`, as arrays in the LP's order: `primal`,
+    `reduced_cost` and `variable_status` (BASIC, AT_LOWER, AT_UPPER or
+    NONBASIC_FREE) per column, `dual` per row; empty unless optimal.
 
     `dual` and `reduced_cost` follow the marginal-value convention in the
     module docstring.  `infeasibility_certificate` (row multipliers proving
     no feasible point exists) and `unbounded_ray` (an improving feasible
-    direction) are diagnostic payloads kept for callers that want to turn a
-    failure into an actionable message.  `iterations` counts every simplex
-    pivot and bound flip; `phase1_iterations` is the part of it spent
-    reaching feasibility, so phase 2 took the difference.
+    direction over the columns) are diagnostic payloads kept for callers
+    that want to turn a failure into an actionable message.  `iterations`
+    counts every simplex pivot and bound flip; `phase1_iterations` is the
+    part of it spent reaching feasibility, so phase 2 took the difference.
     """
 
     status: str
     objective: float = math.nan
-    primal: dict[str, float] = field(default_factory=dict)
-    dual: dict[str, float] = field(default_factory=dict)
-    reduced_cost: dict[str, float] = field(default_factory=dict)
-    variable_status: dict[str, str] = field(default_factory=dict)
+    primal: np.ndarray = field(default_factory=_empty)
+    dual: np.ndarray = field(default_factory=_empty)
+    reduced_cost: np.ndarray = field(default_factory=_empty)
+    variable_status: np.ndarray = field(default_factory=_empty)
     iterations: int = 0
     phase1_iterations: int = 0
-    infeasibility_certificate: dict[str, float] | None = None
-    unbounded_ray: dict[str, float] | None = None
+    infeasibility_certificate: np.ndarray | None = None
+    unbounded_ray: np.ndarray | None = None
 
     @property
     def is_optimal(self) -> bool:
@@ -243,6 +245,9 @@ class DualityReport:
 _POS_LOWER = 0
 _POS_UPPER = 1
 _POS_FREE = 2
+_BASIC = 3
+# `variable_status` names, indexed by rest position or _BASIC
+_STATUS_NAMES = np.array([AT_LOWER, AT_UPPER, NONBASIC_FREE, BASIC])
 
 
 def _crash(columns, lo, up, x, resid) -> dict[int, int]:
@@ -292,68 +297,50 @@ class _Tableau:
     """
 
     def __init__(self, lp: LinearProgram):
-        self.lp = lp
-        n = len(lp.variables)
-        m = len(lp.constraints)
+        m, n = lp.matrix.shape
         self.n = n
         self.m = m
-        self.var_index = {v.name: j for j, v in enumerate(lp.variables)}
+        self.sign = sign = -1.0 if lp.sense == MAX else 1.0
+        self.nreal = ncols = n + m
+        self.ncols = ncols + m
+        diagonal = self.ncols + 1  # flat stride from A[i, j] to A[i + 1, j + 1]
 
-        sign = -1.0 if lp.sense == MAX else 1.0
-        ncols = n + m
-        self.A = np.zeros((m, ncols + m))
-        self.c = np.zeros(ncols + m)
-        self.lo = np.full(ncols + m, -INF)
-        self.up = np.full(ncols + m, INF)
-        self.b = np.zeros(m)
+        self.A = np.zeros((m, self.ncols))
+        self.A[:, :n] = lp.matrix
+        self.A.flat[n : n + m * diagonal : diagonal] = 1.0
+        self.b = lp.rhs.copy()
+        self.c = np.zeros(self.ncols)
+        self.c[:n] = sign * lp.objective
+        # column bounds: structurals; slacks of "<=" rows [0, inf), of ">="
+        # rows (-inf, 0], of "=" rows [0, 0]; artificials [0, inf)
+        relations = lp.relations.tolist()
+        lo = lp.lower.tolist() + [-INF if r == GE else 0.0 for r in relations] + [0.0] * m
+        up = lp.upper.tolist() + [INF if r == LE else 0.0 for r in relations] + [INF] * m
+        self.lo = np.array(lo)
+        self.up = np.array(up)
+
+        # nonbasic rest position for every real column: its finite lower
+        # bound, else its finite upper bound, else 0 (free); artificials
+        # start at their lower bound
+        pos = [
+            _POS_LOWER if lower > -INF else _POS_UPPER if upper < INF else _POS_FREE
+            for lower, upper in zip(lo[:ncols], up[:ncols])
+        ]
+        self.x = np.array([(lo[j], up[j], 0.0)[p] for j, p in enumerate(pos)] + [0.0] * m)
+        self.pos = np.array(pos + [_POS_LOWER] * m, dtype=np.int8)
 
         # the nonzeros of each real column as (row, coefficient), rows ascending
         columns: list[list[tuple[int, float]]] = [[] for _ in range(ncols)]
-        for j, v in enumerate(lp.variables):
-            self.c[j] = sign * v.objective
-            self.lo[j] = v.lower
-            self.up[j] = v.upper
-        for i, con in enumerate(lp.constraints):
-            for var, coef in con.coefficients.items():
-                j = self.var_index[var]
-                self.A[i, j] = coef
-                if coef != 0.0:
-                    columns[j].append((i, coef))
-            self.b[i] = con.rhs
-            s = n + i
-            self.A[i, s] = 1.0
-            columns[s].append((i, 1.0))
-            if con.relation == LE:
-                self.lo[s], self.up[s] = 0.0, INF
-            elif con.relation == GE:
-                self.lo[s], self.up[s] = -INF, 0.0
-            else:
-                self.lo[s], self.up[s] = 0.0, 0.0
-        self.nreal = ncols
-        self.ncols = ncols + m
-        self.sign = sign
+        nz_cols, nz_rows = np.nonzero(self.A[:, :ncols].T)
+        for j, i, coef in zip(nz_cols.tolist(), nz_rows.tolist(), self.A[nz_rows, nz_cols].tolist()):
+            columns[j].append((i, coef))
 
-        # nonbasic rest position for every column
-        self.x = np.zeros(self.ncols)
-        self.pos = np.full(self.ncols, _POS_FREE, dtype=np.int8)
-        for j in range(self.nreal):
-            if math.isfinite(self.lo[j]):
-                self.x[j] = self.lo[j]
-                self.pos[j] = _POS_LOWER
-            elif math.isfinite(self.up[j]):
-                self.x[j] = self.up[j]
-                self.pos[j] = _POS_UPPER
-
-        resid = self.b - self.A[:, : self.nreal] @ self.x[: self.nreal]
+        resid = self.b - self.A[:, :ncols] @ self.x[:ncols]
         crashed = _crash(columns, self.lo, self.up, self.x, resid)
         self.art_sign = np.where(resid >= 0.0, 1.0, -1.0)
-        for i in range(m):
-            j = self.nreal + i
-            self.A[i, j] = self.art_sign[i]
-            self.lo[j], self.up[j] = 0.0, INF
-            self.pos[j] = _POS_LOWER
-        self.x[self.nreal :] = np.abs(resid)
-        self.basis = np.arange(self.nreal, self.ncols)
+        self.A.flat[ncols : ncols + m * diagonal : diagonal] = self.art_sign
+        self.x[ncols:] = np.abs(resid)
+        self.basis = np.arange(ncols, self.ncols)
         for i, j in crashed.items():
             self.basis[i] = j
         self.in_basis = np.zeros(self.ncols, dtype=bool)
@@ -543,31 +530,15 @@ def _extract_solution(lp: LinearProgram, tab: _Tableau, feas_tol, opt_tol, phase
         elif abs(d_int[j]) > dtol:
             return None
 
-    sign = tab.sign
-    primal = {v.name: float(tab.x[j]) for j, v in enumerate(lp.variables)}
-    objective = lp.objective_value(primal)
-    dual = {
-        con.name: float(sign * y_int[i]) for i, con in enumerate(lp.constraints)
-    }
-    reduced = {
-        v.name: float(sign * d_int[j]) for j, v in enumerate(lp.variables)
-    }
-    status = {}
-    for j, v in enumerate(lp.variables):
-        if tab.in_basis[j]:
-            status[v.name] = BASIC
-        elif tab.pos[j] == _POS_LOWER:
-            status[v.name] = AT_LOWER
-        elif tab.pos[j] == _POS_UPPER:
-            status[v.name] = AT_UPPER
-        else:
-            status[v.name] = NONBASIC_FREE
+    n = tab.n
+    primal = tab.x[:n].copy()
+    status = _STATUS_NAMES[np.where(tab.in_basis[:n], _BASIC, tab.pos[:n])]
     return LpSolution(
         status=OPTIMAL,
-        objective=float(objective),
+        objective=lp.objective_value(primal),
         primal=primal,
-        dual=dual,
-        reduced_cost=reduced,
+        dual=tab.sign * y_int,
+        reduced_cost=tab.sign * d_int[:n],
         variable_status=status,
         iterations=tab.iterations,
         phase1_iterations=phase1_iterations,
@@ -616,11 +587,7 @@ def solve(
     scale_b = 1.0 + float(np.max(np.abs(tab.b))) if m else 1.0
     infeas_mass = float(np.sum(tab.x[tab.nreal :]))
     if infeas_mass > feas_tol * scale_b * 10.0:
-        y = tab.duals(phase1_costs)
-        certificate = {
-            con.name: float(y[i]) for i, con in enumerate(lp.constraints) if abs(y[i]) > 1e-12
-        }
-        return stopped(INFEASIBLE, infeasibility_certificate=certificate)
+        return stopped(INFEASIBLE, infeasibility_certificate=tab.duals(phase1_costs))
 
     # pin artificials at zero and pivot basic ones out where possible
     for i in range(m):
@@ -661,11 +628,11 @@ def solve(
         return stopped(status)
     if status == UNBOUNDED:
         q, sigma, w = tab._ray
-        ray = {lp.variables[q].name: sigma} if q < tab.n else {}
-        for pos in range(m):
-            col = tab.basis[pos]
-            if col < tab.n and abs(w[pos]) > 1e-12:
-                ray[lp.variables[col].name] = float(-sigma * w[pos])
+        ray = np.zeros(tab.n)
+        if q < tab.n:
+            ray[q] = sigma
+        moves = (tab.basis < tab.n) & (np.abs(w) > 1e-12)
+        ray[tab.basis[moves]] = -sigma * w[moves]
         return stopped(UNBOUNDED, unbounded_ray=ray)
 
     solution = _extract_solution(lp, tab, feas_tol, opt_tol, phase1)
@@ -685,143 +652,151 @@ def require_optimal(lp: LinearProgram, **kwargs) -> LpSolution:
 # ---------------------------------------------------------------------------
 
 
-def dual_variable_name(constraint_name: str) -> str:
-    return f"dual[{constraint_name}]"
-
-
-def lower_rc_name(variable_name: str) -> str:
-    return f"rc_lo[{variable_name}]"
-
-
-def upper_rc_name(variable_name: str) -> str:
-    return f"rc_up[{variable_name}]"
-
-
 def dualize(lp: LinearProgram) -> LinearProgram:
     """Exact LP dual under the marginal-value sign convention.
 
-    One dual variable per row (named dual[row]), one per finite variable
-    bound (rc_lo[var] / rc_up[var]), and one stationarity equality per primal
-    variable (named col[var]): sum_i a_ij dual_i + rc_lo_j + rc_up_j = c_j.
-    The dual objective is rhs . dual + lower . rc_lo + upper . rc_up with the
+    Columns: one dual variable per row (labelled dual[row], in row order),
+    then one per finite variable bound (rc_lo[var] before rc_up[var], in
+    column order).  Rows: one stationarity equality per primal variable
+    (labelled col[var]): sum_i a_ij dual_i + rc_lo_j + rc_up_j = c_j.  The
+    dual objective is rhs . dual + lower . rc_lo + upper . rc_up with the
     opposite optimization sense; optimal values coincide for feasible bounded
     problems, and dualize(dualize(lp)) has the same optimal value as lp.
     """
     minimizing = lp.sense == MIN
-    dual = LpBuilder(MAX if minimizing else MIN, name=f"dual({lp.name})")
+    m, n = lp.matrix.shape
+    free = lp.relations == EQ
+    nonneg = (lp.relations == GE) == minimizing
+    # one bound column per finite bound, lower before upper: (column, side)
+    finite = np.stack([np.isfinite(lp.lower), np.isfinite(lp.upper)], axis=1)
+    var_of, side = np.nonzero(finite)
+    # rc_lo >= 0 and rc_up <= 0 when minimizing, the opposite when maximizing
+    nonpos = (side == 1) == minimizing
 
-    for con in lp.constraints:
-        if con.relation == EQ:
-            lo, up = -INF, INF
-        elif (con.relation == GE) == minimizing:
-            lo, up = 0.0, INF
-        else:
-            lo, up = -INF, 0.0
-        dual.add_variable(dual_variable_name(con.name), lo, up, objective=con.rhs)
-
-    for v in lp.variables:
-        if math.isfinite(v.lower):
-            lo, up = (0.0, INF) if minimizing else (-INF, 0.0)
-            dual.add_variable(lower_rc_name(v.name), lo, up, objective=v.lower)
-        if math.isfinite(v.upper):
-            lo, up = (-INF, 0.0) if minimizing else (0.0, INF)
-            dual.add_variable(upper_rc_name(v.name), lo, up, objective=v.upper)
-
-    columns: dict[str, dict[str, float]] = {v.name: {} for v in lp.variables}
-    for con in lp.constraints:
-        dname = dual_variable_name(con.name)
-        for var, coef in con.coefficients.items():
-            if coef != 0.0:
-                columns[var][dname] = coef
-    for v in lp.variables:
-        coeffs = columns[v.name]
-        if math.isfinite(v.lower):
-            coeffs[lower_rc_name(v.name)] = 1.0
-        if math.isfinite(v.upper):
-            coeffs[upper_rc_name(v.name)] = 1.0
-        dual.add_constraint(f"col[{v.name}]", coeffs, EQ, v.objective)
-
-    return dual.build()
+    matrix = np.zeros((n, m + var_of.size))
+    matrix[:, :m] = lp.matrix.T + 0.0  # + 0.0 turns a -0.0 coefficient into 0.0
+    matrix[var_of, m + np.arange(var_of.size)] = 1.0
+    rc = ("rc_lo", "rc_up")
+    return LinearProgram(
+        MAX if minimizing else MIN,
+        objective=np.concatenate([lp.rhs, np.stack([lp.lower, lp.upper], axis=1)[finite]]),
+        lower=np.concatenate([np.where(free | ~nonneg, -INF, 0.0), np.where(nonpos, -INF, 0.0)]),
+        upper=np.concatenate([np.where(free | nonneg, INF, 0.0), np.where(nonpos, 0.0, INF)]),
+        matrix=matrix,
+        relations=np.full(n, EQ),
+        rhs=lp.objective,
+        variables=tuple(f"dual[{label}]" for label in lp.constraints)
+        + tuple(f"{rc[k]}[{lp.variables[j]}]" for j, k in zip(var_of.tolist(), side.tolist())),
+        constraints=tuple(f"col[{label}]" for label in lp.variables),
+        name=f"dual({lp.name})",
+    )
 
 
 def dual_objective_value(lp: LinearProgram, sol: LpSolution) -> float:
-    """Dual objective implied by a solution's own duals and reduced costs."""
-    total = 0.0
-    for con in lp.constraints:
-        total += con.rhs * sol.dual[con.name]
-    for v in lp.variables:
-        rc = sol.reduced_cost[v.name]
-        status = sol.variable_status.get(v.name)
-        if status == AT_LOWER:
-            total += rc * v.lower
-        elif status == AT_UPPER:
-            total += rc * v.upper
-    return float(total)
+    """Dual objective implied by a solution's own duals and reduced costs,
+    summed over the rows, then over the columns at a bound."""
+    at_lower = sol.variable_status == AT_LOWER
+    at_bound = at_lower | (sol.variable_status == AT_UPPER)
+    bound = np.where(at_lower, lp.lower, lp.upper)[at_bound]
+    terms = (lp.rhs * sol.dual).tolist() + (sol.reduced_cost[at_bound] * bound).tolist()
+    return float(sum(terms))
 
 
-def lagrangian_bound(lp: LinearProgram, y: Mapping[str, float]) -> float:
-    """Weak-duality bound on the optimum of `lp` from any row multipliers.
+def lagrangian_bound(lp: LinearProgram, y) -> float:
+    """Weak-duality bound on the optimum of `lp` from any row multipliers
+    `y` (an array or a list), one per row.
 
     Returns rhs . y + sum_j best(d_j * x_j over [lower_j, upper_j]) with
     reduced costs d = c - A'y, where "best" is the minimum when minimizing
     and the maximum when maximizing.  Inequality multipliers are first
-    clipped to their feasible sign under the marginal-value convention;
-    rows missing from `y` count as 0.  The result is a lower bound on the
-    minimum (an upper bound on the maximum) whatever `y` is, and equals the
-    optimum at an optimal dual vector; it is -inf (+inf when maximizing)
-    when a nonzero reduced cost meets an infinite bound.
+    clipped to their feasible sign under the marginal-value convention.  The
+    result is a lower bound on the minimum (an upper bound on the maximum)
+    whatever `y` is, and equals the optimum at an optimal dual vector; it is
+    -inf (+inf when maximizing) when a nonzero reduced cost meets an
+    infinite bound, and NaN when a multiplier is not finite.  A'y is taken
+    row by row and both sums run in row, then column order, so the result
+    does not depend on how the matrix product would be blocked.
     """
     minimizing = lp.sense == MIN
-    reduced = {v.name: v.objective for v in lp.variables}
-    total = 0.0
-    for con in lp.constraints:
-        yi = float(y.get(con.name, 0.0))
-        if con.relation != EQ:
-            yi = max(yi, 0.0) if (con.relation == GE) == minimizing else min(yi, 0.0)
+    # multipliers of ">=" rows are >= 0 when minimizing, of "<=" rows when
+    # maximizing; the other inequality takes multipliers <= 0
+    nonneg, nonpos = (GE, LE) if minimizing else (LE, GE)
+    reduced = lp.objective.copy()
+    terms = []
+    rows = zip(y.tolist() if isinstance(y, np.ndarray) else y, lp.relations.tolist(), lp.rhs.tolist())
+    for i, (yi, relation, rhs) in enumerate(rows):
+        if not math.isfinite(yi):
+            return math.nan
+        if relation == nonneg:
+            yi = max(yi, 0.0)
+        elif relation == nonpos:
+            yi = min(yi, 0.0)
         if yi == 0.0:
             continue
-        total += con.rhs * yi
-        for var, coef in con.coefficients.items():
-            reduced[var] -= coef * yi
-    for v in lp.variables:
-        d = reduced[v.name]
+        terms.append(rhs * yi)
+        reduced -= lp.matrix[i] * yi
+    for d, lower, upper in zip(reduced.tolist(), lp.lower.tolist(), lp.upper.tolist()):
         if d == 0.0:
             continue
-        at = v.lower if (d > 0.0) == minimizing else v.upper
+        at = lower if (d > 0.0) == minimizing else upper
         if not math.isfinite(at):
             return -INF if minimizing else INF
-        total += d * at
-    return float(total)
+        terms.append(d * at)
+    return float(sum(terms))
 
 
-def max_violation(lp: LinearProgram, values: Mapping[str, float]) -> float:
-    """Largest scaled violation of `lp`'s bounds and rows at `values`; 0.0
-    when every one holds.
+def max_violation(lp: LinearProgram, values: np.ndarray) -> float:
+    """Largest scaled violation of `lp`'s bounds and rows at `values` (one
+    per column); 0.0 when every one holds.
 
     A bound violation is divided by 1 + max(|lower|, |upper|) when both
     bounds are finite and by 1 otherwise; a row violation by 1 + |rhs|.
     "<=" and ">=" rows count only their violated side.  A value that is not
     finite gives inf, so NaN cannot slip through a comparison."""
+    x = np.asarray(values, dtype=float)
+    if not np.isfinite(x).all():
+        return INF
     worst = 0.0
-    for v in lp.variables:
-        x = values[v.name]
-        if not math.isfinite(x):
-            return INF
-        finite = math.isfinite(v.lower) and math.isfinite(v.upper)
-        scale = 1.0 + max(abs(v.lower), abs(v.upper)) if finite else 1.0
-        worst = max(worst, (v.lower - x) / scale, (x - v.upper) / scale)
-    for con in lp.constraints:
-        excess = _constraint_activity(con, values) - con.rhs
-        if con.relation == EQ:
-            excess = abs(excess)
-        elif con.relation == GE:
-            excess = -excess
-        worst = max(worst, excess / (1.0 + abs(con.rhs)))
+    for value, lower, upper in zip(x.tolist(), lp.lower.tolist(), lp.upper.tolist()):
+        gap = max(lower - value, value - upper)
+        if gap > 0.0:
+            finite = math.isfinite(lower) and math.isfinite(upper)
+            worst = max(worst, gap / (1.0 + max(abs(lower), abs(upper)) if finite else 1.0))
+    excess = (lp.matrix @ x - lp.rhs).tolist()
+    for e, relation, rhs in zip(excess, lp.relations.tolist(), lp.rhs.tolist()):
+        if relation == EQ:
+            e = abs(e)
+        elif relation == GE:
+            e = -e
+        worst = max(worst, e / (1.0 + abs(rhs)))
     return float(worst)
 
 
-def _constraint_activity(con: Constraint, values: Mapping[str, float]) -> float:
-    return float(sum(coef * values[var] for var, coef in con.coefficients.items()))
+def _duality_report(lp, x, objective, dual_objective, row_prices, bound_prices, at_bound, tol):
+    """Objective gap plus complementary slackness at the primal point `x`:
+    each inequality row's price times its slack, and each bound price times
+    the distance of x_j from that bound.  `bound_prices` and `at_bound` are
+    n x 2 (lower, upper); only bounds where `at_bound` is set count."""
+    gap = abs(objective - dual_objective)
+    denom = max(1.0, abs(objective), abs(dual_objective))
+    ineq = np.flatnonzero(lp.relations != EQ)
+    slack = lp.rhs[ineq] - lp.matrix[ineq] @ x
+    distance = np.stack([x - lp.lower, lp.upper - x], axis=1)
+    products = np.concatenate(
+        [np.abs(row_prices[ineq] * slack), np.abs(bound_prices[at_bound] * distance[at_bound])]
+    )
+    labels = [lp.constraints[i] for i in ineq.tolist()] + [
+        f"{lp.variables[j]}.{('lower', 'upper')[k]}" for j, k in zip(*np.nonzero(at_bound))
+    ]
+    worst = np.argsort(-products, kind="stable")[:5].tolist()
+    scale = max(1.0, float(np.max(np.abs(x), initial=0.0)))
+    return DualityReport(
+        objective_gap=gap,
+        relative_gap=gap / denom,
+        max_complementarity=float(np.max(products, initial=0.0)) / scale,
+        worst_items=tuple((labels[k], float(products[k])) for k in worst),
+        tolerance=tol,
+    )
 
 
 def check_strong_duality(
@@ -838,35 +813,13 @@ def check_strong_duality(
     """
     if not psol.is_optimal or not dsol.is_optimal:
         raise LpSolveError("check_strong_duality needs two optimal solutions")
-
-    gap = abs(psol.objective - dsol.objective)
-    denom = max(1.0, abs(psol.objective), abs(dsol.objective))
-    items: list[tuple[str, float]] = []
-
-    for con in primal.constraints:
-        if con.relation == EQ:
-            continue
-        slack = con.rhs - _constraint_activity(con, psol.primal)
-        y = dsol.primal[dual_variable_name(con.name)]
-        items.append((con.name, abs(y * slack)))
-    for v in primal.variables:
-        x = psol.primal[v.name]
-        if math.isfinite(v.lower):
-            zl = dsol.primal[lower_rc_name(v.name)]
-            items.append((f"{v.name}.lower", abs(zl * (x - v.lower))))
-        if math.isfinite(v.upper):
-            zu = dsol.primal[upper_rc_name(v.name)]
-            items.append((f"{v.name}.upper", abs(zu * (v.upper - x))))
-
-    items.sort(key=lambda kv: -kv[1])
-    max_cs = items[0][1] if items else 0.0
-    scale = max(1.0, max(abs(x) for x in psol.primal.values()) if psol.primal else 1.0)
-    return DualityReport(
-        objective_gap=gap,
-        relative_gap=gap / denom,
-        max_complementarity=max_cs / scale,
-        worst_items=tuple(items[:5]),
-        tolerance=tol,
+    m = len(primal.constraints)
+    finite = np.stack([np.isfinite(primal.lower), np.isfinite(primal.upper)], axis=1)
+    bound_prices = np.zeros(finite.shape)
+    bound_prices[finite] = dsol.primal[m:]  # the bound columns of `dualize`, in order
+    return _duality_report(
+        primal, psol.primal, psol.objective, dsol.objective,
+        dsol.primal[:m], bound_prices, finite, tol,
     )
 
 
@@ -874,33 +827,11 @@ def check_solution_pair(lp: LinearProgram, sol: LpSolution, tol: float = DUALITY
     """Self-check of one solve(): its primal against its own duals."""
     if not sol.is_optimal:
         raise LpSolveError("check_solution_pair needs an optimal solution")
-    dual_obj = dual_objective_value(lp, sol)
-    gap = abs(sol.objective - dual_obj)
-    denom = max(1.0, abs(sol.objective), abs(dual_obj))
-
-    items: list[tuple[str, float]] = []
-    for con in lp.constraints:
-        if con.relation == EQ:
-            continue
-        slack = con.rhs - _constraint_activity(con, sol.primal)
-        items.append((con.name, abs(sol.dual[con.name] * slack)))
-    for v in lp.variables:
-        x = sol.primal[v.name]
-        rc = sol.reduced_cost[v.name]
-        status = sol.variable_status.get(v.name)
-        if status == AT_LOWER:
-            items.append((f"{v.name}.lower", abs(rc * (x - v.lower))))
-        elif status == AT_UPPER:
-            items.append((f"{v.name}.upper", abs(rc * (v.upper - x))))
-    items.sort(key=lambda kv: -kv[1])
-    max_cs = items[0][1] if items else 0.0
-    scale = max(1.0, max(abs(x) for x in sol.primal.values()) if sol.primal else 1.0)
-    return DualityReport(
-        objective_gap=gap,
-        relative_gap=gap / denom,
-        max_complementarity=max_cs / scale,
-        worst_items=tuple(items[:5]),
-        tolerance=tol,
+    status = sol.variable_status
+    return _duality_report(
+        lp, sol.primal, sol.objective, dual_objective_value(lp, sol), sol.dual,
+        np.stack([sol.reduced_cost, sol.reduced_cost], axis=1),
+        np.stack([status == AT_LOWER, status == AT_UPPER], axis=1), tol,
     )
 
 
@@ -914,22 +845,26 @@ def write_lp_text(lp: LinearProgram) -> str:
 
     Layout (documented for byte-exact comparisons): one header line with the
     sense and name; `obj:` line listing every nonzero objective term in
-    declaration order as `coef*name`; `subject to` block with one line per
-    constraint `name: term [+ term ...] rel rhs`; `bounds` block with one
-    line per variable `lower <= name <= upper` using `-inf`/`inf`; final
-    `end` line.  Numbers use repr(float).
+    column order as `coef*label`; `subject to` block with one line per row
+    `label: term [+ term ...] rel rhs`, its nonzero terms in column order;
+    `bounds` block with one line per column `lower <= label <= upper` using
+    `-inf`/`inf`; final `end` line.  Numbers use repr(float).
     """
-    out = [f"{lp.sense} {lp.name}"]
-    terms = [f"{v.objective!r}*{v.name}" for v in lp.variables if v.objective != 0.0]
-    out.append("obj: " + (" + ".join(terms) if terms else "0"))
-    out.append("subject to")
-    for con in lp.constraints:
-        parts = " + ".join(f"{coef!r}*{var}" for var, coef in con.coefficients.items())
-        out.append(f"  {con.name}: {parts if parts else '0'} {con.relation} {con.rhs!r}")
+
+    def terms(coefficients):
+        return " + ".join(
+            f"{coef!r}*{label}" for label, coef in zip(lp.variables, coefficients) if coef != 0.0
+        ) or "0"
+
+    out = [f"{lp.sense} {lp.name}", "obj: " + terms(lp.objective.tolist()), "subject to"]
+    for label, row, relation, rhs in zip(
+        lp.constraints, lp.matrix.tolist(), lp.relations.tolist(), lp.rhs.tolist()
+    ):
+        out.append(f"  {label}: {terms(row)} {relation} {rhs!r}")
     out.append("bounds")
-    for v in lp.variables:
-        lo = "-inf" if v.lower == -INF else repr(v.lower)
-        up = "inf" if v.upper == INF else repr(v.upper)
-        out.append(f"  {lo} <= {v.name} <= {up}")
+    for label, lower, upper in zip(lp.variables, lp.lower.tolist(), lp.upper.tolist()):
+        lo = "-inf" if lower == -INF else repr(lower)
+        up = "inf" if upper == INF else repr(upper)
+        out.append(f"  {lo} <= {label} <= {up}")
     out.append("end")
     return "\n".join(out) + "\n"

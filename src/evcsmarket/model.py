@@ -483,6 +483,21 @@ def validate(scenario: Scenario) -> ValidationReport:
         elif width_total < fleet.station_cap(s.id) - 1e-9:
             bad(path, "bid segment widths do not cover the station charging cap")
 
+    def number(value, kinds=(int, float)):
+        return isinstance(value, kinds) and not isinstance(value, bool)
+
+    settings = scenario.settings
+    for name in ("budget", "block_width"):
+        value = getattr(settings, name)
+        if not (number(value, int) and value >= 1):
+            bad(f"settings.{name}", f"must be an integer >= 1, got {value!r}")
+    if not (number(settings.step_min) and settings.step_min > 0):
+        bad("settings.step_min", f"must be > 0, got {settings.step_min!r}")
+    for name in ("feas_tol", "duality_tol"):
+        value = getattr(settings, name)
+        if not (number(value) and math.isfinite(value) and value > 0):
+            bad(f"settings.{name}", f"must be finite and > 0, got {value!r}")
+
     return ValidationReport(tuple(issues))
 
 

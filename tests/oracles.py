@@ -1,9 +1,11 @@
 """Independent reference computations used as test oracles.
 
-Nothing here goes through the package's simplex path: vertex enumeration
-solves small LPs by brute-force active-set enumeration, and the scipy
-reference uses HiGHS.  Keeping these separate from the code under test is
-the point; do not "simplify" them to call the package solver.
+Nothing here goes through the package's simplex path: both oracles read
+an LP's arrays (objective, bounds, matrix, relations, rhs) and nothing
+else.  Vertex enumeration solves small LPs by brute-force active-set
+enumeration, and the scipy reference uses HiGHS.  Keeping these separate
+from the code under test is the point; do not "simplify" them to call the
+package solver.
 """
 
 from __future__ import annotations
@@ -18,32 +20,28 @@ from evcsmarket import lpcore
 
 
 def vertex_enumerate(lp: lpcore.LinearProgram, tol: float = 1e-9):
-    """Optimal value and point of a small LP by enumerating basic solutions.
+    """Optimal value and point (an array over the columns) of a small LP by
+    enumerating basic solutions.
 
     Every combination of n active constraints (equality rows forced, the
     rest drawn from inequality rows and finite bounds) yields a candidate
     vertex; feasible candidates are ranked by objective.  Exponential: keep
     n below ~10.
     """
-    names = [v.name for v in lp.variables]
-    idx = {nm: j for j, nm in enumerate(names)}
-    n = len(names)
-    c = np.array([v.objective for v in lp.variables])
+    n = len(lp.variables)
+    c = lp.objective
 
     rows = []  # (normal, rhs, kind) with kind in {"eq", "le", "ge"}
-    for con in lp.constraints:
-        normal = np.zeros(n)
-        for var, coef in con.coefficients.items():
-            normal[idx[var]] = coef
-        kind = {"=": "eq", "<=": "le", ">=": "ge"}[con.relation]
-        rows.append((normal, con.rhs, kind))
-    for j, v in enumerate(lp.variables):
+    for normal, rhs, relation in zip(lp.matrix, lp.rhs, lp.relations):
+        kind = {"=": "eq", "<=": "le", ">=": "ge"}[relation]
+        rows.append((normal, rhs, kind))
+    for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        if math.isfinite(v.lower):
-            rows.append((e, v.lower, "ge"))
-        if math.isfinite(v.upper):
-            rows.append((e, v.upper, "le"))
+        if math.isfinite(lp.lower[j]):
+            rows.append((e, lp.lower[j], "ge"))
+        if math.isfinite(lp.upper[j]):
+            rows.append((e, lp.upper[j], "le"))
 
     forced = [i for i, r in enumerate(rows) if r[2] == "eq"]
     optional = [i for i, r in enumerate(rows) if r[2] != "eq"]
@@ -83,40 +81,29 @@ def vertex_enumerate(lp: lpcore.LinearProgram, tol: float = 1e-9):
             best_x = x
     if best_val is None:
         raise ValueError("no feasible vertex found")
-    return best_val, {names[j]: float(best_x[j]) for j in range(n)}
+    return best_val, best_x
 
 
 def scipy_reference(lp: lpcore.LinearProgram):
     """(status, objective) via HiGHS; status in {optimal, infeasible,
     unbounded, other}."""
-    names = [v.name for v in lp.variables]
-    idx = {nm: j for j, nm in enumerate(names)}
     sign = 1.0 if lp.sense == lpcore.MIN else -1.0
-    c = sign * np.array([v.objective for v in lp.variables])
-    A_ub, b_ub, A_eq, b_eq = [], [], [], []
-    for con in lp.constraints:
-        row = np.zeros(len(names))
-        for var, coef in con.coefficients.items():
-            row[idx[var]] = coef
-        if con.relation == lpcore.EQ:
-            A_eq.append(row)
-            b_eq.append(con.rhs)
-        elif con.relation == lpcore.LE:
-            A_ub.append(row)
-            b_ub.append(con.rhs)
-        else:
-            A_ub.append(-row)
-            b_ub.append(-con.rhs)
+    c = sign * lp.objective
+    eq = lp.relations == lpcore.EQ
+    ge = lp.relations == lpcore.GE
+    A_ub = np.where(ge[:, None], -lp.matrix, lp.matrix)[~eq]
+    b_ub = np.where(ge, -lp.rhs, lp.rhs)[~eq]
+    A_eq, b_eq = lp.matrix[eq], lp.rhs[eq]
     bounds = [
-        (None if v.lower == -math.inf else v.lower, None if v.upper == math.inf else v.upper)
-        for v in lp.variables
+        (None if lo == -math.inf else lo, None if up == math.inf else up)
+        for lo, up in zip(lp.lower.tolist(), lp.upper.tolist())
     ]
     res = linprog(
         c,
-        A_ub=np.array(A_ub) if A_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(A_eq) if A_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
+        A_ub=A_ub if b_ub.size else None,
+        b_ub=b_ub if b_ub.size else None,
+        A_eq=A_eq if b_eq.size else None,
+        b_eq=b_eq if b_eq.size else None,
         bounds=bounds,
         method="highs",
     )
@@ -142,7 +129,7 @@ def random_feasible_bounded_lp(rng, max_vars: int = 12, max_cons: int = 12):
         builder.add_variable(f"x{j}", float(lo[j]), float(up[j]), float(rng.uniform(-10, 10)))
     A = rng.uniform(-3.0, 3.0, (m, n)) * (rng.random((m, n)) < 0.7)
     for i in range(m):
-        coeffs = {f"x{j}": float(A[i, j]) for j in range(n) if A[i, j] != 0.0}
+        coeffs = {j: float(A[i, j]) for j in range(n) if A[i, j] != 0.0}
         act = float(A[i] @ x0)
         r = rng.random()
         if r < 0.25:

@@ -53,7 +53,7 @@ def test_criterion_2_dam_pricing_oracle():
     assert out.lmp["b1"][0] == pytest.approx(10.0, abs=1e-6)
     assert out.lmp["b2"][0] == pytest.approx(30.0, abs=1e-6)
 
-    lp = dam.build_dam(congested, period=0)
+    lp, _ = dam.build_dam(congested, period=0)
     ref_val, _ = vertex_enumerate(lp)
     assert out.period_welfare[0] == pytest.approx(ref_val, abs=1e-6)
 
@@ -66,7 +66,7 @@ def test_criterion_2_dam_pricing_oracle():
         perturbed = dam.DamInput(
             dataclasses.replace(net, demands=demands), (), ()
         )
-        val_h, _ = vertex_enumerate(dam.build_dam(perturbed, period=0))
+        val_h, _ = vertex_enumerate(dam.build_dam(perturbed, period=0)[0])
         assert -(val_h - ref_val) / h == pytest.approx(expected, abs=1e-6)
 
     uncongested = two_bus(line_cap=100.0)
@@ -101,7 +101,7 @@ def test_criterion_4_explicit_dual_cross_check(capsys):
     rng = np.random.default_rng(42)
     for k in range(50):
         inp = random_dam_input(rng)
-        primal = lpcore.require_optimal(dam.build_dam(inp))
+        primal = lpcore.require_optimal(dam.build_dam(inp)[0])
         explicit = lpcore.require_optimal(dam.build_dam_paper_dual(inp))
         gap = abs(primal.objective - explicit.objective)
         scale = max(1.0, abs(primal.objective))
@@ -114,10 +114,10 @@ def test_criterion_4_explicit_dual_cross_check(capsys):
     for _ in range(30):
         finp = random_fleet_input(rng)
         try:
-            primal = lpcore.require_optimal(fl.build_fleet(finp))
+            primal = lpcore.require_optimal(fl.build_fleet(finp)[0])
         except lpcore.LpSolveError:
             continue
-        auto = lpcore.require_optimal(lpcore.dualize(fl.build_fleet(finp)))
+        auto = lpcore.require_optimal(lpcore.dualize(fl.build_fleet(finp)[0]))
         assert auto.objective == pytest.approx(primal.objective, rel=1e-6, abs=1e-6)
         checked += 1
         segment_prices = {
@@ -238,7 +238,7 @@ def test_criterion_8_sweep_trends(desk_penetration_sweep, desk_pv_sweep):
 
 CRITERION_9_SHA256 = {
     "outcome.json": "c1bc6f669fe11cae4da223f832e1ebaac13d6b82c99085347d1b7194c8cb300a",
-    "certificate.json": "004319a2fd9401a5b4049a4646dab09f1b8052686e587fa893d7ceb306c456d8",
+    "certificate.json": "3bc3ed09ad67e35ee2c2755193c205fc5c74a87235c5a1360c76ab2568590284",
     "metrics.csv": "925f7d2a1f590ae7c4cef294ae38b1680421773572cec20b3a69344161097000",
     "hourly_profile.csv": "64c464eaad054ceb581a6fff98829ba1756f468084df17d01c6e3480f45b84b1",
     "bus_lmp_charged.csv": "63ba2e9bb8173c580818b137e9773f96098c684f4a638bb8ac64b0d016a345db",

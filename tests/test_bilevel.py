@@ -168,6 +168,18 @@ class TestOptimize:
         with pytest.raises(ValueError):
             bl.optimize(one_bus_scenario(), budget=0)
 
+    @pytest.mark.parametrize("step_min", [0.0, -1.0])
+    def test_nonpositive_step_min_raises_before_evaluating(self, step_min, monkeypatch):
+        scenario = one_bus_scenario()
+        scenario = dataclasses.replace(
+            scenario, settings=dataclasses.replace(scenario.settings, step_min=step_min)
+        )
+        evaluated = []
+        monkeypatch.setattr(bl, "evaluate", lambda *args, **kwargs: evaluated.append(args))
+        with pytest.raises(ValueError, match="step_min"):
+            bl.optimize(scenario, budget=100000)
+        assert evaluated == []
+
 
 class TestBruteForce:
     def test_grid_size_and_argmax(self):
@@ -393,22 +405,18 @@ class TestCertify:
 def _cold_fleet_bound(outcome):
     """The fleet optimum as a cold solve of the dualized LP over all fleets."""
     finput = fl.fleet_input(outcome.scenario, outcome.offers)
-    return lpcore.require_optimal(lpcore.dualize(fl.build_fleet(finput))).objective
+    return lpcore.require_optimal(lpcore.dualize(fl.build_fleet(finput)[0])).objective
 
 
-def _cold_welfare_bound(lp, outcome, t):
+def _cold_welfare_bound(lp, ix, outcome, t):
     """Optimum of the dual of `lp` with the balance duals pinned at the
     outcome's prices: the restricted dual solved cold."""
     dual = lpcore.dualize(lp)
-    pinned = {
-        lpcore.dual_variable_name(f"balance[{b.id},{t}]"): -outcome.dam.lmp[b.id][t]
-        for b in outcome.scenario.network.buses
-    }
-    variables = tuple(
-        lpcore.Variable(v.name, pinned[v.name], pinned[v.name], v.objective) if v.name in pinned else v
-        for v in dual.variables
-    )
-    restricted = lpcore.LinearProgram(dual.sense, variables, dual.constraints)
+    prices = [-outcome.dam.lmp[b.id][t] for b in outcome.scenario.network.buses]
+    lower, upper = dual.lower.copy(), dual.upper.copy()
+    # the dual of row i is column i of `dualize`
+    lower[ix.balance] = upper[ix.balance] = prices
+    restricted = dataclasses.replace(dual, lower=lower, upper=upper)
     return lpcore.require_optimal(restricted).objective
 
 
@@ -418,9 +426,9 @@ def _assert_bounds_match_cold_path(outcome):
     assert abs(fleet_bound - cold) <= 1e-9 * max(1.0, abs(cold))
     dinput = bl.dam_input_for(outcome.scenario, outcome.schedule)
     for t in range(outcome.scenario.network.horizon):
-        lp = dam.build_dam(dinput, period=t)
-        bound = bl._welfare_bound(lp, outcome, t)
-        cold = _cold_welfare_bound(lp, outcome, t)
+        lp, index = dam.build_dam(dinput, period=t)
+        bound = bl._welfare_bound(lp, index[t], outcome, t)
+        cold = _cold_welfare_bound(lp, index[t], outcome, t)
         assert abs(bound - cold) <= 1e-9 * max(1.0, abs(cold)), t
 
 
@@ -435,6 +443,40 @@ class TestCertifyMatchesColdDuals:
         for _, _, grid, searched in bilevel_instances:
             _assert_bounds_match_cold_path(grid)
             _assert_bounds_match_cold_path(searched)
+
+
+def _assert_layout_round_trip(outcome):
+    """Each builder's index and its reader agree: the outcome's dispatch,
+    placed by `dam.period_values`, is the period LP's primal array bit for
+    bit, and the schedule placed by `fleet.schedule_values` holds the fleet
+    LP's home and segment columns bit for bit (total, station and energy are
+    recomputed from those)."""
+    scenario = outcome.scenario
+    dinput = bl.dam_input_for(scenario, outcome.schedule)
+    for t in range(scenario.network.horizon):
+        lp, index = dam.build_dam(dinput, period=t)
+        sol = lpcore.require_optimal(lp, feas_tol=scenario.settings.feas_tol)
+        values = dam.period_values(dinput, outcome.dam, t, lp, index[t])
+        assert values.tobytes() == sol.primal.tobytes(), t
+    finput = fl.fleet_input(scenario, outcome.offers)
+    for f in scenario.fleets:
+        lp, index = fl.build_fleet(finput, home_price_bump=fl.TIE_BREAK_EPS, fleet_ids={f.id})
+        sol = lpcore.require_optimal(lp, feas_tol=scenario.settings.feas_tol)
+        cols = index[f.id]
+        values = fl.schedule_values(finput, outcome.schedule, f, lp, cols)
+        read = [cols.home] + [m_cols for seg_cols in cols.segment for m_cols in seg_cols]
+        for c in read:
+            assert values[c].tobytes() == sol.primal[c].tobytes(), f.id
+
+
+class TestLayoutRoundTrip:
+    def test_desk_outcome(self, desk_baseline):
+        _assert_layout_round_trip(desk_baseline.outcome)
+
+    def test_criterion_5_instances(self, bilevel_instances):
+        for _, _, grid, searched in bilevel_instances:
+            _assert_layout_round_trip(grid)
+            _assert_layout_round_trip(searched)
 
 
 def _assert_memo_matches_cold(scenario, strategies):

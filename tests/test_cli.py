@@ -146,6 +146,19 @@ class TestRun:
         path.write_text(json.dumps(doc))
         assert run_cli("run", path, "--out", tmp_path / "o") == 1
 
+    def test_budget_below_one_is_a_usage_error(self, toy_path, tmp_path, capsys):
+        assert run_cli("run", toy_path, "--budget", 0, "--out", tmp_path / "o") == 2
+        assert "error: argument --budget: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_setting_exit_one_names_the_field(self, tmp_path, capsys):
+        doc = md.scenario_to_json(one_bus_scenario())
+        doc["settings"]["block_width"] = 0
+        path = tmp_path / "bad_settings.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("run", path, "--out", tmp_path / "o") == 1
+        assert "settings.block_width" in capsys.readouterr().err
+
     def test_default_out_dir_from_env(self, toy_path, tmp_path, monkeypatch):
         monkeypatch.setenv("EVCSMARKET_OUT", str(tmp_path / "envout"))
         assert run_cli("run", toy_path, "--budget", 1) == 0
@@ -180,6 +193,12 @@ class TestSweep:
 
     def test_unparseable_levels(self, toy_path):
         assert run_cli("sweep", toy_path, "--pv", "a,b") == 2
+
+    def test_budget_below_one_is_a_usage_error(self, toy_path, tmp_path, capsys):
+        code = run_cli("sweep", toy_path, "--pv", "0,1", "--budget", 0, "--out", tmp_path / "sw")
+        assert code == 2
+        assert "error: argument --budget: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
 
     def test_sweep_determinism(self, toy_path, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

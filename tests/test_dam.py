@@ -1,6 +1,8 @@
 """Market clearing: builder, prices, closed-form bid prices, explicit dual,
 invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,7 +93,7 @@ def random_dam_input(rng):
                 )
             )
         inp = dam.DamInput(net, tuple(withdrawals), tuple(bids))
-        if lpcore.solve(dam.build_dam(inp)).is_optimal:
+        if lpcore.solve(dam.build_dam(inp)[0]).is_optimal:
             return inp
 
 
@@ -103,7 +105,7 @@ class TestBuildAndSolve:
         assert out.lmp["b1"][0] == pytest.approx(10.0, abs=1e-9)
 
     def test_single_bus_against_vertex_enumeration(self):
-        lp = dam.build_dam(single_bus(), period=0)
+        lp, _ = dam.build_dam(single_bus(), period=0)
         ref_val, _ = vertex_enumerate(lp)
         assert ref_val == pytest.approx(-500.0, abs=1e-9)
 
@@ -118,7 +120,7 @@ class TestBuildAndSolve:
         def off_balance(lp, **kwargs):
             sol = real_solve(lp, **kwargs)
             if lp.name == "dam[t=1]":
-                sol.primal["gen[g1,1]"] += 1.0
+                sol.primal[lp.variables.index("gen[g1,1]")] += 1.0
             return sol
 
         monkeypatch.setattr(lpcore, "solve", off_balance)
@@ -165,12 +167,18 @@ class TestBuildAndSolve:
         with pytest.raises(dam.DamStructureError, match="outside segment width"):
             dam.build_dam(dam.DamInput(inp.network, (), (bid,)))
 
+    def test_line_to_unknown_bus_rejected(self):
+        net = two_bus().network
+        net = dataclasses.replace(net, lines=(md.Line("l1", "b1", "nowhere", 0.1, -10.0, 10.0),))
+        with pytest.raises(dam.DamStructureError, match="endpoint"):
+            dam.build_dam(dam.DamInput(net, (), ()))
+
     def test_block_lp_equals_per_period(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
             inp = random_dam_input(rng)
             out = dam.solve_dam(inp)
-            block = lpcore.require_optimal(dam.build_dam(inp))
+            block = lpcore.require_optimal(dam.build_dam(inp)[0])
             bid_value = sum(
                 q[t] * out.wtp[bid.station_id][m][t]
                 for bid in inp.station_bids
@@ -221,7 +229,7 @@ class TestMemo:
         def off_balance(lp, **kwargs):
             sol = real_solve(lp, **kwargs)
             if lp.name == "dam[t=1]":
-                sol.primal["gen[g1,1]"] += 1.0
+                sol.primal[lp.variables.index("gen[g1,1]")] += 1.0
             return sol
 
         monkeypatch.setattr(lpcore, "solve", off_balance)
@@ -286,7 +294,7 @@ class TestExplicitDual:
 
     def test_congested_two_bus_value(self):
         inp = two_bus(line_cap=10.0)
-        primal = lpcore.require_optimal(dam.build_dam(inp))
+        primal = lpcore.require_optimal(dam.build_dam(inp)[0])
         explicit = lpcore.require_optimal(dam.build_dam_paper_dual(inp))
         assert explicit.objective == pytest.approx(primal.objective, rel=1e-9, abs=1e-9)
 
@@ -301,7 +309,7 @@ class TestExplicitDual:
         rng = np.random.default_rng(41)
         for _ in range(15):
             inp = random_dam_input(rng)
-            primal = lpcore.require_optimal(dam.build_dam(inp))
+            primal = lpcore.require_optimal(dam.build_dam(inp)[0])
             explicit = lpcore.require_optimal(dam.build_dam_paper_dual(inp))
             assert explicit.objective == pytest.approx(
                 primal.objective, rel=1e-7, abs=1e-7

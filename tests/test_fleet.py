@@ -82,7 +82,7 @@ class TestSolve:
 
     def test_tie_break_disabled_keeps_cost(self):
         inp = toy_input((20.0, 20.0))
-        untied = lpcore.require_optimal(fl.build_fleet(inp)).objective
+        untied = lpcore.require_optimal(fl.build_fleet(inp)[0]).objective
         assert untied == pytest.approx(200.0, abs=1e-6)
         assert fl.solve_fleet(inp).cost == pytest.approx(untied, abs=1e-6)
 
@@ -114,7 +114,7 @@ class TestSolve:
 
         def above_width(lp, **kwargs):
             sol = real_require_optimal(lp, **kwargs)
-            sol.primal["segment[f1,c1,0,0]"] += 100.0
+            sol.primal[lp.variables.index("segment[f1,c1,0,0]")] += 100.0
             return sol
 
         monkeypatch.setattr(lpcore, "require_optimal", above_width)
@@ -140,7 +140,7 @@ class TestMemo:
         solved = []
 
         def counted(lp, **kwargs):
-            solved.append(lp.variables[0].name)
+            solved.append(lp.variables[0])
             return real_require_optimal(lp, **kwargs)
 
         monkeypatch.setattr(lpcore, "require_optimal", counted)
@@ -161,7 +161,7 @@ class TestMemo:
 
         def above_width(lp, **kwargs):
             sol = real_require_optimal(lp, **kwargs)
-            sol.primal["segment[f1,c1,0,0]"] += 100.0
+            sol.primal[lp.variables.index("segment[f1,c1,0,0]")] += 100.0
             return sol
 
         monkeypatch.setattr(lpcore, "require_optimal", above_width)
@@ -178,14 +178,14 @@ def assert_one_solve_matches_cold_path(inp):
     HiGHS on it, and the surcharge never adds home charging."""
     sched = fl.solve_fleet(inp)
     for f in inp.fleets:
-        lp = fl.build_fleet(inp, fleet_ids={f.id})
+        lp, index = fl.build_fleet(inp, fleet_ids={f.id})
         cold = lpcore.require_optimal(lp)
         cost = sched.fleet_costs[f.id]
         assert abs(cost - cold.objective) <= 1e-7 * max(1.0, abs(cold.objective))
         status, ref = scipy_reference(lp)
         assert status == "optimal"
         assert abs(cost - ref) <= 1e-6 * max(1.0, abs(ref))
-        cold_home = sum(cold.primal[f"home[{f.id},{t}]"] for t in range(inp.horizon))
+        cold_home = sum(cold.primal[index[f.id].home].tolist())
         assert sum(sched.home[f.id]) <= cold_home + 1e-6
 
 
@@ -271,10 +271,10 @@ class TestDualForms:
         for _ in range(25):
             inp = random_fleet_input(rng)
             try:
-                primal = lpcore.require_optimal(fl.build_fleet(inp))
+                primal = lpcore.require_optimal(fl.build_fleet(inp)[0])
             except lpcore.LpSolveError:
                 continue
-            dual = lpcore.require_optimal(lpcore.dualize(fl.build_fleet(inp)))
+            dual = lpcore.require_optimal(lpcore.dualize(fl.build_fleet(inp)[0]))
             assert dual.objective == pytest.approx(primal.objective, rel=1e-6, abs=1e-6)
             count += 1
         assert count >= 15
@@ -312,7 +312,7 @@ class TestDualForms:
         sol = lpcore.solve(fl.build_fleet_paper_dual(inp, {}))
         assert sol.is_optimal
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
-        assert lpcore.require_optimal(fl.build_fleet(inp)).objective == pytest.approx(0.0)
+        assert lpcore.require_optimal(fl.build_fleet(inp)[0]).objective == pytest.approx(0.0)
 
     def test_report_summary_mentions_all_programs(self):
         report = fl.dual_form_report(toy_input((30.0, 10.0)), {"c1": ((40.0, 40.0),)})

@@ -1,5 +1,6 @@
 """LP layer: solver statuses, dual extraction, dualizer, duality checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,11 +15,12 @@ from oracles import random_feasible_bounded_lp, scipy_reference, vertex_enumerat
 
 
 def build(sense, variables, constraints):
+    """An LP from (label, lower, upper, objective) columns and (label,
+    {column label: coefficient}, relation, rhs) rows."""
     b = lc.LpBuilder(sense)
-    for args in variables:
-        b.add_variable(*args)
-    for args in constraints:
-        b.add_constraint(*args)
+    cols = {args[0]: b.add_variable(*args) for args in variables}
+    for label, coeffs, relation, rhs in constraints:
+        b.add_constraint(label, {cols[v]: c for v, c in coeffs.items()}, relation, rhs)
     return b.build()
 
 
@@ -34,9 +36,9 @@ class TestSolveBasics:
         sol = lc.solve(lp)
         assert sol.is_optimal
         assert sol.objective == pytest.approx(3.0, abs=1e-9)
-        assert sol.primal["x"] == pytest.approx(3.0, abs=1e-9)
+        assert sol.primal[0] == pytest.approx(3.0, abs=1e-9)
         # marginal value: raising the floor by 1 raises the minimum by 1
-        assert sol.dual["floor"] == pytest.approx(1.0, abs=1e-9)
+        assert sol.dual[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_max_two_variable_vertex(self):
         lp = build(
@@ -47,31 +49,29 @@ class TestSolveBasics:
         sol = lc.solve(lp)
         ref_val, ref_x = vertex_enumerate(lp)
         assert ref_val == pytest.approx(12.0)
-        assert ref_x == {"x": 0.0, "y": 4.0}
+        assert ref_x.tolist() == [0.0, 4.0]
         assert sol.objective == pytest.approx(12.0, abs=1e-9)
-        assert sol.primal == pytest.approx({"x": 0.0, "y": 4.0}, abs=1e-9)
-        assert sol.dual["cap"] == pytest.approx(3.0, abs=1e-9)
+        assert sol.primal == pytest.approx(np.array([0.0, 4.0]), abs=1e-9)
+        assert sol.dual[0] == pytest.approx(3.0, abs=1e-9)
 
     def test_infeasible(self):
         lp = build(lc.MIN, [("x", 0.0, lc.INF, 0.0)], [("bad", {"x": 1.0}, lc.LE, -1.0)])
         sol = lc.solve(lp)
         assert sol.status == lc.INFEASIBLE
-        assert sol.infeasibility_certificate
+        assert np.any(sol.infeasibility_certificate)
 
     def test_unbounded(self):
         lp = build(lc.MAX, [("x", 0.0, lc.INF, 1.0)], [])
         sol = lc.solve(lp)
         assert sol.status == lc.UNBOUNDED
-        assert sol.unbounded_ray
+        assert np.any(sol.unbounded_ray)
 
     def test_degenerate_ties_terminate(self):
         b = lc.LpBuilder(lc.MIN)
         coeffs = {}
         for t in range(30):
-            b.add_variable(f"s{t}", 0.0, 10.0, 20.0)
-            b.add_variable(f"h{t}", 0.0, 10.0, 20.0)
-            coeffs[f"s{t}"] = 1.0
-            coeffs[f"h{t}"] = 1.0
+            coeffs[b.add_variable(f"s{t}", 0.0, 10.0, 20.0)] = 1.0
+            coeffs[b.add_variable(f"h{t}", 0.0, 10.0, 20.0)] = 1.0
         b.add_constraint("need", coeffs, lc.GE, 150.0)
         sol = lc.solve(b.build())
         assert sol.is_optimal
@@ -94,24 +94,29 @@ class TestDefinitionErrors:
             build(lc.MIN, [("x", 0, 1, 0.0), ("x", 0, 1, 0.0)], [])
 
     def test_unknown_variable_in_constraint(self):
-        with pytest.raises(lc.LpDefinitionError):
-            build(lc.MIN, [("x", 0, 1, 0.0)], [("c", {"y": 1.0}, lc.LE, 1.0)])
+        # a row may only reference a column the builder placed
+        for column in (1, -1, "x", 0.0):
+            b = lc.LpBuilder(lc.MIN)
+            b.add_variable("x", 0, 1, 0.0)
+            b.add_constraint("c", {column: 1.0}, lc.LE, 1.0)
+            with pytest.raises(lc.LpDefinitionError):
+                b.build()
 
     def test_crossed_bounds(self):
         with pytest.raises(lc.LpDefinitionError):
-            lc.Variable("x", 2.0, 1.0)
+            build(lc.MIN, [("x", 2.0, 1.0)], [])
 
     def test_empty_bound_interval(self):
         with pytest.raises(lc.LpDefinitionError):
-            lc.Variable("x", -lc.INF, -lc.INF)
+            build(lc.MIN, [("x", -lc.INF, -lc.INF)], [])
 
     def test_nonfinite_coefficient(self):
         with pytest.raises(lc.LpDefinitionError):
-            lc.Constraint("c", {"x": math.inf}, lc.LE, 1.0)
+            build(lc.MIN, [("x",)], [("c", {"x": math.inf}, lc.LE, 1.0)])
 
     def test_bad_relation(self):
         with pytest.raises(lc.LpDefinitionError):
-            lc.Constraint("c", {"x": 1.0}, "<", 1.0)
+            build(lc.MIN, [("x",)], [("c", {"x": 1.0}, "<", 1.0)])
 
 
 class TestDualize:
@@ -128,16 +133,15 @@ class TestDualize:
         )
         dual = lc.dualize(lp)
         assert dual.sense == lc.MIN
-        dvars = {v.name: v for v in dual.variables}
+        dvars = {label: j for j, label in enumerate(dual.variables)}
         for row, rhs in (("r1", 4.0), ("r2", 12.0), ("r3", 18.0)):
-            v = dvars[lc.dual_variable_name(row)]
-            assert (v.lower, v.upper) == (0.0, lc.INF)
-            assert v.objective == rhs
+            j = dvars[f"dual[{row}]"]
+            assert (dual.lower[j], dual.upper[j]) == (0.0, lc.INF)
+            assert dual.objective[j] == rhs
         # stationarity per primal variable, rc of x>=0 bound is <= ... sign
-        cols = {c.name: c for c in dual.constraints}
-        col = cols["col[x1]"]
-        assert col.relation == lc.EQ and col.rhs == 3.0
-        assert dvars["rc_lo[x1]"].upper == 0.0  # so A'y = c - rc_lo >= c
+        i = dual.constraints.index("col[x1]")
+        assert dual.relations[i] == lc.EQ and dual.rhs[i] == 3.0
+        assert dual.upper[dvars["rc_lo[x1]"]] == 0.0  # so A'y = c - rc_lo >= c
         psol = lc.solve(lp)
         dsol = lc.solve(dual)
         assert psol.objective == pytest.approx(36.0)
@@ -146,8 +150,8 @@ class TestDualize:
     def test_equality_yields_free_dual(self):
         lp = build(lc.MIN, [("x", 0.0, 10.0, 1.0)], [("fix", {"x": 1.0}, lc.EQ, 4.0)])
         dual = lc.dualize(lp)
-        v = {v.name: v for v in dual.variables}[lc.dual_variable_name("fix")]
-        assert v.lower == -lc.INF and v.upper == lc.INF
+        j = dual.variables.index("dual[fix]")
+        assert dual.lower[j] == -lc.INF and dual.upper[j] == lc.INF
 
     @pytest.mark.parametrize("seed", range(8))
     def test_double_dual_preserves_value(self, seed):
@@ -177,13 +181,13 @@ class TestAgainstScipy:
             lp = random_feasible_bounded_lp(rng, max_vars=8, max_cons=8)
             sol = lc.solve(lp)
             assert sol.is_optimal
-            for v in lp.variables:
-                x = sol.primal[v.name]
+            for j, label in enumerate(lp.variables):
+                x = sol.primal[j]
                 margin = 1e-7 * (1.0 + abs(x))
-                if v.lower + margin < x < v.upper - margin:
-                    assert abs(sol.reduced_cost[v.name]) <= 1e-6 * (
-                        1.0 + abs(v.objective)
-                    ), f"{v.name} interior but rc={sol.reduced_cost[v.name]}"
+                if lp.lower[j] + margin < x < lp.upper[j] - margin:
+                    assert abs(sol.reduced_cost[j]) <= 1e-6 * (
+                        1.0 + abs(lp.objective[j])
+                    ), f"{label} interior but rc={sol.reduced_cost[j]}"
 
 
 class TestDualityChecks:
@@ -214,9 +218,10 @@ class TestDualityChecks:
         # inactive cap: x* sits on its upper bound, slack on "cap" is 6
         lp = build(lc.MAX, [("x", 0.0, 4.0, 1.0)], [("cap", {"x": 1.0}, lc.LE, 10.0)])
         psol = lc.solve(lp)
-        dsol = lc.solve(lc.dualize(lp))
-        slack = 10.0 - psol.primal["x"]
-        dsol.primal[lc.dual_variable_name("cap")] += 0.1
+        dual = lc.dualize(lp)
+        dsol = lc.solve(dual)
+        slack = 10.0 - psol.primal[0]
+        dsol.primal[dual.variables.index("dual[cap]")] += 0.1
         dsol.objective += 0.1 * 10.0
         report = lc.check_strong_duality(lp, psol, dsol)
         assert not report.passed
@@ -276,7 +281,7 @@ class TestLagrangianBound:
         for k in range(100):
             lp = random_feasible_bounded_lp(rng, max_vars=10, max_cons=10)
             opt = lc.solve(lp).objective
-            y = {c.name: float(rng.normal(0.0, 5.0)) for c in lp.constraints}
+            y = np.array([float(rng.normal(0.0, 5.0)) for _ in lp.constraints])
             bound = lc.lagrangian_bound(lp, y)
             slack = 1e-9 * max(1.0, abs(opt))
             if lp.sense == lc.MIN:
@@ -288,15 +293,15 @@ class TestLagrangianBound:
         # min x on [0, 10] with x <= 5: optimum 0; "<=" rows of a
         # minimization take multipliers <= 0, so +1 counts as 0
         lp = build(lc.MIN, [("x", 0.0, 10.0, 1.0)], [("cap", {"x": 1.0}, lc.LE, 5.0)])
-        assert lc.lagrangian_bound(lp, {"cap": 1.0}) == 0.0
+        assert lc.lagrangian_bound(lp, [1.0]) == 0.0
 
     @pytest.mark.parametrize("sense, infinite", [(lc.MIN, -lc.INF), (lc.MAX, lc.INF)])
     def test_free_variable_reduced_cost(self, sense, infinite):
         # min x or max -x over a free x >= 3: the optimum is 3 or -3
         sign = 1.0 if sense == lc.MIN else -1.0
         lp = build(sense, [("x", -lc.INF, lc.INF, sign)], [("floor", {"x": 1.0}, lc.GE, 3.0)])
-        assert lc.lagrangian_bound(lp, {"floor": 0.5 * sign}) == infinite
-        assert lc.lagrangian_bound(lp, {"floor": sign}) == 3.0 * sign
+        assert lc.lagrangian_bound(lp, [0.5 * sign]) == infinite
+        assert lc.lagrangian_bound(lp, [sign]) == 3.0 * sign
 
 
 class TestMaxViolation:
@@ -324,19 +329,19 @@ class TestMaxViolation:
             [("x", -lc.INF, lc.INF, 0.0), ("y", -lc.INF, lc.INF, 0.0)],
             [("row", {"x": 1.0, "y": 1.0}, relation, 3.0)],
         )
-        assert lc.max_violation(lp, {"x": value, "y": 0.0}) == expected
+        assert lc.max_violation(lp, [value, 0.0]) == expected
 
     def test_bound_violation_scaling(self):
         # [2, 4] scales by 1 + 4; an infinite side scales by 1
         lp = build(lc.MIN, [("x", 2.0, 4.0, 0.0), ("y", 2.0, lc.INF, 0.0)], [])
-        assert lc.max_violation(lp, {"x": 5.0, "y": 3.0}) == 0.2
-        assert lc.max_violation(lp, {"x": 3.0, "y": 0.0}) == 2.0
-        assert lc.max_violation(lp, {"x": 3.0, "y": 1e9}) == 0.0
+        assert lc.max_violation(lp, [5.0, 3.0]) == 0.2
+        assert lc.max_violation(lp, [3.0, 0.0]) == 2.0
+        assert lc.max_violation(lp, [3.0, 1e9]) == 0.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_is_infinite(self, bad):
         lp = build(lc.MIN, [("x", -lc.INF, lc.INF, 0.0)], [])
-        assert lc.max_violation(lp, {"x": bad}) == math.inf
+        assert lc.max_violation(lp, [bad]) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +356,12 @@ def model_lps(outcome):
     scenario = outcome.scenario
     inp = fl.fleet_input(scenario, outcome.offers)
     lps = [
-        fl.build_fleet(inp, home_price_bump=bump, fleet_ids={f.id})
+        fl.build_fleet(inp, home_price_bump=bump, fleet_ids={f.id})[0]
         for f in scenario.fleets
         for bump in (fl.TIE_BREAK_EPS, 0.0)
     ]
     market = bl.dam_input_for(scenario, outcome.schedule)
-    lps.extend(dam.build_dam(market, period=t) for t in range(scenario.network.horizon))
+    lps.extend(dam.build_dam(market, period=t)[0] for t in range(scenario.network.horizon))
     return lps
 
 
@@ -426,12 +431,13 @@ def random_lp_with_infinite_bounds(rng):
     """A criterion-1 style LP with some bounds relaxed to infinity: still
     feasible, possibly unbounded, and with free columns."""
     lp = random_feasible_bounded_lp(rng, max_vars=8, max_cons=8)
-    variables = []
-    for v in lp.variables:
-        lower = -lc.INF if rng.random() < 0.3 else v.lower
-        upper = lc.INF if rng.random() < 0.3 else v.upper
-        variables.append(lc.Variable(v.name, lower, upper, v.objective))
-    return lc.LinearProgram(lp.sense, tuple(variables), lp.constraints, lp.name)
+    lower, upper = lp.lower.copy(), lp.upper.copy()
+    for j in range(len(lp.variables)):
+        if rng.random() < 0.3:
+            lower[j] = -lc.INF
+        if rng.random() < 0.3:
+            upper[j] = lc.INF
+    return dataclasses.replace(lp, lower=lower, upper=upper)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -96,6 +97,24 @@ class TestValidate:
         c = dataclasses.replace(c, segments=(md.WtpSegment(4.0, (0.0, 0.0), (50.0, 50.0)),))
         report = md.validate(scenario_with(fleets=(f,), stations=(c,)))
         assert any("cover the station charging cap" in i.message for i in report.issues)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("budget", 0),
+            ("budget", "400"),
+            ("step_min", 0.0),
+            ("block_width", 0),
+            ("feas_tol", math.inf),
+            ("duality_tol", -1e-6),
+        ],
+    )
+    def test_bad_setting_is_named_by_its_path(self, field, value):
+        scenario = dataclasses.replace(
+            scenario_with(), settings=md.SolverSettings(**{field: value})
+        )
+        report = md.validate(scenario)
+        assert [i.path for i in report.issues] == [f"settings.{field}"]
 
     def test_unknown_station_reference(self):
         f, c = two_period_fleet()
