@@ -67,15 +67,16 @@ class OfferParameter:
         return 0.5 * (self.lower + self.upper)
 
 
-def offer_parameters(scenario: Scenario, mode=None, block_width=None) -> tuple[OfferParameter, ...]:
-    """Parameter grid for a scenario's strategy space.
+def offer_parameters(scenario: Scenario) -> tuple[OfferParameter, ...]:
+    """Parameter grid for a scenario's strategy space, under its
+    `settings.parameterization`.
 
     `full` and `per_station_period` coincide here because every station
     serves exactly one fleet; `station_blocks` shares one parameter across
-    `block_width` consecutive periods.
+    `settings.block_width` consecutive periods.
     """
-    mode = mode or scenario.settings.parameterization
-    width = block_width or scenario.settings.block_width
+    mode = scenario.settings.parameterization
+    width = scenario.settings.block_width
     T = scenario.network.horizon
     if mode in (PARAM_FULL, PARAM_PER_STATION_PERIOD):
         spans = [(t, t + 1) for t in range(T)]
@@ -340,18 +341,16 @@ def optimize(
     return replace(best, search=info)
 
 
-def brute_force(
-    scenario: Scenario, levels: int, cap: int = BRUTE_FORCE_CAP
-) -> EquilibriumOutcome:
+def brute_force(scenario: Scenario, levels: int) -> EquilibriumOutcome:
     """Exhaustive grid over the offer parameters, `levels` points per
     dimension; exact argmax over the grid with the same deterministic
-    tie-break as `optimize`.  Guards against grids above `cap` points."""
+    tie-break as `optimize`.  Refuses grids above BRUTE_FORCE_CAP points."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
     params = offer_parameters(scenario)
     total = levels ** len(params)
-    if total > cap:
-        raise ValueError(f"grid of {total} evaluations exceeds cap {cap}")
+    if total > BRUTE_FORCE_CAP:
+        raise ValueError(f"grid of {total} evaluations exceeds cap {BRUTE_FORCE_CAP}")
     axes = []
     for p in params:
         if levels == 1 or p.upper == p.lower:
@@ -601,17 +600,15 @@ def _fleet_checks(outcome: EquilibriumOutcome) -> dict[str, tuple[float, float]]
     checks = {}
     for f in scenario.fleets:
         try:
-            lp, index = fleet_mod.build_fleet(finput, fleet_ids={f.id})
+            lp, cols = fleet_mod.build_fleet(finput, f)
         except fleet_mod.FleetStructureError:
             floors = {st.id: st.offer_min for st in scenario.stations}
-            lp, index = fleet_mod.build_fleet(
-                fleet_mod.fleet_input(scenario, floors), fleet_ids={f.id}
-            )
+            lp, cols = fleet_mod.build_fleet(fleet_mod.fleet_input(scenario, floors), f)
             bound = -math.inf
         else:
             sol = lpcore.solve(lp, feas_tol=scenario.settings.feas_tol)
             bound = lpcore.lagrangian_bound(lp, sol.dual) if sol.is_optimal else -math.inf
-        values = fleet_mod.schedule_values(finput, outcome.schedule, f, lp, index[f.id])
+        values = fleet_mod.schedule_values(finput, outcome.schedule, f, lp, cols)
         checks[f.id] = (lpcore.max_violation(lp, values), bound)
     return checks
 
@@ -638,8 +635,8 @@ def _dam_residuals(dinput, outcome):
     gaps = []
 
     for t in range(net.horizon):
-        lp, index = dam_mod.build_dam(dinput, period=t)
-        values = dam_mod.period_values(dinput, outcome.dam, t, lp, index[t])
+        lp, index = dam_mod.build_dam(dinput, t)
+        values = dam_mod.period_values(dinput, outcome.dam, t, lp, index)
         worst_feas = lpcore.max_violation(lp, values)
         bid_dual = 0.0
         for bid in dinput.station_bids:
@@ -651,7 +648,7 @@ def _dam_residuals(dinput, outcome):
         feas.append((t, worst_feas))
 
         welfare = dam_mod.welfare(dinput, (lp.objective * values).tolist(), outcome.dam.wtp, t)
-        gaps.append((t, _rel_gap(welfare, _welfare_bound(lp, index[t], outcome, t) + bid_dual)))
+        gaps.append((t, _rel_gap(welfare, _welfare_bound(lp, index, outcome, t) + bid_dual)))
 
     return _peak(feas), _peak(gaps)
 
@@ -739,57 +736,66 @@ def outcome_to_json(outcome: EquilibriumOutcome) -> dict:
     }
 
 
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _series(tree: dict) -> dict:
+    return {k: _floats(v) for k, v in tree.items()}
+
+
+def _rows(tree: dict) -> dict:
+    return {k: tuple(_floats(row) for row in v) for k, v in tree.items()}
+
+
 def outcome_from_json(data: dict) -> EquilibriumOutcome:
     """Rebuild a full outcome (including the embedded scenario) from the
-    document written by `outcome_to_json`; used to re-certify cached runs."""
+    document written by `outcome_to_json`; used to re-certify cached runs.
+    Every number is read with float() (int() for period bounds and search
+    counts), so a value that is not a number raises ValueError or TypeError
+    here rather than inside `certify`; NaN stays a number."""
     from .model import scenario_from_json
 
     scenario = scenario_from_json(data["scenario"])
     params = tuple(
-        OfferParameter(p["station"], p["t_start"], p["t_end"], p["lower"], p["upper"])
+        OfferParameter(
+            p["station"], int(p["t_start"]), int(p["t_end"]), float(p["lower"]), float(p["upper"])
+        )
         for p in data["strategy"]["parameters"]
     )
     strategy = Strategy(params, tuple(data["strategy"]["values"]))
     sched = data["schedule"]
     schedule = fleet_mod.FleetSchedule(
         horizon=scenario.network.horizon,
-        total={k: tuple(v) for k, v in sched["total"].items()},
-        home={k: tuple(v) for k, v in sched["home"].items()},
-        station={
-            f: {s: tuple(v) for s, v in stations.items()}
-            for f, stations in sched["station"].items()
-        },
-        segments={
-            f: {s: tuple(tuple(row) for row in v) for s, v in stations.items()}
-            for f, stations in sched["segments"].items()
-        },
-        energy={k: tuple(v) for k, v in sched["energy"].items()},
-        fleet_costs=dict(sched["fleet_costs"]),
+        total=_series(sched["total"]),
+        home=_series(sched["home"]),
+        station={f: _series(stations) for f, stations in sched["station"].items()},
+        segments={f: _rows(stations) for f, stations in sched["segments"].items()},
+        energy=_series(sched["energy"]),
+        fleet_costs={k: float(v) for k, v in sched["fleet_costs"].items()},
         cost=float(sched["cost"]),
     )
     dam_data = data["dam"]
     dam_out = dam_mod.DamOutcome(
         horizon=scenario.network.horizon,
-        gen={k: tuple(v) for k, v in dam_data["gen"].items()},
-        gen_segments={
-            k: tuple(tuple(row) for row in v) for k, v in dam_data["gen_segments"].items()
-        },
-        solar={k: tuple(v) for k, v in dam_data["solar"].items()},
-        flow={k: tuple(v) for k, v in dam_data["flow"].items()},
-        angle={k: tuple(v) for k, v in dam_data["angle"].items()},
-        wtp={k: tuple(tuple(row) for row in v) for k, v in dam_data["wtp"].items()},
-        lmp={k: tuple(v) for k, v in dam_data["lmp"].items()},
+        gen=_series(dam_data["gen"]),
+        gen_segments=_rows(dam_data["gen_segments"]),
+        solar=_series(dam_data["solar"]),
+        flow=_series(dam_data["flow"]),
+        angle=_series(dam_data["angle"]),
+        wtp=_rows(dam_data["wtp"]),
+        lmp=_series(dam_data["lmp"]),
         welfare=float(dam_data["welfare"]),
-        period_welfare=tuple(dam_data["period_welfare"]),
+        period_welfare=_floats(dam_data["period_welfare"]),
     )
     search = None
     if data.get("search"):
         s = data["search"]
-        search = SearchInfo(s["evaluations"], s["starts"], s["seed"], s["budget"])
+        search = SearchInfo(*(int(s[k]) for k in ("evaluations", "starts", "seed", "budget")))
     return EquilibriumOutcome(
         scenario=scenario,
         strategy=strategy,
-        offers={k: tuple(v) for k, v in data["offers"].items()},
+        offers=_series(data["offers"]),
         schedule=schedule,
         dam=dam_out,
         revenue=float(data["revenue"]),

@@ -123,7 +123,7 @@ def cmd_run(args) -> int:
         try:
             with open(outcome_path) as fh:
                 outcome = bilevel.outcome_from_json(json.load(fh))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as exc:
             raise _UsageError(f"--certify: cached outcome unreadable: {exc}")
         cert = bilevel.certify(outcome)
         print(cert.summary())
@@ -216,11 +216,19 @@ def trend_lines(entries):
     return sorted(verdicts.items())
 
 
-def _budget(text: str) -> int:
+def _int_at_least(text: str, least: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
     return value
+
+
+def _budget(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _seed(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="optimize offers, certify, write reports")
     p.add_argument("scenario")
     p.add_argument("--budget", type=_budget, default=None, help="evaluation budget override")
-    p.add_argument("--seed", type=int, default=None, help="search seed override")
+    p.add_argument("--seed", type=_seed, default=None, help="search seed override")
     p.add_argument("--out", default=None, help="output directory (default $EVCSMARKET_OUT or ./out)")
     p.add_argument(
         "--certify",
@@ -252,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     axis.add_argument("--penetration", help="comma-separated EV penetration levels in (0,1)")
     axis.add_argument("--pv", help="comma-separated solar capacity multipliers >= 0")
     p.add_argument("--budget", type=_budget, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 

@@ -141,10 +141,6 @@ def _check_input(inp: DamInput) -> None:
                     )
 
 
-def _periods(inp: DamInput, period):
-    return range(inp.network.horizon) if period is None else [period]
-
-
 def _balance_rhs(inp: DamInput, bus: str, t: int) -> float:
     rhs = sum(d.load[t] for d in inp.network.demands if d.bus == bus)
     rhs += sum(w.power[t] for w in inp.withdrawals if w.bus == bus)
@@ -153,10 +149,10 @@ def _balance_rhs(inp: DamInput, bus: str, t: int) -> float:
 
 @dataclass(frozen=True)
 class PeriodIndex:
-    """Where `build_dam` placed one period: the column of each generator,
-    solar unit, bus angle and line flow and the balance row of each bus, all
-    in network order; `seg[g]` holds the columns of generator g's cost
-    segments."""
+    """Where `build_dam` placed the columns of its period: the column of
+    each generator, solar unit, bus angle and line flow and the balance row
+    of each bus, all in network order; `seg[g]` holds the columns of
+    generator g's cost segments."""
 
     gen: list[int]
     seg: tuple[list[int], ...]
@@ -166,79 +162,74 @@ class PeriodIndex:
     balance: list[int]
 
 
-def build_dam(
-    inp: DamInput, period: int | None = None
-) -> tuple[LinearProgram, dict[int, PeriodIndex]]:
-    """Welfare-maximization LP for all periods (default) or a single one,
-    and the `PeriodIndex` of each period it covers.
+def build_dam(inp: DamInput, t: int) -> tuple[LinearProgram, PeriodIndex]:
+    """Welfare-maximization LP of period t and the `PeriodIndex` of its
+    columns and rows.
 
-    Periods do not couple, so the block LP and the per-period LPs clear
-    identically; `solve_dam` uses the per-period form.  Variables:
-    gen/seg/solar/angle/flow; rows: gen_split (dispatch equals the sum of
-    its cost segments), dc_flow (flow follows angle difference over
-    reactance), balance (nodal balance with fixed demand plus fleet
+    Periods do not couple, so the market clears one period LP at a time.
+    Variables: gen/seg/solar/angle/flow; rows: gen_split (dispatch equals
+    the sum of its cost segments), dc_flow (flow follows angle difference
+    over reactance), balance (nodal balance with fixed demand plus fleet
     withdrawals on the rhs).  The reference bus angle is pinned to zero.
-    The objective leaves out the bid value sum q * price, a constant once
-    bid prices clear in closed form (see `StationDamBid` and `welfare`).
+    Only the solar upper bounds and the balance rhs depend on t.  The
+    objective leaves out the bid value sum q * price, a constant once bid
+    prices clear in closed form (see `StationDamBid` and `welfare`).
     """
     _check_input(inp)
     net = inp.network
     ref = net.reference_bus()
-    lp = LpBuilder(lpcore.MAX, name="dam" if period is None else f"dam[t={period}]")
-    index = {}
+    lp = LpBuilder(lpcore.MAX, name=f"dam[t={t}]")
 
-    for t in _periods(inp, period):
-        gen, seg = [], []
-        for g in net.generators:
-            gen.append(lp.add_variable(f"gen[{g.id},{t}]", g.p_min, g.p_max))
-            seg.append([
-                lp.add_variable(f"seg[{g.id},{k},{t}]", s.p_min, s.p_max, objective=-s.cost)
-                for k, s in enumerate(g.segments)
-            ])
-        solar = [lp.add_variable(f"solar[{s.id},{t}]", 0.0, s.available[t]) for s in net.solar_units]
-        angle = {
-            b.id: lp.add_variable(
-                f"angle[{b.id},{t}]", *((0.0, 0.0) if b.id == ref else (b.angle_min, b.angle_max))
-            )
-            for b in net.buses
-        }
-        flow = [lp.add_variable(f"flow[{ln.id},{t}]", ln.flow_min, ln.flow_max) for ln in net.lines]
+    gen, seg = [], []
+    for g in net.generators:
+        gen.append(lp.add_variable(f"gen[{g.id},{t}]", g.p_min, g.p_max))
+        seg.append([
+            lp.add_variable(f"seg[{g.id},{k},{t}]", s.p_min, s.p_max, objective=-s.cost)
+            for k, s in enumerate(g.segments)
+        ])
+    solar = [lp.add_variable(f"solar[{s.id},{t}]", 0.0, s.available[t]) for s in net.solar_units]
+    angle = {
+        b.id: lp.add_variable(
+            f"angle[{b.id},{t}]", *((0.0, 0.0) if b.id == ref else (b.angle_min, b.angle_max))
+        )
+        for b in net.buses
+    }
+    flow = [lp.add_variable(f"flow[{ln.id},{t}]", ln.flow_min, ln.flow_max) for ln in net.lines]
 
-        for g, g_col, seg_cols in zip(net.generators, gen, seg):
-            lp.add_constraint(
-                f"gen_split[{g.id},{t}]", {g_col: 1.0, **dict.fromkeys(seg_cols, -1.0)}, EQ, 0.0
-            )
+    for g, g_col, seg_cols in zip(net.generators, gen, seg):
+        lp.add_constraint(
+            f"gen_split[{g.id},{t}]", {g_col: 1.0, **dict.fromkeys(seg_cols, -1.0)}, EQ, 0.0
+        )
+    for ln, f_col in zip(net.lines, flow):
+        lp.add_constraint(
+            f"dc_flow[{ln.id},{t}]",
+            {
+                f_col: 1.0,
+                angle[ln.from_bus]: -1.0 / ln.reactance,
+                angle[ln.to_bus]: 1.0 / ln.reactance,
+            },
+            EQ,
+            0.0,
+        )
+    balance = []
+    for b in net.buses:
+        coeffs: dict[int, float] = {}
+        for g, g_col in zip(net.generators, gen):
+            if g.bus == b.id:
+                coeffs[g_col] = 1.0
+        for s, s_col in zip(net.solar_units, solar):
+            if s.bus == b.id:
+                coeffs[s_col] = 1.0
         for ln, f_col in zip(net.lines, flow):
-            lp.add_constraint(
-                f"dc_flow[{ln.id},{t}]",
-                {
-                    f_col: 1.0,
-                    angle[ln.from_bus]: -1.0 / ln.reactance,
-                    angle[ln.to_bus]: 1.0 / ln.reactance,
-                },
-                EQ,
-                0.0,
-            )
-        balance = []
-        for b in net.buses:
-            coeffs: dict[int, float] = {}
-            for g, g_col in zip(net.generators, gen):
-                if g.bus == b.id:
-                    coeffs[g_col] = 1.0
-            for s, s_col in zip(net.solar_units, solar):
-                if s.bus == b.id:
-                    coeffs[s_col] = 1.0
-            for ln, f_col in zip(net.lines, flow):
-                if ln.from_bus == b.id:
-                    coeffs[f_col] = coeffs.get(f_col, 0.0) - 1.0
-                if ln.to_bus == b.id:
-                    coeffs[f_col] = coeffs.get(f_col, 0.0) + 1.0
-            balance.append(
-                lp.add_constraint(f"balance[{b.id},{t}]", coeffs, EQ, _balance_rhs(inp, b.id, t))
-            )
-        index[t] = PeriodIndex(gen, tuple(seg), solar, list(angle.values()), flow, balance)
+            if ln.from_bus == b.id:
+                coeffs[f_col] = coeffs.get(f_col, 0.0) - 1.0
+            if ln.to_bus == b.id:
+                coeffs[f_col] = coeffs.get(f_col, 0.0) + 1.0
+        balance.append(
+            lp.add_constraint(f"balance[{b.id},{t}]", coeffs, EQ, _balance_rhs(inp, b.id, t))
+        )
 
-    return lp.build(), index
+    return lp.build(), PeriodIndex(gen, tuple(seg), solar, list(angle.values()), flow, balance)
 
 
 def solve_dam(
@@ -280,7 +271,7 @@ def solve_dam(
         key = ("period", t, tuple(w.power[t] for w in inp.withdrawals))
         period = None if memo is None else memo.get(key)
         if period is None:
-            lp, index = build_dam(inp, period=t)
+            lp, index = build_dam(inp, t)
             sol = lpcore.solve(lp, feas_tol=feas_tol)
             if sol.status == lpcore.INFEASIBLE:
                 raise DamInfeasibleError(
@@ -291,7 +282,7 @@ def solve_dam(
             violation = lpcore.max_violation(lp, sol.primal)
             if violation > feas_tol * 100.0:
                 raise DamNumericalError(f"period {t}: solution violates its LP by {violation:.3e}")
-            period = _read(lp, index[t], sol)
+            period = _read(lp, index, sol)
             if memo is not None:
                 memo[key] = period
 
@@ -350,7 +341,7 @@ def period_values(
     inp: DamInput, out: DamOutcome, t: int, lp: LinearProgram, ix: PeriodIndex
 ) -> np.ndarray:
     """An outcome's period-t dispatch as one value per column of `lp`, the
-    LP that `build_dam(inp, period=t)` returned with `ix`."""
+    LP that `build_dam(inp, t)` returned with `ix`."""
     net = inp.network
     values = [0.0] * len(lp.variables)
     placed = [
@@ -371,8 +362,9 @@ def period_values(
 # ---------------------------------------------------------------------------
 
 
-def build_dam_paper_dual(inp: DamInput, period: int | None = None) -> LinearProgram:
-    """Explicit minimization dual of `build_dam` written out row by row.
+def build_dam_paper_dual(inp: DamInput, t: int) -> LinearProgram:
+    """Explicit minimization dual of `build_dam(inp, t)` written out row by
+    row.
 
     All bound-price variables (`bound_lo`/`bound_up`) are non-positive and
     the equality-row prices (`price[...]`) are free; the objective carries
@@ -384,72 +376,72 @@ def build_dam_paper_dual(inp: DamInput, period: int | None = None) -> LinearProg
     _check_input(inp)
     net = inp.network
     ref = net.reference_bus()
-    lp = LpBuilder(lpcore.MIN, name="dam_dual" if period is None else f"dam_dual[t={period}]")
+    lp = LpBuilder(lpcore.MIN, name=f"dam_dual[t={t}]")
 
     NEG = (-lpcore.INF, 0.0)
 
-    for t in _periods(inp, period):
-        # prices of the equality rows
-        split_price = {g.id: lp.add_variable(f"price[gen_split[{g.id},{t}]]") for g in net.generators}
-        flow_price = {ln.id: lp.add_variable(f"price[dc_flow[{ln.id},{t}]]") for ln in net.lines}
-        balance_price = {
-            b.id: lp.add_variable(f"price[balance[{b.id},{t}]]", objective=_balance_rhs(inp, b.id, t))
-            for b in net.buses
-        }
+    # prices of the equality rows
+    split_price = {g.id: lp.add_variable(f"price[gen_split[{g.id},{t}]]") for g in net.generators}
+    flow_price = {ln.id: lp.add_variable(f"price[dc_flow[{ln.id},{t}]]") for ln in net.lines}
+    balance_price = {
+        b.id: lp.add_variable(f"price[balance[{b.id},{t}]]", objective=_balance_rhs(inp, b.id, t))
+        for b in net.buses
+    }
 
-        # bound prices, mirroring the primal variable set: (primal label, lo, up)
-        def bound_pair(var, lower, upper):
-            lo = lp.add_variable(f"bound_lo[{var}]", *NEG, objective=lower)
-            return var, lo, lp.add_variable(f"bound_up[{var}]", *NEG, objective=-upper)
+    # bound prices, mirroring the primal variable set: (primal label, lo, up)
+    def bound_pair(var, lower, upper):
+        lo = lp.add_variable(f"bound_lo[{var}]", *NEG, objective=lower)
+        return var, lo, lp.add_variable(f"bound_up[{var}]", *NEG, objective=-upper)
 
-        def stationarity(pair, extra, rhs):
-            var, lo, up = pair
-            lp.add_constraint(f"col[{var}]", {lo: 1.0, up: -1.0, **extra}, EQ, rhs)
+    def stationarity(pair, extra, rhs):
+        var, lo, up = pair
+        lp.add_constraint(f"col[{var}]", {lo: 1.0, up: -1.0, **extra}, EQ, rhs)
 
-        gen_pairs, seg_pairs = [], []
-        for g in net.generators:
-            gen_pairs.append(bound_pair(f"gen[{g.id},{t}]", g.p_min, g.p_max))
-            seg_pairs.append(
-                [bound_pair(f"seg[{g.id},{k},{t}]", c.p_min, c.p_max) for k, c in enumerate(g.segments)]
-            )
-        solar_pairs = [bound_pair(f"solar[{s.id},{t}]", 0.0, s.available[t]) for s in net.solar_units]
-        angle_pairs = [
-            bound_pair(f"angle[{b.id},{t}]", *(0.0, 0.0) if b.id == ref else (b.angle_min, b.angle_max))
-            for b in net.buses
-        ]
-        flow_pairs = [bound_pair(f"flow[{ln.id},{t}]", ln.flow_min, ln.flow_max) for ln in net.lines]
+    gen_pairs, seg_pairs = [], []
+    for g in net.generators:
+        gen_pairs.append(bound_pair(f"gen[{g.id},{t}]", g.p_min, g.p_max))
+        seg_pairs.append(
+            [bound_pair(f"seg[{g.id},{k},{t}]", c.p_min, c.p_max) for k, c in enumerate(g.segments)]
+        )
+    solar_pairs = [bound_pair(f"solar[{s.id},{t}]", 0.0, s.available[t]) for s in net.solar_units]
+    angle_pairs = [
+        bound_pair(f"angle[{b.id},{t}]", *(0.0, 0.0) if b.id == ref else (b.angle_min, b.angle_max))
+        for b in net.buses
+    ]
+    flow_pairs = [bound_pair(f"flow[{ln.id},{t}]", ln.flow_min, ln.flow_max) for ln in net.lines]
 
-        for g, gen_pair, pairs in zip(net.generators, gen_pairs, seg_pairs):
-            stationarity(gen_pair, {split_price[g.id]: 1.0, balance_price[g.bus]: 1.0}, 0.0)
-            for seg, pair in zip(g.segments, pairs):
-                stationarity(pair, {split_price[g.id]: -1.0}, -seg.cost)
-        for s, pair in zip(net.solar_units, solar_pairs):
-            stationarity(pair, {balance_price[s.bus]: 1.0}, 0.0)
-        for b, pair in zip(net.buses, angle_pairs):
-            extra: dict[int, float] = {}
-            for ln in net.lines:
-                col = flow_price[ln.id]
-                if ln.from_bus == b.id:
-                    extra[col] = extra.get(col, 0.0) - 1.0 / ln.reactance
-                if ln.to_bus == b.id:
-                    extra[col] = extra.get(col, 0.0) + 1.0 / ln.reactance
-            stationarity(pair, extra, 0.0)
-        for ln, pair in zip(net.lines, flow_pairs):
-            stationarity(
-                pair,
-                {
-                    flow_price[ln.id]: 1.0,
-                    balance_price[ln.from_bus]: -1.0,
-                    balance_price[ln.to_bus]: 1.0,
-                },
-                0.0,
-            )
+    for g, gen_pair, pairs in zip(net.generators, gen_pairs, seg_pairs):
+        stationarity(gen_pair, {split_price[g.id]: 1.0, balance_price[g.bus]: 1.0}, 0.0)
+        for seg, pair in zip(g.segments, pairs):
+            stationarity(pair, {split_price[g.id]: -1.0}, -seg.cost)
+    for s, pair in zip(net.solar_units, solar_pairs):
+        stationarity(pair, {balance_price[s.bus]: 1.0}, 0.0)
+    for b, pair in zip(net.buses, angle_pairs):
+        extra: dict[int, float] = {}
+        for ln in net.lines:
+            col = flow_price[ln.id]
+            if ln.from_bus == b.id:
+                extra[col] = extra.get(col, 0.0) - 1.0 / ln.reactance
+            if ln.to_bus == b.id:
+                extra[col] = extra.get(col, 0.0) + 1.0 / ln.reactance
+        stationarity(pair, extra, 0.0)
+    for ln, pair in zip(net.lines, flow_pairs):
+        stationarity(
+            pair,
+            {
+                flow_price[ln.id]: 1.0,
+                balance_price[ln.from_bus]: -1.0,
+                balance_price[ln.to_bus]: 1.0,
+            },
+            0.0,
+        )
 
     return lp.build()
 
 
-def paper_dual_structural_diff(inp: DamInput, period: int | None = None) -> list[str]:
-    """Structurally compare the hand-written dual with dualize(build_dam).
+def paper_dual_structural_diff(inp: DamInput, t: int) -> list[str]:
+    """Structurally compare the hand-written dual of period t with
+    dualize(build_dam(inp, t)).
 
     The automatic dual labels variables dual[row] / rc_lo[v] / rc_up[v] and
     uses a non-negative upper-bound price; the explicit form uses price[row]
@@ -457,8 +449,8 @@ def paper_dual_structural_diff(inp: DamInput, period: int | None = None) -> list
     relabelling and negating the upper-bound price the programs must agree
     exactly; returns human-readable differences (empty when they do).
     """
-    auto = lpcore.dualize(build_dam(inp, period=period)[0])
-    explicit = build_dam_paper_dual(inp, period=period)
+    auto = lpcore.dualize(build_dam(inp, t)[0])
+    explicit = build_dam_paper_dual(inp, t)
     diffs: list[str] = []
 
     renames = {"dual[": "price[", "rc_lo[": "bound_lo[", "rc_up[": "bound_up["}

@@ -27,9 +27,6 @@ from .model import ChargingStation, EVFleet, Scenario, fleet_infeasibility_perio
 
 TIE_BREAK_EPS = 1e-6
 
-BILLING_OFFER = "offer"
-BILLING_WTP_SEGMENTS = "wtp_segments"
-
 
 class FleetStructureError(ValueError):
     pass
@@ -49,17 +46,14 @@ class FleetInfeasibleError(RuntimeError):
 class FleetInput:
     """Fleets plus the station offer prices they face.
 
-    `offers[c]` is the per-period offer price of station c in $/MWh.
-    `segment_prices[c][m]` optionally carries cleared per-segment bid prices;
-    they are ignored by the default offer-based billing and price the station
-    energy under the segment-based billing variant.
+    `offers[c]` is the per-period offer price of station c in $/MWh; station
+    energy is billed at it.
     """
 
     fleets: tuple[EVFleet, ...]
     stations: tuple[ChargingStation, ...]
     horizon: int
     offers: dict[str, tuple[float, ...]]
-    segment_prices: dict[str, tuple[tuple[float, ...], ...]] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "fleets", tuple(self.fleets))
@@ -67,15 +61,6 @@ class FleetInput:
         object.__setattr__(
             self, "offers", {k: tuple(map(float, v)) for k, v in self.offers.items()}
         )
-        if self.segment_prices is not None:
-            object.__setattr__(
-                self,
-                "segment_prices",
-                {
-                    k: tuple(tuple(map(float, row)) for row in v)
-                    for k, v in self.segment_prices.items()
-                },
-            )
 
     def station(self, station_id: str) -> ChargingStation:
         for s in self.stations:
@@ -149,7 +134,7 @@ def _fleet_stations(inp: FleetInput, fleet: EVFleet) -> list[ChargingStation]:
 
 @dataclass(frozen=True)
 class FleetColumns:
-    """Where `build_fleet` placed one fleet's columns, each list indexed by
+    """Where `build_fleet` placed its fleet's columns, each list indexed by
     period: `station[k]` and `segment[k][m]` belong to the fleet's k-th
     station (in `_fleet_stations` order) and that station's m-th bid
     segment."""
@@ -162,85 +147,66 @@ class FleetColumns:
 
 
 def build_fleet(
-    inp: FleetInput,
-    *,
-    billing: str = BILLING_OFFER,
-    home_price_bump: float = 0.0,
-    fleet_ids=None,
-) -> tuple[LinearProgram, dict[str, FleetColumns]]:
-    """Cost-minimization LP over {total, home, station, segment, energy},
-    and the `FleetColumns` of each fleet it covers, by fleet id.
+    inp: FleetInput, fleet: EVFleet, *, home_price_bump: float = 0.0
+) -> tuple[LinearProgram, FleetColumns]:
+    """Cost-minimization LP of one fleet over {total, home, station,
+    segment, energy}, and the `FleetColumns` of its columns.
 
-    Station energy is priced at the offer price under the default billing;
-    the `wtp_segments` variant prices each bid segment at its cleared bid
-    price instead (requires `segment_prices`).  `home_price_bump` is the
-    tie-break surcharge; builders for certificates use 0.
+    Home energy is priced at the retail rate plus `home_price_bump`, the
+    tie-break surcharge (builders for certificates use 0); station energy
+    at the offer price; bid segments carry no cost.
     """
     _check_input(inp)
-    if billing not in (BILLING_OFFER, BILLING_WTP_SEGMENTS):
-        raise FleetStructureError(f"unknown billing mode {billing!r}")
-    if billing == BILLING_WTP_SEGMENTS and inp.segment_prices is None:
-        raise FleetStructureError("segment billing requires segment_prices")
-
     lp = LpBuilder(lpcore.MIN, name="fleet")
     T = inp.horizon
-    fleets = [f for f in inp.fleets if fleet_ids is None or f.id in fleet_ids]
-    index = {}
-
-    for f in fleets:
-        stations = _fleet_stations(inp, f)
-        total, home, energy = [], [], []
-        station = [[] for _ in stations]
-        segment = [[[] for _ in s.segments] for s in stations]
-        for t in range(T):
-            total.append(lp.add_variable(f"total[{f.id},{t}]", 0.0, f.max_charge))
-            home.append(lp.add_variable(
-                f"home[{f.id},{t}]",
+    f = fleet
+    stations = _fleet_stations(inp, f)
+    total, home, energy = [], [], []
+    station = [[] for _ in stations]
+    segment = [[[] for _ in s.segments] for s in stations]
+    for t in range(T):
+        total.append(lp.add_variable(f"total[{f.id},{t}]", 0.0, f.max_charge))
+        home.append(lp.add_variable(
+            f"home[{f.id},{t}]",
+            0.0,
+            f.home_connectivity[t] * f.home_cap,
+            objective=f.tou[t] + home_price_bump,
+        ))
+        for k, s in enumerate(stations):
+            station[k].append(lp.add_variable(
+                f"station[{f.id},{s.id},{t}]",
                 0.0,
-                f.home_connectivity[t] * f.home_cap,
-                objective=f.tou[t] + home_price_bump,
+                f.station_conn(s.id)[t] * f.station_cap(s.id),
+                objective=inp.offers[s.id][t],
             ))
-            for k, s in enumerate(stations):
-                tau = inp.offers[s.id][t]
-                station[k].append(lp.add_variable(
-                    f"station[{f.id},{s.id},{t}]",
-                    0.0,
-                    f.station_conn(s.id)[t] * f.station_cap(s.id),
-                    objective=tau if billing == BILLING_OFFER else 0.0,
-                ))
-                for m, seg in enumerate(s.segments):
-                    price = 0.0
-                    if billing == BILLING_WTP_SEGMENTS:
-                        price = inp.segment_prices[s.id][m][t]
-                    segment[k][m].append(lp.add_variable(
-                        f"segment[{f.id},{s.id},{m},{t}]", 0.0, seg.width, objective=price
-                    ))
-            final_floor = f.energy_min
-            if t == T - 1 and f.final_energy_min is not None:
-                final_floor = max(f.energy_min, f.final_energy_min)
-            energy.append(lp.add_variable(f"energy[{f.id},{t}]", final_floor, f.energy_max))
+            for m, seg in enumerate(s.segments):
+                segment[k][m].append(
+                    lp.add_variable(f"segment[{f.id},{s.id},{m},{t}]", 0.0, seg.width)
+                )
+        final_floor = f.energy_min
+        if t == T - 1 and f.final_energy_min is not None:
+            final_floor = max(f.energy_min, f.final_energy_min)
+        energy.append(lp.add_variable(f"energy[{f.id},{t}]", final_floor, f.energy_max))
 
-        for t in range(T):
-            coeffs = {total[t]: 1.0, home[t]: -1.0}
-            for cols in station:
-                coeffs[cols[t]] = -1.0
-            lp.add_constraint(f"split[{f.id},{t}]", coeffs, EQ, 0.0)
-            for s, cols, seg_cols in zip(stations, station, segment):
-                scoeffs = {cols[t]: 1.0}
-                for m_cols in seg_cols:
-                    scoeffs[m_cols[t]] = -1.0
-                lp.add_constraint(f"station_split[{f.id},{s.id},{t}]", scoeffs, EQ, 0.0)
-            coeffs = {energy[t]: 1.0, total[t]: -f.charge_efficiency}
-            rhs = -f.driving[t] / f.discharge_efficiency
-            if t > 0:
-                coeffs[energy[t - 1]] = -1.0
-            else:
-                rhs += f.initial_energy
-            lp.add_constraint(f"energy_balance[{f.id},{t}]", coeffs, EQ, rhs)
+    for t in range(T):
+        coeffs = {total[t]: 1.0, home[t]: -1.0}
+        for cols in station:
+            coeffs[cols[t]] = -1.0
+        lp.add_constraint(f"split[{f.id},{t}]", coeffs, EQ, 0.0)
+        for s, cols, seg_cols in zip(stations, station, segment):
+            scoeffs = {cols[t]: 1.0}
+            for m_cols in seg_cols:
+                scoeffs[m_cols[t]] = -1.0
+            lp.add_constraint(f"station_split[{f.id},{s.id},{t}]", scoeffs, EQ, 0.0)
+        coeffs = {energy[t]: 1.0, total[t]: -f.charge_efficiency}
+        rhs = -f.driving[t] / f.discharge_efficiency
+        if t > 0:
+            coeffs[energy[t - 1]] = -1.0
+        else:
+            rhs += f.initial_energy
+        lp.add_constraint(f"energy_balance[{f.id},{t}]", coeffs, EQ, rhs)
 
-        index[f.id] = FleetColumns(total, home, tuple(station), tuple(map(tuple, segment)), energy)
-
-    return lp.build(), index
+    return lp.build(), FleetColumns(total, home, tuple(station), tuple(map(tuple, segment)), energy)
 
 
 def _schedule_from_solution(inp: FleetInput, f: EVFleet, values, cols: FleetColumns):
@@ -271,7 +237,7 @@ def _schedule_from_solution(inp: FleetInput, f: EVFleet, values, cols: FleetColu
 def solve_fleet(
     inp: FleetInput, *, feas_tol: float = lpcore.FEAS_TOL, memo: dict | None = None
 ) -> FleetSchedule:
-    """Clear every fleet under offer billing; returns the merged schedule.
+    """Clear every fleet; returns the merged schedule.
 
     Infeasible fleets are diagnosed before solving (first period whose
     cumulative driving cannot be recovered).  Each fleet's LP is solved
@@ -299,10 +265,10 @@ def solve_fleet(
         key = ("fleet", f.id, tuple(inp.offers[s.id] for s in _fleet_stations(inp, f)))
         result = None if memo is None else memo.get(key)
         if result is None:
-            lp, index = build_fleet(inp, home_price_bump=TIE_BREAK_EPS, fleet_ids={f.id})
+            lp, cols = build_fleet(inp, f, home_price_bump=TIE_BREAK_EPS)
             values = lpcore.require_optimal(lp, feas_tol=feas_tol).primal
-            result = _schedule_from_solution(inp, f, values, index[f.id])
-            solved[f.id] = (key, lp, index[f.id], result)
+            result = _schedule_from_solution(inp, f, values, cols)
+            solved[f.id] = (key, lp, cols, result)
         (
             total[f.id], home[f.id], station[f.id], segments[f.id], energy[f.id], fleet_costs[f.id]
         ) = result
@@ -333,8 +299,7 @@ def schedule_values(
     inp: FleetInput, sched: FleetSchedule, fleet: EVFleet, lp: LinearProgram, cols: FleetColumns
 ) -> np.ndarray:
     """A schedule's series for one fleet as one value per column of `lp`,
-    the LP that `build_fleet(inp, fleet_ids={fleet.id})` returned with
-    `cols` for that fleet."""
+    the LP that `build_fleet(inp, fleet)` returned with `cols`."""
     fid = fleet.id
     values = [0.0] * len(lp.variables)
     placed = [(cols.total, sched.total[fid]), (cols.home, sched.home[fid])]
@@ -354,9 +319,9 @@ def schedule_values(
 
 
 def build_fleet_paper_dual(
-    inp: FleetInput, segment_prices, *, corrected_segment_sign: bool = False
+    inp: FleetInput, fleet: EVFleet, segment_prices, *, corrected_segment_sign: bool = False
 ) -> LinearProgram:
-    """Literal transcription of the published dual of the fleet program.
+    """Literal transcription of the published dual of one fleet's program.
 
     Kept exactly as printed, including its quirks: the segment stationarity
     row carries the cleared bid price on the rhs even though the primal
@@ -380,90 +345,92 @@ def build_fleet_paper_dual(
     FREE = (-lpcore.INF, lpcore.INF)
     seg_sign = -1.0 if corrected_segment_sign else 1.0
 
-    for f in inp.fleets:
-        stations = _fleet_stations(inp, f)
-        col = {}  # (family, *indices) -> column labelled family[fleet,*indices]
+    f = fleet
+    stations = _fleet_stations(inp, f)
+    col = {}  # (family, *indices) -> column labelled family[fleet,*indices]
 
-        def var(family, *key, objective=0.0, bounds=POS):
-            label = ",".join(map(str, (f.id, *key)))
-            col[(family, *key)] = lp.add_variable(f"{family}[{label}]", *bounds, objective=objective)
+    def var(family, *key, objective=0.0, bounds=POS):
+        label = ",".join(map(str, (f.id, *key)))
+        col[(family, *key)] = lp.add_variable(f"{family}[{label}]", *bounds, objective=objective)
 
-        for t in range(T):
-            var("rate_lo", t)
-            var("rate_up", t, objective=-f.max_charge)
-            var("home_lo", t)
-            var("home_up", t, objective=-f.home_connectivity[t] * f.home_cap)
-            for s in stations:
-                var("st_lo", s.id, t)
-                var("st_up", s.id, t, objective=-f.station_conn(s.id)[t] * f.station_cap(s.id))
-                for m, seg in enumerate(s.segments):
-                    var("seg_lo", s.id, m, t)
-                    # positive sign as printed; the exact dual carries -width
-                    var("seg_up", s.id, m, t, objective=seg_sign * seg.width)
-            var("en_lo", t, objective=f.energy_min)
-            var("en_up", t, objective=-f.energy_max)
-            var("price_split", t, bounds=FREE)
-            for s in stations:
-                var("price_station", s.id, t, bounds=FREE)
-            var("price_energy", t, objective=-f.driving[t] / f.discharge_efficiency, bounds=FREE)
+    for t in range(T):
+        var("rate_lo", t)
+        var("rate_up", t, objective=-f.max_charge)
+        var("home_lo", t)
+        var("home_up", t, objective=-f.home_connectivity[t] * f.home_cap)
+        for s in stations:
+            var("st_lo", s.id, t)
+            var("st_up", s.id, t, objective=-f.station_conn(s.id)[t] * f.station_cap(s.id))
+            for m, seg in enumerate(s.segments):
+                var("seg_lo", s.id, m, t)
+                # positive sign as printed; the exact dual carries -width
+                var("seg_up", s.id, m, t, objective=seg_sign * seg.width)
+        var("en_lo", t, objective=f.energy_min)
+        var("en_up", t, objective=-f.energy_max)
+        var("price_split", t, bounds=FREE)
+        for s in stations:
+            var("price_station", s.id, t, bounds=FREE)
+        var("price_energy", t, objective=-f.driving[t] / f.discharge_efficiency, bounds=FREE)
 
-        for t in range(T):
+    for t in range(T):
+        lp.add_constraint(
+            f"col[total[{f.id},{t}]]",
+            {
+                col["rate_lo", t]: 1.0,
+                col["rate_up", t]: -1.0,
+                col["price_split", t]: 1.0,
+                col["price_energy", t]: -f.charge_efficiency,
+            },
+            EQ,
+            0.0,
+        )
+        for s in stations:
             lp.add_constraint(
-                f"col[total[{f.id},{t}]]",
+                f"col[station[{f.id},{s.id},{t}]]",
                 {
-                    col["rate_lo", t]: 1.0,
-                    col["rate_up", t]: -1.0,
-                    col["price_split", t]: 1.0,
-                    col["price_energy", t]: -f.charge_efficiency,
+                    col["st_lo", s.id, t]: 1.0,
+                    col["st_up", s.id, t]: -1.0,
+                    col["price_station", s.id, t]: 1.0,
+                    col["price_split", t]: -1.0,
                 },
                 EQ,
-                0.0,
+                0.0,  # rhs 0 as printed; the primal's offer-price cost belongs here
             )
-            for s in stations:
+            for m in range(len(s.segments)):
                 lp.add_constraint(
-                    f"col[station[{f.id},{s.id},{t}]]",
+                    f"col[segment[{f.id},{s.id},{m},{t}]]",
                     {
-                        col["st_lo", s.id, t]: 1.0,
-                        col["st_up", s.id, t]: -1.0,
-                        col["price_station", s.id, t]: 1.0,
-                        col["price_split", t]: -1.0,
+                        col["seg_lo", s.id, m, t]: 1.0,
+                        col["seg_up", s.id, m, t]: -1.0,
+                        col["price_station", s.id, t]: -1.0,
                     },
                     EQ,
-                    0.0,  # rhs 0 as printed; offer-based billing implies the offer price here
+                    segment_prices[s.id][m][t],
                 )
-                for m in range(len(s.segments)):
-                    lp.add_constraint(
-                        f"col[segment[{f.id},{s.id},{m},{t}]]",
-                        {
-                            col["seg_lo", s.id, m, t]: 1.0,
-                            col["seg_up", s.id, m, t]: -1.0,
-                            col["price_station", s.id, t]: -1.0,
-                        },
-                        EQ,
-                        segment_prices[s.id][m][t],
-                    )
-            lp.add_constraint(
-                f"col[home[{f.id},{t}]]",
-                {col["home_lo", t]: 1.0, col["home_up", t]: -1.0, col["price_split", t]: -1.0},
-                EQ,
-                f.tou[t],
-            )
-            coeffs = {col["en_lo", t]: 1.0, col["en_up", t]: -1.0, col["price_energy", t]: 1.0}
-            if t < T - 1:
-                coeffs[col["price_energy", t + 1]] = -1.0
-            lp.add_constraint(f"col[energy[{f.id},{t}]]", coeffs, EQ, 0.0)
+        lp.add_constraint(
+            f"col[home[{f.id},{t}]]",
+            {col["home_lo", t]: 1.0, col["home_up", t]: -1.0, col["price_split", t]: -1.0},
+            EQ,
+            f.tou[t],
+        )
+        coeffs = {col["en_lo", t]: 1.0, col["en_up", t]: -1.0, col["price_energy", t]: 1.0}
+        if t < T - 1:
+            coeffs[col["price_energy", t + 1]] = -1.0
+        lp.add_constraint(f"col[energy[{f.id},{t}]]", coeffs, EQ, 0.0)
 
     return lp.build()
 
 
 @dataclass(frozen=True)
 class FleetDualReport:
-    """Which dual/primal pairings close the strong-duality gap.
+    """Which dual/primal pairings close the strong-duality gap, for one
+    fleet.
 
-    `offer_primal` is the default cost program; `segment_primal` the
-    flag-gated variant that bills station energy per bid segment.  The
-    automatic dual of each matches it by LP duality; `literal_dual` is the
-    transcribed published dual, solved as printed.
+    `offer_primal` is the fleet's cost program (`build_fleet`);
+    `segment_primal` the same LP re-priced to bill station energy per bid
+    segment at the cleared bid prices.  The automatic dual of each matches
+    it by LP duality; `literal_dual` is the transcribed published dual,
+    solved as printed.
     """
 
     offer_primal: float
@@ -535,25 +502,33 @@ class FleetDualReport:
 
 
 def dual_form_report(
-    inp: FleetInput, segment_prices, tol: float = lpcore.DUALITY_TOL
+    inp: FleetInput, fleet: EVFleet, segment_prices, tol: float = lpcore.DUALITY_TOL
 ) -> FleetDualReport:
-    """Solve both primal variants, their automatic duals, and the transcribed
-    dual (as printed, and with its boundedness-breaking sign repaired), and
-    report which equalities hold."""
-    offer_lp = build_fleet(inp)[0]
+    """Solve both primal variants of `fleet`'s program, their automatic
+    duals, and the transcribed dual (as printed, and with its
+    boundedness-breaking sign repaired), and report which equalities hold.
+
+    The segment-billed variant is the offer LP with each station column's
+    cost set to 0 and each bid-segment column's cost to its
+    `segment_prices[c][m][t]`; nothing else differs."""
+    offer_lp, cols = build_fleet(inp, fleet)
     offer_sol = lpcore.require_optimal(offer_lp)
     offer_dual = lpcore.require_optimal(lpcore.dualize(offer_lp))
 
     seg_primal = seg_dual = None
     if segment_prices is not None:
-        seg_inp = replace(inp, segment_prices=dict(segment_prices))
-        seg_lp = build_fleet(seg_inp, billing=BILLING_WTP_SEGMENTS)[0]
+        objective = offer_lp.objective.copy()
+        for s, s_cols, seg_cols in zip(_fleet_stations(inp, fleet), cols.station, cols.segment):
+            objective[s_cols] = 0.0
+            for m_cols, prices in zip(seg_cols, segment_prices[s.id]):
+                objective[m_cols] = prices
+        seg_lp = replace(offer_lp, objective=objective)
         seg_primal = lpcore.require_optimal(seg_lp).objective
         seg_dual = lpcore.require_optimal(lpcore.dualize(seg_lp)).objective
 
-    literal = lpcore.solve(build_fleet_paper_dual(inp, segment_prices))
+    literal = lpcore.solve(build_fleet_paper_dual(inp, fleet, segment_prices))
     corrected = lpcore.solve(
-        build_fleet_paper_dual(inp, segment_prices, corrected_segment_sign=True)
+        build_fleet_paper_dual(inp, fleet, segment_prices, corrected_segment_sign=True)
     )
     return FleetDualReport(
         offer_primal=offer_sol.objective,

@@ -377,10 +377,10 @@ class _Tableau:
 
     # -- core iteration loop ---------------------------------------------------
 
-    def run(self, costs, *, opt_tol, max_iterations, allow_unbounded):
+    def run(self, costs, *, max_iterations, allow_unbounded):
         """Minimize costs over the current basis; returns a status string."""
         cost_scale = float(np.max(np.abs(costs))) if costs.size else 0.0
-        dtol = opt_tol * (1.0 + cost_scale)
+        dtol = OPT_TOL * (1.0 + cost_scale)
         bland = False
         stall = 0
         while True:
@@ -493,7 +493,7 @@ class _Tableau:
         return best_t, leave_pos, hits_upper
 
 
-def _extract_solution(lp: LinearProgram, tab: _Tableau, feas_tol, opt_tol, phase1_iterations):
+def _extract_solution(lp: LinearProgram, tab: _Tableau, feas_tol, phase1_iterations):
     """Final verification and packaging; returns None if the claimed optimum
     does not survive an exact refactorization."""
     if not tab.refactor():
@@ -517,7 +517,7 @@ def _extract_solution(lp: LinearProgram, tab: _Tableau, feas_tol, opt_tol, phase
         return None
 
     # dual feasibility of the final basis
-    dtol = opt_tol * (1.0 + float(np.max(np.abs(tab.c)))) * 100.0
+    dtol = OPT_TOL * (1.0 + float(np.max(np.abs(tab.c)))) * 100.0
     for j in range(tab.nreal):
         if tab.in_basis[j] or tab.lo[j] == tab.up[j]:
             continue
@@ -545,22 +545,18 @@ def _extract_solution(lp: LinearProgram, tab: _Tableau, feas_tol, opt_tol, phase
     )
 
 
-def solve(
-    lp: LinearProgram,
-    *,
-    feas_tol: float = FEAS_TOL,
-    opt_tol: float = OPT_TOL,
-    max_iterations: int | None = None,
-) -> LpSolution:
+def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL) -> LpSolution:
     """Solve an LP to proven optimality, or report infeasible/unbounded.
 
-    The returned primal/dual pair satisfies strong duality within
-    DUALITY_TOL whenever status is "optimal"; a failed internal
-    verification is reported as "numerical_failure", never as a wrong
-    optimum.
+    `feas_tol` scales the phase-1 infeasibility test and the final
+    verification; reduced costs are tested against OPT_TOL.  After
+    2000 + 200 * (columns + rows) simplex iterations over both phases the
+    solve stops with status "iteration_limit".  The returned primal/dual
+    pair satisfies strong duality within DUALITY_TOL whenever status is
+    "optimal"; a failed internal verification is reported as
+    "numerical_failure", never as a wrong optimum.
     """
-    if max_iterations is None:
-        max_iterations = 2000 + 200 * (len(lp.variables) + len(lp.constraints))
+    max_iterations = 2000 + 200 * (len(lp.variables) + len(lp.constraints))
 
     tab = _Tableau(lp)
     m = tab.m
@@ -568,12 +564,7 @@ def solve(
     # phase 1: minimize total artificial mass
     phase1_costs = np.zeros(tab.ncols)
     phase1_costs[tab.nreal :] = 1.0
-    status = tab.run(
-        phase1_costs,
-        opt_tol=opt_tol,
-        max_iterations=max_iterations,
-        allow_unbounded=False,
-    )
+    status = tab.run(phase1_costs, max_iterations=max_iterations, allow_unbounded=False)
     phase1 = tab.iterations
 
     def stopped(status, **payload):
@@ -618,12 +609,7 @@ def solve(
         tab.pivots_since_refactor += 1
 
     # phase 2: real objective
-    status = tab.run(
-        tab.c,
-        opt_tol=opt_tol,
-        max_iterations=max_iterations,
-        allow_unbounded=True,
-    )
+    status = tab.run(tab.c, max_iterations=max_iterations, allow_unbounded=True)
     if status in (ITERATION_LIMIT, NUMERICAL):
         return stopped(status)
     if status == UNBOUNDED:
@@ -635,7 +621,7 @@ def solve(
         ray[tab.basis[moves]] = -sigma * w[moves]
         return stopped(UNBOUNDED, unbounded_ray=ray)
 
-    solution = _extract_solution(lp, tab, feas_tol, opt_tol, phase1)
+    solution = _extract_solution(lp, tab, feas_tol, phase1)
     return solution if solution is not None else stopped(NUMERICAL)
 
 

@@ -401,7 +401,7 @@ def validate(scenario: Scenario) -> ValidationReport:
             bad(f"network.demands[{i}].load", "negative load")
 
     station_ids = {s.id for s in scenario.stations}
-    fleet_ids = {f.id for f in scenario.fleets}
+    known_fleets = {f.id for f in scenario.fleets}
 
     for i, f in enumerate(scenario.fleets):
         path = f"fleets[{i}]"
@@ -461,7 +461,7 @@ def validate(scenario: Scenario) -> ValidationReport:
 
     for i, s in enumerate(scenario.stations):
         path = f"stations[{i}]"
-        if s.fleet_id not in fleet_ids:
+        if s.fleet_id not in known_fleets:
             bad(path, f"fleet {s.fleet_id!r} not in scenario")
             continue
         fleet = scenario.fleet(s.fleet_id)
@@ -487,10 +487,10 @@ def validate(scenario: Scenario) -> ValidationReport:
         return isinstance(value, kinds) and not isinstance(value, bool)
 
     settings = scenario.settings
-    for name in ("budget", "block_width"):
+    for name, least in (("budget", 1), ("multistarts", 1), ("block_width", 1), ("seed", 0)):
         value = getattr(settings, name)
-        if not (number(value, int) and value >= 1):
-            bad(f"settings.{name}", f"must be an integer >= 1, got {value!r}")
+        if not (number(value, int) and value >= least):
+            bad(f"settings.{name}", f"must be an integer >= {least}, got {value!r}")
     if not (number(settings.step_min) and settings.step_min > 0):
         bad("settings.step_min", f"must be > 0, got {settings.step_min!r}")
     for name in ("feas_tol", "duality_tol"):
@@ -600,6 +600,25 @@ def _resolve_series(value, T, base_dir, path):
     if isinstance(value, (int, float)):
         return (float(value),) * T
     return _series(value)
+
+
+_INT_SETTINGS = ("budget", "multistarts", "block_width", "seed")
+_FLOAT_SETTINGS = ("feas_tol", "duality_tol", "step_min")
+
+
+def _setting(name: str, value, integer: bool):
+    """A JSON settings number as a float, or as an int when `integer` (a
+    float with no fraction is accepted); anything else (a string, a
+    boolean, null, a fraction where an integer belongs) raises
+    ScenarioFormatError naming settings.<name>.  Range checks stay with
+    `validate`."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if not integer:
+            return float(value)
+        if isinstance(value, int) or value.is_integer():
+            return int(value)
+    kind = "an integer" if integer else "a number"
+    raise ScenarioFormatError(f"settings.{name}: expected {kind}, got {value!r}")
 
 
 def _price(obj: Mapping[str, Any], key: str, T, base_dir, path, series=True):
@@ -745,6 +764,9 @@ def scenario_from_json(data: Mapping[str, Any], base_dir=None) -> Scenario:
         unknown = set(raw_settings) - known
         if unknown:
             raise ScenarioFormatError(f"settings: unknown keys {sorted(unknown)}")
+        for name in _INT_SETTINGS + _FLOAT_SETTINGS:
+            if name in raw_settings:
+                raw_settings[name] = _setting(name, raw_settings[name], name in _INT_SETTINGS)
         settings = SolverSettings(**raw_settings)
         if settings.parameterization not in _PARAM_MODES:
             raise ScenarioFormatError(

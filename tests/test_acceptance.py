@@ -53,7 +53,7 @@ def test_criterion_2_dam_pricing_oracle():
     assert out.lmp["b1"][0] == pytest.approx(10.0, abs=1e-6)
     assert out.lmp["b2"][0] == pytest.approx(30.0, abs=1e-6)
 
-    lp, _ = dam.build_dam(congested, period=0)
+    lp, _ = dam.build_dam(congested, 0)
     ref_val, _ = vertex_enumerate(lp)
     assert out.period_welfare[0] == pytest.approx(ref_val, abs=1e-6)
 
@@ -66,7 +66,7 @@ def test_criterion_2_dam_pricing_oracle():
         perturbed = dam.DamInput(
             dataclasses.replace(net, demands=demands), (), ()
         )
-        val_h, _ = vertex_enumerate(dam.build_dam(perturbed, period=0)[0])
+        val_h, _ = vertex_enumerate(dam.build_dam(perturbed, 0)[0])
         assert -(val_h - ref_val) / h == pytest.approx(expected, abs=1e-6)
 
     uncongested = two_bus(line_cap=100.0)
@@ -95,17 +95,19 @@ def test_criterion_3_fleet_response_oracle():
 
 
 def test_criterion_4_explicit_dual_cross_check(capsys):
-    """>=50 random market instances: the explicit transposed dual's optimum
-    equals the primal optimum at 1e-6.  Fleet side: the automatic dual
-    always matches; the literal transcribed dual is reported."""
+    """>=50 random market instances: on every period, the explicit
+    transposed dual's optimum equals the primal optimum at 1e-6.  Fleet
+    side: the automatic dual always matches; the literal transcribed dual
+    is reported."""
     rng = np.random.default_rng(42)
     for k in range(50):
         inp = random_dam_input(rng)
-        primal = lpcore.require_optimal(dam.build_dam(inp)[0])
-        explicit = lpcore.require_optimal(dam.build_dam_paper_dual(inp))
-        gap = abs(primal.objective - explicit.objective)
-        scale = max(1.0, abs(primal.objective))
-        assert gap / scale <= 1e-6, f"instance {k}: gap {gap}"
+        for t in range(inp.network.horizon):
+            primal = lpcore.require_optimal(dam.build_dam(inp, t)[0])
+            explicit = lpcore.require_optimal(dam.build_dam_paper_dual(inp, t))
+            gap = abs(primal.objective - explicit.objective)
+            scale = max(1.0, abs(primal.objective))
+            assert gap / scale <= 1e-6, f"instance {k}, period {t}: gap {gap}"
 
     rng = np.random.default_rng(43)
     literal_matches = 0
@@ -113,17 +115,18 @@ def test_criterion_4_explicit_dual_cross_check(capsys):
     checked = 0
     for _ in range(30):
         finp = random_fleet_input(rng)
+        fleet = finp.fleets[0]
         try:
-            primal = lpcore.require_optimal(fl.build_fleet(finp)[0])
+            primal = lpcore.require_optimal(fl.build_fleet(finp, fleet)[0])
         except lpcore.LpSolveError:
             continue
-        auto = lpcore.require_optimal(lpcore.dualize(fl.build_fleet(finp)[0]))
+        auto = lpcore.require_optimal(lpcore.dualize(fl.build_fleet(finp, fleet)[0]))
         assert auto.objective == pytest.approx(primal.objective, rel=1e-6, abs=1e-6)
         checked += 1
         segment_prices = {
             "c1": tuple(seg.wtp_max for seg in finp.stations[0].segments)
         }
-        report = fl.dual_form_report(finp, segment_prices)
+        report = fl.dual_form_report(finp, fleet, segment_prices)
         literal_total += 1
         if report.literal_matches_offer:
             literal_matches += 1

@@ -403,9 +403,13 @@ class TestCertify:
 
 
 def _cold_fleet_bound(outcome):
-    """The fleet optimum as a cold solve of the dualized LP over all fleets."""
+    """The fleet optimum as the sum of cold solves of each fleet's dualized
+    LP."""
     finput = fl.fleet_input(outcome.scenario, outcome.offers)
-    return lpcore.require_optimal(lpcore.dualize(fl.build_fleet(finput)[0])).objective
+    return sum(
+        lpcore.require_optimal(lpcore.dualize(fl.build_fleet(finput, f)[0])).objective
+        for f in outcome.scenario.fleets
+    )
 
 
 def _cold_welfare_bound(lp, ix, outcome, t):
@@ -426,9 +430,9 @@ def _assert_bounds_match_cold_path(outcome):
     assert abs(fleet_bound - cold) <= 1e-9 * max(1.0, abs(cold))
     dinput = bl.dam_input_for(outcome.scenario, outcome.schedule)
     for t in range(outcome.scenario.network.horizon):
-        lp, index = dam.build_dam(dinput, period=t)
-        bound = bl._welfare_bound(lp, index[t], outcome, t)
-        cold = _cold_welfare_bound(lp, index[t], outcome, t)
+        lp, index = dam.build_dam(dinput, t)
+        bound = bl._welfare_bound(lp, index, outcome, t)
+        cold = _cold_welfare_bound(lp, index, outcome, t)
         assert abs(bound - cold) <= 1e-9 * max(1.0, abs(cold)), t
 
 
@@ -454,15 +458,14 @@ def _assert_layout_round_trip(outcome):
     scenario = outcome.scenario
     dinput = bl.dam_input_for(scenario, outcome.schedule)
     for t in range(scenario.network.horizon):
-        lp, index = dam.build_dam(dinput, period=t)
+        lp, index = dam.build_dam(dinput, t)
         sol = lpcore.require_optimal(lp, feas_tol=scenario.settings.feas_tol)
-        values = dam.period_values(dinput, outcome.dam, t, lp, index[t])
+        values = dam.period_values(dinput, outcome.dam, t, lp, index)
         assert values.tobytes() == sol.primal.tobytes(), t
     finput = fl.fleet_input(scenario, outcome.offers)
     for f in scenario.fleets:
-        lp, index = fl.build_fleet(finput, home_price_bump=fl.TIE_BREAK_EPS, fleet_ids={f.id})
+        lp, cols = fl.build_fleet(finput, f, home_price_bump=fl.TIE_BREAK_EPS)
         sol = lpcore.require_optimal(lp, feas_tol=scenario.settings.feas_tol)
-        cols = index[f.id]
         values = fl.schedule_values(finput, outcome.schedule, f, lp, cols)
         read = [cols.home] + [m_cols for seg_cols in cols.segment for m_cols in seg_cols]
         for c in read:

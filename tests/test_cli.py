@@ -52,6 +52,29 @@ class TestValidate:
         path.write_text("{}")
         assert run_cli("validate", path) == 2
 
+    @pytest.mark.parametrize(
+        "field, value, code",
+        [
+            ("feas_tol", "x", 2),
+            ("multistarts", "x", 2),
+            ("budget", 2.5, 2),
+            ("seed", True, 2),
+            ("multistarts", 0, 1),
+            ("seed", -3, 1),
+        ],
+    )
+    def test_bad_setting_names_the_field(self, tmp_path, capsys, field, value, code):
+        # a non-number cannot be read (2); a number out of range is an
+        # invariant violation (1)
+        doc = md.scenario_to_json(one_bus_scenario())
+        doc["settings"][field] = value
+        path = tmp_path / "bad_settings.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("validate", path) == code
+        assert f"settings.{field}" in "".join(capsys.readouterr())
+        assert run_cli("run", path, "--out", tmp_path / "o") == code
+        assert f"settings.{field}" in capsys.readouterr().err
+
 
 class TestRun:
     def test_writes_outputs_and_passes(self, toy_path, tmp_path, capsys):
@@ -136,6 +159,31 @@ class TestRun:
         assert run_cli("run", toy_path, "--out", out, "--certify") == 3
         assert "fleet_feasibility: inf at fleet f1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("scenario", "settings", "feas_tol"),
+            ("schedule", "home", "f1", 0),
+            ("dam", "lmp", "b1", 1),
+            ("offers", "c1", 0),
+            ("schedule", "fleet_costs", "f1"),
+            ("schedule", "home"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", ["x", None])
+    def test_certify_non_number_in_cache_exit_two(self, toy_path, tmp_path, capsys, path, bad):
+        out = tmp_path / "cache"
+        assert run_cli("run", toy_path, "--out", out) == 0
+        doc = json.loads((out / "outcome.json").read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        (out / "outcome.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("run", toy_path, "--out", out, "--certify") == 2
+        assert "error: --certify: cached outcome unreadable" in capsys.readouterr().err
+
     def test_certify_without_cache_exit_two(self, toy_path, tmp_path):
         assert run_cli("run", toy_path, "--out", tmp_path / "fresh", "--certify") == 2
 
@@ -149,6 +197,11 @@ class TestRun:
     def test_budget_below_one_is_a_usage_error(self, toy_path, tmp_path, capsys):
         assert run_cli("run", toy_path, "--budget", 0, "--out", tmp_path / "o") == 2
         assert "error: argument --budget: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_is_a_usage_error(self, toy_path, tmp_path, capsys):
+        assert run_cli("run", toy_path, "--seed", -1, "--out", tmp_path / "o") == 2
+        assert "error: argument --seed: must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_bad_setting_exit_one_names_the_field(self, tmp_path, capsys):
@@ -198,6 +251,12 @@ class TestSweep:
         code = run_cli("sweep", toy_path, "--pv", "0,1", "--budget", 0, "--out", tmp_path / "sw")
         assert code == 2
         assert "error: argument --budget: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
+    def test_negative_seed_is_a_usage_error(self, toy_path, tmp_path, capsys):
+        code = run_cli("sweep", toy_path, "--pv", "0,1", "--seed", -1, "--out", tmp_path / "sw")
+        assert code == 2
+        assert "error: argument --seed: must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
 
     def test_sweep_determinism(self, toy_path, tmp_path):

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from evcsmarket import bilevel as bl
 from evcsmarket import dam, lpcore
 from evcsmarket import model as md
 from oracles import vertex_enumerate
@@ -93,8 +94,16 @@ def random_dam_input(rng):
                 )
             )
         inp = dam.DamInput(net, tuple(withdrawals), tuple(bids))
-        if lpcore.solve(dam.build_dam(inp)[0]).is_optimal:
+        if all(lpcore.solve(dam.build_dam(inp, t)[0]).is_optimal for t in range(T)):
             return inp
+
+
+@pytest.fixture(scope="module")
+def desk_market(desk):
+    """The desk scenario's market input at its midpoint offers: 24 periods,
+    solar, three generators."""
+    outcome = bl.evaluate(bl.midpoint_strategy(desk), desk)
+    return bl.dam_input_for(desk, outcome.schedule)
 
 
 class TestBuildAndSolve:
@@ -105,7 +114,7 @@ class TestBuildAndSolve:
         assert out.lmp["b1"][0] == pytest.approx(10.0, abs=1e-9)
 
     def test_single_bus_against_vertex_enumeration(self):
-        lp, _ = dam.build_dam(single_bus(), period=0)
+        lp, _ = dam.build_dam(single_bus(), 0)
         ref_val, _ = vertex_enumerate(lp)
         assert ref_val == pytest.approx(-500.0, abs=1e-9)
 
@@ -165,29 +174,77 @@ class TestBuildAndSolve:
         inp = single_bus()
         bid = dam.StationDamBid("c1", ((12.0,),), ((0.0,),), ((50.0,),), (10.0,))
         with pytest.raises(dam.DamStructureError, match="outside segment width"):
-            dam.build_dam(dam.DamInput(inp.network, (), (bid,)))
+            dam.build_dam(dam.DamInput(inp.network, (), (bid,)), 0)
 
     def test_line_to_unknown_bus_rejected(self):
         net = two_bus().network
         net = dataclasses.replace(net, lines=(md.Line("l1", "b1", "nowhere", 0.1, -10.0, 10.0),))
         with pytest.raises(dam.DamStructureError, match="endpoint"):
-            dam.build_dam(dam.DamInput(net, (), ()))
+            dam.build_dam(dam.DamInput(net, (), ()), 0)
 
-    def test_block_lp_equals_per_period(self):
+    def test_welfare_equals_period_optima(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
             inp = random_dam_input(rng)
             out = dam.solve_dam(inp)
-            block = lpcore.require_optimal(dam.build_dam(inp)[0])
+            optima = sum(
+                lpcore.require_optimal(dam.build_dam(inp, t)[0]).objective
+                for t in range(inp.network.horizon)
+            )
             bid_value = sum(
                 q[t] * out.wtp[bid.station_id][m][t]
                 for bid in inp.station_bids
                 for m, q in enumerate(bid.quantities)
                 for t in range(inp.network.horizon)
             )
-            assert block.objective + bid_value == pytest.approx(
-                out.welfare, rel=1e-9, abs=1e-9
+            assert optima + bid_value == pytest.approx(out.welfare, rel=1e-9, abs=1e-9)
+
+
+class TestPeriodLp:
+    """A period LP depends only on its own period: what the per-search memo
+    key relies on, and what a per-network template of the market LP needs."""
+
+    def test_periods_share_structure(self, desk_market):
+        net = desk_market.network
+        assert net.horizon == 24 and net.solar_units and len(net.generators) == 3
+        first, first_ix = dam.build_dam(desk_market, 0)
+        for t in range(net.horizon):
+            lp, ix = dam.build_dam(desk_market, t)
+            assert ix == first_ix
+            assert lp.sense == first.sense
+            for name in ("objective", "lower", "matrix", "relations"):
+                assert np.array_equal(getattr(lp, name), getattr(first, name)), (t, name)
+            others = np.ones(len(lp.variables), dtype=bool)
+            others[ix.solar] = False
+            assert np.array_equal(lp.upper[others], first.upper[others]), t
+            assert lp.upper[ix.solar].tolist() == [s.available[t] for s in net.solar_units]
+
+    def test_other_periods_leave_the_lp_unchanged(self, desk_market):
+        net = desk_market.network
+        for t in range(net.horizon):
+            def shifted(series, by):
+                return tuple(v if s == t else v + by for s, v in enumerate(series))
+
+            moved = dataclasses.replace(
+                net,
+                demands=tuple(
+                    dataclasses.replace(d, load=shifted(d.load, 3.0)) for d in net.demands
+                ),
+                solar_units=tuple(
+                    dataclasses.replace(u, available=shifted(u.available, 1.5))
+                    for u in net.solar_units
+                ),
             )
+            withdrawals = tuple(
+                dataclasses.replace(w, power=shifted(w.power, 2.0))
+                for w in desk_market.withdrawals
+            )
+            perturbed = dam.DamInput(moved, withdrawals, desk_market.station_bids)
+            lp, ix = dam.build_dam(desk_market, t)
+            other, other_ix = dam.build_dam(perturbed, t)
+            assert other_ix == ix
+            for name in ("objective", "lower", "upper", "matrix", "relations", "rhs"):
+                assert np.array_equal(getattr(other, name), getattr(lp, name)), (t, name)
 
 
 class TestMemo:
@@ -289,28 +346,29 @@ class TestInvariants:
 class TestExplicitDual:
     def test_single_bus_value(self):
         inp = single_bus()
-        sol = lpcore.require_optimal(dam.build_dam_paper_dual(inp))
+        sol = lpcore.require_optimal(dam.build_dam_paper_dual(inp, 0))
         assert sol.objective == pytest.approx(-500.0, abs=1e-9)
 
     def test_congested_two_bus_value(self):
         inp = two_bus(line_cap=10.0)
-        primal = lpcore.require_optimal(dam.build_dam(inp)[0])
-        explicit = lpcore.require_optimal(dam.build_dam_paper_dual(inp))
+        primal = lpcore.require_optimal(dam.build_dam(inp, 0)[0])
+        explicit = lpcore.require_optimal(dam.build_dam_paper_dual(inp, 0))
         assert explicit.objective == pytest.approx(primal.objective, rel=1e-9, abs=1e-9)
 
-    def test_structural_diff_empty(self):
+    def test_structural_diff_empty(self, desk_market):
         rng = np.random.default_rng(5)
-        assert dam.paper_dual_structural_diff(single_bus()) == []
-        assert dam.paper_dual_structural_diff(two_bus()) == []
-        for _ in range(5):
-            assert dam.paper_dual_structural_diff(random_dam_input(rng)) == []
+        inputs = [single_bus(), two_bus()] + [random_dam_input(rng) for _ in range(5)]
+        for inp in inputs + [desk_market]:
+            for t in range(inp.network.horizon):
+                assert dam.paper_dual_structural_diff(inp, t) == [], t
 
     def test_randomized_value_equality(self):
         rng = np.random.default_rng(41)
         for _ in range(15):
             inp = random_dam_input(rng)
-            primal = lpcore.require_optimal(dam.build_dam(inp)[0])
-            explicit = lpcore.require_optimal(dam.build_dam_paper_dual(inp))
-            assert explicit.objective == pytest.approx(
-                primal.objective, rel=1e-7, abs=1e-7
-            )
+            for t in range(inp.network.horizon):
+                primal = lpcore.require_optimal(dam.build_dam(inp, t)[0])
+                explicit = lpcore.require_optimal(dam.build_dam_paper_dual(inp, t))
+                assert explicit.objective == pytest.approx(
+                    primal.objective, rel=1e-7, abs=1e-7
+                )

@@ -82,7 +82,7 @@ class TestSolve:
 
     def test_tie_break_disabled_keeps_cost(self):
         inp = toy_input((20.0, 20.0))
-        untied = lpcore.require_optimal(fl.build_fleet(inp)[0]).objective
+        untied = lpcore.require_optimal(fl.build_fleet(inp, inp.fleets[0])[0]).objective
         assert untied == pytest.approx(200.0, abs=1e-6)
         assert fl.solve_fleet(inp).cost == pytest.approx(untied, abs=1e-6)
 
@@ -178,14 +178,14 @@ def assert_one_solve_matches_cold_path(inp):
     HiGHS on it, and the surcharge never adds home charging."""
     sched = fl.solve_fleet(inp)
     for f in inp.fleets:
-        lp, index = fl.build_fleet(inp, fleet_ids={f.id})
+        lp, cols = fl.build_fleet(inp, f)
         cold = lpcore.require_optimal(lp)
         cost = sched.fleet_costs[f.id]
         assert abs(cost - cold.objective) <= 1e-7 * max(1.0, abs(cold.objective))
         status, ref = scipy_reference(lp)
         assert status == "optimal"
         assert abs(cost - ref) <= 1e-6 * max(1.0, abs(ref))
-        cold_home = sum(cold.primal[index[f.id].home].tolist())
+        cold_home = sum(cold.primal[cols.home].tolist())
         assert sum(sched.home[f.id]) <= cold_home + 1e-6
 
 
@@ -213,17 +213,12 @@ class TestStructure:
         fleet, station = two_period_fleet(tau_bounds=(10.0, 40.0))
         inp = fl.FleetInput((fleet,), (station,), 2, {"c1": (45.0, 20.0)})
         with pytest.raises(fl.FleetStructureError, match="outside"):
-            fl.build_fleet(inp)
+            fl.build_fleet(inp, fleet)
 
     def test_missing_offer_rejected(self):
         fleet, station = two_period_fleet()
         with pytest.raises(fl.FleetStructureError, match="no offer price"):
-            fl.build_fleet(fl.FleetInput((fleet,), (station,), 2, {}))
-
-    def test_segment_billing_needs_prices(self):
-        inp = toy_input((30.0, 10.0))
-        with pytest.raises(fl.FleetStructureError, match="segment_prices"):
-            fl.build_fleet(inp, billing=fl.BILLING_WTP_SEGMENTS)
+            fl.build_fleet(fl.FleetInput((fleet,), (station,), 2, {}), fleet)
 
     def test_identities_hold_exactly(self):
         rng = np.random.default_rng(3)
@@ -271,29 +266,29 @@ class TestDualForms:
         for _ in range(25):
             inp = random_fleet_input(rng)
             try:
-                primal = lpcore.require_optimal(fl.build_fleet(inp)[0])
+                primal = lpcore.require_optimal(fl.build_fleet(inp, inp.fleets[0])[0])
             except lpcore.LpSolveError:
                 continue
-            dual = lpcore.require_optimal(lpcore.dualize(fl.build_fleet(inp)[0]))
+            dual = lpcore.require_optimal(lpcore.dualize(fl.build_fleet(inp, inp.fleets[0])[0]))
             assert dual.objective == pytest.approx(primal.objective, rel=1e-6, abs=1e-6)
             count += 1
         assert count >= 15
 
     def test_literal_transcription_unbounded_with_positive_widths(self):
         inp = toy_input((30.0, 10.0))
-        sol = lpcore.solve(fl.build_fleet_paper_dual(inp, {"c1": ((50.0, 50.0),)}))
+        sol = lpcore.solve(fl.build_fleet_paper_dual(inp, inp.fleets[0], {"c1": ((50.0, 50.0),)}))
         assert sol.status == lpcore.UNBOUNDED
 
     def test_sign_corrected_matches_segment_billing_when_e0_zero(self):
         inp = toy_input((30.0, 10.0), e_init=0.0)
-        report = fl.dual_form_report(inp, {"c1": ((30.0, 10.0),)})
+        report = fl.dual_form_report(inp, inp.fleets[0], {"c1": ((30.0, 10.0),)})
         assert report.literal_dual is None
         assert report.corrected_matches_segment
         assert not report.literal_matches_offer
 
     def test_report_quantifies_initial_energy_gap(self):
         inp = toy_input((30.0, 10.0), e_init=5.0)
-        report = fl.dual_form_report(inp, {"c1": ((30.0, 10.0),)})
+        report = fl.dual_form_report(inp, inp.fleets[0], {"c1": ((30.0, 10.0),)})
         # transcription omits the initial-energy value: 5 MWh at the cheap
         # 10 $/MWh marginal hour
         assert report.segment_primal == pytest.approx(50.0, abs=1e-6)
@@ -309,13 +304,14 @@ class TestDualForms:
             driving=(0.0, 0.0), tou=(20.0, 20.0),
         )
         inp = fl.FleetInput((fleet,), (), 2, {})
-        sol = lpcore.solve(fl.build_fleet_paper_dual(inp, {}))
+        sol = lpcore.solve(fl.build_fleet_paper_dual(inp, fleet, {}))
         assert sol.is_optimal
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
-        assert lpcore.require_optimal(fl.build_fleet(inp)[0]).objective == pytest.approx(0.0)
+        assert lpcore.require_optimal(fl.build_fleet(inp, fleet)[0]).objective == pytest.approx(0.0)
 
     def test_report_summary_mentions_all_programs(self):
-        report = fl.dual_form_report(toy_input((30.0, 10.0)), {"c1": ((40.0, 40.0),)})
+        inp = toy_input((30.0, 10.0))
+        report = fl.dual_form_report(inp, inp.fleets[0], {"c1": ((40.0, 40.0),)})
         text = report.summary()
         assert "offer-billed" in text
         assert "literal transcribed dual" in text

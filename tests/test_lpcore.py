@@ -356,12 +356,12 @@ def model_lps(outcome):
     scenario = outcome.scenario
     inp = fl.fleet_input(scenario, outcome.offers)
     lps = [
-        fl.build_fleet(inp, home_price_bump=bump, fleet_ids={f.id})[0]
+        fl.build_fleet(inp, f, home_price_bump=bump)[0]
         for f in scenario.fleets
         for bump in (fl.TIE_BREAK_EPS, 0.0)
     ]
     market = bl.dam_input_for(scenario, outcome.schedule)
-    lps.extend(dam.build_dam(market, period=t)[0] for t in range(scenario.network.horizon))
+    lps.extend(dam.build_dam(market, t)[0] for t in range(scenario.network.horizon))
     return lps
 
 

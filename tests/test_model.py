@@ -103,6 +103,10 @@ class TestValidate:
         [
             ("budget", 0),
             ("budget", "400"),
+            ("multistarts", "x"),
+            ("multistarts", 0),
+            ("seed", -3),
+            ("seed", 1.5),
             ("step_min", 0.0),
             ("block_width", 0),
             ("feas_tol", math.inf),
@@ -139,11 +143,13 @@ class TestValidate:
         scenario = one_bus_scenario()
         assert md.validate(scenario).ok
         finput = fleet.fleet_input(scenario, {"c1": (20.0, 20.0)})
-        fleet.build_fleet(finput)
+        for f in scenario.fleets:
+            fleet.build_fleet(finput, f)
         schedule = fleet.solve_fleet(finput)
         from evcsmarket.bilevel import dam_input_for
 
-        dam.build_dam(dam_input_for(scenario, schedule))
+        for t in range(scenario.network.horizon):
+            dam.build_dam(dam_input_for(scenario, schedule), t)
 
 
 class TestPenetrationScaling:
