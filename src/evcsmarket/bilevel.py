@@ -601,14 +601,17 @@ def _fleet_checks(outcome: EquilibriumOutcome) -> dict[str, tuple[float, float]]
     for f in scenario.fleets:
         try:
             lp, cols = fleet_mod.build_fleet(finput, f)
+            priced = True
         except fleet_mod.FleetStructureError:
             floors = {st.id: st.offer_min for st in scenario.stations}
             lp, cols = fleet_mod.build_fleet(fleet_mod.fleet_input(scenario, floors), f)
-            bound = -math.inf
-        else:
-            sol = lpcore.solve(lp, feas_tol=scenario.settings.feas_tol)
-            bound = lpcore.lagrangian_bound(lp, sol.dual) if sol.is_optimal else -math.inf
+            priced = False
         values = fleet_mod.schedule_values(finput, outcome.schedule, f, lp, cols)
+        bound = -math.inf
+        if priced:
+            sol = lpcore.solve(lp, feas_tol=scenario.settings.feas_tol, start=values)
+            if sol.is_optimal:
+                bound = lpcore.lagrangian_bound(lp, sol.dual)
         checks[f.id] = (lpcore.max_violation(lp, values), bound)
     return checks
 
@@ -648,19 +651,24 @@ def _dam_residuals(dinput, outcome):
         feas.append((t, worst_feas))
 
         welfare = dam_mod.welfare(dinput, (lp.objective * values).tolist(), outcome.dam.wtp, t)
-        gaps.append((t, _rel_gap(welfare, _welfare_bound(lp, index, outcome, t) + bid_dual)))
+        bound = _welfare_bound(lp, index, outcome, t, values)
+        gaps.append((t, _rel_gap(welfare, bound + bid_dual)))
 
     return _peak(feas), _peak(gaps)
 
 
 def _welfare_bound(
-    lp: lpcore.LinearProgram, ix: dam_mod.PeriodIndex, outcome: EquilibriumOutcome, t: int
+    lp: lpcore.LinearProgram,
+    ix: dam_mod.PeriodIndex,
+    outcome: EquilibriumOutcome,
+    t: int,
+    values: np.ndarray,
 ) -> float:
     """Upper bound on the optimum of `lp`, the period-t market LP placed as
-    `ix` says: the Lagrangian bound at the duals of a re-solve, with the
-    balance rows at the outcome's prices.  inf when the re-solve is not
-    optimal."""
-    sol = lpcore.solve(lp, feas_tol=outcome.scenario.settings.feas_tol)
+    `ix` says: the Lagrangian bound at the duals of a re-solve started at
+    the outcome's dispatch `values` (`dam.period_values`), with the balance
+    rows at the outcome's prices.  inf when the re-solve is not optimal."""
+    sol = lpcore.solve(lp, feas_tol=outcome.scenario.settings.feas_tol, start=values)
     if not sol.is_optimal:
         return math.inf
     y = sol.dual.tolist()

@@ -286,23 +286,68 @@ def _crash(columns, lo, up, x, resid) -> dict[int, int]:
     return taken
 
 
+def _pivot_rows(M: np.ndarray) -> np.ndarray | None:
+    """Rows of the r x k matrix `M` on which its columns are nonsingular, or
+    None when r < k or the columns are (numerically) dependent.
+
+    One elimination with partial pivoting, on whichever side is smaller: on
+    M itself when k <= r - k, its pivot rows being the answer; otherwise on
+    an orthonormal basis of M's left null space (the last r - k columns of
+    a complete QR), whose pivot rows are the r - k rows left out.  Pivots at
+    or below _PIVOT_TOL times the scale (the largest |M_ij| or 1 for M, 1
+    for the orthonormal basis) count as zero."""
+    r, k = M.shape
+    if r < k:
+        return None
+    scale = float(np.max(np.abs(M), initial=1.0))
+    if k <= r - k:
+        return _eliminate(M, _PIVOT_TOL * scale)
+    q, upper = np.linalg.qr(M, mode="complete")
+    if float(np.min(np.abs(np.diag(upper)))) <= _PIVOT_TOL * scale:
+        return None
+    left_out = _eliminate(q[:, k:], _PIVOT_TOL)
+    if left_out is None:
+        return None
+    keep = np.ones(r, dtype=bool)
+    keep[left_out] = False
+    return np.flatnonzero(keep)
+
+
+def _eliminate(M: np.ndarray, tol: float) -> np.ndarray | None:
+    """Pivot rows of Gaussian elimination with partial pivoting over the
+    columns of `M` (r >= k), one per column; None at a pivot <= tol."""
+    r, k = M.shape
+    M = M.copy()
+    rows = np.arange(r)
+    for p in range(k):
+        i = p + int(np.argmax(np.abs(M[p:, p])))
+        if abs(M[i, p]) <= tol:
+            return None
+        M[[p, i]] = M[[i, p]]
+        rows[[p, i]] = rows[[i, p]]
+        M[p + 1 :, p:] -= np.outer(M[p + 1 :, p] / M[p, p], M[p, p:])
+    return rows[:k]
+
+
 class _Tableau:
     """Dense bounded-variable simplex state over columns = structural vars,
     slacks, then phase-1 artificials.
 
-    Every row i reads A_i x + s_i + art_sign_i * art_i = b_i.  The start
-    basis is a lower-triangular crash (`_crash`): each row some real column
-    can satisfy within its bounds gets that column as its basic variable,
-    and every other row keeps its artificial, basic at the row's residual.
+    Every row i reads A_i x + s_i + art_sign_i * art_i = b_i.  Given a
+    `start` point (one value per structural column), the basis is the one
+    `_start_at` reads off it; otherwise, or when that fails, the start basis
+    is a lower-triangular crash (`_crash`): each row some real column can
+    satisfy within its bounds gets that column as its basic variable, and
+    every other row keeps its artificial, basic at the row's residual.
     """
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: LinearProgram, start=None, feas_tol: float = FEAS_TOL):
         m, n = lp.matrix.shape
         self.n = n
         self.m = m
         self.sign = sign = -1.0 if lp.sense == MAX else 1.0
-        self.nreal = ncols = n + m
-        self.ncols = ncols + m
+        self.nreal = n + m
+        self.ncols = self.nreal + m
         diagonal = self.ncols + 1  # flat stride from A[i, j] to A[i + 1, j + 1]
 
         self.A = np.zeros((m, self.ncols))
@@ -314,11 +359,25 @@ class _Tableau:
         # column bounds: structurals; slacks of "<=" rows [0, inf), of ">="
         # rows (-inf, 0], of "=" rows [0, 0]; artificials [0, inf)
         relations = lp.relations.tolist()
-        lo = lp.lower.tolist() + [-INF if r == GE else 0.0 for r in relations] + [0.0] * m
-        up = lp.upper.tolist() + [INF if r == LE else 0.0 for r in relations] + [INF] * m
-        self.lo = np.array(lo)
-        self.up = np.array(up)
+        self.lo = np.array(lp.lower.tolist() + [-INF if r == GE else 0.0 for r in relations] + [0.0] * m)
+        self.up = np.array(lp.upper.tolist() + [INF if r == LE else 0.0 for r in relations] + [INF] * m)
+        self.iterations = 0
+        self.pivots_since_refactor = 0
+        self.from_start = start is not None and self._start_at(start, feas_tol)
+        if not self.from_start:
+            self._crash_start()
 
+    def _set_basis(self, basis, art_sign) -> None:
+        diagonal = self.ncols + 1
+        self.A.flat[self.nreal : self.nreal + self.m * diagonal : diagonal] = art_sign
+        self.art_sign = art_sign
+        self.basis = basis
+        self.in_basis = np.zeros(self.ncols, dtype=bool)
+        self.in_basis[basis] = True
+
+    def _crash_start(self) -> None:
+        ncols, m = self.nreal, self.m
+        lo, up = self.lo.tolist(), self.up.tolist()
         # nonbasic rest position for every real column: its finite lower
         # bound, else its finite upper bound, else 0 (free); artificials
         # start at their lower bound
@@ -337,17 +396,73 @@ class _Tableau:
 
         resid = self.b - self.A[:, :ncols] @ self.x[:ncols]
         crashed = _crash(columns, self.lo, self.up, self.x, resid)
-        self.art_sign = np.where(resid >= 0.0, 1.0, -1.0)
-        self.A.flat[ncols : ncols + m * diagonal : diagonal] = self.art_sign
-        self.x[ncols:] = np.abs(resid)
-        self.basis = np.arange(ncols, self.ncols)
+        basis = np.arange(ncols, self.ncols)
         for i, j in crashed.items():
-            self.basis[i] = j
-        self.in_basis = np.zeros(self.ncols, dtype=bool)
-        self.in_basis[self.basis] = True
-        self.binv = np.linalg.inv(self.A[:, self.basis])
-        self.iterations = 0
-        self.pivots_since_refactor = 0
+            basis[i] = j
+        self._set_basis(basis, np.where(resid >= 0.0, 1.0, -1.0))
+        self.x[ncols:] = np.abs(resid)
+        self.binv = np.linalg.inv(self.A[:, basis])
+
+    def _start_at(self, start, feas_tol) -> bool:
+        """Take the basis of the point `start` (crossover, Megiddo 1991):
+        every real column strictly inside its bounds is basic, every other
+        one rests on the bound it sits at, and each row no interior column
+        covers (`_pivot_rows`) takes its own slack.  Structurals are clipped
+        into their bounds first, slacks are the rows' residuals, and a value
+        within feas_tol * (1 + |bound|) of a bound sits at it.  Artificials
+        are nonbasic at 0, so phase 1 has nothing to do.
+
+        Returns False, changing nothing, when the point is not finite or has
+        the wrong length, when its interior columns are dependent, or when
+        the basics B^-1 (b - N x_N) leave their bounds by more than feas_tol
+        times the largest value."""
+        n, ncols = self.n, self.nreal
+        try:
+            point = np.asarray(start, dtype=float)
+        except (TypeError, ValueError):
+            return False
+        if point.shape != (n,) or not np.isfinite(point).all():
+            return False
+        lo, up = self.lo[:ncols], self.up[:ncols]
+        z = np.empty(ncols)
+        z[:n] = np.clip(point, lo[:n], up[:n])
+        z[n:] = self.b - self.A[:, :n] @ z[:n]
+        with np.errstate(invalid="ignore"):  # inf - inf at a free column
+            at_lo = np.isfinite(lo) & (z - lo <= feas_tol * (1.0 + np.abs(lo)))
+            at_up = ~at_lo & np.isfinite(up) & (up - z <= feas_tol * (1.0 + np.abs(up)))
+        z = np.where(at_lo, lo, np.where(at_up, up, z))
+
+        interior = ~(at_lo | at_up)
+        structural = np.flatnonzero(interior[:n])
+        # every row starts on its own slack; a row whose slack is not
+        # interior may give its place to an interior structural column
+        basis = np.arange(n, ncols)
+        free_rows = np.flatnonzero(~interior[n:])
+        if structural.size:
+            rows = _pivot_rows(self.A[np.ix_(free_rows, structural)])
+            if rows is None:
+                return False
+            basis[free_rows[rows]] = structural
+        try:
+            binv = np.linalg.inv(self.A[:, basis])
+        except np.linalg.LinAlgError:
+            return False
+        x = np.concatenate([z, np.zeros(self.m)])
+        in_basis = np.zeros(self.ncols, dtype=bool)
+        in_basis[basis] = True
+        xb = binv @ (self.b - self.A[:, ~in_basis] @ x[~in_basis])
+        if not np.isfinite(xb).all():
+            return False
+        x[basis] = xb
+        scale = 1.0 + float(np.max(np.abs(x), initial=0.0))
+        if float(np.max(np.maximum(lo[basis] - xb, xb - up[basis]), initial=0.0)) > feas_tol * scale:
+            return False
+        self.x = x
+        self.pos = np.full(self.ncols, _POS_LOWER, dtype=np.int8)
+        self.pos[:ncols][at_up] = _POS_UPPER
+        self._set_basis(basis, np.ones(self.m))
+        self.binv = binv
+        return True
 
     # -- basis maintenance ---------------------------------------------------
 
@@ -545,7 +660,7 @@ def _extract_solution(lp: LinearProgram, tab: _Tableau, feas_tol, phase1_iterati
     )
 
 
-def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL) -> LpSolution:
+def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, start=None) -> LpSolution:
     """Solve an LP to proven optimality, or report infeasible/unbounded.
 
     `feas_tol` scales the phase-1 infeasibility test and the final
@@ -555,16 +670,36 @@ def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL) -> LpSolution:
     pair satisfies strong duality within DUALITY_TOL whenever status is
     "optimal"; a failed internal verification is reported as
     "numerical_failure", never as a wrong optimum.
-    """
-    max_iterations = 2000 + 200 * (len(lp.variables) + len(lp.constraints))
 
-    tab = _Tableau(lp)
+    `start`, one value per column, is a point to start from, typically a
+    reported optimum being checked.  When its basis (see `_Tableau`) is
+    feasible, phase 1 is skipped and phase 2 starts there; otherwise (a
+    point that is not finite, has the wrong length, has dependent interior
+    columns or an infeasible basis) the solve starts from the crash basis,
+    as without `start`.  A point-started solve that ends "numerical_failure"
+    or "iteration_limit" is repeated from the crash basis.  Either way the
+    result is an optimum of `lp`; at a degenerate optimum the basis, and so
+    the duals, may differ from those of a crash-started solve.
+    """
+    tab = _Tableau(lp, start, feas_tol)
+    solution = _simplex(lp, tab, feas_tol)
+    if tab.from_start and solution.status in (NUMERICAL, ITERATION_LIMIT):
+        return _simplex(lp, _Tableau(lp), feas_tol)
+    return solution
+
+
+def _simplex(lp: LinearProgram, tab: _Tableau, feas_tol: float) -> LpSolution:
+    """Phase 1 (skipped at a point start), artificial pivot-out, phase 2
+    and verification from `tab`'s start basis."""
+    max_iterations = 2000 + 200 * (len(lp.variables) + len(lp.constraints))
     m = tab.m
 
-    # phase 1: minimize total artificial mass
+    # phase 1: minimize total artificial mass (a point start has none)
     phase1_costs = np.zeros(tab.ncols)
     phase1_costs[tab.nreal :] = 1.0
-    status = tab.run(phase1_costs, max_iterations=max_iterations, allow_unbounded=False)
+    status = OPTIMAL
+    if not tab.from_start:
+        status = tab.run(phase1_costs, max_iterations=max_iterations, allow_unbounded=False)
     phase1 = tab.iterations
 
     def stopped(status, **payload):

@@ -241,7 +241,7 @@ def test_criterion_8_sweep_trends(desk_penetration_sweep, desk_pv_sweep):
 
 CRITERION_9_SHA256 = {
     "outcome.json": "c1bc6f669fe11cae4da223f832e1ebaac13d6b82c99085347d1b7194c8cb300a",
-    "certificate.json": "3bc3ed09ad67e35ee2c2755193c205fc5c74a87235c5a1360c76ab2568590284",
+    "certificate.json": "30a7102e84b463dae7b22ee9f42af57f09d0ea1e24db0ffd1544effbf9102ff7",
     "metrics.csv": "925f7d2a1f590ae7c4cef294ae38b1680421773572cec20b3a69344161097000",
     "hourly_profile.csv": "64c464eaad054ceb581a6fff98829ba1756f468084df17d01c6e3480f45b84b1",
     "bus_lmp_charged.csv": "63ba2e9bb8173c580818b137e9773f96098c684f4a638bb8ac64b0d016a345db",

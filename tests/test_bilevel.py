@@ -431,7 +431,8 @@ def _assert_bounds_match_cold_path(outcome):
     dinput = bl.dam_input_for(outcome.scenario, outcome.schedule)
     for t in range(outcome.scenario.network.horizon):
         lp, index = dam.build_dam(dinput, t)
-        bound = bl._welfare_bound(lp, index, outcome, t)
+        values = dam.period_values(dinput, outcome.dam, t, lp, index)
+        bound = bl._welfare_bound(lp, index, outcome, t, values)
         cold = _cold_welfare_bound(lp, index, outcome, t)
         assert abs(bound - cold) <= 1e-9 * max(1.0, abs(cold)), t
 
@@ -447,6 +448,124 @@ class TestCertifyMatchesColdDuals:
         for _, _, grid, searched in bilevel_instances:
             _assert_bounds_match_cold_path(grid)
             _assert_bounds_match_cold_path(searched)
+
+
+def _certify_both(outcome, monkeypatch):
+    """`certify` as it runs (each re-solve started at the outcome's point)
+    and with every re-solve started from the crash basis."""
+    started = bl.certify(outcome)
+    real = lpcore.solve
+
+    def crash_started(lp, *, feas_tol=lpcore.FEAS_TOL, start=None):
+        return real(lp, feas_tol=feas_tol)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lpcore, "solve", crash_started)
+        crashed = bl.certify(outcome)
+    return started, crashed
+
+
+def _assert_same_certificate(outcome, monkeypatch):
+    started, crashed = _certify_both(outcome, monkeypatch)
+    assert started.passed == crashed.passed
+    assert started.failing().keys() == crashed.failing().keys()
+    for family, value in crashed.residuals.items():
+        other = started.residuals[family]
+        assert other == value or abs(other - value) <= 1e-12, (family, other, value)
+    return started
+
+
+def _kept_starts(monkeypatch):
+    """A list that records, for each tableau built with a start point,
+    whether the start was kept (True) or the crash ran instead."""
+    kept = []
+    real = lpcore._Tableau._start_at
+
+    def spy(self, start, feas_tol):
+        kept.append(real(self, start, feas_tol))
+        return kept[-1]
+
+    monkeypatch.setattr(lpcore._Tableau, "_start_at", spy)
+    return kept
+
+
+def _two_segment_toy():
+    """The one-bus toy with its generator split into a 10 $/MWh and a
+    20 $/MWh segment; at offers (15, 25) the fleet charges 10 MWh at the
+    station in period 0 and the cheap segment serves all 60 MW."""
+    scenario = one_bus_scenario()
+    gen = md.Generator(
+        "g1", "b1", 0.0, 200.0, (md.CostSegment(0.0, 100.0, 10.0), md.CostSegment(0.0, 100.0, 20.0))
+    )
+    scenario = dataclasses.replace(
+        scenario, network=dataclasses.replace(scenario.network, generators=(gen,))
+    )
+    out = bl.evaluate(bl.Strategy(params_of(scenario), (15.0, 25.0)), scenario)
+    assert out.dam.gen_segments["g1"] == ((60.0, 50.0), (0.0, 0.0))
+    assert out.schedule.station["f1"]["c1"] == (10.0, 0.0)
+    return out
+
+
+class TestCertifyPointStart:
+    """`certify` starts each re-solve at the outcome's own point.  The
+    certificate must not depend on that: a feasible but suboptimal point
+    still fails, and a point that cannot start a solve gives the
+    crash-started certificate without raising."""
+
+    def test_desk_outcome(self, desk_baseline, monkeypatch):
+        assert _assert_same_certificate(desk_baseline.outcome, monkeypatch).passed
+
+    def test_criterion_5_instances(self, bilevel_instances, monkeypatch):
+        for _, _, grid, searched in bilevel_instances:
+            for outcome in (grid, searched):
+                assert _assert_same_certificate(outcome, monkeypatch).passed
+
+    @pytest.mark.parametrize("moved", [60.0, 30.0], ids=["vertex", "between_vertices"])
+    def test_dispatch_on_the_dearer_segment_fails_dam_duality(self, moved, monkeypatch):
+        out = _two_segment_toy()
+        segments = ((60.0 - moved, 50.0), (moved, 0.0))
+        bad = dataclasses.replace(out, dam=dataclasses.replace(out.dam, gen_segments={"g1": segments}))
+        kept = _kept_starts(monkeypatch)
+        cert = _assert_same_certificate(bad, monkeypatch)
+        # fleet, period 0, period 1; a point between vertices has three
+        # interior columns on two rows and starts from the crash
+        assert kept[:3] == [True, moved == 60.0, True]
+        assert set(cert.failing()) == {"dam_strong_duality"}
+        assert cert.worst["dam_strong_duality"] == 0
+
+    def test_station_energy_in_the_dearer_period_fails_fleet_duality(self, monkeypatch):
+        out = _two_segment_toy()
+        shifted = (0.0, 10.0)
+        sched = dataclasses.replace(
+            out.schedule,
+            total={"f1": shifted},
+            station={"f1": {"c1": shifted}},
+            segments={"f1": {"c1": (shifted,)}},
+            energy={"f1": (0.0, 0.0)},
+            fleet_costs={"f1": 250.0},
+            cost=250.0,
+        )
+        kept = _kept_starts(monkeypatch)
+        cert = _assert_same_certificate(dataclasses.replace(out, schedule=sched), monkeypatch)
+        assert kept[0] is True
+        assert "fleet_strong_duality" in cert.failing()
+        assert cert.residuals["fleet_strong_duality"] == pytest.approx(100.0 / 250.0)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [nan_first, truncate_first, lambda tree: corrupt_first(tree, lambda x: x + 100.0)],
+        ids=["nan", "truncate", "infeasible"],
+    )
+    @pytest.mark.parametrize("field", ["gen", "gen_segments", "angle", "total", "segments", "energy"])
+    def test_unusable_point_gives_the_crash_certificate(self, field, corrupt, monkeypatch):
+        out = _two_segment_toy()
+        if field in ("total", "segments", "energy"):
+            sched = dataclasses.replace(out.schedule, **{field: corrupt(getattr(out.schedule, field))})
+            bad = dataclasses.replace(out, schedule=sched)
+        else:
+            bad_dam = dataclasses.replace(out.dam, **{field: corrupt(getattr(out.dam, field))})
+            bad = dataclasses.replace(out, dam=bad_dam)
+        assert not _assert_same_certificate(bad, monkeypatch).passed
 
 
 def _assert_layout_round_trip(outcome):

@@ -12,6 +12,7 @@ from evcsmarket import dam
 from evcsmarket import fleet as fl
 from evcsmarket import lpcore as lc
 from oracles import random_feasible_bounded_lp, scipy_reference, vertex_enumerate
+from test_dam import random_dam_input
 
 
 def build(sense, variables, constraints):
@@ -425,6 +426,153 @@ class TestCrashStart:
 
     def test_desk(self, desk_baseline, monkeypatch):
         assert_crash_matches_all_artificial(model_lps(desk_baseline.outcome), monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# start from a point
+# ---------------------------------------------------------------------------
+
+
+def assert_point_start_matches_cold(lps):
+    """Started at its own cold optimum, every LP keeps that start (no
+    phase 1), ends with the cold status and objective."""
+    for k, lp in enumerate(lps):
+        cold = lc.solve(lp)
+        assert cold.is_optimal, (k, lp.name)
+        assert lc._Tableau(lp, cold.primal).from_start, (k, lp.name)
+        warm = lc.solve(lp, start=cold.primal)
+        assert warm.status == cold.status, (k, lp.name)
+        assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective)), (k, lp.name)
+        assert warm.phase1_iterations == 0, (k, lp.name)
+
+
+def assert_same_solve(a, b):
+    assert (a.status, a.objective, a.iterations, a.phase1_iterations) == (
+        b.status, b.objective, b.iterations, b.phase1_iterations,
+    )
+    assert np.array_equal(a.primal, b.primal) and np.array_equal(a.dual, b.dual)
+
+
+BOX_ROW = build(
+    lc.MIN,
+    [("x", 0.0, 10.0, 1.0), ("y", 0.0, 10.0, 2.0)],
+    [("need", {"x": 1.0, "y": 1.0}, lc.EQ, 5.0)],
+)
+
+
+class TestPointStart:
+    def test_optimum_start_takes_no_pivot(self):
+        lp = BOX_ROW
+        sol = lc.solve(lp, start=[5.0, 0.0])
+        assert sol.is_optimal and sol.iterations == 0
+        assert sol.objective == 5.0 and sol.primal.tolist() == [5.0, 0.0]
+
+    def test_suboptimal_vertex_start_pivots_to_the_optimum(self):
+        sol = lc.solve(BOX_ROW, start=[0.0, 5.0])
+        assert lc._Tableau(BOX_ROW, [0.0, 5.0]).from_start
+        assert sol.is_optimal and sol.phase1_iterations == 0 and sol.iterations >= 1
+        assert sol.objective == pytest.approx(5.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            [math.nan, 0.0],  # not finite
+            [math.inf, 0.0],
+            [5.0],  # too short
+            [5.0, 0.0, 0.0],  # too long
+            [[5.0, 0.0]],  # wrong shape
+            ["x", 0.0],  # not a number
+            [20.0, 20.0],  # clipped to (10, 10): the row's basic slack is -15
+            [2.0, 3.0],  # inside the box: two interior columns, one row
+        ],
+    )
+    def test_unusable_point_falls_back_to_the_crash(self, start):
+        assert not lc._Tableau(BOX_ROW, start).from_start
+        assert_same_solve(lc.solve(BOX_ROW, start=start), lc.solve(BOX_ROW))
+
+    def test_dependent_interior_columns_fall_back(self):
+        # the two rows are one row twice: x and y cannot both be basic
+        lp = build(
+            lc.MIN,
+            [("x", 0.0, 10.0, 1.0), ("y", 0.0, 10.0, 2.0)],
+            [
+                ("a", {"x": 1.0, "y": 1.0}, lc.EQ, 4.0),
+                ("b", {"x": 2.0, "y": 2.0}, lc.EQ, 8.0),
+            ],
+        )
+        assert not lc._Tableau(lp, [1.0, 3.0]).from_start
+        assert_same_solve(lc.solve(lp, start=[1.0, 3.0]), lc.solve(lp))
+
+    def test_no_rows(self):
+        box = build(lc.MIN, [("x", 0.0, 4.0, -1.0)], [])
+        assert not lc._Tableau(box, [1.0]).from_start  # nothing to pivot x onto
+        assert lc._Tableau(box, [0.0]).from_start
+        assert lc.solve(box, start=[1.0]).objective == -4.0
+        assert lc.solve(box, start=[0.0]).objective == -4.0
+
+    def test_unbounded_from_a_start(self):
+        lp = build(lc.MIN, [("x", 0.0, lc.INF, -1.0)], [("row", {"x": 1.0}, lc.GE, 1.0)])
+        assert lc._Tableau(lp, [1.0]).from_start
+        assert lc.solve(lp, start=[1.0]).status == lc.UNBOUNDED
+
+    def test_failed_point_start_is_repeated_from_the_crash(self, monkeypatch):
+        run = lc._Tableau.run
+
+        def failing_from_a_point(self, *args, **kwargs):
+            return lc.NUMERICAL if self.from_start else run(self, *args, **kwargs)
+
+        monkeypatch.setattr(lc._Tableau, "run", failing_from_a_point)
+        assert_same_solve(lc.solve(BOX_ROW, start=[0.0, 5.0]), lc.solve(BOX_ROW))
+
+    def test_criterion_1_lps(self):
+        assert_point_start_matches_cold(criterion_1_lps())
+
+    def test_criterion_5_instances(self, bilevel_instances):
+        for _, _, grid, searched in bilevel_instances:
+            for outcome in (grid, searched):
+                assert_point_start_matches_cold(model_lps(outcome))
+
+    def test_random_market_inputs(self):
+        rng = np.random.default_rng(150)
+        for _ in range(150):
+            inp = random_dam_input(rng)
+            assert_point_start_matches_cold(
+                [dam.build_dam(inp, t)[0] for t in range(inp.network.horizon)]
+            )
+
+    def test_desk(self, desk_baseline):
+        assert_point_start_matches_cold(model_lps(desk_baseline.outcome))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_property_any_start_gives_the_cold_optimum(seed):
+    """From any finite point (inside, outside or on the bounds, a vertex or
+    not) the solve ends with the cold status and objective, and a point
+    start it keeps solves its rows within its bounds."""
+    rng = np.random.default_rng(seed)
+    lp = random_lp_with_infinite_bounds(rng) if seed % 2 else random_feasible_bounded_lp(rng)
+    cold = lc.solve(lp)
+    n = len(lp.variables)
+    lower = np.where(np.isfinite(lp.lower), lp.lower, -5.0)
+    upper = np.where(np.isfinite(lp.upper), lp.upper, 5.0)
+    points = [rng.uniform(lower - 1.0, upper + 1.0), np.where(rng.random(n) < 0.5, lower, upper)]
+    if cold.is_optimal:
+        points.append(cold.primal + rng.normal(0.0, 1e-3, n))
+    for point in points:
+        warm = lc.solve(lp, start=point)
+        assert warm.status == cold.status
+        if cold.is_optimal:
+            assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+        tab = lc._Tableau(lp, point)
+        if tab.from_start:
+            assert not np.any(tab.basis >= tab.nreal)
+            assert np.allclose(tab.binv @ tab.A[:, tab.basis], np.eye(tab.m), atol=1e-9)
+            scale = 1.0 + np.max(np.abs(tab.b), initial=0.0) + np.max(np.abs(tab.x), initial=0.0)
+            assert np.max(np.abs(tab.A @ tab.x - tab.b), initial=0.0) <= 1e-9 * scale
+            slack = 1e-8 * scale
+            assert np.all(tab.lo[: tab.nreal] - slack <= tab.x[: tab.nreal])
+            assert np.all(tab.x[: tab.nreal] <= tab.up[: tab.nreal] + slack)
 
 
 def random_lp_with_infinite_bounds(rng):

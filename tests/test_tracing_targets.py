@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from evcsmarket import bilevel, fleet
+from evcsmarket import bilevel, fleet, lpcore
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -71,3 +71,27 @@ def test_traced_desk_search_solves_each_distinct_input_once(desk):
     c = counts[0]
     assert c["lpcore.dam.solves"] == c["dam.period_distinct"] < c["dam.period_solves"]
     assert c["lpcore.fleet.solves"] == runs[0][1] == runs[1][1]
+
+
+def test_desk_certify_starts_at_the_outcome(desk_baseline):
+    """`certify` starts each re-solve at the outcome's own point: on the
+    desk outcome no re-solve runs phase 1, and the 26 re-solves take at
+    most 100 pivots together (342 from the crash basis)."""
+    phase1 = []
+    solve = lpcore.solve
+
+    def recording(lp, **kwargs):
+        sol = solve(lp, **kwargs)
+        phase1.append(sol.phase1_iterations)
+        return sol
+
+    for module, _ in tracing.LAYER_TARGETS:
+        importlib.import_module(f"evcsmarket.{module}")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpcore, "solve", recording)
+        with tracing.Tracer() as tracer:
+            assert bilevel.certify(desk_baseline.outcome).passed
+    c = tracing.counts(tracer.spans)
+    assert c["lpcore.certify.solves"] == len(phase1) == 26
+    assert sum(phase1) == 0
+    assert c["lpcore.certify.pivots"] <= 100
