@@ -45,6 +45,7 @@ from .model import (
     PARAM_PER_STATION_PERIOD,
     PARAM_STATION_BLOCKS,
     Scenario,
+    overflow_error,
 )
 
 BRUTE_FORCE_CAP = 1_000_000
@@ -444,9 +445,13 @@ def certify(outcome: EquilibriumOutcome | None, tol: float | None = None) -> Cer
     give a sound bound, so the check does not trust the simplex: on the
     fleet side the multipliers are the re-solve's duals, on the market side
     the re-solve's duals with the balance rows replaced by the published
-    prices.  A re-solve that is not optimal makes its residual infinite, so
-    a bad outcome fails the certificate instead of raising; so does a
-    series shorter than the horizon (see `_padded`)."""
+    prices.  Each re-solve starts at the outcome's own schedule or dispatch
+    (`lpcore.solve(..., start=...)`), so an optimal outcome costs few
+    pivots; a suboptimal one still fails, because the re-solve goes on to
+    the optimum, and a point that cannot start a solve (NaN, infeasible)
+    falls back to the crash start.  A re-solve that is not optimal makes its
+    residual infinite, so a bad outcome fails the certificate instead of
+    raising; so does a series shorter than the horizon (see `_padded`)."""
     if outcome is None:
         raise ValueError("no outcome to certify")
     outcome = _padded(outcome)
@@ -591,7 +596,8 @@ def _fleet_checks(outcome: EquilibriumOutcome) -> dict[str, tuple[float, float]]
     """Per fleet id, the stored schedule's `lpcore.max_violation` of the
     fleet's LP and a lower bound on the fleet's least charging cost at the
     outcome's offers: `lpcore.lagrangian_bound` of that LP at the duals of a
-    re-solve.  The bound is -inf when the re-solve is not optimal, or when
+    re-solve started at the stored schedule (`fleet.schedule_values`).  The
+    bound is -inf when the re-solve is not optimal, or when
     the offers leave their bands (which `offer_bounds` reports); the
     schedule is then checked against the LP at the band floors, since no
     price enters a fleet constraint."""
@@ -621,14 +627,18 @@ def _dam_residuals(dinput, outcome):
     welfare gap to a weak-duality bound; returns two (peak residual, period)
     pairs.
 
-    Each period's LP is re-solved, and its balance-row multipliers are
-    replaced by the outcome's prices (negated, see `dam`).  The Lagrangian
+    Each period's LP is re-solved from the stored dispatch
+    (`dam.period_values`, see `_welfare_bound`), and its balance-row
+    multipliers are replaced by the outcome's prices (negated, see `dam`).  The Lagrangian
     bound of those multipliers is an upper bound on the period's welfare
     whatever the prices are, and it meets the stored welfare only when they
     are dual optimal, so a corrupted price leaves a gap.  At prices from
     this solver the bound is tight; at prices taken from another solver's
     degenerate optimum the other re-solved duals need not complete them, and
-    the check is conservative.
+    the check is conservative.  A re-solve started at the stored dispatch
+    may end in another optimal basis than the market solve's, so at a
+    degenerate optimum its other duals, and so the bound, may differ in the
+    last digits from those of a crash-started re-solve.
 
     Bid prices are not market LP columns (see `dam.StationDamBid`): their
     value q * price joins the welfare, and the dual value of the bound pair
@@ -761,7 +771,15 @@ def outcome_from_json(data: dict) -> EquilibriumOutcome:
     document written by `outcome_to_json`; used to re-certify cached runs.
     Every number is read with float() (int() for period bounds and search
     counts), so a value that is not a number raises ValueError or TypeError
-    here rather than inside `certify`; NaN stays a number."""
+    here rather than inside `certify`, and an integer too large for a float
+    raises ScenarioFormatError naming it; NaN stays a number."""
+    try:
+        return _outcome_from_json(data)
+    except OverflowError as exc:
+        raise overflow_error(data, exc) from exc
+
+
+def _outcome_from_json(data: dict) -> EquilibriumOutcome:
     from .model import scenario_from_json
 
     scenario = scenario_from_json(data["scenario"])

@@ -18,6 +18,7 @@ certificate's `fleet_strong_duality` re-solves the true LP and is the judge.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from .lpcore import EQ, LinearProgram, LpBuilder
 from .model import ChargingStation, EVFleet, Scenario, fleet_infeasibility_period
 
 TIE_BREAK_EPS = 1e-6
+# cleared bid price by station id, bid segment and period: prices[c][m][t]
+SegmentPrices = Mapping[str, Sequence[Sequence[float]]]
 
 
 class FleetStructureError(ValueError):
@@ -319,7 +322,11 @@ def schedule_values(
 
 
 def build_fleet_paper_dual(
-    inp: FleetInput, fleet: EVFleet, segment_prices, *, corrected_segment_sign: bool = False
+    inp: FleetInput,
+    fleet: EVFleet,
+    segment_prices: SegmentPrices,
+    *,
+    corrected_segment_sign: bool = False,
 ) -> LinearProgram:
     """Literal transcription of the published dual of one fleet's program.
 
@@ -333,7 +340,7 @@ def build_fleet_paper_dual(
     which quantifies the gaps next to the automatic dual.
 
     `segment_prices[c][m][t]` supplies the cleared bid prices entering the
-    segment stationarity rows.  With `corrected_segment_sign` the one
+    segment stationarity rows, for every station c of the fleet.  With `corrected_segment_sign` the one
     sign that breaks boundedness is repaired and everything else stays as
     printed.
     """
@@ -435,8 +442,8 @@ class FleetDualReport:
 
     offer_primal: float
     offer_auto_dual: float
-    segment_primal: float | None
-    segment_auto_dual: float | None
+    segment_primal: float
+    segment_auto_dual: float
     literal_dual: float | None
     literal_dual_status: str
     corrected_sign_dual: float | None
@@ -470,39 +477,27 @@ class FleetDualReport:
         def fmt(value, status):
             return f"optimum {value:.6f}" if value is not None else status
 
-        lines = [
-            f"offer-billed cost program:   optimum {self.offer_primal:.6f}, "
-            f"auto dual {self.offer_auto_dual:.6f}",
-        ]
-        if self.segment_primal is not None:
-            lines.append(
+        def yes(match):
+            return "yes" if match else "no"
+
+        return "\n".join(
+            [
+                f"offer-billed cost program:   optimum {self.offer_primal:.6f}, "
+                f"auto dual {self.offer_auto_dual:.6f}",
                 f"segment-billed variant:      optimum {self.segment_primal:.6f}, "
-                f"auto dual {self.segment_auto_dual:.6f}"
-            )
-        lines.append(
-            f"literal transcribed dual:    {fmt(self.literal_dual, self.literal_dual_status)}"
-        )
-        lines.append(
-            f"sign-corrected variant:      {fmt(self.corrected_sign_dual, self.corrected_sign_status)}"
-        )
-        lines.append(
-            "literal dual matches offer-billed optimum: "
-            + ("yes" if self.literal_matches_offer else "no")
-        )
-        if self.segment_primal is not None:
-            lines.append(
-                "literal dual matches segment-billed optimum: "
-                + ("yes" if self.literal_matches_segment else "no")
-            )
-            lines.append(
+                f"auto dual {self.segment_auto_dual:.6f}",
+                f"literal transcribed dual:    {fmt(self.literal_dual, self.literal_dual_status)}",
+                f"sign-corrected variant:      {fmt(self.corrected_sign_dual, self.corrected_sign_status)}",
+                f"literal dual matches offer-billed optimum: {yes(self.literal_matches_offer)}",
+                f"literal dual matches segment-billed optimum: {yes(self.literal_matches_segment)}",
                 "sign-corrected dual matches segment-billed optimum: "
-                + ("yes" if self.corrected_matches_segment else "no")
-            )
-        return "\n".join(lines)
+                + yes(self.corrected_matches_segment),
+            ]
+        )
 
 
 def dual_form_report(
-    inp: FleetInput, fleet: EVFleet, segment_prices, tol: float = lpcore.DUALITY_TOL
+    inp: FleetInput, fleet: EVFleet, segment_prices: SegmentPrices, tol: float = lpcore.DUALITY_TOL
 ) -> FleetDualReport:
     """Solve both primal variants of `fleet`'s program, their automatic
     duals, and the transcribed dual (as printed, and with its
@@ -515,16 +510,14 @@ def dual_form_report(
     offer_sol = lpcore.require_optimal(offer_lp)
     offer_dual = lpcore.require_optimal(lpcore.dualize(offer_lp))
 
-    seg_primal = seg_dual = None
-    if segment_prices is not None:
-        objective = offer_lp.objective.copy()
-        for s, s_cols, seg_cols in zip(_fleet_stations(inp, fleet), cols.station, cols.segment):
-            objective[s_cols] = 0.0
-            for m_cols, prices in zip(seg_cols, segment_prices[s.id]):
-                objective[m_cols] = prices
-        seg_lp = replace(offer_lp, objective=objective)
-        seg_primal = lpcore.require_optimal(seg_lp).objective
-        seg_dual = lpcore.require_optimal(lpcore.dualize(seg_lp)).objective
+    objective = offer_lp.objective.copy()
+    for s, s_cols, seg_cols in zip(_fleet_stations(inp, fleet), cols.station, cols.segment):
+        objective[s_cols] = 0.0
+        for m_cols, prices in zip(seg_cols, segment_prices[s.id]):
+            objective[m_cols] = prices
+    seg_lp = replace(offer_lp, objective=objective)
+    seg_primal = lpcore.require_optimal(seg_lp).objective
+    seg_dual = lpcore.require_optimal(lpcore.dualize(seg_lp)).objective
 
     literal = lpcore.solve(build_fleet_paper_dual(inp, fleet, segment_prices))
     corrected = lpcore.solve(

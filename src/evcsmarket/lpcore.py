@@ -10,12 +10,16 @@ solution comes back as arrays in that same order, so a caller keeps the
 indices it was given and reads results by them.  Column and row labels ride
 along only for `write_lp_text`, `dualize` and structural comparisons.
 
-Every solve starts from a lower-triangular crash basis: walking the
-structural columns, then the slacks, a column becomes basic on a row when it
-can zero that row's residual within its bounds and touches no row taken
-before it.  Only the rows left over start on a phase-1 artificial.  The
-start basis depends on the LP alone, so a solve never depends on what was
-solved before it.
+A solve starts from a lower-triangular crash basis: walking the structural
+columns, then the slacks, a column becomes basic on a row when it can zero
+that row's residual within its bounds and touches no row taken before it.
+Only the rows left over start on a phase-1 artificial.  A caller that holds
+a point of the LP, such as a reported optimum it is checking, can pass it as
+`solve(lp, start=...)` instead: the columns strictly inside their bounds
+become basic, the rows they leave uncovered keep their slacks (crossover,
+Megiddo 1991), and when that basis is feasible phase 1 is skipped.  Either
+way the start depends only on the LP and the point given, so a solve never
+depends on what was solved before it.
 
 Sign conventions (fixed once, used everywhere in this package):
 

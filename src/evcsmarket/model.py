@@ -786,8 +786,34 @@ def scenario_from_json(data: Mapping[str, Any], base_dir=None) -> Scenario:
         )
     except ScenarioFormatError:
         raise
+    except OverflowError as exc:  # float() of an integer literal past the float range
+        raise overflow_error(data, exc) from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"malformed scenario document: {exc}") from exc
+
+
+def overflow_error(document, exc: OverflowError) -> ScenarioFormatError:
+    """The error for an OverflowError raised while reading the JSON
+    `document`: it names the path of the first integer there that no float
+    can hold, such as ``settings.feas_tol`` or ``fleets[0].energy_max``."""
+
+    def huge(tree, path):
+        if isinstance(tree, Mapping):
+            items = ((f"{path}.{k}" if path else str(k), v) for k, v in tree.items())
+        elif isinstance(tree, (list, tuple)):
+            items = ((f"{path}[{i}]", v) for i, v in enumerate(tree))
+        else:
+            try:
+                float(tree)
+            except OverflowError:
+                return path
+            except (TypeError, ValueError):
+                pass
+            return None
+        return next(filter(None, (huge(v, p) for p, v in items)), None)
+
+    where = huge(document, "")
+    return ScenarioFormatError(f"{where or 'malformed document'}: {exc}")
 
 
 def scenario_to_json(scenario: Scenario) -> dict:

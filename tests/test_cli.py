@@ -76,6 +76,24 @@ class TestValidate:
         assert f"settings.{field}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "path, name",
+        [(("fleets", 0, "energy_max"), "fleets[0].energy_max"), (("settings", "feas_tol"), "settings.feas_tol")],
+    )
+    def test_integer_too_large_for_a_float_exit_two(self, tmp_path, capsys, path, name):
+        doc = md.scenario_to_json(one_bus_scenario())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = int("9" * 401)
+        scenario_path = tmp_path / "huge.json"
+        scenario_path.write_text(json.dumps(doc))
+        assert run_cli("validate", scenario_path) == 2
+        assert f"{name}: int too large" in capsys.readouterr().err
+        assert run_cli("run", scenario_path, "--out", tmp_path / "o") == 2
+        assert f"{name}: int too large" in capsys.readouterr().err
+
+
 class TestRun:
     def test_writes_outputs_and_passes(self, toy_path, tmp_path, capsys):
         out = tmp_path / "results"
@@ -183,6 +201,30 @@ class TestRun:
         capsys.readouterr()
         assert run_cli("run", toy_path, "--out", out, "--certify") == 2
         assert "error: --certify: cached outcome unreadable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, name",
+        [
+            # the embedded scenario's reader names paths within the scenario
+            (("scenario", "fleets", 0, "energy_max"), "fleets[0].energy_max"),
+            (("scenario", "settings", "feas_tol"), "settings.feas_tol"),
+            (("schedule", "home", "f1", 0), "schedule.home.f1[0]"),
+            (("dam", "lmp", "b1", 1), "dam.lmp.b1[1]"),
+            (("profit",), "profit"),
+        ],
+    )
+    def test_certify_integer_too_large_in_cache_exit_two(self, toy_path, tmp_path, capsys, path, name):
+        out = tmp_path / "cache"
+        assert run_cli("run", toy_path, "--out", out) == 0
+        doc = json.loads((out / "outcome.json").read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = int("9" * 401)
+        (out / "outcome.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("run", toy_path, "--out", out, "--certify") == 2
+        assert f"cached outcome unreadable: {name}: int too large" in capsys.readouterr().err
 
     def test_certify_without_cache_exit_two(self, toy_path, tmp_path):
         assert run_cli("run", toy_path, "--out", tmp_path / "fresh", "--certify") == 2

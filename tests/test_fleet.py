@@ -314,5 +314,6 @@ class TestDualForms:
         report = fl.dual_form_report(inp, inp.fleets[0], {"c1": ((40.0, 40.0),)})
         text = report.summary()
         assert "offer-billed" in text
+        assert "segment-billed variant:      optimum 200.000000" in text
         assert "literal transcribed dual" in text
         assert "sign-corrected" in text

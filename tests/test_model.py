@@ -301,6 +301,24 @@ class TestSerialization:
         with pytest.raises(md.ScenarioFormatError, match="malformed"):
             md.scenario_from_json(doc)
 
+    @pytest.mark.parametrize(
+        "path, name",
+        [
+            (("fleets", 0, "energy_max"), r"fleets\[0\]\.energy_max"),
+            (("settings", "feas_tol"), r"settings\.feas_tol"),
+            (("network", "generators", 1, "segments", 0, "cost"), r"network\.generators\[1\]\.segments\[0\]\.cost"),
+        ],
+    )
+    def test_integer_too_large_for_a_float_is_named(self, desk, path, name):
+        # a 401-digit integer literal: json reads it as an int no float holds
+        doc = json.loads(json.dumps(md.scenario_to_json(desk)))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = int("9" * 401)
+        with pytest.raises(md.ScenarioFormatError, match=f"^{name}: int too large"):
+            md.scenario_from_json(doc)
+
     def test_load_save_files(self, tmp_path, desk):
         path = tmp_path / "scenario.json"
         md.save_scenario(desk, path)
