@@ -629,9 +629,9 @@ def _dam_residuals(dinput, outcome):
 
     Each period's LP is re-solved from the stored dispatch
     (`dam.period_values`, see `_welfare_bound`), and its balance-row
-    multipliers are replaced by the outcome's prices (negated, see `dam`).  The Lagrangian
-    bound of those multipliers is an upper bound on the period's welfare
-    whatever the prices are, and it meets the stored welfare only when they
+    multipliers are replaced by the outcome's prices (negated, see `dam`).
+    The Lagrangian bound of those multipliers is an upper bound on the
+    period's welfare whatever the prices are, and it meets the stored welfare only when they
     are dual optimal, so a corrupted price leaves a gap.  At prices from
     this solver the bound is tight; at prices taken from another solver's
     degenerate optimum the other re-solved duals need not complete them, and

@@ -340,9 +340,9 @@ def build_fleet_paper_dual(
     which quantifies the gaps next to the automatic dual.
 
     `segment_prices[c][m][t]` supplies the cleared bid prices entering the
-    segment stationarity rows, for every station c of the fleet.  With `corrected_segment_sign` the one
-    sign that breaks boundedness is repaired and everything else stays as
-    printed.
+    segment stationarity rows, for every station c of the fleet.  With
+    `corrected_segment_sign` the one sign that breaks boundedness is
+    repaired and everything else stays as printed.
     """
     _check_input(inp)
     name = "fleet_dual_corrected_sign" if corrected_segment_sign else "fleet_dual_literal"
@@ -451,11 +451,7 @@ class FleetDualReport:
     tolerance: float
 
     def _matches(self, value, target) -> bool:
-        return (
-            value is not None
-            and target is not None
-            and abs(value - target) <= self.tolerance * max(1.0, abs(target))
-        )
+        return value is not None and abs(value - target) <= self.tolerance * max(1.0, abs(target))
 
     @property
     def literal_matches_offer(self) -> bool:

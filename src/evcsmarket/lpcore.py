@@ -292,17 +292,20 @@ def _crash(columns, lo, up, x, resid) -> dict[int, int]:
 
 def _pivot_rows(M: np.ndarray) -> np.ndarray | None:
     """Rows of the r x k matrix `M` on which its columns are nonsingular, or
-    None when r < k or the columns are (numerically) dependent.
+    None when r < k or the columns are (numerically) dependent.  A square M
+    gives all its rows unchecked: the caller inverts the basis anyway.
 
-    One elimination with partial pivoting, on whichever side is smaller: on
-    M itself when k <= r - k, its pivot rows being the answer; otherwise on
-    an orthonormal basis of M's left null space (the last r - k columns of
-    a complete QR), whose pivot rows are the r - k rows left out.  Pivots at
-    or below _PIVOT_TOL times the scale (the largest |M_ij| or 1 for M, 1
-    for the orthonormal basis) count as zero."""
+    Otherwise one elimination with partial pivoting, on whichever side is
+    smaller: on M itself when k <= r - k, its pivot rows being the answer;
+    else on an orthonormal basis of M's left null space (the last r - k
+    columns of a complete QR), whose pivot rows are the r - k rows left out.
+    Pivots at or below _PIVOT_TOL times the scale (the largest |M_ij| or 1
+    for M, 1 for the orthonormal basis) count as zero."""
     r, k = M.shape
     if r < k:
         return None
+    if r == k:
+        return np.arange(r)
     scale = float(np.max(np.abs(M), initial=1.0))
     if k <= r - k:
         return _eliminate(M, _PIVOT_TOL * scale)
@@ -417,9 +420,10 @@ class _Tableau:
         are nonbasic at 0, so phase 1 has nothing to do.
 
         Returns False, changing nothing, when the point is not finite or has
-        the wrong length, when its interior columns are dependent, or when
-        the basics B^-1 (b - N x_N) leave their bounds by more than feas_tol
-        times the largest value."""
+        the wrong length, when its interior columns are dependent (some
+        |B^-1| entry reaches 1 / _PIVOT_TOL), or when the basics
+        B^-1 (b - N x_N) leave their bounds by more than feas_tol times the
+        largest value."""
         n, ncols = self.n, self.nreal
         try:
             point = np.asarray(start, dtype=float)
@@ -431,9 +435,10 @@ class _Tableau:
         z = np.empty(ncols)
         z[:n] = np.clip(point, lo[:n], up[:n])
         z[n:] = self.b - self.A[:, :n] @ z[:n]
-        with np.errstate(invalid="ignore"):  # inf - inf at a free column
-            at_lo = np.isfinite(lo) & (z - lo <= feas_tol * (1.0 + np.abs(lo)))
-            at_up = ~at_lo & np.isfinite(up) & (up - z <= feas_tol * (1.0 + np.abs(up)))
+        # z is finite, so an infinite bound gives inf <= inf here, which
+        # the isfinite test then drops
+        at_lo = np.isfinite(lo) & (z - lo <= feas_tol * (1.0 + np.abs(lo)))
+        at_up = ~at_lo & np.isfinite(up) & (up - z <= feas_tol * (1.0 + np.abs(up)))
         z = np.where(at_lo, lo, np.where(at_up, up, z))
 
         interior = ~(at_lo | at_up)
@@ -451,6 +456,8 @@ class _Tableau:
             binv = np.linalg.inv(self.A[:, basis])
         except np.linalg.LinAlgError:
             return False
+        if not float(np.max(np.abs(binv), initial=0.0)) < 1.0 / _PIVOT_TOL:
+            return False  # numerically singular
         x = np.concatenate([z, np.zeros(self.m)])
         in_basis = np.zeros(self.ncols, dtype=bool)
         in_basis[basis] = True

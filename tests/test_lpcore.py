@@ -490,14 +490,15 @@ class TestPointStart:
         assert not lc._Tableau(BOX_ROW, start).from_start
         assert_same_solve(lc.solve(BOX_ROW, start=start), lc.solve(BOX_ROW))
 
-    def test_dependent_interior_columns_fall_back(self):
-        # the two rows are one row twice: x and y cannot both be basic
+    @pytest.mark.parametrize("y_coef", [2.0, 2.0 + 1e-12], ids=["dependent", "nearly"])
+    def test_dependent_interior_columns_fall_back(self, y_coef):
+        # the two rows are (nearly) one row twice: x and y cannot both be basic
         lp = build(
             lc.MIN,
             [("x", 0.0, 10.0, 1.0), ("y", 0.0, 10.0, 2.0)],
             [
                 ("a", {"x": 1.0, "y": 1.0}, lc.EQ, 4.0),
-                ("b", {"x": 2.0, "y": 2.0}, lc.EQ, 8.0),
+                ("b", {"x": 2.0, "y": y_coef}, lc.EQ, 8.0),
             ],
         )
         assert not lc._Tableau(lp, [1.0, 3.0]).from_start
