@@ -483,7 +483,8 @@ class FleetDualReport:
                 f"segment-billed variant:      optimum {self.segment_primal:.6f}, "
                 f"auto dual {self.segment_auto_dual:.6f}",
                 f"literal transcribed dual:    {fmt(self.literal_dual, self.literal_dual_status)}",
-                f"sign-corrected variant:      {fmt(self.corrected_sign_dual, self.corrected_sign_status)}",
+                "sign-corrected variant:      "
+                + fmt(self.corrected_sign_dual, self.corrected_sign_status),
                 f"literal dual matches offer-billed optimum: {yes(self.literal_matches_offer)}",
                 f"literal dual matches segment-billed optimum: {yes(self.literal_matches_segment)}",
                 "sign-corrected dual matches segment-billed optimum: "

@@ -366,8 +366,10 @@ class _Tableau:
         # column bounds: structurals; slacks of "<=" rows [0, inf), of ">="
         # rows (-inf, 0], of "=" rows [0, 0]; artificials [0, inf)
         relations = lp.relations.tolist()
-        self.lo = np.array(lp.lower.tolist() + [-INF if r == GE else 0.0 for r in relations] + [0.0] * m)
-        self.up = np.array(lp.upper.tolist() + [INF if r == LE else 0.0 for r in relations] + [INF] * m)
+        lo = lp.lower.tolist() + [-INF if r == GE else 0.0 for r in relations] + [0.0] * m
+        up = lp.upper.tolist() + [INF if r == LE else 0.0 for r in relations] + [INF] * m
+        self.lo = np.array(lo)
+        self.up = np.array(up)
         self.iterations = 0
         self.pivots_since_refactor = 0
         self.from_start = start is not None and self._start_at(start, feas_tol)
@@ -466,7 +468,8 @@ class _Tableau:
             return False
         x[basis] = xb
         scale = 1.0 + float(np.max(np.abs(x), initial=0.0))
-        if float(np.max(np.maximum(lo[basis] - xb, xb - up[basis]), initial=0.0)) > feas_tol * scale:
+        outside = np.maximum(lo[basis] - xb, xb - up[basis])
+        if float(np.max(outside, initial=0.0)) > feas_tol * scale:
             return False
         self.x = x
         self.pos = np.full(self.ncols, _POS_LOWER, dtype=np.int8)
