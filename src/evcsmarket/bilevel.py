@@ -449,7 +449,9 @@ def certify(outcome: EquilibriumOutcome | None, tol: float | None = None) -> Cer
     (`lpcore.solve(..., start=...)`), so an optimal outcome costs few
     pivots; a suboptimal one still fails, because the re-solve goes on to
     the optimum, and a point that cannot start a solve (NaN, infeasible)
-    falls back to the crash start.  A re-solve that is not optimal makes its
+    falls back to the crash start.  A market period whose gap the
+    point-started bound leaves above `tol` is bounded again from the crash
+    (see `_dam_residuals`).  A re-solve that is not optimal makes its
     residual infinite, so a bad outcome fails the certificate instead of
     raising; so does a series shorter than the horizon (see `_padded`)."""
     if outcome is None:
@@ -489,7 +491,7 @@ def certify(outcome: EquilibriumOutcome | None, tol: float | None = None) -> Cer
     # market-side checks per period
     dinput = dam_input_for(scenario, outcome.schedule)
     try:
-        dam_feas, dam_gap = _dam_residuals(dinput, outcome)
+        dam_feas, dam_gap = _dam_residuals(dinput, outcome, tol)
     except (dam_mod.DamStructureError, lpcore.LpDefinitionError):
         # segment quantities outside their widths, or a withdrawal that is
         # not finite; fleet_feasibility names them
@@ -622,7 +624,7 @@ def _fleet_checks(outcome: EquilibriumOutcome) -> dict[str, tuple[float, float]]
     return checks
 
 
-def _dam_residuals(dinput, outcome):
+def _dam_residuals(dinput, outcome, tol):
     """Per-period feasibility of the stored dispatch and bid prices, and the
     welfare gap to a weak-duality bound; returns two (peak residual, period)
     pairs.
@@ -632,13 +634,16 @@ def _dam_residuals(dinput, outcome):
     multipliers are replaced by the outcome's prices (negated, see `dam`).
     The Lagrangian bound of those multipliers is an upper bound on the
     period's welfare whatever the prices are, and it meets the stored welfare only when they
-    are dual optimal, so a corrupted price leaves a gap.  At prices from
-    this solver the bound is tight; at prices taken from another solver's
-    degenerate optimum the other re-solved duals need not complete them, and
-    the check is conservative.  A re-solve started at the stored dispatch
-    may end in another optimal basis than the market solve's, so at a
-    degenerate optimum its other duals, and so the bound, may differ in the
-    last digits from those of a crash-started re-solve.
+    are dual optimal, so a corrupted price leaves a gap.  When the prices
+    are not unique (a generator exactly at a segment breakpoint, a line
+    exactly at its limit), the re-solve started at the dispatch may end in
+    another optimal basis than the market solve's, whose other duals need
+    not complete the published prices.  So a period whose gap exceeds `tol`
+    is bounded again from a crash-started re-solve, which repeats the
+    market solve's basis, and keeps the smaller of the two bounds (both are
+    sound).  At prices from this solver the bound is then tight; at prices
+    taken from another solver's degenerate optimum the check is
+    conservative.
 
     Bid prices are not market LP columns (see `dam.StationDamBid`): their
     value q * price joins the welfare, and the dual value of the bound pair
@@ -662,6 +667,8 @@ def _dam_residuals(dinput, outcome):
 
         welfare = dam_mod.welfare(dinput, (lp.objective * values).tolist(), outcome.dam.wtp, t)
         bound = _welfare_bound(lp, index, outcome, t, values)
+        if not _rel_gap(welfare, bound + bid_dual) <= tol:
+            bound = min(bound, _welfare_bound(lp, index, outcome, t))
         gaps.append((t, _rel_gap(welfare, bound + bid_dual)))
 
     return _peak(feas), _peak(gaps)
@@ -672,12 +679,13 @@ def _welfare_bound(
     ix: dam_mod.PeriodIndex,
     outcome: EquilibriumOutcome,
     t: int,
-    values: np.ndarray,
+    values: np.ndarray | None = None,
 ) -> float:
     """Upper bound on the optimum of `lp`, the period-t market LP placed as
     `ix` says: the Lagrangian bound at the duals of a re-solve started at
-    the outcome's dispatch `values` (`dam.period_values`), with the balance
-    rows at the outcome's prices.  inf when the re-solve is not optimal."""
+    the outcome's dispatch `values` (`dam.period_values`), or from the
+    crash when `values` is None, with the balance rows at the outcome's
+    prices.  inf when the re-solve is not optimal."""
     sol = lpcore.solve(lp, feas_tol=outcome.scenario.settings.feas_tol, start=values)
     if not sol.is_optimal:
         return math.inf

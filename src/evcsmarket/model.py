@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -792,10 +793,23 @@ def scenario_from_json(data: Mapping[str, Any], base_dir=None) -> Scenario:
         raise ScenarioFormatError(f"malformed scenario document: {exc}") from exc
 
 
+# Paths of the numbers a scenario or outcome document holds that its
+# readers take with int() or bool() or keep as they are, so that no float()
+# overflows on them; an outcome document nests its scenario under
+# "scenario.".
+_NOT_READ_AS_FLOAT = re.compile(
+    r"(^|\.)(schema_version|network\.horizon|network\.buses\[\d+\]\.reference"
+    r"|settings\.(budget|multistarts|block_width|seed)|sweeps\..*"
+    r"|strategy\.values\[\d+\]|strategy\.parameters\[\d+\]\.t_(start|end)|search\.\w+)$"
+)
+
+
 def overflow_error(document, exc: OverflowError) -> ScenarioFormatError:
     """The error for an OverflowError raised while reading the JSON
     `document`: it names the path of the first integer there that no float
-    can hold, such as ``settings.feas_tol`` or ``fleets[0].energy_max``."""
+    can hold among the fields read with float(), such as
+    ``settings.feas_tol`` or ``fleets[0].energy_max``; a huge integer where
+    an integer belongs (``settings.seed``) is passed over."""
 
     def huge(tree, path):
         if isinstance(tree, Mapping):
@@ -803,6 +817,8 @@ def overflow_error(document, exc: OverflowError) -> ScenarioFormatError:
         elif isinstance(tree, (list, tuple)):
             items = ((f"{path}[{i}]", v) for i, v in enumerate(tree))
         else:
+            if _NOT_READ_AS_FLOAT.search(path):
+                return None
             try:
                 float(tree)
             except OverflowError:

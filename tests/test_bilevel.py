@@ -551,6 +551,41 @@ class TestCertifyPointStart:
         assert "fleet_strong_duality" in cert.failing()
         assert cert.residuals["fleet_strong_duality"] == pytest.approx(100.0 / 250.0)
 
+    def test_non_unique_price_passes(self, monkeypatch):
+        # in period 1 the 50 MW load fills g1's only segment exactly and
+        # leaves g2 at zero, so any price in [10, 20] clears it; the market
+        # solve publishes 20, the re-solve started at the dispatch ends in
+        # another basis whose gen_split duals do not complete that price,
+        # and only the crash-started bound is tight
+        scenario = one_bus_scenario()
+        gens = (
+            md.Generator("g1", "b1", 0.0, 50.0, (md.CostSegment(0.0, 50.0, 10.0),)),
+            md.Generator(
+                "g2",
+                "b1",
+                0.0,
+                200.0,
+                (md.CostSegment(0.0, 100.0, 20.0), md.CostSegment(0.0, 100.0, 30.0)),
+            ),
+        )
+        scenario = dataclasses.replace(
+            scenario, network=dataclasses.replace(scenario.network, generators=gens)
+        )
+        out = bl.evaluate(bl.Strategy(params_of(scenario), (15.0, 25.0)), scenario)
+        assert out.dam.gen_segments["g1"] == ((50.0, 50.0),)
+        assert out.dam.gen_segments["g2"] == ((10.0, 0.0), (0.0, 0.0))
+        assert out.dam.lmp["b1"][1] == 20.0
+        dinput = bl.dam_input_for(scenario, out.schedule)
+        lp, index = dam.build_dam(dinput, 1)
+        values = dam.period_values(dinput, out.dam, 1, lp, index)
+        started = bl._welfare_bound(lp, index, out, 1, values)
+        crashed = bl._welfare_bound(lp, index, out, 1)
+        assert crashed == pytest.approx(out.dam.period_welfare[1], rel=1e-12)
+        assert started > crashed + 100.0
+        cert = _assert_same_certificate(out, monkeypatch)
+        assert cert.passed
+        assert cert.residuals["dam_strong_duality"] == 0.0
+
     @pytest.mark.parametrize(
         "corrupt",
         [nan_first, truncate_first, lambda tree: corrupt_first(tree, lambda x: x + 100.0)],

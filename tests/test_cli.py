@@ -93,6 +93,20 @@ class TestValidate:
         assert run_cli("run", scenario_path, "--out", tmp_path / "o") == 2
         assert f"{name}: int too large" in capsys.readouterr().err
 
+    def test_huge_seed_does_not_take_the_name_of_a_float_field(self, tmp_path, capsys):
+        # settings written first: the seed, read with int(), precedes the
+        # float field that overflows
+        doc = md.scenario_to_json(one_bus_scenario())
+        doc = {"settings": doc.pop("settings"), **doc}
+        doc["settings"]["seed"] = int("9" * 401)
+        doc["fleets"][0]["energy_max"] = int("9" * 401)
+        scenario_path = tmp_path / "huge.json"
+        scenario_path.write_text(json.dumps(doc))
+        assert run_cli("validate", scenario_path) == 2
+        err = capsys.readouterr().err
+        assert "fleets[0].energy_max: int too large" in err
+        assert "seed" not in err
+
 
 class TestRun:
     def test_writes_outputs_and_passes(self, toy_path, tmp_path, capsys):
@@ -225,6 +239,21 @@ class TestRun:
         capsys.readouterr()
         assert run_cli("run", toy_path, "--out", out, "--certify") == 2
         assert f"cached outcome unreadable: {name}: int too large" in capsys.readouterr().err
+
+    def test_certify_huge_integer_field_is_not_named_in_cache(self, toy_path, tmp_path, capsys):
+        # scenario.settings.seed and a parameter's t_start are read with
+        # int() and come before the schedule entry whose float() overflows
+        out = tmp_path / "cache"
+        assert run_cli("run", toy_path, "--out", out) == 0
+        doc = json.loads((out / "outcome.json").read_text())
+        doc["scenario"]["settings"]["seed"] = int("9" * 401)
+        doc["strategy"]["parameters"][0]["t_start"] = int("9" * 401)
+        doc["schedule"]["home"]["f1"][0] = int("9" * 401)
+        (out / "outcome.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("run", toy_path, "--out", out, "--certify") == 2
+        err = capsys.readouterr().err
+        assert "cached outcome unreadable: schedule.home.f1[0]: int too large" in err
 
     def test_certify_without_cache_exit_two(self, toy_path, tmp_path):
         assert run_cli("run", toy_path, "--out", tmp_path / "fresh", "--certify") == 2

@@ -319,6 +319,19 @@ class TestSerialization:
         with pytest.raises(md.ScenarioFormatError, match=f"^{name}: int too large"):
             md.scenario_from_json(doc)
 
+    @pytest.mark.parametrize("int_field", ["seed", "budget"])
+    def test_huge_integer_setting_is_not_named_for_a_float_field(self, desk, int_field):
+        # settings first, so the huge integer setting, which int() reads
+        # without overflow, comes before the float field that overflows
+        doc = json.loads(json.dumps(md.scenario_to_json(desk)))
+        doc = {"settings": doc.pop("settings"), **doc}
+        doc["settings"][int_field] = int("9" * 401)
+        assert getattr(md.scenario_from_json(doc).settings, int_field) == int("9" * 401)
+        doc["fleets"][0]["energy_max"] = int("9" * 401)
+        name = r"^fleets\[0\]\.energy_max: int too large"
+        with pytest.raises(md.ScenarioFormatError, match=name):
+            md.scenario_from_json(doc)
+
     def test_load_save_files(self, tmp_path, desk):
         path = tmp_path / "scenario.json"
         md.save_scenario(desk, path)
