@@ -34,6 +34,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -45,8 +46,11 @@ from .model import (
     PARAM_PER_STATION_PERIOD,
     PARAM_STATION_BLOCKS,
     Scenario,
-    overflow_error,
+    ScenarioFormatError,
+    scenario_from_json,
+    scenario_to_json,
 )
+from .model import _entries, _integer, _list, _map, _number  # the document readers
 
 BRUTE_FORCE_CAP = 1_000_000
 
@@ -701,8 +705,6 @@ def _welfare_bound(
 
 
 def outcome_to_json(outcome: EquilibriumOutcome) -> dict:
-    from .model import scenario_to_json
-
     return {
         "schema_version": 1,
         "scenario": scenario_to_json(outcome.scenario),
@@ -762,81 +764,69 @@ def outcome_to_json(outcome: EquilibriumOutcome) -> dict:
     }
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
-
-
-def _series(tree: dict) -> dict:
-    return {k: _floats(v) for k, v in tree.items()}
-
-
-def _rows(tree: dict) -> dict:
-    return {k: tuple(_floats(row) for row in v) for k, v in tree.items()}
-
-
 def outcome_from_json(data: dict) -> EquilibriumOutcome:
     """Rebuild a full outcome (including the embedded scenario) from the
     document written by `outcome_to_json`; used to re-certify cached runs.
-    Every number is read with float() (int() for period bounds and search
-    counts), so a value that is not a number raises ValueError or TypeError
-    here rather than inside `certify`, and an integer too large for a float
-    raises ScenarioFormatError naming it; NaN stays a number."""
+    Period bounds and search counts are integers and every other number a
+    number, by the rules of `scenario_from_json`.  Any other value raises
+    ScenarioFormatError naming its path (``schedule.home.f1[0]``; within the
+    embedded scenario, ``fleets[0].energy_max``), as does a missing key."""
+    series = partial(_map, read=_list)  # {id: [number, ...]}
+    rows = partial(_list, read=_list)  # [[number, ...], ...]
     try:
-        return _outcome_from_json(data)
-    except OverflowError as exc:
-        raise overflow_error(data, exc) from exc
-
-
-def _outcome_from_json(data: dict) -> EquilibriumOutcome:
-    from .model import scenario_from_json
-
-    scenario = scenario_from_json(data["scenario"])
-    params = tuple(
-        OfferParameter(
-            p["station"], int(p["t_start"]), int(p["t_end"]), float(p["lower"]), float(p["upper"])
+        scenario = scenario_from_json(data["scenario"])
+        params = tuple(
+            OfferParameter(
+                p["station"],
+                _integer(p["t_start"], at, "t_start"),
+                _integer(p["t_end"], at, "t_end"),
+                _number(p["lower"], at, "lower"),
+                _number(p["upper"], at, "upper"),
+            )
+            for at, p in _entries(data["strategy"]["parameters"], ("strategy",), "parameters")
         )
-        for p in data["strategy"]["parameters"]
-    )
-    strategy = Strategy(params, tuple(data["strategy"]["values"]))
-    sched = data["schedule"]
-    schedule = fleet_mod.FleetSchedule(
-        horizon=scenario.network.horizon,
-        total=_series(sched["total"]),
-        home=_series(sched["home"]),
-        station={f: _series(stations) for f, stations in sched["station"].items()},
-        segments={f: _rows(stations) for f, stations in sched["segments"].items()},
-        energy=_series(sched["energy"]),
-        fleet_costs={k: float(v) for k, v in sched["fleet_costs"].items()},
-        cost=float(sched["cost"]),
-    )
-    dam_data = data["dam"]
-    dam_out = dam_mod.DamOutcome(
-        horizon=scenario.network.horizon,
-        gen=_series(dam_data["gen"]),
-        gen_segments=_rows(dam_data["gen_segments"]),
-        solar=_series(dam_data["solar"]),
-        flow=_series(dam_data["flow"]),
-        angle=_series(dam_data["angle"]),
-        wtp=_rows(dam_data["wtp"]),
-        lmp=_series(dam_data["lmp"]),
-        welfare=float(dam_data["welfare"]),
-        period_welfare=_floats(dam_data["period_welfare"]),
-    )
-    search = None
-    if data.get("search"):
-        s = data["search"]
-        search = SearchInfo(*(int(s[k]) for k in ("evaluations", "starts", "seed", "budget")))
-    return EquilibriumOutcome(
-        scenario=scenario,
-        strategy=strategy,
-        offers=_series(data["offers"]),
-        schedule=schedule,
-        dam=dam_out,
-        revenue=float(data["revenue"]),
-        cost=float(data["cost"]),
-        profit=float(data["profit"]),
-        search=search,
-    )
+        strategy = Strategy(params, _list(data["strategy"]["values"], ("strategy",), "values"))
+        sched, at = data["schedule"], ("schedule",)
+        schedule = fleet_mod.FleetSchedule(
+            horizon=scenario.network.horizon,
+            total=series(sched["total"], at, "total"),
+            home=series(sched["home"], at, "home"),
+            station=_map(sched["station"], at, "station", series),
+            segments=_map(sched["segments"], at, "segments", partial(_map, read=rows)),
+            energy=series(sched["energy"], at, "energy"),
+            fleet_costs=_map(sched["fleet_costs"], at, "fleet_costs"),
+            cost=_number(sched["cost"], at, "cost"),
+        )
+        dam_data, at = data["dam"], ("dam",)
+        dam_out = dam_mod.DamOutcome(
+            horizon=scenario.network.horizon,
+            gen=series(dam_data["gen"], at, "gen"),
+            gen_segments=_map(dam_data["gen_segments"], at, "gen_segments", rows),
+            solar=series(dam_data["solar"], at, "solar"),
+            flow=series(dam_data["flow"], at, "flow"),
+            angle=series(dam_data["angle"], at, "angle"),
+            wtp=_map(dam_data["wtp"], at, "wtp", rows),
+            lmp=series(dam_data["lmp"], at, "lmp"),
+            welfare=_number(dam_data["welfare"], at, "welfare"),
+            period_welfare=_list(dam_data["period_welfare"], at, "period_welfare"),
+        )
+        s = data.get("search")
+        search = SearchInfo(**_map(s, (), "search", _integer)) if s else None
+        return EquilibriumOutcome(
+            scenario=scenario,
+            strategy=strategy,
+            offers=series(data["offers"], (), "offers"),
+            schedule=schedule,
+            dam=dam_out,
+            revenue=_number(data["revenue"], (), "revenue"),
+            cost=_number(data["cost"], (), "cost"),
+            profit=_number(data["profit"], (), "profit"),
+            search=search,
+        )
+    except ScenarioFormatError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ScenarioFormatError(f"malformed outcome document: {exc}") from exc
 
 
 def certificate_to_json(cert: Certificate) -> dict:

@@ -123,7 +123,7 @@ def cmd_run(args) -> int:
         try:
             with open(outcome_path) as fh:
                 outcome = bilevel.outcome_from_json(json.load(fh))
-        except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, ScenarioFormatError) as exc:
             raise _UsageError(f"--certify: cached outcome unreadable: {exc}")
         cert = bilevel.certify(outcome)
         print(cert.summary())

@@ -566,6 +566,8 @@ class _Tableau:
             self.pivots_since_refactor += 1
 
     def _entering(self, d, dtol, bland):
+        if not self.ncols:
+            return None
         eligible = ~self.in_basis & (self.lo != self.up)
         score = np.where(
             self.pos == _POS_LOWER, -d, np.where(self.pos == _POS_UPPER, d, np.abs(d))
@@ -645,19 +647,10 @@ def _extract_solution(lp: LinearProgram, tab: _Tableau, feas_tol, phase1_iterati
     if tab.nreal and float(max(lo_viol.max(), up_viol.max())) > feas_tol * bound_scale * 10.0:
         return None
 
-    # dual feasibility of the final basis
-    dtol = OPT_TOL * (1.0 + float(np.max(np.abs(tab.c)))) * 100.0
-    for j in range(tab.nreal):
-        if tab.in_basis[j] or tab.lo[j] == tab.up[j]:
-            continue
-        if tab.pos[j] == _POS_LOWER:
-            if d_int[j] < -dtol:
-                return None
-        elif tab.pos[j] == _POS_UPPER:
-            if d_int[j] > dtol:
-                return None
-        elif abs(d_int[j]) > dtol:
-            return None
+    # dual feasibility of the final basis: no column may enter
+    dtol = OPT_TOL * (1.0 + float(np.max(np.abs(tab.c), initial=0.0))) * 100.0
+    if tab._entering(d_int, dtol, bland=False) is not None:
+        return None
 
     n = tab.n
     primal = tab.x[:n].copy()

@@ -15,8 +15,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-import re
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -582,135 +582,183 @@ def scale_solar(scenario: Scenario, multiplier: float) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-_PRICE_FIELDS = {"tou", "offer_min", "offer_max", "wtp_min", "wtp_max", "cost"}
+def _path(at, key) -> str:
+    """`key` inside `at` (keys and list indices) as `validate` names fields.
+    The readers below raise ScenarioFormatError with the path of a value
+    they cannot read, built only then; range checks stay with `validate`."""
+    text = ""
+    for part in (*at, key):
+        text += f"[{part}]" if isinstance(part, int) else f".{part}" if text else part
+    return text
 
 
-def _resolve_series(value, T, base_dir, path):
-    """Accept a list of length T, a scalar broadcast to T, or a CSV reference
+def _number(value, at, key) -> float:
+    """A JSON int or float, not a boolean, as a float; NaN and inf are kept."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError as exc:  # an integer literal past the float range
+            raise ScenarioFormatError(f"{_path(at, key)}: {exc}") from exc
+    raise ScenarioFormatError(f"{_path(at, key)}: expected a number, got {value!r}")
+
+
+def _integer(value, at, key) -> int:
+    """A JSON int, or a float with no fraction; not a boolean."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ScenarioFormatError(f"{_path(at, key)}: expected an integer, got {value!r}")
+
+
+def _boolean(value, at, key) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise ScenarioFormatError(f"{_path(at, key)}: expected true or false, got {value!r}")
+
+
+def _list(value, at, key, read=_number) -> tuple:
+    """A JSON list as a tuple, each entry read by `read` (numbers by default)."""
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioFormatError(f"{_path(at, key)}: expected a list, got {value!r}")
+    at = (*at, key)
+    return tuple(read(entry, at, i) for i, entry in enumerate(value))
+
+
+def _map(value, at, key, read=_number) -> dict:
+    """A JSON object as a dict, each value read by `read` (numbers by default)."""
+    if not isinstance(value, Mapping):
+        raise ScenarioFormatError(f"{_path(at, key)}: expected an object, got {value!r}")
+    at = (*at, key)
+    return {k: read(v, at, k) for k, v in value.items()}
+
+
+def _entries(value, at, key) -> tuple:
+    """(path, entry) for each entry of a JSON list of objects."""
+    return _list(value, at, key, lambda entry, at, i: ((*at, i), entry))
+
+
+def _resolve_series(T, base_dir, value, at, key):
+    """Accept a list of length T, a number broadcast to T, or a CSV reference
     of the form {"csv": filename, "id": row_id}."""
     if isinstance(value, dict):
         if "csv" not in value or "id" not in value:
-            raise ScenarioFormatError(f"{path}: csv reference needs 'csv' and 'id'")
+            raise ScenarioFormatError(f"{_path(at, key)}: csv reference needs 'csv' and 'id'")
         csv_path = Path(value["csv"])
         if base_dir is not None and not csv_path.is_absolute():
             csv_path = Path(base_dir) / csv_path
         table = read_series_csv(csv_path)
         if value["id"] not in table:
-            raise ScenarioFormatError(f"{path}: id {value['id']!r} not in {csv_path}")
+            raise ScenarioFormatError(f"{_path(at, key)}: id {value['id']!r} not in {csv_path}")
         return table[value["id"]]
-    if isinstance(value, (int, float)):
-        return (float(value),) * T
-    return _series(value)
+    if isinstance(value, (list, tuple)):
+        return _list(value, at, key)
+    return (_number(value, at, key),) * T
 
 
 _INT_SETTINGS = ("budget", "multistarts", "block_width", "seed")
 _FLOAT_SETTINGS = ("feas_tol", "duality_tol", "step_min")
 
 
-def _setting(name: str, value, integer: bool):
-    """A JSON settings number as a float, or as an int when `integer` (a
-    float with no fraction is accepted); anything else (a string, a
-    boolean, null, a fraction where an integer belongs) raises
-    ScenarioFormatError naming settings.<name>.  Range checks stay with
-    `validate`."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if not integer:
-            return float(value)
-        if isinstance(value, int) or value.is_integer():
-            return int(value)
-    kind = "an integer" if integer else "a number"
-    raise ScenarioFormatError(f"settings.{name}: expected {kind}, got {value!r}")
-
-
-def _price(obj: Mapping[str, Any], key: str, T, base_dir, path, series=True):
-    """Fetch a price field in either $/MWh (plain key) or cents/kWh."""
+def _price(obj: Mapping[str, Any], at, key, read):
+    """A price read by `read` (a number or a series) from `key` in $/MWh or
+    from `<key>_cents_per_kwh` in cents/kWh."""
     alt = f"{key}_cents_per_kwh"
-    if alt in obj:
-        raw = _resolve_series(obj[alt], T, base_dir, path) if series else float(obj[alt])
-        if series:
-            return tuple(v * CENTS_PER_KWH_TO_USD_PER_MWH for v in raw)
-        return raw * CENTS_PER_KWH_TO_USD_PER_MWH
-    if key not in obj:
-        raise ScenarioFormatError(f"{path}: missing {key!r}")
-    if series:
-        return _resolve_series(obj[key], T, base_dir, path)
-    return float(obj[key])
+    if alt not in obj:
+        if key not in obj:
+            raise ScenarioFormatError(f"{_path(at, key)}: missing")
+        return read(obj[key], at, key)
+    raw, scale = read(obj[alt], at, alt), CENTS_PER_KWH_TO_USD_PER_MWH
+    return raw * scale if isinstance(raw, float) else tuple(v * scale for v in raw)
 
 
 def read_series_csv(path) -> dict[str, tuple[float, ...]]:
-    """Read per-period series from a CSV with header `id,t0,t1,...`."""
+    """Read per-period series from a CSV with header `id,t0,t1,...`; a cell
+    that is not a number raises ScenarioFormatError naming the file, the
+    row id and the column."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or not rows[0] or rows[0][0] != "id":
         raise ScenarioFormatError(f"{path}: expected header starting with 'id'")
-    out = {}
+    header, out = rows[0], {}
     for row in rows[1:]:
         if not row:
             continue
-        out[row[0]] = tuple(float(v) for v in row[1:])
+        cells = []
+        for k, text in enumerate(row[1:], 1):
+            try:
+                cells.append(float(text))
+            except ValueError as exc:
+                column = header[k] if k < len(header) else f"#{k}"
+                raise ScenarioFormatError(f"{path}: row {row[0]!r}, column {column}: {exc}") from exc
+        out[row[0]] = tuple(cells)
     return out
 
 
 def scenario_from_json(data: Mapping[str, Any], base_dir=None) -> Scenario:
+    """Read the document `scenario_to_json` writes.  A number is a JSON int
+    or float, not a boolean (NaN and inf are kept); `schema_version`,
+    `network.horizon` and the integer settings take an int or a float with
+    no fraction, `reference` true or false.  Anything else raises
+    ScenarioFormatError naming its path (``fleets[0].energy_max: ...``)."""
     try:
-        version = data.get("schema_version", SCHEMA_VERSION)
+        version = _integer(data.get("schema_version", SCHEMA_VERSION), (), "schema_version")
         if version != SCHEMA_VERSION:
-            raise ScenarioFormatError(f"unsupported schema_version {version}")
+            raise ScenarioFormatError(f"schema_version: unsupported version {version}")
         net = data["network"]
-        T = int(net["horizon"])
+        T = _integer(net["horizon"], ("network",), "horizon")
+        series = partial(_resolve_series, T, base_dir)
 
         buses = tuple(
             Bus(
                 id=str(b["id"]),
-                angle_min=float(b.get("angle_min", -0.5)),
-                angle_max=float(b.get("angle_max", 0.5)),
-                reference=bool(b.get("reference", False)),
+                angle_min=_number(b.get("angle_min", -0.5), at, "angle_min"),
+                angle_max=_number(b.get("angle_max", 0.5), at, "angle_max"),
+                reference=_boolean(b.get("reference", False), at, "reference"),
             )
-            for b in net.get("buses", [])
+            for at, b in _entries(net.get("buses", []), ("network",), "buses")
         )
         lines = tuple(
             Line(
                 id=str(ln["id"]),
                 from_bus=str(ln["from_bus"]),
                 to_bus=str(ln["to_bus"]),
-                reactance=float(ln["reactance"]),
-                flow_min=float(ln.get("flow_min", -float(ln["flow_max"]))),
-                flow_max=float(ln["flow_max"]),
+                reactance=_number(ln["reactance"], at, "reactance"),
+                flow_min=_number(
+                    ln.get("flow_min", -_number(ln["flow_max"], at, "flow_max")), at, "flow_min"
+                ),
+                flow_max=_number(ln["flow_max"], at, "flow_max"),
             )
-            for ln in net.get("lines", [])
+            for at, ln in _entries(net.get("lines", []), ("network",), "lines")
         )
         generators = tuple(
             Generator(
                 id=str(g["id"]),
                 bus=str(g["bus"]),
-                p_min=float(g.get("p_min", 0.0)),
-                p_max=float(g["p_max"]),
+                p_min=_number(g.get("p_min", 0.0), at, "p_min"),
+                p_max=_number(g["p_max"], at, "p_max"),
                 segments=tuple(
                     CostSegment(
-                        p_min=float(s.get("p_min", 0.0)),
-                        p_max=float(s["p_max"]),
-                        cost=_price(s, "cost", T, base_dir, f"generator {g['id']}", series=False),
+                        p_min=_number(s.get("p_min", 0.0), s_at, "p_min"),
+                        p_max=_number(s["p_max"], s_at, "p_max"),
+                        cost=_price(s, s_at, "cost", _number),
                     )
-                    for s in g.get("segments", [])
+                    for s_at, s in _entries(g.get("segments", []), at, "segments")
                 ),
             )
-            for g in net.get("generators", [])
+            for at, g in _entries(net.get("generators", []), ("network",), "generators")
         )
         solar = tuple(
             SolarUnit(
                 id=str(s["id"]),
                 bus=str(s["bus"]),
-                available=_resolve_series(s["available"], T, base_dir, f"solar {s['id']}"),
+                available=series(s["available"], at, "available"),
             )
-            for s in net.get("solar_units", [])
+            for at, s in _entries(net.get("solar_units", []), ("network",), "solar_units")
         )
         demands = tuple(
-            Demand(
-                id=str(d["id"]),
-                bus=str(d["bus"]),
-                load=_resolve_series(d["load"], T, base_dir, f"demand {d['id']}"),
-            )
-            for d in net.get("demands", [])
+            Demand(id=str(d["id"]), bus=str(d["bus"]), load=series(d["load"], at, "load"))
+            for at, d in _entries(net.get("demands", []), ("network",), "demands")
         )
         network = Network(buses, lines, generators, solar, demands, T)
 
@@ -718,45 +766,46 @@ def scenario_from_json(data: Mapping[str, Any], base_dir=None) -> Scenario:
             EVFleet(
                 id=str(f["id"]),
                 bus=str(f["bus"]),
-                max_charge=float(f["max_charge"]),
-                home_cap=float(f.get("home_cap", 0.0)),
-                home_connectivity=_resolve_series(
-                    f.get("home_connectivity", 0.0), T, base_dir, f"fleet {f['id']}"
+                max_charge=_number(f["max_charge"], at, "max_charge"),
+                home_cap=_number(f.get("home_cap", 0.0), at, "home_cap"),
+                home_connectivity=series(f.get("home_connectivity", 0.0), at, "home_connectivity"),
+                station_caps=_map(f.get("station_caps", {}), at, "station_caps"),
+                station_connectivity=_map(
+                    f.get("station_connectivity", {}), at, "station_connectivity", series
                 ),
-                station_caps={str(k): float(v) for k, v in f.get("station_caps", {}).items()},
-                station_connectivity={
-                    str(k): _resolve_series(v, T, base_dir, f"fleet {f['id']}")
-                    for k, v in f.get("station_connectivity", {}).items()
-                },
-                energy_min=float(f["energy_min"]),
-                energy_max=float(f["energy_max"]),
-                initial_energy=float(f["initial_energy"]),
+                energy_min=_number(f["energy_min"], at, "energy_min"),
+                energy_max=_number(f["energy_max"], at, "energy_max"),
+                initial_energy=_number(f["initial_energy"], at, "initial_energy"),
                 final_energy_min=(
-                    None if f.get("final_energy_min") is None else float(f["final_energy_min"])
+                    None
+                    if f.get("final_energy_min") is None
+                    else _number(f["final_energy_min"], at, "final_energy_min")
                 ),
-                charge_efficiency=float(f.get("charge_efficiency", 1.0)),
-                discharge_efficiency=float(f.get("discharge_efficiency", 1.0)),
-                driving=_resolve_series(f.get("driving", 0.0), T, base_dir, f"fleet {f['id']}"),
-                tou=_price(f, "tou", T, base_dir, f"fleet {f['id']}"),
+                charge_efficiency=_number(f.get("charge_efficiency", 1.0), at, "charge_efficiency"),
+                discharge_efficiency=_number(
+                    f.get("discharge_efficiency", 1.0), at, "discharge_efficiency"
+                ),
+                driving=series(f.get("driving", 0.0), at, "driving"),
+                tou=_price(f, at, "tou", series),
             )
-            for f in data.get("fleets", [])
+            for at, f in _entries(data.get("fleets", []), (), "fleets")
         )
         stations = tuple(
             ChargingStation(
                 id=str(s["id"]),
                 fleet_id=str(s["fleet"]),
-                offer_min=_price(s, "offer_min", T, base_dir, f"station {s['id']}"),
-                offer_max=_price(s, "offer_max", T, base_dir, f"station {s['id']}"),
+                offer_min=_price(s, at, "offer_min", series),
+                offer_max=_price(s, at, "offer_max", series),
                 segments=tuple(
                     WtpSegment(
-                        width=float(seg["width"]),
-                        wtp_min=_price(seg, "wtp_min", T, base_dir, f"station {s['id']}"),
-                        wtp_max=_price(seg, "wtp_max", T, base_dir, f"station {s['id']}"),
+                        width=_number(seg["width"], seg_at, "width"),
+                        wtp_min=_price(seg, seg_at, "wtp_min", series),
+                        wtp_max=_price(seg, seg_at, "wtp_max", series),
                     )
-                    for seg in s.get("wtp_segments", [])
+                    for seg_at, seg in _entries(s.get("wtp_segments", []), at, "wtp_segments")
                 ),
             )
-            for s in data.get("stations", [])
+            for at, s in _entries(data.get("stations", []), (), "stations")
         )
 
         raw_settings = dict(data.get("settings", {}))
@@ -767,15 +816,19 @@ def scenario_from_json(data: Mapping[str, Any], base_dir=None) -> Scenario:
             raise ScenarioFormatError(f"settings: unknown keys {sorted(unknown)}")
         for name in _INT_SETTINGS + _FLOAT_SETTINGS:
             if name in raw_settings:
-                raw_settings[name] = _setting(name, raw_settings[name], name in _INT_SETTINGS)
+                read = _integer if name in _INT_SETTINGS else _number
+                raw_settings[name] = read(raw_settings[name], ("settings",), name)
         settings = SolverSettings(**raw_settings)
         if settings.parameterization not in _PARAM_MODES:
             raise ScenarioFormatError(
                 f"settings.parameterization must be one of {_PARAM_MODES}"
             )
+        raw_sweeps = data.get("sweeps", {})
         sweeps = SweepDefaults(
-            penetration_levels=data.get("sweeps", {}).get("penetration_levels", ()),
-            pv_multipliers=data.get("sweeps", {}).get("pv_multipliers", ()),
+            *(
+                _list(raw_sweeps.get(k, []), ("sweeps",), k)
+                for k in ("penetration_levels", "pv_multipliers")
+            )
         )
         return Scenario(
             name=str(data.get("name", "scenario")),
@@ -787,49 +840,9 @@ def scenario_from_json(data: Mapping[str, Any], base_dir=None) -> Scenario:
         )
     except ScenarioFormatError:
         raise
-    except OverflowError as exc:  # float() of an integer literal past the float range
-        raise overflow_error(data, exc) from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    # OverflowError: a horizon too large to broadcast a number over
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ScenarioFormatError(f"malformed scenario document: {exc}") from exc
-
-
-# Paths of the numbers a scenario or outcome document holds that its
-# readers take with int() or bool() or keep as they are, so that no float()
-# overflows on them; an outcome document nests its scenario under
-# "scenario.".
-_NOT_READ_AS_FLOAT = re.compile(
-    r"(^|\.)(schema_version|network\.horizon|network\.buses\[\d+\]\.reference"
-    r"|settings\.(budget|multistarts|block_width|seed)|sweeps\..*"
-    r"|strategy\.values\[\d+\]|strategy\.parameters\[\d+\]\.t_(start|end)|search\.\w+)$"
-)
-
-
-def overflow_error(document, exc: OverflowError) -> ScenarioFormatError:
-    """The error for an OverflowError raised while reading the JSON
-    `document`: it names the path of the first integer there that no float
-    can hold among the fields read with float(), such as
-    ``settings.feas_tol`` or ``fleets[0].energy_max``; a huge integer where
-    an integer belongs (``settings.seed``) is passed over."""
-
-    def huge(tree, path):
-        if isinstance(tree, Mapping):
-            items = ((f"{path}.{k}" if path else str(k), v) for k, v in tree.items())
-        elif isinstance(tree, (list, tuple)):
-            items = ((f"{path}[{i}]", v) for i, v in enumerate(tree))
-        else:
-            if _NOT_READ_AS_FLOAT.search(path):
-                return None
-            try:
-                float(tree)
-            except OverflowError:
-                return path
-            except (TypeError, ValueError):
-                pass
-            return None
-        return next(filter(None, (huge(v, p) for p, v in items)), None)
-
-    where = huge(document, "")
-    return ScenarioFormatError(f"{where or 'malformed document'}: {exc}")
 
 
 def scenario_to_json(scenario: Scenario) -> dict:

@@ -67,6 +67,50 @@ def one_bus_scenario(
     return md.Scenario("one_bus_toy", net, (fleet,), (station,), settings)
 
 
+def numeric_leaves(tree, keys=()):
+    """The key path (a tuple of keys and list indices) of every number in a
+    JSON tree; booleans are not numbers here."""
+    if isinstance(tree, dict):
+        for k, v in tree.items():
+            yield from numeric_leaves(v, (*keys, k))
+    elif isinstance(tree, list):
+        for i, v in enumerate(tree):
+            yield from numeric_leaves(v, (*keys, i))
+    elif isinstance(tree, (int, float)) and not isinstance(tree, bool):
+        yield keys
+
+
+def dotted(keys):
+    """A key path written as the document readers name it: fleets[0].tou[3]."""
+    text = ""
+    for k in keys:
+        text += f"[{k}]" if isinstance(k, int) else f".{k}" if text else k
+    return text
+
+
+def assert_each_number_is_read_under_its_path(doc, read, relative_to=()):
+    """Replace each number of `doc` in turn by an integer no float holds:
+    `read(doc)` must either take it (an integer field) or raise
+    ScenarioFormatError naming its path, taken relative to `relative_to`
+    for the numbers under it."""
+    huge = int("9" * 401)
+    named = 0
+    for keys in list(numeric_leaves(doc)):
+        node = doc
+        for k in keys[:-1]:
+            node = node[k]
+        value, node[keys[-1]] = node[keys[-1]], huge
+        try:
+            read(doc)
+        except md.ScenarioFormatError as exc:
+            within = keys[len(relative_to):] if keys[: len(relative_to)] == relative_to else keys
+            assert str(exc).startswith(f"{dotted(within)}: "), (keys, str(exc)[:120])
+            named += 1
+        finally:
+            node[keys[-1]] = value
+    assert named > 0
+
+
 @pytest.fixture(scope="session")
 def desk():
     return sc.desk_scenario()

@@ -13,7 +13,7 @@ from evcsmarket import fleet as fl
 from evcsmarket import lpcore
 from evcsmarket import model as md
 from evcsmarket import scenarios as sc
-from conftest import one_bus_scenario
+from conftest import assert_each_number_is_read_under_its_path, one_bus_scenario
 
 
 def params_of(scenario):
@@ -693,3 +693,36 @@ class TestOutcomeRoundTrip:
         assert bl.certify(again).passed
         assert again.schedule == out.schedule
         assert bl.outcome_to_json(again) == current
+
+    def test_every_number_is_read_under_its_path(self):
+        # the embedded scenario's numbers are named within that scenario
+        doc = json.loads(json.dumps(bl.outcome_to_json(toy_outcome())))
+        assert_each_number_is_read_under_its_path(doc, bl.outcome_from_json, ("scenario",))
+
+    @pytest.mark.parametrize(
+        "keys, value, name",
+        [
+            (("profit",), "14584.7", "profit"),
+            (("schedule", "cost"), True, "schedule.cost"),
+            (("strategy", "parameters", 0, "t_end"), 1.5, "strategy.parameters[0].t_end"),
+            (("search",), {"evaluations": "3", "starts": 1, "seed": 0, "budget": 1}, "search.evaluations"),
+            (("dam", "wtp", "c1", 0), 2.0, "dam.wtp.c1[0]"),
+            (("schedule", "segments", "f1"), [], "schedule.segments.f1"),
+        ],
+    )
+    def test_value_of_the_wrong_kind_is_named(self, keys, value, name):
+        doc = json.loads(json.dumps(bl.outcome_to_json(toy_outcome())))
+        node = doc
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = value
+        with pytest.raises(md.ScenarioFormatError) as info:
+            bl.outcome_from_json(doc)
+        assert str(info.value).startswith(f"{name}: ")
+
+    @pytest.mark.parametrize("drop", ["scenario", "strategy", "dam", "profit"])
+    def test_missing_key_is_a_format_error(self, drop):
+        doc = json.loads(json.dumps(bl.outcome_to_json(toy_outcome())))
+        del doc[drop]
+        with pytest.raises(md.ScenarioFormatError, match=f"malformed outcome document: '{drop}'"):
+            bl.outcome_from_json(doc)

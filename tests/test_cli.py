@@ -107,6 +107,24 @@ class TestValidate:
         assert "fleets[0].energy_max: int too large" in err
         assert "seed" not in err
 
+    @pytest.mark.parametrize(
+        "keys, value, name",
+        [
+            (("network", "horizon"), 24.7, "network.horizon: expected an integer"),
+            (("network", "buses", 0, "reference"), "false", "network.buses[0].reference: expected"),
+        ],
+    )
+    def test_value_of_the_wrong_kind_exit_two(self, tmp_path, capsys, keys, value, name):
+        doc = md.scenario_to_json(one_bus_scenario())
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        scenario_path = tmp_path / "wrong_kind.json"
+        scenario_path.write_text(json.dumps(doc))
+        assert run_cli("validate", scenario_path) == 2
+        assert name in capsys.readouterr().err
+
 
 class TestRun:
     def test_writes_outputs_and_passes(self, toy_path, tmp_path, capsys):
@@ -200,9 +218,11 @@ class TestRun:
             ("offers", "c1", 0),
             ("schedule", "fleet_costs", "f1"),
             ("schedule", "home"),
+            ("profit",),
+            ("schedule", "cost"),
         ],
     )
-    @pytest.mark.parametrize("bad", ["x", None])
+    @pytest.mark.parametrize("bad", ["x", None, "1.0", True])
     def test_certify_non_number_in_cache_exit_two(self, toy_path, tmp_path, capsys, path, bad):
         out = tmp_path / "cache"
         assert run_cli("run", toy_path, "--out", out) == 0
@@ -225,6 +245,7 @@ class TestRun:
             (("schedule", "home", "f1", 0), "schedule.home.f1[0]"),
             (("dam", "lmp", "b1", 1), "dam.lmp.b1[1]"),
             (("profit",), "profit"),
+            (("strategy", "values", 0), "strategy.values[0]"),
         ],
     )
     def test_certify_integer_too_large_in_cache_exit_two(self, toy_path, tmp_path, capsys, path, name):

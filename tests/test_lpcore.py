@@ -88,6 +88,30 @@ class TestSolveBasics:
         with pytest.raises(lc.LpSolveError):
             lc.require_optimal(lp)
 
+    @pytest.mark.parametrize("sense", [lc.MIN, lc.MAX])
+    def test_empty_lp_is_optimal_at_zero(self, sense):
+        sol = lc.solve(lc.LpBuilder(sense).build())
+        assert sol.is_optimal
+        assert sol.objective == 0.0
+        assert sol.primal.size == sol.dual.size == sol.reduced_cost.size == 0
+        assert sol.variable_status.size == 0
+
+    def test_dual_infeasible_basis_is_not_reported_optimal(self):
+        # min -x - 2y over x + y <= 1 in the unit box: the crash basis is
+        # primal feasible (no artificial left), but y can still enter, so
+        # the final check turns it down; with zero costs it is optimal
+        lp = build(
+            lc.MIN,
+            [("x", 0.0, 1.0, -1.0), ("y", 0.0, 1.0, -2.0)],
+            [("cap", {"x": 1.0, "y": 1.0}, lc.LE, 1.0)],
+        )
+        tab = lc._Tableau(lp)
+        assert not np.any(tab.x[tab.nreal :])
+        assert lc._extract_solution(lp, tab, lc.FEAS_TOL, 0) is None
+        tab.c[:] = 0.0
+        assert lc._extract_solution(lp, tab, lc.FEAS_TOL, 0).is_optimal
+        assert lc.solve(lp).objective == pytest.approx(-2.0, abs=1e-9)
+
 
 class TestDefinitionErrors:
     def test_duplicate_variable(self):

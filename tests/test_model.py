@@ -7,7 +7,7 @@ import math
 import pytest
 
 from evcsmarket import dam, fleet, model as md
-from conftest import one_bus_scenario, two_period_fleet
+from conftest import assert_each_number_is_read_under_its_path, dotted, one_bus_scenario, two_period_fleet
 
 
 def minimal_network(horizon=2, two_refs=False):
@@ -269,6 +269,13 @@ class TestSerialization:
         with pytest.raises(md.ScenarioFormatError, match="not in"):
             md.scenario_from_json(doc, base_dir=tmp_path)
 
+    def test_csv_cell_that_is_not_a_number_is_named(self, tmp_path):
+        (tmp_path / "series.csv").write_text("id,t0,t1\nd1,11,x\n")
+        doc = md.scenario_to_json(one_bus_scenario())
+        doc["network"]["demands"][0]["load"] = {"csv": "series.csv", "id": "d1"}
+        with pytest.raises(md.ScenarioFormatError, match=r"series\.csv: row 'd1', column t1: .*'x'"):
+            md.scenario_from_json(doc, base_dir=tmp_path)
+
     def test_read_series_csv_requires_header(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("nope,1,2\n")
@@ -307,6 +314,8 @@ class TestSerialization:
             (("fleets", 0, "energy_max"), r"fleets\[0\]\.energy_max"),
             (("settings", "feas_tol"), r"settings\.feas_tol"),
             (("network", "generators", 1, "segments", 0, "cost"), r"network\.generators\[1\]\.segments\[0\]\.cost"),
+            (("sweeps", "penetration_levels", 0), r"sweeps\.penetration_levels\[0\]"),
+            (("sweeps", "pv_multipliers", 2), r"sweeps\.pv_multipliers\[2\]"),
         ],
     )
     def test_integer_too_large_for_a_float_is_named(self, desk, path, name):
@@ -331,6 +340,50 @@ class TestSerialization:
         name = r"^fleets\[0\]\.energy_max: int too large"
         with pytest.raises(md.ScenarioFormatError, match=name):
             md.scenario_from_json(doc)
+
+    def test_every_number_is_read_under_its_path(self, desk):
+        assert_each_number_is_read_under_its_path(md.scenario_to_json(desk), md.scenario_from_json)
+
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("network", "horizon"), 2.5),
+            (("network", "horizon"), "2"),
+            (("network", "buses", 0, "reference"), "false"),
+            (("network", "buses", 0, "reference"), 1),
+            (("fleets", 0, "energy_max"), "20"),
+            (("fleets", 0, "energy_max"), True),
+            (("fleets", 0, "tou"), False),
+            (("fleets", 0, "station_caps", "c1"), None),
+            (("fleets", 0, "station_connectivity", "c1", 1), "1"),
+            (("network", "demands", 0, "load"), "50"),
+            (("stations", 0, "wtp_segments", 0, "wtp_max"), {"c1": 1.0}),
+            (("schema_version",), 1.5),
+        ],
+    )
+    def test_value_of_the_wrong_kind_is_named(self, keys, value):
+        doc = md.scenario_to_json(one_bus_scenario())
+        node = doc
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = value
+        with pytest.raises(md.ScenarioFormatError) as info:
+            md.scenario_from_json(doc)
+        assert str(info.value).startswith(f"{dotted(keys)}: ")
+
+    def test_sweeps_that_is_not_an_object_is_malformed(self):
+        doc = md.scenario_to_json(one_bus_scenario())
+        doc["sweeps"] = 5
+        with pytest.raises(md.ScenarioFormatError, match="malformed scenario document"):
+            md.scenario_from_json(doc)
+
+    def test_integral_float_is_an_integer(self):
+        doc = md.scenario_to_json(one_bus_scenario())
+        doc["network"]["horizon"] = 2.0
+        doc["settings"]["seed"] = 3.0
+        loaded = md.scenario_from_json(doc)
+        assert loaded.network.horizon == 2 and isinstance(loaded.network.horizon, int)
+        assert loaded.settings.seed == 3 and isinstance(loaded.settings.seed, int)
 
     def test_load_save_files(self, tmp_path, desk):
         path = tmp_path / "scenario.json"
