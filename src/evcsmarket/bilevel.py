@@ -10,17 +10,22 @@ coordinate pattern search over a configurable offer parameterization; a
 brute-force grid evaluator serves as the search oracle on small instances.
 
 The lower-level response is piecewise constant in the offers, so within one
-search most fleet and market-period LPs repeat.  Each `optimize` and
-`brute_force` call therefore passes one memo (a plain dict) through every
-`evaluate` to `fleet.solve_fleet` and `dam.solve_dam`.  Keys are
-("fleet", fleet id, offers of the fleet's stations), mapping to that
+search most fleet and market-period LPs repeat or keep their optimum.  Each
+`optimize` and `brute_force` call therefore passes one memo (a plain dict)
+through every `evaluate` to `fleet.solve_fleet` and `dam.solve_dam`.  Keys
+are ("fleet", fleet id, offers of the fleet's stations), mapping to that
 fleet's schedule series and cost, and ("period", t, fleet withdrawals at
-t), mapping to that period's dispatch, prices and objective terms.  A hit skips the build,
-the solve and the post-check, all of which ran once when the entry was
-stored; bid prices, period welfare and profit are computed on every call.
-A key holds every input of its LP that can change within one scenario, and
-the solver is deterministic, so results match cold solves bit for bit.  The
-memo lives only as long as the call; `certify` never uses one.
+t), mapping to that period's dispatch, prices and objective terms.  A hit
+skips the build, the solve and the post-check, all of which ran once when
+the entry was stored; bid prices, period welfare and profit are computed on
+every call.  A key holds every input of its LP that can change within one
+scenario, and the solver is deterministic, so results match cold solves bit
+for bit.  Under ("fleet", fleet id) the memo also keeps the fleet's LP,
+built once, and the distinct optimal bases its solves ended in: offers
+enter a fleet LP only through its station costs, so a basis that stays the
+unique optimum at new offers gives the schedule with no solve, at the point
+a solve would return (see `fleet.solve_fleet`); ties are solved.  The memo
+lives only as long as the call; `certify` never uses one.
 
 When followers are indifferent (offer price equal to the retail rate) the
 deterministic fleet tie-break resolves toward station charging, i.e. in the
@@ -53,6 +58,7 @@ from .model import (
 from .model import _entries, _integer, _list, _map, _number  # the document readers
 
 BRUTE_FORCE_CAP = 1_000_000
+OUTCOME_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -706,7 +712,7 @@ def _welfare_bound(
 
 def outcome_to_json(outcome: EquilibriumOutcome) -> dict:
     return {
-        "schema_version": 1,
+        "schema_version": OUTCOME_SCHEMA_VERSION,
         "scenario": scenario_to_json(outcome.scenario),
         "offers": {k: list(v) for k, v in sorted(outcome.offers.items())},
         "strategy": {
@@ -767,13 +773,18 @@ def outcome_to_json(outcome: EquilibriumOutcome) -> dict:
 def outcome_from_json(data: dict) -> EquilibriumOutcome:
     """Rebuild a full outcome (including the embedded scenario) from the
     document written by `outcome_to_json`; used to re-certify cached runs.
-    Period bounds and search counts are integers and every other number a
-    number, by the rules of `scenario_from_json`.  Any other value raises
-    ScenarioFormatError naming its path (``schedule.home.f1[0]``; within the
-    embedded scenario, ``fleets[0].energy_max``), as does a missing key."""
+    `schema_version` (1 when absent), period bounds and search counts are
+    integers and every other number a number, by the rules of
+    `scenario_from_json`.  Any other value, or a version other than
+    OUTCOME_SCHEMA_VERSION, raises ScenarioFormatError naming its path
+    (``schedule.home.f1[0]``; within the embedded scenario,
+    ``fleets[0].energy_max``), as does a missing key."""
     series = partial(_map, read=_list)  # {id: [number, ...]}
     rows = partial(_list, read=_list)  # [[number, ...], ...]
     try:
+        version = _integer(data.get("schema_version", OUTCOME_SCHEMA_VERSION), (), "schema_version")
+        if version != OUTCOME_SCHEMA_VERSION:
+            raise ScenarioFormatError(f"schema_version: unsupported version {version}")
         scenario = scenario_from_json(data["scenario"])
         params = tuple(
             OfferParameter(

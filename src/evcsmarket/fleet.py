@@ -17,7 +17,7 @@ certificate's `fleet_strong_duality` re-solves the true LP and is the judge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -237,6 +237,52 @@ def _schedule_from_solution(inp: FleetInput, f: EVFleet, values, cols: FleetColu
     return total, home, station, segments, tuple(energy), float(cost)
 
 
+@dataclass
+class _FleetLp:
+    """One fleet's LP within one search, built once, and the distinct
+    optimal bases its solves have ended in, most recent hit first.
+    `station_columns` are its station energy columns, station by station
+    (in `_fleet_stations` order) and period by period."""
+
+    lp: LinearProgram
+    cols: FleetColumns
+    bases: list[lpcore.BasisRegion] = field(default_factory=list)
+    station_columns: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.station_columns = np.array([j for c in self.cols.station for j in c], dtype=int)
+
+    def costed(self, costs: np.ndarray) -> LinearProgram:
+        """The LP with its station columns billed at `costs`; offers move
+        no row or bound."""
+        if np.array_equal(self.lp.objective[self.station_columns], costs):
+            return self.lp
+        objective = self.lp.objective.copy()
+        objective[self.station_columns] = costs
+        return replace(self.lp, objective=objective)
+
+    def stored_optimum(self, costs: np.ndarray):
+        """(basis, point) for the first stored basis whose point is the
+        unique optimum at `costs`, or (None, None)."""
+        for basis in self.bases:
+            point = basis.point_at(costs)
+            if point is not None:
+                return basis, point
+        return None, None
+
+    def basis_of(self, lp: LinearProgram, sol: lpcore.LpSolution) -> lpcore.BasisRegion | None:
+        """The stored basis `sol` ended in, or a new one made ready for
+        re-pricing (None if it never can be a unique optimum)."""
+        key = lpcore.basis_key(sol)
+        stored = next((b for b in self.bases if b.key == key), None)
+        return stored or lpcore.basis_region(lp, sol, self.station_columns)
+
+
+def _station_costs(inp: FleetInput, fleet: EVFleet) -> np.ndarray:
+    """The offers billing a fleet's station columns, in `_FleetLp` order."""
+    return np.array([tau for s in _fleet_stations(inp, fleet) for tau in inp.offers[s.id]])
+
+
 def solve_fleet(
     inp: FleetInput, *, feas_tol: float = lpcore.FEAS_TOL, memo: dict | None = None
 ) -> FleetSchedule:
@@ -250,11 +296,19 @@ def solve_fleet(
     surcharge moves no row or bound) and raises FleetStructureError above
     100 * feas_tol.
 
-    `memo`, when given, holds each fleet's checked result under
-    ("fleet", fleet id, offers of its stations in `_fleet_stations` order),
-    the only inputs of its LP that change within one scenario; a fleet
-    found there skips the build, the solve and the post-check.  A memo
-    belongs to one scenario and is written to only after the post-check.
+    `memo`, when given, belongs to one scenario (one search).  Per fleet it
+    holds the checked result under ("fleet", fleet id, offers of its
+    stations in `_fleet_stations` order), the only inputs of its LP that
+    change within one scenario, and the fleet's `_FleetLp` under ("fleet",
+    fleet id).  A result found under its offers is reused as it is.
+    Otherwise each stored basis is re-priced at the new offers
+    (`lpcore.BasisRegion.point_at`), most recent hit first.  The first
+    whose point is the LP's unique optimum answers, with no solve: a solve
+    would end at that point, and since offers move no row or bound, the
+    point passed the post-check when its basis was stored.  Only when no
+    stored basis qualifies (at ties, or at offers no basis covers yet) is
+    the stored LP re-costed and solved, and its basis kept unless an equal
+    one is.  Results and bases are written only after the post-check.
     """
     _check_input(inp)
     for f in inp.fleets:
@@ -263,15 +317,25 @@ def solve_fleet(
             raise FleetInfeasibleError(f.id, t_bad)
 
     total, home, station, segments, energy, fleet_costs = {}, {}, {}, {}, {}, {}
-    solved = {}  # fleet id -> (memo key, LP, its columns, result) for the fleets solved here
+    solved = {}  # fleet id -> (memo key, _FleetLp, answering basis, result, LP solved or None)
     for f in sorted(inp.fleets, key=lambda f: f.id):
         key = ("fleet", f.id, tuple(inp.offers[s.id] for s in _fleet_stations(inp, f)))
         result = None if memo is None else memo.get(key)
         if result is None:
-            lp, cols = build_fleet(inp, f, home_price_bump=TIE_BREAK_EPS)
-            values = lpcore.require_optimal(lp, feas_tol=feas_tol).primal
-            result = _schedule_from_solution(inp, f, values, cols)
-            solved[f.id] = (key, lp, cols, result)
+            fleet_lp = None if memo is None else memo.get(("fleet", f.id))
+            if fleet_lp is None:
+                fleet_lp = _FleetLp(*build_fleet(inp, f, home_price_bump=TIE_BREAK_EPS))
+            costs = _station_costs(inp, f)
+            basis, values = fleet_lp.stored_optimum(costs)
+            lp = None
+            if values is None:
+                lp = fleet_lp.costed(costs)
+                sol = lpcore.require_optimal(lp, feas_tol=feas_tol)
+                values = sol.primal
+                if memo is not None:
+                    basis = fleet_lp.basis_of(lp, sol)
+            result = _schedule_from_solution(inp, f, values, fleet_lp.cols)
+            solved[f.id] = (key, fleet_lp, basis, result, lp)
         (
             total[f.id], home[f.id], station[f.id], segments[f.id], energy[f.id], fleet_costs[f.id]
         ) = result
@@ -289,12 +353,19 @@ def solve_fleet(
     for f in inp.fleets:
         if f.id not in solved:
             continue
-        key, lp, cols, result = solved[f.id]
-        violation = lpcore.max_violation(lp, schedule_values(inp, schedule, f, lp, cols))
-        if violation > feas_tol * 100.0:
-            raise FleetStructureError(f"fleet {f.id}: schedule violates its LP by {violation:.3e}")
+        key, fleet_lp, basis, result, lp = solved[f.id]
+        if lp is not None:
+            values = schedule_values(inp, schedule, f, lp, fleet_lp.cols)
+            violation = lpcore.max_violation(lp, values)
+            if violation > feas_tol * 100.0:
+                raise FleetStructureError(
+                    f"fleet {f.id}: schedule violates its LP by {violation:.3e}"
+                )
         if memo is not None:
             memo[key] = result
+            memo[("fleet", f.id)] = fleet_lp
+            if basis is not None:
+                fleet_lp.bases[:] = [basis] + [b for b in fleet_lp.bases if b is not basis]
     return schedule
 
 

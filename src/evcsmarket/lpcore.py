@@ -197,7 +197,10 @@ def _empty():
 class LpSolution:
     """Result of `solve`, as arrays in the LP's order: `primal`,
     `reduced_cost` and `variable_status` (BASIC, AT_LOWER, AT_UPPER or
-    NONBASIC_FREE) per column, `dual` per row; empty unless optimal.
+    NONBASIC_FREE) per column, `dual` per row, and `basis`, the final
+    basis's basic column per row (a structural j < n, or n + i for the
+    slack of row i; an artificial n + m + i stays only on a redundant row);
+    empty unless optimal.
 
     `dual` and `reduced_cost` follow the marginal-value convention in the
     module docstring.  `infeasibility_certificate` (row multipliers proving
@@ -214,6 +217,7 @@ class LpSolution:
     dual: np.ndarray = field(default_factory=_empty)
     reduced_cost: np.ndarray = field(default_factory=_empty)
     variable_status: np.ndarray = field(default_factory=_empty)
+    basis: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     iterations: int = 0
     phase1_iterations: int = 0
     infeasibility_certificate: np.ndarray | None = None
@@ -662,6 +666,7 @@ def _extract_solution(lp: LinearProgram, tab: _Tableau, feas_tol, phase1_iterati
         dual=tab.sign * y_int,
         reduced_cost=tab.sign * d_int[:n],
         variable_status=status,
+        basis=tab.basis.copy(),
         iterations=tab.iterations,
         phase1_iterations=phase1_iterations,
     )
@@ -773,6 +778,89 @@ def require_optimal(lp: LinearProgram, **kwargs) -> LpSolution:
     if not sol.is_optimal:
         raise LpSolveError(f"{lp.name}: solver returned status {sol.status}", sol)
     return sol
+
+
+@dataclass(frozen=True, eq=False)
+class BasisRegion:
+    """An optimal basis of an LP whose costs change only on `columns`, held
+    so that a new cost vector is priced by one small product
+    (`point_at`); see `basis_region`.
+
+    `key` names the basis (`basis_key`).  `point` is its primal point,
+    which no cost moves.  `margin` holds the reduced costs of its non-fixed
+    nonbasic columns at zero cost on `columns`, each oriented so that
+    positive is the optimal side; `slope[r]` is how they move per unit cost
+    on `columns[r]`.  `scale` is the largest |cost| outside `columns`."""
+
+    key: tuple
+    point: np.ndarray
+    margin: np.ndarray
+    slope: np.ndarray
+    scale: float
+
+    def point_at(self, costs) -> np.ndarray | None:
+        """`point` when, with `costs` on `columns`, every non-fixed
+        nonbasic column's reduced cost is strictly on its optimal side (by
+        more than the solver's own optimality tolerance), so that `point` is
+        the LP's unique optimum; None otherwise."""
+        costs = np.asarray(costs, dtype=float)
+        margin = self.margin + costs @ self.slope
+        scale = max(self.scale, float(np.abs(costs).max(initial=0.0)))
+        return self.point if margin.min(initial=INF) > OPT_TOL * (1.0 + scale) else None
+
+
+def basis_key(sol: LpSolution) -> tuple:
+    """The final basis of an optimal `sol`: its basic columns, sorted, and
+    the structural columns resting at their upper bound."""
+    at_upper = np.flatnonzero(sol.variable_status == AT_UPPER)
+    return tuple(sorted(sol.basis.tolist())), tuple(at_upper.tolist())
+
+
+def basis_region(lp: LinearProgram, sol: LpSolution, columns) -> BasisRegion | None:
+    """The final basis of `sol`, an optimal solution of `lp`, made ready to
+    be re-priced for new costs on `columns` (Gal, Postoptimal Analyses,
+    1995): B^-1 A is applied once to the non-fixed nonbasic columns, so a
+    reduced cost is an affine function of those costs.  The basis stays
+    primal feasible whatever the costs, since they move no row or bound.
+    None when the basis keeps an artificial or a free nonbasic column (it
+    can never be a unique optimum) or cannot be inverted."""
+    m, n = lp.matrix.shape
+    columns = np.asarray(columns, dtype=int)
+    basis, status = sol.basis, sol.variable_status
+    if not sol.is_optimal or np.any(basis >= n + m) or np.any(status == NONBASIC_FREE):
+        return None
+    # slacks of "<=" rows rest at 0 from above their lower bound, of ">="
+    # rows at 0 from below their upper bound, of "=" rows are fixed
+    fixed = np.concatenate([lp.lower == lp.upper, lp.relations == EQ])
+    at_upper = np.concatenate([status == AT_UPPER, lp.relations == GE])
+    nonbasic = np.ones(n + m, dtype=bool)
+    nonbasic[basis] = False
+    free_nonbasic = np.flatnonzero(nonbasic & ~fixed)
+    A = np.hstack([lp.matrix, np.eye(m)])
+    try:
+        W = np.linalg.solve(A[:, basis], A[:, free_nonbasic])
+    except np.linalg.LinAlgError:
+        return None
+    sign = -1.0 if lp.sense == MAX else 1.0
+    costs = np.zeros(n + m)
+    costs[:n] = sign * lp.objective
+    costs[columns] = 0.0
+    orient = np.where(at_upper[free_nonbasic], -1.0, 1.0)
+    # d = c_N - c_B B^-1 A_N, in the solver's minimizing costs: a unit cost
+    # on a nonbasic column adds to its own reduced cost, one on a basic
+    # column takes off its row of B^-1 A_N
+    slope = (columns[:, None] == free_nonbasic[None, :]).astype(float)
+    row = np.full(n + m, -1)
+    row[basis] = np.arange(m)
+    basic = row[columns] >= 0
+    slope[basic] -= W[row[columns][basic]]
+    return BasisRegion(
+        key=basis_key(sol),
+        point=sol.primal,
+        margin=orient * (costs[free_nonbasic] - costs[basis] @ W),
+        slope=slope * (sign * orient),
+        scale=float(np.max(np.abs(costs), initial=0.0)),
+    )
 
 
 # ---------------------------------------------------------------------------

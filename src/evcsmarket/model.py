@@ -640,14 +640,20 @@ def _entries(value, at, key) -> tuple:
 
 def _resolve_series(T, base_dir, value, at, key):
     """Accept a list of length T, a number broadcast to T, or a CSV reference
-    of the form {"csv": filename, "id": row_id}."""
+    of the form {"csv": filename, "id": row_id}; a CSV file that cannot be
+    read raises ScenarioFormatError naming the field and the file."""
     if isinstance(value, dict):
         if "csv" not in value or "id" not in value:
             raise ScenarioFormatError(f"{_path(at, key)}: csv reference needs 'csv' and 'id'")
         csv_path = Path(value["csv"])
         if base_dir is not None and not csv_path.is_absolute():
             csv_path = Path(base_dir) / csv_path
-        table = read_series_csv(csv_path)
+        try:
+            table = read_series_csv(csv_path)
+        except OSError as exc:
+            raise ScenarioFormatError(
+                f"{_path(at, key)}: cannot read series file {csv_path}"
+            ) from exc
         if value["id"] not in table:
             raise ScenarioFormatError(f"{_path(at, key)}: id {value['id']!r} not in {csv_path}")
         return table[value["id"]]

@@ -3,6 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# every property runs derandomized (the same examples on every run) and
+# without a per-example deadline; each test sets its own max_examples
+settings.register_profile("tier1", deadline=None, derandomize=True)
+settings.load_profile("tier1")
 
 sys.path.insert(0, str(Path(__file__).parent))
 

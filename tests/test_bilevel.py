@@ -720,6 +720,28 @@ class TestOutcomeRoundTrip:
             bl.outcome_from_json(doc)
         assert str(info.value).startswith(f"{name}: ")
 
+    @pytest.mark.parametrize(
+        "version, message",
+        [
+            (2, "schema_version: unsupported version 2"),
+            (int("9" * 401), "schema_version: unsupported version 999"),
+            ("1", "schema_version: expected an integer"),
+        ],
+        ids=["other", "401 digits", "string"],
+    )
+    def test_own_schema_version_is_read(self, version, message):
+        doc = json.loads(json.dumps(bl.outcome_to_json(toy_outcome())))
+        doc["schema_version"] = version
+        with pytest.raises(md.ScenarioFormatError) as info:
+            bl.outcome_from_json(doc)
+        assert str(info.value).startswith(message)
+
+    def test_absent_schema_version_reads_as_1(self):
+        out = toy_outcome()
+        doc = json.loads(json.dumps(bl.outcome_to_json(out)))
+        del doc["schema_version"]
+        assert bl.outcome_from_json(doc).schedule == out.schedule
+
     @pytest.mark.parametrize("drop", ["scenario", "strategy", "dam", "profit"])
     def test_missing_key_is_a_format_error(self, drop):
         doc = json.loads(json.dumps(bl.outcome_to_json(toy_outcome())))

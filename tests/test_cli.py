@@ -42,6 +42,19 @@ class TestValidate:
     def test_missing_file_exit_two(self, tmp_path):
         assert run_cli("validate", tmp_path / "nope.json") == 2
 
+    @pytest.mark.parametrize("make", [lambda path: None, lambda path: path.mkdir()],
+                             ids=["missing", "unreadable"])
+    def test_unreadable_series_file_is_named_with_its_field(self, tmp_path, capsys, make):
+        make(tmp_path / "nope.csv")
+        doc = md.scenario_to_json(one_bus_scenario())
+        doc["network"]["demands"][0]["load"] = {"csv": "nope.csv", "id": "d1"}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("validate", path) == 2
+        err = capsys.readouterr().err
+        assert f"network.demands[0].load: cannot read series file {tmp_path / 'nope.csv'}" in err
+        assert "cannot read scenario file" not in err
+
     def test_malformed_json_exit_two(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

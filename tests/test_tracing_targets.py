@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from evcsmarket import bilevel, fleet, lpcore
+from conftest import _random_bilevel_scenario
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -71,6 +72,23 @@ def test_traced_desk_search_solves_each_distinct_input_once(desk):
     c = counts[0]
     assert c["lpcore.dam.solves"] == c["dam.period_distinct"] < c["dam.period_solves"]
     assert c["lpcore.fleet.solves"] == runs[0][1] == runs[1][1]
+
+
+def test_traced_search_answers_fleets_from_stored_bases():
+    """On a criterion-5 instance a search answers most fleet LPs from
+    optimal bases it already holds: fewer fleet solves than fleet calls,
+    and the counts of two traced searches repeat exactly."""
+    scenario = _random_bilevel_scenario(900)
+    for module, _ in tracing.LAYER_TARGETS:
+        importlib.import_module(f"evcsmarket.{module}")
+    counts = []
+    for _ in range(2):
+        with tracing.Tracer() as tracer:
+            bilevel.optimize(scenario)
+        assert tracing.check(tracer.spans) == []
+        counts.append(tracing.counts(tracer.spans))
+    assert counts[0] == counts[1]
+    assert counts[0]["lpcore.fleet.solves"] < counts[0]["fleet.solve_fleet.calls"]
 
 
 def test_desk_certify_starts_at_the_outcome(desk_baseline):
