@@ -24,8 +24,12 @@ for bit.  Under ("fleet", fleet id) the memo also keeps the fleet's LP,
 built once, and the distinct optimal bases its solves ended in: offers
 enter a fleet LP only through its station costs, so a basis that stays the
 unique optimum at new offers gives the schedule with no solve, at the point
-a solve would return (see `fleet.solve_fleet`); ties are solved.  The memo
-lives only as long as the call; `certify` never uses one.
+a solve would return (see `fleet.solve_fleet`).  Ties, and offers no stored
+basis covers, are solved; only the first such solve of a fleet runs phase
+1, and the others start phase 2 from the state it left
+(`lpcore.Phase1State`), which no offer moves, so each returns the cold
+solve's bits.  The memo lives only as long as the call; `certify` never
+uses one.
 
 When followers are indifferent (offer price equal to the retail rate) the
 deterministic fleet tie-break resolves toward station charging, i.e. in the
@@ -624,7 +628,7 @@ def _fleet_checks(outcome: EquilibriumOutcome) -> dict[str, tuple[float, float]]
             floors = {st.id: st.offer_min for st in scenario.stations}
             lp, cols = fleet_mod.build_fleet(fleet_mod.fleet_input(scenario, floors), f)
             priced = False
-        values = fleet_mod.schedule_values(finput, outcome.schedule, f, lp, cols)
+        values = fleet_mod.schedule_values(outcome.schedule, f, lp, cols)
         bound = -math.inf
         if priced:
             sol = lpcore.solve(lp, feas_tol=scenario.settings.feas_tol, start=values)

@@ -64,12 +64,13 @@ class FleetInput:
         object.__setattr__(
             self, "offers", {k: tuple(map(float, v)) for k, v in self.offers.items()}
         )
+        by_id: dict[str, ChargingStation] = {}
+        for s in self.stations:
+            by_id.setdefault(s.id, s)  # the first of a repeated id, as a scan finds
+        object.__setattr__(self, "_by_id", by_id)
 
     def station(self, station_id: str) -> ChargingStation:
-        for s in self.stations:
-            if s.id == station_id:
-                return s
-        raise KeyError(station_id)
+        return self._by_id[station_id]
 
 
 def fleet_input(scenario: Scenario, offers) -> FleetInput:
@@ -132,21 +133,24 @@ def _check_input(inp: FleetInput) -> None:
 
 
 def _fleet_stations(inp: FleetInput, fleet: EVFleet) -> list[ChargingStation]:
-    return [inp.station(cid) for cid, _ in fleet.station_caps if inp.station(cid).fleet_id == fleet.id]
+    """The stations of `fleet` it has a cap at, in cap order."""
+    stations = (inp.station(cid) for cid, _ in fleet.station_caps)
+    return [s for s in stations if s.fleet_id == fleet.id]
 
 
 @dataclass(frozen=True)
 class FleetColumns:
     """Where `build_fleet` placed its fleet's columns, each list indexed by
     period: `station[k]` and `segment[k][m]` belong to the fleet's k-th
-    station (in `_fleet_stations` order) and that station's m-th bid
-    segment."""
+    station (in `_fleet_stations` order), whose id is `stations[k]`, and
+    that station's m-th bid segment."""
 
     total: list[int]
     home: list[int]
     station: tuple[list[int], ...]
     segment: tuple[tuple[list[int], ...], ...]
     energy: list[int]
+    stations: tuple[str, ...]
 
 
 def build_fleet(
@@ -209,44 +213,48 @@ def build_fleet(
             rhs += f.initial_energy
         lp.add_constraint(f"energy_balance[{f.id},{t}]", coeffs, EQ, rhs)
 
-    return lp.build(), FleetColumns(total, home, tuple(station), tuple(map(tuple, segment)), energy)
+    return lp.build(), FleetColumns(
+        total, home, tuple(station), tuple(map(tuple, segment)), energy,
+        tuple(s.id for s in stations),
+    )
 
 
 def _schedule_from_solution(inp: FleetInput, f: EVFleet, values, cols: FleetColumns):
     """One fleet's series (total, home, station, segments, energy) and its
     cost at the true prices, from the primal values of its LP at `cols`."""
     T = inp.horizon
-    stations = _fleet_stations(inp, f)
     home = tuple(values[cols.home].tolist())
     station = {}
     segments = {}
-    for s, seg_cols in zip(stations, cols.segment):
-        segments[s.id] = tuple(tuple(values[m_cols].tolist()) for m_cols in seg_cols)
-        station[s.id] = tuple(
-            sum(segments[s.id][m][t] for m in range(len(s.segments))) for t in range(T)
+    for cid, seg_cols in zip(cols.stations, cols.segment):
+        segments[cid] = tuple(tuple(values[m_cols].tolist()) for m_cols in seg_cols)
+        station[cid] = tuple(
+            sum(segments[cid][m][t] for m in range(len(seg_cols))) for t in range(T)
         )
-    total = tuple(home[t] + sum(station[s.id][t] for s in stations) for t in range(T))
+    total = tuple(home[t] + sum(station[cid][t] for cid in cols.stations) for t in range(T))
     e = f.initial_energy
     energy = []
     for t in range(T):
         e = e - f.driving[t] / f.discharge_efficiency + total[t] * f.charge_efficiency
         energy.append(e)
     cost = sum(home[t] * f.tou[t] for t in range(T))
-    for s in stations:
-        cost += sum(station[s.id][t] * inp.offers[s.id][t] for t in range(T))
+    for cid in cols.stations:
+        cost += sum(station[cid][t] * inp.offers[cid][t] for t in range(T))
     return total, home, station, segments, tuple(energy), float(cost)
 
 
 @dataclass
 class _FleetLp:
-    """One fleet's LP within one search, built once, and the distinct
-    optimal bases its solves have ended in, most recent hit first.
-    `station_columns` are its station energy columns, station by station
-    (in `_fleet_stations` order) and period by period."""
+    """One fleet's LP within one search, built once, the distinct optimal
+    bases its solves have ended in, most recent hit first, and the state
+    its first solve's phase 1 left, which every later solve starts phase 2
+    from.  `station_columns` are its station energy columns, station by
+    station (in `_fleet_stations` order) and period by period."""
 
     lp: LinearProgram
     cols: FleetColumns
     bases: list[lpcore.BasisRegion] = field(default_factory=list)
+    phase1: lpcore.Phase1State = field(default_factory=lpcore.Phase1State)
     station_columns: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -278,11 +286,6 @@ class _FleetLp:
         return stored or lpcore.basis_region(lp, sol, self.station_columns)
 
 
-def _station_costs(inp: FleetInput, fleet: EVFleet) -> np.ndarray:
-    """The offers billing a fleet's station columns, in `_FleetLp` order."""
-    return np.array([tau for s in _fleet_stations(inp, fleet) for tau in inp.offers[s.id]])
-
-
 def solve_fleet(
     inp: FleetInput, *, feas_tol: float = lpcore.FEAS_TOL, memo: dict | None = None
 ) -> FleetSchedule:
@@ -308,7 +311,12 @@ def solve_fleet(
     point passed the post-check when its basis was stored.  Only when no
     stored basis qualifies (at ties, or at offers no basis covers yet) is
     the stored LP re-costed and solved, and its basis kept unless an equal
-    one is.  Results and bases are written only after the post-check.
+    one is.  These solves share the `_FleetLp`'s `lpcore.Phase1State`: the
+    first one runs phase 1, which reads no offer, and every later one starts
+    phase 2 where it ended, so each returns the cold solve's bits.  Results
+    and bases are written only after the post-check; the phase-1 state
+    depends on no offer, so a solve keeps it whatever the post-check finds.
+    Without a memo every LP is built and solved cold.
     """
     _check_input(inp)
     for f in inp.fleets:
@@ -319,18 +327,21 @@ def solve_fleet(
     total, home, station, segments, energy, fleet_costs = {}, {}, {}, {}, {}, {}
     solved = {}  # fleet id -> (memo key, _FleetLp, answering basis, result, LP solved or None)
     for f in sorted(inp.fleets, key=lambda f: f.id):
-        key = ("fleet", f.id, tuple(inp.offers[s.id] for s in _fleet_stations(inp, f)))
+        # a result is stored only with its _FleetLp, so a missing LP is a miss
+        fleet_lp = None if memo is None else memo.get(("fleet", f.id))
+        if fleet_lp is None:
+            fleet_lp = _FleetLp(*build_fleet(inp, f, home_price_bump=TIE_BREAK_EPS))
+        offers = tuple(inp.offers[cid] for cid in fleet_lp.cols.stations)
+        key = ("fleet", f.id, offers)
         result = None if memo is None else memo.get(key)
         if result is None:
-            fleet_lp = None if memo is None else memo.get(("fleet", f.id))
-            if fleet_lp is None:
-                fleet_lp = _FleetLp(*build_fleet(inp, f, home_price_bump=TIE_BREAK_EPS))
-            costs = _station_costs(inp, f)
+            costs = np.array([tau for series in offers for tau in series])
             basis, values = fleet_lp.stored_optimum(costs)
             lp = None
             if values is None:
                 lp = fleet_lp.costed(costs)
-                sol = lpcore.require_optimal(lp, feas_tol=feas_tol)
+                phase1 = None if memo is None else fleet_lp.phase1
+                sol = lpcore.require_optimal(lp, feas_tol=feas_tol, phase1=phase1)
                 values = sol.primal
                 if memo is not None:
                     basis = fleet_lp.basis_of(lp, sol)
@@ -355,7 +366,7 @@ def solve_fleet(
             continue
         key, fleet_lp, basis, result, lp = solved[f.id]
         if lp is not None:
-            values = schedule_values(inp, schedule, f, lp, fleet_lp.cols)
+            values = schedule_values(schedule, f, lp, fleet_lp.cols)
             violation = lpcore.max_violation(lp, values)
             if violation > feas_tol * 100.0:
                 raise FleetStructureError(
@@ -370,16 +381,16 @@ def solve_fleet(
 
 
 def schedule_values(
-    inp: FleetInput, sched: FleetSchedule, fleet: EVFleet, lp: LinearProgram, cols: FleetColumns
+    sched: FleetSchedule, fleet: EVFleet, lp: LinearProgram, cols: FleetColumns
 ) -> np.ndarray:
     """A schedule's series for one fleet as one value per column of `lp`,
     the LP that `build_fleet(inp, fleet)` returned with `cols`."""
     fid = fleet.id
     values = [0.0] * len(lp.variables)
     placed = [(cols.total, sched.total[fid]), (cols.home, sched.home[fid])]
-    for s, s_cols, seg_cols in zip(_fleet_stations(inp, fleet), cols.station, cols.segment):
-        placed.append((s_cols, sched.station[fid][s.id]))
-        placed.extend(zip(seg_cols, sched.segments[fid][s.id]))
+    for cid, s_cols, seg_cols in zip(cols.stations, cols.station, cols.segment):
+        placed.append((s_cols, sched.station[fid][cid]))
+        placed.extend(zip(seg_cols, sched.segments[fid][cid]))
     placed.append((cols.energy, sched.energy[fid]))
     for series_cols, series in placed:
         for j, v in zip(series_cols, series):
@@ -579,9 +590,9 @@ def dual_form_report(
     offer_dual = lpcore.require_optimal(lpcore.dualize(offer_lp))
 
     objective = offer_lp.objective.copy()
-    for s, s_cols, seg_cols in zip(_fleet_stations(inp, fleet), cols.station, cols.segment):
+    for cid, s_cols, seg_cols in zip(cols.stations, cols.station, cols.segment):
         objective[s_cols] = 0.0
-        for m_cols, prices in zip(seg_cols, segment_prices[s.id]):
+        for m_cols, prices in zip(seg_cols, segment_prices[cid]):
             objective[m_cols] = prices
     seg_lp = replace(offer_lp, objective=objective)
     seg_primal = lpcore.require_optimal(seg_lp).objective

@@ -21,6 +21,13 @@ Megiddo 1991), and when that basis is feasible phase 1 is skipped.  Either
 way the start depends only on the LP and the point given, so a solve never
 depends on what was solved before it.
 
+Phase 1 and the pivot-out of the artificials read no objective, so solves
+of one LP under several objectives can share them: `solve(lp,
+phase1=state)` with a `Phase1State` keeps the tableau the first solve
+reaches there, and every later solve starts its phase 2 from a copy of it.
+Its result is the cold solve's, bit for bit; only its pivot count leaves
+out the phase-1 pivots it did not make.
+
 Sign conventions (fixed once, used everywhere in this package):
 
 * Constraint duals are *marginal values*: ``dual[i] = d(optimal objective) /
@@ -41,6 +48,7 @@ matters (e.g. locational prices).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -356,7 +364,6 @@ class _Tableau:
         m, n = lp.matrix.shape
         self.n = n
         self.m = m
-        self.sign = sign = -1.0 if lp.sense == MAX else 1.0
         self.nreal = n + m
         self.ncols = self.nreal + m
         diagonal = self.ncols + 1  # flat stride from A[i, j] to A[i + 1, j + 1]
@@ -365,8 +372,8 @@ class _Tableau:
         self.A[:, :n] = lp.matrix
         self.A.flat[n : n + m * diagonal : diagonal] = 1.0
         self.b = lp.rhs.copy()
-        self.c = np.zeros(self.ncols)
-        self.c[:n] = sign * lp.objective
+        self.set_costs(lp)
+        self.max_iterations = 2000 + 200 * (n + m)
         # column bounds: structurals; slacks of "<=" rows [0, inf), of ">="
         # rows (-inf, 0], of "=" rows [0, 0]; artificials [0, inf)
         relations = lp.relations.tolist()
@@ -379,6 +386,22 @@ class _Tableau:
         self.from_start = start is not None and self._start_at(start, feas_tol)
         if not self.from_start:
             self._crash_start()
+
+    def set_costs(self, lp: LinearProgram) -> None:
+        """Take `lp`'s sense and objective as the phase-2 costs; nothing
+        before phase 2 reads them."""
+        self.sign = -1.0 if lp.sense == MAX else 1.0
+        self.c = np.zeros(self.ncols)
+        self.c[: self.n] = self.sign * lp.objective
+
+    def copy(self) -> _Tableau:
+        """A copy that owns every array a pivot or a refactorization writes
+        and shares the rest (A, b and the bounds, fixed once phase 1 has
+        pinned the artificials)."""
+        tab = copy.copy(self)
+        for attr in ("x", "pos", "basis", "in_basis", "binv"):
+            setattr(tab, attr, getattr(self, attr).copy())
+        return tab
 
     def _set_basis(self, basis, art_sign) -> None:
         diagonal = self.ncols + 1
@@ -628,9 +651,10 @@ class _Tableau:
         return best_t, leave_pos, hits_upper
 
 
-def _extract_solution(lp: LinearProgram, tab: _Tableau, feas_tol, phase1_iterations):
+def _extract_solution(lp: LinearProgram, tab: _Tableau, feas_tol, phase1_iterations, inherited=0):
     """Final verification and packaging; returns None if the claimed optimum
-    does not survive an exact refactorization."""
+    does not survive an exact refactorization.  The solution counts the
+    iterations past the `inherited` ones (see `_phase2`)."""
     if not tab.refactor():
         return None
     y_int = tab.duals(tab.c)
@@ -667,12 +691,66 @@ def _extract_solution(lp: LinearProgram, tab: _Tableau, feas_tol, phase1_iterati
         reduced_cost=tab.sign * d_int[:n],
         variable_status=status,
         basis=tab.basis.copy(),
-        iterations=tab.iterations,
+        iterations=tab.iterations - inherited,
         phase1_iterations=phase1_iterations,
     )
 
 
-def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, start=None) -> LpSolution:
+class Phase1State:
+    """What phase 1 and the artificial pivot-out leave of one LP's tableau,
+    kept for solves of that LP under other objectives (`solve(lp,
+    phase1=state)`).  Neither step reads the objective (the two-phase
+    method; Bertsimas & Tsitsiklis, Introduction to Linear Optimization,
+    section 3.5), so phase 2 from a copy of this state takes the pivots,
+    and returns the bits, of a cold solve.
+
+    Made empty.  The first solve given it runs cold and fills it, when its
+    phase 1 ends feasible; from then on it belongs to that LP's matrix, rhs,
+    relations and bounds and to that solve's `feas_tol`, and `solve` raises
+    ValueError if it is given with any other."""
+
+    def __init__(self):
+        self._tab: _Tableau | None = None
+        self._arrays: tuple[np.ndarray, ...] = ()
+        self._feas_tol = math.nan
+
+    @property
+    def empty(self) -> bool:
+        return self._tab is None
+
+    @staticmethod
+    def _arrays_of(lp: LinearProgram) -> tuple[np.ndarray, ...]:
+        return lp.matrix, lp.rhs, lp.relations, lp.lower, lp.upper
+
+    def _keep(self, lp: LinearProgram, tab: _Tableau, feas_tol: float) -> None:
+        self._tab = tab.copy()
+        self._arrays = self._arrays_of(lp)
+        self._feas_tol = feas_tol
+
+    def _restore(self, lp: LinearProgram, feas_tol: float) -> _Tableau | None:
+        """A copy of the kept tableau, costed by `lp`; None while empty.
+        Arrays are compared bit for bit, so a -0.0 bound is another LP."""
+        if self._tab is None:
+            return None
+        if feas_tol != self._feas_tol:
+            raise ValueError(
+                f"{lp.name}: phase-1 state kept at feas_tol {self._feas_tol}, not {feas_tol}"
+            )
+        pairs = zip(self._arrays, self._arrays_of(lp))
+        if any(a.shape != b.shape or a.tobytes() != b.tobytes() for a, b in pairs):
+            raise ValueError(f"{lp.name}: phase-1 state belongs to an LP with other rows or bounds")
+        tab = self._tab.copy()
+        tab.set_costs(lp)
+        return tab
+
+
+def solve(
+    lp: LinearProgram,
+    *,
+    feas_tol: float = FEAS_TOL,
+    start=None,
+    phase1: Phase1State | None = None,
+) -> LpSolution:
     """Solve an LP to proven optimality, or report infeasible/unbounded.
 
     `feas_tol` scales the phase-1 infeasibility test and the final
@@ -692,42 +770,68 @@ def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, start=None) -> LpSol
     or "iteration_limit" is repeated from the crash basis.  Either way the
     result is an optimum of `lp`; at a degenerate optimum the basis, and so
     the duals, may differ from those of a crash-started solve.
+
+    `phase1`, a `Phase1State`, shares phase 1 among solves of one LP that
+    differ only in their objective (and sense).  An empty state makes the
+    solve cold, and it keeps the tableau phase 1 and the artificial
+    pivot-out leave when phase 1 ends feasible.  A filled one starts phase
+    2 from a copy of that tableau, its iteration count and refactorization
+    cadence included, so the result equals a cold solve's bit for bit,
+    status, basis and phase-2 pivots too; only `iterations` differs: it
+    counts the solve's own pivots, and `phase1_iterations` is 0.  It cannot
+    be combined with `start`, which skips phase 1.
     """
+    if phase1 is not None:
+        if start is not None:
+            raise ValueError(f"{lp.name}: a point start skips phase 1, so it shares none")
+        tab = phase1._restore(lp, feas_tol)
+        if tab is not None:
+            return _phase2(lp, tab, feas_tol, inherited=tab.iterations)
     tab = _Tableau(lp, start, feas_tol)
-    solution = _simplex(lp, tab, feas_tol)
+    solution = _simplex(lp, tab, feas_tol, phase1)
     if tab.from_start and solution.status in (NUMERICAL, ITERATION_LIMIT):
         return _simplex(lp, _Tableau(lp), feas_tol)
     return solution
 
 
-def _simplex(lp: LinearProgram, tab: _Tableau, feas_tol: float) -> LpSolution:
+def _simplex(
+    lp: LinearProgram, tab: _Tableau, feas_tol: float, phase1: Phase1State | None = None
+) -> LpSolution:
     """Phase 1 (skipped at a point start), artificial pivot-out, phase 2
-    and verification from `tab`'s start basis."""
-    max_iterations = 2000 + 200 * (len(lp.variables) + len(lp.constraints))
-    m = tab.m
+    and verification from `tab`'s start basis; `phase1`, when given, keeps
+    the tableau that phase 2 starts from."""
+    stopped = _phase1(tab, feas_tol)
+    if stopped is not None:
+        return stopped
+    if phase1 is not None:
+        phase1._keep(lp, tab, feas_tol)
+    return _phase2(lp, tab, feas_tol, inherited=0)
 
-    # phase 1: minimize total artificial mass (a point start has none)
+
+def _phase1(tab: _Tableau, feas_tol: float) -> LpSolution | None:
+    """Minimize the artificial mass (a point start has none), then pin the
+    artificials at zero and pivot the basic ones out where possible.  Reads
+    no cost of the LP.  Returns the solution when the solve ends here."""
+    m = tab.m
     phase1_costs = np.zeros(tab.ncols)
     phase1_costs[tab.nreal :] = 1.0
     status = OPTIMAL
     if not tab.from_start:
-        status = tab.run(phase1_costs, max_iterations=max_iterations, allow_unbounded=False)
-    phase1 = tab.iterations
-
-    def stopped(status, **payload):
-        return LpSolution(
-            status=status, iterations=tab.iterations, phase1_iterations=phase1, **payload
-        )
-
+        status = tab.run(phase1_costs, max_iterations=tab.max_iterations, allow_unbounded=False)
+    pivots = tab.iterations
     if status in (ITERATION_LIMIT, NUMERICAL):
-        return stopped(status)
+        return LpSolution(status=status, iterations=pivots, phase1_iterations=pivots)
 
     scale_b = 1.0 + float(np.max(np.abs(tab.b))) if m else 1.0
     infeas_mass = float(np.sum(tab.x[tab.nreal :]))
     if infeas_mass > feas_tol * scale_b * 10.0:
-        return stopped(INFEASIBLE, infeasibility_certificate=tab.duals(phase1_costs))
+        return LpSolution(
+            status=INFEASIBLE,
+            iterations=pivots,
+            phase1_iterations=pivots,
+            infeasibility_certificate=tab.duals(phase1_costs),
+        )
 
-    # pin artificials at zero and pivot basic ones out where possible
     for i in range(m):
         j = tab.nreal + i
         tab.lo[j] = tab.up[j] = 0.0
@@ -754,9 +858,24 @@ def _simplex(lp: LinearProgram, tab: _Tableau, feas_tol: float) -> LpSolution:
         tab.binv -= np.outer(w, r)
         tab.binv[pos] = r
         tab.pivots_since_refactor += 1
+    return None
 
-    # phase 2: real objective
-    status = tab.run(tab.c, max_iterations=max_iterations, allow_unbounded=True)
+
+def _phase2(lp: LinearProgram, tab: _Tableau, feas_tol: float, inherited: int) -> LpSolution:
+    """Phase 2 on `tab`'s costs and verification.  `inherited` of
+    `tab.iterations` were spent by an earlier solve whose phase-1 state this
+    one starts from; the solution counts only the rest."""
+    phase1 = tab.iterations - inherited
+
+    def stopped(status, **payload):
+        return LpSolution(
+            status=status,
+            iterations=tab.iterations - inherited,
+            phase1_iterations=phase1,
+            **payload,
+        )
+
+    status = tab.run(tab.c, max_iterations=tab.max_iterations, allow_unbounded=True)
     if status in (ITERATION_LIMIT, NUMERICAL):
         return stopped(status)
     if status == UNBOUNDED:
@@ -768,7 +887,7 @@ def _simplex(lp: LinearProgram, tab: _Tableau, feas_tol: float) -> LpSolution:
         ray[tab.basis[moves]] = -sigma * w[moves]
         return stopped(UNBOUNDED, unbounded_ray=ray)
 
-    solution = _extract_solution(lp, tab, feas_tol, phase1)
+    solution = _extract_solution(lp, tab, feas_tol, phase1, inherited)
     return solution if solution is not None else stopped(NUMERICAL)
 
 

@@ -13,6 +13,7 @@ settings.load_profile("tier1")
 sys.path.insert(0, str(Path(__file__).parent))
 
 from evcsmarket import bilevel as bl
+from evcsmarket import lpcore
 from evcsmarket import model as md
 from evcsmarket import scenarios as sc
 
@@ -71,6 +72,34 @@ def one_bus_scenario(
     fleet, station = two_period_fleet(tau_bounds=(offer_lo, offer_hi), tou=tou)
     settings = md.SolverSettings(budget=budget, multistarts=4, seed=seed)
     return md.Scenario("one_bus_toy", net, (fleet,), (station,), settings)
+
+
+def assert_shared_phase1_matches_cold(lps, feas_tol=lpcore.FEAS_TOL) -> int:
+    """Solve `lps`, one LP under several objectives, in turn through one
+    `lpcore.Phase1State`, and each cold.  Every shared-state result equals
+    the cold one bit for bit (status, objective, primal, dual, reduced
+    costs, variable statuses, basis, ray or certificate) and takes the same
+    phase-2 pivots; once the state is filled, no solve reports phase-1
+    pivots.  Returns the phase-1 pivots the state saved."""
+    state = lpcore.Phase1State()
+    saved = 0
+    for k, lp in enumerate(lps):
+        filled = not state.empty
+        cold = lpcore.solve(lp, feas_tol=feas_tol)
+        shared = lpcore.solve(lp, feas_tol=feas_tol, phase1=state)
+        assert shared.status == cold.status, k
+        assert repr(shared.objective) == repr(cold.objective), k
+        for attr in ("primal", "dual", "reduced_cost", "variable_status", "basis"):
+            assert getattr(shared, attr).tobytes() == getattr(cold, attr).tobytes(), (k, attr)
+        for attr in ("unbounded_ray", "infeasibility_certificate"):
+            a, b = getattr(shared, attr), getattr(cold, attr)
+            assert (a is None) == (b is None), (k, attr)
+            assert a is None or a.tobytes() == b.tobytes(), (k, attr)
+        phase2 = cold.iterations - cold.phase1_iterations
+        assert shared.iterations - shared.phase1_iterations == phase2, k
+        assert shared.phase1_iterations == (0 if filled else cold.phase1_iterations), k
+        saved += cold.phase1_iterations - shared.phase1_iterations
+    return saved
 
 
 def numeric_leaves(tree, keys=()):

@@ -620,7 +620,7 @@ def _assert_layout_round_trip(outcome):
     for f in scenario.fleets:
         lp, cols = fl.build_fleet(finput, f, home_price_bump=fl.TIE_BREAK_EPS)
         sol = lpcore.require_optimal(lp, feas_tol=scenario.settings.feas_tol)
-        values = fl.schedule_values(finput, outcome.schedule, f, lp, cols)
+        values = fl.schedule_values(outcome.schedule, f, lp, cols)
         read = [cols.home] + [m_cols for seg_cols in cols.segment for m_cols in seg_cols]
         for c in read:
             assert values[c].tobytes() == sol.primal[c].tobytes(), f.id

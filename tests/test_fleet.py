@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from evcsmarket import fleet as fl
 from evcsmarket import lpcore
 from evcsmarket import model as md
-from conftest import two_period_fleet
+from conftest import assert_shared_phase1_matches_cold, two_period_fleet
 from oracles import scipy_reference
 
 
@@ -304,6 +304,86 @@ class TestRegionAnswersMatchColdPath:
 def test_property_region_answers_match_cold(offers):
     inputs = [two_fleet_input((a, b), (c, d)) for a, b, c, d in offers]
     assert_region_answers_match_cold(inputs)
+
+
+def recosted_fleet_lps(inputs):
+    """Per fleet, its tie-break LP built once from the first of `inputs`
+    and re-costed at the offers of each input, as `solve_fleet` re-costs
+    it within one search."""
+    first = inputs[0]
+    for f in first.fleets:
+        fleet_lp = fl._FleetLp(*fl.build_fleet(first, f, home_price_bump=fl.TIE_BREAK_EPS))
+        stations = fleet_lp.cols.stations
+        yield [
+            fleet_lp.costed(np.array([tau for cid in stations for tau in inp.offers[cid]]))
+            for inp in inputs
+        ]
+
+
+def assert_shared_fleet_phase1_matches_cold(inputs) -> int:
+    return sum(assert_shared_phase1_matches_cold(lps) for lps in recosted_fleet_lps(inputs))
+
+
+class TestSharedPhase1MatchesColdPath:
+    def test_criterion_5_instances(self, bilevel_instances):
+        saved = 0
+        for scenario, _, grid, searched in bilevel_instances:
+            inputs = nudged(fl.fleet_input(scenario, grid.offers), (0.5, -0.5)) + nudged(
+                fl.fleet_input(scenario, searched.offers), (0.25, -0.25)
+            )
+            saved += assert_shared_fleet_phase1_matches_cold(inputs)
+        assert saved > 0
+
+    def test_criterion_4_fleet_inputs(self):
+        rng = np.random.default_rng(43)
+        checked = 0
+        for _ in range(30):
+            inp = random_fleet_input(rng)
+            if md.fleet_infeasibility_period(inp.fleets[0], inp.horizon) is not None:
+                continue
+            assert_shared_fleet_phase1_matches_cold(nudged(inp, (1.0, -1.0, 0.5, -2.0)))
+            checked += 1
+        assert checked >= 20
+
+    def test_desk(self, desk, desk_baseline):
+        inp = fl.fleet_input(desk, desk_baseline.outcome.offers)
+        assert assert_shared_fleet_phase1_matches_cold(nudged(inp, (1.0, -1.0))) > 0
+
+    def test_search_solves_share_phase_1(self, monkeypatch):
+        # three offers that each need a solve: only the first runs phase 1
+        phases = []
+        real_solve = lpcore.solve
+
+        def recorded(lp, **kwargs):
+            sol = real_solve(lp, **kwargs)
+            phases.append((kwargs.get("phase1") is not None, sol.phase1_iterations))
+            return sol
+
+        monkeypatch.setattr(lpcore, "solve", recorded)
+        memo = {}
+        for tau in ((30.0, 10.0), (30.0, 20.0 + fl.TIE_BREAK_EPS), (10.0, 30.0)):
+            fl.solve_fleet(toy_input(tau), memo=memo)
+        assert phases[0][0] and phases[0][1] > 0
+        assert phases[1:] == [(True, 0), (True, 0)]
+        phases.clear()
+        fl.solve_fleet(toy_input((10.0, 30.0)))
+        assert [shared for shared, _ in phases] == [False]  # no memo: a cold solve
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    costs=st.lists(
+        st.lists(st.floats(0.0, 60.0), min_size=4, max_size=4), min_size=2, max_size=5
+    ),
+)
+def test_property_shared_phase1_matches_cold(seed, costs):
+    """One fleet LP re-costed at random station costs."""
+    inp = random_fleet_input(np.random.default_rng(seed))
+    assume(md.fleet_infeasibility_period(inp.fleets[0], inp.horizon) is None)
+    fleet_lp = fl._FleetLp(*fl.build_fleet(inp, inp.fleets[0], home_price_bump=fl.TIE_BREAK_EPS))
+    lps = [fleet_lp.costed(np.array(c[: inp.horizon])) for c in costs]
+    assert_shared_phase1_matches_cold(lps)
 
 
 def assert_one_solve_matches_cold_path(inp):

@@ -11,6 +11,7 @@ from evcsmarket import bilevel as bl
 from evcsmarket import dam
 from evcsmarket import fleet as fl
 from evcsmarket import lpcore as lc
+from conftest import assert_shared_phase1_matches_cold
 from oracles import random_feasible_bounded_lp, scipy_reference, vertex_enumerate
 from test_dam import random_dam_input
 
@@ -665,6 +666,134 @@ def test_phase_counts_sum_to_iterations(monkeypatch):
     sol = lc.solve(lp)
     assert sol.status == lc.INFEASIBLE
     assert sol.phase1_iterations == sol.iterations == runs[0]
+
+
+# ---------------------------------------------------------------------------
+# phase 1 shared across objectives
+# ---------------------------------------------------------------------------
+
+
+def recosted(lp, rng, count):
+    """`lp` and `count` copies under random objectives, half of them with
+    the other sense: phase 1 reads neither."""
+    out = [lp]
+    for k in range(count):
+        objective = rng.uniform(-5.0, 5.0, len(lp.variables))
+        sense = (lc.MIN, lc.MAX)[(k + (lp.sense == lc.MAX)) % 2]
+        out.append(dataclasses.replace(lp, objective=objective, sense=sense))
+    return out
+
+
+class TestSharedPhase1:
+    def test_criterion_1_lps(self):
+        rng = np.random.default_rng(13)
+        saved = sum(
+            assert_shared_phase1_matches_cold(recosted(lp, rng, 3)) for lp in criterion_1_lps()
+        )
+        assert saved > 0
+
+    def test_unbounded_objective_gives_the_cold_ray(self):
+        # neither x nor y alone meets `need`, so phase 1 has a pivot to do
+        lp = build(
+            lc.MIN,
+            [("x", 0.0, 1.0, 1.0), ("y", 0.0, 1.0, 1.0), ("z", 0.0, lc.INF, 1.0)],
+            [
+                ("need", {"x": 1.0, "y": 1.0}, lc.EQ, 1.5),
+                ("cap", {"z": 1.0, "x": -1.0}, lc.GE, 0.0),
+            ],
+        )
+        unbounded = dataclasses.replace(lp, objective=np.array([0.0, 0.0, -1.0]))
+        assert assert_shared_phase1_matches_cold([lp, unbounded, lp]) > 0
+        assert lc.solve(unbounded).status == lc.UNBOUNDED
+
+    def test_phase_2_starts_from_the_cold_state(self, monkeypatch):
+        # everything phase 2 reads, as a cold solve and a shared-state solve
+        # of the same LP hand it over, refactorization cadence included
+        fields = (
+            "A", "b", "c", "lo", "up", "sign", "x", "pos", "basis", "in_basis", "binv",
+            "iterations", "pivots_since_refactor", "max_iterations",
+        )
+        handed = []
+        phase2 = lc._phase2
+
+        def recorded(lp, tab, feas_tol, inherited):
+            handed.append([np.asarray(getattr(tab, attr)).tobytes() for attr in fields])
+            return phase2(lp, tab, feas_tol, inherited)
+
+        monkeypatch.setattr(lc, "_phase2", recorded)
+        rng = np.random.default_rng(17)
+        for lp in criterion_1_lps()[:50]:
+            state = lc.Phase1State()
+            for other in recosted(lp, rng, 2):
+                handed.clear()
+                lc.solve(other)
+                lc.solve(other, phase1=state)
+                cold, shared = handed
+                assert [f for f, a, b in zip(fields, cold, shared) if a != b] == []
+
+
+class TestSharedPhase1Refusals:
+    def filled(self, lp=BOX_ROW):
+        state = lc.Phase1State()
+        assert lc.solve(lp, phase1=state).is_optimal
+        assert not state.empty
+        return state
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"rhs": np.array([6.0])},
+            {"matrix": np.array([[1.0, 2.0]])},
+            {"relations": np.array([lc.GE])},
+            {"lower": np.array([1.0, 0.0])},
+            {"upper": np.array([10.0, 9.0])},
+            {"lower": np.array([-0.0, 0.0])},
+        ],
+        ids=["rhs", "matrix", "relations", "lower", "upper", "negative_zero"],
+    )
+    def test_another_lps_rows_or_bounds(self, change):
+        state = self.filled()
+        with pytest.raises(ValueError, match="other rows or bounds"):
+            lc.solve(dataclasses.replace(BOX_ROW, **change), phase1=state)
+
+    def test_another_lps_shape(self):
+        state = self.filled()
+        wider = build(
+            lc.MIN,
+            [("x", 0.0, 10.0, 1.0), ("y", 0.0, 10.0, 2.0), ("z", 0.0, 1.0, 0.0)],
+            [("need", {"x": 1.0, "y": 1.0}, lc.EQ, 5.0)],
+        )
+        with pytest.raises(ValueError, match="other rows or bounds"):
+            lc.solve(wider, phase1=state)
+
+    def test_another_feas_tol(self):
+        state = self.filled()
+        with pytest.raises(ValueError, match="feas_tol"):
+            lc.solve(BOX_ROW, feas_tol=1e-6, phase1=state)
+        assert lc.solve(BOX_ROW, phase1=state).is_optimal
+
+    def test_a_point_start(self):
+        with pytest.raises(ValueError, match="point start"):
+            lc.solve(BOX_ROW, start=[5.0, 0.0], phase1=lc.Phase1State())
+
+    def test_infeasible_phase_1_keeps_no_state(self):
+        lp = build(lc.MIN, [("x", 0.0, 1.0, 0.0)], [("row", {"x": 1.0}, lc.EQ, 5.0)])
+        state = lc.Phase1State()
+        for _ in range(2):
+            sol = lc.solve(lp, phase1=state)
+            assert sol.status == lc.INFEASIBLE and sol.phase1_iterations > 0
+            assert state.empty
+        assert_shared_phase1_matches_cold([lp, lp])
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_property_shared_phase1_matches_cold(seed):
+    """On random LPs, feasible and bounded or with infinite bounds (so some
+    objectives are unbounded), under random objectives and senses."""
+    rng = np.random.default_rng(seed)
+    lp = random_lp_with_infinite_bounds(rng) if seed % 2 else random_feasible_bounded_lp(rng)
+    assert_shared_phase1_matches_cold(recosted(lp, rng, 4))
 
 
 class TestBasisRegion:
