@@ -10,26 +10,27 @@ coordinate pattern search over a configurable offer parameterization; a
 brute-force grid evaluator serves as the search oracle on small instances.
 
 The lower-level response is piecewise constant in the offers, so within one
-search most fleet and market-period LPs repeat or keep their optimum.  Each
-`optimize` and `brute_force` call therefore passes one memo (a plain dict)
-through every `evaluate` to `fleet.solve_fleet` and `dam.solve_dam`.  Keys
-are ("fleet", fleet id, offers of the fleet's stations), mapping to that
-fleet's schedule series and cost, and ("period", t, fleet withdrawals at
-t), mapping to that period's dispatch, prices and objective terms.  A hit
-skips the build, the solve and the post-check, all of which ran once when
-the entry was stored; bid prices, period welfare and profit are computed on
-every call.  A key holds every input of its LP that can change within one
-scenario, and the solver is deterministic, so results match cold solves bit
-for bit.  Under ("fleet", fleet id) the memo also keeps the fleet's LP,
-built once, and the distinct optimal bases its solves ended in: offers
-enter a fleet LP only through its station costs, so a basis that stays the
-unique optimum at new offers gives the schedule with no solve, at the point
-a solve would return (see `fleet.solve_fleet`).  Ties, and offers no stored
-basis covers, are solved; only the first such solve of a fleet runs phase
-1, and the others start phase 2 from the state it left
+search most fleet LPs keep their optimum and most fleet responses repeat.
+Each `optimize` and `brute_force` call therefore passes one memo (a plain
+dict) through every `evaluate`.  `fleet.solve_fleet` keeps there, under
+("fleet", fleet id, offers of the fleet's stations), that fleet's schedule
+series and cost, and under ("fleet", fleet id) the fleet's LP, built once,
+and the distinct optimal bases its solves ended in, each with the schedule
+series at its point.  Offers enter a fleet LP only through its station
+costs, so a basis that stays the unique optimum at new offers gives the
+schedule with no solve, at the point a solve would return, and only the
+cost is computed at the new offers (see `fleet.solve_fleet`).  Ties, and
+offers no stored basis covers, are solved; only the first such solve of a
+fleet runs phase 1, and the others start phase 2 from the state it left
 (`lpcore.Phase1State`), which no offer moves, so each returns the cold
-solve's bits.  The memo lives only as long as the call; `certify` never
-uses one.
+solve's bits.  `evaluate` keeps the cleared market under ("response",
+fleet totals, station segment quantities), all that the market input
+reads of the response; bid prices and welfare depend on nothing else, so
+a response already cleared skips the market input, every period LP and
+their post-checks, and only profit is computed on every call.  A key holds
+every input that can change within one scenario, and the solver is
+deterministic, so results match cold solves bit for bit.  The memo lives
+only as long as the call; `certify` never uses one.
 
 When followers are indifferent (offer price equal to the retail rate) the
 deterministic fleet tie-break resolves toward station charging, i.e. in the
@@ -196,15 +197,28 @@ def evaluate(
     resulting station profit.
 
     `memo` is the lower-level memo of one search over `scenario` (see the
-    module docstring): `solve_fleet` and `solve_dam` read it and add what
-    they solve to it.  It must never be shared across scenarios.  Without
-    it every fleet LP and market-period LP is built and solved afresh."""
+    module docstring): `solve_fleet` reads it and adds what it solves, and
+    the market is cleared once per distinct fleet response, stored only
+    after `solve_dam` returns.  It must never be shared across scenarios.
+    Without it every fleet LP and market-period LP is built and solved
+    afresh."""
     offers = strategy.offers(scenario)
     feas_tol = scenario.settings.feas_tol
     schedule = fleet_mod.solve_fleet(
         fleet_mod.fleet_input(scenario, offers), feas_tol=feas_tol, memo=memo
     )
-    dam_out = dam_mod.solve_dam(dam_input_for(scenario, schedule), feas_tol=feas_tol, memo=memo)
+    dam_out = key = None
+    if memo is not None:
+        key = (
+            "response",
+            tuple(schedule.total[f.id] for f in scenario.fleets),
+            tuple(schedule.segments[st.fleet_id][st.id] for st in scenario.stations),
+        )
+        dam_out = memo.get(key)
+    if dam_out is None:
+        dam_out = dam_mod.solve_dam(dam_input_for(scenario, schedule), feas_tol=feas_tol)
+        if memo is not None:
+            memo[key] = dam_out
 
     revenue = 0.0
     cost = 0.0
@@ -233,7 +247,7 @@ class _Evaluator:
 
     `cache` maps rounded strategy values to outcomes; `memo` is the
     lower-level memo that every evaluation of this search shares, so each
-    distinct fleet LP and market-period LP is solved once per search."""
+    distinct fleet response is cleared once per search."""
 
     def __init__(self, scenario, params, budget):
         self.scenario = scenario

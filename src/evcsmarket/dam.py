@@ -232,23 +232,15 @@ def build_dam(inp: DamInput, t: int) -> tuple[LinearProgram, PeriodIndex]:
     return lp.build(), PeriodIndex(gen, tuple(seg), solar, list(angle.values()), flow, balance)
 
 
-def solve_dam(
-    inp: DamInput, *, feas_tol: float = lpcore.FEAS_TOL, memo: dict | None = None
-) -> DamOutcome:
+def solve_dam(inp: DamInput, *, feas_tol: float = lpcore.FEAS_TOL) -> DamOutcome:
     """Clear every period and extract locational prices from the nodal
     balance duals.  Raises DamInfeasibleError when a period cannot be
     served, and DamNumericalError naming the period when the solve is not
     optimal or its solution violates the period LP (`lpcore.max_violation`
     above 100 * feas_tol).
 
-    `memo`, when given, holds what each period's checked solution gave
-    (dispatch, prices and the LP's objective terms) under ("period", t,
-    withdrawals at t in `inp.withdrawals` order), all that a period LP of
-    one scenario depends on; a period found there skips the build, the
-    solve, the post-check and the read.  Bid prices and welfare depend on
-    the bid quantities, which the key leaves out, so they are computed on
-    every call.  A memo belongs to one scenario and is written to only
-    after the post-check."""
+    Every period LP is built and solved on every call; a search clears each
+    distinct fleet response once (see `bilevel.evaluate`)."""
     _check_input(inp)
     net = inp.network
     T = net.horizon
@@ -268,25 +260,17 @@ def solve_dam(
     ]
 
     for t in range(T):
-        key = ("period", t, tuple(w.power[t] for w in inp.withdrawals))
-        period = None if memo is None else memo.get(key)
-        if period is None:
-            lp, index = build_dam(inp, t)
-            sol = lpcore.solve(lp, feas_tol=feas_tol)
-            if sol.status == lpcore.INFEASIBLE:
-                raise DamInfeasibleError(
-                    t, "supply cannot meet fixed demand plus fleet withdrawals"
-                )
-            if not sol.is_optimal:
-                raise DamNumericalError(f"period {t}: solver status {sol.status}")
-            violation = lpcore.max_violation(lp, sol.primal)
-            if violation > feas_tol * 100.0:
-                raise DamNumericalError(f"period {t}: solution violates its LP by {violation:.3e}")
-            period = _read(lp, index, sol)
-            if memo is not None:
-                memo[key] = period
+        lp, index = build_dam(inp, t)
+        sol = lpcore.solve(lp, feas_tol=feas_tol)
+        if sol.status == lpcore.INFEASIBLE:
+            raise DamInfeasibleError(t, "supply cannot meet fixed demand plus fleet withdrawals")
+        if not sol.is_optimal:
+            raise DamNumericalError(f"period {t}: solver status {sol.status}")
+        violation = lpcore.max_violation(lp, sol.primal)
+        if violation > feas_tol * 100.0:
+            raise DamNumericalError(f"period {t}: solution violates its LP by {violation:.3e}")
 
-        *values, objective_terms = period
+        *values, objective_terms = _read(lp, index, sol)
         for series, family in zip(families, values):
             for s, v in zip(series, family):
                 s.append(v)

@@ -17,7 +17,7 @@ certificate's `fleet_strong_duality` re-solves the true LP and is the judge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -219,9 +219,9 @@ def build_fleet(
     )
 
 
-def _schedule_from_solution(inp: FleetInput, f: EVFleet, values, cols: FleetColumns):
-    """One fleet's series (total, home, station, segments, energy) and its
-    cost at the true prices, from the primal values of its LP at `cols`."""
+def _series_from_solution(inp: FleetInput, f: EVFleet, values, cols: FleetColumns):
+    """One fleet's series (total, home, station, segments, energy) from the
+    primal values of its LP at `cols`; no offer enters them."""
     T = inp.horizon
     home = tuple(values[cols.home].tolist())
     station = {}
@@ -237,23 +237,33 @@ def _schedule_from_solution(inp: FleetInput, f: EVFleet, values, cols: FleetColu
     for t in range(T):
         e = e - f.driving[t] / f.discharge_efficiency + total[t] * f.charge_efficiency
         energy.append(e)
+    return total, home, station, segments, tuple(energy)
+
+
+def _cost(inp: FleetInput, f: EVFleet, series, cols: FleetColumns) -> float:
+    """A fleet's cost at the true prices of `inp` for its `series` (as
+    `_series_from_solution` returns them): home energy, then each station's."""
+    T = inp.horizon
+    _, home, station, _, _ = series
     cost = sum(home[t] * f.tou[t] for t in range(T))
     for cid in cols.stations:
         cost += sum(station[cid][t] * inp.offers[cid][t] for t in range(T))
-    return total, home, station, segments, tuple(energy), float(cost)
+    return float(cost)
 
 
 @dataclass
 class _FleetLp:
     """One fleet's LP within one search, built once, the distinct optimal
-    bases its solves have ended in, most recent hit first, and the state
-    its first solve's phase 1 left, which every later solve starts phase 2
-    from.  `station_columns` are its station energy columns, station by
-    station (in `_fleet_stations` order) and period by period."""
+    bases its solves have ended in, most recent hit first, the schedule
+    series at each basis's point by basis key, and the state its first
+    solve's phase 1 left, which every later solve starts phase 2 from.
+    `station_columns` are its station energy columns, station by station
+    (in `_fleet_stations` order) and period by period."""
 
     lp: LinearProgram
     cols: FleetColumns
     bases: list[lpcore.BasisRegion] = field(default_factory=list)
+    series: dict[tuple, tuple] = field(default_factory=dict)
     phase1: lpcore.Phase1State = field(default_factory=lpcore.Phase1State)
     station_columns: np.ndarray = field(init=False)
 
@@ -262,21 +272,17 @@ class _FleetLp:
 
     def costed(self, costs: np.ndarray) -> LinearProgram:
         """The LP with its station columns billed at `costs`; offers move
-        no row or bound."""
+        no row or bound, so every other array is shared."""
         if np.array_equal(self.lp.objective[self.station_columns], costs):
             return self.lp
         objective = self.lp.objective.copy()
         objective[self.station_columns] = costs
-        return replace(self.lp, objective=objective)
+        return self.lp.with_objective(objective)
 
-    def stored_optimum(self, costs: np.ndarray):
-        """(basis, point) for the first stored basis whose point is the
-        unique optimum at `costs`, or (None, None)."""
-        for basis in self.bases:
-            point = basis.point_at(costs)
-            if point is not None:
-                return basis, point
-        return None, None
+    def stored_optimum(self, costs: np.ndarray) -> lpcore.BasisRegion | None:
+        """The first stored basis whose point is the unique optimum at
+        `costs`, or None."""
+        return next((b for b in self.bases if b.point_at(costs) is not None), None)
 
     def basis_of(self, lp: LinearProgram, sol: lpcore.LpSolution) -> lpcore.BasisRegion | None:
         """The stored basis `sol` ended in, or a new one made ready for
@@ -308,18 +314,23 @@ def solve_fleet(
     (`lpcore.BasisRegion.point_at`), most recent hit first.  The first
     whose point is the LP's unique optimum answers, with no solve: a solve
     would end at that point, and since offers move no row or bound, the
-    point passed the post-check when its basis was stored.  Only when no
-    stored basis qualifies (at ties, or at offers no basis covers yet) is
-    the stored LP re-costed and solved, and its basis kept unless an equal
-    one is.  These solves share the `_FleetLp`'s `lpcore.Phase1State`: the
-    first one runs phase 1, which reads no offer, and every later one starts
-    phase 2 where it ended, so each returns the cold solve's bits.  Results
-    and bases are written only after the post-check; the phase-1 state
-    depends on no offer, so a solve keeps it whatever the post-check finds.
-    Without a memo every LP is built and solved cold.
+    point passed the post-check when its basis was stored.  Its schedule
+    series, kept with it, are reused, and only the cost is computed at the
+    new offers.  Only when no stored basis qualifies (at ties, or at offers
+    no basis covers yet) is the stored LP re-costed and solved, and its
+    basis kept unless an equal one is.  These solves share the `_FleetLp`'s
+    `lpcore.Phase1State`: the first one runs phase 1, which reads no offer,
+    and every later one starts phase 2 where it ended, so each returns the
+    cold solve's bits.  Results and bases are written only after the
+    post-check; the phase-1 state depends on no offer, so a solve keeps it
+    whatever the post-check finds.  A fleet with a `_FleetLp` in the memo
+    passed the infeasibility diagnosis, which reads no offer, and is not
+    diagnosed again.  Without a memo every LP is built and solved cold.
     """
     _check_input(inp)
     for f in inp.fleets:
+        if memo is not None and ("fleet", f.id) in memo:
+            continue
         t_bad = fleet_infeasibility_period(f, inp.horizon)
         if t_bad is not None:
             raise FleetInfeasibleError(f.id, t_bad)
@@ -336,16 +347,18 @@ def solve_fleet(
         result = None if memo is None else memo.get(key)
         if result is None:
             costs = np.array([tau for series in offers for tau in series])
-            basis, values = fleet_lp.stored_optimum(costs)
+            basis = fleet_lp.stored_optimum(costs)
             lp = None
-            if values is None:
+            if basis is not None:
+                series = fleet_lp.series[basis.key]
+            else:
                 lp = fleet_lp.costed(costs)
                 phase1 = None if memo is None else fleet_lp.phase1
                 sol = lpcore.require_optimal(lp, feas_tol=feas_tol, phase1=phase1)
-                values = sol.primal
+                series = _series_from_solution(inp, f, sol.primal, fleet_lp.cols)
                 if memo is not None:
                     basis = fleet_lp.basis_of(lp, sol)
-            result = _schedule_from_solution(inp, f, values, fleet_lp.cols)
+            result = (*series, _cost(inp, f, series, fleet_lp.cols))
             solved[f.id] = (key, fleet_lp, basis, result, lp)
         (
             total[f.id], home[f.id], station[f.id], segments[f.id], energy[f.id], fleet_costs[f.id]
@@ -376,6 +389,8 @@ def solve_fleet(
             memo[key] = result
             memo[("fleet", f.id)] = fleet_lp
             if basis is not None:
+                # a new basis's point is the solve's, whose series `result` holds
+                fleet_lp.series.setdefault(basis.key, result[:5])
                 fleet_lp.bases[:] = [basis] + [b for b in fleet_lp.bases if b is not basis]
     return schedule
 
@@ -594,7 +609,7 @@ def dual_form_report(
         objective[s_cols] = 0.0
         for m_cols, prices in zip(seg_cols, segment_prices[cid]):
             objective[m_cols] = prices
-    seg_lp = replace(offer_lp, objective=objective)
+    seg_lp = offer_lp.with_objective(objective)
     seg_primal = lpcore.require_optimal(seg_lp).objective
     seg_dual = lpcore.require_optimal(lpcore.dualize(seg_lp)).objective
 

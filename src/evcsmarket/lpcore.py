@@ -97,8 +97,9 @@ class LinearProgram:
     `lower` and `upper` per column, the dense m x n `matrix`, and
     `relations` and `rhs` per row.  `variables` and `constraints` are the
     column and row labels; the solver never reads them.  Construction
-    copies and checks the arrays; nothing in the package writes to them
-    afterwards, and callers must not either."""
+    copies and checks the arrays (`with_objective` copies and checks only
+    the new objective); nothing in the package writes to them afterwards,
+    and callers must not either."""
 
     sense: str
     objective: np.ndarray
@@ -148,6 +149,23 @@ class LinearProgram:
     def objective_value(self, values: np.ndarray) -> float:
         """Objective at `values`, summed in column order."""
         return float(sum((self.objective * values).tolist()))
+
+    def with_objective(self, objective) -> LinearProgram:
+        """This LP under another objective, one value per column.  Every
+        other array is shared, not copied, so only the objective is checked:
+        LpDefinitionError for a wrong shape or a value that is not finite."""
+        objective = np.array(objective, dtype=float)
+        if objective.shape != self.objective.shape:
+            raise LpDefinitionError(
+                f"{self.name}: objective has shape {objective.shape}, not {self.objective.shape}"
+            )
+        finite = np.isfinite(objective)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise LpDefinitionError(f"{self.variables[j]}: objective {objective[j]} invalid")
+        lp = object.__new__(LinearProgram)
+        lp.__dict__.update(self.__dict__, objective=objective)
+        return lp
 
 
 class LpBuilder:
@@ -729,7 +747,9 @@ class Phase1State:
 
     def _restore(self, lp: LinearProgram, feas_tol: float) -> _Tableau | None:
         """A copy of the kept tableau, costed by `lp`; None while empty.
-        Arrays are compared bit for bit, so a -0.0 bound is another LP."""
+        Arrays that are the kept ones themselves (`LinearProgram.with_objective`
+        shares them) are accepted as they are; others are compared bit for
+        bit, so a -0.0 bound is another LP."""
         if self._tab is None:
             return None
         if feas_tol != self._feas_tol:
@@ -737,7 +757,9 @@ class Phase1State:
                 f"{lp.name}: phase-1 state kept at feas_tol {self._feas_tol}, not {feas_tol}"
             )
         pairs = zip(self._arrays, self._arrays_of(lp))
-        if any(a.shape != b.shape or a.tobytes() != b.tobytes() for a, b in pairs):
+        if any(
+            a is not b and (a.shape != b.shape or a.tobytes() != b.tobytes()) for a, b in pairs
+        ):
             raise ValueError(f"{lp.name}: phase-1 state belongs to an LP with other rows or bounds")
         tab = self._tab.copy()
         tab.set_costs(lp)

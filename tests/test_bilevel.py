@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evcsmarket import bilevel as bl
 from evcsmarket import dam
@@ -13,7 +14,11 @@ from evcsmarket import fleet as fl
 from evcsmarket import lpcore
 from evcsmarket import model as md
 from evcsmarket import scenarios as sc
-from conftest import assert_each_number_is_read_under_its_path, one_bus_scenario
+from conftest import (
+    _random_bilevel_scenario,
+    assert_each_number_is_read_under_its_path,
+    one_bus_scenario,
+)
 
 
 def params_of(scenario):
@@ -667,6 +672,135 @@ class TestMemoMatchesColdPath:
             bl.Strategy(params, (outcome.strategy.values[0],) + tuple(p.lower for p in params[1:])),
         ]
         _assert_memo_matches_cold(desk, strategies)
+
+
+def two_fleet_scenario():
+    """The one-bus toy with a copy of its fleet, f2, buying at station c2."""
+    scenario = one_bus_scenario()
+    (f1,), (c1,) = scenario.fleets, scenario.stations
+    f2 = dataclasses.replace(
+        f1, id="f2", station_caps={"c2": 10.0}, station_connectivity={"c2": (1.0, 1.0)}
+    )
+    c2 = dataclasses.replace(c1, id="c2", fleet_id="f2")
+    return dataclasses.replace(scenario, fleets=(f1, f2), stations=(c1, c2))
+
+
+def counting_market_clearings(monkeypatch):
+    """Record the input of every `dam.solve_dam` call from now on; returns
+    the list it appends to."""
+    real_solve_dam = dam.solve_dam
+    calls = []
+
+    def counted(inp, **kwargs):
+        calls.append(inp)
+        return real_solve_dam(inp, **kwargs)
+
+    monkeypatch.setattr(dam, "solve_dam", counted)
+    return calls
+
+
+def response_keys(memo):
+    return [key for key in memo if key[0] == "response"]
+
+
+class TestResponseMemo:
+    def test_response_hit_clears_no_market(self, monkeypatch):
+        scenario = one_bus_scenario()
+        params = params_of(scenario)
+        memo = {}
+        first = bl.evaluate(bl.Strategy(params, (20.0, 15.0)), scenario, memo=memo)
+        cleared = counting_market_clearings(monkeypatch)
+        # other offers, and station hour 1 is still cheapest: the same response
+        strategy = bl.Strategy(params, (25.0, 12.0))
+        hit = bl.evaluate(strategy, scenario, memo=memo)
+        assert cleared == []
+        assert hit.schedule.total == first.schedule.total
+        assert hit.schedule.segments == first.schedule.segments
+        assert hit.dam is first.dam
+        assert len(response_keys(memo)) == 1
+        cold = bl.evaluate(strategy, scenario)
+        assert len(cleared) == 1
+        assert bl.outcome_to_json(hit) == bl.outcome_to_json(cold)
+        assert hit.profit != first.profit
+
+    def test_failed_clearing_stores_nothing(self, monkeypatch):
+        scenario = one_bus_scenario()
+        strategy = bl.Strategy(params_of(scenario), (20.0, 15.0))
+        real_solve_dam = dam.solve_dam
+
+        def failing(inp, **kwargs):
+            raise dam.DamNumericalError("period 0: injected")
+
+        monkeypatch.setattr(dam, "solve_dam", failing)
+        memo = {}
+        with pytest.raises(dam.DamNumericalError, match="injected"):
+            bl.evaluate(strategy, scenario, memo=memo)
+        assert response_keys(memo) == []
+        monkeypatch.setattr(dam, "solve_dam", real_solve_dam)
+        cleared = counting_market_clearings(monkeypatch)
+        again = bl.evaluate(strategy, scenario, memo=memo)
+        assert len(cleared) == 1 and len(response_keys(memo)) == 1
+        assert bl.outcome_to_json(again) == bl.outcome_to_json(bl.evaluate(strategy, scenario))
+
+    @pytest.mark.parametrize("stored_sign", [1.0, -1.0], ids=["plus_first", "minus_first"])
+    def test_negative_zero_response_gives_the_cold_outcome(self, monkeypatch, stored_sign):
+        # station hour 1 carries the whole charge: the totals and segment
+        # quantities of hour 0 are zeros, whose sign the key cannot see
+        scenario = one_bus_scenario()
+        strategy = bl.Strategy(params_of(scenario), (20.0, 15.0))
+        schedule = bl.evaluate(strategy, scenario).schedule
+        assert schedule.total["f1"][0] == 0.0 and schedule.segments["f1"]["c1"][0][0] == 0.0
+
+        def signed(sign):
+            def zero(v):
+                return math.copysign(0.0, sign) if v == 0.0 else v
+
+            return dataclasses.replace(
+                schedule,
+                total={"f1": tuple(map(zero, schedule.total["f1"]))},
+                segments={"f1": {"c1": (tuple(map(zero, schedule.segments["f1"]["c1"][0])),)}},
+            )
+
+        memo = {}
+        for sign in (stored_sign, -stored_sign):
+            response = signed(sign)
+            monkeypatch.setattr(fl, "solve_fleet", lambda inp, **kw: response)
+            out = bl.evaluate(strategy, scenario, memo=memo)
+            cold = dam.solve_dam(bl.dam_input_for(scenario, response))
+            assert repr(out.dam) == repr(cold)
+        assert len(response_keys(memo)) == 1
+        assert math.copysign(1.0, signed(-1.0).total["f1"][0]) == -1.0
+
+
+def offer_values(scenario):
+    """Offers for each parameter: the band edges, the retail rate and a
+    hair above it (ties and their tie-break), and any value in the band."""
+    tou = scenario.fleets[0].tou[0]
+    special = (tou, tou + fl.TIE_BREAK_EPS, tou - 1.0)
+    return st.tuples(*(
+        st.one_of(st.sampled_from((p.lower, p.upper) + special), st.floats(p.lower, p.upper))
+        for p in params_of(scenario)
+    ))
+
+
+TWO_FLEET = two_fleet_scenario()
+CRITERION_5 = _random_bilevel_scenario(902)
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_property_memoized_evaluate_matches_cold(data):
+    """Random strategy sequences with one memo each, on the two-fleet toy and
+    on a criterion-5 instance: every memoized `evaluate` writes the
+    document of a cold one."""
+    for scenario in (TWO_FLEET, CRITERION_5):
+        params = params_of(scenario)
+        values = data.draw(st.lists(offer_values(scenario), min_size=2, max_size=6))
+        memo = {}
+        for v in values + values[:1]:
+            strategy = bl.Strategy(params, v)
+            cold = bl.outcome_to_json(bl.evaluate(strategy, scenario))
+            assert bl.outcome_to_json(bl.evaluate(strategy, scenario, memo=memo)) == cold
 
 
 class TestOutcomeRoundTrip:

@@ -201,8 +201,10 @@ class TestBuildAndSolve:
 
 
 class TestPeriodLp:
-    """A period LP depends only on its own period: what the per-search memo
-    key relies on, and what a per-network template of the market LP needs."""
+    """A period LP depends only on its own period and, through the balance
+    rhs, on the fleet withdrawals at it: what a per-network template of the
+    market LP needs, setting only the rhs and the solar upper bounds per
+    period."""
 
     def test_periods_share_structure(self, desk_market):
         net = desk_market.network
@@ -245,55 +247,6 @@ class TestPeriodLp:
             assert other_ix == ix
             for name in ("objective", "lower", "upper", "matrix", "relations", "rhs"):
                 assert np.array_equal(getattr(other, name), getattr(lp, name)), (t, name)
-
-
-class TestMemo:
-    def test_hit_recomputes_bid_prices_and_welfare(self, monkeypatch):
-        # equal withdrawals, so both inputs share every period LP; the bid
-        # quantities differ, and with them the cleared bid prices
-        net = single_bus(horizon=2).network
-        st = md.ChargingStation(
-            "c1", "f1", (20.0,) * 2, (40.0,) * 2, (md.WtpSegment(10.0, (20.0,) * 2, (40.0,) * 2),)
-        )
-        wd = dam.FleetWithdrawal("f1", "b1", (5.0, 5.0))
-
-        def dam_input(quantities):
-            return dam.DamInput(net, (wd,), (dam.station_bid_from_quantities(st, (quantities,)),))
-
-        memo = {}
-        first = dam.solve_dam(dam_input((5.0, 5.0)), memo=memo)
-        real_solve = lpcore.solve
-        calls = []
-
-        def counted(lp, **kwargs):
-            calls.append(lp.name)
-            return real_solve(lp, **kwargs)
-
-        monkeypatch.setattr(lpcore, "solve", counted)
-        second = dam.solve_dam(dam_input((0.0, 5.0)), memo=memo)
-        assert calls == []
-        cold = dam.solve_dam(dam_input((0.0, 5.0)))
-        assert len(calls) == 2
-        assert second.wtp == cold.wtp
-        assert second.period_welfare == cold.period_welfare
-        assert second.welfare == cold.welfare
-        assert second == cold
-        assert second.wtp != first.wtp and second.welfare != first.welfare
-
-    def test_failed_post_check_stores_nothing(self, monkeypatch):
-        real_solve = lpcore.solve
-
-        def off_balance(lp, **kwargs):
-            sol = real_solve(lp, **kwargs)
-            if lp.name == "dam[t=1]":
-                sol.primal[lp.variables.index("gen[g1,1]")] += 1.0
-            return sol
-
-        monkeypatch.setattr(lpcore, "solve", off_balance)
-        memo = {}
-        with pytest.raises(dam.DamNumericalError, match="period 1"):
-            dam.solve_dam(single_bus(horizon=2), memo=memo)
-        assert list(memo) == [("period", 0, ())]
 
 
 class TestInvariants:

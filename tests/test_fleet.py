@@ -209,6 +209,51 @@ class TestMemo:
         monkeypatch.setattr(lpcore, "solve", real_solve)
         assert hit == fl.solve_fleet(inp)
 
+    def test_region_answer_reuses_the_stored_series(self, monkeypatch):
+        memo = {}
+        first = fl.solve_fleet(toy_input((30.0, 10.0)), memo=memo)
+        fleet_lp = memo["fleet", "f1"]
+        (basis,) = fleet_lp.bases
+        assert fleet_lp.series == {basis.key: (
+            first.total["f1"], first.home["f1"], first.station["f1"],
+            first.segments["f1"], first.energy["f1"],
+        )}
+        solved = counting_solves(monkeypatch)
+        inp = toy_input((31.5, 12.25))
+        hit = fl.solve_fleet(inp, memo=memo)
+        assert solved == []
+        stored = fleet_lp.series[basis.key]
+        assert hit.total["f1"] is stored[0] and hit.segments["f1"] is stored[3]
+        # only the cost moves with the offers
+        monkeypatch.undo()
+        assert repr(hit) == repr(fl.solve_fleet(inp))
+        assert hit.fleet_costs["f1"] != first.fleet_costs["f1"]
+
+    def test_infeasibility_is_diagnosed_once_per_fleet(self, monkeypatch):
+        diagnosed = []
+        real = fl.fleet_infeasibility_period
+
+        def counted(fleet, horizon):
+            diagnosed.append(fleet.id)
+            return real(fleet, horizon)
+
+        monkeypatch.setattr(fl, "fleet_infeasibility_period", counted)
+        memo = {}
+        for tau in ((30.0, 10.0), (30.0, 50.0), (10.0, 30.0)):
+            fl.solve_fleet(two_fleet_input(tau, (30.0, 10.0)), memo=memo)
+        assert diagnosed == ["f1", "f2"]
+        fl.solve_fleet(two_fleet_input((30.0, 10.0), (30.0, 10.0)))
+        assert diagnosed == ["f1", "f2", "f1", "f2"]  # no memo: every call
+
+    def test_recosted_lp_shares_the_built_arrays(self):
+        inp = toy_input((30.0, 10.0))
+        fleet_lp = fl._FleetLp(*fl.build_fleet(inp, inp.fleets[0]))
+        lp = fleet_lp.costed(np.array([31.0, 12.0]))
+        assert lp is not fleet_lp.lp
+        for attr in ("lower", "upper", "matrix", "relations", "rhs"):
+            assert getattr(lp, attr) is getattr(fleet_lp.lp, attr), attr
+        assert lp.objective[fleet_lp.station_columns].tolist() == [31.0, 12.0]
+
     def test_tie_is_solved_cold(self, monkeypatch):
         memo = {}
         fl.solve_fleet(toy_input((30.0, 10.0)), memo=memo)
@@ -221,9 +266,9 @@ class TestMemo:
 def assert_region_answers_match_cold(inputs) -> int:
     """Solve `inputs`, FleetInputs of one fleet set at varying offers, in
     turn with one memo.  Each fleet's series and cost must equal, bit for
-    bit, `_schedule_from_solution` of a cold solve of its LP at those
-    offers.  Returns how many fleets a stored basis answered without a
-    solve."""
+    bit, `_series_from_solution` and `_cost` of a cold solve of its LP at
+    those offers.  Returns how many fleets a stored basis answered without
+    a solve."""
     memo = {}
     answered = 0
     for inp in inputs:
@@ -238,7 +283,8 @@ def assert_region_answers_match_cold(inputs) -> int:
         answered += len(fresh) - len(solved)
         for f in inp.fleets:
             lp, cols = fl.build_fleet(inp, f, home_price_bump=fl.TIE_BREAK_EPS)
-            cold = fl._schedule_from_solution(inp, f, lpcore.require_optimal(lp).primal, cols)
+            series = fl._series_from_solution(inp, f, lpcore.require_optimal(lp).primal, cols)
+            cold = (*series, fl._cost(inp, f, series, cols))
             got = (
                 sched.total[f.id], sched.home[f.id], sched.station[f.id],
                 sched.segments[f.id], sched.energy[f.id], sched.fleet_costs[f.id],

@@ -786,6 +786,58 @@ class TestSharedPhase1Refusals:
         assert_shared_phase1_matches_cold([lp, lp])
 
 
+class TestWithObjective:
+    def test_shares_every_other_array(self):
+        objective = np.array([3.0, -1.0])
+        lp = BOX_ROW.with_objective(objective)
+        assert lp.objective.tolist() == [3.0, -1.0] and lp.objective is not objective
+        for attr in ("lower", "upper", "matrix", "relations", "rhs", "variables", "constraints"):
+            assert getattr(lp, attr) is getattr(BOX_ROW, attr), attr
+        assert (lp.sense, lp.name) == (BOX_ROW.sense, BOX_ROW.name)
+        assert BOX_ROW.objective.tolist() == [1.0, 2.0]
+        objective[0] = 7.0  # the LP holds its own copy
+        assert lp.objective.tolist() == [3.0, -1.0]
+
+    def test_solves_as_a_rebuilt_lp(self):
+        rng = np.random.default_rng(19)
+        for lp in criterion_1_lps()[:50]:
+            objective = rng.uniform(-5.0, 5.0, len(lp.variables))
+            shared = lc.solve(lp.with_objective(objective))
+            rebuilt = lc.solve(dataclasses.replace(lp, objective=objective))
+            assert shared.status == rebuilt.status
+            assert shared.primal.tobytes() == rebuilt.primal.tobytes()
+            assert shared.dual.tobytes() == rebuilt.dual.tobytes()
+
+    @pytest.mark.parametrize(
+        "objective, match",
+        [
+            ([1.0], "shape"),
+            ([1.0, 2.0, 3.0], "shape"),
+            ([[1.0, 2.0]], "shape"),
+            ([math.nan, 1.0], "x: objective nan"),
+            ([1.0, math.inf], "y: objective inf"),
+            ([1.0, -math.inf], "y: objective -inf"),
+        ],
+        ids=["short", "long", "matrix", "nan", "inf", "minus_inf"],
+    )
+    def test_refuses_a_bad_objective(self, objective, match):
+        with pytest.raises(lc.LpDefinitionError, match=match):
+            BOX_ROW.with_objective(objective)
+
+    def test_phase1_state_takes_the_shared_arrays(self):
+        state = lc.Phase1State()
+        assert lc.solve(BOX_ROW, phase1=state).is_optimal
+        for objective in ([2.0, 1.0], [-1.0, 0.0], [1.0, 2.0]):
+            lp = BOX_ROW.with_objective(objective)
+            shared, cold = lc.solve(lp, phase1=state), lc.solve(lp)
+            assert shared.status == cold.status == lc.OPTIMAL
+            assert shared.primal.tobytes() == cold.primal.tobytes()
+        # a re-costed LP with other rows is still refused
+        other = dataclasses.replace(BOX_ROW, rhs=np.array([6.0])).with_objective([2.0, 1.0])
+        with pytest.raises(ValueError, match="other rows or bounds"):
+            lc.solve(other, phase1=state)
+
+
 @settings(max_examples=40)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_property_shared_phase1_matches_cold(seed):

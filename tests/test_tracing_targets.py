@@ -43,16 +43,23 @@ def test_traced_target_exists(module, function):
 
 def _traced_desk_optimize(desk):
     """Spans of one traced desk `optimize` at the scenario's own settings,
-    and the number of distinct (fleet id, station offers) inputs it gave
-    the fleet layer."""
+    the number of distinct (fleet id, station offers) inputs it gave the
+    fleet layer, and the number of distinct fleet responses (fleet totals
+    and station segment quantities) that layer returned."""
     inputs = set()
+    responses = set()
     solve_fleet = fleet.solve_fleet
 
     def recording(inp, **kwargs):
         for f in inp.fleets:
             offers = tuple((s.id, inp.offers[s.id]) for s in inp.stations if s.fleet_id == f.id)
             inputs.add((f.id, offers))
-        return solve_fleet(inp, **kwargs)
+        schedule = solve_fleet(inp, **kwargs)
+        responses.add((
+            tuple(sorted(schedule.total.items())),
+            tuple((s.id, schedule.segments[s.fleet_id][s.id]) for s in inp.stations),
+        ))
+        return schedule
 
     for module, _ in tracing.LAYER_TARGETS:  # the tracer patches loaded modules
         importlib.import_module(f"evcsmarket.{module}")
@@ -60,18 +67,23 @@ def _traced_desk_optimize(desk):
         mp.setattr(fleet, "solve_fleet", recording)
         with tracing.Tracer() as tracer:
             bilevel.optimize(desk)
-    return tracer.spans, len(inputs)
+    return tracer.spans, len(inputs), len(responses)
 
 
 def test_traced_desk_search_solves_each_distinct_input_once(desk):
+    """One market clearing per distinct fleet response, one LP per period
+    and per distinct fleet input, the same counts on every run."""
     runs = [_traced_desk_optimize(desk) for _ in range(2)]
-    counts = [tracing.counts(spans) for spans, _ in runs]
-    for spans, _ in runs:
+    counts = [tracing.counts(spans) for spans, _, _ in runs]
+    for spans, _, _ in runs:
         assert tracing.check(spans) == []
     assert counts[0] == counts[1]
+    assert runs[0][1:] == runs[1][1:]
     c = counts[0]
-    assert c["lpcore.dam.solves"] == c["dam.period_distinct"] < c["dam.period_solves"]
-    assert c["lpcore.fleet.solves"] == runs[0][1] == runs[1][1]
+    _, fleet_inputs, responses = runs[0]
+    assert c["dam.solve_dam.calls"] == responses
+    assert c["lpcore.dam.solves"] == c["dam.period_solves"] == c["dam.period_distinct"] == 24
+    assert c["lpcore.fleet.solves"] == fleet_inputs
 
 
 def test_traced_search_answers_fleets_from_stored_bases():
