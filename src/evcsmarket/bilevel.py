@@ -11,26 +11,27 @@ brute-force grid evaluator serves as the search oracle on small instances.
 
 The lower-level response is piecewise constant in the offers, so within one
 search most fleet LPs keep their optimum and most fleet responses repeat.
-Each `optimize` and `brute_force` call therefore passes one memo (a plain
-dict) through every `evaluate`.  `fleet.solve_fleet` keeps there, under
-("fleet", fleet id, offers of the fleet's stations), that fleet's schedule
-series and cost, and under ("fleet", fleet id) the fleet's LP, built once,
-and the distinct optimal bases its solves ended in, each with the schedule
-series at its point.  Offers enter a fleet LP only through its station
-costs, so a basis that stays the unique optimum at new offers gives the
-schedule with no solve, at the point a solve would return, and only the
-cost is computed at the new offers (see `fleet.solve_fleet`).  Ties, and
-offers no stored basis covers, are solved; only the first such solve of a
-fleet runs phase 1, and the others start phase 2 from the state it left
-(`lpcore.Phase1State`), which no offer moves, so each returns the cold
-solve's bits.  `evaluate` keeps the cleared market under ("response",
-fleet totals, station segment quantities), all that the market input
-reads of the response; bid prices and welfare depend on nothing else, so
-a response already cleared skips the market input, every period LP and
+Each `optimize` and `brute_force` call therefore passes one `Memo` through
+every `evaluate`, one part per lower level.  `Memo.fleets` is handed to
+`fleet.solve_fleet`, which keeps there, by fleet id, the fleet's LP, built
+once, its schedule series and cost at each offer vector it was answered
+at, and the distinct optimal bases its solves ended in, each with the
+schedule series at its point.  Offers enter a fleet LP only through its
+station costs, so a basis that stays the unique optimum at new offers
+gives the schedule with no solve, at the point a solve would return, and
+only the cost is computed at the new offers (see `fleet.solve_fleet`).
+Ties, and offers no stored basis covers, are solved; only the first such
+solve of a fleet runs phase 1, and the others start phase 2 from the state
+it left (`lpcore.Phase1State`), which no offer moves, so each returns the
+cold solve's bits.  `Memo.markets` maps a fleet response (fleet totals,
+station segment quantities: all that the market input reads of it) to its
+cleared market; bid prices and welfare depend on nothing else, so a
+response already cleared skips the market input, every period LP and
 their post-checks, and only profit is computed on every call.  A key holds
 every input that can change within one scenario, and the solver is
-deterministic, so results match cold solves bit for bit.  The memo lives
-only as long as the call; `certify` never uses one.
+deterministic, so results match cold solves bit for bit.  An `evaluate`
+given no memo runs the same path on an empty one.  A memo lives only as
+long as the call; `certify` never uses one.
 
 When followers are indifferent (offer price equal to the retail rate) the
 deterministic fleet tie-break resolves toward station charging, i.e. in the
@@ -190,35 +191,38 @@ def dam_input_for(scenario: Scenario, schedule: fleet_mod.FleetSchedule) -> dam_
     return dam_mod.DamInput(scenario.network, withdrawals, tuple(bids))
 
 
+@dataclass
+class Memo:
+    """The lower-level memo of one search over one scenario (see the module
+    docstring): `fleets` is `fleet.solve_fleet`'s memo, `markets` maps a
+    fleet response (fleet totals in scenario order, station segment
+    quantities in scenario order) to its cleared `DamOutcome`."""
+
+    fleets: dict = field(default_factory=dict)
+    markets: dict = field(default_factory=dict)
+
+
 def evaluate(
-    strategy: Strategy, scenario: Scenario, *, memo: dict | None = None
+    strategy: Strategy, scenario: Scenario, *, memo: Memo | None = None
 ) -> EquilibriumOutcome:
     """Fleet response to the offers, market clearing of the response, and the
     resulting station profit.
 
-    `memo` is the lower-level memo of one search over `scenario` (see the
-    module docstring): `solve_fleet` reads it and adds what it solves, and
-    the market is cleared once per distinct fleet response, stored only
-    after `solve_dam` returns.  It must never be shared across scenarios.
-    Without it every fleet LP and market-period LP is built and solved
-    afresh."""
+    `memo` is the lower-level memo of one search over `scenario`; without
+    one, an empty memo serves the call.  `solve_fleet` reads `memo.fleets`
+    and adds what it solves, and the market is cleared once per distinct
+    fleet response, stored in `memo.markets` only after `solve_dam`
+    returns.  A memo must never be shared across scenarios."""
+    memo = Memo() if memo is None else memo
     offers = strategy.offers(scenario)
-    feas_tol = scenario.settings.feas_tol
-    schedule = fleet_mod.solve_fleet(
-        fleet_mod.fleet_input(scenario, offers), feas_tol=feas_tol, memo=memo
+    schedule = fleet_mod.solve_fleet(fleet_mod.fleet_input(scenario, offers), memo=memo.fleets)
+    response = (
+        tuple(schedule.total[f.id] for f in scenario.fleets),
+        tuple(schedule.segments[st.fleet_id][st.id] for st in scenario.stations),
     )
-    dam_out = key = None
-    if memo is not None:
-        key = (
-            "response",
-            tuple(schedule.total[f.id] for f in scenario.fleets),
-            tuple(schedule.segments[st.fleet_id][st.id] for st in scenario.stations),
-        )
-        dam_out = memo.get(key)
+    dam_out = memo.markets.get(response)
     if dam_out is None:
-        dam_out = dam_mod.solve_dam(dam_input_for(scenario, schedule), feas_tol=feas_tol)
-        if memo is not None:
-            memo[key] = dam_out
+        dam_out = memo.markets[response] = dam_mod.solve_dam(dam_input_for(scenario, schedule))
 
     revenue = 0.0
     cost = 0.0
@@ -246,7 +250,7 @@ class _Evaluator:
     """Memoizing wrapper; the budget counts distinct strategy evaluations.
 
     `cache` maps rounded strategy values to outcomes; `memo` is the
-    lower-level memo that every evaluation of this search shares, so each
+    lower-level `Memo` that every evaluation of this search shares, so each
     distinct fleet response is cleared once per search."""
 
     def __init__(self, scenario, params, budget):
@@ -255,7 +259,7 @@ class _Evaluator:
         self.budget = budget
         self.used = 0
         self.cache: dict[tuple, EquilibriumOutcome] = {}
-        self.memo: dict = {}
+        self.memo = Memo()
 
     def key(self, values):
         return tuple(round(v, 9) for v in values)
@@ -388,7 +392,7 @@ def brute_force(scenario: Scenario, levels: int) -> EquilibriumOutcome:
             axes.append(list(np.linspace(p.lower, p.upper, levels)))
     best: EquilibriumOutcome | None = None
     count = 0
-    memo: dict = {}
+    memo = Memo()
     for combo in itertools.product(*axes):
         outcome = evaluate(Strategy(params, combo), scenario, memo=memo)
         count += 1
@@ -429,11 +433,7 @@ class Certificate:
 
     @property
     def passed(self) -> bool:
-        for family, value in self.residuals.items():
-            limit = self.tolerance if family in self._DUALITY_FAMILIES else self.feas_tolerance
-            if not (value <= limit):
-                return False
-        return True
+        return not self.failing()
 
     def failing(self) -> dict[str, float]:
         out = {}
@@ -455,7 +455,7 @@ class Certificate:
         return "\n".join(lines)
 
 
-def certify(outcome: EquilibriumOutcome | None, tol: float | None = None) -> Certificate:
+def certify(outcome: EquilibriumOutcome | None) -> Certificate:
     """Check every constraint family of the bidding structure on an outcome:
     offer bounds, fleet-side feasibility and cost optimality, market-side
     feasibility and welfare optimality at the outcome's locational prices,
@@ -478,16 +478,15 @@ def certify(outcome: EquilibriumOutcome | None, tol: float | None = None) -> Cer
     pivots; a suboptimal one still fails, because the re-solve goes on to
     the optimum, and a point that cannot start a solve (NaN, infeasible)
     falls back to the crash start.  A market period whose gap the
-    point-started bound leaves above `tol` is bounded again from the crash
-    (see `_dam_residuals`).  A re-solve that is not optimal makes its
+    point-started bound leaves above DUALITY_TOL is bounded again from the
+    crash (see `_dam_residuals`).  A re-solve that is not optimal makes its
     residual infinite, so a bad outcome fails the certificate instead of
     raising; so does a series shorter than the horizon (see `_padded`)."""
     if outcome is None:
         raise ValueError("no outcome to certify")
     outcome = _padded(outcome)
     scenario = outcome.scenario
-    tol = scenario.settings.duality_tol if tol is None else tol
-    feas_tol = max(scenario.settings.feas_tol * 10.0, 1e-12)
+    feas_tolerance = lpcore.FEAS_TOL * 10.0
     T = scenario.network.horizon
     residuals: dict[str, float] = {}
     worst: dict[str, int | str | None] = {}
@@ -519,7 +518,7 @@ def certify(outcome: EquilibriumOutcome | None, tol: float | None = None) -> Cer
     # market-side checks per period
     dinput = dam_input_for(scenario, outcome.schedule)
     try:
-        dam_feas, dam_gap = _dam_residuals(dinput, outcome, tol)
+        dam_feas, dam_gap = _dam_residuals(dinput, outcome)
     except (dam_mod.DamStructureError, lpcore.LpDefinitionError):
         # segment quantities outside their widths, or a withdrawal that is
         # not finite; fleet_feasibility names them
@@ -536,7 +535,9 @@ def certify(outcome: EquilibriumOutcome | None, tol: float | None = None) -> Cer
             recomputed += series[t] * (outcome.offers[st.id][t] - outcome.dam.lmp[fleet.bus][t])
     residuals["profit_identity"] = _rel_gap(recomputed, outcome.profit)
 
-    return Certificate(residuals=residuals, tolerance=tol, feas_tolerance=feas_tol, worst=worst)
+    return Certificate(
+        residuals, tolerance=lpcore.DUALITY_TOL, feas_tolerance=feas_tolerance, worst=worst
+    )
 
 
 def _padded(outcome: EquilibriumOutcome) -> EquilibriumOutcome:
@@ -645,14 +646,14 @@ def _fleet_checks(outcome: EquilibriumOutcome) -> dict[str, tuple[float, float]]
         values = fleet_mod.schedule_values(outcome.schedule, f, lp, cols)
         bound = -math.inf
         if priced:
-            sol = lpcore.solve(lp, feas_tol=scenario.settings.feas_tol, start=values)
+            sol = lpcore.solve(lp, start=values)
             if sol.is_optimal:
                 bound = lpcore.lagrangian_bound(lp, sol.dual)
         checks[f.id] = (lpcore.max_violation(lp, values), bound)
     return checks
 
 
-def _dam_residuals(dinput, outcome, tol):
+def _dam_residuals(dinput, outcome):
     """Per-period feasibility of the stored dispatch and bid prices, and the
     welfare gap to a weak-duality bound; returns two (peak residual, period)
     pairs.
@@ -666,10 +667,10 @@ def _dam_residuals(dinput, outcome, tol):
     are not unique (a generator exactly at a segment breakpoint, a line
     exactly at its limit), the re-solve started at the dispatch may end in
     another optimal basis than the market solve's, whose other duals need
-    not complete the published prices.  So a period whose gap exceeds `tol`
-    is bounded again from a crash-started re-solve, which repeats the
-    market solve's basis, and keeps the smaller of the two bounds (both are
-    sound).  At prices from this solver the bound is then tight; at prices
+    not complete the published prices.  So a period whose gap exceeds
+    DUALITY_TOL is bounded again from a crash-started re-solve, which
+    repeats the market solve's basis, and keeps the smaller of the two
+    bounds (both are sound).  At prices from this solver the bound is then tight; at prices
     taken from another solver's degenerate optimum the check is
     conservative.
 
@@ -695,7 +696,7 @@ def _dam_residuals(dinput, outcome, tol):
 
         welfare = dam_mod.welfare(dinput, (lp.objective * values).tolist(), outcome.dam.wtp, t)
         bound = _welfare_bound(lp, index, outcome, t, values)
-        if not _rel_gap(welfare, bound + bid_dual) <= tol:
+        if not _rel_gap(welfare, bound + bid_dual) <= lpcore.DUALITY_TOL:
             bound = min(bound, _welfare_bound(lp, index, outcome, t))
         gaps.append((t, _rel_gap(welfare, bound + bid_dual)))
 
@@ -714,7 +715,7 @@ def _welfare_bound(
     the outcome's dispatch `values` (`dam.period_values`), or from the
     crash when `values` is None, with the balance rows at the outcome's
     prices.  inf when the re-solve is not optimal."""
-    sol = lpcore.solve(lp, feas_tol=outcome.scenario.settings.feas_tol, start=values)
+    sol = lpcore.solve(lp, start=values)
     if not sol.is_optimal:
         return math.inf
     y = sol.dual.tolist()

@@ -200,7 +200,7 @@ def cmd_sweep(args) -> int:
             buy = "" if r.purchased_price is None else f", buys at {r.purchased_price:.2f} $/MWh"
             print(f"  {e.value:g}: profit ${r.profit:.2f}{ppct}{buy}")
     print("trend verdicts:")
-    for field, verdict in trend_lines(entries):
+    for field, verdict in sorted(scenarios.trend_verdicts(entries).items()):
         print(f"  {field}: {verdict}")
     print("published 30-bus reference rows (context only, not asserted):")
     for key, values in context.items():
@@ -209,11 +209,6 @@ def cmd_sweep(args) -> int:
 
     failed = [e for e in entries if e.error is not None or not e.result.certificate.passed]
     return 3 if failed else 0
-
-
-def trend_lines(entries):
-    verdicts = scenarios.trend_verdicts(entries)
-    return sorted(verdicts.items())
 
 
 def _int_at_least(text: str, least: int) -> int:

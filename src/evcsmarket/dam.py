@@ -116,7 +116,8 @@ def _check_input(inp: DamInput) -> None:
     net = inp.network
     T = net.horizon
     bus_ids = set(net.bus_ids())
-    net.reference_bus()
+    if not any(b.reference for b in net.buses):
+        raise DamStructureError("network has no reference bus")
     for ln in net.lines:
         if ln.from_bus not in bus_ids or ln.to_bus not in bus_ids:
             raise DamStructureError(f"line {ln.id}: endpoint not in network")
@@ -232,12 +233,12 @@ def build_dam(inp: DamInput, t: int) -> tuple[LinearProgram, PeriodIndex]:
     return lp.build(), PeriodIndex(gen, tuple(seg), solar, list(angle.values()), flow, balance)
 
 
-def solve_dam(inp: DamInput, *, feas_tol: float = lpcore.FEAS_TOL) -> DamOutcome:
+def solve_dam(inp: DamInput) -> DamOutcome:
     """Clear every period and extract locational prices from the nodal
     balance duals.  Raises DamInfeasibleError when a period cannot be
     served, and DamNumericalError naming the period when the solve is not
     optimal or its solution violates the period LP (`lpcore.max_violation`
-    above 100 * feas_tol).
+    above 100 * FEAS_TOL).
 
     Every period LP is built and solved on every call; a search clears each
     distinct fleet response once (see `bilevel.evaluate`)."""
@@ -261,13 +262,13 @@ def solve_dam(inp: DamInput, *, feas_tol: float = lpcore.FEAS_TOL) -> DamOutcome
 
     for t in range(T):
         lp, index = build_dam(inp, t)
-        sol = lpcore.solve(lp, feas_tol=feas_tol)
+        sol = lpcore.solve(lp)
         if sol.status == lpcore.INFEASIBLE:
             raise DamInfeasibleError(t, "supply cannot meet fixed demand plus fleet withdrawals")
         if not sol.is_optimal:
             raise DamNumericalError(f"period {t}: solver status {sol.status}")
         violation = lpcore.max_violation(lp, sol.primal)
-        if violation > feas_tol * 100.0:
+        if violation > lpcore.FEAS_TOL * 100.0:
             raise DamNumericalError(f"period {t}: solution violates its LP by {violation:.3e}")
 
         *values, objective_terms = _read(lp, index, sol)

@@ -253,15 +253,18 @@ def _cost(inp: FleetInput, f: EVFleet, series, cols: FleetColumns) -> float:
 
 @dataclass
 class _FleetLp:
-    """One fleet's LP within one search, built once, the distinct optimal
-    bases its solves have ended in, most recent hit first, the schedule
-    series at each basis's point by basis key, and the state its first
-    solve's phase 1 left, which every later solve starts phase 2 from.
-    `station_columns` are its station energy columns, station by station
-    (in `_fleet_stations` order) and period by period."""
+    """One fleet's LP within one search, built once, and what its answers
+    left: `results`, its series and cost by the offers of its stations (in
+    `_fleet_stations` order) it was answered at; `bases`, the distinct
+    optimal bases its solves have ended in, most recent hit first;
+    `series`, the schedule series at each basis's point by basis key; and
+    `phase1`, the state its first solve's phase 1 left, which every later
+    solve starts phase 2 from.  `station_columns` are its station energy
+    columns, station by station and period by period."""
 
     lp: LinearProgram
     cols: FleetColumns
+    results: dict[tuple, tuple] = field(default_factory=dict)
     bases: list[lpcore.BasisRegion] = field(default_factory=list)
     series: dict[tuple, tuple] = field(default_factory=dict)
     phase1: lpcore.Phase1State = field(default_factory=lpcore.Phase1State)
@@ -291,80 +294,87 @@ class _FleetLp:
         stored = next((b for b in self.bases if b.key == key), None)
         return stored or lpcore.basis_region(lp, sol, self.station_columns)
 
+    def answer(self, inp: FleetInput, f: EVFleet) -> tuple:
+        """Fleet `f`'s series (as `_series_from_solution` returns them) and
+        cost at the offers of `inp`, kept in `results`; see `solve_fleet`.
+        Raises FleetStructureError, keeping nothing, when a solve's schedule
+        fails the post-check."""
+        offers = tuple(inp.offers[cid] for cid in self.cols.stations)
+        result = self.results.get(offers)
+        if result is not None:
+            return result
+        costs = np.array([tau for series in offers for tau in series])
+        basis = self.stored_optimum(costs)
+        if basis is not None:
+            series = self.series[basis.key]
+        else:
+            lp = self.costed(costs)
+            sol = lpcore.require_optimal(lp, phase1=self.phase1)
+            series = _series_from_solution(inp, f, sol.primal, self.cols)
+            violation = lpcore.max_violation(lp, _column_values(lp, self.cols, series))
+            if violation > lpcore.FEAS_TOL * 100.0:
+                raise FleetStructureError(
+                    f"fleet {f.id}: schedule violates its LP by {violation:.3e}"
+                )
+            basis = self.basis_of(lp, sol)
+            if basis is not None:
+                self.series.setdefault(basis.key, series)
+        if basis is not None:
+            self.bases[:] = [basis] + [b for b in self.bases if b is not basis]
+        result = self.results[offers] = (*series, _cost(inp, f, series, self.cols))
+        return result
 
-def solve_fleet(
-    inp: FleetInput, *, feas_tol: float = lpcore.FEAS_TOL, memo: dict | None = None
-) -> FleetSchedule:
+
+def solve_fleet(inp: FleetInput, *, memo: dict | None = None) -> FleetSchedule:
     """Clear every fleet; returns the merged schedule.
 
     Infeasible fleets are diagnosed before solving (first period whose
     cumulative driving cannot be recovered).  Each fleet's LP is solved
     once, with the surcharge that breaks ties toward station charging (see
-    the module docstring); reported costs are at the true prices.  The
-    merged schedule is checked against that LP (`lpcore.max_violation`; the
-    surcharge moves no row or bound) and raises FleetStructureError above
-    100 * feas_tol.
+    the module docstring); reported costs are at the true prices.  Each
+    fleet's schedule is checked against that LP (`lpcore.max_violation`;
+    the surcharge moves no row or bound), raising FleetStructureError above
+    100 * FEAS_TOL.
 
-    `memo`, when given, belongs to one scenario (one search).  Per fleet it
-    holds the checked result under ("fleet", fleet id, offers of its
-    stations in `_fleet_stations` order), the only inputs of its LP that
-    change within one scenario, and the fleet's `_FleetLp` under ("fleet",
-    fleet id).  A result found under its offers is reused as it is.
-    Otherwise each stored basis is re-priced at the new offers
-    (`lpcore.BasisRegion.point_at`), most recent hit first.  The first
-    whose point is the LP's unique optimum answers, with no solve: a solve
-    would end at that point, and since offers move no row or bound, the
-    point passed the post-check when its basis was stored.  Its schedule
-    series, kept with it, are reused, and only the cost is computed at the
-    new offers.  Only when no stored basis qualifies (at ties, or at offers
-    no basis covers yet) is the stored LP re-costed and solved, and its
-    basis kept unless an equal one is.  These solves share the `_FleetLp`'s
-    `lpcore.Phase1State`: the first one runs phase 1, which reads no offer,
-    and every later one starts phase 2 where it ended, so each returns the
-    cold solve's bits.  Results and bases are written only after the
-    post-check; the phase-1 state depends on no offer, so a solve keeps it
-    whatever the post-check finds.  A fleet with a `_FleetLp` in the memo
-    passed the infeasibility diagnosis, which reads no offer, and is not
-    diagnosed again.  Without a memo every LP is built and solved cold.
+    `memo` maps fleet id to the fleet's `_FleetLp` and belongs to one
+    scenario (one search); without one, an empty memo serves the call.  A
+    fleet's offers, the only inputs of its LP that change within one
+    scenario, key its results there, and a result found under its offers
+    is reused as it is.  Otherwise each stored basis is re-priced at the
+    new offers (`lpcore.BasisRegion.point_at`), most recent hit first.  The
+    first whose point is the LP's unique optimum answers, with no solve: a
+    solve would end at that point, and since offers move no row or bound,
+    the point passed the post-check when its basis was stored.  Its
+    schedule series, kept with it, are reused, and only the cost is
+    computed at the new offers.  Only when no stored basis qualifies (at
+    ties, or at offers no basis covers yet) is the stored LP re-costed and
+    solved, and its basis kept unless an equal one is.  These solves share
+    the `_FleetLp`'s `lpcore.Phase1State`: the first one runs phase 1,
+    which reads no offer, and every later one starts phase 2 where it
+    ended, so each returns the cold solve's bits.  A fleet is solved,
+    post-checked and stored in one step: results and bases are written only
+    after its post-check, and a new `_FleetLp` enters the memo only then
+    (the phase-1 state depends on no offer, so a solve keeps it whatever
+    the post-check finds).  A fleet in the memo passed the infeasibility
+    diagnosis, which reads no offer, and is not diagnosed again.
     """
     _check_input(inp)
+    memo = {} if memo is None else memo
     for f in inp.fleets:
-        if memo is not None and ("fleet", f.id) in memo:
-            continue
-        t_bad = fleet_infeasibility_period(f, inp.horizon)
-        if t_bad is not None:
-            raise FleetInfeasibleError(f.id, t_bad)
+        if f.id not in memo:
+            t_bad = fleet_infeasibility_period(f, inp.horizon)
+            if t_bad is not None:
+                raise FleetInfeasibleError(f.id, t_bad)
 
-    total, home, station, segments, energy, fleet_costs = {}, {}, {}, {}, {}, {}
-    solved = {}  # fleet id -> (memo key, _FleetLp, answering basis, result, LP solved or None)
+    results = {}
     for f in sorted(inp.fleets, key=lambda f: f.id):
-        # a result is stored only with its _FleetLp, so a missing LP is a miss
-        fleet_lp = None if memo is None else memo.get(("fleet", f.id))
-        if fleet_lp is None:
-            fleet_lp = _FleetLp(*build_fleet(inp, f, home_price_bump=TIE_BREAK_EPS))
-        offers = tuple(inp.offers[cid] for cid in fleet_lp.cols.stations)
-        key = ("fleet", f.id, offers)
-        result = None if memo is None else memo.get(key)
-        if result is None:
-            costs = np.array([tau for series in offers for tau in series])
-            basis = fleet_lp.stored_optimum(costs)
-            lp = None
-            if basis is not None:
-                series = fleet_lp.series[basis.key]
-            else:
-                lp = fleet_lp.costed(costs)
-                phase1 = None if memo is None else fleet_lp.phase1
-                sol = lpcore.require_optimal(lp, feas_tol=feas_tol, phase1=phase1)
-                series = _series_from_solution(inp, f, sol.primal, fleet_lp.cols)
-                if memo is not None:
-                    basis = fleet_lp.basis_of(lp, sol)
-            result = (*series, _cost(inp, f, series, fleet_lp.cols))
-            solved[f.id] = (key, fleet_lp, basis, result, lp)
-        (
-            total[f.id], home[f.id], station[f.id], segments[f.id], energy[f.id], fleet_costs[f.id]
-        ) = result
-
-    schedule = FleetSchedule(
+        fleet_lp = memo.get(f.id) or _FleetLp(*build_fleet(inp, f, home_price_bump=TIE_BREAK_EPS))
+        results[f.id] = fleet_lp.answer(inp, f)
+        memo[f.id] = fleet_lp
+    total, home, station, segments, energy, fleet_costs = (
+        {fid: result[k] for fid, result in results.items()} for k in range(6)
+    )
+    return FleetSchedule(
         horizon=inp.horizon,
         total=total,
         home=home,
@@ -374,25 +384,6 @@ def solve_fleet(
         fleet_costs=fleet_costs,
         cost=float(sum(fleet_costs.values())),
     )
-    for f in inp.fleets:
-        if f.id not in solved:
-            continue
-        key, fleet_lp, basis, result, lp = solved[f.id]
-        if lp is not None:
-            values = schedule_values(schedule, f, lp, fleet_lp.cols)
-            violation = lpcore.max_violation(lp, values)
-            if violation > feas_tol * 100.0:
-                raise FleetStructureError(
-                    f"fleet {f.id}: schedule violates its LP by {violation:.3e}"
-                )
-        if memo is not None:
-            memo[key] = result
-            memo[("fleet", f.id)] = fleet_lp
-            if basis is not None:
-                # a new basis's point is the solve's, whose series `result` holds
-                fleet_lp.series.setdefault(basis.key, result[:5])
-                fleet_lp.bases[:] = [basis] + [b for b in fleet_lp.bases if b is not basis]
-    return schedule
 
 
 def schedule_values(
@@ -401,14 +392,23 @@ def schedule_values(
     """A schedule's series for one fleet as one value per column of `lp`,
     the LP that `build_fleet(inp, fleet)` returned with `cols`."""
     fid = fleet.id
+    series = (sched.total, sched.home, sched.station, sched.segments, sched.energy)
+    return _column_values(lp, cols, tuple(family[fid] for family in series))
+
+
+def _column_values(lp: LinearProgram, cols: FleetColumns, series) -> np.ndarray:
+    """One fleet's `series` (total, home, station, segments, energy, as
+    `_series_from_solution` returns them) as one value per column of `lp`,
+    placed by `cols`."""
+    total, home, station, segments, energy = series
     values = [0.0] * len(lp.variables)
-    placed = [(cols.total, sched.total[fid]), (cols.home, sched.home[fid])]
+    placed = [(cols.total, total), (cols.home, home)]
     for cid, s_cols, seg_cols in zip(cols.stations, cols.station, cols.segment):
-        placed.append((s_cols, sched.station[fid][cid]))
-        placed.extend(zip(seg_cols, sched.segments[fid][cid]))
-    placed.append((cols.energy, sched.energy[fid]))
-    for series_cols, series in placed:
-        for j, v in zip(series_cols, series):
+        placed.append((s_cols, station[cid]))
+        placed.extend(zip(seg_cols, segments[cid]))
+    placed.append((cols.energy, energy))
+    for series_cols, values_of in placed:
+        for j, v in zip(series_cols, values_of):
             values[j] = v
     return np.array(values)
 
@@ -591,7 +591,7 @@ class FleetDualReport:
 
 
 def dual_form_report(
-    inp: FleetInput, fleet: EVFleet, segment_prices: SegmentPrices, tol: float = lpcore.DUALITY_TOL
+    inp: FleetInput, fleet: EVFleet, segment_prices: SegmentPrices
 ) -> FleetDualReport:
     """Solve both primal variants of `fleet`'s program, their automatic
     duals, and the transcribed dual (as printed, and with its
@@ -626,5 +626,5 @@ def dual_form_report(
         literal_dual_status=literal.status,
         corrected_sign_dual=corrected.objective if corrected.is_optimal else None,
         corrected_sign_status=corrected.status,
-        tolerance=tol,
+        tolerance=lpcore.DUALITY_TOL,
     )

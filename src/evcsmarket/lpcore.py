@@ -64,9 +64,12 @@ GE = ">="
 
 INF = math.inf
 
-# Solver defaults. Market LPs with ties (offer price equal to a retail rate)
-# are routinely degenerate, so termination relies on a Bland fallback rather
-# than on luck with Dantzig pricing.
+# Solver tolerances, fixed for every LP and check in the package: FEAS_TOL
+# scales the phase-1 infeasibility test, point starts and the final
+# verification, DUALITY_TOL the strong-duality and complementarity checks.
+# Market LPs with ties (offer price equal to a retail rate) are routinely
+# degenerate, so termination relies on a Bland fallback rather than on luck
+# with Dantzig pricing.
 FEAS_TOL = 1e-8
 OPT_TOL = 1e-9
 DUALITY_TOL = 1e-6
@@ -378,7 +381,7 @@ class _Tableau:
     every other row keeps its artificial, basic at the row's residual.
     """
 
-    def __init__(self, lp: LinearProgram, start=None, feas_tol: float = FEAS_TOL):
+    def __init__(self, lp: LinearProgram, start=None):
         m, n = lp.matrix.shape
         self.n = n
         self.m = m
@@ -401,7 +404,7 @@ class _Tableau:
         self.up = np.array(up)
         self.iterations = 0
         self.pivots_since_refactor = 0
-        self.from_start = start is not None and self._start_at(start, feas_tol)
+        self.from_start = start is not None and self._start_at(start)
         if not self.from_start:
             self._crash_start()
 
@@ -457,19 +460,19 @@ class _Tableau:
         self.x[ncols:] = np.abs(resid)
         self.binv = np.linalg.inv(self.A[:, basis])
 
-    def _start_at(self, start, feas_tol) -> bool:
+    def _start_at(self, start) -> bool:
         """Take the basis of the point `start` (crossover, Megiddo 1991):
         every real column strictly inside its bounds is basic, every other
         one rests on the bound it sits at, and each row no interior column
         covers (`_pivot_rows`) takes its own slack.  Structurals are clipped
         into their bounds first, slacks are the rows' residuals, and a value
-        within feas_tol * (1 + |bound|) of a bound sits at it.  Artificials
+        within FEAS_TOL * (1 + |bound|) of a bound sits at it.  Artificials
         are nonbasic at 0, so phase 1 has nothing to do.
 
         Returns False, changing nothing, when the point is not finite or has
         the wrong length, when its interior columns are dependent (some
         |B^-1| entry reaches 1 / _PIVOT_TOL), or when the basics
-        B^-1 (b - N x_N) leave their bounds by more than feas_tol times the
+        B^-1 (b - N x_N) leave their bounds by more than FEAS_TOL times the
         largest value."""
         n, ncols = self.n, self.nreal
         try:
@@ -484,8 +487,8 @@ class _Tableau:
         z[n:] = self.b - self.A[:, :n] @ z[:n]
         # z is finite, so an infinite bound gives inf <= inf here, which
         # the isfinite test then drops
-        at_lo = np.isfinite(lo) & (z - lo <= feas_tol * (1.0 + np.abs(lo)))
-        at_up = ~at_lo & np.isfinite(up) & (up - z <= feas_tol * (1.0 + np.abs(up)))
+        at_lo = np.isfinite(lo) & (z - lo <= FEAS_TOL * (1.0 + np.abs(lo)))
+        at_up = ~at_lo & np.isfinite(up) & (up - z <= FEAS_TOL * (1.0 + np.abs(up)))
         z = np.where(at_lo, lo, np.where(at_up, up, z))
 
         interior = ~(at_lo | at_up)
@@ -514,7 +517,7 @@ class _Tableau:
         x[basis] = xb
         scale = 1.0 + float(np.max(np.abs(x), initial=0.0))
         outside = np.maximum(lo[basis] - xb, xb - up[basis])
-        if float(np.max(outside, initial=0.0)) > feas_tol * scale:
+        if float(np.max(outside, initial=0.0)) > FEAS_TOL * scale:
             return False
         self.x = x
         self.pos = np.full(self.ncols, _POS_LOWER, dtype=np.int8)
@@ -669,7 +672,7 @@ class _Tableau:
         return best_t, leave_pos, hits_upper
 
 
-def _extract_solution(lp: LinearProgram, tab: _Tableau, feas_tol, phase1_iterations, inherited=0):
+def _extract_solution(lp: LinearProgram, tab: _Tableau, phase1_iterations, inherited=0):
     """Final verification and packaging; returns None if the claimed optimum
     does not survive an exact refactorization.  The solution counts the
     iterations past the `inherited` ones (see `_phase2`)."""
@@ -683,14 +686,14 @@ def _extract_solution(lp: LinearProgram, tab: _Tableau, feas_tol, phase1_iterati
     art = tab.x[tab.nreal :]
     scale_b = 1.0 + float(np.max(np.abs(tab.b))) if tab.m else 1.0
     if tab.m and (
-        float(np.max(np.abs(resid))) > feas_tol * scale_b * 10.0
-        or float(np.max(np.abs(art))) > feas_tol * scale_b * 10.0
+        float(np.max(np.abs(resid))) > FEAS_TOL * scale_b * 10.0
+        or float(np.max(np.abs(art))) > FEAS_TOL * scale_b * 10.0
     ):
         return None
     lo_viol = np.maximum(tab.lo[: tab.nreal] - tab.x[: tab.nreal], 0.0)
     up_viol = np.maximum(tab.x[: tab.nreal] - tab.up[: tab.nreal], 0.0)
     bound_scale = 1.0 + float(np.max(np.abs(tab.x[: tab.nreal]))) if tab.nreal else 1.0
-    if tab.nreal and float(max(lo_viol.max(), up_viol.max())) > feas_tol * bound_scale * 10.0:
+    if tab.nreal and float(max(lo_viol.max(), up_viol.max())) > FEAS_TOL * bound_scale * 10.0:
         return None
 
     # dual feasibility of the final basis: no column may enter
@@ -724,13 +727,12 @@ class Phase1State:
 
     Made empty.  The first solve given it runs cold and fills it, when its
     phase 1 ends feasible; from then on it belongs to that LP's matrix, rhs,
-    relations and bounds and to that solve's `feas_tol`, and `solve` raises
-    ValueError if it is given with any other."""
+    relations and bounds, and `solve` raises ValueError if it is given with
+    any other."""
 
     def __init__(self):
         self._tab: _Tableau | None = None
         self._arrays: tuple[np.ndarray, ...] = ()
-        self._feas_tol = math.nan
 
     @property
     def empty(self) -> bool:
@@ -740,22 +742,17 @@ class Phase1State:
     def _arrays_of(lp: LinearProgram) -> tuple[np.ndarray, ...]:
         return lp.matrix, lp.rhs, lp.relations, lp.lower, lp.upper
 
-    def _keep(self, lp: LinearProgram, tab: _Tableau, feas_tol: float) -> None:
+    def _keep(self, lp: LinearProgram, tab: _Tableau) -> None:
         self._tab = tab.copy()
         self._arrays = self._arrays_of(lp)
-        self._feas_tol = feas_tol
 
-    def _restore(self, lp: LinearProgram, feas_tol: float) -> _Tableau | None:
+    def _restore(self, lp: LinearProgram) -> _Tableau | None:
         """A copy of the kept tableau, costed by `lp`; None while empty.
         Arrays that are the kept ones themselves (`LinearProgram.with_objective`
         shares them) are accepted as they are; others are compared bit for
         bit, so a -0.0 bound is another LP."""
         if self._tab is None:
             return None
-        if feas_tol != self._feas_tol:
-            raise ValueError(
-                f"{lp.name}: phase-1 state kept at feas_tol {self._feas_tol}, not {feas_tol}"
-            )
         pairs = zip(self._arrays, self._arrays_of(lp))
         if any(
             a is not b and (a.shape != b.shape or a.tobytes() != b.tobytes()) for a, b in pairs
@@ -766,16 +763,10 @@ class Phase1State:
         return tab
 
 
-def solve(
-    lp: LinearProgram,
-    *,
-    feas_tol: float = FEAS_TOL,
-    start=None,
-    phase1: Phase1State | None = None,
-) -> LpSolution:
+def solve(lp: LinearProgram, *, start=None, phase1: Phase1State | None = None) -> LpSolution:
     """Solve an LP to proven optimality, or report infeasible/unbounded.
 
-    `feas_tol` scales the phase-1 infeasibility test and the final
+    FEAS_TOL scales the phase-1 infeasibility test and the final
     verification; reduced costs are tested against OPT_TOL.  After
     2000 + 200 * (columns + rows) simplex iterations over both phases the
     solve stops with status "iteration_limit".  The returned primal/dual
@@ -806,31 +797,29 @@ def solve(
     if phase1 is not None:
         if start is not None:
             raise ValueError(f"{lp.name}: a point start skips phase 1, so it shares none")
-        tab = phase1._restore(lp, feas_tol)
+        tab = phase1._restore(lp)
         if tab is not None:
-            return _phase2(lp, tab, feas_tol, inherited=tab.iterations)
-    tab = _Tableau(lp, start, feas_tol)
-    solution = _simplex(lp, tab, feas_tol, phase1)
+            return _phase2(lp, tab, inherited=tab.iterations)
+    tab = _Tableau(lp, start)
+    solution = _simplex(lp, tab, phase1)
     if tab.from_start and solution.status in (NUMERICAL, ITERATION_LIMIT):
-        return _simplex(lp, _Tableau(lp), feas_tol)
+        return _simplex(lp, _Tableau(lp))
     return solution
 
 
-def _simplex(
-    lp: LinearProgram, tab: _Tableau, feas_tol: float, phase1: Phase1State | None = None
-) -> LpSolution:
+def _simplex(lp: LinearProgram, tab: _Tableau, phase1: Phase1State | None = None) -> LpSolution:
     """Phase 1 (skipped at a point start), artificial pivot-out, phase 2
     and verification from `tab`'s start basis; `phase1`, when given, keeps
     the tableau that phase 2 starts from."""
-    stopped = _phase1(tab, feas_tol)
+    stopped = _phase1(tab)
     if stopped is not None:
         return stopped
     if phase1 is not None:
-        phase1._keep(lp, tab, feas_tol)
-    return _phase2(lp, tab, feas_tol, inherited=0)
+        phase1._keep(lp, tab)
+    return _phase2(lp, tab, inherited=0)
 
 
-def _phase1(tab: _Tableau, feas_tol: float) -> LpSolution | None:
+def _phase1(tab: _Tableau) -> LpSolution | None:
     """Minimize the artificial mass (a point start has none), then pin the
     artificials at zero and pivot the basic ones out where possible.  Reads
     no cost of the LP.  Returns the solution when the solve ends here."""
@@ -846,7 +835,7 @@ def _phase1(tab: _Tableau, feas_tol: float) -> LpSolution | None:
 
     scale_b = 1.0 + float(np.max(np.abs(tab.b))) if m else 1.0
     infeas_mass = float(np.sum(tab.x[tab.nreal :]))
-    if infeas_mass > feas_tol * scale_b * 10.0:
+    if infeas_mass > FEAS_TOL * scale_b * 10.0:
         return LpSolution(
             status=INFEASIBLE,
             iterations=pivots,
@@ -883,7 +872,7 @@ def _phase1(tab: _Tableau, feas_tol: float) -> LpSolution | None:
     return None
 
 
-def _phase2(lp: LinearProgram, tab: _Tableau, feas_tol: float, inherited: int) -> LpSolution:
+def _phase2(lp: LinearProgram, tab: _Tableau, inherited: int) -> LpSolution:
     """Phase 2 on `tab`'s costs and verification.  `inherited` of
     `tab.iterations` were spent by an earlier solve whose phase-1 state this
     one starts from; the solution counts only the rest."""
@@ -909,7 +898,7 @@ def _phase2(lp: LinearProgram, tab: _Tableau, feas_tol: float, inherited: int) -
         ray[tab.basis[moves]] = -sigma * w[moves]
         return stopped(UNBOUNDED, unbounded_ray=ray)
 
-    solution = _extract_solution(lp, tab, feas_tol, phase1, inherited)
+    solution = _extract_solution(lp, tab, phase1, inherited)
     return solution if solution is not None else stopped(NUMERICAL)
 
 
@@ -1129,7 +1118,7 @@ def max_violation(lp: LinearProgram, values: np.ndarray) -> float:
     return float(worst)
 
 
-def _duality_report(lp, x, objective, dual_objective, row_prices, bound_prices, at_bound, tol):
+def _duality_report(lp, x, objective, dual_objective, row_prices, bound_prices, at_bound):
     """Objective gap plus complementary slackness at the primal point `x`:
     each inequality row's price times its slack, and each bound price times
     the distance of x_j from that bound.  `bound_prices` and `at_bound` are
@@ -1152,15 +1141,12 @@ def _duality_report(lp, x, objective, dual_objective, row_prices, bound_prices, 
         relative_gap=gap / denom,
         max_complementarity=float(np.max(products, initial=0.0)) / scale,
         worst_items=tuple((labels[k], float(products[k])) for k in worst),
-        tolerance=tol,
+        tolerance=DUALITY_TOL,
     )
 
 
 def check_strong_duality(
-    primal: LinearProgram,
-    psol: LpSolution,
-    dsol: LpSolution,
-    tol: float = DUALITY_TOL,
+    primal: LinearProgram, psol: LpSolution, dsol: LpSolution
 ) -> DualityReport:
     """Compare an optimal primal solution against an optimal solution of
     dualize(primal): objective gap plus complementary slackness.
@@ -1176,11 +1162,11 @@ def check_strong_duality(
     bound_prices[finite] = dsol.primal[m:]  # the bound columns of `dualize`, in order
     return _duality_report(
         primal, psol.primal, psol.objective, dsol.objective,
-        dsol.primal[:m], bound_prices, finite, tol,
+        dsol.primal[:m], bound_prices, finite,
     )
 
 
-def check_solution_pair(lp: LinearProgram, sol: LpSolution, tol: float = DUALITY_TOL) -> DualityReport:
+def check_solution_pair(lp: LinearProgram, sol: LpSolution) -> DualityReport:
     """Self-check of one solve(): its primal against its own duals."""
     if not sol.is_optimal:
         raise LpSolveError("check_solution_pair needs an optimal solution")
@@ -1188,7 +1174,7 @@ def check_solution_pair(lp: LinearProgram, sol: LpSolution, tol: float = DUALITY
     return _duality_report(
         lp, sol.primal, sol.objective, dual_objective_value(lp, sol), sol.dual,
         np.stack([sol.reduced_cost, sol.reduced_cost], axis=1),
-        np.stack([status == AT_LOWER, status == AT_UPPER], axis=1), tol,
+        np.stack([status == AT_LOWER, status == AT_UPPER], axis=1),
     )
 
 

@@ -20,6 +20,8 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+from .lpcore import DUALITY_TOL, FEAS_TOL
+
 CENTS_PER_KWH_TO_USD_PER_MWH = 10.0
 
 SCHEMA_VERSION = 1
@@ -206,10 +208,9 @@ class ChargingStation:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Search and solver settings."""
+    """Search settings.  The solver's tolerances are not settings: they are
+    fixed (`lpcore.FEAS_TOL`, `lpcore.DUALITY_TOL`)."""
 
-    feas_tol: float = 1e-8
-    duality_tol: float = 1e-6
     budget: int = 400
     multistarts: int = 8
     step_min: float = 0.01
@@ -494,10 +495,6 @@ def validate(scenario: Scenario) -> ValidationReport:
             bad(f"settings.{name}", f"must be an integer >= {least}, got {value!r}")
     if not (number(settings.step_min) and settings.step_min > 0):
         bad("settings.step_min", f"must be > 0, got {settings.step_min!r}")
-    for name in ("feas_tol", "duality_tol"):
-        value = getattr(settings, name)
-        if not (number(value) and math.isfinite(value) and value > 0):
-            bad(f"settings.{name}", f"must be finite and > 0, got {value!r}")
 
     return ValidationReport(tuple(issues))
 
@@ -663,7 +660,9 @@ def _resolve_series(T, base_dir, value, at, key):
 
 
 _INT_SETTINGS = ("budget", "multistarts", "block_width", "seed")
-_FLOAT_SETTINGS = ("feas_tol", "duality_tol", "step_min")
+_FLOAT_SETTINGS = ("step_min",)
+# keys a document carries for the solver's fixed tolerances, at their values
+_FIXED_SETTINGS = {"feas_tol": FEAS_TOL, "duality_tol": DUALITY_TOL}
 
 
 def _price(obj: Mapping[str, Any], at, key, read):
@@ -705,8 +704,10 @@ def scenario_from_json(data: Mapping[str, Any], base_dir=None) -> Scenario:
     """Read the document `scenario_to_json` writes.  A number is a JSON int
     or float, not a boolean (NaN and inf are kept); `schema_version`,
     `network.horizon` and the integer settings take an int or a float with
-    no fraction, `reference` true or false.  Anything else raises
-    ScenarioFormatError naming its path (``fleets[0].energy_max: ...``)."""
+    no fraction, `reference` true or false.  `settings.feas_tol` and
+    `settings.duality_tol`, when present, must equal the solver's fixed
+    tolerances.  Anything else raises ScenarioFormatError naming its path
+    (``fleets[0].energy_max: ...``)."""
     try:
         version = _integer(data.get("schema_version", SCHEMA_VERSION), (), "schema_version")
         if version != SCHEMA_VERSION:
@@ -816,6 +817,10 @@ def scenario_from_json(data: Mapping[str, Any], base_dir=None) -> Scenario:
 
         raw_settings = dict(data.get("settings", {}))
         raw_settings.pop("workers", None)  # older files carry it; nothing reads it
+        for name, fixed in _FIXED_SETTINGS.items():
+            value = _number(raw_settings.pop(name, fixed), ("settings",), name)
+            if value != fixed:
+                raise ScenarioFormatError(f"settings.{name}: must be {fixed!r}, got {value!r}")
         known = {f.name for f in fields(SolverSettings)}
         unknown = set(raw_settings) - known
         if unknown:
@@ -929,8 +934,7 @@ def scenario_to_json(scenario: Scenario) -> dict:
             for s in scenario.stations
         ],
         "settings": {
-            "feas_tol": scenario.settings.feas_tol,
-            "duality_tol": scenario.settings.duality_tol,
+            **_FIXED_SETTINGS,
             "budget": scenario.settings.budget,
             "multistarts": scenario.settings.multistarts,
             "step_min": scenario.settings.step_min,

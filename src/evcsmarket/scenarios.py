@@ -137,11 +137,7 @@ def no_station_payment(scenario: Scenario, offers) -> float:
         for f in scenario.fleets
     )
     counterfactual = replace(scenario, fleets=fleets)
-    schedule = fleet_mod.solve_fleet(
-        fleet_mod.fleet_input(counterfactual, offers),
-        feas_tol=scenario.settings.feas_tol,
-    )
-    return schedule.cost
+    return fleet_mod.solve_fleet(fleet_mod.fleet_input(counterfactual, offers)).cost
 
 
 def run_baseline(

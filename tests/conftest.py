@@ -74,7 +74,7 @@ def one_bus_scenario(
     return md.Scenario("one_bus_toy", net, (fleet,), (station,), settings)
 
 
-def assert_shared_phase1_matches_cold(lps, feas_tol=lpcore.FEAS_TOL) -> int:
+def assert_shared_phase1_matches_cold(lps) -> int:
     """Solve `lps`, one LP under several objectives, in turn through one
     `lpcore.Phase1State`, and each cold.  Every shared-state result equals
     the cold one bit for bit (status, objective, primal, dual, reduced
@@ -85,8 +85,8 @@ def assert_shared_phase1_matches_cold(lps, feas_tol=lpcore.FEAS_TOL) -> int:
     saved = 0
     for k, lp in enumerate(lps):
         filled = not state.empty
-        cold = lpcore.solve(lp, feas_tol=feas_tol)
-        shared = lpcore.solve(lp, feas_tol=feas_tol, phase1=state)
+        cold = lpcore.solve(lp)
+        shared = lpcore.solve(lp, phase1=state)
         assert shared.status == cold.status, k
         assert repr(shared.objective) == repr(cold.objective), k
         for attr in ("primal", "dual", "reduced_cost", "variable_status", "basis"):

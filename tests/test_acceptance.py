@@ -170,7 +170,8 @@ def test_criterion_6_certificate_soundness(bilevel_instances, desk_baseline):
     equalities, each against a Lagrangian bound at the duals of a primal
     re-solve); a corrupted outcome fails with a named nonzero residual."""
     for scenario, _, _, searched in bilevel_instances[:8]:
-        cert = bl.certify(searched, tol=1e-6)
+        cert = bl.certify(searched)
+        assert cert.tolerance == 1e-6
         assert cert.passed, f"{scenario.name}: {cert.failing()}"
         assert cert.residuals["dam_strong_duality"] <= 1e-6
         assert cert.residuals["fleet_strong_duality"] <= 1e-6

@@ -218,7 +218,7 @@ class TestCertify:
     def test_evaluate_output_passes(self):
         scenario = one_bus_scenario()
         out = bl.evaluate(bl.Strategy(params_of(scenario), (20.0, 20.0)), scenario)
-        cert = bl.certify(out, tol=1e-6)
+        cert = bl.certify(out)
         assert cert.passed
         assert cert.max_violation <= 1e-6
 
@@ -461,8 +461,8 @@ def _certify_both(outcome, monkeypatch):
     started = bl.certify(outcome)
     real = lpcore.solve
 
-    def crash_started(lp, *, feas_tol=lpcore.FEAS_TOL, start=None):
-        return real(lp, feas_tol=feas_tol)
+    def crash_started(lp, *, start=None):
+        return real(lp)
 
     with monkeypatch.context() as patch:
         patch.setattr(lpcore, "solve", crash_started)
@@ -486,8 +486,8 @@ def _kept_starts(monkeypatch):
     kept = []
     real = lpcore._Tableau._start_at
 
-    def spy(self, start, feas_tol):
-        kept.append(real(self, start, feas_tol))
+    def spy(self, start):
+        kept.append(real(self, start))
         return kept[-1]
 
     monkeypatch.setattr(lpcore._Tableau, "_start_at", spy)
@@ -618,13 +618,13 @@ def _assert_layout_round_trip(outcome):
     dinput = bl.dam_input_for(scenario, outcome.schedule)
     for t in range(scenario.network.horizon):
         lp, index = dam.build_dam(dinput, t)
-        sol = lpcore.require_optimal(lp, feas_tol=scenario.settings.feas_tol)
+        sol = lpcore.require_optimal(lp)
         values = dam.period_values(dinput, outcome.dam, t, lp, index)
         assert values.tobytes() == sol.primal.tobytes(), t
     finput = fl.fleet_input(scenario, outcome.offers)
     for f in scenario.fleets:
         lp, cols = fl.build_fleet(finput, f, home_price_bump=fl.TIE_BREAK_EPS)
-        sol = lpcore.require_optimal(lp, feas_tol=scenario.settings.feas_tol)
+        sol = lpcore.require_optimal(lp)
         values = fl.schedule_values(outcome.schedule, f, lp, cols)
         read = [cols.home] + [m_cols for seg_cols in cols.segment for m_cols in seg_cols]
         for c in read:
@@ -645,11 +645,11 @@ def _assert_memo_matches_cold(scenario, strategies):
     """`evaluate` with one memo shared across `strategies` (each visited
     twice, so the second visit is all hits) gives the document of a cold
     `evaluate`."""
-    memo = {}
+    memo = bl.Memo()
     for strategy in strategies + strategies:
         cold = bl.outcome_to_json(bl.evaluate(strategy, scenario))
         assert bl.outcome_to_json(bl.evaluate(strategy, scenario, memo=memo)) == cold
-    assert memo
+    assert memo.fleets and memo.markets
 
 
 class TestMemoMatchesColdPath:
@@ -699,15 +699,11 @@ def counting_market_clearings(monkeypatch):
     return calls
 
 
-def response_keys(memo):
-    return [key for key in memo if key[0] == "response"]
-
-
 class TestResponseMemo:
     def test_response_hit_clears_no_market(self, monkeypatch):
         scenario = one_bus_scenario()
         params = params_of(scenario)
-        memo = {}
+        memo = bl.Memo()
         first = bl.evaluate(bl.Strategy(params, (20.0, 15.0)), scenario, memo=memo)
         cleared = counting_market_clearings(monkeypatch)
         # other offers, and station hour 1 is still cheapest: the same response
@@ -717,7 +713,7 @@ class TestResponseMemo:
         assert hit.schedule.total == first.schedule.total
         assert hit.schedule.segments == first.schedule.segments
         assert hit.dam is first.dam
-        assert len(response_keys(memo)) == 1
+        assert len(memo.markets) == 1
         cold = bl.evaluate(strategy, scenario)
         assert len(cleared) == 1
         assert bl.outcome_to_json(hit) == bl.outcome_to_json(cold)
@@ -732,14 +728,14 @@ class TestResponseMemo:
             raise dam.DamNumericalError("period 0: injected")
 
         monkeypatch.setattr(dam, "solve_dam", failing)
-        memo = {}
+        memo = bl.Memo()
         with pytest.raises(dam.DamNumericalError, match="injected"):
             bl.evaluate(strategy, scenario, memo=memo)
-        assert response_keys(memo) == []
+        assert memo.markets == {}
         monkeypatch.setattr(dam, "solve_dam", real_solve_dam)
         cleared = counting_market_clearings(monkeypatch)
         again = bl.evaluate(strategy, scenario, memo=memo)
-        assert len(cleared) == 1 and len(response_keys(memo)) == 1
+        assert len(cleared) == 1 and len(memo.markets) == 1
         assert bl.outcome_to_json(again) == bl.outcome_to_json(bl.evaluate(strategy, scenario))
 
     @pytest.mark.parametrize("stored_sign", [1.0, -1.0], ids=["plus_first", "minus_first"])
@@ -761,14 +757,14 @@ class TestResponseMemo:
                 segments={"f1": {"c1": (tuple(map(zero, schedule.segments["f1"]["c1"][0])),)}},
             )
 
-        memo = {}
+        memo = bl.Memo()
         for sign in (stored_sign, -stored_sign):
             response = signed(sign)
             monkeypatch.setattr(fl, "solve_fleet", lambda inp, **kw: response)
             out = bl.evaluate(strategy, scenario, memo=memo)
             cold = dam.solve_dam(bl.dam_input_for(scenario, response))
             assert repr(out.dam) == repr(cold)
-        assert len(response_keys(memo)) == 1
+        assert len(memo.markets) == 1
         assert math.copysign(1.0, signed(-1.0).total["f1"][0]) == -1.0
 
 
@@ -796,7 +792,7 @@ def test_property_memoized_evaluate_matches_cold(data):
     for scenario in (TWO_FLEET, CRITERION_5):
         params = params_of(scenario)
         values = data.draw(st.lists(offer_values(scenario), min_size=2, max_size=6))
-        memo = {}
+        memo = bl.Memo()
         for v in values + values[:1]:
             strategy = bl.Strategy(params, v)
             cold = bl.outcome_to_json(bl.evaluate(strategy, scenario))

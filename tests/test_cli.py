@@ -69,6 +69,8 @@ class TestValidate:
         "field, value, code",
         [
             ("feas_tol", "x", 2),
+            ("feas_tol", 1e-6, 2),
+            ("duality_tol", 1e-5, 2),
             ("multistarts", "x", 2),
             ("budget", 2.5, 2),
             ("seed", True, 2),
@@ -201,6 +203,42 @@ class TestRun:
         capsys.readouterr()
         assert run_cli("run", toy_path, "--out", out, "--certify") == 3
         assert "dam_feasibility: inf" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "break_network",
+        [
+            lambda net: net["lines"].append(
+                {"id": "l9", "from_bus": "b1", "to_bus": "ghost", "reactance": 0.1,
+                 "flow_max": 10.0}
+            ),
+            lambda net: net["buses"][0].update(reference=False),
+        ],
+        ids=["unknown_line_endpoint", "no_reference_bus"],
+    )
+    def test_certify_network_the_market_cannot_build_exit_three(
+        self, toy_path, tmp_path, capsys, break_network
+    ):
+        out = tmp_path / "cache"
+        assert run_cli("run", toy_path, "--out", out) == 0
+        doc = json.loads((out / "outcome.json").read_text())
+        break_network(doc["scenario"]["network"])
+        (out / "outcome.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("run", toy_path, "--out", out, "--certify") == 3
+        assert "dam_feasibility: inf" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, value", [("feas_tol", 1e-6), ("duality_tol", 1e-5)])
+    def test_certify_other_solver_tolerance_in_cache_exit_two(
+        self, toy_path, tmp_path, capsys, name, value
+    ):
+        out = tmp_path / "cache"
+        assert run_cli("run", toy_path, "--out", out) == 0
+        doc = json.loads((out / "outcome.json").read_text())
+        doc["scenario"]["settings"][name] = value
+        (out / "outcome.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("run", toy_path, "--out", out, "--certify") == 2
+        assert f"cached outcome unreadable: settings.{name}: must be" in capsys.readouterr().err
 
     def test_certify_truncated_series_in_cache_exit_three(self, toy_path, tmp_path, capsys):
         out = tmp_path / "cache"

@@ -163,14 +163,10 @@ class TestMemo:
         cold = fl.solve_fleet(inp)
         assert hit == cold
         assert hit.station["f2"] == cold.station["f2"] and hit.home["f2"] == cold.home["f2"]
-        assert set(memo) == {
-            ("fleet", "f1", ((30.0, 10.0),)),
-            ("fleet", "f1", ((30.0, 50.0),)),
-            ("fleet", "f2", ((30.0, 10.0),)),
-            ("fleet", "f1"),
-            ("fleet", "f2"),
-        }
-        assert len(memo["fleet", "f1"].bases) == 2 and len(memo["fleet", "f2"].bases) == 1
+        assert set(memo) == {"f1", "f2"}
+        assert set(memo["f1"].results) == {((30.0, 10.0),), ((30.0, 50.0),)}
+        assert set(memo["f2"].results) == {((30.0, 10.0),)}
+        assert len(memo["f1"].bases) == 2 and len(memo["f2"].bases) == 1
         solved.clear()
         assert fl.solve_fleet(inp, memo=memo) == cold
         assert solved == []
@@ -185,18 +181,20 @@ class TestMemo:
     def test_failed_post_check_stores_no_schedule_and_no_basis(self, monkeypatch):
         memo = {}
         fl.solve_fleet(toy_input((30.0, 10.0)), memo=memo)
-        stored = dict(memo)
-        bases = list(memo["fleet", "f1"].bases)
+        fleet_lp = memo["f1"]
+        results, series = dict(fleet_lp.results), dict(fleet_lp.series)
+        bases = list(fleet_lp.bases)
         above_width(monkeypatch)
         with pytest.raises(fl.FleetStructureError, match="fleet f1"):
             fl.solve_fleet(toy_input((10.0, 30.0)), memo=memo)  # outside the stored region
-        assert memo == stored
-        assert memo["fleet", "f1"].bases == bases
+        assert memo == {"f1": fleet_lp}
+        assert fleet_lp.results == results and fleet_lp.series == series
+        assert fleet_lp.bases == bases
 
     def test_strictly_optimal_basis_answers_without_a_solve(self, monkeypatch):
         memo = {}
         fl.solve_fleet(toy_input((30.0, 10.0)), memo=memo)
-        (basis,) = memo["fleet", "f1"].bases
+        (basis,) = memo["f1"].bases
         calls = []
         real_solve = lpcore.solve
         monkeypatch.setattr(
@@ -205,14 +203,14 @@ class TestMemo:
         inp = toy_input((31.5, 12.25))  # station hour 1 is still strictly cheapest
         hit = fl.solve_fleet(inp, memo=memo)
         assert calls == []
-        assert memo["fleet", "f1"].bases == [basis]
+        assert memo["f1"].bases == [basis]
         monkeypatch.setattr(lpcore, "solve", real_solve)
         assert hit == fl.solve_fleet(inp)
 
     def test_region_answer_reuses_the_stored_series(self, monkeypatch):
         memo = {}
         first = fl.solve_fleet(toy_input((30.0, 10.0)), memo=memo)
-        fleet_lp = memo["fleet", "f1"]
+        fleet_lp = memo["f1"]
         (basis,) = fleet_lp.bases
         assert fleet_lp.series == {basis.key: (
             first.total["f1"], first.home["f1"], first.station["f1"],
@@ -274,8 +272,9 @@ def assert_region_answers_match_cold(inputs) -> int:
     for inp in inputs:
         fresh = [
             f for f in inp.fleets
-            if ("fleet", f.id, tuple(inp.offers[s.id] for s in fl._fleet_stations(inp, f)))
-            not in memo
+            if f.id not in memo
+            or tuple(inp.offers[s.id] for s in fl._fleet_stations(inp, f))
+            not in memo[f.id].results
         ]
         with pytest.MonkeyPatch.context() as mp:
             solved = counting_solves(mp)
@@ -411,9 +410,10 @@ class TestSharedPhase1MatchesColdPath:
             fl.solve_fleet(toy_input(tau), memo=memo)
         assert phases[0][0] and phases[0][1] > 0
         assert phases[1:] == [(True, 0), (True, 0)]
+        first = phases[0]
         phases.clear()
         fl.solve_fleet(toy_input((10.0, 30.0)))
-        assert [shared for shared, _ in phases] == [False]  # no memo: a cold solve
+        assert phases == [first]  # no memo: an empty one, whose state phase 1 fills
 
 
 @settings(max_examples=30)

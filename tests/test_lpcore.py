@@ -716,9 +716,9 @@ class TestSharedPhase1:
         handed = []
         phase2 = lc._phase2
 
-        def recorded(lp, tab, feas_tol, inherited):
+        def recorded(lp, tab, inherited):
             handed.append([np.asarray(getattr(tab, attr)).tobytes() for attr in fields])
-            return phase2(lp, tab, feas_tol, inherited)
+            return phase2(lp, tab, inherited)
 
         monkeypatch.setattr(lc, "_phase2", recorded)
         rng = np.random.default_rng(17)
@@ -765,12 +765,6 @@ class TestSharedPhase1Refusals:
         )
         with pytest.raises(ValueError, match="other rows or bounds"):
             lc.solve(wider, phase1=state)
-
-    def test_another_feas_tol(self):
-        state = self.filled()
-        with pytest.raises(ValueError, match="feas_tol"):
-            lc.solve(BOX_ROW, feas_tol=1e-6, phase1=state)
-        assert lc.solve(BOX_ROW, phase1=state).is_optimal
 
     def test_a_point_start(self):
         with pytest.raises(ValueError, match="point start"):

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import math
 
 import pytest
 
@@ -109,8 +108,6 @@ class TestValidate:
             ("seed", 1.5),
             ("step_min", 0.0),
             ("block_width", 0),
-            ("feas_tol", math.inf),
-            ("duality_tol", -1e-6),
         ],
     )
     def test_bad_setting_is_named_by_its_path(self, field, value):
@@ -286,6 +283,27 @@ class TestSerialization:
         doc = md.scenario_to_json(one_bus_scenario())
         doc["settings"]["typo_key"] = 1
         with pytest.raises(md.ScenarioFormatError, match="unknown keys"):
+            md.scenario_from_json(doc)
+
+    def test_solver_tolerances_are_written_at_their_fixed_values(self):
+        doc = md.scenario_to_json(one_bus_scenario())
+        assert (doc["settings"]["feas_tol"], doc["settings"]["duality_tol"]) == (1e-8, 1e-6)
+        settings = {k: v for k, v in doc["settings"].items() if not k.endswith("_tol")}
+        assert md.scenario_from_json({**doc, "settings": settings}) == md.scenario_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("feas_tol", 1e-6),
+            ("feas_tol", float("nan")),
+            ("duality_tol", 1e-8),
+            ("duality_tol", 0),
+        ],
+    )
+    def test_other_solver_tolerance_is_named(self, name, value):
+        doc = md.scenario_to_json(one_bus_scenario())
+        doc["settings"][name] = value
+        with pytest.raises(md.ScenarioFormatError, match=rf"^settings\.{name}: must be"):
             md.scenario_from_json(doc)
 
     def test_legacy_workers_key_dropped(self):

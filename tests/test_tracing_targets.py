@@ -1,7 +1,8 @@
-"""The traced benchmark wraps package functions by name: each one it names
-must still exist, or `perfbench/run.py --trace 1` breaks.  Its gates also
-need the lower-level memo to live for one search only: the counts of two
-traced searches must repeat exactly."""
+"""The benchmark runs against the package API: every function the traced
+benchmark wraps by name must still exist, or `perfbench/run.py --trace 1`
+breaks, and its workloads must still set up through the API.  Its gates
+also need the lower-level memo to live for one search only: the counts of
+two traced searches must repeat exactly."""
 
 import importlib
 import importlib.util
@@ -13,11 +14,12 @@ import pytest
 from evcsmarket import bilevel, fleet, lpcore
 from conftest import _random_bilevel_scenario
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load_perfbench(name):
+    """The benchmark's module `name`, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules while the class body runs
     sys.modules[spec.name] = module
@@ -28,7 +30,7 @@ def _load_tracing():
     return module
 
 
-tracing = _load_tracing()
+tracing = _load_perfbench("tracing")
 
 
 @pytest.mark.parametrize(
@@ -125,3 +127,16 @@ def test_desk_certify_starts_at_the_outcome(desk_baseline):
     assert c["lpcore.certify.solves"] == len(phase1) == 26
     assert sum(phase1) == 0
     assert c["lpcore.certify.pivots"] <= 100
+
+
+def test_benchmark_workloads_set_up_through_the_package(tmp_path, monkeypatch):
+    """The benchmark's warm-up (an `evaluate` and a `certify`) and the
+    set-up of every workload at seed 0 (load or generate scenarios through
+    the model API, validate, build strategies) still run, so an API change
+    that breaks the benchmark fails here first."""
+    # workloads.py imports its sibling module as a top-level `generators`
+    monkeypatch.setitem(sys.modules, "generators", _load_perfbench("generators"))
+    workloads = _load_perfbench("workloads")
+    workloads.warm_up()
+    for name, workload in workloads.WORKLOADS.items():
+        workload(PERFBENCH.parent, tmp_path).setup(0)
