@@ -30,8 +30,9 @@ response already cleared skips the market input, every period LP and
 their post-checks, and only profit is computed on every call.  A key holds
 every input that can change within one scenario, and the solver is
 deterministic, so results match cold solves bit for bit.  An `evaluate`
-given no memo runs the same path on an empty one.  A memo lives only as
-long as the call; `certify` never uses one.
+given no memo takes the same steps and keeps nothing after it: each
+fleet's LP is dropped once the fleet is answered.  A memo lives only as
+long as the search; `certify` never uses one.
 
 When followers are indifferent (offer price equal to the retail rate) the
 deterministic fleet tie-break resolves toward station charging, i.e. in the
@@ -132,16 +133,12 @@ class Strategy:
     def offers(self, scenario: Scenario) -> dict[str, tuple[float, ...]]:
         """Expand to a per-station offer series, clipped into each period's
         admissible band so the result always satisfies the offer bounds."""
-        T = scenario.network.horizon
-        series = {st.id: [None] * T for st in scenario.stations}
+        stations = {st.id: st for st in scenario.stations}
+        series = {sid: list(st.offer_min) for sid, st in stations.items()}
         for p, v in zip(self.parameters, self.values):
-            st = scenario.station(p.station_id)
+            st = stations[p.station_id]
             for t in range(p.t_start, p.t_end):
                 series[st.id][t] = min(max(v, st.offer_min[t]), st.offer_max[t])
-        for st in scenario.stations:
-            for t in range(T):
-                if series[st.id][t] is None:
-                    series[st.id][t] = st.offer_min[t]
         return {k: tuple(v) for k, v in series.items()}
 
 
@@ -208,29 +205,32 @@ def evaluate(
     """Fleet response to the offers, market clearing of the response, and the
     resulting station profit.
 
-    `memo` is the lower-level memo of one search over `scenario`; without
-    one, an empty memo serves the call.  `solve_fleet` reads `memo.fleets`
-    and adds what it solves, and the market is cleared once per distinct
-    fleet response, stored in `memo.markets` only after `solve_dam`
-    returns.  A memo must never be shared across scenarios."""
-    memo = Memo() if memo is None else memo
+    `memo` is the lower-level memo of one search over `scenario`.
+    `solve_fleet` reads `memo.fleets` and adds what it solves, and the
+    market is cleared once per distinct fleet response, stored in
+    `memo.markets` only after `solve_dam` returns.  Without a memo the call
+    takes the same steps, gives `solve_fleet` no memo (so each fleet's LP
+    is dropped once the fleet is answered) and clears the market into an
+    empty store.  A memo must never be shared across scenarios."""
+    fleets = None if memo is None else memo.fleets
+    markets = {} if memo is None else memo.markets
     offers = strategy.offers(scenario)
-    schedule = fleet_mod.solve_fleet(fleet_mod.fleet_input(scenario, offers), memo=memo.fleets)
+    schedule = fleet_mod.solve_fleet(fleet_mod.fleet_input(scenario, offers), memo=fleets)
     response = (
         tuple(schedule.total[f.id] for f in scenario.fleets),
         tuple(schedule.segments[st.fleet_id][st.id] for st in scenario.stations),
     )
-    dam_out = memo.markets.get(response)
+    dam_out = markets.get(response)
     if dam_out is None:
-        dam_out = memo.markets[response] = dam_mod.solve_dam(dam_input_for(scenario, schedule))
+        dam_out = markets[response] = dam_mod.solve_dam(dam_input_for(scenario, schedule))
 
     revenue = 0.0
     cost = 0.0
+    buses = {f.id: f.bus for f in scenario.fleets}
     for st in scenario.stations:
-        fleet = scenario.fleet(st.fleet_id)
         series = schedule.station[st.fleet_id][st.id]
         tau = offers[st.id]
-        lmp = dam_out.lmp[fleet.bus]
+        lmp = dam_out.lmp[buses[st.fleet_id]]
         for t in range(scenario.network.horizon):
             revenue += series[t] * tau[t]
             cost += series[t] * lmp[t]
@@ -634,15 +634,16 @@ def _fleet_checks(outcome: EquilibriumOutcome) -> dict[str, tuple[float, float]]
     price enters a fleet constraint."""
     scenario = outcome.scenario
     finput = fleet_mod.fleet_input(scenario, outcome.offers)
+    try:
+        fleet_mod._check_offers(finput, scenario.stations)
+        priced = True
+    except fleet_mod.FleetStructureError:
+        floors = {st.id: st.offer_min for st in scenario.stations}
+        finput = fleet_mod.fleet_input(scenario, floors)
+        priced = False
     checks = {}
     for f in scenario.fleets:
-        try:
-            lp, cols = fleet_mod.build_fleet(finput, f)
-            priced = True
-        except fleet_mod.FleetStructureError:
-            floors = {st.id: st.offer_min for st in scenario.stations}
-            lp, cols = fleet_mod.build_fleet(fleet_mod.fleet_input(scenario, floors), f)
-            priced = False
+        lp, cols = fleet_mod.build_fleet(finput, f)
         values = fleet_mod.schedule_values(outcome.schedule, f, lp, cols)
         bound = -math.inf
         if priced:

@@ -164,9 +164,12 @@ def cmd_run(args) -> int:
 
 def _parse_levels(text: str, what: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        levels = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
         raise _UsageError(f"cannot parse {what} list: {text!r}")
+    if not levels:
+        raise _UsageError(f"{what}: no levels given in {text!r}")
+    return levels
 
 
 def cmd_sweep(args) -> int:
@@ -177,16 +180,12 @@ def cmd_sweep(args) -> int:
         return 1
     out = _out_dir(args.out)
 
-    if args.penetration:
-        levels = _parse_levels(args.penetration, "--penetration")
-        entries = scenarios.sweep_penetration(scenario, levels, budget=args.budget, seed=args.seed)
-        csv_name = "sweep_penetration.csv"
-        context = scenarios.REFERENCE_CASE_TABLE["penetration"]
-    else:
-        levels = _parse_levels(args.pv, "--pv")
-        entries = scenarios.sweep_pv(scenario, levels, budget=args.budget, seed=args.seed)
-        csv_name = "sweep_pv.csv"
-        context = scenarios.REFERENCE_CASE_TABLE["pv"]
+    axis = "pv" if args.penetration is None else "penetration"  # the parser requires one
+    sweep = {"pv": scenarios.sweep_pv, "penetration": scenarios.sweep_penetration}[axis]
+    levels = _parse_levels(getattr(args, axis), f"--{axis}")
+    entries = sweep(scenario, levels, budget=args.budget, seed=args.seed)
+    csv_name = f"sweep_{axis}.csv"
+    context = scenarios.REFERENCE_CASE_TABLE[axis]
 
     _write(out / csv_name, scenarios.metrics_csv(entries))
 

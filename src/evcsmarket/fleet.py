@@ -49,8 +49,11 @@ class FleetInfeasibleError(RuntimeError):
 class FleetInput:
     """Fleets plus the station offer prices they face.
 
-    `offers[c]` is the per-period offer price of station c in $/MWh; station
-    energy is billed at it.
+    `offers[c]` is the per-period offer price of station c in $/MWh, a
+    float tuple (as `bilevel.Strategy.offers` makes it); station energy is
+    billed at it.  Like the model types, the input is stored as given;
+    `solve_fleet` and `build_fleet` refuse an offer series that is not a
+    tuple.
     """
 
     fleets: tuple[EVFleet, ...]
@@ -59,11 +62,6 @@ class FleetInput:
     offers: dict[str, tuple[float, ...]]
 
     def __post_init__(self):
-        object.__setattr__(self, "fleets", tuple(self.fleets))
-        object.__setattr__(self, "stations", tuple(self.stations))
-        object.__setattr__(
-            self, "offers", {k: tuple(map(float, v)) for k, v in self.offers.items()}
-        )
         by_id: dict[str, ChargingStation] = {}
         for s in self.stations:
             by_id.setdefault(s.id, s)  # the first of a repeated id, as a scan finds
@@ -107,29 +105,36 @@ class FleetSchedule:
         )
 
 
-def _check_input(inp: FleetInput) -> None:
-    station_fleets = {}
-    for s in inp.stations:
-        station_fleets[s.id] = s.fleet_id
+def _check_fleet(inp: FleetInput, f: EVFleet) -> None:
+    """The checks of fleet `f`'s input that read no offer: each station it
+    has a cap at exists, and its series and the offer bounds of its stations
+    span the horizon."""
+    for cid, _ in f.station_caps:
+        if cid not in inp._by_id:
+            raise FleetStructureError(f"fleet {f.id}: unknown station {cid!r}")
+    if len(f.tou) != inp.horizon or len(f.driving) != inp.horizon:
+        raise FleetStructureError(f"fleet {f.id}: series length != horizon")
+    for s in _fleet_stations(inp, f):
         if len(s.offer_min) != inp.horizon or len(s.offer_max) != inp.horizon:
             raise FleetStructureError(f"station {s.id}: offer bound series length != horizon")
+
+
+def _check_offers(inp: FleetInput, stations) -> None:
+    """The checks an offer can fail, for each of `stations`: it has an
+    offer, a tuple over the horizon, within its band at every period."""
+    for s in stations:
         tau = inp.offers.get(s.id)
         if tau is None:
             raise FleetStructureError(f"station {s.id}: no offer price provided")
+        if not isinstance(tau, tuple):
+            raise FleetStructureError(f"station {s.id}: offer series must be a tuple, got {tau!r}")
         if len(tau) != inp.horizon:
             raise FleetStructureError(f"station {s.id}: offer series length != horizon")
-        for t in range(inp.horizon):
-            if not (s.offer_min[t] - 1e-9 <= tau[t] <= s.offer_max[t] + 1e-9):
+        for t, (lo, x, up) in enumerate(zip(s.offer_min, tau, s.offer_max)):
+            if not (lo - 1e-9 <= x <= up + 1e-9):
                 raise FleetStructureError(
-                    f"station {s.id}: offer {tau[t]} outside "
-                    f"[{s.offer_min[t]}, {s.offer_max[t]}] at period {t}"
+                    f"station {s.id}: offer {x} outside [{lo}, {up}] at period {t}"
                 )
-    for f in inp.fleets:
-        for cid, _ in f.station_caps:
-            if cid not in station_fleets:
-                raise FleetStructureError(f"fleet {f.id}: unknown station {cid!r}")
-        if len(f.tou) != inp.horizon or len(f.driving) != inp.horizon:
-            raise FleetStructureError(f"fleet {f.id}: series length != horizon")
 
 
 def _fleet_stations(inp: FleetInput, fleet: EVFleet) -> list[ChargingStation]:
@@ -161,13 +166,15 @@ def build_fleet(
 
     Home energy is priced at the retail rate plus `home_price_bump`, the
     tie-break surcharge (builders for certificates use 0); station energy
-    at the offer price; bid segments carry no cost.
+    at the offer price; bid segments carry no cost.  Only the input this
+    LP reads is checked: `fleet` and the offers of its stations.
     """
-    _check_input(inp)
+    _check_fleet(inp, fleet)
     lp = LpBuilder(lpcore.MIN, name="fleet")
     T = inp.horizon
     f = fleet
     stations = _fleet_stations(inp, f)
+    _check_offers(inp, stations)
     total, home, energy = [], [], []
     station = [[] for _ in stations]
     segment = [[[] for _ in s.segments] for s in stations]
@@ -337,40 +344,46 @@ def solve_fleet(inp: FleetInput, *, memo: dict | None = None) -> FleetSchedule:
     100 * FEAS_TOL.
 
     `memo` maps fleet id to the fleet's `_FleetLp` and belongs to one
-    scenario (one search); without one, an empty memo serves the call.  A
-    fleet's offers, the only inputs of its LP that change within one
-    scenario, key its results there, and a result found under its offers
-    is reused as it is.  Otherwise each stored basis is re-priced at the
-    new offers (`lpcore.BasisRegion.point_at`), most recent hit first.  The
-    first whose point is the LP's unique optimum answers, with no solve: a
-    solve would end at that point, and since offers move no row or bound,
-    the point passed the post-check when its basis was stored.  Its
-    schedule series, kept with it, are reused, and only the cost is
-    computed at the new offers.  Only when no stored basis qualifies (at
-    ties, or at offers no basis covers yet) is the stored LP re-costed and
-    solved, and its basis kept unless an equal one is.  These solves share
-    the `_FleetLp`'s `lpcore.Phase1State`: the first one runs phase 1,
-    which reads no offer, and every later one starts phase 2 where it
-    ended, so each returns the cold solve's bits.  A fleet is solved,
+    scenario (one search).  A fleet's offers, the only inputs of its LP
+    that change within one scenario, key its results there, and a result
+    found under its offers is reused as it is.  Otherwise each stored basis
+    is re-priced at the new offers (`lpcore.BasisRegion.point_at`), most
+    recent hit first.  The first whose point is the LP's unique optimum
+    answers, with no solve: a solve would end at that point, and since
+    offers move no row or bound, the point passed the post-check when its
+    basis was stored.  Its schedule series, kept with it, are reused, and
+    only the cost is computed at the new offers.  Only when no stored basis
+    qualifies (at ties, or at offers no basis covers yet) is the stored LP
+    re-costed and solved, and its basis kept unless an equal one is.  These
+    solves share the `_FleetLp`'s `lpcore.Phase1State`: the first one runs
+    phase 1, which reads no offer, and every later one starts phase 2 where
+    it ended, so each returns the cold solve's bits.  A fleet is solved,
     post-checked and stored in one step: results and bases are written only
     after its post-check, and a new `_FleetLp` enters the memo only then
     (the phase-1 state depends on no offer, so a solve keeps it whatever
-    the post-check finds).  A fleet in the memo passed the infeasibility
-    diagnosis, which reads no offer, and is not diagnosed again.
+    the post-check finds).  A fleet in the memo passed the checks that read
+    no offer (`_check_fleet`) and the infeasibility diagnosis, and neither
+    runs for it again; every call checks the offers (`_check_offers`).
+
+    Without a memo every fleet takes the same steps on a new `_FleetLp`,
+    which is dropped once the fleet is answered: a one-shot call keeps no
+    LP, phase-1 state or basis.
     """
-    _check_input(inp)
-    memo = {} if memo is None else memo
+    known = {} if memo is None else memo
+    _check_offers(inp, inp.stations)
     for f in inp.fleets:
-        if f.id not in memo:
+        if f.id not in known:
+            _check_fleet(inp, f)
             t_bad = fleet_infeasibility_period(f, inp.horizon)
             if t_bad is not None:
                 raise FleetInfeasibleError(f.id, t_bad)
 
     results = {}
     for f in sorted(inp.fleets, key=lambda f: f.id):
-        fleet_lp = memo.get(f.id) or _FleetLp(*build_fleet(inp, f, home_price_bump=TIE_BREAK_EPS))
+        fleet_lp = known.get(f.id) or _FleetLp(*build_fleet(inp, f, home_price_bump=TIE_BREAK_EPS))
         results[f.id] = fleet_lp.answer(inp, f)
-        memo[f.id] = fleet_lp
+        if memo is not None:
+            memo[f.id] = fleet_lp
     total, home, station, segments, energy, fleet_costs = (
         {fid: result[k] for fid, result in results.items()} for k in range(6)
     )
@@ -441,7 +454,8 @@ def build_fleet_paper_dual(
     `corrected_segment_sign` the one sign that breaks boundedness is
     repaired and everything else stays as printed.
     """
-    _check_input(inp)
+    _check_fleet(inp, fleet)
+    _check_offers(inp, _fleet_stations(inp, fleet))
     name = "fleet_dual_corrected_sign" if corrected_segment_sign else "fleet_dual_literal"
     lp = LpBuilder(lpcore.MAX, name=name)
     T = inp.horizon

@@ -8,6 +8,10 @@ boundary and converted on load (1 cent/kWh = 10 $/MWh).
 
 All types are frozen dataclasses with tuple-valued series; instances are
 immutable after construction and safe to share across worker threads.
+Numbers are stored as given, converted by no constructor: the document
+readers return floats and float tuples, and a scenario built in Python
+passes them too.  Only the two station mappings of `EVFleet` are frozen
+into tuples of (station id, value) pairs, sorted by id.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -40,12 +44,8 @@ class ScenarioFormatError(ValueError):
     """
 
 
-def _series(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
-
-
-def _freeze_mapping(mapping, convert):
-    return tuple(sorted((str(k), convert(v)) for k, v in dict(mapping).items()))
+def _freeze_mapping(mapping):
+    return tuple(sorted((str(k), v) for k, v in dict(mapping).items()))
 
 
 @dataclass(frozen=True)
@@ -93,18 +93,12 @@ class SolarUnit:
     bus: str
     available: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "available", _series(self.available))
-
 
 @dataclass(frozen=True)
 class Demand:
     id: str
     bus: str
     load: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "load", _series(self.load))
 
 
 @dataclass(frozen=True)
@@ -158,16 +152,8 @@ class EVFleet:
     final_energy_min: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "home_connectivity", _series(self.home_connectivity))
-        object.__setattr__(self, "driving", _series(self.driving))
-        object.__setattr__(self, "tou", _series(self.tou))
-        object.__setattr__(self, "station_caps", _freeze_mapping(self.station_caps, float))
-        object.__setattr__(
-            self, "station_connectivity", _freeze_mapping(self.station_connectivity, _series)
-        )
-
-    def station_ids(self) -> tuple[str, ...]:
-        return tuple(k for k, _ in self.station_caps)
+        object.__setattr__(self, "station_caps", _freeze_mapping(self.station_caps))
+        object.__setattr__(self, "station_connectivity", _freeze_mapping(self.station_connectivity))
 
     def station_cap(self, station_id: str) -> float:
         return dict(self.station_caps)[station_id]
@@ -184,10 +170,6 @@ class WtpSegment:
     wtp_min: tuple[float, ...]
     wtp_max: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "wtp_min", _series(self.wtp_min))
-        object.__setattr__(self, "wtp_max", _series(self.wtp_max))
-
 
 @dataclass(frozen=True)
 class ChargingStation:
@@ -201,8 +183,6 @@ class ChargingStation:
     segments: tuple[WtpSegment, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "offer_min", _series(self.offer_min))
-        object.__setattr__(self, "offer_max", _series(self.offer_max))
         object.__setattr__(self, "segments", tuple(self.segments))
 
 
@@ -223,10 +203,6 @@ class SolverSettings:
 class SweepDefaults:
     penetration_levels: tuple[float, ...] = ()
     pv_multipliers: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "penetration_levels", _series(self.penetration_levels))
-        object.__setattr__(self, "pv_multipliers", _series(self.pv_multipliers))
 
 
 @dataclass(frozen=True)
@@ -253,9 +229,6 @@ class Scenario:
             if s.id == station_id:
                 return s
         raise KeyError(station_id)
-
-    def stations_of(self, fleet_id: str) -> tuple[ChargingStation, ...]:
-        return tuple(s for s in self.stations if s.fleet_id == fleet_id)
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +289,58 @@ def fleet_infeasibility_period(fleet: EVFleet, horizon: int) -> int | None:
     return None
 
 
+# fields whose numbers enter an LP objective (costs, retail rates, offers)
+# or a row's rhs (loads, driving, initial energy), and the charging caps,
+# which a connectivity ratio of 0 turns into a NaN bound (0 * inf)
+_FINITE = frozenset({
+    "cost", "load", "tou", "driving", "initial_energy", "offer_min", "offer_max",
+    "home_cap", "station_caps",
+})
+
+
+# the dataclass fields the document readers read from another key
+_DOCUMENT_KEYS = {(ChargingStation, "segments"): "wtp_segments"}
+
+
+def _non_finite(value, at, name=None):
+    """(path, field name, number) for each NaN or infinity inside `value`, a
+    model dataclass or a tuple or list at the path parts `at`, named down to
+    the entry as the document readers name it (``fleets[0].tou[3]``)."""
+    record = hasattr(value, "__dataclass_fields__")
+    # fields are read by name: vars() would give the object a __dict__, and
+    # CPython reads every attribute of such an object slower from then on
+    for key in value.__dataclass_fields__ if record else range(len(value)):
+        entry = getattr(value, key) if record else value[key]
+        if isinstance(entry, tuple) and entry and isinstance(entry[0], str):
+            key, entry = entry  # a station mapping's (station id, value) pair
+        field_name = key if record else name
+        if isinstance(entry, float):
+            if not math.isfinite(entry):
+                yield _path(at, key), field_name, entry
+        elif isinstance(entry, (tuple, list)):
+            # a series whose sum is finite holds no NaN and no infinity
+            if not (entry and isinstance(entry[0], float) and math.isfinite(sum(entry))):
+                key = _DOCUMENT_KEYS.get((type(value), key), key)
+                yield from _non_finite(entry, (*at, key), field_name)
+        elif hasattr(entry, "__dataclass_fields__"):  # a model dataclass
+            yield from _non_finite(entry, (*at, key), field_name)
+
+
 def validate(scenario: Scenario) -> ValidationReport:
     """Collect every invariant violation with a dotted path; an empty report
-    means the DAM and fleet LP builders cannot hit structural errors."""
+    means the DAM and fleet LP builders cannot hit structural errors.  Every
+    NaN is named down to its entry, and so is every infinity that would
+    enter an LP objective or rhs or make a NaN bound (`_FINITE`)."""
     issues: list[ValidationIssue] = []
 
     def bad(path, message):
         issues.append(ValidationIssue(path, message))
+
+    for path, name, value in _non_finite(scenario, ()):
+        if math.isnan(value):
+            bad(path, "not a number")
+        elif name in _FINITE:
+            bad(path, f"must be finite, got {value}")
 
     net = scenario.network
     T = net.horizon
@@ -474,11 +492,11 @@ def validate(scenario: Scenario) -> ValidationReport:
         width_total = 0.0
         for m, seg in enumerate(s.segments):
             if seg.width < 0:
-                bad(f"{path}.segments[{m}].width", "negative width")
-            check_series(seg.wtp_min, f"{path}.segments[{m}].wtp_min")
-            check_series(seg.wtp_max, f"{path}.segments[{m}].wtp_max")
+                bad(f"{path}.wtp_segments[{m}].width", "negative width")
+            check_series(seg.wtp_min, f"{path}.wtp_segments[{m}].wtp_min")
+            check_series(seg.wtp_max, f"{path}.wtp_segments[{m}].wtp_max")
             if any(lo > hi for lo, hi in zip(seg.wtp_min, seg.wtp_max)):
-                bad(f"{path}.segments[{m}]", "wtp_min exceeds wtp_max")
+                bad(f"{path}.wtp_segments[{m}]", "wtp_min exceeds wtp_max")
             width_total += seg.width
         if s.id not in dict(fleet.station_caps):
             bad(path, f"fleet {fleet.id!r} has no access entry for this station")
@@ -564,9 +582,10 @@ def scale_penetration(scenario: Scenario, level: float) -> Scenario:
 
 
 def scale_solar(scenario: Scenario, multiplier: float) -> Scenario:
-    """Multiply every solar availability profile by a non-negative factor."""
-    if multiplier < 0.0:
-        raise ValueError(f"solar multiplier must be >= 0, got {multiplier}")
+    """Multiply every solar availability profile by a finite non-negative
+    factor (0 * inf would make a NaN bound)."""
+    if not 0.0 <= multiplier < math.inf:
+        raise ValueError(f"solar multiplier must be finite and >= 0, got {multiplier}")
     units = tuple(
         replace(s, available=tuple(v * multiplier for v in s.available))
         for s in scenario.network.solar_units

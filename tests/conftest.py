@@ -1,4 +1,5 @@
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ settings.load_profile("tier1")
 sys.path.insert(0, str(Path(__file__).parent))
 
 from evcsmarket import bilevel as bl
+from evcsmarket import fleet as fl
 from evcsmarket import lpcore
 from evcsmarket import model as md
 from evcsmarket import scenarios as sc
@@ -100,6 +102,27 @@ def assert_shared_phase1_matches_cold(lps) -> int:
         assert shared.phase1_iterations == (0 if filled else cold.phase1_iterations), k
         saved += cold.phase1_iterations - shared.phase1_iterations
     return saved
+
+
+def spy_fleet_lps(monkeypatch):
+    """Spy on `fleet._FleetLp.answer` from now on.  Returns `refs`, a weak
+    reference to each `_FleetLp` in the order of its answers; `alive()`,
+    how many of them are still referenced; and `alive_at_answer`, what
+    `alive()` was at each answer, before the answering `_FleetLp` joined
+    `refs`."""
+    refs, alive_at_answer = [], []
+    real_answer = fl._FleetLp.answer
+
+    def alive():
+        return sum(r() is not None for r in refs)
+
+    def spied(self, inp, f):
+        alive_at_answer.append(alive())
+        refs.append(weakref.ref(self))
+        return real_answer(self, inp, f)
+
+    monkeypatch.setattr(fl._FleetLp, "answer", spied)
+    return refs, alive, alive_at_answer
 
 
 def numeric_leaves(tree, keys=()):

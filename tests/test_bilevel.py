@@ -18,6 +18,7 @@ from conftest import (
     _random_bilevel_scenario,
     assert_each_number_is_read_under_its_path,
     one_bus_scenario,
+    spy_fleet_lps,
 )
 
 
@@ -718,6 +719,24 @@ class TestResponseMemo:
         assert len(cleared) == 1
         assert bl.outcome_to_json(hit) == bl.outcome_to_json(cold)
         assert hit.profit != first.profit
+
+    def test_memo_less_evaluate_keeps_no_fleet_lp(self, monkeypatch):
+        scenario = two_fleet_scenario()
+        refs, alive, alive_at_answer = spy_fleet_lps(monkeypatch)
+        at_clearing = []
+        real_solve_dam = dam.solve_dam
+
+        def clearing(inp):
+            at_clearing.append(alive())
+            return real_solve_dam(inp)
+
+        monkeypatch.setattr(dam, "solve_dam", clearing)
+        bl.evaluate(bl.midpoint_strategy(scenario), scenario)
+        assert alive_at_answer == [0, 0] and at_clearing == [0] and alive() == 0
+        memo = bl.Memo()
+        bl.evaluate(bl.midpoint_strategy(scenario), scenario, memo=memo)
+        assert alive_at_answer[2:] == [0, 1] and at_clearing[1:] == [2]
+        assert [r() for r in refs[2:]] == [memo.fleets["f1"], memo.fleets["f2"]]
 
     def test_failed_clearing_stores_nothing(self, monkeypatch):
         scenario = one_bus_scenario()

@@ -12,6 +12,8 @@ from evcsmarket import model as md
 from evcsmarket.cli import main
 from conftest import one_bus_scenario
 
+DESK = Path(__file__).parent.parent / "data" / "desk_5bus.json"
+
 
 @pytest.fixture()
 def toy_path(tmp_path):
@@ -337,6 +339,26 @@ class TestRun:
         path.write_text(json.dumps(doc))
         assert run_cli("run", path, "--out", tmp_path / "o") == 1
 
+    @pytest.mark.parametrize(
+        "keys, path",
+        [
+            (("network", "solar_units", 0, "available", 0), "network.solar_units[0].available[0]"),
+            (("fleets", 0, "tou", 0), "fleets[0].tou[0]"),
+        ],
+    )
+    def test_nan_in_scenario_exit_one_with_the_report(self, tmp_path, capsys, keys, path):
+        doc = json.loads(DESK.read_text())
+        node = doc
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = float("nan")
+        scenario = tmp_path / "nan.json"
+        scenario.write_text(json.dumps(doc))
+        assert run_cli("validate", scenario) == 1
+        assert f"{path}: not a number" in capsys.readouterr().out
+        assert run_cli("run", scenario, "--out", tmp_path / "o") == 1
+        assert f"{path}: not a number" in capsys.readouterr().err
+
     def test_budget_below_one_is_a_usage_error(self, toy_path, tmp_path, capsys):
         assert run_cli("run", toy_path, "--budget", 0, "--out", tmp_path / "o") == 2
         assert "error: argument --budget: must be >= 1" in capsys.readouterr().err
@@ -389,6 +411,11 @@ class TestSweep:
 
     def test_unparseable_levels(self, toy_path):
         assert run_cli("sweep", toy_path, "--pv", "a,b") == 2
+
+    @pytest.mark.parametrize("flag, text", [("--pv", ","), ("--penetration", "")])
+    def test_empty_level_list_names_the_flag(self, toy_path, tmp_path, capsys, flag, text):
+        assert run_cli("sweep", toy_path, flag, text, "--out", tmp_path / "sw") == 2
+        assert f"error: {flag}: no levels given" in capsys.readouterr().err
 
     def test_budget_below_one_is_a_usage_error(self, toy_path, tmp_path, capsys):
         code = run_cli("sweep", toy_path, "--pv", "0,1", "--budget", 0, "--out", tmp_path / "sw")

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from evcsmarket import fleet as fl
 from evcsmarket import lpcore
 from evcsmarket import model as md
-from conftest import assert_shared_phase1_matches_cold, two_period_fleet
+from conftest import assert_shared_phase1_matches_cold, spy_fleet_lps, two_period_fleet
 from oracles import scipy_reference
 
 
@@ -243,6 +243,15 @@ class TestMemo:
         fl.solve_fleet(two_fleet_input((30.0, 10.0), (30.0, 10.0)))
         assert diagnosed == ["f1", "f2", "f1", "f2"]  # no memo: every call
 
+    def test_memo_less_call_keeps_no_answered_fleet_lp(self, monkeypatch):
+        refs, alive, alive_at_answer = spy_fleet_lps(monkeypatch)
+        fl.solve_fleet(two_fleet_input((30.0, 10.0), (30.0, 10.0)))
+        assert alive_at_answer == [0, 0] and alive() == 0
+        memo = {}  # a memo keeps each fleet it answered
+        fl.solve_fleet(two_fleet_input((30.0, 10.0), (30.0, 10.0)), memo=memo)
+        assert alive_at_answer == [0, 0, 0, 1]
+        assert [r() for r in refs[2:]] == [memo["f1"], memo["f2"]]
+
     def test_recosted_lp_shares_the_built_arrays(self):
         inp = toy_input((30.0, 10.0))
         fleet_lp = fl._FleetLp(*fl.build_fleet(inp, inp.fleets[0]))
@@ -474,6 +483,14 @@ class TestStructure:
         fleet, station = two_period_fleet(tau_bounds=(10.0, 40.0))
         inp = fl.FleetInput((fleet,), (station,), 2, {"c1": (45.0, 20.0)})
         with pytest.raises(fl.FleetStructureError, match="outside"):
+            fl.build_fleet(inp, fleet)
+
+    def test_offer_series_must_be_a_tuple(self):
+        fleet, station = two_period_fleet()
+        inp = fl.FleetInput((fleet,), (station,), 2, {"c1": [30.0, 10.0]})
+        with pytest.raises(fl.FleetStructureError, match="station c1: offer series must be a tuple"):
+            fl.solve_fleet(inp)
+        with pytest.raises(fl.FleetStructureError, match="station c1: offer series must be a tuple"):
             fl.build_fleet(inp, fleet)
 
     def test_missing_offer_rejected(self):

@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
 from evcsmarket import dam, fleet, model as md
+from evcsmarket import scenarios as sc
 from conftest import assert_each_number_is_read_under_its_path, dotted, one_bus_scenario, two_period_fleet
 
 
@@ -130,6 +132,61 @@ class TestValidate:
         report = md.validate(scenario_with(fleets=(f,)))
         assert any("energy floor violated at period 1" in i.message for i in report.issues)
 
+    @pytest.mark.parametrize(
+        "keys, value, path, message",
+        [
+            (("network", "solar_units", 0, "available", 10), math.nan,
+             "network.solar_units[0].available[10]", "not a number"),
+            (("fleets", 0, "tou", 3), math.nan, "fleets[0].tou[3]", "not a number"),
+            (("fleets", 0, "station_caps", "c4"), math.nan,
+             "fleets[0].station_caps.c4", "not a number"),
+            (("fleets", 1, "tou", 0), math.inf, "fleets[1].tou[0]", "must be finite"),
+            (("network", "demands", 0, "load", 5), -math.inf,
+             "network.demands[0].load[5]", "must be finite"),
+            (("stations", 0, "offer_max", 9), math.inf, "stations[0].offer_max[9]", "must be finite"),
+            (("network", "generators", 2, "segments", 1, "cost"), math.inf,
+             "network.generators[2].segments[1].cost", "must be finite"),
+            (("fleets", 0, "home_cap"), math.inf, "fleets[0].home_cap", "must be finite"),
+            (("fleets", 1, "station_caps", "c5"), math.inf,
+             "fleets[1].station_caps.c5", "must be finite"),
+            (("stations", 0, "wtp_segments", 0, "wtp_max", 3), math.nan,
+             "stations[0].wtp_segments[0].wtp_max[3]", "not a number"),
+        ],
+    )
+    def test_non_finite_value_is_named_by_its_path(self, keys, value, path, message):
+        doc = md.scenario_to_json(sc.desk_scenario())
+        assert md.validate(md.scenario_from_json(doc)).ok
+        node = doc
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = value
+        report = md.validate(md.scenario_from_json(doc))
+        named = [i.message for i in report.issues if i.path == path]
+        assert len(named) == 1 and named[0].startswith(message), str(report)
+
+    def test_non_finite_entry_of_a_list_series_is_named(self):
+        # a scenario built in Python may pass a list where the readers make a tuple
+        desk = sc.desk_scenario()
+        tou = [*desk.fleets[0].tou]
+        tou[3] = math.nan
+        fleets = (dataclasses.replace(desk.fleets[0], tou=tou), *desk.fleets[1:])
+        report = md.validate(dataclasses.replace(desk, fleets=fleets))
+        assert [(i.path, i.message) for i in report.issues] == [("fleets[0].tou[3]", "not a number")]
+
+    def test_bid_segment_is_named_as_the_document_names_it(self):
+        desk = sc.desk_scenario()
+        st = desk.stations[0]
+        seg = dataclasses.replace(st.segments[0], wtp_max=st.segments[0].wtp_max[:-1])
+        stations = (dataclasses.replace(st, segments=(seg, *st.segments[1:])), *desk.stations[1:])
+        report = md.validate(dataclasses.replace(desk, stations=stations))
+        assert [i.path for i in report.issues] == ["stations[0].wtp_segments[0].wtp_max"]
+
+    def test_infinite_bound_is_not_named(self):
+        # an infinite upper bound is a valid LP bound; only NaN is named there
+        doc = md.scenario_to_json(sc.desk_scenario())
+        doc["network"]["lines"][0]["flow_max"] = math.inf
+        assert md.validate(md.scenario_from_json(doc)).ok
+
     def test_series_length_mismatch(self):
         f, c = two_period_fleet()
         f = dataclasses.replace(f, tou=(20.0,))
@@ -229,6 +286,12 @@ class TestPenetrationScaling:
         assert doubled.network.solar_units[0].available == (10.0, 14.0)
         with pytest.raises(ValueError):
             md.scale_solar(s, -1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_scale_solar_refuses_a_non_finite_multiplier(self, bad):
+        # 0 * inf would make a NaN bound for every unit idle at some hour
+        with pytest.raises(ValueError, match="solar multiplier must be finite and >= 0"):
+            md.scale_solar(sc.desk_scenario(), bad)
 
 
 class TestSerialization:

@@ -140,3 +140,13 @@ def test_benchmark_workloads_set_up_through_the_package(tmp_path, monkeypatch):
     workloads.warm_up()
     for name, workload in workloads.WORKLOADS.items():
         workload(PERFBENCH.parent, tmp_path).setup(0)
+
+
+def test_criterion_5_instances_match_the_benchmark_copy():
+    """The benchmark keeps its own copy of the criterion-5 instance family
+    (`generators.random_bilevel`, behind `oracle_small`); on the seeds the
+    criterion uses it must build the very scenarios the tests build, or the
+    workload stops measuring what the criterion checks."""
+    generators = _load_perfbench("generators")
+    for seed in range(900, 920):
+        assert generators.random_bilevel(seed) == _random_bilevel_scenario(seed), seed
