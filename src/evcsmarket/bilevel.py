@@ -338,7 +338,7 @@ def optimize(
         x = np.array(current.strategy.values)
         frac = 0.25
         exhausted = False
-        while not exhausted and float(np.max(frac * span)) >= settings.step_min:
+        while not exhausted and float(np.max(frac * span, initial=0.0)) >= settings.step_min:
             improved = None
             for d in range(len(params)):
                 step = frac * span[d]
@@ -463,7 +463,7 @@ def certify(outcome: EquilibriumOutcome | None) -> Certificate:
 
     Feasibility is checked against the LP the solver built: the schedule of
     each fleet against `fleet.build_fleet` for that fleet, the dispatch of
-    each period against `dam.build_dam` for that period, both with
+    each period against its LP from `dam.build_dam`, both with
     `lpcore.max_violation`, whose scaling the solvers' own post-checks share
     at a looser limit.  A value that is not finite fails its family.
 
@@ -678,12 +678,10 @@ def _dam_residuals(dinput, outcome):
     Bid prices are not market LP columns (see `dam.StationDamBid`): their
     value q * price joins the welfare, and the dual value of the bound pair
     a column would carry, max(q * wtp_min, q * wtp_max), joins the bound."""
-    net = dinput.network
-    feas = []
-    gaps = []
+    periods, index = dam_mod.build_dam(dinput)
+    feas, gaps = [], []
 
-    for t in range(net.horizon):
-        lp, index = dam_mod.build_dam(dinput, t)
+    for t, lp in enumerate(periods):
         values = dam_mod.period_values(dinput, outcome.dam, t, lp, index)
         worst_feas = lpcore.max_violation(lp, values)
         bid_dual = 0.0

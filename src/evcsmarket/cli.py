@@ -44,6 +44,14 @@ def _out_dir(arg: str | None) -> Path:
     return out
 
 
+def _refused(scenario) -> bool:
+    """Whether `scenario` fails `validate`; prints the report to stderr if so."""
+    report = validate(scenario)
+    if not report.ok:
+        print(report, file=sys.stderr)
+    return not report.ok
+
+
 def cmd_validate(args) -> int:
     scenario = _load(args.scenario)
     report = validate(scenario)
@@ -125,14 +133,19 @@ def cmd_run(args) -> int:
                 outcome = bilevel.outcome_from_json(json.load(fh))
         except (json.JSONDecodeError, UnicodeDecodeError, ScenarioFormatError) as exc:
             raise _UsageError(f"--certify: cached outcome unreadable: {exc}")
-        cert = bilevel.certify(outcome)
+        try:
+            cert = bilevel.certify(outcome)
+        except (ValueError, LookupError):
+            # the cached scenario does not fit its own series or ids; `run`
+            # would have refused it, and its validation report says why
+            if _refused(outcome.scenario):
+                return 1
+            raise
         print(cert.summary())
         return 0 if cert.passed else 3
 
     scenario = _load(args.scenario)
-    report = validate(scenario)
-    if not report.ok:
-        print(report, file=sys.stderr)
+    if _refused(scenario):
         return 1
 
     result = scenarios.run_baseline(scenario, budget=args.budget, seed=args.seed)
@@ -174,9 +187,7 @@ def _parse_levels(text: str, what: str) -> list[float]:
 
 def cmd_sweep(args) -> int:
     scenario = _load(args.scenario)
-    report = validate(scenario)
-    if not report.ok:
-        print(report, file=sys.stderr)
+    if _refused(scenario):
         return 1
     out = _out_dir(args.out)
 

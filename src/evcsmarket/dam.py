@@ -2,6 +2,11 @@
 for fixed fleet withdrawals, locational price extraction, and an explicit
 hand-written dual program for cross-checking the automatic dualizer.
 
+The market clears one LP per period.  The period LPs differ only in their
+balance rhs and solar upper bounds, so `build_dam` checks an input and
+builds their shared structure once, and each period owns just those two
+arrays.
+
 Prices: the solver reports marginal-value duals (see `lpcore`), so for this
 maximization the raw dual of a nodal balance row is the welfare change per
 MW of extra load, which is non-positive in normal conditions.  The
@@ -44,9 +49,6 @@ class FleetWithdrawal:
     bus: str
     power: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "power", tuple(float(v) for v in self.power))
-
 
 @dataclass(frozen=True)
 class StationDamBid:
@@ -65,22 +67,12 @@ class StationDamBid:
     wtp_max: tuple[tuple[float, ...], ...]
     widths: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "quantities", tuple(tuple(map(float, q)) for q in self.quantities))
-        object.__setattr__(self, "wtp_min", tuple(tuple(map(float, q)) for q in self.wtp_min))
-        object.__setattr__(self, "wtp_max", tuple(tuple(map(float, q)) for q in self.wtp_max))
-        object.__setattr__(self, "widths", tuple(float(w) for w in self.widths))
-
 
 @dataclass(frozen=True)
 class DamInput:
     network: Network
     withdrawals: tuple[FleetWithdrawal, ...]
     station_bids: tuple[StationDamBid, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "withdrawals", tuple(self.withdrawals))
-        object.__setattr__(self, "station_bids", tuple(self.station_bids))
 
 
 @dataclass(frozen=True)
@@ -99,9 +91,7 @@ class DamOutcome:
     period_welfare: tuple[float, ...]
 
 
-def station_bid_from_quantities(
-    station: ChargingStation, quantities
-) -> StationDamBid:
+def station_bid_from_quantities(station: ChargingStation, quantities) -> StationDamBid:
     """Pack a station's scenario bid structure around fixed segment MW."""
     return StationDamBid(
         station_id=station.id,
@@ -121,6 +111,12 @@ def _check_input(inp: DamInput) -> None:
     for ln in net.lines:
         if ln.from_bus not in bus_ids or ln.to_bus not in bus_ids:
             raise DamStructureError(f"line {ln.id}: endpoint not in network")
+    for unit in (*net.generators, *net.solar_units, *net.demands):
+        if unit.bus not in bus_ids:
+            raise DamStructureError(f"{unit.id}: bus {unit.bus!r} not in network")
+    for d in net.demands:
+        if len(d.load) != T:
+            raise DamStructureError(f"demand {d.id}: series length != horizon")
     for w in inp.withdrawals:
         if w.bus not in bus_ids:
             raise DamStructureError(f"withdrawal {w.fleet_id}: bus {w.bus!r} not in network")
@@ -130,10 +126,8 @@ def _check_input(inp: DamInput) -> None:
         if len(bid.quantities) != len(bid.widths):
             raise DamStructureError(f"station {bid.station_id}: segment count mismatch")
         for m, series in enumerate(bid.quantities):
-            if len(series) != T:
-                raise DamStructureError(f"station {bid.station_id}: quantity series length != horizon")
-            if len(bid.wtp_min[m]) != T or len(bid.wtp_max[m]) != T:
-                raise DamStructureError(f"station {bid.station_id}: bid bound series length != horizon")
+            if {len(series), len(bid.wtp_min[m]), len(bid.wtp_max[m])} != {T}:
+                raise DamStructureError(f"station {bid.station_id}: bid series length != horizon")
             for t, q in enumerate(series):
                 if q < -1e-9 or q > bid.widths[m] + 1e-9:
                     raise DamStructureError(
@@ -142,18 +136,29 @@ def _check_input(inp: DamInput) -> None:
                     )
 
 
-def _balance_rhs(inp: DamInput, bus: str, t: int) -> float:
-    rhs = sum(d.load[t] for d in inp.network.demands if d.bus == bus)
-    rhs += sum(w.power[t] for w in inp.withdrawals if w.bus == bus)
-    return rhs
+def _balance_rhs(inp: DamInput) -> np.ndarray:
+    """Balance rhs by bus (rows, in network order) and period (columns):
+    the fixed demand on the bus plus the fleet withdrawals placed on it.
+    Loads and withdrawals are summed apart, each from zero in list order,
+    and then added: a fixed order, so every entry is reproducible bit for
+    bit."""
+    net = inp.network
+    row = {b.id: i for i, b in enumerate(net.buses)}
+    loads = np.zeros((len(net.buses), net.horizon))
+    withdrawn = np.zeros_like(loads)
+    for d in net.demands:
+        loads[row[d.bus]] += d.load
+    for w in inp.withdrawals:
+        withdrawn[row[w.bus]] += w.power
+    return loads + withdrawn
 
 
 @dataclass(frozen=True)
 class PeriodIndex:
-    """Where `build_dam` placed the columns of its period: the column of
-    each generator, solar unit, bus angle and line flow and the balance row
-    of each bus, all in network order; `seg[g]` holds the columns of
-    generator g's cost segments."""
+    """Where `build_dam` placed the columns and rows of every period LP:
+    the column of each generator, solar unit, bus angle and line flow and
+    the balance row of each bus, all in network order; `seg[g]` holds the
+    columns of generator g's cost segments."""
 
     gen: list[int]
     seg: tuple[list[int], ...]
@@ -163,47 +168,48 @@ class PeriodIndex:
     balance: list[int]
 
 
-def build_dam(inp: DamInput, t: int) -> tuple[LinearProgram, PeriodIndex]:
-    """Welfare-maximization LP of period t and the `PeriodIndex` of its
-    columns and rows.
+def build_dam(inp: DamInput) -> tuple[tuple[LinearProgram, ...], PeriodIndex]:
+    """The welfare-maximization LP of every period, in period order, and the
+    `PeriodIndex` of their columns and rows.
 
     Periods do not couple, so the market clears one period LP at a time.
     Variables: gen/seg/solar/angle/flow; rows: gen_split (dispatch equals
     the sum of its cost segments), dc_flow (flow follows angle difference
     over reactance), balance (nodal balance with fixed demand plus fleet
     withdrawals on the rhs).  The reference bus angle is pinned to zero.
-    Only the solar upper bounds and the balance rhs depend on t.  The
+    Only the solar upper bounds and the balance rhs depend on the period,
+    so the input is checked and the structure built once: the period LPs
+    share its matrix, objective, lower bounds, relations and labels (which
+    name no period), and each owns only its `upper` and `rhs`.  The
     objective leaves out the bid value sum q * price, a constant once bid
     prices clear in closed form (see `StationDamBid` and `welfare`).
     """
     _check_input(inp)
     net = inp.network
     ref = net.reference_bus()
-    lp = LpBuilder(lpcore.MAX, name=f"dam[t={t}]")
+    lp = LpBuilder(lpcore.MAX, name="dam")
 
     gen, seg = [], []
     for g in net.generators:
-        gen.append(lp.add_variable(f"gen[{g.id},{t}]", g.p_min, g.p_max))
+        gen.append(lp.add_variable(f"gen[{g.id}]", g.p_min, g.p_max))
         seg.append([
-            lp.add_variable(f"seg[{g.id},{k},{t}]", s.p_min, s.p_max, objective=-s.cost)
+            lp.add_variable(f"seg[{g.id},{k}]", s.p_min, s.p_max, objective=-s.cost)
             for k, s in enumerate(g.segments)
         ])
-    solar = [lp.add_variable(f"solar[{s.id},{t}]", 0.0, s.available[t]) for s in net.solar_units]
+    solar = [lp.add_variable(f"solar[{s.id}]", 0.0, 0.0) for s in net.solar_units]
     angle = {
         b.id: lp.add_variable(
-            f"angle[{b.id},{t}]", *((0.0, 0.0) if b.id == ref else (b.angle_min, b.angle_max))
+            f"angle[{b.id}]", *((0.0, 0.0) if b.id == ref else (b.angle_min, b.angle_max))
         )
         for b in net.buses
     }
-    flow = [lp.add_variable(f"flow[{ln.id},{t}]", ln.flow_min, ln.flow_max) for ln in net.lines]
+    flow = [lp.add_variable(f"flow[{ln.id}]", ln.flow_min, ln.flow_max) for ln in net.lines]
 
     for g, g_col, seg_cols in zip(net.generators, gen, seg):
-        lp.add_constraint(
-            f"gen_split[{g.id},{t}]", {g_col: 1.0, **dict.fromkeys(seg_cols, -1.0)}, EQ, 0.0
-        )
+        lp.add_constraint(f"gen_split[{g.id}]", {g_col: 1.0, **dict.fromkeys(seg_cols, -1.0)}, EQ, 0.0)
     for ln, f_col in zip(net.lines, flow):
         lp.add_constraint(
-            f"dc_flow[{ln.id},{t}]",
+            f"dc_flow[{ln.id}]",
             {
                 f_col: 1.0,
                 angle[ln.from_bus]: -1.0 / ln.reactance,
@@ -212,25 +218,23 @@ def build_dam(inp: DamInput, t: int) -> tuple[LinearProgram, PeriodIndex]:
             EQ,
             0.0,
         )
-    balance = []
-    for b in net.buses:
-        coeffs: dict[int, float] = {}
-        for g, g_col in zip(net.generators, gen):
-            if g.bus == b.id:
-                coeffs[g_col] = 1.0
-        for s, s_col in zip(net.solar_units, solar):
-            if s.bus == b.id:
-                coeffs[s_col] = 1.0
-        for ln, f_col in zip(net.lines, flow):
-            if ln.from_bus == b.id:
-                coeffs[f_col] = coeffs.get(f_col, 0.0) - 1.0
-            if ln.to_bus == b.id:
-                coeffs[f_col] = coeffs.get(f_col, 0.0) + 1.0
-        balance.append(
-            lp.add_constraint(f"balance[{b.id},{t}]", coeffs, EQ, _balance_rhs(inp, b.id, t))
-        )
+    coeffs: dict[str, dict[int, float]] = {b.id: {} for b in net.buses}
+    for unit, col in (*zip(net.generators, gen), *zip(net.solar_units, solar)):
+        coeffs[unit.bus][col] = 1.0
+    for ln, f_col in zip(net.lines, flow):
+        coeffs[ln.from_bus][f_col] = coeffs[ln.from_bus].get(f_col, 0.0) - 1.0
+        coeffs[ln.to_bus][f_col] = coeffs[ln.to_bus].get(f_col, 0.0) + 1.0
+    balance = [lp.add_constraint(f"balance[{b.id}]", coeffs[b.id], EQ, 0.0) for b in net.buses]
 
-    return lp.build(), PeriodIndex(gen, tuple(seg), solar, list(angle.values()), flow, balance)
+    structure = lp.build()
+    balance_rhs = _balance_rhs(inp)
+    periods = []
+    for t in range(net.horizon):
+        upper, rhs = structure.upper.copy(), structure.rhs.copy()
+        upper[solar] = [s.available[t] for s in net.solar_units]
+        rhs[balance] = balance_rhs[:, t]
+        periods.append(structure.with_arrays(upper=upper, rhs=rhs))
+    return tuple(periods), PeriodIndex(gen, tuple(seg), solar, list(angle.values()), flow, balance)
 
 
 def solve_dam(inp: DamInput) -> DamOutcome:
@@ -240,11 +244,11 @@ def solve_dam(inp: DamInput) -> DamOutcome:
     optimal or its solution violates the period LP (`lpcore.max_violation`
     above 100 * FEAS_TOL).
 
-    Every period LP is built and solved on every call; a search clears each
-    distinct fleet response once (see `bilevel.evaluate`)."""
-    _check_input(inp)
+    `build_dam` checks the input and builds every period LP once per call,
+    and each is solved; a search clears each distinct fleet response once
+    (see `bilevel.evaluate`)."""
+    periods, index = build_dam(inp)
     net = inp.network
-    T = net.horizon
 
     gen = {g.id: [] for g in net.generators}
     gseg = {g.id: [[] for _ in g.segments] for g in net.generators}
@@ -260,8 +264,7 @@ def solve_dam(inp: DamInput) -> DamOutcome:
         list(angle.values()), list(lmp.values()),
     ]
 
-    for t in range(T):
-        lp, index = build_dam(inp, t)
+    for t, lp in enumerate(periods):
         sol = lpcore.solve(lp)
         if sol.status == lpcore.INFEASIBLE:
             raise DamInfeasibleError(t, "supply cannot meet fixed demand plus fleet withdrawals")
@@ -277,13 +280,11 @@ def solve_dam(inp: DamInput) -> DamOutcome:
                 s.append(v)
         for bid in inp.station_bids:
             for m, q in enumerate(bid.quantities):
-                wtp[bid.station_id][m].append(
-                    bid.wtp_max[m][t] if q[t] > 0.0 else bid.wtp_min[m][t]
-                )
+                wtp[bid.station_id][m].append(bid.wtp_max[m][t] if q[t] > 0.0 else bid.wtp_min[m][t])
         period_welfare.append(welfare(inp, objective_terms, wtp, t))
 
     return DamOutcome(
-        horizon=T,
+        horizon=net.horizon,
         gen={k: tuple(v) for k, v in gen.items()},
         gen_segments={k: tuple(tuple(s) for s in v) for k, v in gseg.items()},
         solar={k: tuple(v) for k, v in solar.items()},
@@ -326,7 +327,7 @@ def period_values(
     inp: DamInput, out: DamOutcome, t: int, lp: LinearProgram, ix: PeriodIndex
 ) -> np.ndarray:
     """An outcome's period-t dispatch as one value per column of `lp`, the
-    LP that `build_dam(inp, t)` returned with `ix`."""
+    period-t LP that `build_dam(inp)` returned with `ix`."""
     net = inp.network
     values = [0.0] * len(lp.variables)
     placed = [
@@ -348,8 +349,8 @@ def period_values(
 
 
 def build_dam_paper_dual(inp: DamInput, t: int) -> LinearProgram:
-    """Explicit minimization dual of `build_dam(inp, t)` written out row by
-    row.
+    """Explicit minimization dual of period t's LP from `build_dam(inp)`,
+    written out row by row, with the same period-free labels.
 
     All bound-price variables (`bound_lo`/`bound_up`) are non-positive and
     the equality-row prices (`price[...]`) are free; the objective carries
@@ -362,15 +363,16 @@ def build_dam_paper_dual(inp: DamInput, t: int) -> LinearProgram:
     net = inp.network
     ref = net.reference_bus()
     lp = LpBuilder(lpcore.MIN, name=f"dam_dual[t={t}]")
+    balance_rhs = _balance_rhs(inp)[:, t]
 
     NEG = (-lpcore.INF, 0.0)
 
     # prices of the equality rows
-    split_price = {g.id: lp.add_variable(f"price[gen_split[{g.id},{t}]]") for g in net.generators}
-    flow_price = {ln.id: lp.add_variable(f"price[dc_flow[{ln.id},{t}]]") for ln in net.lines}
+    split_price = {g.id: lp.add_variable(f"price[gen_split[{g.id}]]") for g in net.generators}
+    flow_price = {ln.id: lp.add_variable(f"price[dc_flow[{ln.id}]]") for ln in net.lines}
     balance_price = {
-        b.id: lp.add_variable(f"price[balance[{b.id},{t}]]", objective=_balance_rhs(inp, b.id, t))
-        for b in net.buses
+        b.id: lp.add_variable(f"price[balance[{b.id}]]", objective=rhs)
+        for b, rhs in zip(net.buses, balance_rhs)
     }
 
     # bound prices, mirroring the primal variable set: (primal label, lo, up)
@@ -384,16 +386,16 @@ def build_dam_paper_dual(inp: DamInput, t: int) -> LinearProgram:
 
     gen_pairs, seg_pairs = [], []
     for g in net.generators:
-        gen_pairs.append(bound_pair(f"gen[{g.id},{t}]", g.p_min, g.p_max))
+        gen_pairs.append(bound_pair(f"gen[{g.id}]", g.p_min, g.p_max))
         seg_pairs.append(
-            [bound_pair(f"seg[{g.id},{k},{t}]", c.p_min, c.p_max) for k, c in enumerate(g.segments)]
+            [bound_pair(f"seg[{g.id},{k}]", c.p_min, c.p_max) for k, c in enumerate(g.segments)]
         )
-    solar_pairs = [bound_pair(f"solar[{s.id},{t}]", 0.0, s.available[t]) for s in net.solar_units]
+    solar_pairs = [bound_pair(f"solar[{s.id}]", 0.0, s.available[t]) for s in net.solar_units]
     angle_pairs = [
-        bound_pair(f"angle[{b.id},{t}]", *(0.0, 0.0) if b.id == ref else (b.angle_min, b.angle_max))
+        bound_pair(f"angle[{b.id}]", *(0.0, 0.0) if b.id == ref else (b.angle_min, b.angle_max))
         for b in net.buses
     ]
-    flow_pairs = [bound_pair(f"flow[{ln.id},{t}]", ln.flow_min, ln.flow_max) for ln in net.lines]
+    flow_pairs = [bound_pair(f"flow[{ln.id}]", ln.flow_min, ln.flow_max) for ln in net.lines]
 
     for g, gen_pair, pairs in zip(net.generators, gen_pairs, seg_pairs):
         stationarity(gen_pair, {split_price[g.id]: 1.0, balance_price[g.bus]: 1.0}, 0.0)
@@ -425,8 +427,8 @@ def build_dam_paper_dual(inp: DamInput, t: int) -> LinearProgram:
 
 
 def paper_dual_structural_diff(inp: DamInput, t: int) -> list[str]:
-    """Structurally compare the hand-written dual of period t with
-    dualize(build_dam(inp, t)).
+    """Structurally compare the hand-written dual of period t with the
+    dualize of period t's LP from `build_dam(inp)`.
 
     The automatic dual labels variables dual[row] / rc_lo[v] / rc_up[v] and
     uses a non-negative upper-bound price; the explicit form uses price[row]
@@ -434,7 +436,7 @@ def paper_dual_structural_diff(inp: DamInput, t: int) -> list[str]:
     relabelling and negating the upper-bound price the programs must agree
     exactly; returns human-readable differences (empty when they do).
     """
-    auto = lpcore.dualize(build_dam(inp, t)[0])
+    auto = lpcore.dualize(build_dam(inp)[0][t])
     explicit = build_dam_paper_dual(inp, t)
     diffs: list[str] = []
 

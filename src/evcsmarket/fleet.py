@@ -287,7 +287,7 @@ class _FleetLp:
             return self.lp
         objective = self.lp.objective.copy()
         objective[self.station_columns] = costs
-        return self.lp.with_objective(objective)
+        return self.lp.with_arrays(objective=objective)
 
     def stored_optimum(self, costs: np.ndarray) -> lpcore.BasisRegion | None:
         """The first stored basis whose point is the unique optimum at
@@ -573,10 +573,6 @@ class FleetDualReport:
         return self._matches(self.literal_dual, self.segment_primal)
 
     @property
-    def corrected_matches_offer(self) -> bool:
-        return self._matches(self.corrected_sign_dual, self.offer_primal)
-
-    @property
     def corrected_matches_segment(self) -> bool:
         return self._matches(self.corrected_sign_dual, self.segment_primal)
 
@@ -623,7 +619,7 @@ def dual_form_report(
         objective[s_cols] = 0.0
         for m_cols, prices in zip(seg_cols, segment_prices[cid]):
             objective[m_cols] = prices
-    seg_lp = offer_lp.with_objective(objective)
+    seg_lp = offer_lp.with_arrays(objective=objective)
     seg_primal = lpcore.require_optimal(seg_lp).objective
     seg_dual = lpcore.require_optimal(lpcore.dualize(seg_lp)).objective
 

@@ -100,9 +100,10 @@ class LinearProgram:
     `lower` and `upper` per column, the dense m x n `matrix`, and
     `relations` and `rhs` per row.  `variables` and `constraints` are the
     column and row labels; the solver never reads them.  Construction
-    copies and checks the arrays (`with_objective` copies and checks only
-    the new objective); nothing in the package writes to them afterwards,
-    and callers must not either."""
+    copies and checks the arrays (`with_arrays` copies and checks only the
+    arrays it swaps and shares the rest, so LPs that differ only in their
+    objective, upper bounds or rhs hold one matrix); nothing in the package
+    writes to them afterwards, and callers must not either."""
 
     sense: str
     objective: np.ndarray
@@ -153,21 +154,29 @@ class LinearProgram:
         """Objective at `values`, summed in column order."""
         return float(sum((self.objective * values).tolist()))
 
-    def with_objective(self, objective) -> LinearProgram:
-        """This LP under another objective, one value per column.  Every
-        other array is shared, not copied, so only the objective is checked:
-        LpDefinitionError for a wrong shape or a value that is not finite."""
-        objective = np.array(objective, dtype=float)
-        if objective.shape != self.objective.shape:
-            raise LpDefinitionError(
-                f"{self.name}: objective has shape {objective.shape}, not {self.objective.shape}"
-            )
-        finite = np.isfinite(objective)
-        if not finite.all():
-            j = int(np.argmin(finite))
-            raise LpDefinitionError(f"{self.variables[j]}: objective {objective[j]} invalid")
+    def with_arrays(self, *, objective=None, upper=None, rhs=None) -> LinearProgram:
+        """This LP with any of its objective, upper bounds and rhs swapped,
+        one value per column or row.  Every other array is shared, not
+        copied, so only the swapped ones are checked: LpDefinitionError
+        naming the column or row for a wrong shape, a bound below its
+        lower bound or at -inf, or an objective or rhs that is not finite."""
+        swapped = {}
+        for attr, values in (("objective", objective), ("upper", upper), ("rhs", rhs)):
+            if values is None:
+                continue
+            array = np.array(values, dtype=float)
+            labels = self.constraints if attr == "rhs" else self.variables
+            if array.shape != (len(labels),):
+                raise LpDefinitionError(
+                    f"{self.name}: {attr} has shape {array.shape}, not {(len(labels),)}"
+                )
+            valid = (self.lower <= array) & (array > -INF) if attr == "upper" else np.isfinite(array)
+            if not valid.all():
+                j = int(np.argmin(valid))
+                raise LpDefinitionError(f"{labels[j]}: {attr} {array[j]} invalid")
+            swapped[attr] = array
         lp = object.__new__(LinearProgram)
-        lp.__dict__.update(self.__dict__, objective=objective)
+        lp.__dict__.update(self.__dict__, **swapped)
         return lp
 
 
@@ -748,7 +757,7 @@ class Phase1State:
 
     def _restore(self, lp: LinearProgram) -> _Tableau | None:
         """A copy of the kept tableau, costed by `lp`; None while empty.
-        Arrays that are the kept ones themselves (`LinearProgram.with_objective`
+        Arrays that are the kept ones themselves (`LinearProgram.with_arrays`
         shares them) are accepted as they are; others are compared bit for
         bit, so a -0.0 bound is another LP."""
         if self._tab is None:

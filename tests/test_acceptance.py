@@ -53,7 +53,7 @@ def test_criterion_2_dam_pricing_oracle():
     assert out.lmp["b1"][0] == pytest.approx(10.0, abs=1e-6)
     assert out.lmp["b2"][0] == pytest.approx(30.0, abs=1e-6)
 
-    lp, _ = dam.build_dam(congested, 0)
+    lp = dam.build_dam(congested)[0][0]
     ref_val, _ = vertex_enumerate(lp)
     assert out.period_welfare[0] == pytest.approx(ref_val, abs=1e-6)
 
@@ -66,7 +66,7 @@ def test_criterion_2_dam_pricing_oracle():
         perturbed = dam.DamInput(
             dataclasses.replace(net, demands=demands), (), ()
         )
-        val_h, _ = vertex_enumerate(dam.build_dam(perturbed, 0)[0])
+        val_h, _ = vertex_enumerate(dam.build_dam(perturbed)[0][0])
         assert -(val_h - ref_val) / h == pytest.approx(expected, abs=1e-6)
 
     uncongested = two_bus(line_cap=100.0)
@@ -102,8 +102,8 @@ def test_criterion_4_explicit_dual_cross_check(capsys):
     rng = np.random.default_rng(42)
     for k in range(50):
         inp = random_dam_input(rng)
-        for t in range(inp.network.horizon):
-            primal = lpcore.require_optimal(dam.build_dam(inp, t)[0])
+        for t, lp in enumerate(dam.build_dam(inp)[0]):
+            primal = lpcore.require_optimal(lp)
             explicit = lpcore.require_optimal(dam.build_dam_paper_dual(inp, t))
             gap = abs(primal.objective - explicit.objective)
             scale = max(1.0, abs(primal.objective))

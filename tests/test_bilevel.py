@@ -435,8 +435,8 @@ def _assert_bounds_match_cold_path(outcome):
     cold = _cold_fleet_bound(outcome)
     assert abs(fleet_bound - cold) <= 1e-9 * max(1.0, abs(cold))
     dinput = bl.dam_input_for(outcome.scenario, outcome.schedule)
-    for t in range(outcome.scenario.network.horizon):
-        lp, index = dam.build_dam(dinput, t)
+    periods, index = dam.build_dam(dinput)
+    for t, lp in enumerate(periods):
         values = dam.period_values(dinput, outcome.dam, t, lp, index)
         bound = bl._welfare_bound(lp, index, outcome, t, values)
         cold = _cold_welfare_bound(lp, index, outcome, t)
@@ -582,7 +582,8 @@ class TestCertifyPointStart:
         assert out.dam.gen_segments["g2"] == ((10.0, 0.0), (0.0, 0.0))
         assert out.dam.lmp["b1"][1] == 20.0
         dinput = bl.dam_input_for(scenario, out.schedule)
-        lp, index = dam.build_dam(dinput, 1)
+        periods, index = dam.build_dam(dinput)
+        lp = periods[1]
         values = dam.period_values(dinput, out.dam, 1, lp, index)
         started = bl._welfare_bound(lp, index, out, 1, values)
         crashed = bl._welfare_bound(lp, index, out, 1)
@@ -617,8 +618,8 @@ def _assert_layout_round_trip(outcome):
     recomputed from those)."""
     scenario = outcome.scenario
     dinput = bl.dam_input_for(scenario, outcome.schedule)
-    for t in range(scenario.network.horizon):
-        lp, index = dam.build_dam(dinput, t)
+    periods, index = dam.build_dam(dinput)
+    for t, lp in enumerate(periods):
         sol = lpcore.require_optimal(lp)
         values = dam.period_values(dinput, outcome.dam, t, lp, index)
         assert values.tobytes() == sol.primal.tobytes(), t

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -328,6 +329,45 @@ class TestRun:
         assert run_cli("run", toy_path, "--out", out, "--certify") == 2
         err = capsys.readouterr().err
         assert "cached outcome unreadable: schedule.home.f1[0]: int too large" in err
+
+    @pytest.mark.parametrize(
+        "key, change, report",
+        [
+            ("tou", lambda v: v[:-1], "fleets[0].tou: series length 1 != horizon 2"),
+            ("home_connectivity", lambda v: v[:-1], "fleets[0].home_connectivity: series length 1"),
+            ("bus", lambda v: "ghost", "fleets[0]: bus 'ghost' not in network"),
+        ],
+        ids=["short_tou", "short_home_connectivity", "unknown_bus"],
+    )
+    def test_certify_cached_scenario_failing_validate_exit_one(
+        self, toy_path, tmp_path, capsys, key, change, report
+    ):
+        out = tmp_path / "cache"
+        assert run_cli("run", toy_path, "--out", out) == 0
+        doc = json.loads((out / "outcome.json").read_text())
+        fleet = doc["scenario"]["fleets"][0]
+        fleet[key] = change(fleet[key])
+        (out / "outcome.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("run", toy_path, "--out", out, "--certify") == 1
+        assert report in capsys.readouterr().err
+
+    def test_home_charging_only_scenario(self, tmp_path, capsys):
+        # no station: nothing to search, and owners pay what they pay at home
+        doc = md.scenario_to_json(one_bus_scenario())
+        doc["stations"] = []
+        for fleet in doc["fleets"]:
+            fleet["station_caps"] = fleet["station_connectivity"] = {}
+        path, out = tmp_path / "home_only.json", tmp_path / "home_only"
+        path.write_text(json.dumps(doc))
+        assert run_cli("validate", path) == 0
+        capsys.readouterr()
+        assert run_cli("run", path, "--out", out) == 0
+        text = capsys.readouterr().out
+        assert json.loads((out / "outcome.json").read_text())["profit"] == 0.0
+        assert json.loads((out / "certificate.json").read_text())["passed"] is True
+        paid = re.search(r"owner payment \$(\S+) with stations, \$(\S+) without", text)
+        assert paid.group(1) == paid.group(2)
 
     def test_certify_without_cache_exit_two(self, toy_path, tmp_path):
         assert run_cli("run", toy_path, "--out", tmp_path / "fresh", "--certify") == 2

@@ -94,7 +94,7 @@ def random_dam_input(rng):
                 )
             )
         inp = dam.DamInput(net, tuple(withdrawals), tuple(bids))
-        if all(lpcore.solve(dam.build_dam(inp, t)[0]).is_optimal for t in range(T)):
+        if all(lpcore.solve(lp).is_optimal for lp in dam.build_dam(inp)[0]):
             return inp
 
 
@@ -114,7 +114,7 @@ class TestBuildAndSolve:
         assert out.lmp["b1"][0] == pytest.approx(10.0, abs=1e-9)
 
     def test_single_bus_against_vertex_enumeration(self):
-        lp, _ = dam.build_dam(single_bus(), 0)
+        lp = dam.build_dam(single_bus())[0][0]
         ref_val, _ = vertex_enumerate(lp)
         assert ref_val == pytest.approx(-500.0, abs=1e-9)
 
@@ -125,11 +125,13 @@ class TestBuildAndSolve:
 
     def test_post_check_names_the_period(self, monkeypatch):
         real_solve = lpcore.solve
+        solved = []
 
         def off_balance(lp, **kwargs):
             sol = real_solve(lp, **kwargs)
-            if lp.name == "dam[t=1]":
-                sol.primal[lp.variables.index("gen[g1,1]")] += 1.0
+            solved.append(lp)
+            if len(solved) == 2:  # periods are solved in order
+                sol.primal[lp.variables.index("gen[g1]")] += 1.0
             return sol
 
         monkeypatch.setattr(lpcore, "solve", off_balance)
@@ -174,23 +176,40 @@ class TestBuildAndSolve:
         inp = single_bus()
         bid = dam.StationDamBid("c1", ((12.0,),), ((0.0,),), ((50.0,),), (10.0,))
         with pytest.raises(dam.DamStructureError, match="outside segment width"):
-            dam.build_dam(dam.DamInput(inp.network, (), (bid,)), 0)
+            dam.build_dam(dam.DamInput(inp.network, (), (bid,)))
 
     def test_line_to_unknown_bus_rejected(self):
         net = two_bus().network
         net = dataclasses.replace(net, lines=(md.Line("l1", "b1", "nowhere", 0.1, -10.0, 10.0),))
         with pytest.raises(dam.DamStructureError, match="endpoint"):
-            dam.build_dam(dam.DamInput(net, (), ()), 0)
+            dam.build_dam(dam.DamInput(net, (), ()))
+
+    @pytest.mark.parametrize(
+        "field, make, match",
+        [
+            ("generators", lambda net: (dataclasses.replace(net.generators[0], bus="ghost"),),
+             "g1: bus 'ghost' not in network"),
+            ("solar_units", lambda net: (md.SolarUnit("s1", "ghost", (1.0,)),),
+             "s1: bus 'ghost' not in network"),
+            ("demands", lambda net: (md.Demand("d2", "ghost", (1.0,)),),
+             "d2: bus 'ghost' not in network"),
+            ("demands", lambda net: (md.Demand("d2", "b1", (1.0, 2.0)),),
+             "demand d2: series length != horizon"),
+        ],
+        ids=["generator_bus", "solar_bus", "demand_bus", "demand_length"],
+    )
+    def test_network_entry_that_does_not_fit_is_rejected(self, field, make, match):
+        net = single_bus().network
+        net = dataclasses.replace(net, **{field: make(net)})
+        with pytest.raises(dam.DamStructureError, match=match):
+            dam.solve_dam(dam.DamInput(net, (), ()))
 
     def test_welfare_equals_period_optima(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
             inp = random_dam_input(rng)
             out = dam.solve_dam(inp)
-            optima = sum(
-                lpcore.require_optimal(dam.build_dam(inp, t)[0]).objective
-                for t in range(inp.network.horizon)
-            )
+            optima = sum(lpcore.require_optimal(lp).objective for lp in dam.build_dam(inp)[0])
             bid_value = sum(
                 q[t] * out.wtp[bid.station_id][m][t]
                 for bid in inp.station_bids
@@ -202,24 +221,29 @@ class TestBuildAndSolve:
 
 class TestPeriodLp:
     """A period LP depends only on its own period and, through the balance
-    rhs, on the fleet withdrawals at it: what a per-network template of the
-    market LP needs, setting only the rhs and the solar upper bounds per
-    period."""
+    rhs, on the fleet withdrawals at it, so `build_dam` builds the structure
+    once and sets only the rhs and the solar upper bounds per period."""
 
     def test_periods_share_structure(self, desk_market):
         net = desk_market.network
         assert net.horizon == 24 and net.solar_units and len(net.generators) == 3
-        first, first_ix = dam.build_dam(desk_market, 0)
-        for t in range(net.horizon):
-            lp, ix = dam.build_dam(desk_market, t)
-            assert ix == first_ix
+        periods, ix = dam.build_dam(desk_market)
+        assert len(periods) == net.horizon
+        first = periods[0]
+        for t, lp in enumerate(periods):
             assert lp.sense == first.sense
-            for name in ("objective", "lower", "matrix", "relations"):
-                assert np.array_equal(getattr(lp, name), getattr(first, name)), (t, name)
+            for name in ("objective", "lower", "matrix", "relations", "variables", "constraints"):
+                assert getattr(lp, name) is getattr(first, name), (t, name)
             others = np.ones(len(lp.variables), dtype=bool)
             others[ix.solar] = False
             assert np.array_equal(lp.upper[others], first.upper[others]), t
             assert lp.upper[ix.solar].tolist() == [s.available[t] for s in net.solar_units]
+            rows = np.ones(len(lp.constraints), dtype=bool)
+            rows[ix.balance] = False
+            assert not lp.rhs[rows].any(), t
+        # each period owns its upper bounds and rhs
+        owned = {id(lp.upper) for lp in periods} | {id(lp.rhs) for lp in periods}
+        assert len(owned) == 2 * len(periods)
 
     def test_other_periods_leave_the_lp_unchanged(self, desk_market):
         net = desk_market.network
@@ -242,11 +266,39 @@ class TestPeriodLp:
                 for w in desk_market.withdrawals
             )
             perturbed = dam.DamInput(moved, withdrawals, desk_market.station_bids)
-            lp, ix = dam.build_dam(desk_market, t)
-            other, other_ix = dam.build_dam(perturbed, t)
+            periods, ix = dam.build_dam(desk_market)
+            others, other_ix = dam.build_dam(perturbed)
             assert other_ix == ix
+            lp, other = periods[t], others[t]
             for name in ("objective", "lower", "upper", "matrix", "relations", "rhs"):
                 assert np.array_equal(getattr(other, name), getattr(lp, name)), (t, name)
+
+
+class TestOneBuildPerCall:
+    """`solve_dam` and `certify` each check the market input and build its
+    period LPs once per call, not once per period."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = dict.fromkeys(("build_dam", "_check_input"), 0)
+        for name in calls:
+            def counted(*args, _real=getattr(dam, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(dam, name, counted)
+        return calls
+
+    def test_solve_dam(self, desk_market, monkeypatch):
+        calls = self.spy(monkeypatch)
+        dam.solve_dam(desk_market)
+        assert calls == {"build_dam": 1, "_check_input": 1}
+
+    def test_certify(self, desk, monkeypatch):
+        outcome = bl.evaluate(bl.midpoint_strategy(desk), desk)
+        calls = self.spy(monkeypatch)
+        assert bl.certify(outcome).passed
+        assert calls == {"build_dam": 1, "_check_input": 1}
 
 
 class TestInvariants:
@@ -304,7 +356,7 @@ class TestExplicitDual:
 
     def test_congested_two_bus_value(self):
         inp = two_bus(line_cap=10.0)
-        primal = lpcore.require_optimal(dam.build_dam(inp, 0)[0])
+        primal = lpcore.require_optimal(dam.build_dam(inp)[0][0])
         explicit = lpcore.require_optimal(dam.build_dam_paper_dual(inp, 0))
         assert explicit.objective == pytest.approx(primal.objective, rel=1e-9, abs=1e-9)
 
@@ -319,8 +371,8 @@ class TestExplicitDual:
         rng = np.random.default_rng(41)
         for _ in range(15):
             inp = random_dam_input(rng)
-            for t in range(inp.network.horizon):
-                primal = lpcore.require_optimal(dam.build_dam(inp, t)[0])
+            for t, lp in enumerate(dam.build_dam(inp)[0]):
+                primal = lpcore.require_optimal(lp)
                 explicit = lpcore.require_optimal(dam.build_dam_paper_dual(inp, t))
                 assert explicit.objective == pytest.approx(
                     primal.objective, rel=1e-7, abs=1e-7

@@ -387,7 +387,7 @@ def model_lps(outcome):
         for bump in (fl.TIE_BREAK_EPS, 0.0)
     ]
     market = bl.dam_input_for(scenario, outcome.schedule)
-    lps.extend(dam.build_dam(market, t)[0] for t in range(scenario.network.horizon))
+    lps.extend(dam.build_dam(market)[0])
     return lps
 
 
@@ -562,9 +562,7 @@ class TestPointStart:
         rng = np.random.default_rng(150)
         for _ in range(150):
             inp = random_dam_input(rng)
-            assert_point_start_matches_cold(
-                [dam.build_dam(inp, t)[0] for t in range(inp.network.horizon)]
-            )
+            assert_point_start_matches_cold(list(dam.build_dam(inp)[0]))
 
     def test_desk(self, desk_baseline):
         assert_point_start_matches_cold(model_lps(desk_baseline.outcome))
@@ -781,9 +779,11 @@ class TestSharedPhase1Refusals:
 
 
 class TestWithObjective:
+    """`LinearProgram.with_arrays` swapping the objective."""
+
     def test_shares_every_other_array(self):
         objective = np.array([3.0, -1.0])
-        lp = BOX_ROW.with_objective(objective)
+        lp = BOX_ROW.with_arrays(objective=objective)
         assert lp.objective.tolist() == [3.0, -1.0] and lp.objective is not objective
         for attr in ("lower", "upper", "matrix", "relations", "rhs", "variables", "constraints"):
             assert getattr(lp, attr) is getattr(BOX_ROW, attr), attr
@@ -796,7 +796,7 @@ class TestWithObjective:
         rng = np.random.default_rng(19)
         for lp in criterion_1_lps()[:50]:
             objective = rng.uniform(-5.0, 5.0, len(lp.variables))
-            shared = lc.solve(lp.with_objective(objective))
+            shared = lc.solve(lp.with_arrays(objective=objective))
             rebuilt = lc.solve(dataclasses.replace(lp, objective=objective))
             assert shared.status == rebuilt.status
             assert shared.primal.tobytes() == rebuilt.primal.tobytes()
@@ -816,20 +816,71 @@ class TestWithObjective:
     )
     def test_refuses_a_bad_objective(self, objective, match):
         with pytest.raises(lc.LpDefinitionError, match=match):
-            BOX_ROW.with_objective(objective)
+            BOX_ROW.with_arrays(objective=objective)
 
     def test_phase1_state_takes_the_shared_arrays(self):
         state = lc.Phase1State()
         assert lc.solve(BOX_ROW, phase1=state).is_optimal
         for objective in ([2.0, 1.0], [-1.0, 0.0], [1.0, 2.0]):
-            lp = BOX_ROW.with_objective(objective)
+            lp = BOX_ROW.with_arrays(objective=objective)
             shared, cold = lc.solve(lp, phase1=state), lc.solve(lp)
             assert shared.status == cold.status == lc.OPTIMAL
             assert shared.primal.tobytes() == cold.primal.tobytes()
         # a re-costed LP with other rows is still refused
-        other = dataclasses.replace(BOX_ROW, rhs=np.array([6.0])).with_objective([2.0, 1.0])
+        other = BOX_ROW.with_arrays(objective=[2.0, 1.0], rhs=[6.0])
         with pytest.raises(ValueError, match="other rows or bounds"):
             lc.solve(other, phase1=state)
+
+
+class TestWithUpperAndRhs:
+    """`LinearProgram.with_arrays` swapping the upper bounds and the rhs,
+    as the market's period LPs do."""
+
+    def test_shares_every_other_array(self):
+        upper, rhs = np.array([4.0, 6.0]), np.array([3.0])
+        lp = BOX_ROW.with_arrays(upper=upper, rhs=rhs)
+        assert lp.upper.tolist() == [4.0, 6.0] and lp.rhs.tolist() == [3.0]
+        assert lp.upper is not upper and lp.rhs is not rhs
+        for attr in ("objective", "lower", "matrix", "relations", "variables", "constraints"):
+            assert getattr(lp, attr) is getattr(BOX_ROW, attr), attr
+        assert (BOX_ROW.upper.tolist(), BOX_ROW.rhs.tolist()) == ([10.0, 10.0], [5.0])
+        upper[0] = rhs[0] = 9.0  # the LP holds its own copies
+        assert (lp.upper.tolist(), lp.rhs.tolist()) == ([4.0, 6.0], [3.0])
+
+    def test_solves_as_a_rebuilt_lp(self):
+        rng = np.random.default_rng(23)
+        for lp in criterion_1_lps()[:50]:
+            upper = np.maximum(lp.upper * rng.uniform(0.5, 1.5, len(lp.upper)), lp.lower)
+            rhs = lp.rhs * rng.uniform(0.5, 1.5, len(lp.rhs))
+            shared = lc.solve(lp.with_arrays(upper=upper, rhs=rhs))
+            rebuilt = lc.solve(dataclasses.replace(lp, upper=upper, rhs=rhs))
+            assert shared.status == rebuilt.status
+            assert shared.primal.tobytes() == rebuilt.primal.tobytes()
+            assert shared.dual.tobytes() == rebuilt.dual.tobytes()
+
+    @pytest.mark.parametrize(
+        "arrays, match",
+        [
+            ({"upper": [10.0]}, "upper has shape"),
+            ({"rhs": [1.0, 2.0]}, "rhs has shape"),
+            ({"upper": [-1.0, 10.0]}, "x: upper -1.0 invalid"),
+            ({"upper": [10.0, math.nan]}, "y: upper nan invalid"),
+            ({"upper": [10.0, -math.inf]}, "y: upper -inf invalid"),
+            ({"rhs": [math.nan]}, "need: rhs nan invalid"),
+            ({"rhs": [math.inf]}, "need: rhs inf invalid"),
+        ],
+        ids=[
+            "short_upper", "long_rhs", "below_lower", "nan_upper", "minus_inf_upper", "nan_rhs",
+            "inf_rhs",
+        ],
+    )
+    def test_refuses_a_bad_array(self, arrays, match):
+        with pytest.raises(lc.LpDefinitionError, match=match):
+            BOX_ROW.with_arrays(**arrays)
+
+    def test_an_infinite_upper_bound_is_kept(self):
+        lp = BOX_ROW.with_arrays(upper=[math.inf, 10.0])
+        assert lp.upper[0] == math.inf and lc.solve(lp).is_optimal
 
 
 @settings(max_examples=40)

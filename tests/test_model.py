@@ -202,8 +202,7 @@ class TestValidate:
         schedule = fleet.solve_fleet(finput)
         from evcsmarket.bilevel import dam_input_for
 
-        for t in range(scenario.network.horizon):
-            dam.build_dam(dam_input_for(scenario, schedule), t)
+        dam.build_dam(dam_input_for(scenario, schedule))
 
 
 class TestPenetrationScaling:
