@@ -62,7 +62,7 @@ from .model import (
     scenario_from_json,
     scenario_to_json,
 )
-from .model import _entries, _integer, _list, _map, _number  # the document readers
+from .model import _document, _entries, _integer, _list, _map, _number  # the document I/O
 
 BRUTE_FORCE_CAP = 1_000_000
 OUTCOME_SCHEMA_VERSION = 1
@@ -74,7 +74,7 @@ class OfferParameter:
     periods.  The search range is the envelope of the per-period offer
     bands; expansion clips back into each period's own band."""
 
-    station_id: str
+    station_id: str = field(metadata={"key": "station"})
     t_start: int
     t_end: int
     lower: float
@@ -729,63 +729,13 @@ def _welfare_bound(
 
 
 def outcome_to_json(outcome: EquilibriumOutcome) -> dict:
-    return {
-        "schema_version": OUTCOME_SCHEMA_VERSION,
-        "scenario": scenario_to_json(outcome.scenario),
-        "offers": {k: list(v) for k, v in sorted(outcome.offers.items())},
-        "strategy": {
-            "values": list(outcome.strategy.values),
-            "parameters": [
-                {
-                    "station": p.station_id,
-                    "t_start": p.t_start,
-                    "t_end": p.t_end,
-                    "lower": p.lower,
-                    "upper": p.upper,
-                }
-                for p in outcome.strategy.parameters
-            ],
-        },
-        "revenue": outcome.revenue,
-        "cost": outcome.cost,
-        "profit": outcome.profit,
-        "schedule": {
-            "total": {k: list(v) for k, v in sorted(outcome.schedule.total.items())},
-            "home": {k: list(v) for k, v in sorted(outcome.schedule.home.items())},
-            "station": {
-                f: {s: list(v) for s, v in sorted(stations.items())}
-                for f, stations in sorted(outcome.schedule.station.items())
-            },
-            "segments": {
-                f: {s: [list(row) for row in v] for s, v in sorted(stations.items())}
-                for f, stations in sorted(outcome.schedule.segments.items())
-            },
-            "energy": {k: list(v) for k, v in sorted(outcome.schedule.energy.items())},
-            "fleet_costs": dict(sorted(outcome.schedule.fleet_costs.items())),
-            "cost": outcome.schedule.cost,
-        },
-        "dam": {
-            "lmp": {k: list(v) for k, v in sorted(outcome.dam.lmp.items())},
-            "gen": {k: list(v) for k, v in sorted(outcome.dam.gen.items())},
-            "gen_segments": {
-                k: [list(row) for row in v] for k, v in sorted(outcome.dam.gen_segments.items())
-            },
-            "solar": {k: list(v) for k, v in sorted(outcome.dam.solar.items())},
-            "flow": {k: list(v) for k, v in sorted(outcome.dam.flow.items())},
-            "angle": {k: list(v) for k, v in sorted(outcome.dam.angle.items())},
-            "wtp": {k: [list(row) for row in v] for k, v in sorted(outcome.dam.wtp.items())},
-            "welfare": outcome.dam.welfare,
-            "period_welfare": list(outcome.dam.period_welfare),
-        },
-        "search": None
-        if outcome.search is None
-        else {
-            "evaluations": outcome.search.evaluations,
-            "starts": outcome.search.starts,
-            "seed": outcome.search.seed,
-            "budget": outcome.search.budget,
-        },
-    }
+    """The document `outcome_from_json` reads: every field under its
+    document key, the scenario as `scenario_to_json` writes it, and no
+    schedule or market horizon (the scenario's network carries it)."""
+    doc = _document(replace(outcome, scenario=None))
+    del doc["schedule"]["horizon"], doc["dam"]["horizon"]
+    doc["scenario"] = scenario_to_json(outcome.scenario)
+    return {"schema_version": OUTCOME_SCHEMA_VERSION, **doc}
 
 
 def outcome_from_json(data: dict) -> EquilibriumOutcome:
@@ -860,12 +810,9 @@ def outcome_from_json(data: dict) -> EquilibriumOutcome:
 
 def certificate_to_json(cert: Certificate) -> dict:
     return {
+        **_document(cert),
         "passed": cert.passed,
-        "tolerance": cert.tolerance,
-        "feas_tolerance": cert.feas_tolerance,
         "max_violation": cert.max_violation,
-        "residuals": dict(sorted(cert.residuals.items())),
-        "worst": dict(sorted(cert.worst.items())),
         "failing": cert.failing(),
     }
 

@@ -12,6 +12,13 @@ Numbers are stored as given, converted by no constructor: the document
 readers return floats and float tuples, and a scenario built in Python
 passes them too.  Only the two station mappings of `EVFleet` are frozen
 into tuples of (station id, value) pairs, sorted by id.
+
+A document is written by one walk over the fields (`_document`, which
+`bilevel` uses for outcomes and certificates too): each field is written
+under its name, or under the key its metadata names (`fleet`,
+`wtp_segments`), and a field marked as a station mapping is written as an
+object.  The readers are written out by hand: they hold the defaults, the
+cents/kWh alternatives, CSV references and the path of every value.
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields, replace
-from functools import partial
+from dataclasses import dataclass, field, fields, replace
+from functools import cache, partial
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -140,8 +147,8 @@ class EVFleet:
     max_charge: float
     home_cap: float
     home_connectivity: tuple[float, ...]
-    station_caps: Any
-    station_connectivity: Any
+    station_caps: Any = field(metadata={"mapping": True})
+    station_connectivity: Any = field(metadata={"mapping": True})
     energy_min: float
     energy_max: float
     initial_energy: float
@@ -177,10 +184,10 @@ class ChargingStation:
     band it may quote to that fleet, and its wholesale bid structure."""
 
     id: str
-    fleet_id: str
+    fleet_id: str = field(metadata={"key": "fleet"})
     offer_min: tuple[float, ...]
     offer_max: tuple[float, ...]
-    segments: tuple[WtpSegment, ...]
+    segments: tuple[WtpSegment, ...] = field(metadata={"key": "wtp_segments"})
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -298,29 +305,36 @@ _FINITE = frozenset({
 })
 
 
-# the dataclass fields the document readers read from another key
-_DOCUMENT_KEYS = {(ChargingStation, "segments"): "wtp_segments"}
+@cache
+def _fields(cls) -> tuple[tuple[str, str, bool], ...]:
+    """(field name, document key, is a station mapping) for each field of
+    a dataclass.  A field's metadata may name its document key ("key") or
+    mark it a station mapping ("mapping"); the key is the name otherwise."""
+    return tuple(
+        (f.name, f.metadata.get("key", f.name), f.metadata.get("mapping", False))
+        for f in fields(cls)
+    )
 
 
 def _non_finite(value, at, name=None):
     """(path, field name, number) for each NaN or infinity inside `value`, a
     model dataclass or a tuple or list at the path parts `at`, named down to
     the entry as the document readers name it (``fleets[0].tou[3]``)."""
-    record = hasattr(value, "__dataclass_fields__")
-    # fields are read by name: vars() would give the object a __dict__, and
-    # CPython reads every attribute of such an object slower from then on
-    for key in value.__dataclass_fields__ if record else range(len(value)):
-        entry = getattr(value, key) if record else value[key]
+    if hasattr(value, "__dataclass_fields__"):
+        # fields are read by name: vars() would give the object a __dict__,
+        # and CPython reads every attribute of such an object slower then
+        entries = ((key, attr, getattr(value, attr)) for attr, key, _ in _fields(type(value)))
+    else:
+        entries = ((i, name, entry) for i, entry in enumerate(value))
+    for key, field_name, entry in entries:
         if isinstance(entry, tuple) and entry and isinstance(entry[0], str):
             key, entry = entry  # a station mapping's (station id, value) pair
-        field_name = key if record else name
         if isinstance(entry, float):
             if not math.isfinite(entry):
                 yield _path(at, key), field_name, entry
         elif isinstance(entry, (tuple, list)):
             # a series whose sum is finite holds no NaN and no infinity
             if not (entry and isinstance(entry[0], float) and math.isfinite(sum(entry))):
-                key = _DOCUMENT_KEYS.get((type(value), key), key)
                 yield from _non_finite(entry, (*at, key), field_name)
         elif hasattr(entry, "__dataclass_fields__"):  # a model dataclass
             yield from _non_finite(entry, (*at, key), field_name)
@@ -471,7 +485,7 @@ def validate(scenario: Scenario) -> ValidationReport:
         for cid in conn:
             if cid not in dict(f.station_caps):
                 bad(f"{path}.station_connectivity[{cid}]", "series without a matching cap")
-        if series_ok:
+        if series_ok and f.discharge_efficiency > 0.0:  # the recursion divides by it
             t_bad = fleet_infeasibility_period(f, T)
             if t_bad is not None:
                 bad(
@@ -513,6 +527,11 @@ def validate(scenario: Scenario) -> ValidationReport:
             bad(f"settings.{name}", f"must be an integer >= {least}, got {value!r}")
     if not (number(settings.step_min) and settings.step_min > 0):
         bad("settings.step_min", f"must be > 0, got {settings.step_min!r}")
+    if settings.parameterization not in _PARAM_MODES:
+        bad(
+            "settings.parameterization",
+            f"must be one of {_PARAM_MODES}, got {settings.parameterization!r}",
+        )
 
     return ValidationReport(tuple(issues))
 
@@ -875,97 +894,30 @@ def scenario_from_json(data: Mapping[str, Any], base_dir=None) -> Scenario:
         raise ScenarioFormatError(f"malformed scenario document: {exc}") from exc
 
 
+def _document(value):
+    """`value` as JSON data: a dataclass as an object of its fields under
+    their document keys (a station mapping field as an object), a dict as
+    an object and a tuple or list as a list; anything else as it is."""
+    if hasattr(value, "__dataclass_fields__"):
+        return {
+            key: _document(dict(getattr(value, name)) if mapping else getattr(value, name))
+            for name, key, mapping in _fields(type(value))
+        }
+    if isinstance(value, dict):
+        return {k: _document(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        if value and isinstance(value[0], float):  # a series of numbers
+            return list(value)
+        return [_document(v) for v in value]
+    return value
+
+
 def scenario_to_json(scenario: Scenario) -> dict:
-    net = scenario.network
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "name": scenario.name,
-        "network": {
-            "horizon": net.horizon,
-            "buses": [
-                {
-                    "id": b.id,
-                    "angle_min": b.angle_min,
-                    "angle_max": b.angle_max,
-                    "reference": b.reference,
-                }
-                for b in net.buses
-            ],
-            "lines": [
-                {
-                    "id": ln.id,
-                    "from_bus": ln.from_bus,
-                    "to_bus": ln.to_bus,
-                    "reactance": ln.reactance,
-                    "flow_min": ln.flow_min,
-                    "flow_max": ln.flow_max,
-                }
-                for ln in net.lines
-            ],
-            "generators": [
-                {
-                    "id": g.id,
-                    "bus": g.bus,
-                    "p_min": g.p_min,
-                    "p_max": g.p_max,
-                    "segments": [
-                        {"p_min": s.p_min, "p_max": s.p_max, "cost": s.cost} for s in g.segments
-                    ],
-                }
-                for g in net.generators
-            ],
-            "solar_units": [
-                {"id": s.id, "bus": s.bus, "available": list(s.available)} for s in net.solar_units
-            ],
-            "demands": [{"id": d.id, "bus": d.bus, "load": list(d.load)} for d in net.demands],
-        },
-        "fleets": [
-            {
-                "id": f.id,
-                "bus": f.bus,
-                "max_charge": f.max_charge,
-                "home_cap": f.home_cap,
-                "home_connectivity": list(f.home_connectivity),
-                "station_caps": {k: v for k, v in f.station_caps},
-                "station_connectivity": {k: list(v) for k, v in f.station_connectivity},
-                "energy_min": f.energy_min,
-                "energy_max": f.energy_max,
-                "initial_energy": f.initial_energy,
-                "final_energy_min": f.final_energy_min,
-                "charge_efficiency": f.charge_efficiency,
-                "discharge_efficiency": f.discharge_efficiency,
-                "driving": list(f.driving),
-                "tou": list(f.tou),
-            }
-            for f in scenario.fleets
-        ],
-        "stations": [
-            {
-                "id": s.id,
-                "fleet": s.fleet_id,
-                "offer_min": list(s.offer_min),
-                "offer_max": list(s.offer_max),
-                "wtp_segments": [
-                    {"width": seg.width, "wtp_min": list(seg.wtp_min), "wtp_max": list(seg.wtp_max)}
-                    for seg in s.segments
-                ],
-            }
-            for s in scenario.stations
-        ],
-        "settings": {
-            **_FIXED_SETTINGS,
-            "budget": scenario.settings.budget,
-            "multistarts": scenario.settings.multistarts,
-            "step_min": scenario.settings.step_min,
-            "parameterization": scenario.settings.parameterization,
-            "block_width": scenario.settings.block_width,
-            "seed": scenario.settings.seed,
-        },
-        "sweeps": {
-            "penetration_levels": list(scenario.sweeps.penetration_levels),
-            "pv_multipliers": list(scenario.sweeps.pv_multipliers),
-        },
-    }
+    """The document `scenario_from_json` reads: every field under its
+    document key, and the solver's fixed tolerances in `settings`."""
+    doc = _document(scenario)
+    doc["settings"] = {**_FIXED_SETTINGS, **doc["settings"]}
+    return {"schema_version": SCHEMA_VERSION, **doc}
 
 
 def load_scenario(path) -> Scenario:

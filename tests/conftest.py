@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 import weakref
 from pathlib import Path
@@ -123,6 +124,22 @@ def spy_fleet_lps(monkeypatch):
 
     monkeypatch.setattr(fl._FleetLp, "answer", spied)
     return refs, alive, alive_at_answer
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    """The benchmark's module `name`, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the class body runs
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def numeric_leaves(tree, keys=()):

@@ -216,6 +216,28 @@ class TestAgainstScipy:
                     ), f"{label} interior but rc={sol.reduced_cost[j]}"
 
 
+def test_bland_rule_reaches_the_highs_optimum(monkeypatch):
+    """Degenerate LPs terminate through the Bland fallback, which no model
+    LP reaches in practice: with it from the second pivot on
+    (`_BLAND_AFTER` = -1), Bland pricing and Bland's leaving row solve every
+    criterion-1 LP optimal at the HiGHS objective."""
+    bland_pricing = []
+    entering = lc._Tableau._entering
+
+    def counting(self, d, dtol, bland):
+        bland_pricing.append(bland)
+        return entering(self, d, dtol, bland)
+
+    monkeypatch.setattr(lc, "_BLAND_AFTER", -1)
+    monkeypatch.setattr(lc._Tableau, "_entering", counting)
+    for k, lp in enumerate(criterion_1_lps()):
+        sol = lc.solve(lp)
+        status, ref = scipy_reference(lp)
+        assert status == "optimal" and sol.is_optimal, k
+        assert sol.objective == pytest.approx(ref, rel=1e-7, abs=1e-7), k
+    assert sum(bland_pricing) > 1000
+
+
 class TestDualityChecks:
     def test_pair_report_passes(self):
         rng = np.random.default_rng(5)

@@ -3,12 +3,20 @@
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
 
 from evcsmarket import dam, fleet, model as md
 from evcsmarket import scenarios as sc
-from conftest import assert_each_number_is_read_under_its_path, dotted, one_bus_scenario, two_period_fleet
+from conftest import (
+    _random_bilevel_scenario,
+    assert_each_number_is_read_under_its_path,
+    dotted,
+    load_perfbench,
+    one_bus_scenario,
+    two_period_fleet,
+)
 
 
 def minimal_network(horizon=2, two_refs=False):
@@ -35,6 +43,75 @@ def scenario_with(network=None, fleets=None, stations=None):
         fleets if fleets is not None else (f,),
         stations if stations is not None else (c,),
     )
+
+
+def edited(obj, keys, **changes):
+    """`obj` with `changes` made to the dataclass at `keys` (field names and
+    tuple indices) inside it."""
+    if not keys:
+        return dataclasses.replace(obj, **changes)
+    key, *rest = keys
+    if isinstance(key, int):
+        return (*obj[:key], edited(obj[key], rest, **changes), *obj[key + 1:])
+    return dataclasses.replace(obj, **{key: edited(getattr(obj, key), rest, **changes)})
+
+
+# one scenario edit per `validate` rule: (scenario, dataclass at, changes, path, message)
+_RULE_CASES = [
+    ("one_bus", ("network",), {"horizon": 0},
+     "network.horizon", "horizon must be >= 1, got 0"),
+    ("one_bus", ("network",), {"demands": (md.Demand("d1", "b1", (1.0, 1.0)),) * 2},
+     "network.demands[1].id", "duplicate id 'd1'"),
+    ("desk", ("network", "buses", 1), {"angle_min": 0.6, "angle_max": 0.4},
+     "network.buses[1]", "angle_min exceeds angle_max"),
+    ("one_bus", ("network", "buses", 0), {"angle_min": 0.1},
+     "network.buses[0]", "reference bus angle bounds must contain 0"),
+    ("desk", ("network", "lines", 0), {"flow_min": 1e4},
+     "network.lines[0]", "flow_min exceeds flow_max"),
+    ("one_bus", ("network", "generators", 0), {"bus": "nowhere"},
+     "network.generators[0]", "bus 'nowhere' not in network"),
+    ("one_bus", ("network", "generators", 0), {"p_min": 300.0},
+     "network.generators[0]", "p_min exceeds p_max"),
+    ("one_bus", ("network", "generators", 0, "segments", 0), {"p_min": -1.0},
+     "network.generators[0].segments[0]", "segment width must be non-negative"),
+    ("one_bus", ("network", "generators", 0), {"segments": ()},
+     "network.generators[0]", "generator needs at least one cost segment"),
+    ("one_bus", ("network",), {"solar_units": (md.SolarUnit("s1", "nowhere", (1.0, 1.0)),)},
+     "network.solar_units[0]", "bus 'nowhere' not in network"),
+    ("one_bus", ("network",), {"solar_units": (md.SolarUnit("s1", "b1", (-1.0, 1.0)),)},
+     "network.solar_units[0].available", "negative availability"),
+    ("one_bus", ("network", "demands", 0), {"bus": "nowhere"},
+     "network.demands[0]", "bus 'nowhere' not in network"),
+    ("one_bus", ("fleets", 0), {"home_connectivity": (1.5, 1.0)},
+     "fleets[0].home_connectivity", "ratios must lie in [0, 1]"),
+    ("one_bus", ("fleets", 0), {"driving": (-1.0, 10.0)},
+     "fleets[0].driving", "negative driving discharge"),
+    ("one_bus", ("fleets", 0), {"charge_efficiency": 1.5},
+     "fleets[0].charge_efficiency", "must lie in (0, 1]"),
+    ("one_bus", ("fleets", 0), {"discharge_efficiency": 0.0},
+     "fleets[0].discharge_efficiency", "must lie in (0, 1]"),
+    ("one_bus", ("fleets", 0), {"home_cap": -1.0},
+     "fleets[0]", "charge caps must be non-negative"),
+    ("one_bus", ("fleets", 0), {"final_energy_min": 25.0},
+     "fleets[0].final_energy_min", "outside the battery energy window"),
+    ("one_bus", ("fleets", 0), {"station_caps": {"c1": -1.0}},
+     "fleets[0].station_caps[c1]", "negative cap"),
+    ("one_bus", ("fleets", 0), {"station_connectivity": {}},
+     "fleets[0].station_connectivity", "missing series for station 'c1'"),
+    ("one_bus", ("fleets", 0), {"station_connectivity": {"c1": (1.0, 2.0)}},
+     "fleets[0].station_connectivity[c1]", "ratios must lie in [0, 1]"),
+    ("one_bus", ("fleets", 0),
+     {"station_connectivity": {"c1": (1.0, 1.0), "c2": (1.0, 1.0)}},
+     "fleets[0].station_connectivity[c2]", "series without a matching cap"),
+    ("one_bus", ("stations", 0), {"fleet_id": "nowhere"},
+     "stations[0]", "fleet 'nowhere' not in scenario"),
+    ("one_bus", ("stations", 0), {"offer_min": (50.0, 10.0)},
+     "stations[0]", "offer_min exceeds offer_max"),
+    ("one_bus", ("stations", 0, "segments", 0), {"width": -1.0},
+     "stations[0].wtp_segments[0].width", "negative width"),
+    ("one_bus", ("stations", 0, "segments", 0), {"wtp_min": (60.0, 0.0)},
+     "stations[0].wtp_segments[0]", "wtp_min exceeds wtp_max"),
+]
 
 
 class TestValidate:
@@ -118,6 +195,28 @@ class TestValidate:
         )
         report = md.validate(scenario)
         assert [i.path for i in report.issues] == [f"settings.{field}"]
+
+    def test_unknown_parameterization_is_named(self):
+        # the document reader refuses it; a scenario built in Python reaches validate
+        scenario = dataclasses.replace(
+            sc.desk_scenario(), settings=md.SolverSettings(parameterization="hourly")
+        )
+        report = md.validate(scenario)
+        assert [(i.path, i.message) for i in report.issues] == [(
+            "settings.parameterization",
+            "must be one of ('full', 'per_station_period', 'station_blocks'), got 'hourly'",
+        )]
+
+    @pytest.mark.parametrize(
+        "base, keys, changes, path, message",
+        _RULE_CASES,
+        ids=[f"{path}: {message}" for *_, path, message in _RULE_CASES],
+    )
+    def test_each_rule_is_named_by_its_path(self, base, keys, changes, path, message):
+        scenario = one_bus_scenario() if base == "one_bus" else sc.desk_scenario()
+        assert md.validate(scenario).ok
+        report = md.validate(edited(scenario, keys, **changes))
+        assert [i.message for i in report.issues if i.path == path] == [message], str(report)
 
     def test_unknown_station_reference(self):
         f, c = two_period_fleet()
@@ -298,6 +397,23 @@ class TestSerialization:
         doc = md.scenario_to_json(desk)
         again = md.scenario_from_json(doc)
         assert md.scenario_to_json(again) == doc
+
+    def test_written_scenario_reads_back_equal(self, desk, monkeypatch):
+        """Desk, the benchmark ladder's rungs and the criterion-5 instances
+        come back from their written JSON text as equal scenarios."""
+        # the benchmark's workloads import their sibling module as `generators`
+        generators = load_perfbench("generators")
+        monkeypatch.setitem(sys.modules, "generators", generators)
+        ladder = load_perfbench("workloads").LADDER
+        scenarios = [
+            desk,
+            *(generators.synthetic(b, f, seed=k) for k, (b, f) in enumerate(ladder)),
+            *(_random_bilevel_scenario(seed) for seed in range(900, 920)),
+        ]
+        assert len(scenarios) == 25
+        for scenario in scenarios:
+            text = json.dumps(md.scenario_to_json(scenario))
+            assert md.scenario_from_json(json.loads(text)) == scenario, scenario.name
 
     def test_cents_conversion(self):
         scenario = one_bus_scenario()

@@ -5,32 +5,14 @@ also need the lower-level memo to live for one search only: the counts of
 two traced searches must repeat exactly."""
 
 import importlib
-import importlib.util
 import sys
-from pathlib import Path
 
 import pytest
 
 from evcsmarket import bilevel, fleet, lpcore
-from conftest import _random_bilevel_scenario
+from conftest import PERFBENCH, _random_bilevel_scenario, load_perfbench
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _load_perfbench(name):
-    """The benchmark's module `name`, loaded from its file."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up in sys.modules while the class body runs
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
-
-
-tracing = _load_perfbench("tracing")
+tracing = load_perfbench("tracing")
 
 
 @pytest.mark.parametrize(
@@ -135,8 +117,8 @@ def test_benchmark_workloads_set_up_through_the_package(tmp_path, monkeypatch):
     the model API, validate, build strategies) still run, so an API change
     that breaks the benchmark fails here first."""
     # workloads.py imports its sibling module as a top-level `generators`
-    monkeypatch.setitem(sys.modules, "generators", _load_perfbench("generators"))
-    workloads = _load_perfbench("workloads")
+    monkeypatch.setitem(sys.modules, "generators", load_perfbench("generators"))
+    workloads = load_perfbench("workloads")
     workloads.warm_up()
     for name, workload in workloads.WORKLOADS.items():
         workload(PERFBENCH.parent, tmp_path).setup(0)
@@ -147,6 +129,6 @@ def test_criterion_5_instances_match_the_benchmark_copy():
     (`generators.random_bilevel`, behind `oracle_small`); on the seeds the
     criterion uses it must build the very scenarios the tests build, or the
     workload stops measuring what the criterion checks."""
-    generators = _load_perfbench("generators")
+    generators = load_perfbench("generators")
     for seed in range(900, 920):
         assert generators.random_bilevel(seed) == _random_bilevel_scenario(seed), seed
