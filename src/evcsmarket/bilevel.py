@@ -46,7 +46,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -62,7 +61,7 @@ from .model import (
     scenario_from_json,
     scenario_to_json,
 )
-from .model import _document, _entries, _integer, _list, _map, _number  # the document I/O
+from .model import _document, _integer, _list, _object  # the document I/O
 
 BRUTE_FORCE_CAP = 1_000_000
 OUTCOME_SCHEMA_VERSION = 1
@@ -746,61 +745,18 @@ def outcome_from_json(data: dict) -> EquilibriumOutcome:
     `scenario_from_json`.  Any other value, or a version other than
     OUTCOME_SCHEMA_VERSION, raises ScenarioFormatError naming its path
     (``schedule.home.f1[0]``; within the embedded scenario,
-    ``fleets[0].energy_max``), as does a missing key."""
-    series = partial(_map, read=_list)  # {id: [number, ...]}
-    rows = partial(_list, read=_list)  # [[number, ...], ...]
+    ``fleets[0].energy_max``), and a missing key one naming the key."""
     try:
         version = _integer(data.get("schema_version", OUTCOME_SCHEMA_VERSION), (), "schema_version")
         if version != OUTCOME_SCHEMA_VERSION:
             raise ScenarioFormatError(f"schema_version: unsupported version {version}")
         scenario = scenario_from_json(data["scenario"])
-        params = tuple(
-            OfferParameter(
-                p["station"],
-                _integer(p["t_start"], at, "t_start"),
-                _integer(p["t_end"], at, "t_end"),
-                _number(p["lower"], at, "lower"),
-                _number(p["upper"], at, "upper"),
-            )
-            for at, p in _entries(data["strategy"]["parameters"], ("strategy",), "parameters")
-        )
-        strategy = Strategy(params, _list(data["strategy"]["values"], ("strategy",), "values"))
-        sched, at = data["schedule"], ("schedule",)
-        schedule = fleet_mod.FleetSchedule(
-            horizon=scenario.network.horizon,
-            total=series(sched["total"], at, "total"),
-            home=series(sched["home"], at, "home"),
-            station=_map(sched["station"], at, "station", series),
-            segments=_map(sched["segments"], at, "segments", partial(_map, read=rows)),
-            energy=series(sched["energy"], at, "energy"),
-            fleet_costs=_map(sched["fleet_costs"], at, "fleet_costs"),
-            cost=_number(sched["cost"], at, "cost"),
-        )
-        dam_data, at = data["dam"], ("dam",)
-        dam_out = dam_mod.DamOutcome(
-            horizon=scenario.network.horizon,
-            gen=series(dam_data["gen"], at, "gen"),
-            gen_segments=_map(dam_data["gen_segments"], at, "gen_segments", rows),
-            solar=series(dam_data["solar"], at, "solar"),
-            flow=series(dam_data["flow"], at, "flow"),
-            angle=series(dam_data["angle"], at, "angle"),
-            wtp=_map(dam_data["wtp"], at, "wtp", rows),
-            lmp=series(dam_data["lmp"], at, "lmp"),
-            welfare=_number(dam_data["welfare"], at, "welfare"),
-            period_welfare=_list(dam_data["period_welfare"], at, "period_welfare"),
-        )
-        s = data.get("search")
-        search = SearchInfo(**_map(s, (), "search", _integer)) if s else None
-        return EquilibriumOutcome(
-            scenario=scenario,
-            strategy=strategy,
-            offers=series(data["offers"], (), "offers"),
-            schedule=schedule,
-            dam=dam_out,
-            revenue=_number(data["revenue"], (), "revenue"),
-            cost=_number(data["cost"], (), "cost"),
-            profit=_number(data["profit"], (), "profit"),
-            search=search,
+        # the document carries no schedule or market horizon
+        T = scenario.network.horizon
+        sched = _object(fleet_mod.FleetSchedule, data["schedule"], ("schedule",), _list, horizon=T)
+        dam = _object(dam_mod.DamOutcome, data["dam"], ("dam",), _list, horizon=T)
+        return _object(
+            EquilibriumOutcome, data, (), _list, scenario=scenario, schedule=sched, dam=dam
         )
     except ScenarioFormatError:
         raise

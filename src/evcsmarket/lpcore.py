@@ -608,19 +608,23 @@ class _Tableau:
             self.x[leave_col] = self.up[leave_col] if hits_upper else self.lo[leave_col]
             self.pos[leave_col] = _POS_UPPER if hits_upper else _POS_LOWER
 
-            pivot = w[leave_pos]
-            if abs(pivot) < _PIVOT_TOL:
+            if abs(w[leave_pos]) < _PIVOT_TOL:
                 if not self.refactor():
                     return NUMERICAL
                 continue
-            self.basis[leave_pos] = q
-            self.in_basis[q] = True
-            self.in_basis[leave_col] = False
-            # product-form inverse update
-            row = self.binv[leave_pos].copy() / pivot
-            self.binv -= np.outer(w, row)
-            self.binv[leave_pos] = row
-            self.pivots_since_refactor += 1
+            self.exchange(leave_pos, q, w)
+
+    def exchange(self, pos, q, w) -> None:
+        """Make column q basic at position `pos` in place of the column there,
+        given w = binv @ A[:, q], by the product-form inverse update."""
+        leave = self.basis[pos]
+        self.basis[pos] = q
+        self.in_basis[q] = True
+        self.in_basis[leave] = False
+        row = self.binv[pos].copy() / w[pos]
+        self.binv -= np.outer(w, row)
+        self.binv[pos] = row
+        self.pivots_since_refactor += 1
 
     def _entering(self, d, dtol, bland):
         if not self.ncols:
@@ -857,8 +861,7 @@ def _phase1(tab: _Tableau) -> LpSolution | None:
         tab.lo[j] = tab.up[j] = 0.0
         tab.x[j] = 0.0
     for pos in range(m):
-        col = tab.basis[pos]
-        if col < tab.nreal:
+        if tab.basis[pos] < tab.nreal:
             continue
         row = tab.binv[pos] @ tab.A[:, : tab.nreal]
         candidates = [
@@ -869,15 +872,7 @@ def _phase1(tab: _Tableau) -> LpSolution | None:
         if not candidates:
             continue  # redundant row; artificial stays basic at level 0
         q = candidates[0]
-        w = tab.binv @ tab.A[:, q]
-        pivot = w[pos]
-        tab.basis[pos] = q
-        tab.in_basis[q] = True
-        tab.in_basis[col] = False
-        r = tab.binv[pos].copy() / pivot
-        tab.binv -= np.outer(w, r)
-        tab.binv[pos] = r
-        tab.pivots_since_refactor += 1
+        tab.exchange(pos, q, tab.binv @ tab.A[:, q])
     return None
 
 

@@ -13,12 +13,15 @@ readers return floats and float tuples, and a scenario built in Python
 passes them too.  Only the two station mappings of `EVFleet` are frozen
 into tuples of (station id, value) pairs, sorted by id.
 
-A document is written by one walk over the fields (`_document`, which
-`bilevel` uses for outcomes and certificates too): each field is written
-under its name, or under the key its metadata names (`fleet`,
-`wtp_segments`), and a field marked as a station mapping is written as an
-object.  The readers are written out by hand: they hold the defaults, the
-cents/kWh alternatives, CSV references and the path of every value.
+A document is written by one walk over the fields (`_document`) and read
+by its mirror (`_object`); `bilevel` uses both for outcomes, and the first
+for certificates.  Each field is under its name, or under the key its
+metadata names (`fleet`, `wtp_segments`, `station`), and the reader reads
+it by its type hint.  The rest of the format is field metadata too:
+"mapping" marks a station mapping (written as an object), "price" a field
+that also takes `<key>_cents_per_kwh`, "default" the document value an
+absent key stands for (where the constructor has no default of its own),
+and "plain" a list of floats that is not a per-period series.
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cache, partial
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
 from .lpcore import DUALITY_TOL, FEAS_TOL
 
@@ -69,7 +72,9 @@ class Line:
     from_bus: str
     to_bus: str
     reactance: float
-    flow_min: float
+    flow_min: float = field(
+        metadata={"default": lambda line, at: -_number(line["flow_max"], at, "flow_max")}
+    )
     flow_max: float
 
 
@@ -77,18 +82,18 @@ class Line:
 class CostSegment:
     """One step of a piecewise-linear generation cost curve."""
 
-    p_min: float
+    p_min: float = field(metadata={"default": 0.0})
     p_max: float
-    cost: float
+    cost: float = field(metadata={"price": True})
 
 
 @dataclass(frozen=True)
 class Generator:
     id: str
     bus: str
-    p_min: float
+    p_min: float = field(metadata={"default": 0.0})
     p_max: float
-    segments: tuple[CostSegment, ...]
+    segments: tuple[CostSegment, ...] = field(metadata={"default": ()})
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -110,11 +115,11 @@ class Demand:
 
 @dataclass(frozen=True)
 class Network:
-    buses: tuple[Bus, ...]
-    lines: tuple[Line, ...]
-    generators: tuple[Generator, ...]
-    solar_units: tuple[SolarUnit, ...]
-    demands: tuple[Demand, ...]
+    buses: tuple[Bus, ...] = field(metadata={"default": ()})
+    lines: tuple[Line, ...] = field(metadata={"default": ()})
+    generators: tuple[Generator, ...] = field(metadata={"default": ()})
+    solar_units: tuple[SolarUnit, ...] = field(metadata={"default": ()})
+    demands: tuple[Demand, ...] = field(metadata={"default": ()})
     horizon: int
 
     def __post_init__(self):
@@ -145,17 +150,19 @@ class EVFleet:
     id: str
     bus: str
     max_charge: float
-    home_cap: float
-    home_connectivity: tuple[float, ...]
-    station_caps: Any = field(metadata={"mapping": True})
-    station_connectivity: Any = field(metadata={"mapping": True})
+    home_cap: float = field(metadata={"default": 0.0})
+    home_connectivity: tuple[float, ...] = field(metadata={"default": 0.0})
+    station_caps: dict[str, float] = field(metadata={"mapping": True, "default": {}})
+    station_connectivity: dict[str, tuple[float, ...]] = field(
+        metadata={"mapping": True, "default": {}}
+    )
     energy_min: float
     energy_max: float
     initial_energy: float
-    charge_efficiency: float
-    discharge_efficiency: float
-    driving: tuple[float, ...]
-    tou: tuple[float, ...]
+    charge_efficiency: float = field(metadata={"default": 1.0})
+    discharge_efficiency: float = field(metadata={"default": 1.0})
+    driving: tuple[float, ...] = field(metadata={"default": 0.0})
+    tou: tuple[float, ...] = field(metadata={"price": True})
     final_energy_min: float | None = None
 
     def __post_init__(self):
@@ -174,8 +181,8 @@ class WtpSegment:
     """One block of a station's piecewise willingness-to-pay bid."""
 
     width: float
-    wtp_min: tuple[float, ...]
-    wtp_max: tuple[float, ...]
+    wtp_min: tuple[float, ...] = field(metadata={"price": True})
+    wtp_max: tuple[float, ...] = field(metadata={"price": True})
 
 
 @dataclass(frozen=True)
@@ -185,9 +192,9 @@ class ChargingStation:
 
     id: str
     fleet_id: str = field(metadata={"key": "fleet"})
-    offer_min: tuple[float, ...]
-    offer_max: tuple[float, ...]
-    segments: tuple[WtpSegment, ...] = field(metadata={"key": "wtp_segments"})
+    offer_min: tuple[float, ...] = field(metadata={"price": True})
+    offer_max: tuple[float, ...] = field(metadata={"price": True})
+    segments: tuple[WtpSegment, ...] = field(metadata={"key": "wtp_segments", "default": ()})
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -208,16 +215,16 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class SweepDefaults:
-    penetration_levels: tuple[float, ...] = ()
-    pv_multipliers: tuple[float, ...] = ()
+    penetration_levels: tuple[float, ...] = field(default=(), metadata={"plain": True})
+    pv_multipliers: tuple[float, ...] = field(default=(), metadata={"plain": True})
 
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str
+    name: str = field(metadata={"default": "scenario"})
     network: Network
-    fleets: tuple[EVFleet, ...]
-    stations: tuple[ChargingStation, ...]
+    fleets: tuple[EVFleet, ...] = field(metadata={"default": ()})
+    stations: tuple[ChargingStation, ...] = field(metadata={"default": ()})
     settings: SolverSettings = SolverSettings()
     sweeps: SweepDefaults = SweepDefaults()
 
@@ -668,11 +675,6 @@ def _map(value, at, key, read=_number) -> dict:
     return {k: read(v, at, k) for k, v in value.items()}
 
 
-def _entries(value, at, key) -> tuple:
-    """(path, entry) for each entry of a JSON list of objects."""
-    return _list(value, at, key, lambda entry, at, i: ((*at, i), entry))
-
-
 def _resolve_series(T, base_dir, value, at, key):
     """Accept a list of length T, a number broadcast to T, or a CSV reference
     of the form {"csv": filename, "id": row_id}; a CSV file that cannot be
@@ -697,22 +699,75 @@ def _resolve_series(T, base_dir, value, at, key):
     return (_number(value, at, key),) * T
 
 
-_INT_SETTINGS = ("budget", "multistarts", "block_width", "seed")
-_FLOAT_SETTINGS = ("step_min",)
 # keys a document carries for the solver's fixed tolerances, at their values
 _FIXED_SETTINGS = {"feas_tol": FEAS_TOL, "duality_tol": DUALITY_TOL}
+_OWN = object()  # an absent key stands for the constructor's own default
+_LEAVES = {float: _number, int: _integer, bool: _boolean, str: lambda value, at, key: str(value)}
 
 
-def _price(obj: Mapping[str, Any], at, key, read):
-    """A price read by `read` (a number or a series) from `key` in $/MWh or
-    from `<key>_cents_per_kwh` in cents/kWh."""
-    alt = f"{key}_cents_per_kwh"
-    if alt not in obj:
-        if key not in obj:
-            raise ScenarioFormatError(f"{_path(at, key)}: missing")
-        return read(obj[key], at, key)
-    raw, scale = read(obj[alt], at, alt), CENTS_PER_KWH_TO_USD_PER_MWH
-    return raw * scale if isinstance(raw, float) else tuple(v * scale for v in raw)
+def _reader(hint, plain=False):
+    """`read(value, at, key, series)` for a document value of type `hint`:
+    a dataclass by `_object`, `X | None` as None or an X, a tuple of floats
+    by `series` (by `_list` when `plain`), any other tuple or dict entry by
+    entry, and a number, integer, boolean or string by its leaf reader."""
+    args = get_args(hint)
+    if is_dataclass(hint):
+        return lambda value, at, key, series: _object(hint, value, (*at, key), series)
+    if type(None) in args:
+        read = _reader(args[0])
+        return lambda value, *rest: None if value is None else read(value, *rest)
+    if args == (float, ...):
+        if plain:
+            return lambda value, at, key, series: _list(value, at, key)
+        return lambda value, at, key, series: series(value, at, key)
+    if args:
+        many = _list if get_origin(hint) is tuple else _map
+        read = _reader(args[0] if many is _list else args[1])
+        return lambda value, at, key, series: many(
+            value, at, key, lambda entry, at, k: read(entry, at, k, series)
+        )
+    leaf = _LEAVES[hint]
+    return lambda value, at, key, series: leaf(value, at, key)
+
+
+@cache
+def _plan(cls) -> tuple:
+    """(field name, document key, reader, is a price, default) for each
+    field of a dataclass, its type hint resolved once.  `default` is the
+    field's "default" metadata, `_OWN` when the constructor has a default,
+    and MISSING when the key is required."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (
+            f.name,
+            f.metadata.get("key", f.name),
+            _reader(hints[f.name], f.metadata.get("plain", False)),
+            f.metadata.get("price", False),
+            f.metadata.get("default", MISSING if f.default is MISSING else _OWN),
+        )
+        for f in fields(cls)
+    )
+
+
+def _object(cls, obj, at, series, **given):
+    """A `cls` read from the JSON object `obj` at the path parts `at`, each
+    field but those `given` from its document key by its type hint, with
+    `series` reading the per-period series.  A price field reads
+    `<key>_cents_per_kwh` instead, in cents/kWh, when that key is there.
+    An absent key reads as its default (a callable one is given `obj` and
+    `at`); an absent required key raises KeyError."""
+    values = {}
+    for name, key, read, price, default in _plan(cls):
+        if name in given:
+            continue
+        if price and (alt := f"{key}_cents_per_kwh") in obj:
+            raw, scale = read(obj[alt], at, alt, series), CENTS_PER_KWH_TO_USD_PER_MWH
+            values[name] = raw * scale if isinstance(raw, float) else tuple(v * scale for v in raw)
+            continue
+        value = obj[key] if default is MISSING else obj.get(key, default)
+        if value is not _OWN:
+            values[name] = read(value(obj, at) if callable(value) else value, at, key, series)
+    return cls(**values, **given)
 
 
 def read_series_csv(path) -> dict[str, tuple[float, ...]]:
@@ -742,151 +797,33 @@ def scenario_from_json(data: Mapping[str, Any], base_dir=None) -> Scenario:
     """Read the document `scenario_to_json` writes.  A number is a JSON int
     or float, not a boolean (NaN and inf are kept); `schema_version`,
     `network.horizon` and the integer settings take an int or a float with
-    no fraction, `reference` true or false.  `settings.feas_tol` and
-    `settings.duality_tol`, when present, must equal the solver's fixed
-    tolerances.  Anything else raises ScenarioFormatError naming its path
-    (``fleets[0].energy_max: ...``)."""
+    no fraction, `reference` true or false.  An absent optional key reads
+    as its field's default.  `settings.feas_tol` and `settings.duality_tol`,
+    when present, must equal the solver's fixed tolerances.  Anything else
+    raises ScenarioFormatError naming its path (``fleets[0].energy_max:
+    ...``), or, for a missing required key, naming the key."""
     try:
         version = _integer(data.get("schema_version", SCHEMA_VERSION), (), "schema_version")
         if version != SCHEMA_VERSION:
             raise ScenarioFormatError(f"schema_version: unsupported version {version}")
-        net = data["network"]
-        T = _integer(net["horizon"], ("network",), "horizon")
-        series = partial(_resolve_series, T, base_dir)
-
-        buses = tuple(
-            Bus(
-                id=str(b["id"]),
-                angle_min=_number(b.get("angle_min", -0.5), at, "angle_min"),
-                angle_max=_number(b.get("angle_max", 0.5), at, "angle_max"),
-                reference=_boolean(b.get("reference", False), at, "reference"),
-            )
-            for at, b in _entries(net.get("buses", []), ("network",), "buses")
-        )
-        lines = tuple(
-            Line(
-                id=str(ln["id"]),
-                from_bus=str(ln["from_bus"]),
-                to_bus=str(ln["to_bus"]),
-                reactance=_number(ln["reactance"], at, "reactance"),
-                flow_min=_number(
-                    ln.get("flow_min", -_number(ln["flow_max"], at, "flow_max")), at, "flow_min"
-                ),
-                flow_max=_number(ln["flow_max"], at, "flow_max"),
-            )
-            for at, ln in _entries(net.get("lines", []), ("network",), "lines")
-        )
-        generators = tuple(
-            Generator(
-                id=str(g["id"]),
-                bus=str(g["bus"]),
-                p_min=_number(g.get("p_min", 0.0), at, "p_min"),
-                p_max=_number(g["p_max"], at, "p_max"),
-                segments=tuple(
-                    CostSegment(
-                        p_min=_number(s.get("p_min", 0.0), s_at, "p_min"),
-                        p_max=_number(s["p_max"], s_at, "p_max"),
-                        cost=_price(s, s_at, "cost", _number),
-                    )
-                    for s_at, s in _entries(g.get("segments", []), at, "segments")
-                ),
-            )
-            for at, g in _entries(net.get("generators", []), ("network",), "generators")
-        )
-        solar = tuple(
-            SolarUnit(
-                id=str(s["id"]),
-                bus=str(s["bus"]),
-                available=series(s["available"], at, "available"),
-            )
-            for at, s in _entries(net.get("solar_units", []), ("network",), "solar_units")
-        )
-        demands = tuple(
-            Demand(id=str(d["id"]), bus=str(d["bus"]), load=series(d["load"], at, "load"))
-            for at, d in _entries(net.get("demands", []), ("network",), "demands")
-        )
-        network = Network(buses, lines, generators, solar, demands, T)
-
-        fleets = tuple(
-            EVFleet(
-                id=str(f["id"]),
-                bus=str(f["bus"]),
-                max_charge=_number(f["max_charge"], at, "max_charge"),
-                home_cap=_number(f.get("home_cap", 0.0), at, "home_cap"),
-                home_connectivity=series(f.get("home_connectivity", 0.0), at, "home_connectivity"),
-                station_caps=_map(f.get("station_caps", {}), at, "station_caps"),
-                station_connectivity=_map(
-                    f.get("station_connectivity", {}), at, "station_connectivity", series
-                ),
-                energy_min=_number(f["energy_min"], at, "energy_min"),
-                energy_max=_number(f["energy_max"], at, "energy_max"),
-                initial_energy=_number(f["initial_energy"], at, "initial_energy"),
-                final_energy_min=(
-                    None
-                    if f.get("final_energy_min") is None
-                    else _number(f["final_energy_min"], at, "final_energy_min")
-                ),
-                charge_efficiency=_number(f.get("charge_efficiency", 1.0), at, "charge_efficiency"),
-                discharge_efficiency=_number(
-                    f.get("discharge_efficiency", 1.0), at, "discharge_efficiency"
-                ),
-                driving=series(f.get("driving", 0.0), at, "driving"),
-                tou=_price(f, at, "tou", series),
-            )
-            for at, f in _entries(data.get("fleets", []), (), "fleets")
-        )
-        stations = tuple(
-            ChargingStation(
-                id=str(s["id"]),
-                fleet_id=str(s["fleet"]),
-                offer_min=_price(s, at, "offer_min", series),
-                offer_max=_price(s, at, "offer_max", series),
-                segments=tuple(
-                    WtpSegment(
-                        width=_number(seg["width"], seg_at, "width"),
-                        wtp_min=_price(seg, seg_at, "wtp_min", series),
-                        wtp_max=_price(seg, seg_at, "wtp_max", series),
-                    )
-                    for seg_at, seg in _entries(s.get("wtp_segments", []), at, "wtp_segments")
-                ),
-            )
-            for at, s in _entries(data.get("stations", []), (), "stations")
-        )
-
-        raw_settings = dict(data.get("settings", {}))
-        raw_settings.pop("workers", None)  # older files carry it; nothing reads it
+        T = _integer(data["network"]["horizon"], ("network",), "horizon")
+        settings = dict(data.get("settings", {}))
+        settings.pop("workers", None)  # older files carry it; nothing reads it
         for name, fixed in _FIXED_SETTINGS.items():
-            value = _number(raw_settings.pop(name, fixed), ("settings",), name)
+            value = _number(settings.pop(name, fixed), ("settings",), name)
             if value != fixed:
                 raise ScenarioFormatError(f"settings.{name}: must be {fixed!r}, got {value!r}")
-        known = {f.name for f in fields(SolverSettings)}
-        unknown = set(raw_settings) - known
+        unknown = set(settings) - {f.name for f in fields(SolverSettings)}
         if unknown:
             raise ScenarioFormatError(f"settings: unknown keys {sorted(unknown)}")
-        for name in _INT_SETTINGS + _FLOAT_SETTINGS:
-            if name in raw_settings:
-                read = _integer if name in _INT_SETTINGS else _number
-                raw_settings[name] = read(raw_settings[name], ("settings",), name)
-        settings = SolverSettings(**raw_settings)
-        if settings.parameterization not in _PARAM_MODES:
+        series = partial(_resolve_series, T, base_dir)
+        scenario = _object(Scenario, {**data, "settings": settings}, (), series)
+        mode = scenario.settings.parameterization
+        if mode not in _PARAM_MODES:
             raise ScenarioFormatError(
-                f"settings.parameterization must be one of {_PARAM_MODES}"
+                f"settings.parameterization: must be one of {_PARAM_MODES}, got {mode!r}"
             )
-        raw_sweeps = data.get("sweeps", {})
-        sweeps = SweepDefaults(
-            *(
-                _list(raw_sweeps.get(k, []), ("sweeps",), k)
-                for k in ("penetration_levels", "pv_multipliers")
-            )
-        )
-        return Scenario(
-            name=str(data.get("name", "scenario")),
-            network=network,
-            fleets=fleets,
-            stations=stations,
-            settings=settings,
-            sweeps=sweeps,
-        )
+        return scenario
     except ScenarioFormatError:
         raise
     # OverflowError: a horizon too large to broadcast a number over

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from evcsmarket import scenarios as sc
 from conftest import (
     _random_bilevel_scenario,
     assert_each_number_is_read_under_its_path,
+    load_perfbench,
     one_bus_scenario,
     spy_fleet_lps,
 )
@@ -830,6 +832,25 @@ class TestOutcomeRoundTrip:
         assert again.offers == out.offers
         assert again.schedule.cost == out.schedule.cost
         assert bl.certify(again).passed
+
+    def test_written_outcome_reads_back_equal(self, desk_baseline, bilevel_instances, monkeypatch):
+        """The desk search outcome, a midpoint `evaluate` of each benchmark
+        ladder rung and the criterion-5 outcomes come back from their
+        written JSON text as equal outcomes."""
+        # the benchmark's workloads import their sibling module as `generators`
+        generators = load_perfbench("generators")
+        monkeypatch.setitem(sys.modules, "generators", generators)
+        ladder = load_perfbench("workloads").LADDER
+        rungs = [generators.synthetic(b, f, seed=k) for k, (b, f) in enumerate(ladder)]
+        outcomes = [
+            desk_baseline.outcome,
+            *(bl.evaluate(bl.midpoint_strategy(s), s) for s in rungs),
+            *(o for _, _, grid, searched in bilevel_instances for o in (grid, searched)),
+        ]
+        assert len(outcomes) == 45
+        for outcome in outcomes:
+            text = json.dumps(bl.outcome_to_json(outcome))
+            assert bl.outcome_from_json(json.loads(text)) == outcome, outcome.scenario.name
 
     def test_older_cache_format_reads_and_certifies(self):
         # earlier outcome.json files also carry `schedule.tie_break_applied`

@@ -68,6 +68,14 @@ class TestValidate:
         path.write_text("{}")
         assert run_cli("validate", path) == 2
 
+    def test_unknown_parameterization_exit_two(self, tmp_path, capsys):
+        doc = md.scenario_to_json(one_bus_scenario())
+        doc["settings"]["parameterization"] = "hourly"
+        path = tmp_path / "hourly.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("validate", path) == 2
+        assert "error: settings.parameterization: must be one of (" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "field, value, code",
         [

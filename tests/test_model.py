@@ -415,14 +415,71 @@ class TestSerialization:
             text = json.dumps(md.scenario_to_json(scenario))
             assert md.scenario_from_json(json.loads(text)) == scenario, scenario.name
 
-    def test_cents_conversion(self):
-        scenario = one_bus_scenario()
-        doc = md.scenario_to_json(scenario)
-        f = doc["fleets"][0]
-        del f["tou"]
-        f["tou_cents_per_kwh"] = 2.5
-        loaded = md.scenario_from_json(doc)
-        assert loaded.fleets[0].tou == (25.0, 25.0)
+    @pytest.mark.parametrize(
+        "at, key",
+        [
+            (("network", "generators", 0, "segments", 0), "cost"),
+            (("fleets", 0), "tou"),
+            (("stations", 0), "offer_min"),
+            (("stations", 0), "offer_max"),
+            (("stations", 0, "wtp_segments", 0), "wtp_min"),
+            (("stations", 0, "wtp_segments", 0), "wtp_max"),
+        ],
+        ids=["cost", "tou", "offer_min", "offer_max", "wtp_min", "wtp_max"],
+    )
+    def test_cents_conversion(self, at, key):
+        doc = md.scenario_to_json(one_bus_scenario())
+        node = doc
+        for k in at:
+            node = node[k]
+        del node[key]
+        node[f"{key}_cents_per_kwh"] = 2.5
+        node = md.scenario_to_json(md.scenario_from_json(doc))
+        for k in at:
+            node = node[k]
+        assert node[key] == (25.0 if key == "cost" else [25.0, 25.0])
+
+    def test_absent_optional_keys_read_as_their_defaults(self):
+        bare = md.scenario_from_json({"network": {"horizon": 2}})
+        assert bare == md.Scenario(
+            "scenario", md.Network((), (), (), (), (), 2), (), (),
+            md.SolverSettings(), md.SweepDefaults(),
+        )
+        doc = {
+            "network": {
+                "horizon": 2,
+                "buses": [{"id": "b1"}],
+                "lines": [
+                    {"id": "l1", "from_bus": "b1", "to_bus": "b1", "reactance": 0.1,
+                     "flow_max": 7.0}
+                ],
+                "generators": [
+                    {"id": "g1", "bus": "b1", "p_max": 9.0,
+                     "segments": [{"p_max": 9.0, "cost": 5.0}]}
+                ],
+            },
+            "fleets": [
+                {"id": "f1", "bus": "b1", "max_charge": 3.0, "energy_min": 0.0,
+                 "energy_max": 4.0, "initial_energy": 1.0, "tou": 30.0}
+            ],
+            "stations": [{"id": "c1", "fleet": "f1", "offer_min": 1.0, "offer_max": 2.0}],
+        }
+        scenario = md.scenario_from_json(doc)
+        net = scenario.network
+        assert net.buses == (md.Bus("b1", -0.5, 0.5, False),)
+        assert net.lines == (md.Line("l1", "b1", "b1", 0.1, -7.0, 7.0),)
+        segment = md.CostSegment(0.0, 9.0, 5.0)
+        assert net.generators == (md.Generator("g1", "b1", 0.0, 9.0, (segment,)),)
+        assert scenario.fleets == (
+            md.EVFleet(
+                id="f1", bus="b1", max_charge=3.0, home_cap=0.0, home_connectivity=(0.0, 0.0),
+                station_caps={}, station_connectivity={},
+                energy_min=0.0, energy_max=4.0, initial_energy=1.0,
+                charge_efficiency=1.0, discharge_efficiency=1.0,
+                driving=(0.0, 0.0), tou=(30.0, 30.0), final_energy_min=None,
+            ),
+        )
+        assert scenario.stations == (md.ChargingStation("c1", "f1", (1.0, 1.0), (2.0, 2.0), ()),)
 
     def test_scalar_broadcast(self):
         doc = md.scenario_to_json(one_bus_scenario())
@@ -566,6 +623,15 @@ class TestSerialization:
         with pytest.raises(md.ScenarioFormatError) as info:
             md.scenario_from_json(doc)
         assert str(info.value).startswith(f"{dotted(keys)}: ")
+
+    def test_unknown_parameterization_is_refused_with_its_path(self):
+        doc = md.scenario_to_json(one_bus_scenario())
+        doc["settings"]["parameterization"] = "hourly"
+        with pytest.raises(md.ScenarioFormatError) as info:
+            md.scenario_from_json(doc)
+        assert str(info.value) == (
+            f"settings.parameterization: must be one of {md._PARAM_MODES}, got 'hourly'"
+        )
 
     def test_sweeps_that_is_not_an_object_is_malformed(self):
         doc = md.scenario_to_json(one_bus_scenario())
