@@ -2,9 +2,12 @@
 certification and plot-data emission, and penetration / solar sweeps.
 
 Exit codes: 0 success, 1 scenario invariants violated, 2 unusable input or
-bad usage, 3 certification failure.  Identical scenario and seed give
-byte-identical output files.  The default output directory comes from
-EVCSMARKET_OUT (falling back to ./out).
+bad usage, 3 certification failure.  `run --certify` re-certifies a cached
+outcome.json by the same codes: 2 when it is missing or unreadable (a key
+its format does not name included), 1 with `validate`'s report when its
+scenario fails validation, 3 when its certificate fails.  Identical
+scenario and seed give byte-identical output files.  The default output
+directory comes from EVCSMARKET_OUT (falling back to ./out).
 """
 
 from __future__ import annotations
@@ -18,9 +21,7 @@ import sys
 from pathlib import Path
 
 from . import bilevel, scenarios
-from .model import ScenarioFormatError, load_scenario, validate
-
-_CENTS = 10.0  # $/MWh per cent/kWh
+from .model import CENTS_PER_KWH_TO_USD_PER_MWH, ScenarioFormatError, load_scenario, validate
 
 
 def _load(path: str):
@@ -72,7 +73,7 @@ def hourly_profile_csv(outcome: bilevel.EquilibriumOutcome) -> str:
     )
     for t in range(T):
         offers = [outcome.offers[st.id][t] for st in scenario.stations]
-        avg_offer = sum(offers) / len(offers) / _CENTS if offers else 0.0
+        avg_offer = sum(offers) / len(offers) / CENTS_PER_KWH_TO_USD_PER_MWH if offers else 0.0
 
         paid = 0.0
         charged = 0.0
@@ -81,7 +82,7 @@ def hourly_profile_csv(outcome: bilevel.EquilibriumOutcome) -> str:
             charged += outcome.schedule.total[f.id][t]
         for st in scenario.stations:
             paid += outcome.schedule.station[st.fleet_id][st.id][t] * outcome.offers[st.id][t]
-        retail = "" if charged <= 0 else f"{paid / charged / _CENTS:.1f}"
+        retail = "" if charged <= 0 else f"{paid / charged / CENTS_PER_KWH_TO_USD_PER_MWH:.1f}"
 
         wtp_num = 0.0
         wtp_den = 0.0
@@ -133,14 +134,9 @@ def cmd_run(args) -> int:
                 outcome = bilevel.outcome_from_json(json.load(fh))
         except (json.JSONDecodeError, UnicodeDecodeError, ScenarioFormatError) as exc:
             raise _UsageError(f"--certify: cached outcome unreadable: {exc}")
-        try:
-            cert = bilevel.certify(outcome)
-        except (ValueError, LookupError):
-            # the cached scenario does not fit its own series or ids; `run`
-            # would have refused it, and its validation report says why
-            if _refused(outcome.scenario):
-                return 1
-            raise
+        if _refused(outcome.scenario):
+            return 1
+        cert = bilevel.certify(outcome)
         print(cert.summary())
         return 0 if cert.passed else 3
 

@@ -249,20 +249,8 @@ def solve_dam(inp: DamInput) -> DamOutcome:
     (see `bilevel.evaluate`)."""
     periods, index = build_dam(inp)
     net = inp.network
-
-    gen = {g.id: [] for g in net.generators}
-    gseg = {g.id: [[] for _ in g.segments] for g in net.generators}
-    solar = {s.id: [] for s in net.solar_units}
-    flow = {ln.id: [] for ln in net.lines}
-    angle = {b.id: [] for b in net.buses}
+    primal, prices, period_welfare = [], [], []
     wtp = {bid.station_id: [[] for _ in bid.quantities] for bid in inp.station_bids}
-    lmp = {b.id: [] for b in net.buses}
-    period_welfare = []
-    # per entity series, in the order of the families `_read` returns
-    families = [
-        list(gen.values()), *gseg.values(), list(solar.values()), list(flow.values()),
-        list(angle.values()), list(lmp.values()),
-    ]
 
     for t, lp in enumerate(periods):
         sol = lpcore.solve(lp)
@@ -274,39 +262,37 @@ def solve_dam(inp: DamInput) -> DamOutcome:
         if violation > lpcore.FEAS_TOL * 100.0:
             raise DamNumericalError(f"period {t}: solution violates its LP by {violation:.3e}")
 
-        *values, objective_terms = _read(lp, index, sol)
-        for series, family in zip(families, values):
-            for s, v in zip(series, family):
-                s.append(v)
+        primal.append(sol.primal.tolist())
+        prices.append((-sol.dual[index.balance]).tolist())  # see the module docstring
         for bid in inp.station_bids:
             for m, q in enumerate(bid.quantities):
                 wtp[bid.station_id][m].append(bid.wtp_max[m][t] if q[t] > 0.0 else bid.wtp_min[m][t])
-        period_welfare.append(welfare(inp, objective_terms, wtp, t))
+        period_welfare.append(welfare(inp, (lp.objective * sol.primal).tolist(), wtp, t))
+
+    def series(col):  # a column's values by period, or one such series per column
+        return tuple(row[col] for row in primal) if isinstance(col, int) else tuple(map(series, col))
 
     return DamOutcome(
         horizon=net.horizon,
-        gen={k: tuple(v) for k, v in gen.items()},
-        gen_segments={k: tuple(tuple(s) for s in v) for k, v in gseg.items()},
-        solar={k: tuple(v) for k, v in solar.items()},
-        flow={k: tuple(v) for k, v in flow.items()},
-        angle={k: tuple(v) for k, v in angle.items()},
+        **{name: dict(zip(ids, map(series, cols))) for name, ids, cols in _placement(net, index)},
         wtp={k: tuple(tuple(s) for s in v) for k, v in wtp.items()},
-        lmp={k: tuple(v) for k, v in lmp.items()},
+        lmp={b.id: tuple(row[i] for row in prices) for i, b in enumerate(net.buses)},
         welfare=float(sum(period_welfare)),
         period_welfare=tuple(period_welfare),
     )
 
 
-def _read(lp: LinearProgram, ix: PeriodIndex, sol: lpcore.LpSolution) -> tuple[list, ...]:
-    """One period's solution by family: generator, segment (generator by
-    generator), solar, flow and angle values, the locational prices (the
-    negated balance duals, see the module docstring), and `lp`'s objective
-    terms (coefficient times value, column by column)."""
-    x = sol.primal
+def _placement(net: Network, ix: PeriodIndex) -> tuple:
+    """(`DamOutcome` field, entity ids, columns) for each dispatch family of
+    the period LPs placed as `ix` says: each entity's column, or for
+    `gen_segments` the columns of the generator's cost segments."""
+    generators = [g.id for g in net.generators]
     return (
-        *(x[cols].tolist() for cols in (ix.gen, *ix.seg, ix.solar, ix.flow, ix.angle)),
-        (-sol.dual[ix.balance]).tolist(),
-        (lp.objective * x).tolist(),
+        ("gen", generators, ix.gen),
+        ("gen_segments", generators, ix.seg),
+        ("solar", [s.id for s in net.solar_units], ix.solar),
+        ("flow", [ln.id for ln in net.lines], ix.flow),
+        ("angle", [b.id for b in net.buses], ix.angle),
     )
 
 
@@ -328,19 +314,19 @@ def period_values(
 ) -> np.ndarray:
     """An outcome's period-t dispatch as one value per column of `lp`, the
     period-t LP that `build_dam(inp)` returned with `ix`."""
-    net = inp.network
-    values = [0.0] * len(lp.variables)
-    placed = [
-        (ix.gen, [out.gen[g.id][t] for g in net.generators]),
-        *((cols, [s[t] for s in out.gen_segments[g.id]]) for g, cols in zip(net.generators, ix.seg)),
-        (ix.solar, [out.solar[s.id][t] for s in net.solar_units]),
-        (ix.angle, [out.angle[b.id][t] for b in net.buses]),
-        (ix.flow, [out.flow[ln.id][t] for ln in net.lines]),
-    ]
-    for cols, family in placed:
-        for j, v in zip(cols, family):
-            values[j] = v
-    return np.array(values)
+    values = np.zeros(len(lp.variables))
+
+    def place(col, series):  # one column, or one series per column of a list
+        if isinstance(col, int):
+            values[col] = series[t]
+        else:
+            for j, s in zip(col, series):
+                place(j, s)
+
+    for name, ids, cols in _placement(inp.network, ix):
+        for key, col in zip(ids, cols):
+            place(col, getattr(out, name)[key])
+    return values
 
 
 # ---------------------------------------------------------------------------

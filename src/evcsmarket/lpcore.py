@@ -123,32 +123,42 @@ class LinearProgram:
         for labels in (variables, constraints):
             if not all(labels) or len(set(labels)) != len(labels):
                 raise LpDefinitionError(f"{self.name}: labels must be distinct and non-empty")
-        # checked on the values as given, before they become arrays; NaN
-        # fails every comparison, so it fails these checks too
-        for label, lo, up, cost in zip(variables, self.lower, self.upper, self.objective):
-            if not (lo <= up and lo < INF and up > -INF and math.isfinite(cost)):
-                raise LpDefinitionError(f"{label}: bounds [{lo}, {up}] or objective {cost} invalid")
-        for label, relation, rhs in zip(constraints, self.relations, self.rhs):
-            if relation not in (LE, EQ, GE) or not math.isfinite(rhs):
-                raise LpDefinitionError(f"{label}: bad relation {relation!r} or rhs {rhs}")
-        n, m = len(variables), len(constraints)
-        for attr, dtype, shape in (
-            ("objective", float, (n,)),
-            ("lower", float, (n,)),
-            ("upper", float, (n,)),
-            ("matrix", float, (m, n)),
-            ("relations", str, (m,)),
-            ("rhs", float, (m,)),
-        ):
-            array = np.array(getattr(self, attr), dtype=dtype)
-            if array.shape != shape:
-                raise LpDefinitionError(f"{self.name}: {attr} has shape {array.shape}, not {shape}")
-            object.__setattr__(self, attr, array)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "constraints", constraints)
-        if not np.isfinite(self.matrix).all():
-            i = int(np.argmin(np.isfinite(self.matrix).all(axis=1)))
+        for attr in ("objective", "lower", "upper", "relations", "rhs"):  # lower before upper
+            object.__setattr__(self, attr, self._checked(attr, getattr(self, attr)))
+        matrix = np.array(self.matrix, dtype=float)
+        if matrix.shape != (len(constraints), len(variables)):
+            raise LpDefinitionError(
+                f"{self.name}: matrix has shape {matrix.shape}, not {(len(constraints), len(variables))}"
+            )
+        if not np.isfinite(matrix).all():
+            i = int(np.argmin(np.isfinite(matrix).all(axis=1)))
             raise LpDefinitionError(f"{constraints[i]}: non-finite coefficient")
+        object.__setattr__(self, "matrix", matrix)
+
+    def _checked(self, attr, values) -> np.ndarray:
+        """`values` as this LP's array `attr`, one per column or row, after
+        checking it: LpDefinitionError naming the column or row for a wrong
+        shape, a lower bound at +inf, an upper bound below its lower bound
+        or at -inf, a relation other than LE, EQ and GE, or an objective or
+        rhs that is not finite (NaN fails every check)."""
+        array = np.array(values, dtype=str if attr == "relations" else float)
+        labels = self.constraints if attr in ("relations", "rhs") else self.variables
+        if array.shape != (len(labels),):
+            raise LpDefinitionError(f"{self.name}: {attr} has shape {array.shape}, not {(len(labels),)}")
+        if attr == "lower":
+            valid = array < INF
+        elif attr == "upper":
+            valid = (self.lower <= array) & (array > -INF)
+        elif attr == "relations":
+            valid = (array == LE) | (array == EQ) | (array == GE)
+        else:
+            valid = np.isfinite(array)
+        if not valid.all():
+            j = int(np.argmin(valid))
+            raise LpDefinitionError(f"{labels[j]}: {attr} {array[j]} invalid")
+        return array
 
     def objective_value(self, values: np.ndarray) -> float:
         """Objective at `values`, summed in column order."""
@@ -160,21 +170,11 @@ class LinearProgram:
         copied, so only the swapped ones are checked: LpDefinitionError
         naming the column or row for a wrong shape, a bound below its
         lower bound or at -inf, or an objective or rhs that is not finite."""
-        swapped = {}
-        for attr, values in (("objective", objective), ("upper", upper), ("rhs", rhs)):
-            if values is None:
-                continue
-            array = np.array(values, dtype=float)
-            labels = self.constraints if attr == "rhs" else self.variables
-            if array.shape != (len(labels),):
-                raise LpDefinitionError(
-                    f"{self.name}: {attr} has shape {array.shape}, not {(len(labels),)}"
-                )
-            valid = (self.lower <= array) & (array > -INF) if attr == "upper" else np.isfinite(array)
-            if not valid.all():
-                j = int(np.argmin(valid))
-                raise LpDefinitionError(f"{labels[j]}: {attr} {array[j]} invalid")
-            swapped[attr] = array
+        swapped = {
+            attr: self._checked(attr, values)
+            for attr, values in (("objective", objective), ("upper", upper), ("rhs", rhs))
+            if values is not None
+        }
         lp = object.__new__(LinearProgram)
         lp.__dict__.update(self.__dict__, **swapped)
         return lp

@@ -15,13 +15,16 @@ into tuples of (station id, value) pairs, sorted by id.
 
 A document is written by one walk over the fields (`_document`) and read
 by its mirror (`_object`); `bilevel` uses both for outcomes, and the first
-for certificates.  Each field is under its name, or under the key its
-metadata names (`fleet`, `wtp_segments`, `station`), and the reader reads
-it by its type hint.  The rest of the format is field metadata too:
-"mapping" marks a station mapping (written as an object), "price" a field
-that also takes `<key>_cents_per_kwh`, "default" the document value an
-absent key stands for (where the constructor has no default of its own),
-and "plain" a list of floats that is not a per-period series.
+for certificates.  Both, and `validate`'s walk for NaN and infinity, read
+one plan per class (`_plan`), which is the whole format.  Each field is
+under its name, or under the key its metadata names (`fleet`,
+`wtp_segments`, `station`), and the reader reads it by its type hint.  The
+rest of the format is field metadata too: "mapping" marks a station
+mapping (written as an object), "price" a field that also takes
+`<key>_cents_per_kwh`, and "default" the document value an absent key
+stands for (where the constructor has no default of its own).  An object
+may carry only those keys and its class's document-only keys
+(`_DOCUMENT_ONLY`); any other key is refused.
 """
 
 from __future__ import annotations
@@ -214,19 +217,12 @@ class SolverSettings:
 
 
 @dataclass(frozen=True)
-class SweepDefaults:
-    penetration_levels: tuple[float, ...] = field(default=(), metadata={"plain": True})
-    pv_multipliers: tuple[float, ...] = field(default=(), metadata={"plain": True})
-
-
-@dataclass(frozen=True)
 class Scenario:
     name: str = field(metadata={"default": "scenario"})
     network: Network
     fleets: tuple[EVFleet, ...] = field(metadata={"default": ()})
     stations: tuple[ChargingStation, ...] = field(metadata={"default": ()})
     settings: SolverSettings = SolverSettings()
-    sweeps: SweepDefaults = SweepDefaults()
 
     def __post_init__(self):
         object.__setattr__(self, "fleets", tuple(self.fleets))
@@ -312,17 +308,6 @@ _FINITE = frozenset({
 })
 
 
-@cache
-def _fields(cls) -> tuple[tuple[str, str, bool], ...]:
-    """(field name, document key, is a station mapping) for each field of
-    a dataclass.  A field's metadata may name its document key ("key") or
-    mark it a station mapping ("mapping"); the key is the name otherwise."""
-    return tuple(
-        (f.name, f.metadata.get("key", f.name), f.metadata.get("mapping", False))
-        for f in fields(cls)
-    )
-
-
 def _non_finite(value, at, name=None):
     """(path, field name, number) for each NaN or infinity inside `value`, a
     model dataclass or a tuple or list at the path parts `at`, named down to
@@ -330,7 +315,8 @@ def _non_finite(value, at, name=None):
     if hasattr(value, "__dataclass_fields__"):
         # fields are read by name: vars() would give the object a __dict__,
         # and CPython reads every attribute of such an object slower then
-        entries = ((key, attr, getattr(value, attr)) for attr, key, _ in _fields(type(value)))
+        steps = _plan(type(value))[0]
+        entries = ((key, attr, getattr(value, attr)) for attr, key, *_ in steps)
     else:
         entries = ((i, name, entry) for i, entry in enumerate(value))
     for key, field_name, entry in entries:
@@ -699,17 +685,25 @@ def _resolve_series(T, base_dir, value, at, key):
     return (_number(value, at, key),) * T
 
 
-# keys a document carries for the solver's fixed tolerances, at their values
-_FIXED_SETTINGS = {"feas_tol": FEAS_TOL, "duality_tol": DUALITY_TOL}
+# keys a document may carry that name no field, by the class of the object
+# holding them: the value the key must have (the solver's fixed
+# tolerances), or None for a key read elsewhere (`schema_version`) or one
+# older files carry, which is read and dropped
+_DOCUMENT_ONLY = {
+    "Scenario": {"schema_version": None, "sweeps": None},
+    "SolverSettings": {"feas_tol": FEAS_TOL, "duality_tol": DUALITY_TOL, "workers": None},
+    "FleetSchedule": {"tie_break_applied": None},
+    "EquilibriumOutcome": {"schema_version": None},
+}
 _OWN = object()  # an absent key stands for the constructor's own default
 _LEAVES = {float: _number, int: _integer, bool: _boolean, str: lambda value, at, key: str(value)}
 
 
-def _reader(hint, plain=False):
+def _reader(hint):
     """`read(value, at, key, series)` for a document value of type `hint`:
     a dataclass by `_object`, `X | None` as None or an X, a tuple of floats
-    by `series` (by `_list` when `plain`), any other tuple or dict entry by
-    entry, and a number, integer, boolean or string by its leaf reader."""
+    by `series`, any other tuple or dict entry by entry, and a number,
+    integer, boolean or string by its leaf reader."""
     args = get_args(hint)
     if is_dataclass(hint):
         return lambda value, at, key, series: _object(hint, value, (*at, key), series)
@@ -717,8 +711,6 @@ def _reader(hint, plain=False):
         read = _reader(args[0])
         return lambda value, *rest: None if value is None else read(value, *rest)
     if args == (float, ...):
-        if plain:
-            return lambda value, at, key, series: _list(value, at, key)
         return lambda value, at, key, series: series(value, at, key)
     if args:
         many = _list if get_origin(hint) is tuple else _map
@@ -731,22 +723,28 @@ def _reader(hint, plain=False):
 
 
 @cache
-def _plan(cls) -> tuple:
-    """(field name, document key, reader, is a price, default) for each
-    field of a dataclass, its type hint resolved once.  `default` is the
-    field's "default" metadata, `_OWN` when the constructor has a default,
-    and MISSING when the key is required."""
+def _plan(cls) -> tuple[tuple, frozenset]:
+    """The document format of a dataclass, its type hints resolved once:
+    (field name, document key, is a station mapping, reader, is a price,
+    default) for each field, and every key its object may carry (the
+    fields' keys, `<key>_cents_per_kwh` for a price, and its document-only
+    keys).  `default` is the field's "default" metadata, `_OWN` when the
+    constructor has a default, and MISSING when the key is required."""
     hints = get_type_hints(cls)
-    return tuple(
+    steps = tuple(
         (
             f.name,
             f.metadata.get("key", f.name),
-            _reader(hints[f.name], f.metadata.get("plain", False)),
+            f.metadata.get("mapping", False),
+            _reader(hints[f.name]),
             f.metadata.get("price", False),
             f.metadata.get("default", MISSING if f.default is MISSING else _OWN),
         )
         for f in fields(cls)
     )
+    keys = {key for _, key, *_ in steps}
+    keys |= {f"{key}_cents_per_kwh" for _, key, _, _, price, _ in steps if price}
+    return steps, frozenset(keys | _DOCUMENT_ONLY.get(cls.__name__, {}).keys())
 
 
 def _object(cls, obj, at, series, **given):
@@ -755,9 +753,19 @@ def _object(cls, obj, at, series, **given):
     `series` reading the per-period series.  A price field reads
     `<key>_cents_per_kwh` instead, in cents/kWh, when that key is there.
     An absent key reads as its default (a callable one is given `obj` and
-    `at`); an absent required key raises KeyError."""
+    `at`); an absent required key raises KeyError.  A key the plan does not
+    name, or a document-only key at another value than its fixed one,
+    raises ScenarioFormatError."""
+    steps, keys = _plan(cls)
+    unknown = obj.keys() - keys
+    if unknown:
+        where = _path(at[:-1], at[-1]) if at else "top level"
+        raise ScenarioFormatError(f"{where}: unknown keys {sorted(unknown)}")
+    for key, fixed in _DOCUMENT_ONLY.get(cls.__name__, {}).items():
+        if fixed is not None and key in obj and (value := _number(obj[key], at, key)) != fixed:
+            raise ScenarioFormatError(f"{_path(at, key)}: must be {fixed!r}, got {value!r}")
     values = {}
-    for name, key, read, price, default in _plan(cls):
+    for name, key, _, read, price, default in steps:
         if name in given:
             continue
         if price and (alt := f"{key}_cents_per_kwh") in obj:
@@ -799,25 +807,16 @@ def scenario_from_json(data: Mapping[str, Any], base_dir=None) -> Scenario:
     `network.horizon` and the integer settings take an int or a float with
     no fraction, `reference` true or false.  An absent optional key reads
     as its field's default.  `settings.feas_tol` and `settings.duality_tol`,
-    when present, must equal the solver's fixed tolerances.  Anything else
-    raises ScenarioFormatError naming its path (``fleets[0].energy_max:
+    when present, must equal the solver's fixed tolerances, and an object
+    may carry no key its class's plan does not name (`_plan`).  Anything
+    else raises ScenarioFormatError naming its path (``fleets[0].energy_max:
     ...``), or, for a missing required key, naming the key."""
     try:
         version = _integer(data.get("schema_version", SCHEMA_VERSION), (), "schema_version")
         if version != SCHEMA_VERSION:
             raise ScenarioFormatError(f"schema_version: unsupported version {version}")
         T = _integer(data["network"]["horizon"], ("network",), "horizon")
-        settings = dict(data.get("settings", {}))
-        settings.pop("workers", None)  # older files carry it; nothing reads it
-        for name, fixed in _FIXED_SETTINGS.items():
-            value = _number(settings.pop(name, fixed), ("settings",), name)
-            if value != fixed:
-                raise ScenarioFormatError(f"settings.{name}: must be {fixed!r}, got {value!r}")
-        unknown = set(settings) - {f.name for f in fields(SolverSettings)}
-        if unknown:
-            raise ScenarioFormatError(f"settings: unknown keys {sorted(unknown)}")
-        series = partial(_resolve_series, T, base_dir)
-        scenario = _object(Scenario, {**data, "settings": settings}, (), series)
+        scenario = _object(Scenario, data, (), partial(_resolve_series, T, base_dir))
         mode = scenario.settings.parameterization
         if mode not in _PARAM_MODES:
             raise ScenarioFormatError(
@@ -838,7 +837,7 @@ def _document(value):
     if hasattr(value, "__dataclass_fields__"):
         return {
             key: _document(dict(getattr(value, name)) if mapping else getattr(value, name))
-            for name, key, mapping in _fields(type(value))
+            for name, key, mapping, *_ in _plan(type(value))[0]
         }
     if isinstance(value, dict):
         return {k: _document(v) for k, v in value.items()}
@@ -853,7 +852,8 @@ def scenario_to_json(scenario: Scenario) -> dict:
     """The document `scenario_from_json` reads: every field under its
     document key, and the solver's fixed tolerances in `settings`."""
     doc = _document(scenario)
-    doc["settings"] = {**_FIXED_SETTINGS, **doc["settings"]}
+    fixed = {k: v for k, v in _DOCUMENT_ONLY["SolverSettings"].items() if v is not None}
+    doc["settings"] = {**fixed, **doc["settings"]}
     return {"schema_version": SCHEMA_VERSION, **doc}
 
 

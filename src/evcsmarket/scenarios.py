@@ -19,6 +19,7 @@ from . import bilevel
 from .bilevel import Certificate, EquilibriumOutcome
 from . import fleet as fleet_mod
 from .model import (
+    CENTS_PER_KWH_TO_USD_PER_MWH,
     Bus,
     ChargingStation,
     CostSegment,
@@ -29,7 +30,6 @@ from .model import (
     Network,
     Scenario,
     SolverSettings,
-    SweepDefaults,
     SolarUnit,
     WtpSegment,
     scale_penetration,
@@ -66,7 +66,8 @@ class MetricsRow:
         if not close(self.profit, self.revenue - self.cost):
             raise ValueError("profit must equal revenue - cost")
         if self.charged_energy > 0 and self.retail_price_c_kwh is not None:
-            if not close(self.retail_price_c_kwh * 10.0 * self.charged_energy, self.owner_payment):
+            paid = self.retail_price_c_kwh * CENTS_PER_KWH_TO_USD_PER_MWH * self.charged_energy
+            if not close(paid, self.owner_payment):
                 raise ValueError("retail price must equal payments over charged energy")
         if self.solar_available > 0:
             if not close(
@@ -98,7 +99,9 @@ def metrics_row(outcome: EquilibriumOutcome) -> MetricsRow:
         cost=outcome.cost,
         profit=outcome.profit,
         profit_pct=None if abs(outcome.cost) < 1e-12 else 100.0 * outcome.profit / outcome.cost,
-        retail_price_c_kwh=None if charged <= 0 else owner_payment / charged / 10.0,
+        retail_price_c_kwh=(
+            None if charged <= 0 else owner_payment / charged / CENTS_PER_KWH_TO_USD_PER_MWH
+        ),
         purchased_price=None if station_energy <= 0 else outcome.cost / station_energy,
         lmp_max=max(lmps),
         lmp_min=min(lmps),
@@ -430,8 +433,4 @@ def desk_scenario(name: str = "desk_5bus") -> Scenario:
         block_width=24,
         seed=0,
     )
-    sweeps = SweepDefaults(
-        penetration_levels=(0.10, 0.15, 0.20, 0.25),
-        pv_multipliers=(0.0, 1.0, 2.0),
-    )
-    return Scenario(name, network, fleets, stations, settings, sweeps)
+    return Scenario(name, network, fleets, stations, settings)

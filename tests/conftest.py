@@ -3,7 +3,6 @@ import sys
 import weakref
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -142,6 +141,11 @@ def load_perfbench(name):
     return module
 
 
+# the instance family of acceptance criterion 5: one station, a short
+# horizon, and an offer band that straddles the retail rate
+random_bilevel = load_perfbench("generators").random_bilevel
+
+
 def numeric_leaves(tree, keys=()):
     """The key path (a tuple of keys and list indices) of every number in a
     JSON tree; booleans are not numbers here."""
@@ -196,63 +200,19 @@ def desk_baseline(desk):
     return sc.run_baseline(desk)
 
 
+# the desk study's sweep levels, as the README's example command runs them
+DESK_PENETRATION_LEVELS = (0.10, 0.15, 0.20, 0.25)
+DESK_PV_MULTIPLIERS = (0.0, 1.0, 2.0)
+
+
 @pytest.fixture(scope="session")
 def desk_penetration_sweep(desk):
-    return sc.sweep_penetration(desk, desk.sweeps.penetration_levels)
+    return sc.sweep_penetration(desk, DESK_PENETRATION_LEVELS)
 
 
 @pytest.fixture(scope="session")
 def desk_pv_sweep(desk):
-    return sc.sweep_pv(desk, desk.sweeps.pv_multipliers)
-
-
-def _random_bilevel_scenario(seed):
-    """One station, short horizon, ample capacity: the offer band straddles
-    the retail rate so the profit landscape has its knife edge inside."""
-    rng = np.random.default_rng(seed)
-    T = 2 if seed % 5 < 3 else 3
-    gen_cost = float(rng.uniform(5.0, 15.0))
-    second_cost = gen_cost + float(rng.uniform(5.0, 20.0))
-    tou = float(rng.uniform(25.0, 45.0))
-    lo = float(rng.uniform(5.0, 12.0))
-    hi = tou + float(rng.uniform(2.0, 12.0))
-    demand = float(rng.uniform(10.0, 40.0))
-    drive = float(rng.uniform(4.0, 9.0))
-
-    net = md.Network(
-        buses=(md.Bus("b1", -1.0, 1.0, True),),
-        lines=(),
-        generators=(
-            md.Generator(
-                "g1", "b1", 0.0, 260.0,
-                (
-                    md.CostSegment(0.0, demand + 8.0, gen_cost),
-                    md.CostSegment(0.0, 252.0 - demand, second_cost),
-                ),
-            ),
-        ),
-        solar_units=(),
-        demands=(md.Demand("d1", "b1", (demand,) * T),),
-        horizon=T,
-    )
-    driving = [0.0] * T
-    driving[-1] = drive
-    fleet = md.EVFleet(
-        id="f1", bus="b1",
-        max_charge=12.0, home_cap=12.0,
-        home_connectivity=(1.0,) * T,
-        station_caps={"c1": 12.0},
-        station_connectivity={"c1": (1.0,) * T},
-        energy_min=0.0, energy_max=30.0, initial_energy=0.0,
-        charge_efficiency=1.0, discharge_efficiency=1.0,
-        driving=tuple(driving),
-        tou=(tou,) * T,
-    )
-    station = md.ChargingStation(
-        "c1", "f1", (lo,) * T, (hi,) * T,
-        (md.WtpSegment(12.0, (0.0,) * T, (60.0,) * T),),
-    )
-    return md.Scenario(f"rand{seed}", net, (fleet,), (station,), md.SolverSettings(seed=seed))
+    return sc.sweep_pv(desk, DESK_PV_MULTIPLIERS)
 
 
 @pytest.fixture(scope="session")
@@ -261,7 +221,7 @@ def bilevel_instances():
     optimum and its search outcome: (scenario, levels, grid, searched)."""
     results = []
     for i in range(20):
-        scenario = _random_bilevel_scenario(900 + i)
+        scenario = random_bilevel(900 + i)
         levels = (5, 7, 9)[i % 3] if scenario.network.horizon == 2 else 5
         grid = bl.brute_force(scenario, levels=levels)
         searched = bl.optimize(scenario)

@@ -240,8 +240,10 @@ def test_criterion_8_sweep_trends(desk_penetration_sweep, desk_pv_sweep):
     )
 
 
+# outcome.json re-pinned when the scenario lost its unread `sweeps` section:
+# the document equals the one before as JSON once `scenario.sweeps` is removed
 CRITERION_9_SHA256 = {
-    "outcome.json": "c1bc6f669fe11cae4da223f832e1ebaac13d6b82c99085347d1b7194c8cb300a",
+    "outcome.json": "ac13393d94c8a76148b3e1d95da6f47aa262d044499a9644a2e5d0528c40bd3e",
     "certificate.json": "30a7102e84b463dae7b22ee9f42af57f09d0ea1e24db0ffd1544effbf9102ff7",
     "metrics.csv": "925f7d2a1f590ae7c4cef294ae38b1680421773572cec20b3a69344161097000",
     "hourly_profile.csv": "64c464eaad054ceb581a6fff98829ba1756f468084df17d01c6e3480f45b84b1",

@@ -16,10 +16,10 @@ from evcsmarket import lpcore
 from evcsmarket import model as md
 from evcsmarket import scenarios as sc
 from conftest import (
-    _random_bilevel_scenario,
     assert_each_number_is_read_under_its_path,
     load_perfbench,
     one_bus_scenario,
+    random_bilevel,
     spy_fleet_lps,
 )
 
@@ -282,6 +282,28 @@ class TestCertify:
         cert = bl.certify(bad)
         assert cert.residuals["fleet_strong_duality"] == float("inf")
         assert cert.worst["fleet_strong_duality"] == "f1"
+        assert not cert.passed
+
+    @pytest.mark.parametrize(
+        "break_network",
+        [
+            lambda net: dataclasses.replace(
+                net, lines=(md.Line("l9", "b1", "ghost", 0.1, -10.0, 10.0),)
+            ),
+            lambda net: dataclasses.replace(
+                net, buses=(dataclasses.replace(net.buses[0], reference=False),)
+            ),
+        ],
+        ids=["unknown_line_endpoint", "no_reference_bus"],
+    )
+    def test_network_the_market_cannot_build_fails_without_raising(self, break_network):
+        # `validate` refuses such a scenario first on the command line;
+        # `certify` itself reports the market it cannot build
+        out = toy_outcome()
+        scenario = dataclasses.replace(out.scenario, network=break_network(out.scenario.network))
+        cert = bl.certify(dataclasses.replace(out, scenario=scenario))
+        assert cert.residuals["dam_feasibility"] == math.inf
+        assert cert.residuals["dam_strong_duality"] == math.inf
         assert not cert.passed
 
     def test_segment_above_width_fails_without_raising(self):
@@ -802,7 +824,7 @@ def offer_values(scenario):
 
 
 TWO_FLEET = two_fleet_scenario()
-CRITERION_5 = _random_bilevel_scenario(902)
+CRITERION_5 = random_bilevel(902)
 
 
 @settings(max_examples=25)
@@ -853,13 +875,15 @@ class TestOutcomeRoundTrip:
             assert bl.outcome_from_json(json.loads(text)) == outcome, outcome.scenario.name
 
     def test_older_cache_format_reads_and_certifies(self):
-        # earlier outcome.json files also carry `schedule.tie_break_applied`
-        # and `scenario.settings.workers`, keys that are no longer written
+        # earlier outcome.json files also carry `schedule.tie_break_applied`,
+        # `scenario.settings.workers` and `scenario.sweeps`, keys that are no
+        # longer written
         out = toy_outcome()
         current = bl.outcome_to_json(out)
         older = json.loads(json.dumps(current))
         older["schedule"]["tie_break_applied"] = True
         older["scenario"]["settings"]["workers"] = 1
+        older["scenario"]["sweeps"] = {"penetration_levels": [0.1], "pv_multipliers": []}
         again = bl.outcome_from_json(older)
         assert bl.certify(again).passed
         assert again.schedule == out.schedule
@@ -890,6 +914,32 @@ class TestOutcomeRoundTrip:
         with pytest.raises(md.ScenarioFormatError) as info:
             bl.outcome_from_json(doc)
         assert str(info.value).startswith(f"{name}: ")
+
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            (("schedule", "tie_breaks"), "schedule: unknown keys ['tie_breaks']"),
+            (("search", "evals"), "search: unknown keys ['evals']"),
+            (("dam", "lmps"), "dam: unknown keys ['lmps']"),
+            (("strategy", "parameters", 0, "t_stop"), "strategy.parameters[0]: unknown keys ['t_stop']"),
+            (("profits",), "top level: unknown keys ['profits']"),
+            # the embedded scenario's keys are named within that scenario
+            (("scenario", "fleets", 0, "home_capp"), "fleets[0]: unknown keys ['home_capp']"),
+            (("scenario", "settings", "budgett"), "settings: unknown keys ['budgett']"),
+        ],
+        ids=["schedule", "search", "dam", "parameter", "top_level", "fleet", "settings"],
+    )
+    def test_misspelled_key_is_refused_with_its_path(self, keys, message):
+        doc = json.loads(json.dumps(bl.outcome_to_json(toy_outcome())))
+        doc["search"] = {"evaluations": 1, "starts": 1, "seed": 0, "budget": 1}
+        bl.outcome_from_json(doc)
+        node = doc
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = 1
+        with pytest.raises(md.ScenarioFormatError) as info:
+            bl.outcome_from_json(doc)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "version, message",

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from evcsmarket import bilevel as bl
 from evcsmarket import model as md
 from evcsmarket.cli import main
 from conftest import one_bus_scenario
@@ -151,6 +152,17 @@ class TestValidate:
         assert run_cli("validate", scenario_path) == 2
         assert name in capsys.readouterr().err
 
+    def test_misspelled_key_exit_two(self, tmp_path, capsys):
+        doc = md.scenario_to_json(one_bus_scenario())
+        doc["fleets"][0]["home_capp"] = 10.0
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("validate", path) == 2
+        assert "error: fleets[0]: unknown keys ['home_capp']" in capsys.readouterr().err
+        assert run_cli("run", path, "--out", tmp_path / "o") == 2
+        assert "error: fleets[0]: unknown keys ['home_capp']" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "outcome.json").exists()
+
 
 class TestRun:
     def test_writes_outputs_and_passes(self, toy_path, tmp_path, capsys):
@@ -195,44 +207,11 @@ class TestRun:
         (out / "outcome.json").write_text(json.dumps(doc))
         assert run_cli("run", toy_path, "--out", out, "--certify") == 3
 
-    def test_certify_unmeetable_driving_exit_three(self, toy_path, tmp_path, capsys):
-        out = tmp_path / "cache"
-        assert run_cli("run", toy_path, "--out", out) == 0
-        doc = json.loads((out / "outcome.json").read_text())
-        doc["scenario"]["fleets"][0]["driving"] = [0.0, 500.0]
-        (out / "outcome.json").write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert run_cli("run", toy_path, "--out", out, "--certify") == 3
-        assert "fleet_strong_duality: inf at fleet f1" in capsys.readouterr().out
-
     def test_certify_nan_in_cache_exit_three(self, toy_path, tmp_path, capsys):
         out = tmp_path / "cache"
         assert run_cli("run", toy_path, "--out", out) == 0
         doc = json.loads((out / "outcome.json").read_text())
         doc["schedule"]["total"]["f1"][0] = float("nan")
-        (out / "outcome.json").write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert run_cli("run", toy_path, "--out", out, "--certify") == 3
-        assert "dam_feasibility: inf" in capsys.readouterr().out
-
-    @pytest.mark.parametrize(
-        "break_network",
-        [
-            lambda net: net["lines"].append(
-                {"id": "l9", "from_bus": "b1", "to_bus": "ghost", "reactance": 0.1,
-                 "flow_max": 10.0}
-            ),
-            lambda net: net["buses"][0].update(reference=False),
-        ],
-        ids=["unknown_line_endpoint", "no_reference_bus"],
-    )
-    def test_certify_network_the_market_cannot_build_exit_three(
-        self, toy_path, tmp_path, capsys, break_network
-    ):
-        out = tmp_path / "cache"
-        assert run_cli("run", toy_path, "--out", out) == 0
-        doc = json.loads((out / "outcome.json").read_text())
-        break_network(doc["scenario"]["network"])
         (out / "outcome.json").write_text(json.dumps(doc))
         capsys.readouterr()
         assert run_cli("run", toy_path, "--out", out, "--certify") == 3
@@ -339,26 +318,83 @@ class TestRun:
         assert "cached outcome unreadable: schedule.home.f1[0]: int too large" in err
 
     @pytest.mark.parametrize(
-        "key, change, report",
+        "change, report",
         [
-            ("tou", lambda v: v[:-1], "fleets[0].tou: series length 1 != horizon 2"),
-            ("home_connectivity", lambda v: v[:-1], "fleets[0].home_connectivity: series length 1"),
-            ("bus", lambda v: "ghost", "fleets[0]: bus 'ghost' not in network"),
+            (
+                lambda doc: doc["fleets"][0].update(tou=doc["fleets"][0]["tou"][:-1]),
+                "fleets[0].tou: series length 1 != horizon 2",
+            ),
+            (
+                lambda doc: doc["fleets"][0].update(
+                    home_connectivity=doc["fleets"][0]["home_connectivity"][:-1]
+                ),
+                "fleets[0].home_connectivity: series length 1",
+            ),
+            (
+                lambda doc: doc["fleets"][0].update(bus="ghost"),
+                "fleets[0]: bus 'ghost' not in network",
+            ),
+            (
+                lambda doc: doc["fleets"][0].update(driving=[0.0, 500.0]),
+                "fleets[0]: driving discharge cannot be recovered",
+            ),
+            (
+                lambda doc: doc["network"]["lines"].append(
+                    {"id": "l9", "from_bus": "b1", "to_bus": "ghost", "reactance": 0.1,
+                     "flow_max": 10.0}
+                ),
+                "network.lines[0]: endpoint missing: b1-ghost",
+            ),
+            (
+                lambda doc: doc["network"]["buses"][0].update(reference=False),
+                "network.buses: no reference bus flagged",
+            ),
         ],
-        ids=["short_tou", "short_home_connectivity", "unknown_bus"],
+        ids=[
+            "short_tou", "short_home_connectivity", "unknown_bus", "unmeetable_driving",
+            "unknown_line_endpoint", "no_reference_bus",
+        ],
     )
     def test_certify_cached_scenario_failing_validate_exit_one(
-        self, toy_path, tmp_path, capsys, key, change, report
+        self, toy_path, tmp_path, capsys, change, report
     ):
+        # one answer whether or not `certify` could still build its LPs
         out = tmp_path / "cache"
         assert run_cli("run", toy_path, "--out", out) == 0
         doc = json.loads((out / "outcome.json").read_text())
-        fleet = doc["scenario"]["fleets"][0]
-        fleet[key] = change(fleet[key])
+        change(doc["scenario"])
         (out / "outcome.json").write_text(json.dumps(doc))
         capsys.readouterr()
         assert run_cli("run", toy_path, "--out", out, "--certify") == 1
-        assert report in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert report in captured.err and "certificate" not in captured.out
+
+    @pytest.mark.parametrize(
+        "keys", [("scenario", "fleets", 0, "home_capp"), ("schedule", "totl")]
+    )
+    def test_certify_misspelled_key_in_cache_exit_two(self, toy_path, tmp_path, capsys, keys):
+        out = tmp_path / "cache"
+        assert run_cli("run", toy_path, "--out", out) == 0
+        doc = json.loads((out / "outcome.json").read_text())
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = 1.0
+        (out / "outcome.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("run", toy_path, "--out", out, "--certify") == 2
+        err = capsys.readouterr().err
+        assert "cached outcome unreadable: " in err and f"unknown keys ['{keys[-1]}']" in err
+
+    def test_failing_certificate_exit_three(self, toy_path, tmp_path, capsys, monkeypatch):
+        def failing(outcome):
+            return bl.Certificate({"offer_bounds": 1.0}, tolerance=1e-6, feas_tolerance=1e-7)
+
+        monkeypatch.setattr(bl, "certify", failing)
+        assert run_cli("run", toy_path, "--out", tmp_path / "o") == 3
+        captured = capsys.readouterr()
+        assert "certificate: FAIL" in captured.out
+        assert "certification FAILED: {'offer_bounds': 1.0}" in captured.err
 
     def test_home_charging_only_scenario(self, tmp_path, capsys):
         # no station: nothing to search, and owners pay what they pay at home

@@ -39,6 +39,21 @@ def two_bus(line_cap=10.0, demand=20.0):
     return dam.DamInput(net, (), ())
 
 
+def column(lp, label):
+    return lp.variables.index(label)
+
+
+def row(lp, label):
+    return lp.constraints.index(label)
+
+
+def with_entry(lp, attr, index, value):
+    """`lp` with one entry of its array `attr` set to `value`."""
+    array = getattr(lp, attr).astype(object)  # a relation may be longer than the ones held
+    array[index] = value
+    return dataclasses.replace(lp, **{attr: array})
+
+
 def random_dam_input(rng):
     """Small random network with withdrawals and station bids; draws are
     rerolled until the clearing problem is feasible (low reactance keeps
@@ -366,6 +381,86 @@ class TestExplicitDual:
         for inp in inputs + [desk_market]:
             for t in range(inp.network.horizon):
                 assert dam.paper_dual_structural_diff(inp, t) == [], t
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (
+                lambda lp: dataclasses.replace(
+                    lp, objective=lp.objective[:-1], lower=lp.lower[:-1], upper=lp.upper[:-1],
+                    matrix=lp.matrix[:, :-1], variables=lp.variables[:-1],
+                ),
+                "missing variable bound_up[flow[l1]]",
+            ),
+            (
+                lambda lp: dataclasses.replace(
+                    lp, objective=np.append(lp.objective, 0.0), lower=np.append(lp.lower, 0.0),
+                    upper=np.append(lp.upper, 1.0),
+                    matrix=np.hstack([lp.matrix, np.zeros((len(lp.constraints), 1))]),
+                    variables=(*lp.variables, "price[ghost]"),
+                ),
+                "extra variable price[ghost]",
+            ),
+            (
+                lambda lp: with_entry(lp, "lower", column(lp, "price[balance[b1]]"), 0.0),
+                "price[balance[b1]]: bounds (",
+            ),
+            (
+                lambda lp: with_entry(lp, "objective", column(lp, "price[balance[b2]]"), 21.0),
+                "price[balance[b2]]: objective 21.0 != 20.0",
+            ),
+            (
+                lambda lp: with_entry(lp, "relations", row(lp, "col[seg[g1,0]]"), lpcore.LE),
+                "col[seg[g1,0]]: relation/rhs mismatch",
+            ),
+            (
+                lambda lp: with_entry(lp, "rhs", row(lp, "col[seg[g1,0]]"), -11.0),
+                "col[seg[g1,0]]: relation/rhs mismatch",
+            ),
+            (
+                lambda lp: with_entry(
+                    lp, "matrix", (row(lp, "col[gen[g1]]"), column(lp, "price[gen_split[g2]]")), 1.0
+                ),
+                "col[gen[g1]]: different variable support",
+            ),
+            (
+                lambda lp: with_entry(
+                    lp, "matrix", (row(lp, "col[angle[b1]]"), column(lp, "price[dc_flow[l1]]")), -11.0
+                ),
+                "col[angle[b1]]: coefficient on price[dc_flow[l1]] differs",
+            ),
+            (
+                lambda lp: dataclasses.replace(
+                    lp, matrix=lp.matrix[:-1], relations=lp.relations[:-1], rhs=lp.rhs[:-1],
+                    constraints=lp.constraints[:-1],
+                ),
+                "missing constraint col[flow[l1]]",
+            ),
+            (
+                lambda lp: dataclasses.replace(
+                    lp, matrix=np.vstack([lp.matrix, np.eye(1, len(lp.variables))]),
+                    relations=np.append(lp.relations, lpcore.EQ), rhs=np.append(lp.rhs, 0.0),
+                    constraints=(*lp.constraints, "col[ghost]"),
+                ),
+                "extra constraint col[ghost]",
+            ),
+            (
+                lambda lp: dataclasses.replace(lp, sense=lpcore.MAX),
+                f"sense mismatch: {lpcore.MIN} != {lpcore.MAX}",
+            ),
+        ],
+        ids=[
+            "dropped_column", "extra_column", "bound", "objective", "relation", "rhs", "support",
+            "coefficient", "dropped_row", "extra_row", "sense",
+        ],
+    )
+    def test_structural_diff_names_each_difference(self, monkeypatch, mutate, message):
+        inp = two_bus()
+        explicit = dam.build_dam_paper_dual(inp, 0)
+        monkeypatch.setattr(dam, "build_dam_paper_dual", lambda inp, t: mutate(explicit))
+        # a dropped or extra column also changes the support of its rows
+        diffs = dam.paper_dual_structural_diff(inp, 0)
+        assert diffs and diffs[0].startswith(message), diffs
 
     def test_randomized_value_equality(self):
         rng = np.random.default_rng(41)

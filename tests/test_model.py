@@ -10,11 +10,11 @@ import pytest
 from evcsmarket import dam, fleet, model as md
 from evcsmarket import scenarios as sc
 from conftest import (
-    _random_bilevel_scenario,
     assert_each_number_is_read_under_its_path,
     dotted,
     load_perfbench,
     one_bus_scenario,
+    random_bilevel,
     two_period_fleet,
 )
 
@@ -408,7 +408,7 @@ class TestSerialization:
         scenarios = [
             desk,
             *(generators.synthetic(b, f, seed=k) for k, (b, f) in enumerate(ladder)),
-            *(_random_bilevel_scenario(seed) for seed in range(900, 920)),
+            *(random_bilevel(seed) for seed in range(900, 920)),
         ]
         assert len(scenarios) == 25
         for scenario in scenarios:
@@ -442,8 +442,7 @@ class TestSerialization:
     def test_absent_optional_keys_read_as_their_defaults(self):
         bare = md.scenario_from_json({"network": {"horizon": 2}})
         assert bare == md.Scenario(
-            "scenario", md.Network((), (), (), (), (), 2), (), (),
-            md.SolverSettings(), md.SweepDefaults(),
+            "scenario", md.Network((), (), (), (), (), 2), (), (), md.SolverSettings()
         )
         doc = {
             "network": {
@@ -567,8 +566,6 @@ class TestSerialization:
             (("fleets", 0, "energy_max"), r"fleets\[0\]\.energy_max"),
             (("settings", "feas_tol"), r"settings\.feas_tol"),
             (("network", "generators", 1, "segments", 0, "cost"), r"network\.generators\[1\]\.segments\[0\]\.cost"),
-            (("sweeps", "penetration_levels", 0), r"sweeps\.penetration_levels\[0\]"),
-            (("sweeps", "pv_multipliers", 2), r"sweeps\.pv_multipliers\[2\]"),
         ],
     )
     def test_integer_too_large_for_a_float_is_named(self, desk, path, name):
@@ -633,11 +630,44 @@ class TestSerialization:
             f"settings.parameterization: must be one of {md._PARAM_MODES}, got 'hourly'"
         )
 
-    def test_sweeps_that_is_not_an_object_is_malformed(self):
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            (("fleets", 0, "home_capp"), "fleets[0]: unknown keys ['home_capp']"),
+            (
+                ("stations", 0, "wtp_segments", 0, "wtp_mx"),
+                "stations[0].wtp_segments[0]: unknown keys ['wtp_mx']",
+            ),
+            (("settings", "budgett"), "settings: unknown keys ['budgett']"),
+            (("network", "buses", 0, "ref"), "network.buses[0]: unknown keys ['ref']"),
+            (("network", "horizons"), "network: unknown keys ['horizons']"),
+            (("fleets", 0, "tou_cents"), "fleets[0]: unknown keys ['tou_cents']"),
+            (
+                ("fleets", 0, "energy_max_cents_per_kwh"),
+                "fleets[0]: unknown keys ['energy_max_cents_per_kwh']",
+            ),
+            (("sweep",), "top level: unknown keys ['sweep']"),
+        ],
+        ids=[
+            "fleet", "bid_segment", "settings", "bus", "network", "price_alias", "cents_of_no_price",
+            "top_level",
+        ],
+    )
+    def test_misspelled_key_is_refused_with_its_path(self, keys, message):
         doc = md.scenario_to_json(one_bus_scenario())
-        doc["sweeps"] = 5
-        with pytest.raises(md.ScenarioFormatError, match="malformed scenario document"):
+        node = doc
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = 10.0
+        with pytest.raises(md.ScenarioFormatError) as info:
             md.scenario_from_json(doc)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("sweeps", [5, {"penetration_levels": [0.1, "x"]}, None])
+    def test_older_sweeps_section_is_read_and_dropped(self, sweeps):
+        doc = md.scenario_to_json(one_bus_scenario())
+        assert "sweeps" not in doc
+        assert md.scenario_from_json({**doc, "sweeps": sweeps}) == md.scenario_from_json(doc)
 
     def test_integral_float_is_an_integer(self):
         doc = md.scenario_to_json(one_bus_scenario())

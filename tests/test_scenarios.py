@@ -8,7 +8,7 @@ from evcsmarket import bilevel as bl
 from evcsmarket import dam
 from evcsmarket import model as md
 from evcsmarket import scenarios as sc
-from conftest import one_bus_scenario, two_period_fleet
+from conftest import DESK_PENETRATION_LEVELS, one_bus_scenario, two_period_fleet
 
 
 class TestMetricsRow:
@@ -80,9 +80,9 @@ class TestSweeps:
         assert entries[0].error is None and entries[0].row is not None
         assert entries[1].error is not None and entries[1].row is None
 
-    def test_rows_keyed_by_level_in_input_order(self, desk, desk_penetration_sweep):
+    def test_rows_keyed_by_level_in_input_order(self, desk_penetration_sweep):
         values = [e.value for e in desk_penetration_sweep]
-        assert values == list(desk.sweeps.penetration_levels)
+        assert values == list(DESK_PENETRATION_LEVELS)
 
     def test_pv_zero_multiplier_conventions(self, desk_pv_sweep):
         row0 = desk_pv_sweep[0].row

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from evcsmarket import bilevel, fleet, lpcore
-from conftest import PERFBENCH, _random_bilevel_scenario, load_perfbench
+from conftest import PERFBENCH, load_perfbench, random_bilevel
 
 tracing = load_perfbench("tracing")
 
@@ -74,7 +74,7 @@ def test_traced_search_answers_fleets_from_stored_bases():
     """On a criterion-5 instance a search answers most fleet LPs from
     optimal bases it already holds: fewer fleet solves than fleet calls,
     and the counts of two traced searches repeat exactly."""
-    scenario = _random_bilevel_scenario(900)
+    scenario = random_bilevel(900)
     for module, _ in tracing.LAYER_TARGETS:
         importlib.import_module(f"evcsmarket.{module}")
     counts = []
@@ -123,12 +123,3 @@ def test_benchmark_workloads_set_up_through_the_package(tmp_path, monkeypatch):
     for name, workload in workloads.WORKLOADS.items():
         workload(PERFBENCH.parent, tmp_path).setup(0)
 
-
-def test_criterion_5_instances_match_the_benchmark_copy():
-    """The benchmark keeps its own copy of the criterion-5 instance family
-    (`generators.random_bilevel`, behind `oracle_small`); on the seeds the
-    criterion uses it must build the very scenarios the tests build, or the
-    workload stops measuring what the criterion checks."""
-    generators = load_perfbench("generators")
-    for seed in range(900, 920):
-        assert generators.random_bilevel(seed) == _random_bilevel_scenario(seed), seed
