@@ -93,27 +93,22 @@ def offer_parameters(scenario: Scenario) -> tuple[OfferParameter, ...]:
     `settings.block_width` consecutive periods.
     """
     mode = scenario.settings.parameterization
-    width = scenario.settings.block_width
-    T = scenario.network.horizon
-    if mode in (PARAM_FULL, PARAM_PER_STATION_PERIOD):
-        spans = [(t, t + 1) for t in range(T)]
-    elif mode == PARAM_STATION_BLOCKS:
-        spans = [(t, min(t + width, T)) for t in range(0, T, width)]
-    else:
+    if mode not in (PARAM_FULL, PARAM_PER_STATION_PERIOD, PARAM_STATION_BLOCKS):
         raise ValueError(f"unknown parameterization {mode!r}")
-    params = []
-    for st in scenario.stations:
-        for t0, t1 in spans:
-            params.append(
-                OfferParameter(
-                    station_id=st.id,
-                    t_start=t0,
-                    t_end=t1,
-                    lower=min(st.offer_min[t] for t in range(t0, t1)),
-                    upper=max(st.offer_max[t] for t in range(t0, t1)),
-                )
-            )
-    return tuple(params)
+    width = scenario.settings.block_width if mode == PARAM_STATION_BLOCKS else 1
+    T = scenario.network.horizon
+    spans = [(t, min(t + width, T)) for t in range(0, T, width)]
+    return tuple(
+        OfferParameter(
+            st.id,
+            t0,
+            t1,
+            min(st.offer_min[t] for t in range(t0, t1)),
+            max(st.offer_max[t] for t in range(t0, t1)),
+        )
+        for st in scenario.stations
+        for t0, t1 in spans
+    )
 
 
 @dataclass(frozen=True)
@@ -260,20 +255,17 @@ class _Evaluator:
         self.cache: dict[tuple, EquilibriumOutcome] = {}
         self.memo = Memo()
 
-    def key(self, values):
-        return tuple(round(v, 9) for v in values)
-
     def __call__(self, values):
-        key = self.key(values)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        if self.used >= self.budget:
-            return None
-        self.used += 1
-        outcome = evaluate(Strategy(self.params, values), self.scenario, memo=self.memo)
-        self.cache[key] = outcome
-        return outcome
+        """The outcome of the strategy at `values`: its cached outcome when
+        it was evaluated before, else a new evaluation while the budget
+        lasts, else None.  This is the search's one budget rule."""
+        key = tuple(round(v, 9) for v in values)
+        if key not in self.cache:
+            if self.used >= self.budget:
+                return None
+            self.used += 1
+            self.cache[key] = evaluate(Strategy(self.params, values), self.scenario, memo=self.memo)
+        return self.cache[key]
 
 
 def _better(candidate: EquilibriumOutcome, incumbent: EquilibriumOutcome | None) -> bool:
@@ -295,14 +287,22 @@ def optimize(
 ) -> EquilibriumOutcome:
     """Multi-start coordinate pattern search over the offer parameters.
 
-    Starts at the band midpoint, both band edges, and seeded random points;
-    sweeps each coordinate up and down by the current step (initially a
-    quarter of the band, halving down to the configured minimum step).
+    Starts at the band midpoint, both band edges, and seeded random points
+    up to `settings.multistarts` starts (the three fixed ones always run).
+    From each start it sweeps each coordinate up and down by the current
+    step (initially a quarter of the band, halving down to the configured
+    minimum step) and moves to the best improving point of the sweep.
     Deterministic given the seed; never produces offers outside the
-    per-period bands (expansion clips).  The budget caps the number of
-    distinct strategies evaluated.  Raises ValueError, before evaluating
-    anything, on a budget below 1 or a `step_min` that is not positive (the
-    step would never fall below it).
+    per-period bands (expansion clips).
+
+    The budget caps the number of distinct strategies evaluated, and
+    `_Evaluator` alone applies it: a strategy evaluated before costs
+    nothing.  Once the budget is spent, the sweep under way keeps the best
+    move it found and its start ends.  After that, a start is taken only if
+    it was already evaluated, and its sweep stops at the first move that
+    was not.  Raises ValueError, before evaluating anything, on a budget
+    below 1 or a `step_min` that is not positive (the step would never fall
+    below it).
     """
     settings = scenario.settings
     budget = settings.budget if budget is None else budget
@@ -326,47 +326,39 @@ def optimize(
     best: EquilibriumOutcome | None = None
     n_started = 0
     for start in starts:
-        if ev.used >= budget and ev.key(tuple(start)) not in ev.cache:
-            break
-        n_started += 1
-        current = ev(tuple(start))
+        current = outcome = ev(tuple(start))
         if current is None:
             break
+        n_started += 1
         if _better(current, best):
             best = current
         x = np.array(current.strategy.values)
         frac = 0.25
-        exhausted = False
-        while not exhausted and float(np.max(frac * span, initial=0.0)) >= settings.step_min:
+        # a None from the evaluator (budget spent) ends this start's sweeps
+        while outcome is not None and float(np.max(frac * span, initial=0.0)) >= settings.step_min:
             improved = None
-            for d in range(len(params)):
+            for d, sgn in itertools.product(range(len(params)), (1.0, -1.0)):
                 step = frac * span[d]
                 if step <= 0.0:
                     continue
-                for sgn in (1.0, -1.0):
-                    cand = x.copy()
-                    cand[d] = min(max(cand[d] + sgn * step, lo[d]), hi[d])
-                    if cand[d] == x[d]:
-                        continue
-                    outcome = ev(tuple(cand))
-                    if outcome is None:
-                        exhausted = True
-                        break
-                    if outcome.profit > current.profit + 1e-12 and (
-                        improved is None or _better(outcome, improved)
-                    ):
-                        improved = outcome
-                if exhausted:
+                cand = x.copy()
+                cand[d] = min(max(cand[d] + sgn * step, lo[d]), hi[d])
+                if cand[d] == x[d]:
+                    continue
+                outcome = ev(tuple(cand))
+                if outcome is None:
                     break
-            if improved is not None:
+                if outcome.profit > current.profit + 1e-12 and (
+                    improved is None or _better(outcome, improved)
+                ):
+                    improved = outcome
+            if improved is None:
+                frac *= 0.5
+            else:
                 current = improved
                 x = np.array(current.strategy.values)
                 if _better(current, best):
                     best = current
-            elif not exhausted:
-                frac *= 0.5
-        if _better(current, best):
-            best = current
 
     assert best is not None
     info = SearchInfo(evaluations=ev.used, starts=n_started, seed=seed, budget=budget)
@@ -375,20 +367,19 @@ def optimize(
 
 def brute_force(scenario: Scenario, levels: int) -> EquilibriumOutcome:
     """Exhaustive grid over the offer parameters, `levels` points per
-    dimension; exact argmax over the grid with the same deterministic
-    tie-break as `optimize`.  Refuses grids above BRUTE_FORCE_CAP points."""
+    dimension (one, the band, where the band is a point); exact argmax over
+    the grid with the same deterministic tie-break as `optimize`.  Refuses,
+    before building any axis, a grid of more than BRUTE_FORCE_CAP points."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
     params = offer_parameters(scenario)
-    total = levels ** len(params)
+    sizes = [1 if p.upper == p.lower else levels for p in params]
+    total = math.prod(sizes)
     if total > BRUTE_FORCE_CAP:
         raise ValueError(f"grid of {total} evaluations exceeds cap {BRUTE_FORCE_CAP}")
-    axes = []
-    for p in params:
-        if levels == 1 or p.upper == p.lower:
-            axes.append([0.5 * (p.lower + p.upper)] if p.upper == p.lower else [p.lower])
-        else:
-            axes.append(list(np.linspace(p.lower, p.upper, levels)))
+    axes = [
+        [p.lower] if n == 1 else np.linspace(p.lower, p.upper, n) for p, n in zip(params, sizes)
+    ]
     best: EquilibriumOutcome | None = None
     count = 0
     memo = Memo()
@@ -626,8 +617,8 @@ def _fleet_checks(outcome: EquilibriumOutcome) -> dict[str, tuple[float, float]]
     """Per fleet id, the stored schedule's `lpcore.max_violation` of the
     fleet's LP and a lower bound on the fleet's least charging cost at the
     outcome's offers: `lpcore.lagrangian_bound` of that LP at the duals of a
-    re-solve started at the stored schedule (`fleet.schedule_values`).  The
-    bound is -inf when the re-solve is not optimal, or when
+    re-solve started at the stored schedule (`fleet.schedule_values`, see
+    `_bound`).  The bound is -inf when the re-solve is not optimal, or when
     the offers leave their bands (which `offer_bounds` reports); the
     schedule is then checked against the LP at the band floors, since no
     price enters a fleet constraint."""
@@ -644,11 +635,7 @@ def _fleet_checks(outcome: EquilibriumOutcome) -> dict[str, tuple[float, float]]
     for f in scenario.fleets:
         lp, cols = fleet_mod.build_fleet(finput, f)
         values = fleet_mod.schedule_values(outcome.schedule, f, lp, cols)
-        bound = -math.inf
-        if priced:
-            sol = lpcore.solve(lp, start=values)
-            if sol.is_optimal:
-                bound = lpcore.lagrangian_bound(lp, sol.dual)
+        bound = _bound(lp, values) if priced else -math.inf
         checks[f.id] = (lpcore.max_violation(lp, values), bound)
     return checks
 
@@ -659,7 +646,7 @@ def _dam_residuals(dinput, outcome):
     pairs.
 
     Each period's LP is re-solved from the stored dispatch
-    (`dam.period_values`, see `_welfare_bound`), and its balance-row
+    (`dam.period_values`, see `_bound`), and its balance-row
     multipliers are replaced by the outcome's prices (negated, see `dam`).
     The Lagrangian bound of those multipliers is an upper bound on the
     period's welfare whatever the prices are, and it meets the stored welfare only when they
@@ -678,6 +665,7 @@ def _dam_residuals(dinput, outcome):
     value q * price joins the welfare, and the dual value of the bound pair
     a column would carry, max(q * wtp_min, q * wtp_max), joins the bound."""
     periods, index = dam_mod.build_dam(dinput)
+    buses = outcome.scenario.network.buses
     feas, gaps = [], []
 
     for t, lp in enumerate(periods):
@@ -693,32 +681,28 @@ def _dam_residuals(dinput, outcome):
         feas.append((t, worst_feas))
 
         welfare = dam_mod.welfare(dinput, (lp.objective * values).tolist(), outcome.dam.wtp, t)
-        bound = _welfare_bound(lp, index, outcome, t, values)
+        prices = [(row, -outcome.dam.lmp[b.id][t]) for row, b in zip(index.balance, buses)]
+        bound = _bound(lp, values, prices)
         if not _rel_gap(welfare, bound + bid_dual) <= lpcore.DUALITY_TOL:
-            bound = min(bound, _welfare_bound(lp, index, outcome, t))
+            bound = min(bound, _bound(lp, None, prices))
         gaps.append((t, _rel_gap(welfare, bound + bid_dual)))
 
     return _peak(feas), _peak(gaps)
 
 
-def _welfare_bound(
-    lp: lpcore.LinearProgram,
-    ix: dam_mod.PeriodIndex,
-    outcome: EquilibriumOutcome,
-    t: int,
-    values: np.ndarray | None = None,
-) -> float:
-    """Upper bound on the optimum of `lp`, the period-t market LP placed as
-    `ix` says: the Lagrangian bound at the duals of a re-solve started at
-    the outcome's dispatch `values` (`dam.period_values`), or from the
-    crash when `values` is None, with the balance rows at the outcome's
-    prices.  inf when the re-solve is not optimal."""
+def _bound(lp: lpcore.LinearProgram, values: np.ndarray | None, fixed=()) -> float:
+    """Weak-duality bound on the optimum of `lp` (a lower bound when it
+    minimizes, an upper one when it maximizes): `lpcore.lagrangian_bound` at
+    the duals of a re-solve started at `values`, or from the crash when
+    `values` is None, with the dual of each `(row, multiplier)` in `fixed`
+    set to that multiplier.  Infinite, on the side that bounds nothing,
+    when the re-solve is not optimal."""
     sol = lpcore.solve(lp, start=values)
     if not sol.is_optimal:
-        return math.inf
+        return -math.inf if lp.sense == lpcore.MIN else math.inf
     y = sol.dual.tolist()
-    for row, b in zip(ix.balance, outcome.scenario.network.buses):
-        y[row] = -outcome.dam.lmp[b.id][t]
+    for row, multiplier in fixed:
+        y[row] = multiplier
     return lpcore.lagrangian_bound(lp, y)
 
 

@@ -836,9 +836,9 @@ def _phase1(tab: _Tableau) -> LpSolution | None:
     """Minimize the artificial mass (a point start has none), then pin the
     artificials at zero and pivot the basic ones out where possible.  Reads
     no cost of the LP.  Returns the solution when the solve ends here."""
-    m = tab.m
+    m, real = tab.m, tab.nreal
     phase1_costs = np.zeros(tab.ncols)
-    phase1_costs[tab.nreal :] = 1.0
+    phase1_costs[real:] = 1.0
     status = OPTIMAL
     if not tab.from_start:
         status = tab.run(phase1_costs, max_iterations=tab.max_iterations, allow_unbounded=False)
@@ -847,7 +847,7 @@ def _phase1(tab: _Tableau) -> LpSolution | None:
         return LpSolution(status=status, iterations=pivots, phase1_iterations=pivots)
 
     scale_b = 1.0 + float(np.max(np.abs(tab.b))) if m else 1.0
-    infeas_mass = float(np.sum(tab.x[tab.nreal :]))
+    infeas_mass = float(np.sum(tab.x[real:]))
     if infeas_mass > FEAS_TOL * scale_b * 10.0:
         return LpSolution(
             status=INFEASIBLE,
@@ -856,22 +856,15 @@ def _phase1(tab: _Tableau) -> LpSolution | None:
             infeasibility_certificate=tab.duals(phase1_costs),
         )
 
-    for i in range(m):
-        j = tab.nreal + i
-        tab.lo[j] = tab.up[j] = 0.0
-        tab.x[j] = 0.0
-    for pos in range(m):
-        if tab.basis[pos] < tab.nreal:
-            continue
-        row = tab.binv[pos] @ tab.A[:, : tab.nreal]
-        candidates = [
-            j
-            for j in range(tab.nreal)
-            if not tab.in_basis[j] and abs(row[j]) > 1e-7
-        ]
-        if not candidates:
+    tab.lo[real:] = tab.up[real:] = tab.x[real:] = 0.0
+    # an exchange at one position moves no other, so the artificials' basic
+    # positions are found once
+    for pos in np.flatnonzero(tab.basis >= real).tolist():
+        row = tab.binv[pos] @ tab.A[:, :real]
+        candidates = np.flatnonzero(~tab.in_basis[:real] & (np.abs(row) > 1e-7))
+        if not candidates.size:
             continue  # redundant row; artificial stays basic at level 0
-        q = candidates[0]
+        q = int(candidates[0])
         tab.exchange(pos, q, tab.binv @ tab.A[:, q])
     return None
 

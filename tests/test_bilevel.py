@@ -1,6 +1,7 @@
 """Upper-level search, profit accounting, and the outcome certificate."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -189,6 +190,85 @@ class TestOptimize:
         assert evaluated == []
 
 
+def searched_path(scenario, monkeypatch, **kwargs):
+    """`optimize`'s outcome and the strategy values it evaluated, in order."""
+    path = []
+    evaluate = bl.evaluate
+
+    def recorded(strategy, scenario, **kw):
+        path.append(strategy.values)
+        return evaluate(strategy, scenario, **kw)
+
+    monkeypatch.setattr(bl, "evaluate", recorded)
+    return bl.optimize(scenario, **kwargs), path
+
+
+class TestSearchPath:
+    """The order and values of every evaluation, and what the search
+    reports, at budgets spent in the first sweep, after several starts and
+    mid-sweep of a later start.  The digest is the sha256 of the repr of
+    (evaluated values in order, returned strategy values)."""
+
+    # (evaluations, starts, seed, budget) of `SearchInfo`
+    @pytest.mark.parametrize(
+        "case, kwargs, info, digest",
+        [
+            pytest.param(
+                "one_bus", {"budget": 1}, (1, 1, 0, 1),
+                "8de45592ca926ca63b978033b69adab564304ff7446621568c32bc37d308e347",
+                id="one_bus-1",
+            ),
+            pytest.param(
+                "one_bus", {"budget": 2}, (2, 1, 0, 2),
+                "eb5bc77918a19cef84087a79468cd3f2012f39c03c04d3a03d20e3ca8b7560a5",
+                id="one_bus-2",
+            ),
+            pytest.param(
+                "one_bus", {"budget": 7}, (7, 1, 0, 7),
+                "cfeb340f1943061a865f813bee045fda057443f8ff454ba3db54d86e0968b34e",
+                id="one_bus-7",
+            ),
+            pytest.param(
+                "one_bus", {"budget": 25}, (25, 1, 0, 25),
+                "d5ae4c8bb12817ce88777c4c52d572686fbaafcc2a56bce10430bddebbd674ca",
+                id="one_bus-25",
+            ),
+            pytest.param(
+                "one_bus", {}, (120, 4, 0, 120),
+                "44973bc67c6d923107316b439b6214d1e6122af755744306baccb9bc6a9e708d",
+                id="one_bus-120",
+            ),
+            pytest.param(
+                "desk", {"budget": 25, "seed": 11}, (25, 3, 11, 25),
+                "ac3e27e8f26098746357227a9f181bf33132176ca4933706b8568677b500761b",
+                id="desk-25-seed11",
+            ),
+            pytest.param(
+                "rand3", {}, (400, 6, 3, 400),
+                "7bf0517d56b24e2fe9ecd70f76c0899eb8e2ff30047e71fa9f3e7f45deab1d0b",
+                id="rand3-400",
+            ),
+            pytest.param(
+                "rand4", {}, (400, 6, 4, 400),
+                "5209b16eb228a8dc4f63c30a6b4cb3736c60fa757f9ed908a5e52dcdb871a051",
+                id="rand4-400",
+            ),
+        ],
+    )
+    def test_evaluations_and_search_info_are_pinned(self, case, kwargs, info, digest, monkeypatch):
+        scenario = {
+            "one_bus": one_bus_scenario,
+            "desk": sc.desk_scenario,
+            "rand3": lambda: random_bilevel(3),
+            "rand4": lambda: random_bilevel(4),
+        }[case]()
+        out, path = searched_path(scenario, monkeypatch, **kwargs)
+        assert dataclasses.astuple(out.search) == info
+        assert len(path) == info[0]  # each distinct strategy is evaluated once
+        got = hashlib.sha256(repr((path, out.strategy.values)).encode()).hexdigest()
+        assert got == digest
+
+
 class TestBruteForce:
     def test_grid_size_and_argmax(self):
         scenario = one_bus_scenario()
@@ -215,6 +295,72 @@ class TestBruteForce:
         scenario = one_bus_scenario()
         with pytest.raises(ValueError, match="cap"):
             bl.brute_force(scenario, levels=2000)
+
+    def test_point_band_grid_runs_its_one_point_at_any_levels(self):
+        scenario = one_bus_scenario(offer_lo=20.0, offer_hi=20.0)
+        out = bl.brute_force(scenario, levels=2000)
+        assert out.search.evaluations == 1
+        assert out.strategy.values == (20.0, 20.0)
+
+    def test_cap_counts_the_grid_that_would_run(self):
+        # period 0's band is a point, so the grid has one point on that axis
+        scenario = one_bus_scenario()
+        station = dataclasses.replace(
+            scenario.stations[0], offer_min=(20.0, 10.0), offer_max=(20.0, 40.0)
+        )
+        scenario = dataclasses.replace(scenario, stations=(station,))
+        with pytest.raises(ValueError, match=r"^grid of 1000001 evaluations exceeds cap"):
+            bl.brute_force(scenario, levels=1_000_001)
+
+
+def five_period_scenario(parameterization):
+    """Two stations with five-period offer bands, under `parameterization`
+    with block width 2; read only by `offer_parameters`."""
+    base = one_bus_scenario()
+    bands = {
+        "c1": ((10.0, 12.0, 9.0, 11.0, 15.0), (40.0, 38.0, 41.0, 39.0, 30.0)),
+        "c2": ((5.0, 6.0, 7.0, 8.0, 9.0), (20.0, 21.0, 22.0, 23.0, 24.0)),
+    }
+    stations = tuple(
+        dataclasses.replace(base.stations[0], id=sid, offer_min=lo, offer_max=hi)
+        for sid, (lo, hi) in bands.items()
+    )
+    return dataclasses.replace(
+        base,
+        network=dataclasses.replace(base.network, horizon=5),
+        stations=stations,
+        settings=dataclasses.replace(
+            base.settings, parameterization=parameterization, block_width=2
+        ),
+    )
+
+
+class TestOfferParameters:
+    def test_station_blocks_end_in_an_uneven_block(self):
+        params = bl.offer_parameters(five_period_scenario(md.PARAM_STATION_BLOCKS))
+        assert [(p.station_id, p.t_start, p.t_end, p.lower, p.upper) for p in params] == [
+            ("c1", 0, 2, 10.0, 40.0),
+            ("c1", 2, 4, 9.0, 41.0),
+            ("c1", 4, 5, 15.0, 30.0),
+            ("c2", 0, 2, 5.0, 21.0),
+            ("c2", 2, 4, 7.0, 23.0),
+            ("c2", 4, 5, 9.0, 24.0),
+        ]
+
+    def test_full_is_per_station_period(self):
+        full = bl.offer_parameters(five_period_scenario(md.PARAM_FULL))
+        per_period = bl.offer_parameters(five_period_scenario(md.PARAM_PER_STATION_PERIOD))
+        assert full == per_period
+        assert [(p.station_id, p.t_start, p.t_end) for p in full] == [
+            (sid, t, t + 1) for sid in ("c1", "c2") for t in range(5)
+        ]
+        assert [(p.lower, p.upper) for p in full[:5]] == [
+            (10.0, 40.0), (12.0, 38.0), (9.0, 41.0), (11.0, 39.0), (15.0, 30.0)
+        ]
+
+    def test_unknown_parameterization_raises(self):
+        with pytest.raises(ValueError, match="unknown parameterization 'hourly'"):
+            bl.offer_parameters(five_period_scenario("hourly"))
 
 
 class TestCertify:
@@ -454,6 +600,13 @@ def _cold_welfare_bound(lp, ix, outcome, t):
     return lpcore.require_optimal(restricted).objective
 
 
+def published_prices(ix, outcome, t):
+    """The balance rows of the period-t market LP placed as `ix` says, each
+    with its multiplier at the outcome's price (negated, see `dam`)."""
+    buses = outcome.scenario.network.buses
+    return [(row, -outcome.dam.lmp[b.id][t]) for row, b in zip(ix.balance, buses)]
+
+
 def _assert_bounds_match_cold_path(outcome):
     fleet_bound = sum(bound for _, bound in bl._fleet_checks(outcome).values())
     cold = _cold_fleet_bound(outcome)
@@ -462,7 +615,7 @@ def _assert_bounds_match_cold_path(outcome):
     periods, index = dam.build_dam(dinput)
     for t, lp in enumerate(periods):
         values = dam.period_values(dinput, outcome.dam, t, lp, index)
-        bound = bl._welfare_bound(lp, index, outcome, t, values)
+        bound = bl._bound(lp, values, published_prices(index, outcome, t))
         cold = _cold_welfare_bound(lp, index, outcome, t)
         assert abs(bound - cold) <= 1e-9 * max(1.0, abs(cold)), t
 
@@ -609,8 +762,9 @@ class TestCertifyPointStart:
         periods, index = dam.build_dam(dinput)
         lp = periods[1]
         values = dam.period_values(dinput, out.dam, 1, lp, index)
-        started = bl._welfare_bound(lp, index, out, 1, values)
-        crashed = bl._welfare_bound(lp, index, out, 1)
+        prices = published_prices(index, out, 1)
+        started = bl._bound(lp, values, prices)
+        crashed = bl._bound(lp, None, prices)
         assert crashed == pytest.approx(out.dam.period_welfare[1], rel=1e-12)
         assert started > crashed + 100.0
         cert = _assert_same_certificate(out, monkeypatch)
