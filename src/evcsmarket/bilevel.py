@@ -1,6 +1,8 @@
 """Upper-level station strategy: search over offer prices to maximize total
 station profit, with the market side and the fleet side answered by exact LP
-solves, plus an a-posteriori certificate of lower-level optimality.
+solves, plus an a-posteriori certificate of lower-level optimality that
+bounds each market period at the market solve's own duals
+(`dam.DamOutcome.duals`) and each fleet at a re-solve's.
 
 Solution structure: for fixed offer prices the fleet program depends only on
 those prices and the retail rate, and the market program depends only on the
@@ -457,19 +459,16 @@ def certify(outcome: EquilibriumOutcome | None) -> Certificate:
     `lpcore.max_violation`, whose scaling the solvers' own post-checks share
     at a looser limit.  A value that is not finite fails its family.
 
-    Optimality is proved by weak duality (`lpcore.lagrangian_bound`): each
-    fleet LP and each market-period LP is re-solved, and the bound of a dual
-    vector is compared with the outcome's cost or welfare.  Any multipliers
-    give a sound bound, so the check does not trust the simplex: on the
-    fleet side the multipliers are the re-solve's duals, on the market side
-    the re-solve's duals with the balance rows replaced by the published
-    prices.  Each re-solve starts at the outcome's own schedule or dispatch
-    (`lpcore.solve(..., start=...)`), so an optimal outcome costs few
-    pivots; a suboptimal one still fails, because the re-solve goes on to
-    the optimum, and a point that cannot start a solve (NaN, infeasible)
-    falls back to the crash start.  A market period whose gap the
-    point-started bound leaves above DUALITY_TOL is bounded again from the
-    crash (see `_dam_residuals`).  A re-solve that is not optimal makes its
+    Optimality is proved by weak duality (`lpcore.lagrangian_bound`): the
+    bound of a dual vector is compared with the outcome's cost or welfare.
+    Any multipliers give a sound bound (McConnell, Mehlhorn, Naher &
+    Schweitzer, "Certifying algorithms", 2011), so the check may take them
+    from the solver it checks.  Each fleet is bounded at the duals of a
+    re-solve of its LP.  Each market period is bounded at the market
+    solve's own row duals (`dam.DamOutcome.duals`), with the balance rows
+    set to the published prices, and only a period whose witness is
+    missing or malformed, or leaves a gap above DUALITY_TOL, is re-solved
+    (see `_dam_residuals`).  A re-solve that is not optimal makes its
     residual infinite, so a bad outcome fails the certificate instead of
     raising; so does a series shorter than the horizon (see `_padded`)."""
     if outcome is None:
@@ -617,11 +616,10 @@ def _fleet_checks(outcome: EquilibriumOutcome) -> dict[str, tuple[float, float]]
     """Per fleet id, the stored schedule's `lpcore.max_violation` of the
     fleet's LP and a lower bound on the fleet's least charging cost at the
     outcome's offers: `lpcore.lagrangian_bound` of that LP at the duals of a
-    re-solve started at the stored schedule (`fleet.schedule_values`, see
-    `_bound`).  The bound is -inf when the re-solve is not optimal, or when
-    the offers leave their bands (which `offer_bounds` reports); the
-    schedule is then checked against the LP at the band floors, since no
-    price enters a fleet constraint."""
+    re-solve (see `_bound`).  The bound is -inf when the re-solve is not
+    optimal, or when the offers leave their bands (which `offer_bounds`
+    reports); the schedule is then checked against the LP at the band
+    floors, since no price enters a fleet constraint."""
     scenario = outcome.scenario
     finput = fleet_mod.fleet_input(scenario, outcome.offers)
     try:
@@ -635,7 +633,7 @@ def _fleet_checks(outcome: EquilibriumOutcome) -> dict[str, tuple[float, float]]
     for f in scenario.fleets:
         lp, cols = fleet_mod.build_fleet(finput, f)
         values = fleet_mod.schedule_values(outcome.schedule, f, lp, cols)
-        bound = _bound(lp, values) if priced else -math.inf
+        bound = _bound(lp) if priced else -math.inf
         checks[f.id] = (lpcore.max_violation(lp, values), bound)
     return checks
 
@@ -645,19 +643,20 @@ def _dam_residuals(dinput, outcome):
     welfare gap to a weak-duality bound; returns two (peak residual, period)
     pairs.
 
-    Each period's LP is re-solved from the stored dispatch
-    (`dam.period_values`, see `_bound`), and its balance-row
-    multipliers are replaced by the outcome's prices (negated, see `dam`).
-    The Lagrangian bound of those multipliers is an upper bound on the
-    period's welfare whatever the prices are, and it meets the stored welfare only when they
-    are dual optimal, so a corrupted price leaves a gap.  When the prices
-    are not unique (a generator exactly at a segment breakpoint, a line
-    exactly at its limit), the re-solve started at the dispatch may end in
-    another optimal basis than the market solve's, whose other duals need
-    not complete the published prices.  So a period whose gap exceeds
-    DUALITY_TOL is bounded again from a crash-started re-solve, which
-    repeats the market solve's basis, and keeps the smaller of the two
-    bounds (both are sound).  At prices from this solver the bound is then tight; at prices
+    Each period is bounded at the outcome's witness, the market solve's row
+    duals (`DamOutcome.duals`), with the balance-row multipliers replaced
+    by the outcome's prices (negated, see `dam`).  The Lagrangian bound of
+    any multipliers is an upper bound on the period's welfare, and it meets
+    the stored welfare only when they are dual optimal, so a corrupted
+    price leaves a gap.  When the prices are not unique (a generator
+    exactly at a segment breakpoint, a line exactly at its limit), only
+    the other duals of the basis that published them complete them.  A
+    period whose witness is not one finite value per row, or whose gap at
+    it exceeds DUALITY_TOL, is bounded again from a crash re-solve and
+    keeps the smaller of the two bounds (both are sound).  The market
+    solve was that same crash solve and the solver is deterministic, so on
+    an outcome `solve_dam` cleared the witness changes no bit of the
+    result, and at prices from this solver the bound is tight; at prices
     taken from another solver's degenerate optimum the check is
     conservative.
 
@@ -682,25 +681,38 @@ def _dam_residuals(dinput, outcome):
 
         welfare = dam_mod.welfare(dinput, (lp.objective * values).tolist(), outcome.dam.wtp, t)
         prices = [(row, -outcome.dam.lmp[b.id][t]) for row, b in zip(index.balance, buses)]
-        bound = _bound(lp, values, prices)
+        witness = _witness(outcome.dam.duals, t, len(lp.constraints))
+        bound = math.inf if witness is None else _bound(lp, prices, witness)
         if not _rel_gap(welfare, bound + bid_dual) <= lpcore.DUALITY_TOL:
-            bound = min(bound, _bound(lp, None, prices))
+            bound = min(bound, _bound(lp, prices))
         gaps.append((t, _rel_gap(welfare, bound + bid_dual)))
 
     return _peak(feas), _peak(gaps)
 
 
-def _bound(lp: lpcore.LinearProgram, values: np.ndarray | None, fixed=()) -> float:
+def _witness(duals, t: int, rows: int) -> list[float] | None:
+    """Period t's entry of a `DamOutcome.duals` witness as a list, or None
+    unless there is one and it holds one finite number per row."""
+    try:
+        y = [float(v) for v in duals[t]]
+    except (TypeError, LookupError, ValueError):
+        return None
+    return y if len(y) == rows and all(map(math.isfinite, y)) else None
+
+
+def _bound(lp: lpcore.LinearProgram, fixed=(), duals=None) -> float:
     """Weak-duality bound on the optimum of `lp` (a lower bound when it
     minimizes, an upper one when it maximizes): `lpcore.lagrangian_bound` at
-    the duals of a re-solve started at `values`, or from the crash when
-    `values` is None, with the dual of each `(row, multiplier)` in `fixed`
-    set to that multiplier.  Infinite, on the side that bounds nothing,
-    when the re-solve is not optimal."""
-    sol = lpcore.solve(lp, start=values)
-    if not sol.is_optimal:
-        return -math.inf if lp.sense == lpcore.MIN else math.inf
-    y = sol.dual.tolist()
+    the row multipliers `duals`, or at the duals of a re-solve of `lp` when
+    `duals` is None, with the multiplier of each `(row, multiplier)` in
+    `fixed` set to that multiplier.  Infinite, on the side that bounds
+    nothing, when the re-solve is not optimal."""
+    if duals is None:
+        sol = lpcore.solve(lp)
+        if not sol.is_optimal:
+            return -math.inf if lp.sense == lpcore.MIN else math.inf
+        duals = sol.dual.tolist()
+    y = list(duals)
     for row, multiplier in fixed:
         y[row] = multiplier
     return lpcore.lagrangian_bound(lp, y)
@@ -713,10 +725,11 @@ def _bound(lp: lpcore.LinearProgram, values: np.ndarray | None, fixed=()) -> flo
 
 def outcome_to_json(outcome: EquilibriumOutcome) -> dict:
     """The document `outcome_from_json` reads: every field under its
-    document key, the scenario as `scenario_to_json` writes it, and no
-    schedule or market horizon (the scenario's network carries it)."""
+    document key, the scenario as `scenario_to_json` writes it, no
+    schedule or market horizon (the scenario's network carries it) and no
+    market duals (`certify` re-solves a period that has none)."""
     doc = _document(replace(outcome, scenario=None))
-    del doc["schedule"]["horizon"], doc["dam"]["horizon"]
+    del doc["schedule"]["horizon"], doc["dam"]["horizon"], doc["dam"]["duals"]
     doc["scenario"] = scenario_to_json(outcome.scenario)
     return {"schema_version": OUTCOME_SCHEMA_VERSION, **doc}
 
@@ -735,10 +748,10 @@ def outcome_from_json(data: dict) -> EquilibriumOutcome:
         if version != OUTCOME_SCHEMA_VERSION:
             raise ScenarioFormatError(f"schema_version: unsupported version {version}")
         scenario = scenario_from_json(data["scenario"])
-        # the document carries no schedule or market horizon
+        # the document carries no schedule or market horizon and no duals
         T = scenario.network.horizon
         sched = _object(fleet_mod.FleetSchedule, data["schedule"], ("schedule",), _list, horizon=T)
-        dam = _object(dam_mod.DamOutcome, data["dam"], ("dam",), _list, horizon=T)
+        dam = _object(dam_mod.DamOutcome, data["dam"], ("dam",), _list, horizon=T, duals=None)
         return _object(
             EquilibriumOutcome, data, (), _list, scenario=scenario, schedule=sched, dam=dam
         )

@@ -18,7 +18,7 @@ generation segment cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,7 +77,13 @@ class DamInput:
 
 @dataclass(frozen=True)
 class DamOutcome:
-    """Cleared market: dispatch, flows, angles, cleared bids, prices."""
+    """Cleared market: dispatch, flows, angles, cleared bids, prices.
+
+    `duals` is the market solve's witness of optimality: per period, the
+    row duals of its LP in `build_dam`'s row order; None where unknown (an
+    outcome read back from its document, which does not carry them).
+    `bilevel.certify` bounds each period's welfare at them.  They take no
+    part in equality."""
 
     horizon: int
     gen: dict[str, tuple[float, ...]]
@@ -89,6 +95,7 @@ class DamOutcome:
     lmp: dict[str, tuple[float, ...]]
     welfare: float
     period_welfare: tuple[float, ...]
+    duals: tuple[tuple[float, ...], ...] | None = field(default=None, compare=False, repr=False)
 
 
 def station_bid_from_quantities(station: ChargingStation, quantities) -> StationDamBid:
@@ -238,18 +245,19 @@ def build_dam(inp: DamInput) -> tuple[tuple[LinearProgram, ...], PeriodIndex]:
 
 
 def solve_dam(inp: DamInput) -> DamOutcome:
-    """Clear every period and extract locational prices from the nodal
-    balance duals.  Raises DamInfeasibleError when a period cannot be
-    served, and DamNumericalError naming the period when the solve is not
-    optimal or its solution violates the period LP (`lpcore.max_violation`
-    above 100 * FEAS_TOL).
+    """Clear every period, extract locational prices from the nodal
+    balance duals, and keep every row dual as the outcome's `duals`.
+    Raises DamInfeasibleError when a period cannot be served, and
+    DamNumericalError naming the period when the solve is not optimal or
+    its solution violates the period LP (`lpcore.max_violation` above
+    100 * FEAS_TOL).
 
     `build_dam` checks the input and builds every period LP once per call,
     and each is solved; a search clears each distinct fleet response once
     (see `bilevel.evaluate`)."""
     periods, index = build_dam(inp)
     net = inp.network
-    primal, prices, period_welfare = [], [], []
+    primal, duals, prices, period_welfare = [], [], [], []
     wtp = {bid.station_id: [[] for _ in bid.quantities] for bid in inp.station_bids}
 
     for t, lp in enumerate(periods):
@@ -263,6 +271,7 @@ def solve_dam(inp: DamInput) -> DamOutcome:
             raise DamNumericalError(f"period {t}: solution violates its LP by {violation:.3e}")
 
         primal.append(sol.primal.tolist())
+        duals.append(tuple(sol.dual.tolist()))
         prices.append((-sol.dual[index.balance]).tolist())  # see the module docstring
         for bid in inp.station_bids:
             for m, q in enumerate(bid.quantities):
@@ -279,6 +288,7 @@ def solve_dam(inp: DamInput) -> DamOutcome:
         lmp={b.id: tuple(row[i] for row in prices) for i, b in enumerate(net.buses)},
         welfare=float(sum(period_welfare)),
         period_welfare=tuple(period_welfare),
+        duals=tuple(duals),
     )
 
 

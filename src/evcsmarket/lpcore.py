@@ -13,13 +13,9 @@ along only for `write_lp_text`, `dualize` and structural comparisons.
 A solve starts from a lower-triangular crash basis: walking the structural
 columns, then the slacks, a column becomes basic on a row when it can zero
 that row's residual within its bounds and touches no row taken before it.
-Only the rows left over start on a phase-1 artificial.  A caller that holds
-a point of the LP, such as a reported optimum it is checking, can pass it as
-`solve(lp, start=...)` instead: the columns strictly inside their bounds
-become basic, the rows they leave uncovered keep their slacks (crossover,
-Megiddo 1991), and when that basis is feasible phase 1 is skipped.  Either
-way the start depends only on the LP and the point given, so a solve never
-depends on what was solved before it.
+Only the rows left over start on a phase-1 artificial.  The start depends
+only on the LP, so a solve never depends on what was solved before it, and
+the solver is deterministic: one LP solved twice gives the same bits.
 
 Phase 1 and the pivot-out of the artificials read no objective, so solves
 of one LP under several objectives can share them: `solve(lp,
@@ -65,8 +61,8 @@ GE = ">="
 INF = math.inf
 
 # Solver tolerances, fixed for every LP and check in the package: FEAS_TOL
-# scales the phase-1 infeasibility test, point starts and the final
-# verification, DUALITY_TOL the strong-duality and complementarity checks.
+# scales the phase-1 infeasibility test and the final verification,
+# DUALITY_TOL the strong-duality and complementarity checks.
 # Market LPs with ties (offer price equal to a retail rate) are routinely
 # degenerate, so termination relies on a Bland fallback rather than on luck
 # with Dantzig pricing.
@@ -332,65 +328,17 @@ def _crash(columns, lo, up, x, resid) -> dict[int, int]:
     return taken
 
 
-def _pivot_rows(M: np.ndarray) -> np.ndarray | None:
-    """Rows of the r x k matrix `M` on which its columns are nonsingular, or
-    None when r < k or the columns are (numerically) dependent.  A square M
-    gives all its rows unchecked: the caller inverts the basis anyway.
-
-    Otherwise one elimination with partial pivoting, on whichever side is
-    smaller: on M itself when k <= r - k, its pivot rows being the answer;
-    else on an orthonormal basis of M's left null space (the last r - k
-    columns of a complete QR), whose pivot rows are the r - k rows left out.
-    Pivots at or below _PIVOT_TOL times the scale (the largest |M_ij| or 1
-    for M, 1 for the orthonormal basis) count as zero."""
-    r, k = M.shape
-    if r < k:
-        return None
-    if r == k:
-        return np.arange(r)
-    scale = float(np.max(np.abs(M), initial=1.0))
-    if k <= r - k:
-        return _eliminate(M, _PIVOT_TOL * scale)
-    q, upper = np.linalg.qr(M, mode="complete")
-    if float(np.min(np.abs(np.diag(upper)))) <= _PIVOT_TOL * scale:
-        return None
-    left_out = _eliminate(q[:, k:], _PIVOT_TOL)
-    if left_out is None:
-        return None
-    keep = np.ones(r, dtype=bool)
-    keep[left_out] = False
-    return np.flatnonzero(keep)
-
-
-def _eliminate(M: np.ndarray, tol: float) -> np.ndarray | None:
-    """Pivot rows of Gaussian elimination with partial pivoting over the
-    columns of `M` (r >= k), one per column; None at a pivot <= tol."""
-    r, k = M.shape
-    M = M.copy()
-    rows = np.arange(r)
-    for p in range(k):
-        i = p + int(np.argmax(np.abs(M[p:, p])))
-        if abs(M[i, p]) <= tol:
-            return None
-        M[[p, i]] = M[[i, p]]
-        rows[[p, i]] = rows[[i, p]]
-        M[p + 1 :, p:] -= np.outer(M[p + 1 :, p] / M[p, p], M[p, p:])
-    return rows[:k]
-
-
 class _Tableau:
     """Dense bounded-variable simplex state over columns = structural vars,
     slacks, then phase-1 artificials.
 
-    Every row i reads A_i x + s_i + art_sign_i * art_i = b_i.  Given a
-    `start` point (one value per structural column), the basis is the one
-    `_start_at` reads off it; otherwise, or when that fails, the start basis
-    is a lower-triangular crash (`_crash`): each row some real column can
-    satisfy within its bounds gets that column as its basic variable, and
-    every other row keeps its artificial, basic at the row's residual.
+    Every row i reads A_i x + s_i + art_sign_i * art_i = b_i.  The start
+    basis is a lower-triangular crash (`_crash`): each row some real column
+    can satisfy within its bounds gets that column as its basic variable,
+    and every other row keeps its artificial, basic at the row's residual.
     """
 
-    def __init__(self, lp: LinearProgram, start=None):
+    def __init__(self, lp: LinearProgram):
         m, n = lp.matrix.shape
         self.n = n
         self.m = m
@@ -413,9 +361,7 @@ class _Tableau:
         self.up = np.array(up)
         self.iterations = 0
         self.pivots_since_refactor = 0
-        self.from_start = start is not None and self._start_at(start)
-        if not self.from_start:
-            self._crash_start()
+        self._crash_start()
 
     def set_costs(self, lp: LinearProgram) -> None:
         """Take `lp`'s sense and objective as the phase-2 costs; nothing
@@ -432,14 +378,6 @@ class _Tableau:
         for attr in ("x", "pos", "basis", "in_basis", "binv"):
             setattr(tab, attr, getattr(self, attr).copy())
         return tab
-
-    def _set_basis(self, basis, art_sign) -> None:
-        diagonal = self.ncols + 1
-        self.A.flat[self.nreal : self.nreal + self.m * diagonal : diagonal] = art_sign
-        self.art_sign = art_sign
-        self.basis = basis
-        self.in_basis = np.zeros(self.ncols, dtype=bool)
-        self.in_basis[basis] = True
 
     def _crash_start(self) -> None:
         ncols, m = self.nreal, self.m
@@ -465,75 +403,13 @@ class _Tableau:
         basis = np.arange(ncols, self.ncols)
         for i, j in crashed.items():
             basis[i] = j
-        self._set_basis(basis, np.where(resid >= 0.0, 1.0, -1.0))
+        diagonal = self.ncols + 1  # artificial i's coefficient is its row's residual sign
+        self.A.flat[ncols : ncols + m * diagonal : diagonal] = np.where(resid >= 0.0, 1.0, -1.0)
+        self.basis = basis
+        self.in_basis = np.zeros(self.ncols, dtype=bool)
+        self.in_basis[basis] = True
         self.x[ncols:] = np.abs(resid)
         self.binv = np.linalg.inv(self.A[:, basis])
-
-    def _start_at(self, start) -> bool:
-        """Take the basis of the point `start` (crossover, Megiddo 1991):
-        every real column strictly inside its bounds is basic, every other
-        one rests on the bound it sits at, and each row no interior column
-        covers (`_pivot_rows`) takes its own slack.  Structurals are clipped
-        into their bounds first, slacks are the rows' residuals, and a value
-        within FEAS_TOL * (1 + |bound|) of a bound sits at it.  Artificials
-        are nonbasic at 0, so phase 1 has nothing to do.
-
-        Returns False, changing nothing, when the point is not finite or has
-        the wrong length, when its interior columns are dependent (some
-        |B^-1| entry reaches 1 / _PIVOT_TOL), or when the basics
-        B^-1 (b - N x_N) leave their bounds by more than FEAS_TOL times the
-        largest value."""
-        n, ncols = self.n, self.nreal
-        try:
-            point = np.asarray(start, dtype=float)
-        except (TypeError, ValueError):
-            return False
-        if point.shape != (n,) or not np.isfinite(point).all():
-            return False
-        lo, up = self.lo[:ncols], self.up[:ncols]
-        z = np.empty(ncols)
-        z[:n] = np.clip(point, lo[:n], up[:n])
-        z[n:] = self.b - self.A[:, :n] @ z[:n]
-        # z is finite, so an infinite bound gives inf <= inf here, which
-        # the isfinite test then drops
-        at_lo = np.isfinite(lo) & (z - lo <= FEAS_TOL * (1.0 + np.abs(lo)))
-        at_up = ~at_lo & np.isfinite(up) & (up - z <= FEAS_TOL * (1.0 + np.abs(up)))
-        z = np.where(at_lo, lo, np.where(at_up, up, z))
-
-        interior = ~(at_lo | at_up)
-        structural = np.flatnonzero(interior[:n])
-        # every row starts on its own slack; a row whose slack is not
-        # interior may give its place to an interior structural column
-        basis = np.arange(n, ncols)
-        free_rows = np.flatnonzero(~interior[n:])
-        if structural.size:
-            rows = _pivot_rows(self.A[np.ix_(free_rows, structural)])
-            if rows is None:
-                return False
-            basis[free_rows[rows]] = structural
-        try:
-            binv = np.linalg.inv(self.A[:, basis])
-        except np.linalg.LinAlgError:
-            return False
-        if not float(np.max(np.abs(binv), initial=0.0)) < 1.0 / _PIVOT_TOL:
-            return False  # numerically singular
-        x = np.concatenate([z, np.zeros(self.m)])
-        in_basis = np.zeros(self.ncols, dtype=bool)
-        in_basis[basis] = True
-        xb = binv @ (self.b - self.A[:, ~in_basis] @ x[~in_basis])
-        if not np.isfinite(xb).all():
-            return False
-        x[basis] = xb
-        scale = 1.0 + float(np.max(np.abs(x), initial=0.0))
-        outside = np.maximum(lo[basis] - xb, xb - up[basis])
-        if float(np.max(outside, initial=0.0)) > FEAS_TOL * scale:
-            return False
-        self.x = x
-        self.pos = np.full(self.ncols, _POS_LOWER, dtype=np.int8)
-        self.pos[:ncols][at_up] = _POS_UPPER
-        self._set_basis(basis, np.ones(self.m))
-        self.binv = binv
-        return True
 
     # -- basis maintenance ---------------------------------------------------
 
@@ -738,10 +614,10 @@ class Phase1State:
     section 3.5), so phase 2 from a copy of this state takes the pivots,
     and returns the bits, of a cold solve.
 
-    Made empty.  The first solve given it runs cold and fills it, when its
-    phase 1 ends feasible; from then on it belongs to that LP's matrix, rhs,
-    relations and bounds, and `solve` raises ValueError if it is given with
-    any other."""
+    Made empty.  The first solve given it runs cold, from the crash basis,
+    and fills it when its phase 1 ends feasible; from then on it belongs to
+    that LP's matrix, rhs, relations and bounds, and `solve` raises
+    ValueError if it is given with any other."""
 
     def __init__(self):
         self._tab: _Tableau | None = None
@@ -776,7 +652,7 @@ class Phase1State:
         return tab
 
 
-def solve(lp: LinearProgram, *, start=None, phase1: Phase1State | None = None) -> LpSolution:
+def solve(lp: LinearProgram, *, phase1: Phase1State | None = None) -> LpSolution:
     """Solve an LP to proven optimality, or report infeasible/unbounded.
 
     FEAS_TOL scales the phase-1 infeasibility test and the final
@@ -785,17 +661,9 @@ def solve(lp: LinearProgram, *, start=None, phase1: Phase1State | None = None) -
     solve stops with status "iteration_limit".  The returned primal/dual
     pair satisfies strong duality within DUALITY_TOL whenever status is
     "optimal"; a failed internal verification is reported as
-    "numerical_failure", never as a wrong optimum.
-
-    `start`, one value per column, is a point to start from, typically a
-    reported optimum being checked.  When its basis (see `_Tableau`) is
-    feasible, phase 1 is skipped and phase 2 starts there; otherwise (a
-    point that is not finite, has the wrong length, has dependent interior
-    columns or an infeasible basis) the solve starts from the crash basis,
-    as without `start`.  A point-started solve that ends "numerical_failure"
-    or "iteration_limit" is repeated from the crash basis.  Either way the
-    result is an optimum of `lp`; at a degenerate optimum the basis, and so
-    the duals, may differ from those of a crash-started solve.
+    "numerical_failure", never as a wrong optimum.  Every solve starts from
+    the crash basis (see `_Tableau`), so one LP solved twice gives the same
+    status, basis, primal and duals bit for bit.
 
     `phase1`, a `Phase1State`, shares phase 1 among solves of one LP that
     differ only in their objective (and sense).  An empty state makes the
@@ -804,26 +672,13 @@ def solve(lp: LinearProgram, *, start=None, phase1: Phase1State | None = None) -
     2 from a copy of that tableau, its iteration count and refactorization
     cadence included, so the result equals a cold solve's bit for bit,
     status, basis and phase-2 pivots too; only `iterations` differs: it
-    counts the solve's own pivots, and `phase1_iterations` is 0.  It cannot
-    be combined with `start`, which skips phase 1.
+    counts the solve's own pivots, and `phase1_iterations` is 0.
     """
     if phase1 is not None:
-        if start is not None:
-            raise ValueError(f"{lp.name}: a point start skips phase 1, so it shares none")
         tab = phase1._restore(lp)
         if tab is not None:
             return _phase2(lp, tab, inherited=tab.iterations)
-    tab = _Tableau(lp, start)
-    solution = _simplex(lp, tab, phase1)
-    if tab.from_start and solution.status in (NUMERICAL, ITERATION_LIMIT):
-        return _simplex(lp, _Tableau(lp))
-    return solution
-
-
-def _simplex(lp: LinearProgram, tab: _Tableau, phase1: Phase1State | None = None) -> LpSolution:
-    """Phase 1 (skipped at a point start), artificial pivot-out, phase 2
-    and verification from `tab`'s start basis; `phase1`, when given, keeps
-    the tableau that phase 2 starts from."""
+    tab = _Tableau(lp)
     stopped = _phase1(tab)
     if stopped is not None:
         return stopped
@@ -833,15 +688,13 @@ def _simplex(lp: LinearProgram, tab: _Tableau, phase1: Phase1State | None = None
 
 
 def _phase1(tab: _Tableau) -> LpSolution | None:
-    """Minimize the artificial mass (a point start has none), then pin the
+    """Minimize the artificial mass from the crash basis, then pin the
     artificials at zero and pivot the basic ones out where possible.  Reads
     no cost of the LP.  Returns the solution when the solve ends here."""
     m, real = tab.m, tab.nreal
     phase1_costs = np.zeros(tab.ncols)
     phase1_costs[real:] = 1.0
-    status = OPTIMAL
-    if not tab.from_start:
-        status = tab.run(phase1_costs, max_iterations=tab.max_iterations, allow_unbounded=False)
+    status = tab.run(phase1_costs, max_iterations=tab.max_iterations, allow_unbounded=False)
     pivots = tab.iterations
     if status in (ITERATION_LIMIT, NUMERICAL):
         return LpSolution(status=status, iterations=pivots, phase1_iterations=pivots)

@@ -614,15 +614,15 @@ def _assert_bounds_match_cold_path(outcome):
     dinput = bl.dam_input_for(outcome.scenario, outcome.schedule)
     periods, index = dam.build_dam(dinput)
     for t, lp in enumerate(periods):
-        values = dam.period_values(dinput, outcome.dam, t, lp, index)
-        bound = bl._bound(lp, values, published_prices(index, outcome, t))
+        bound = bl._bound(lp, published_prices(index, outcome, t), outcome.dam.duals[t])
         cold = _cold_welfare_bound(lp, index, outcome, t)
         assert abs(bound - cold) <= 1e-9 * max(1.0, abs(cold)), t
 
 
 class TestCertifyMatchesColdDuals:
-    """The certificate's bounds (re-solved primal duals, checked by
-    arithmetic) equal the optima of the dualized LPs they replace."""
+    """The certificate's bounds (re-solved fleet duals and the market
+    solve's own duals, checked by arithmetic) equal the optima of the
+    dualized LPs they replace."""
 
     def test_desk_outcome(self, desk_baseline):
         _assert_bounds_match_cold_path(desk_baseline.outcome)
@@ -633,43 +633,25 @@ class TestCertifyMatchesColdDuals:
             _assert_bounds_match_cold_path(searched)
 
 
-def _certify_both(outcome, monkeypatch):
-    """`certify` as it runs (each re-solve started at the outcome's point)
-    and with every re-solve started from the crash basis."""
-    started = bl.certify(outcome)
-    real = lpcore.solve
-
-    def crash_started(lp, *, start=None):
-        return real(lp)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(lpcore, "solve", crash_started)
-        crashed = bl.certify(outcome)
-    return started, crashed
+def with_duals(outcome, duals):
+    """`outcome` with `duals` as its market witness."""
+    return dataclasses.replace(outcome, dam=dataclasses.replace(outcome.dam, duals=duals))
 
 
-def _assert_same_certificate(outcome, monkeypatch):
-    started, crashed = _certify_both(outcome, monkeypatch)
-    assert started.passed == crashed.passed
-    assert started.failing().keys() == crashed.failing().keys()
-    for family, value in crashed.residuals.items():
-        other = started.residuals[family]
-        assert other == value or abs(other - value) <= 1e-12, (family, other, value)
-    return started
+def _certify_both(outcome):
+    """The certificates of `outcome` with its market witness and without it
+    (every market period bounded from a re-solve)."""
+    return bl.certify(outcome), bl.certify(with_duals(outcome, None))
 
 
-def _kept_starts(monkeypatch):
-    """A list that records, for each tableau built with a start point,
-    whether the start was kept (True) or the crash ran instead."""
-    kept = []
-    real = lpcore._Tableau._start_at
-
-    def spy(self, start):
-        kept.append(real(self, start))
-        return kept[-1]
-
-    monkeypatch.setattr(lpcore._Tableau, "_start_at", spy)
-    return kept
+def _assert_witness_changes_nothing(outcome):
+    """`certify` gives the same certificate with the outcome's market
+    witness and without it, compared as the JSON text `evcsmarket run`
+    writes, so bit for bit; returns that certificate."""
+    cert, bare = _certify_both(outcome)
+    texts = [json.dumps(bl.certificate_to_json(c), sort_keys=True) for c in (cert, bare)]
+    assert texts[0] == texts[1], outcome.scenario.name
+    return cert
 
 
 def _two_segment_toy():
@@ -689,34 +671,68 @@ def _two_segment_toy():
     return out
 
 
-class TestCertifyPointStart:
-    """`certify` starts each re-solve at the outcome's own point.  The
-    certificate must not depend on that: a feasible but suboptimal point
-    still fails, and a point that cannot start a solve gives the
-    crash-started certificate without raising."""
+class TestCertifyWitness:
+    """`certify` bounds each market period at the market solve's own duals
+    (`DamOutcome.duals`).  The certificate must not depend on that: with
+    and without the witness it is the same bit for bit, a suboptimal
+    outcome still fails, and a witness that is malformed or proves nothing
+    gives the certificate without one, never an exception.  A witness
+    proves only its own LP's bound: once a corrupted schedule moves the
+    market LP, the certificates may differ, but both fail."""
 
-    def test_desk_outcome(self, desk_baseline, monkeypatch):
-        assert _assert_same_certificate(desk_baseline.outcome, monkeypatch).passed
+    def test_desk_outcome(self, desk_baseline):
+        assert _assert_witness_changes_nothing(desk_baseline.outcome).passed
 
-    def test_criterion_5_instances(self, bilevel_instances, monkeypatch):
+    def test_criterion_5_instances(self, bilevel_instances):
         for _, _, grid, searched in bilevel_instances:
             for outcome in (grid, searched):
-                assert _assert_same_certificate(outcome, monkeypatch).passed
+                assert _assert_witness_changes_nothing(outcome).passed
+
+    def test_ladder_rungs(self, tmp_path, monkeypatch):
+        # the benchmark's synthetic_ladder rungs and strategies at seed 0
+        monkeypatch.setitem(sys.modules, "generators", load_perfbench("generators"))
+        workloads = load_perfbench("workloads")
+        rungs = workloads.SyntheticLadder(tmp_path, tmp_path).setup(0)
+        assert len(rungs) == 4
+        for scenario, strategy in rungs:
+            assert _assert_witness_changes_nothing(bl.evaluate(strategy, scenario)).passed
+
+    def test_outcome_carries_one_dual_per_row_and_period(self, desk_baseline):
+        out = desk_baseline.outcome
+        periods, _ = dam.build_dam(bl.dam_input_for(out.scenario, out.schedule))
+        assert [len(y) for y in out.dam.duals] == [len(lp.constraints) for lp in periods]
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda duals: duals[:-1],
+            nan_first,
+            lambda duals: (duals[0][:-1],) + duals[1:],
+            lambda duals: (duals[0] + (0.0,),) + duals[1:],
+            lambda duals: tuple(tuple(2.0 * y for y in period) for period in duals),
+        ],
+        ids=["short", "nan", "row_short", "row_long", "doubled"],
+    )
+    @pytest.mark.parametrize("where", ["toy", "desk"])
+    def test_bad_witness_gives_the_witness_less_certificate(self, where, corrupt, request):
+        # a witness one period short, with a NaN, one row short or long,
+        # or doubled (well formed, but its bound is not tight)
+        if where == "toy":
+            out = _two_segment_toy()
+        else:
+            out = request.getfixturevalue("desk_baseline").outcome
+        assert _assert_witness_changes_nothing(with_duals(out, corrupt(out.dam.duals))).passed
 
     @pytest.mark.parametrize("moved", [60.0, 30.0], ids=["vertex", "between_vertices"])
-    def test_dispatch_on_the_dearer_segment_fails_dam_duality(self, moved, monkeypatch):
+    def test_dispatch_on_the_dearer_segment_fails_dam_duality(self, moved):
         out = _two_segment_toy()
         segments = ((60.0 - moved, 50.0), (moved, 0.0))
         bad = dataclasses.replace(out, dam=dataclasses.replace(out.dam, gen_segments={"g1": segments}))
-        kept = _kept_starts(monkeypatch)
-        cert = _assert_same_certificate(bad, monkeypatch)
-        # fleet, period 0, period 1; a point between vertices has three
-        # interior columns on two rows and starts from the crash
-        assert kept[:3] == [True, moved == 60.0, True]
+        cert = _assert_witness_changes_nothing(bad)
         assert set(cert.failing()) == {"dam_strong_duality"}
         assert cert.worst["dam_strong_duality"] == 0
 
-    def test_station_energy_in_the_dearer_period_fails_fleet_duality(self, monkeypatch):
+    def test_station_energy_in_the_dearer_period_fails_fleet_duality(self):
         out = _two_segment_toy()
         shifted = (0.0, 10.0)
         sched = dataclasses.replace(
@@ -728,18 +744,15 @@ class TestCertifyPointStart:
             fleet_costs={"f1": 250.0},
             cost=250.0,
         )
-        kept = _kept_starts(monkeypatch)
-        cert = _assert_same_certificate(dataclasses.replace(out, schedule=sched), monkeypatch)
-        assert kept[0] is True
+        cert = bl.certify(dataclasses.replace(out, schedule=sched))
         assert "fleet_strong_duality" in cert.failing()
         assert cert.residuals["fleet_strong_duality"] == pytest.approx(100.0 / 250.0)
 
-    def test_non_unique_price_passes(self, monkeypatch):
+    def test_non_unique_price_passes(self):
         # in period 1 the 50 MW load fills g1's only segment exactly and
         # leaves g2 at zero, so any price in [10, 20] clears it; the market
-        # solve publishes 20, the re-solve started at the dispatch ends in
-        # another basis whose gen_split duals do not complete that price,
-        # and only the crash-started bound is tight
+        # solve publishes 20, and its own duals of the other rows complete
+        # that price, so the bound at the witness is tight
         scenario = one_bus_scenario()
         gens = (
             md.Generator("g1", "b1", 0.0, 50.0, (md.CostSegment(0.0, 50.0, 10.0),)),
@@ -760,14 +773,11 @@ class TestCertifyPointStart:
         assert out.dam.lmp["b1"][1] == 20.0
         dinput = bl.dam_input_for(scenario, out.schedule)
         periods, index = dam.build_dam(dinput)
-        lp = periods[1]
-        values = dam.period_values(dinput, out.dam, 1, lp, index)
         prices = published_prices(index, out, 1)
-        started = bl._bound(lp, values, prices)
-        crashed = bl._bound(lp, None, prices)
-        assert crashed == pytest.approx(out.dam.period_welfare[1], rel=1e-12)
-        assert started > crashed + 100.0
-        cert = _assert_same_certificate(out, monkeypatch)
+        bound = bl._bound(periods[1], prices, out.dam.duals[1])
+        assert bound == pytest.approx(out.dam.period_welfare[1], rel=1e-12)
+        assert bound == bl._bound(periods[1], prices)
+        cert = _assert_witness_changes_nothing(out)
         assert cert.passed
         assert cert.residuals["dam_strong_duality"] == 0.0
 
@@ -777,15 +787,61 @@ class TestCertifyPointStart:
         ids=["nan", "truncate", "infeasible"],
     )
     @pytest.mark.parametrize("field", ["gen", "gen_segments", "angle", "total", "segments", "energy"])
-    def test_unusable_point_gives_the_crash_certificate(self, field, corrupt, monkeypatch):
+    def test_corrupted_point_fails_with_and_without_witness(self, field, corrupt):
         out = _two_segment_toy()
         if field in ("total", "segments", "energy"):
+            # the market LP moves away from the one the witness solved, so
+            # the two certificates may differ, but both must fail
             sched = dataclasses.replace(out.schedule, **{field: corrupt(getattr(out.schedule, field))})
-            bad = dataclasses.replace(out, schedule=sched)
+            cert, bare = _certify_both(dataclasses.replace(out, schedule=sched))
+            assert not cert.passed and not bare.passed
         else:
             bad_dam = dataclasses.replace(out.dam, **{field: corrupt(getattr(out.dam, field))})
-            bad = dataclasses.replace(out, dam=bad_dam)
-        assert not _assert_same_certificate(bad, monkeypatch).passed
+            assert not _assert_witness_changes_nothing(dataclasses.replace(out, dam=bad_dam)).passed
+
+
+def _certified_outcomes(bilevel_instances, desk_baseline):
+    """Desk's search outcome, then each criterion-5 grid and search outcome."""
+    return [
+        desk_baseline.outcome,
+        *(o for _, _, grid, searched in bilevel_instances for o in (grid, searched)),
+    ]
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_property_a_corrupted_price_fails_at_its_period(bilevel_instances, desk_baseline, data):
+    """Moving one bus's published price in one period by at least 1 $/MWh
+    fails `dam_strong_duality`, and the family peaks at that period."""
+    outcomes = _certified_outcomes(bilevel_instances, desk_baseline)
+    out = data.draw(st.sampled_from(outcomes))
+    bus = data.draw(st.sampled_from(sorted(out.dam.lmp)))
+    t = data.draw(st.integers(0, out.scenario.network.horizon - 1))
+    step = data.draw(st.floats(1.0, 50.0)) * data.draw(st.sampled_from((1.0, -1.0)))
+    series = out.dam.lmp[bus]
+    lmp = {**out.dam.lmp, bus: series[:t] + (series[t] + step,) + series[t + 1 :]}
+    cert = bl.certify(dataclasses.replace(out, dam=dataclasses.replace(out.dam, lmp=lmp)))
+    assert "dam_strong_duality" in cert.failing()
+    assert cert.worst["dam_strong_duality"] == t
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_property_a_corrupted_segment_dispatch_fails(bilevel_instances, desk_baseline, data):
+    """Moving one generator segment's dispatch in one period by at least
+    0.5 MW fails a market family."""
+    outcomes = _certified_outcomes(bilevel_instances, desk_baseline)
+    out = data.draw(st.sampled_from(outcomes))
+    gen = data.draw(st.sampled_from(sorted(out.dam.gen_segments)))
+    k = data.draw(st.integers(0, len(out.dam.gen_segments[gen]) - 1))
+    t = data.draw(st.integers(0, out.scenario.network.horizon - 1))
+    step = data.draw(st.floats(0.5, 50.0)) * data.draw(st.sampled_from((1.0, -1.0)))
+    rows = list(out.dam.gen_segments[gen])
+    rows[k] = rows[k][:t] + (rows[k][t] + step,) + rows[k][t + 1 :]
+    segments = {**out.dam.gen_segments, gen: tuple(rows)}
+    bad = dataclasses.replace(out, dam=dataclasses.replace(out.dam, gen_segments=segments))
+    cert = bl.certify(bad)
+    assert any(family.startswith("dam_") for family in cert.failing())
 
 
 def _assert_layout_round_trip(outcome):
@@ -1002,8 +1058,10 @@ class TestOutcomeRoundTrip:
         scenario = one_bus_scenario()
         out = bl.optimize(scenario, budget=40)
         doc = bl.outcome_to_json(out)
+        assert out.dam.duals is not None and "duals" not in doc["dam"]
         text = json.dumps(doc, sort_keys=True)
         again = bl.outcome_from_json(json.loads(text))
+        assert again.dam.duals is None
         assert again.profit == out.profit
         assert again.offers == out.offers
         assert again.schedule.cost == out.schedule.cost

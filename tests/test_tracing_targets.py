@@ -87,17 +87,16 @@ def test_traced_search_answers_fleets_from_stored_bases():
     assert counts[0]["lpcore.fleet.solves"] < counts[0]["fleet.solve_fleet.calls"]
 
 
-def test_desk_certify_starts_at_the_outcome(desk_baseline):
-    """`certify` starts each re-solve at the outcome's own point: on the
-    desk outcome no re-solve runs phase 1, and the 26 re-solves take at
-    most 100 pivots together (342 from the crash basis)."""
-    phase1 = []
+def test_desk_certify_solves_only_the_fleet_lps(desk_baseline):
+    """`certify` bounds each market period at the market solve's own duals:
+    on the desk outcome it solves the two fleet LPs and no market-period
+    LP."""
+    solved = []
     solve = lpcore.solve
 
     def recording(lp, **kwargs):
-        sol = solve(lp, **kwargs)
-        phase1.append(sol.phase1_iterations)
-        return sol
+        solved.append(lp.name)
+        return solve(lp, **kwargs)
 
     for module, _ in tracing.LAYER_TARGETS:
         importlib.import_module(f"evcsmarket.{module}")
@@ -105,10 +104,8 @@ def test_desk_certify_starts_at_the_outcome(desk_baseline):
         mp.setattr(lpcore, "solve", recording)
         with tracing.Tracer() as tracer:
             assert bilevel.certify(desk_baseline.outcome).passed
-    c = tracing.counts(tracer.spans)
-    assert c["lpcore.certify.solves"] == len(phase1) == 26
-    assert sum(phase1) == 0
-    assert c["lpcore.certify.pivots"] <= 100
+    assert solved == ["fleet", "fleet"]
+    assert tracing.counts(tracer.spans)["lpcore.certify.solves"] == 2
 
 
 def test_benchmark_workloads_set_up_through_the_package(tmp_path, monkeypatch):
