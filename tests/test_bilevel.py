@@ -787,7 +787,7 @@ class TestCertifyWitness:
         ids=["nan", "truncate", "infeasible"],
     )
     @pytest.mark.parametrize("field", ["gen", "gen_segments", "angle", "total", "segments", "energy"])
-    def test_corrupted_point_fails_with_and_without_witness(self, field, corrupt):
+    def test_corrupt_point_fails_both_ways(self, field, corrupt):
         out = _two_segment_toy()
         if field in ("total", "segments", "energy"):
             # the market LP moves away from the one the witness solved, so
