@@ -725,11 +725,11 @@ def _bound(lp: lpcore.LinearProgram, fixed=(), duals=None) -> float:
 
 def outcome_to_json(outcome: EquilibriumOutcome) -> dict:
     """The document `outcome_from_json` reads: every field under its
-    document key, the scenario as `scenario_to_json` writes it, no
-    schedule or market horizon (the scenario's network carries it) and no
-    market duals (`certify` re-solves a period that has none)."""
+    document key and the scenario as `scenario_to_json` writes it.  It has
+    no `duals` key: the market duals are not part of the document
+    (`DamOutcome.duals` is transient), so an outcome reads back without
+    them and `certify` re-solves each market period."""
     doc = _document(replace(outcome, scenario=None))
-    del doc["schedule"]["horizon"], doc["dam"]["horizon"], doc["dam"]["duals"]
     doc["scenario"] = scenario_to_json(outcome.scenario)
     return {"schema_version": OUTCOME_SCHEMA_VERSION, **doc}
 
@@ -748,13 +748,7 @@ def outcome_from_json(data: dict) -> EquilibriumOutcome:
         if version != OUTCOME_SCHEMA_VERSION:
             raise ScenarioFormatError(f"schema_version: unsupported version {version}")
         scenario = scenario_from_json(data["scenario"])
-        # the document carries no schedule or market horizon and no duals
-        T = scenario.network.horizon
-        sched = _object(fleet_mod.FleetSchedule, data["schedule"], ("schedule",), _list, horizon=T)
-        dam = _object(dam_mod.DamOutcome, data["dam"], ("dam",), _list, horizon=T, duals=None)
-        return _object(
-            EquilibriumOutcome, data, (), _list, scenario=scenario, schedule=sched, dam=dam
-        )
+        return _object(EquilibriumOutcome, data, (), _list, scenario=scenario)
     except ScenarioFormatError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

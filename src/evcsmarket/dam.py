@@ -83,9 +83,8 @@ class DamOutcome:
     row duals of its LP in `build_dam`'s row order; None where unknown (an
     outcome read back from its document, which does not carry them).
     `bilevel.certify` bounds each period's welfare at them.  They take no
-    part in equality."""
+    part in equality and are no part of the document ("transient")."""
 
-    horizon: int
     gen: dict[str, tuple[float, ...]]
     gen_segments: dict[str, tuple[tuple[float, ...], ...]]
     solar: dict[str, tuple[float, ...]]
@@ -95,7 +94,9 @@ class DamOutcome:
     lmp: dict[str, tuple[float, ...]]
     welfare: float
     period_welfare: tuple[float, ...]
-    duals: tuple[tuple[float, ...], ...] | None = field(default=None, compare=False, repr=False)
+    duals: tuple[tuple[float, ...], ...] | None = field(
+        default=None, compare=False, repr=False, metadata={"transient": True}
+    )
 
 
 def station_bid_from_quantities(station: ChargingStation, quantities) -> StationDamBid:
@@ -282,7 +283,6 @@ def solve_dam(inp: DamInput) -> DamOutcome:
         return tuple(row[col] for row in primal) if isinstance(col, int) else tuple(map(series, col))
 
     return DamOutcome(
-        horizon=net.horizon,
         **{name: dict(zip(ids, map(series, cols))) for name, ids, cols in _placement(net, index)},
         wtp={k: tuple(tuple(s) for s in v) for k, v in wtp.items()},
         lmp={b.id: tuple(row[i] for row in prices) for i, b in enumerate(net.buses)},

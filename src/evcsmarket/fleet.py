@@ -89,7 +89,6 @@ class FleetSchedule:
     from the scenario's initial energy.
     """
 
-    horizon: int
     total: dict[str, tuple[float, ...]]
     home: dict[str, tuple[float, ...]]
     station: dict[str, dict[str, tuple[float, ...]]]
@@ -388,7 +387,6 @@ def solve_fleet(inp: FleetInput, *, memo: dict | None = None) -> FleetSchedule:
         {fid: result[k] for fid, result in results.items()} for k in range(6)
     )
     return FleetSchedule(
-        horizon=inp.horizon,
         total=total,
         home=home,
         station=station,

@@ -21,8 +21,9 @@ under its name, or under the key its metadata names (`fleet`,
 `wtp_segments`, `station`), and the reader reads it by its type hint.  The
 rest of the format is field metadata too: "mapping" marks a station
 mapping (written as an object), "price" a field that also takes
-`<key>_cents_per_kwh`, and "default" the document value an absent key
-stands for (where the constructor has no default of its own).  An object
+`<key>_cents_per_kwh`, "default" the document value an absent key
+stands for (where the constructor has no default of its own), and
+"transient" a field that is no part of the document at all.  An object
 may carry only those keys and its class's document-only keys
 (`_DOCUMENT_ONLY`); any other key is refused.
 """
@@ -729,7 +730,9 @@ def _plan(cls) -> tuple[tuple, frozenset]:
     default) for each field, and every key its object may carry (the
     fields' keys, `<key>_cents_per_kwh` for a price, and its document-only
     keys).  `default` is the field's "default" metadata, `_OWN` when the
-    constructor has a default, and MISSING when the key is required."""
+    constructor has a default, and MISSING when the key is required.  A
+    "transient" field has no step: it is neither written nor read, and
+    its key is refused like any other unknown key."""
     hints = get_type_hints(cls)
     steps = tuple(
         (
@@ -741,6 +744,7 @@ def _plan(cls) -> tuple[tuple, frozenset]:
             f.metadata.get("default", MISSING if f.default is MISSING else _OWN),
         )
         for f in fields(cls)
+        if not f.metadata.get("transient", False)
     )
     keys = {key for _, key, *_ in steps}
     keys |= {f"{key}_cents_per_kwh" for _, key, _, _, price, _ in steps if price}

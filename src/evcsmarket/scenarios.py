@@ -2,6 +2,10 @@
 baseline comparison, and penetration / solar-capacity sweeps with trend
 verdicts.
 
+The desk scenario (`desk_scenario`) is stated once, in `data/desk_5bus.json`;
+the package ships that file as `desk_5bus.json` next to this module and
+loads it from there.
+
 Dollar figures from the published 30-bus reference study depend on a dataset
 that is not part of this package; sweeps here assert *directions* at desk
 scale and can print the reference rows alongside for context only (clearly
@@ -12,26 +16,16 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 from . import bilevel
 from .bilevel import Certificate, EquilibriumOutcome
 from . import fleet as fleet_mod
 from .model import (
     CENTS_PER_KWH_TO_USD_PER_MWH,
-    Bus,
-    ChargingStation,
-    CostSegment,
-    Demand,
-    EVFleet,
-    Generator,
-    Line,
-    Network,
     Scenario,
-    SolverSettings,
-    SolarUnit,
-    WtpSegment,
+    load_scenario,
     scale_penetration,
     scale_solar,
 )
@@ -320,7 +314,7 @@ def baseline_csv(result: BaselineResult) -> str:
 # ---------------------------------------------------------------------------
 
 
-def desk_scenario(name: str = "desk_5bus") -> Scenario:
+def desk_scenario() -> Scenario:
     """Five-bus day-long scenario small enough for exhaustive testing.
 
     Geography: bus n1 holds the cheap system generator, n2/n3 carry most of
@@ -331,106 +325,4 @@ def desk_scenario(name: str = "desk_5bus") -> Scenario:
     rate, so station charging wins wherever connected, and rising EV load
     pushes the hub's marginal price up through the peaker's cost steps.
     """
-    T = 24
-
-    def window(lo, hi, value=1.0):
-        return tuple(value if lo <= t <= hi else 0.0 for t in range(T))
-
-    def profile(base, peak, peak_hours):
-        return tuple(base + (peak - base) * (1.0 if t in peak_hours else 0.0) for t in range(T))
-
-    evening = range(17, 22)
-    buses = (
-        Bus("n1", -1.5, 1.5, reference=True),
-        Bus("n2", -1.5, 1.5),
-        Bus("n3", -1.5, 1.5),
-        Bus("n4", -1.5, 1.5),
-        Bus("n5", -1.5, 1.5),
-    )
-    lines = (
-        Line("l12", "n1", "n2", 0.06, -250.0, 250.0),
-        Line("l13", "n1", "n3", 0.08, -250.0, 250.0),
-        Line("l23", "n2", "n3", 0.10, -150.0, 150.0),
-        Line("l24", "n2", "n4", 0.08, -45.0, 45.0),
-        Line("l34", "n3", "n4", 0.12, -45.0, 45.0),
-        Line("l45", "n4", "n5", 0.08, -80.0, 80.0),
-    )
-    generators = (
-        Generator(
-            "g1", "n1", 0.0, 260.0,
-            (CostSegment(0.0, 110.0, 18.0), CostSegment(0.0, 150.0, 27.0)),
-        ),
-        Generator(
-            "g2", "n2", 0.0, 120.0,
-            (CostSegment(0.0, 60.0, 30.0), CostSegment(0.0, 60.0, 38.0)),
-        ),
-        Generator(
-            "g3", "n4", 0.0, 150.0,
-            (
-                CostSegment(0.0, 40.0, 45.0),
-                CostSegment(0.0, 50.0, 90.0),
-                CostSegment(0.0, 60.0, 200.0),
-            ),
-        ),
-    )
-    solar_units = (
-        SolarUnit("s4", "n4", window(9, 16, 30.0)),
-        SolarUnit("s5", "n5", window(9, 16, 12.0)),
-    )
-    demands = (
-        Demand("d2", "n2", profile(35.0, 50.0, evening)),
-        Demand("d3", "n3", profile(25.0, 35.0, evening)),
-        Demand("d5", "n5", profile(15.0, 25.0, evening)),
-    )
-    network = Network(buses, lines, generators, solar_units, demands, T)
-
-    def commuter(fid, bus, station, scale):
-        drive = tuple(
-            20.0 * scale if t in (7, 8, 9) else (20.0 * scale if t in (17, 18, 19) else 0.0)
-            for t in range(T)
-        )
-        # station cap close to (energy need / window length) so charging is
-        # forced to spread across the window at every penetration level
-        return EVFleet(
-            id=fid,
-            bus=bus,
-            max_charge=40.0 * scale,
-            home_cap=20.0 * scale,
-            home_connectivity=tuple(1.0 if t <= 6 or t >= 20 else 0.0 for t in range(T)),
-            station_caps={station: 18.0 * scale},
-            station_connectivity={station: window(9, 16)},
-            energy_min=40.0 * scale,
-            energy_max=400.0 * scale,
-            initial_energy=150.0 * scale,
-            final_energy_min=150.0 * scale,
-            charge_efficiency=0.95,
-            discharge_efficiency=0.95,
-            driving=drive,
-            tou=(200.0,) * T,
-        )
-
-    fleets = (commuter("f4", "n4", "c4", 1.0), commuter("f5", "n5", "c5", 0.5))
-
-    def station(cid, fid, cap):
-        return ChargingStation(
-            id=cid,
-            fleet_id=fid,
-            offer_min=(60.0,) * T,
-            offer_max=(190.0,) * T,
-            segments=(
-                WtpSegment(cap / 2, (150.0,) * T, (250.0,) * T),
-                WtpSegment(cap / 2, (120.0,) * T, (220.0,) * T),
-            ),
-        )
-
-    stations = (station("c4", "f4", 18.0), station("c5", "f5", 9.0))
-
-    settings = SolverSettings(
-        budget=60,
-        multistarts=3,
-        step_min=0.5,
-        parameterization="station_blocks",
-        block_width=24,
-        seed=0,
-    )
-    return Scenario(name, network, fleets, stations, settings)
+    return load_scenario(Path(__file__).with_name("desk_5bus.json"))

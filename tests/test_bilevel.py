@@ -1154,6 +1154,27 @@ class TestOutcomeRoundTrip:
         assert str(info.value) == message
 
     @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("dam", "horizon"), "T"),
+            (("schedule", "horizon"), "T"),
+            (("dam", "duals"), "witness"),
+            (("dam", "duals"), "junk"),
+        ],
+        ids=["dam_horizon", "schedule_horizon", "duals", "duals_junk"],
+    )
+    def test_a_key_no_document_carries_is_refused(self, keys, value):
+        # the network carries the horizon, and the market duals are
+        # transient: neither is ever written, so neither is read, at any value
+        out = toy_outcome()
+        doc = json.loads(json.dumps(bl.outcome_to_json(out)))
+        given = {"T": out.scenario.network.horizon, "witness": [list(y) for y in out.dam.duals]}
+        doc[keys[0]][keys[1]] = given.get(value, value)
+        with pytest.raises(md.ScenarioFormatError) as info:
+            bl.outcome_from_json(doc)
+        assert str(info.value) == f"{keys[0]}: unknown keys ['{keys[1]}']"
+
+    @pytest.mark.parametrize(
         "version, message",
         [
             (2, "schema_version: unsupported version 2"),

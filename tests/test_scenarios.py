@@ -1,6 +1,10 @@
 """Metrics, baseline/counterfactual comparison, sweeps, desk scenario."""
 
 import dataclasses
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,9 @@ from evcsmarket import dam
 from evcsmarket import model as md
 from evcsmarket import scenarios as sc
 from conftest import DESK_PENETRATION_LEVELS, one_bus_scenario, two_period_fleet
+
+ROOT = Path(__file__).parent.parent
+DESK_FILE = ROOT / "data" / "desk_5bus.json"
 
 
 class TestMetricsRow:
@@ -154,9 +161,29 @@ class TestDeskScenario:
         assert desk_baseline.certificate.passed
         assert desk_baseline.row.station_energy > 0
 
-    def test_checked_in_json_matches_factory(self, desk):
-        from pathlib import Path
+    def test_loads_the_one_checked_in_file(self, monkeypatch):
+        read = []
 
-        path = Path(__file__).parent.parent / "data" / "desk_5bus.json"
-        loaded = md.load_scenario(path)
-        assert md.scenario_to_json(loaded) == md.scenario_to_json(desk)
+        def load(path):
+            read.append(path)
+            return md.load_scenario(path)
+
+        monkeypatch.setattr(sc, "load_scenario", load)
+        assert sc.desk_scenario() == md.load_scenario(DESK_FILE)
+        assert [Path(p).resolve() for p in read] == [DESK_FILE.resolve()]
+
+    def test_a_built_package_ships_the_file(self, tmp_path):
+        # a copy of the checkout, so that the build's egg-info lands there
+        checkout = tmp_path / "checkout"
+        for name in ("src", "data"):
+            shutil.copytree(ROOT / name, checkout / name, symlinks=True)
+        shutil.copy(ROOT / "pyproject.toml", checkout)
+        build = tmp_path / "build"
+        subprocess.run(
+            [sys.executable, "-c", "from setuptools import setup; setup()",
+             "build_py", "--build-lib", str(build)],
+            cwd=checkout, check=True, capture_output=True, timeout=120,
+        )
+        shipped = build / "evcsmarket" / "desk_5bus.json"
+        assert shipped.is_file() and not shipped.is_symlink()
+        assert shipped.read_bytes() == DESK_FILE.read_bytes()
