@@ -92,12 +92,15 @@ def offer_parameters(scenario: Scenario) -> tuple[OfferParameter, ...]:
 
     `full` and `per_station_period` coincide here because every station
     serves exactly one fleet; `station_blocks` shares one parameter across
-    `settings.block_width` consecutive periods.
+    `settings.block_width` consecutive periods, and raises ValueError when
+    that width is below 1.
     """
     mode = scenario.settings.parameterization
     if mode not in (PARAM_FULL, PARAM_PER_STATION_PERIOD, PARAM_STATION_BLOCKS):
         raise ValueError(f"unknown parameterization {mode!r}")
     width = scenario.settings.block_width if mode == PARAM_STATION_BLOCKS else 1
+    if width < 1:
+        raise ValueError("settings.block_width must be >= 1")
     T = scenario.network.horizon
     spans = [(t, min(t + width, T)) for t in range(0, T, width)]
     return tuple(
@@ -303,8 +306,8 @@ def optimize(
     move it found and its start ends.  After that, a start is taken only if
     it was already evaluated, and its sweep stops at the first move that
     was not.  Raises ValueError, before evaluating anything, on a budget
-    below 1 or a `step_min` that is not positive (the step would never fall
-    below it).
+    below 1, a `step_min` that is not positive (the step would never fall
+    below it) or a parameter grid `offer_parameters` refuses.
     """
     settings = scenario.settings
     budget = settings.budget if budget is None else budget

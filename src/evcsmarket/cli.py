@@ -27,7 +27,7 @@ from .model import CENTS_PER_KWH_TO_USD_PER_MWH, ScenarioFormatError, load_scena
 def _load(path: str):
     try:
         return load_scenario(path)
-    except FileNotFoundError:
+    except OSError:
         raise _UsageError(f"cannot read scenario file: {path}")
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise _UsageError(f"scenario file is not valid JSON: {exc}")
@@ -41,7 +41,10 @@ class _UsageError(Exception):
 
 def _out_dir(arg: str | None) -> Path:
     out = Path(arg or os.environ.get("EVCSMARKET_OUT", "out"))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _UsageError(f"cannot use output directory {out}: {exc}")
     return out
 
 
@@ -132,7 +135,7 @@ def cmd_run(args) -> int:
         try:
             with open(outcome_path) as fh:
                 outcome = bilevel.outcome_from_json(json.load(fh))
-        except (json.JSONDecodeError, UnicodeDecodeError, ScenarioFormatError) as exc:
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError, ScenarioFormatError) as exc:
             raise _UsageError(f"--certify: cached outcome unreadable: {exc}")
         if _refused(outcome.scenario):
             return 1

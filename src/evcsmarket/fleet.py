@@ -542,25 +542,23 @@ class FleetDualReport:
     """Which dual/primal pairings close the strong-duality gap, for one
     fleet.
 
-    `offer_primal` is the fleet's cost program (`build_fleet`);
-    `segment_primal` the same LP re-priced to bill station energy per bid
-    segment at the cleared bid prices.  The automatic dual of each matches
-    it by LP duality; `literal_dual` is the transcribed published dual,
-    solved as printed.
+    `offer_primal` is the optimum of the fleet's cost program
+    (`build_fleet`); `segment_primal` that of the same LP re-priced to bill
+    station energy per bid segment at the cleared bid prices.
+    `literal_dual` is the optimum of the transcribed published dual, solved
+    as printed, and `corrected_sign_dual` that of its sign-corrected
+    version; each is None when its solve is not optimal.
     """
 
     offer_primal: float
-    offer_auto_dual: float
     segment_primal: float
-    segment_auto_dual: float
     literal_dual: float | None
-    literal_dual_status: str
     corrected_sign_dual: float | None
-    corrected_sign_status: str
-    tolerance: float
 
-    def _matches(self, value, target) -> bool:
-        return value is not None and abs(value - target) <= self.tolerance * max(1.0, abs(target))
+    @staticmethod
+    def _matches(value, target) -> bool:
+        limit = lpcore.DUALITY_TOL * max(1.0, abs(target))
+        return value is not None and abs(value - target) <= limit
 
     @property
     def literal_matches_offer(self) -> bool:
@@ -574,65 +572,33 @@ class FleetDualReport:
     def corrected_matches_segment(self) -> bool:
         return self._matches(self.corrected_sign_dual, self.segment_primal)
 
-    def summary(self) -> str:
-        def fmt(value, status):
-            return f"optimum {value:.6f}" if value is not None else status
-
-        def yes(match):
-            return "yes" if match else "no"
-
-        return "\n".join(
-            [
-                f"offer-billed cost program:   optimum {self.offer_primal:.6f}, "
-                f"auto dual {self.offer_auto_dual:.6f}",
-                f"segment-billed variant:      optimum {self.segment_primal:.6f}, "
-                f"auto dual {self.segment_auto_dual:.6f}",
-                f"literal transcribed dual:    {fmt(self.literal_dual, self.literal_dual_status)}",
-                "sign-corrected variant:      "
-                + fmt(self.corrected_sign_dual, self.corrected_sign_status),
-                f"literal dual matches offer-billed optimum: {yes(self.literal_matches_offer)}",
-                f"literal dual matches segment-billed optimum: {yes(self.literal_matches_segment)}",
-                "sign-corrected dual matches segment-billed optimum: "
-                + yes(self.corrected_matches_segment),
-            ]
-        )
-
 
 def dual_form_report(
     inp: FleetInput, fleet: EVFleet, segment_prices: SegmentPrices
 ) -> FleetDualReport:
-    """Solve both primal variants of `fleet`'s program, their automatic
-    duals, and the transcribed dual (as printed, and with its
-    boundedness-breaking sign repaired), and report which equalities hold.
+    """Solve both primal variants of `fleet`'s program and the transcribed
+    dual (as printed, and with its boundedness-breaking sign repaired), and
+    report which equalities hold.
 
     The segment-billed variant is the offer LP with each station column's
     cost set to 0 and each bid-segment column's cost to its
     `segment_prices[c][m][t]`; nothing else differs."""
     offer_lp, cols = build_fleet(inp, fleet)
-    offer_sol = lpcore.require_optimal(offer_lp)
-    offer_dual = lpcore.require_optimal(lpcore.dualize(offer_lp))
-
     objective = offer_lp.objective.copy()
     for cid, s_cols, seg_cols in zip(cols.stations, cols.station, cols.segment):
         objective[s_cols] = 0.0
         for m_cols, prices in zip(seg_cols, segment_prices[cid]):
             objective[m_cols] = prices
-    seg_lp = offer_lp.with_arrays(objective=objective)
-    seg_primal = lpcore.require_optimal(seg_lp).objective
-    seg_dual = lpcore.require_optimal(lpcore.dualize(seg_lp)).objective
 
-    literal = lpcore.solve(build_fleet_paper_dual(inp, fleet, segment_prices))
-    corrected = lpcore.solve(
-        build_fleet_paper_dual(inp, fleet, segment_prices, corrected_segment_sign=True)
-    )
+    def optimum(lp):
+        sol = lpcore.solve(lp)
+        return sol.objective if sol.is_optimal else None
+
     return FleetDualReport(
-        offer_primal=offer_sol.objective,
-        offer_auto_dual=offer_dual.objective,
-        segment_primal=seg_primal,
-        segment_auto_dual=seg_dual,
-        literal_dual=literal.objective if literal.is_optimal else None,
-        literal_dual_status=literal.status,
-        corrected_sign_dual=corrected.objective if corrected.is_optimal else None,
-        corrected_sign_status=corrected.status,
-        tolerance=lpcore.DUALITY_TOL,
+        offer_primal=lpcore.require_optimal(offer_lp).objective,
+        segment_primal=lpcore.require_optimal(offer_lp.with_arrays(objective=objective)).objective,
+        literal_dual=optimum(build_fleet_paper_dual(inp, fleet, segment_prices)),
+        corrected_sign_dual=optimum(
+            build_fleet_paper_dual(inp, fleet, segment_prices, corrected_segment_sign=True)
+        ),
     )

@@ -16,6 +16,8 @@ that row's residual within its bounds and touches no row taken before it.
 Only the rows left over start on a phase-1 artificial.  The start depends
 only on the LP, so a solve never depends on what was solved before it, and
 the solver is deterministic: one LP solved twice gives the same bits.
+A solve that does not end optimal returns its status and pivot counts and
+nothing else: no infeasibility certificate and no unbounded ray.
 
 Phase 1 and the pivot-out of the artificials read no objective, so solves
 of one LP under several objectives can share them: `solve(lp,
@@ -84,10 +86,6 @@ class LpDefinitionError(LpError):
 
 class LpSolveError(LpError):
     """A caller required an optimal solution and did not get one."""
-
-    def __init__(self, message, solution=None):
-        super().__init__(message)
-        self.solution = solution
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,12 +235,10 @@ class LpSolution:
     empty unless optimal.
 
     `dual` and `reduced_cost` follow the marginal-value convention in the
-    module docstring.  `infeasibility_certificate` (row multipliers proving
-    no feasible point exists) and `unbounded_ray` (an improving feasible
-    direction over the columns) are diagnostic payloads kept for callers
-    that want to turn a failure into an actionable message.  `iterations`
-    counts every simplex pivot and bound flip; `phase1_iterations` is the
-    part of it spent reaching feasibility, so phase 2 took the difference.
+    module docstring.  A solve that is not optimal carries its status and
+    its counts only.  `iterations` counts every simplex pivot and bound
+    flip; `phase1_iterations` is the part of it spent reaching feasibility,
+    so phase 2 took the difference.
     """
 
     status: str
@@ -254,8 +250,6 @@ class LpSolution:
     basis: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     iterations: int = 0
     phase1_iterations: int = 0
-    infeasibility_certificate: np.ndarray | None = None
-    unbounded_ray: np.ndarray | None = None
 
     @property
     def is_optimal(self) -> bool:
@@ -264,19 +258,18 @@ class LpSolution:
 
 @dataclass
 class DualityReport:
-    """Outcome of a strong-duality / complementary-slackness check."""
+    """Outcome of a strong-duality / complementary-slackness check; it
+    passes when both the relative gap and the worst product are within
+    DUALITY_TOL."""
 
     objective_gap: float
     relative_gap: float
     max_complementarity: float
     worst_items: tuple[tuple[str, float], ...]
-    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return self.relative_gap <= self.tolerance and (
-            self.max_complementarity <= self.tolerance
-        )
+        return self.relative_gap <= DUALITY_TOL and self.max_complementarity <= DUALITY_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +432,15 @@ class _Tableau:
 
     # -- core iteration loop ---------------------------------------------------
 
-    def run(self, costs, *, max_iterations, allow_unbounded):
+    def run(self, costs) -> str:
         """Minimize costs over the current basis; returns a status string."""
         cost_scale = float(np.max(np.abs(costs))) if costs.size else 0.0
         dtol = OPT_TOL * (1.0 + cost_scale)
+        varying = self.lo != self.up  # bounds move only between runs
         bland = False
         stall = 0
         while True:
-            if self.iterations >= max_iterations:
+            if self.iterations >= self.max_iterations:
                 return ITERATION_LIMIT
             if self.pivots_since_refactor >= _REFACTOR_EVERY:
                 if not self.refactor():
@@ -454,16 +448,13 @@ class _Tableau:
             y = self.duals(costs)
             d = self.reduced_costs(costs, y)
 
-            q = self._entering(d, dtol, bland)
-            if q is None:
+            entering = self._entering(d, dtol, bland, varying)
+            if entering is None:
                 return OPTIMAL
-            sigma = self._direction(q, d)
+            q, sigma = entering
             w = self.binv @ self.A[:, q]
             step, leave_pos, hits_upper = self._ratio_test(q, sigma, w, bland)
             if step is None:
-                if not allow_unbounded:
-                    return NUMERICAL
-                self._ray = (q, sigma, w)
                 return UNBOUNDED
 
             self.iterations += 1
@@ -471,15 +462,14 @@ class _Tableau:
             if stall > _BLAND_AFTER:
                 bland = True
 
+            self.x[self.basis] -= sigma * step * w
             if leave_pos is None:
                 # bound flip: entering moves across its own range, basis unchanged
-                self.x[self.basis] -= sigma * step * w
                 self.pos[q] = _POS_UPPER if self.pos[q] == _POS_LOWER else _POS_LOWER
                 self.x[q] = self.up[q] if self.pos[q] == _POS_UPPER else self.lo[q]
                 continue
 
             leave_col = self.basis[leave_pos]
-            self.x[self.basis] -= sigma * step * w
             self.x[q] += sigma * step
             self.x[leave_col] = self.up[leave_col] if hits_upper else self.lo[leave_col]
             self.pos[leave_col] = _POS_UPPER if hits_upper else _POS_LOWER
@@ -502,63 +492,55 @@ class _Tableau:
         self.binv[pos] = row
         self.pivots_since_refactor += 1
 
-    def _entering(self, d, dtol, bland):
+    def _entering(self, d, dtol, bland, varying):
+        """The nonbasic column of `varying` (the columns whose bounds differ)
+        whose move improves the costs by more than `dtol`, by Dantzig's rule
+        or, under `bland`, the first one; None when there is none.  Returned
+        with the sign of its move, (q, +1.0 or -1.0): a column enters only
+        moving against its reduced cost."""
         if not self.ncols:
             return None
-        eligible = ~self.in_basis & (self.lo != self.up)
         score = np.where(
             self.pos == _POS_LOWER, -d, np.where(self.pos == _POS_UPPER, d, np.abs(d))
         )
-        score = np.where(eligible, score, -INF)
-        if bland:
-            hits = np.nonzero(score > dtol)[0]
-            return int(hits[0]) if hits.size else None
-        q = int(np.argmax(score))
-        return q if score[q] > dtol else None
-
-    def _direction(self, q, d) -> float:
-        if self.pos[q] == _POS_LOWER:
-            return 1.0
-        if self.pos[q] == _POS_UPPER:
-            return -1.0
-        return -math.copysign(1.0, d[q])
+        score = np.where(varying & ~self.in_basis, score, -INF)
+        q = int(np.argmax(score > dtol) if bland else np.argmax(score))
+        return (q, -math.copysign(1.0, d[q])) if score[q] > dtol else None
 
     def _ratio_test(self, q, sigma, w, bland):
         """Largest step t >= 0 moving x_q by sigma*t keeping all basics in
-        their bounds. Returns (step, leaving position or None for a bound
-        flip, True if the leaver stops at its upper bound)."""
+        their bounds. Returns (step, or None when nothing limits it; the
+        leaving position, or None for a bound flip; True if the leaver stops
+        at its upper bound)."""
         cols = self.basis
         delta = -sigma * w
         xb = self.x[cols]
-        # only rows that move towards a bound are divided; a NaN (inf - inf
-        # in a non-finite basic) counts as no limit
+        rises = delta > 0.0
+        magnitude = np.abs(delta)
+        # each row's distance to the bound it moves toward, divided only
+        # where it moves; a NaN (inf - inf in a non-finite basic) counts as
+        # no limit
         with np.errstate(invalid="ignore"):
-            t_lo = np.divide(
-                xb - self.lo[cols], -delta, out=np.full(self.m, INF), where=delta < -_PIVOT_TOL
+            distance = np.where(rises, self.up[cols] - xb, xb - self.lo[cols])
+            t = np.divide(
+                distance, magnitude, out=np.full(self.m, INF), where=magnitude > _PIVOT_TOL
             )
-            t_up = np.divide(
-                self.up[cols] - xb, delta, out=np.full(self.m, INF), where=delta > _PIVOT_TOL
-            )
-        t_lo[np.isnan(t_lo)] = INF
-        t_up[np.isnan(t_up)] = INF
-        t_all = np.maximum(np.minimum(t_lo, t_up), 0.0)
+        t[np.isnan(t)] = INF
+        t = np.maximum(t, 0.0)
 
-        best_t = float(t_all.min()) if self.m else INF
+        best_t = float(t.min()) if self.m else INF
         flip = self.up[q] - self.lo[q]
-        if math.isfinite(flip) and flip < best_t - 1e-12:
+        if flip < best_t - 1e-12:  # never when the range is infinite
             return flip, None, False
-        if not math.isfinite(best_t):
-            if math.isfinite(flip):
-                return flip, None, False
+        if best_t == INF:
             return None, None, False
 
-        tied = np.nonzero(t_all <= best_t + 1e-12)[0]
+        tied = np.nonzero(t <= best_t + 1e-12)[0]
         if bland:
             leave_pos = int(tied[np.argmin(cols[tied])])
         else:
             leave_pos = int(tied[np.argmax(np.abs(w[tied]))])
-        hits_upper = bool(t_up[leave_pos] <= t_lo[leave_pos])
-        return best_t, leave_pos, hits_upper
+        return best_t, leave_pos, bool(rises[leave_pos])
 
 
 def _extract_solution(lp: LinearProgram, tab: _Tableau, phase1_iterations, inherited=0):
@@ -587,7 +569,7 @@ def _extract_solution(lp: LinearProgram, tab: _Tableau, phase1_iterations, inher
 
     # dual feasibility of the final basis: no column may enter
     dtol = OPT_TOL * (1.0 + float(np.max(np.abs(tab.c), initial=0.0))) * 100.0
-    if tab._entering(d_int, dtol, bland=False) is not None:
+    if tab._entering(d_int, dtol, False, tab.lo != tab.up) is not None:
         return None
 
     n = tab.n
@@ -694,20 +676,16 @@ def _phase1(tab: _Tableau) -> LpSolution | None:
     m, real = tab.m, tab.nreal
     phase1_costs = np.zeros(tab.ncols)
     phase1_costs[real:] = 1.0
-    status = tab.run(phase1_costs, max_iterations=tab.max_iterations, allow_unbounded=False)
-    pivots = tab.iterations
-    if status in (ITERATION_LIMIT, NUMERICAL):
+    status = tab.run(phase1_costs)
+    if status == OPTIMAL:
+        scale_b = 1.0 + float(np.max(np.abs(tab.b))) if m else 1.0
+        if float(np.sum(tab.x[real:])) > FEAS_TOL * scale_b * 10.0:
+            status = INFEASIBLE
+    elif status == UNBOUNDED:
+        status = NUMERICAL  # the artificial mass is bounded below by 0
+    if status != OPTIMAL:
+        pivots = tab.iterations
         return LpSolution(status=status, iterations=pivots, phase1_iterations=pivots)
-
-    scale_b = 1.0 + float(np.max(np.abs(tab.b))) if m else 1.0
-    infeas_mass = float(np.sum(tab.x[real:]))
-    if infeas_mass > FEAS_TOL * scale_b * 10.0:
-        return LpSolution(
-            status=INFEASIBLE,
-            iterations=pivots,
-            phase1_iterations=pivots,
-            infeasibility_certificate=tab.duals(phase1_costs),
-        )
 
     tab.lo[real:] = tab.up[real:] = tab.x[real:] = 0.0
     # an exchange at one position moves no other, so the artificials' basic
@@ -727,36 +705,21 @@ def _phase2(lp: LinearProgram, tab: _Tableau, inherited: int) -> LpSolution:
     `tab.iterations` were spent by an earlier solve whose phase-1 state this
     one starts from; the solution counts only the rest."""
     phase1 = tab.iterations - inherited
-
-    def stopped(status, **payload):
-        return LpSolution(
-            status=status,
-            iterations=tab.iterations - inherited,
-            phase1_iterations=phase1,
-            **payload,
-        )
-
-    status = tab.run(tab.c, max_iterations=tab.max_iterations, allow_unbounded=True)
-    if status in (ITERATION_LIMIT, NUMERICAL):
-        return stopped(status)
-    if status == UNBOUNDED:
-        q, sigma, w = tab._ray
-        ray = np.zeros(tab.n)
-        if q < tab.n:
-            ray[q] = sigma
-        moves = (tab.basis < tab.n) & (np.abs(w) > 1e-12)
-        ray[tab.basis[moves]] = -sigma * w[moves]
-        return stopped(UNBOUNDED, unbounded_ray=ray)
-
-    solution = _extract_solution(lp, tab, phase1, inherited)
-    return solution if solution is not None else stopped(NUMERICAL)
+    status = tab.run(tab.c)
+    if status == OPTIMAL:
+        solution = _extract_solution(lp, tab, phase1, inherited)
+        if solution is not None:
+            return solution
+        status = NUMERICAL  # the claimed optimum failed verification
+    iterations = tab.iterations - inherited
+    return LpSolution(status=status, iterations=iterations, phase1_iterations=phase1)
 
 
 def require_optimal(lp: LinearProgram, **kwargs) -> LpSolution:
     """solve() and raise LpSolveError unless an optimum was certified."""
     sol = solve(lp, **kwargs)
     if not sol.is_optimal:
-        raise LpSolveError(f"{lp.name}: solver returned status {sol.status}", sol)
+        raise LpSolveError(f"{lp.name}: solver returned status {sol.status}")
     return sol
 
 
@@ -991,7 +954,6 @@ def _duality_report(lp, x, objective, dual_objective, row_prices, bound_prices, 
         relative_gap=gap / denom,
         max_complementarity=float(np.max(products, initial=0.0)) / scale,
         worst_items=tuple((labels[k], float(products[k])) for k in worst),
-        tolerance=DUALITY_TOL,
     )
 
 

@@ -362,6 +362,17 @@ class TestOfferParameters:
         with pytest.raises(ValueError, match="unknown parameterization 'hourly'"):
             bl.offer_parameters(five_period_scenario("hourly"))
 
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_station_blocks_refuse_a_width_below_one(self, width):
+        scenario = five_period_scenario(md.PARAM_STATION_BLOCKS)
+        scenario = dataclasses.replace(
+            scenario, settings=dataclasses.replace(scenario.settings, block_width=width)
+        )
+        with pytest.raises(ValueError, match=r"^settings\.block_width must be >= 1$"):
+            bl.offer_parameters(scenario)
+        with pytest.raises(ValueError, match=r"^settings\.block_width must be >= 1$"):
+            bl.optimize(scenario)
+
 
 class TestCertify:
     def test_evaluate_output_passes(self):
@@ -480,7 +491,7 @@ class TestCertify:
             truncate_first,
             drop_first_key,
         ],
-        ids=["shift_1mw", "nan", "truncate", "missing_key"],
+        ids=["shift", "nan", "cut", "no_key"],
     )
     def test_corrupted_schedule_entry_fails_fleet_feasibility(self, field, corrupt):
         out = toy_outcome()
@@ -519,7 +530,7 @@ class TestCertify:
     @pytest.mark.parametrize(
         "where, family, corrupt, period",
         [
-            pytest.param(where, family, corrupt, period, id=f"{where}-{family}{suffix}")
+            pytest.param(where, family, corrupt, period, id=f"{where}{suffix}-{family}")
             for corrupt, period, suffix in (
                 (nan_first, 0, ""),
                 (truncate_first, 1, "-truncate"),
@@ -714,7 +725,7 @@ class TestCertifyWitness:
         ids=["short", "nan", "row_short", "row_long", "doubled"],
     )
     @pytest.mark.parametrize("where", ["toy", "desk"])
-    def test_bad_witness_gives_the_witness_less_certificate(self, where, corrupt, request):
+    def test_bad_witness_changes_nothing(self, where, corrupt, request):
         # a witness one period short, with a NaN, one row short or long,
         # or doubled (well formed, but its bound is not tight)
         if where == "toy":

@@ -59,6 +59,10 @@ class TestValidate:
         assert f"network.demands[0].load: cannot read series file {tmp_path / 'nope.csv'}" in err
         assert "cannot read scenario file" not in err
 
+    def test_directory_exit_two(self, tmp_path, capsys):
+        assert run_cli("validate", tmp_path) == 2
+        assert f"error: cannot read scenario file: {tmp_path}" in capsys.readouterr().err
+
     def test_malformed_json_exit_two(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -415,6 +419,18 @@ class TestRun:
 
     def test_certify_without_cache_exit_two(self, toy_path, tmp_path):
         assert run_cli("run", toy_path, "--out", tmp_path / "fresh", "--certify") == 2
+
+    def test_certify_cache_that_is_a_directory_exit_two(self, toy_path, tmp_path, capsys):
+        (tmp_path / "cache" / "outcome.json").mkdir(parents=True)
+        assert run_cli("run", toy_path, "--out", tmp_path / "cache", "--certify") == 2
+        assert "error: --certify: cached outcome unreadable: " in capsys.readouterr().err
+
+    def test_out_that_is_a_file_exit_two(self, toy_path, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run_cli("run", toy_path, "--out", out) == 2
+        assert f"error: cannot use output directory {out}: " in capsys.readouterr().err
+        assert out.read_text() == ""
 
     def test_invalid_scenario_exit_one(self, tmp_path):
         doc = md.scenario_to_json(one_bus_scenario())

@@ -586,12 +586,3 @@ class TestDualForms:
         assert sol.is_optimal
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
         assert lpcore.require_optimal(fl.build_fleet(inp, fleet)[0]).objective == pytest.approx(0.0)
-
-    def test_report_summary_mentions_all_programs(self):
-        inp = toy_input((30.0, 10.0))
-        report = fl.dual_form_report(inp, inp.fleets[0], {"c1": ((40.0, 40.0),)})
-        text = report.summary()
-        assert "offer-billed" in text
-        assert "segment-billed variant:      optimum 200.000000" in text
-        assert "literal transcribed dual" in text
-        assert "sign-corrected" in text

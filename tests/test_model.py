@@ -210,7 +210,11 @@ class TestValidate:
     @pytest.mark.parametrize(
         "base, keys, changes, path, message",
         _RULE_CASES,
-        ids=[f"{path}: {message}" for *_, path, message in _RULE_CASES],
+        # "_conn" keeps the three station-connectivity ids apart within 100 characters
+        ids=[
+            f"{path}: {message}".replace("_connectivity", "_conn")
+            for *_, path, message in _RULE_CASES
+        ],
     )
     def test_each_rule_is_named_by_its_path(self, base, keys, changes, path, message):
         scenario = one_bus_scenario() if base == "one_bus" else sc.desk_scenario()
