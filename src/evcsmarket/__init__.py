@@ -1,5 +1,17 @@
 """Strategic offer-price optimization for EV charging stations that buy in a
-day-ahead electricity market and resell against a regulated retail rate."""
+day-ahead electricity market and resell against a regulated retail rate.
+
+Importing the package sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 where they are unset, before numpy loads, so that the
+solver's linear algebra runs on one BLAS thread and its outputs do not
+depend on the thread count.  A caller that set a count, or imported numpy
+first, keeps its own.
+"""
+
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 from .model import (
     Bus,

@@ -48,6 +48,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -285,40 +286,36 @@ def _better(candidate: EquilibriumOutcome, incumbent: EquilibriumOutcome | None)
     return candidate.strategy.values < incumbent.strategy.values
 
 
-def optimize(
-    scenario: Scenario,
-    budget: int | None = None,
-    seed: int | None = None,
-) -> EquilibriumOutcome:
-    """Multi-start coordinate pattern search over the offer parameters.
+def optimize(scenario: Scenario) -> EquilibriumOutcome:
+    """Multi-start coordinate pattern search over the offer parameters, at
+    the scenario's `settings` (budget, seed, starts, step floor).
 
     Starts at the band midpoint, both band edges, and seeded random points
     up to `settings.multistarts` starts (the three fixed ones always run).
     From each start it sweeps each coordinate up and down by the current
     step (initially a quarter of the band, halving down to the configured
     minimum step) and moves to the best improving point of the sweep.
-    Deterministic given the seed; never produces offers outside the
+    Deterministic given the settings; never produces offers outside the
     per-period bands (expansion clips).
 
-    The budget caps the number of distinct strategies evaluated, and
+    `settings.budget` caps the number of distinct strategies evaluated, and
     `_Evaluator` alone applies it: a strategy evaluated before costs
     nothing.  Once the budget is spent, the sweep under way keeps the best
     move it found and its start ends.  After that, a start is taken only if
     it was already evaluated, and its sweep stops at the first move that
-    was not.  Raises ValueError, before evaluating anything, on a budget
-    below 1, a `step_min` that is not positive (the step would never fall
-    below it) or a parameter grid `offer_parameters` refuses.
+    was not.  Raises ValueError, before evaluating anything, on a
+    `settings.budget` below 1, a `step_min` that is not positive (the step
+    would never fall below it) or a parameter grid `offer_parameters`
+    refuses.
     """
     settings = scenario.settings
-    budget = settings.budget if budget is None else budget
-    seed = settings.seed if seed is None else seed
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    if settings.budget < 1:
+        raise ValueError("settings.budget must be >= 1")
     if settings.step_min <= 0:
         raise ValueError("settings.step_min must be > 0")
     params = offer_parameters(scenario)
-    ev = _Evaluator(scenario, params, budget)
-    rng = np.random.default_rng(seed)
+    ev = _Evaluator(scenario, params, settings.budget)
+    rng = np.random.default_rng(settings.seed)
 
     lo = np.array([p.lower for p in params])
     hi = np.array([p.upper for p in params])
@@ -366,7 +363,9 @@ def optimize(
                     best = current
 
     assert best is not None
-    info = SearchInfo(evaluations=ev.used, starts=n_started, seed=seed, budget=budget)
+    info = SearchInfo(
+        evaluations=ev.used, starts=n_started, seed=settings.seed, budget=settings.budget
+    )
     return replace(best, search=info)
 
 
@@ -408,7 +407,8 @@ class Certificate:
 
     Residuals are relative (scaled by the magnitude of what they compare).
     Feasibility families are checked against `feas_tolerance`, the two
-    strong-duality families and the profit identity against `tolerance`.
+    strong-duality families and the profit identity against `tolerance`;
+    both are the solver's fixed tolerances, not stored per certificate.
     `worst` says where each family's residual peaks (the first place on
     ties): a period for `offer_bounds` and the market families, a fleet id
     for the fleet families.  `profit_identity` is one sum over the whole
@@ -416,10 +416,10 @@ class Certificate:
     """
 
     residuals: dict[str, float]
-    tolerance: float
-    feas_tolerance: float
     worst: dict[str, int | str | None] = field(default_factory=dict)
 
+    tolerance: ClassVar[float] = lpcore.DUALITY_TOL
+    feas_tolerance: ClassVar[float] = 10.0 * lpcore.FEAS_TOL
     _DUALITY_FAMILIES = ("dam_strong_duality", "fleet_strong_duality", "profit_identity")
 
     @property
@@ -478,7 +478,6 @@ def certify(outcome: EquilibriumOutcome | None) -> Certificate:
         raise ValueError("no outcome to certify")
     outcome = _padded(outcome)
     scenario = outcome.scenario
-    feas_tolerance = lpcore.FEAS_TOL * 10.0
     T = scenario.network.horizon
     residuals: dict[str, float] = {}
     worst: dict[str, int | str | None] = {}
@@ -527,9 +526,7 @@ def certify(outcome: EquilibriumOutcome | None) -> Certificate:
             recomputed += series[t] * (outcome.offers[st.id][t] - outcome.dam.lmp[fleet.bus][t])
     residuals["profit_identity"] = _rel_gap(recomputed, outcome.profit)
 
-    return Certificate(
-        residuals, tolerance=lpcore.DUALITY_TOL, feas_tolerance=feas_tolerance, worst=worst
-    )
+    return Certificate(residuals, worst)
 
 
 def _padded(outcome: EquilibriumOutcome) -> EquilibriumOutcome:
@@ -761,6 +758,8 @@ def outcome_from_json(data: dict) -> EquilibriumOutcome:
 def certificate_to_json(cert: Certificate) -> dict:
     return {
         **_document(cert),
+        "tolerance": cert.tolerance,
+        "feas_tolerance": cert.feas_tolerance,
         "passed": cert.passed,
         "max_violation": cert.max_violation,
         "failing": cert.failing(),

@@ -5,9 +5,11 @@ Exit codes: 0 success, 1 scenario invariants violated, 2 unusable input or
 bad usage, 3 certification failure.  `run --certify` re-certifies a cached
 outcome.json by the same codes: 2 when it is missing or unreadable (a key
 its format does not name included), 1 with `validate`'s report when its
-scenario fails validation, 3 when its certificate fails.  Identical
-scenario and seed give byte-identical output files.  The default output
-directory comes from EVCSMARKET_OUT (falling back to ./out).
+scenario fails validation, 3 when its certificate fails; it creates no
+directory.  `--budget` and `--seed` set the scenario's `settings` before it
+is validated, so outcome.json embeds the settings the search used.
+Identical scenario and settings give byte-identical output files.  The
+default output directory comes from EVCSMARKET_OUT (falling back to ./out).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import bilevel, scenarios
@@ -35,12 +38,26 @@ def _load(path: str):
         raise _UsageError(str(exc))
 
 
+def _load_run(args):
+    """The scenario file of a run or sweep, with `--budget` and `--seed`,
+    where given, set in its settings."""
+    scenario = _load(args.scenario)
+    given = {k: getattr(args, k) for k in ("budget", "seed") if getattr(args, k) is not None}
+    return replace(scenario, settings=replace(scenario.settings, **given))
+
+
 class _UsageError(Exception):
     pass
 
 
+def _out_path(arg: str | None) -> Path:
+    return Path(arg or os.environ.get("EVCSMARKET_OUT", "out"))
+
+
 def _out_dir(arg: str | None) -> Path:
-    out = Path(arg or os.environ.get("EVCSMARKET_OUT", "out"))
+    """The output directory of a run or sweep that writes, created if
+    missing."""
+    out = _out_path(arg)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -127,9 +144,8 @@ def _write(path: Path, content: str) -> None:
 
 
 def cmd_run(args) -> int:
-    out = _out_dir(args.out)
     if args.certify:
-        outcome_path = out / "outcome.json"
+        outcome_path = _out_path(args.out) / "outcome.json"
         if not outcome_path.exists():
             raise _UsageError(f"--certify: no cached outcome at {outcome_path}")
         try:
@@ -143,11 +159,12 @@ def cmd_run(args) -> int:
         print(cert.summary())
         return 0 if cert.passed else 3
 
-    scenario = _load(args.scenario)
+    scenario = _load_run(args)
     if _refused(scenario):
         return 1
+    out = _out_dir(args.out)
 
-    result = scenarios.run_baseline(scenario, budget=args.budget, seed=args.seed)
+    result = scenarios.run_baseline(scenario)
 
     with open(out / "outcome.json", "w") as fh:
         bilevel.dump_outcome(result.outcome, fh)
@@ -185,7 +202,7 @@ def _parse_levels(text: str, what: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    scenario = _load(args.scenario)
+    scenario = _load_run(args)
     if _refused(scenario):
         return 1
     out = _out_dir(args.out)
@@ -193,7 +210,7 @@ def cmd_sweep(args) -> int:
     axis = "pv" if args.penetration is None else "penetration"  # the parser requires one
     sweep = {"pv": scenarios.sweep_pv, "penetration": scenarios.sweep_penetration}[axis]
     levels = _parse_levels(getattr(args, axis), f"--{axis}")
-    entries = sweep(scenario, levels, budget=args.budget, seed=args.seed)
+    entries = sweep(scenario, levels)
     csv_name = f"sweep_{axis}.csv"
     context = scenarios.REFERENCE_CASE_TABLE[axis]
 
@@ -248,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="optimize offers, certify, write reports")
     p.add_argument("scenario")
-    p.add_argument("--budget", type=_budget, default=None, help="evaluation budget override")
-    p.add_argument("--seed", type=_seed, default=None, help="search seed override")
+    p.add_argument("--budget", type=_budget, default=None, help="sets settings.budget")
+    p.add_argument("--seed", type=_seed, default=None, help="sets settings.seed")
     p.add_argument("--out", default=None, help="output directory (default $EVCSMARKET_OUT or ./out)")
     p.add_argument(
         "--certify",
@@ -263,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     axis = p.add_mutually_exclusive_group(required=True)
     axis.add_argument("--penetration", help="comma-separated EV penetration levels in (0,1)")
     axis.add_argument("--pv", help="comma-separated solar capacity multipliers >= 0")
-    p.add_argument("--budget", type=_budget, default=None)
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--budget", type=_budget, default=None, help="sets settings.budget")
+    p.add_argument("--seed", type=_seed, default=None, help="sets settings.seed")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 

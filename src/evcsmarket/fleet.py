@@ -97,10 +97,9 @@ class FleetSchedule:
     fleet_costs: dict[str, float]
     cost: float
 
-    def station_energy(self, fleet_id: str | None = None) -> float:
-        fleets = [fleet_id] if fleet_id else list(self.station)
+    def station_energy(self) -> float:
         return float(
-            sum(sum(series) for f in fleets for series in self.station[f].values())
+            sum(sum(series) for stations in self.station.values() for series in stations.values())
         )
 
 
@@ -563,10 +562,6 @@ class FleetDualReport:
     @property
     def literal_matches_offer(self) -> bool:
         return self._matches(self.literal_dual, self.offer_primal)
-
-    @property
-    def literal_matches_segment(self) -> bool:
-        return self._matches(self.literal_dual, self.segment_primal)
 
     @property
     def corrected_matches_segment(self) -> bool:

@@ -115,8 +115,11 @@ class BaselineResult:
     row: MetricsRow
     outcome: EquilibriumOutcome
     certificate: Certificate
-    owner_payment: float
     owner_payment_no_stations: float
+
+    @property
+    def owner_payment(self) -> float:
+        return self.row.owner_payment
 
     @property
     def owner_savings(self) -> float:
@@ -137,21 +140,16 @@ def no_station_payment(scenario: Scenario, offers) -> float:
     return fleet_mod.solve_fleet(fleet_mod.fleet_input(counterfactual, offers)).cost
 
 
-def run_baseline(
-    scenario: Scenario, budget: int | None = None, seed: int | None = None
-) -> BaselineResult:
-    """Optimize offers, certify the outcome, compute metrics, and price the
-    no-station counterfactual with the same offer vector."""
-    outcome = bilevel.optimize(scenario, budget=budget, seed=seed)
-    certificate = bilevel.certify(outcome)
-    row = metrics_row(outcome)
-    without = no_station_payment(scenario, outcome.offers)
+def run_baseline(scenario: Scenario) -> BaselineResult:
+    """Optimize offers at the scenario's settings, certify the outcome,
+    compute metrics, and price the no-station counterfactual with the same
+    offer vector."""
+    outcome = bilevel.optimize(scenario)
     return BaselineResult(
-        row=row,
         outcome=outcome,
-        certificate=certificate,
-        owner_payment=row.owner_payment,
-        owner_payment_no_stations=without,
+        certificate=bilevel.certify(outcome),
+        row=metrics_row(outcome),
+        owner_payment_no_stations=no_station_payment(scenario, outcome.offers),
     )
 
 
@@ -167,13 +165,13 @@ class SweepEntry:
         return None if self.result is None else self.result.row
 
 
-def _run_sweep(scenario, axis, values, scale_fn, budget, seed) -> list[SweepEntry]:
+def _run_sweep(scenario, axis, values, scale_fn) -> list[SweepEntry]:
     """Run each level's independent pipeline in input order.  A failing
     level is recorded, not fatal."""
 
     def run_one(value) -> SweepEntry:
         try:
-            result = run_baseline(scale_fn(scenario, value), budget=budget, seed=seed)
+            result = run_baseline(scale_fn(scenario, value))
             return SweepEntry(axis, float(value), result, None)
         except Exception as exc:  # noqa: BLE001 - per-level isolation is the contract
             return SweepEntry(axis, float(value), None, str(exc))
@@ -181,20 +179,16 @@ def _run_sweep(scenario, axis, values, scale_fn, budget, seed) -> list[SweepEntr
     return [run_one(v) for v in values]
 
 
-def sweep_penetration(
-    scenario: Scenario, levels, budget: int | None = None, seed: int | None = None
-) -> list[SweepEntry]:
+def sweep_penetration(scenario: Scenario, levels) -> list[SweepEntry]:
     """Re-run the baseline study at each EV penetration level (fraction of
     total demand, EV included)."""
-    return _run_sweep(scenario, "penetration_level", levels, scale_penetration, budget, seed)
+    return _run_sweep(scenario, "penetration_level", levels, scale_penetration)
 
 
-def sweep_pv(
-    scenario: Scenario, multipliers, budget: int | None = None, seed: int | None = None
-) -> list[SweepEntry]:
+def sweep_pv(scenario: Scenario, multipliers) -> list[SweepEntry]:
     """Re-run the baseline study with solar availability scaled by each
     multiplier (0 removes solar entirely)."""
-    return _run_sweep(scenario, "pv_multiplier", multipliers, scale_solar, budget, seed)
+    return _run_sweep(scenario, "pv_multiplier", multipliers, scale_solar)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import sys
 import weakref
@@ -74,6 +75,11 @@ def one_bus_scenario(
     fleet, station = two_period_fleet(tau_bounds=(offer_lo, offer_hi), tou=tou)
     settings = md.SolverSettings(budget=budget, multistarts=4, seed=seed)
     return md.Scenario("one_bus_toy", net, (fleet,), (station,), settings)
+
+
+def with_settings(scenario, **changes):
+    """`scenario` with the given `SolverSettings` fields changed."""
+    return dataclasses.replace(scenario, settings=dataclasses.replace(scenario.settings, **changes))
 
 
 def assert_shared_phase1_matches_cold(lps) -> int:

@@ -246,9 +246,12 @@ def test_criterion_8_sweep_trends(desk_penetration_sweep, desk_pv_sweep):
 # certificate.json re-pinned when fleets were bounded from crash re-solves
 # and market periods at the market solve's own duals instead of from
 # re-solves started at the outcome: dam_strong_duality 2.7305e-15 ->
-# 1.9504e-15, fleet_strong_duality 1.1520e-15 -> 7.6802e-16
+# 1.9504e-15, fleet_strong_duality 1.1520e-15 -> 7.6802e-16.
+# outcome.json re-pinned when `--budget` and `--seed` came to be written into
+# the scenario's settings: as JSON it differs from the one before only in
+# scenario.settings.budget 60 -> 25 and scenario.settings.seed 0 -> 11.
 CRITERION_9_SHA256 = {
-    "outcome.json": "ac13393d94c8a76148b3e1d95da6f47aa262d044499a9644a2e5d0528c40bd3e",
+    "outcome.json": "b22070f28ba63fe28768bff229402ffbd7d3325cb350c9b199f16de279ab5f6b",
     "certificate.json": "3bc3ed09ad67e35ee2c2755193c205fc5c74a87235c5a1360c76ab2568590284",
     "metrics.csv": "925f7d2a1f590ae7c4cef294ae38b1680421773572cec20b3a69344161097000",
     "hourly_profile.csv": "64c464eaad054ceb581a6fff98829ba1756f468084df17d01c6e3480f45b84b1",

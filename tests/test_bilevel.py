@@ -4,7 +4,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from conftest import (
     one_bus_scenario,
     random_bilevel,
     spy_fleet_lps,
+    with_settings,
 )
 
 
@@ -118,8 +122,8 @@ class TestEvaluate:
 
 class TestOptimize:
     def test_budget_one_returns_midpoint(self):
-        scenario = one_bus_scenario()
-        out = bl.optimize(scenario, budget=1)
+        scenario = one_bus_scenario(budget=1)
+        out = bl.optimize(scenario)
         assert out.strategy.values == (25.0, 25.0)
         assert out.search.evaluations == 1
 
@@ -129,14 +133,14 @@ class TestOptimize:
         lo = bl.evaluate(bl.Strategy(params, (10.0, 10.0)), scenario).profit
         hi = bl.evaluate(bl.Strategy(params, (40.0, 40.0)), scenario).profit
         mid = bl.evaluate(bl.Strategy(params, (25.0, 25.0)), scenario).profit
-        out = bl.optimize(scenario, budget=50)
+        out = bl.optimize(with_settings(scenario, budget=50))
         assert out.profit >= max(lo, hi, mid) - 1e-9
 
     def test_lands_near_retail_rate_edge(self):
         # profit rises in tau until the retail rate, then collapses: the
         # optimizer must stop within one 0.5 grid step of the edge
-        scenario = one_bus_scenario(tou=30.0, offer_lo=10.0, offer_hi=40.0)
-        out = bl.optimize(scenario, budget=300)
+        scenario = one_bus_scenario(tou=30.0, offer_lo=10.0, offer_hi=40.0, budget=300)
+        out = bl.optimize(scenario)
         grid = np.arange(10.0, 40.0 + 1e-9, 0.5)
         best_grid = None
         best_profit = -np.inf
@@ -158,8 +162,8 @@ class TestOptimize:
     def test_selling_below_cost_settles_on_boundary(self):
         # offer band entirely below the market price: profit <= 0 and the
         # search settles on the least-loss boundary
-        scenario = one_bus_scenario(gen_cost=50.0, offer_lo=5.0, offer_hi=8.0, tou=30.0)
-        out = bl.optimize(scenario, budget=60)
+        scenario = one_bus_scenario(gen_cost=50.0, offer_lo=5.0, offer_hi=8.0, tou=30.0, budget=60)
+        out = bl.optimize(scenario)
         assert out.profit <= 1e-9
         for v, p in zip(out.strategy.values, params_of(scenario)):
             assert v == pytest.approx(p.upper, abs=1e-9) or v == pytest.approx(
@@ -167,31 +171,29 @@ class TestOptimize:
             )
 
     def test_deterministic_given_seed(self):
-        scenario = one_bus_scenario()
-        a = bl.optimize(scenario, budget=80, seed=3)
-        b = bl.optimize(scenario, budget=80, seed=3)
+        scenario = one_bus_scenario(budget=80, seed=3)
+        a = bl.optimize(scenario)
+        b = bl.optimize(scenario)
         assert a.strategy.values == b.strategy.values
         assert a.profit == b.profit
 
     def test_bad_budget(self):
         with pytest.raises(ValueError):
-            bl.optimize(one_bus_scenario(), budget=0)
+            bl.optimize(one_bus_scenario(budget=0))
 
     @pytest.mark.parametrize("step_min", [0.0, -1.0])
     def test_nonpositive_step_min_raises_before_evaluating(self, step_min, monkeypatch):
-        scenario = one_bus_scenario()
-        scenario = dataclasses.replace(
-            scenario, settings=dataclasses.replace(scenario.settings, step_min=step_min)
-        )
+        scenario = with_settings(one_bus_scenario(budget=100000), step_min=step_min)
         evaluated = []
         monkeypatch.setattr(bl, "evaluate", lambda *args, **kwargs: evaluated.append(args))
         with pytest.raises(ValueError, match="step_min"):
-            bl.optimize(scenario, budget=100000)
+            bl.optimize(scenario)
         assert evaluated == []
 
 
 def searched_path(scenario, monkeypatch, **kwargs):
-    """`optimize`'s outcome and the strategy values it evaluated, in order."""
+    """`optimize`'s outcome, at `scenario`'s settings with `kwargs` set in
+    them, and the strategy values it evaluated, in order."""
     path = []
     evaluate = bl.evaluate
 
@@ -200,7 +202,7 @@ def searched_path(scenario, monkeypatch, **kwargs):
         return evaluate(strategy, scenario, **kw)
 
     monkeypatch.setattr(bl, "evaluate", recorded)
-    return bl.optimize(scenario, **kwargs), path
+    return bl.optimize(with_settings(scenario, **kwargs)), path
 
 
 class TestSearchPath:
@@ -281,7 +283,7 @@ class TestBruteForce:
         # pattern search visits from the midpoint start
         scenario = one_bus_scenario()
         grid = bl.brute_force(scenario, levels=5)
-        searched = bl.optimize(scenario, budget=200)
+        searched = bl.optimize(with_settings(scenario, budget=200))
         assert searched.profit >= grid.profit - 1e-6
 
     def test_degenerate_band_single_evaluation(self):
@@ -301,6 +303,10 @@ class TestBruteForce:
         out = bl.brute_force(scenario, levels=2000)
         assert out.search.evaluations == 1
         assert out.strategy.values == (20.0, 20.0)
+
+    def test_levels_below_one_refused(self):
+        with pytest.raises(ValueError, match=r"^levels must be >= 1$"):
+            bl.brute_force(one_bus_scenario(), levels=0)
 
     def test_cap_counts_the_grid_that_would_run(self):
         # period 0's band is a point, so the grid has one point on that axis
@@ -336,6 +342,11 @@ def five_period_scenario(parameterization):
 
 
 class TestOfferParameters:
+    def test_strategy_needs_one_value_per_parameter(self):
+        params = params_of(one_bus_scenario())
+        with pytest.raises(ValueError, match=r"^strategy needs one value per parameter$"):
+            bl.Strategy(params, (20.0,))
+
     def test_station_blocks_end_in_an_uneven_block(self):
         params = bl.offer_parameters(five_period_scenario(md.PARAM_STATION_BLOCKS))
         assert [(p.station_id, p.t_start, p.t_end, p.lower, p.upper) for p in params] == [
@@ -1066,8 +1077,8 @@ def test_property_memoized_evaluate_matches_cold(data):
 
 class TestOutcomeRoundTrip:
     def test_json_round_trip_recertifies(self):
-        scenario = one_bus_scenario()
-        out = bl.optimize(scenario, budget=40)
+        scenario = one_bus_scenario(budget=40)
+        out = bl.optimize(scenario)
         doc = bl.outcome_to_json(out)
         assert out.dam.duals is not None and "duals" not in doc["dam"]
         text = json.dumps(doc, sort_keys=True)
@@ -1213,3 +1224,44 @@ class TestOutcomeRoundTrip:
         del doc[drop]
         with pytest.raises(md.ScenarioFormatError, match=f"malformed outcome document: '{drop}'"):
             bl.outcome_from_json(doc)
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# evaluate and certify the 40-bus rung of perfbench's `synthetic_ladder` at
+# seed 0, and print the outcome and certificate JSON; argv: src, perfbench
+LADDER_RUNG_PROBE = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import evcsmarket  # before numpy, as a caller of the package does
+import generators
+import numpy as np
+from evcsmarket import bilevel
+scenario = generators.synthetic(40, 5, seed=3)
+params = bilevel.offer_parameters(scenario)
+rng = np.random.default_rng([0, 3])
+values = tuple(float(rng.uniform(p.lower, p.upper)) for p in params)
+outcome = bilevel.evaluate(bilevel.Strategy(params, values), scenario)
+certificate = bilevel.certify(outcome)
+assert certificate.passed, certificate.failing()
+docs = [bilevel.outcome_to_json(outcome), bilevel.certificate_to_json(certificate)]
+json.dump(docs, sys.stdout, sort_keys=True)
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count():
+    """The package runs numpy's BLAS on one thread unless told otherwise,
+    so a process with the BLAS thread variables unset writes the same bits
+    as one with OPENBLAS_NUM_THREADS=1 (on two or more CPUs, BLAS would
+    otherwise split the 40-bus rung's products across threads)."""
+    root = Path(__file__).resolve().parents[1]
+    written = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+        proc = subprocess.run(
+            [sys.executable, "-c", LADDER_RUNG_PROBE, str(root / "src"), str(root / "perfbench")],
+            env={**env, **threads}, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        written.append(proc.stdout)
+    assert written[0] == written[1]

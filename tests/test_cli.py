@@ -392,7 +392,7 @@ class TestRun:
 
     def test_failing_certificate_exit_three(self, toy_path, tmp_path, capsys, monkeypatch):
         def failing(outcome):
-            return bl.Certificate({"offer_bounds": 1.0}, tolerance=1e-6, feas_tolerance=1e-7)
+            return bl.Certificate({"offer_bounds": 1.0})
 
         monkeypatch.setattr(bl, "certify", failing)
         assert run_cli("run", toy_path, "--out", tmp_path / "o") == 3
@@ -419,6 +419,21 @@ class TestRun:
 
     def test_certify_without_cache_exit_two(self, toy_path, tmp_path):
         assert run_cli("run", toy_path, "--out", tmp_path / "fresh", "--certify") == 2
+
+    def test_certify_creates_no_directory(self, toy_path, tmp_path, capsys):
+        fresh = tmp_path / "fresh"
+        assert run_cli("run", toy_path, "--out", fresh, "--certify") == 2
+        err = capsys.readouterr().err
+        assert f"error: --certify: no cached outcome at {fresh / 'outcome.json'}" in err
+        assert not fresh.exists()
+
+    def test_budget_and_seed_are_the_settings_the_outcome_embeds(self, toy_path, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli("run", toy_path, "--budget", 25, "--seed", 11, "--out", out) == 0
+        doc = json.loads((out / "outcome.json").read_text())
+        settings, search = doc["scenario"]["settings"], doc["search"]
+        assert (settings["budget"], settings["seed"]) == (25, 11)
+        assert (search["budget"], search["seed"]) == (25, 11)
 
     def test_certify_cache_that_is_a_directory_exit_two(self, toy_path, tmp_path, capsys):
         (tmp_path / "cache" / "outcome.json").mkdir(parents=True)

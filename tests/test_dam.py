@@ -2,6 +2,7 @@
 invariants."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +219,33 @@ class TestBuildAndSolve:
         net = dataclasses.replace(net, **{field: make(net)})
         with pytest.raises(dam.DamStructureError, match=match):
             dam.solve_dam(dam.DamInput(net, (), ()))
+
+    @pytest.mark.parametrize(
+        "withdrawals, bids, message",
+        [
+            ((dam.FleetWithdrawal("f1", "b1", (1.0, 2.0)),), (),
+             "withdrawal f1: series length != horizon"),
+            ((), (dam.StationDamBid("c1", ((1.0,),), ((0.0,),), ((50.0,),), (10.0, 5.0)),),
+             "station c1: segment count mismatch"),
+            ((), (dam.StationDamBid("c1", ((1.0,),), ((0.0, 0.0),), ((50.0,),), (10.0,)),),
+             "station c1: bid series length != horizon"),
+        ],
+        ids=["withdrawal_length", "segment_count", "bid_length"],
+    )
+    def test_market_input_that_does_not_fit_is_rejected(self, withdrawals, bids, message):
+        inp = dam.DamInput(single_bus().network, withdrawals, bids)
+        with pytest.raises(dam.DamStructureError, match=f"^{re.escape(message)}$"):
+            dam.solve_dam(inp)
+
+    def test_period_solve_that_is_not_optimal_raises(self, monkeypatch):
+        solve = lpcore.solve
+        monkeypatch.setattr(
+            lpcore,
+            "solve",
+            lambda lp: dataclasses.replace(solve(lp), status=lpcore.ITERATION_LIMIT),
+        )
+        with pytest.raises(dam.DamNumericalError, match=r"^period 0: solver status iteration_limit$"):
+            dam.solve_dam(single_bus())
 
     def test_welfare_equals_period_optima(self):
         rng = np.random.default_rng(11)

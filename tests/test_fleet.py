@@ -1,6 +1,7 @@
 """Fleet scheduling: cost optimum, tie-breaks, identities, dual report."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -497,6 +498,26 @@ class TestStructure:
         fleet, station = two_period_fleet()
         with pytest.raises(fl.FleetStructureError, match="no offer price"):
             fl.build_fleet(fl.FleetInput((fleet,), (station,), 2, {}), fleet)
+
+    @pytest.mark.parametrize(
+        "change, offer, message",
+        [
+            (lambda f, s: (dataclasses.replace(f, station_caps={"ghost": 5.0}), s), (30.0, 10.0),
+             "fleet f1: unknown station 'ghost'"),
+            (lambda f, s: (dataclasses.replace(f, tou=(20.0,)), s), (30.0, 10.0),
+             "fleet f1: series length != horizon"),
+            (lambda f, s: (f, dataclasses.replace(s, offer_min=(0.0,))), (30.0, 10.0),
+             "station c1: offer bound series length != horizon"),
+            (lambda f, s: (f, s), (30.0,), "station c1: offer series length != horizon"),
+        ],
+        ids=["unknown_station", "series_length", "offer_bound_length", "offer_length"],
+    )
+    def test_input_that_does_not_fit_is_rejected(self, change, offer, message):
+        fleet, station = change(*two_period_fleet())
+        inp = fl.FleetInput((fleet,), (station,), 2, {"c1": offer})
+        for solve in (lambda: fl.build_fleet(inp, fleet), lambda: fl.solve_fleet(inp)):
+            with pytest.raises(fl.FleetStructureError, match=f"^{re.escape(message)}$"):
+                solve()
 
     def test_identities_hold_exactly(self):
         rng = np.random.default_rng(3)

@@ -55,8 +55,8 @@ class TestBaseline:
     def test_station_access_saves_owners_money(self):
         # offers capped strictly below the retail rate with ample access:
         # the with-station payment must be strictly cheaper
-        scenario = one_bus_scenario(tou=30.0, offer_lo=10.0, offer_hi=25.0)
-        result = sc.run_baseline(scenario, budget=60)
+        scenario = one_bus_scenario(tou=30.0, offer_lo=10.0, offer_hi=25.0, budget=60)
+        result = sc.run_baseline(scenario)
         assert result.outcome.schedule.station_energy() > 1e-6
         assert result.owner_payment < result.owner_payment_no_stations - 1e-6
         assert result.certificate.passed
@@ -64,26 +64,26 @@ class TestBaseline:
     def test_no_access_payments_coincide(self):
         fleet, station = two_period_fleet(tou=30.0)
         fleet = dataclasses.replace(fleet, station_connectivity={"c1": (0.0, 0.0)})
-        scenario = one_bus_scenario()
+        scenario = one_bus_scenario(budget=20)
         scenario = dataclasses.replace(scenario, fleets=(fleet,))
-        result = sc.run_baseline(scenario, budget=20)
+        result = sc.run_baseline(scenario)
         assert result.owner_payment == pytest.approx(
             result.owner_payment_no_stations, rel=1e-12
         )
         assert result.owner_savings == pytest.approx(0.0, abs=1e-9)
 
     def test_counterfactual_matches_direct_fleet_solve(self):
-        scenario = one_bus_scenario(tou=30.0)
-        result = sc.run_baseline(scenario, budget=40)
+        scenario = one_bus_scenario(tou=30.0, budget=40)
+        result = sc.run_baseline(scenario)
         # home-only cost: 10 MWh at the retail rate
         assert result.owner_payment_no_stations == pytest.approx(300.0, abs=1e-6)
 
 
 class TestSweeps:
     def test_failed_level_is_isolated(self):
-        scenario = one_bus_scenario()
+        scenario = one_bus_scenario(budget=20)
         # 0.95 blows the fleet far past the single generator's capability
-        entries = sc.sweep_penetration(scenario, [0.05, 0.95], budget=20)
+        entries = sc.sweep_penetration(scenario, [0.05, 0.95])
         assert entries[0].error is None and entries[0].row is not None
         assert entries[1].error is not None and entries[1].row is None
 
