@@ -56,8 +56,6 @@ from . import dam as dam_mod
 from . import fleet as fleet_mod
 from . import lpcore
 from .model import (
-    PARAM_FULL,
-    PARAM_PER_STATION_PERIOD,
     PARAM_STATION_BLOCKS,
     Scenario,
     ScenarioFormatError,
@@ -65,6 +63,7 @@ from .model import (
     scenario_to_json,
 )
 from .model import _document, _integer, _list, _object  # the document I/O
+from .model import _raising, _settings_rules  # `validate`'s settings rules
 
 BRUTE_FORCE_CAP = 1_000_000
 OUTCOME_SCHEMA_VERSION = 1
@@ -93,15 +92,13 @@ def offer_parameters(scenario: Scenario) -> tuple[OfferParameter, ...]:
 
     `full` and `per_station_period` coincide here because every station
     serves exactly one fleet; `station_blocks` shares one parameter across
-    `settings.block_width` consecutive periods, and raises ValueError when
-    that width is below 1.
+    `settings.block_width` consecutive periods.  Raises ValueError with the
+    first issue of `model.validate`'s settings rules, as `validate` reports
+    it (``path: message``).
     """
-    mode = scenario.settings.parameterization
-    if mode not in (PARAM_FULL, PARAM_PER_STATION_PERIOD, PARAM_STATION_BLOCKS):
-        raise ValueError(f"unknown parameterization {mode!r}")
-    width = scenario.settings.block_width if mode == PARAM_STATION_BLOCKS else 1
-    if width < 1:
-        raise ValueError("settings.block_width must be >= 1")
+    _settings_rules(scenario.settings, _raising(ValueError))
+    settings = scenario.settings
+    width = settings.block_width if settings.parameterization == PARAM_STATION_BLOCKS else 1
     T = scenario.network.horizon
     spans = [(t, min(t + width, T)) for t in range(0, T, width)]
     return tuple(
@@ -303,16 +300,12 @@ def optimize(scenario: Scenario) -> EquilibriumOutcome:
     nothing.  Once the budget is spent, the sweep under way keeps the best
     move it found and its start ends.  After that, a start is taken only if
     it was already evaluated, and its sweep stops at the first move that
-    was not.  Raises ValueError, before evaluating anything, on a
-    `settings.budget` below 1, a `step_min` that is not positive (the step
-    would never fall below it) or a parameter grid `offer_parameters`
-    refuses.
+    was not.  Raises ValueError, before evaluating anything, with the first
+    issue of `model.validate`'s settings rules (through `offer_parameters`):
+    among them, a `budget` below 1 and a `step_min` that is not positive
+    (the step would never fall below it).
     """
     settings = scenario.settings
-    if settings.budget < 1:
-        raise ValueError("settings.budget must be >= 1")
-    if settings.step_min <= 0:
-        raise ValueError("settings.step_min must be > 0")
     params = offer_parameters(scenario)
     ev = _Evaluator(scenario, params, settings.budget)
     rng = np.random.default_rng(settings.seed)
@@ -322,7 +315,7 @@ def optimize(scenario: Scenario) -> EquilibriumOutcome:
     span = hi - lo
 
     starts = [0.5 * (lo + hi), lo.copy(), hi.copy()]
-    while len(starts) < max(settings.multistarts, 1):
+    while len(starts) < settings.multistarts:
         starts.append(lo + rng.uniform(0.0, 1.0, len(params)) * span)
 
     best: EquilibriumOutcome | None = None
@@ -373,7 +366,8 @@ def brute_force(scenario: Scenario, levels: int) -> EquilibriumOutcome:
     """Exhaustive grid over the offer parameters, `levels` points per
     dimension (one, the band, where the band is a point); exact argmax over
     the grid with the same deterministic tie-break as `optimize`.  Refuses,
-    before building any axis, a grid of more than BRUTE_FORCE_CAP points."""
+    before building any axis, settings `offer_parameters` refuses and a
+    grid of more than BRUTE_FORCE_CAP points."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
     params = offer_parameters(scenario)
@@ -473,7 +467,9 @@ def certify(outcome: EquilibriumOutcome | None) -> Certificate:
     missing or malformed, or leaves a gap above DUALITY_TOL, is re-solved
     (see `_dam_residuals`).  A re-solve that is not optimal makes its
     residual infinite, so a bad outcome fails the certificate instead of
-    raising; so does a series shorter than the horizon (see `_padded`)."""
+    raising; so does a series shorter than the horizon (see `_padded`), and
+    so does a fleet or network its LP builder refuses (a scenario
+    `model.validate` refuses)."""
     if outcome is None:
         raise ValueError("no outcome to certify")
     outcome = _padded(outcome)
@@ -511,8 +507,9 @@ def certify(outcome: EquilibriumOutcome | None) -> Certificate:
     try:
         dam_feas, dam_gap = _dam_residuals(dinput, outcome)
     except (dam_mod.DamStructureError, lpcore.LpDefinitionError):
-        # segment quantities outside their widths, or a withdrawal that is
-        # not finite; fleet_feasibility names them
+        # a network `validate` refuses, or segment quantities outside their
+        # widths or a withdrawal that is not finite (fleet_feasibility names
+        # these two)
         dam_feas = dam_gap = (math.inf, None)
     residuals["dam_feasibility"], worst["dam_feasibility"] = dam_feas
     residuals["dam_strong_duality"], worst["dam_strong_duality"] = dam_gap
@@ -619,7 +616,9 @@ def _fleet_checks(outcome: EquilibriumOutcome) -> dict[str, tuple[float, float]]
     re-solve (see `_bound`).  The bound is -inf when the re-solve is not
     optimal, or when the offers leave their bands (which `offer_bounds`
     reports); the schedule is then checked against the LP at the band
-    floors, since no price enters a fleet constraint."""
+    floors, since no price enters a fleet constraint.  A fleet whose LP
+    cannot be built (`fleet.build_fleet` raises FleetStructureError) gets an
+    infinite violation and a bound of -inf."""
     scenario = outcome.scenario
     finput = fleet_mod.fleet_input(scenario, outcome.offers)
     try:
@@ -631,7 +630,11 @@ def _fleet_checks(outcome: EquilibriumOutcome) -> dict[str, tuple[float, float]]
         priced = False
     checks = {}
     for f in scenario.fleets:
-        lp, cols = fleet_mod.build_fleet(finput, f)
+        try:
+            lp, cols = fleet_mod.build_fleet(finput, f)
+        except fleet_mod.FleetStructureError:  # `validate` refuses the fleet
+            checks[f.id] = (math.inf, -math.inf)
+            continue
         values = fleet_mod.schedule_values(outcome.schedule, f, lp, cols)
         bound = _bound(lp) if priced else -math.inf
         checks[f.id] = (lpcore.max_violation(lp, values), bound)

@@ -25,10 +25,13 @@ import numpy as np
 from . import lpcore
 from .lpcore import EQ, LinearProgram, LpBuilder
 from .model import ChargingStation, Network
+from .model import _network_rules, _raising  # `validate`'s network rules
 
 
 class DamStructureError(ValueError):
-    """Inputs do not line up with the network (bad bus, bad series length)."""
+    """The network breaks a rule of `model.validate`, or a withdrawal or bid
+    does not line up with it (bad bus, bad series length); see
+    `_check_input`."""
 
 
 class DamInfeasibleError(RuntimeError):
@@ -111,20 +114,14 @@ def station_bid_from_quantities(station: ChargingStation, quantities) -> Station
 
 
 def _check_input(inp: DamInput) -> None:
-    net = inp.network
-    T = net.horizon
-    bus_ids = set(net.bus_ids())
-    if not any(b.reference for b in net.buses):
-        raise DamStructureError("network has no reference bus")
-    for ln in net.lines:
-        if ln.from_bus not in bus_ids or ln.to_bus not in bus_ids:
-            raise DamStructureError(f"line {ln.id}: endpoint not in network")
-    for unit in (*net.generators, *net.solar_units, *net.demands):
-        if unit.bus not in bus_ids:
-            raise DamStructureError(f"{unit.id}: bus {unit.bus!r} not in network")
-    for d in net.demands:
-        if len(d.load) != T:
-            raise DamStructureError(f"demand {d.id}: series length != horizon")
+    """Raise DamStructureError with the first issue of `model.validate`'s
+    network rules, as `validate` reports it (``path: message``), then with
+    the first withdrawal or bid that does not line up with the network: a
+    bus it lacks, a series off the horizon, or a quantity outside its
+    segment width."""
+    _network_rules(inp.network, _raising(DamStructureError))
+    T = inp.network.horizon
+    bus_ids = set(inp.network.bus_ids())
     for w in inp.withdrawals:
         if w.bus not in bus_ids:
             raise DamStructureError(f"withdrawal {w.fleet_id}: bus {w.bus!r} not in network")

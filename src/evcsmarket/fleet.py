@@ -25,6 +25,7 @@ import numpy as np
 from . import lpcore
 from .lpcore import EQ, LinearProgram, LpBuilder
 from .model import ChargingStation, EVFleet, Scenario, fleet_infeasibility_period
+from .model import _fleet_rules, _raising, _station_rules  # `validate`'s fleet and station rules
 
 TIE_BREAK_EPS = 1e-6
 # cleared bid price by station id, bid segment and period: prices[c][m][t]
@@ -104,17 +105,16 @@ class FleetSchedule:
 
 
 def _check_fleet(inp: FleetInput, f: EVFleet) -> None:
-    """The checks of fleet `f`'s input that read no offer: each station it
-    has a cap at exists, and its series and the offer bounds of its stations
-    span the horizon."""
-    for cid, _ in f.station_caps:
-        if cid not in inp._by_id:
-            raise FleetStructureError(f"fleet {f.id}: unknown station {cid!r}")
-    if len(f.tou) != inp.horizon or len(f.driving) != inp.horizon:
-        raise FleetStructureError(f"fleet {f.id}: series length != horizon")
-    for s in _fleet_stations(inp, f):
-        if len(s.offer_min) != inp.horizon or len(s.offer_max) != inp.horizon:
-            raise FleetStructureError(f"station {s.id}: offer bound series length != horizon")
+    """The checks of fleet `f`'s input that read no offer: raise
+    FleetStructureError with the first issue of `model.validate`'s rules for
+    `f` and for each station that serves it, as `validate` reports it
+    (``path: message``), the path indexing `inp.fleets` and
+    `inp.stations`."""
+    bad = _raising(FleetStructureError)
+    _fleet_rules(f, f"fleets[{inp.fleets.index(f)}]", inp.horizon, inp._by_id, bad)
+    for k, s in enumerate(inp.stations):
+        if s.fleet_id == f.id:
+            _station_rules(s, f"stations[{k}]", inp.horizon, f, bad)
 
 
 def _check_offers(inp: FleetInput, stations) -> None:
@@ -165,7 +165,9 @@ def build_fleet(
     Home energy is priced at the retail rate plus `home_price_bump`, the
     tie-break surcharge (builders for certificates use 0); station energy
     at the offer price; bid segments carry no cost.  Only the input this
-    LP reads is checked: `fleet` and the offers of its stations.
+    LP reads is checked: `fleet` and the stations that serve it, by
+    `model.validate`'s rules (`_check_fleet`), and the offers of its
+    stations (`_check_offers`), each raising FleetStructureError.
     """
     _check_fleet(inp, fleet)
     lp = LpBuilder(lpcore.MIN, name="fleet")
@@ -333,13 +335,15 @@ class _FleetLp:
 def solve_fleet(inp: FleetInput, *, memo: dict | None = None) -> FleetSchedule:
     """Clear every fleet; returns the merged schedule.
 
-    Infeasible fleets are diagnosed before solving (first period whose
-    cumulative driving cannot be recovered).  Each fleet's LP is solved
-    once, with the surcharge that breaks ties toward station charging (see
-    the module docstring); reported costs are at the true prices.  Each
-    fleet's schedule is checked against that LP (`lpcore.max_violation`;
-    the surcharge moves no row or bound), raising FleetStructureError above
-    100 * FEAS_TOL.
+    Before solving, each fleet and the stations that serve it are checked
+    against `model.validate`'s rules, raising FleetStructureError with the
+    first issue as `validate` reports it (`_check_fleet`), and infeasible
+    fleets are diagnosed (first period whose cumulative driving cannot be
+    recovered).  Each fleet's LP is solved once, with the surcharge that
+    breaks ties toward station charging (see the module docstring);
+    reported costs are at the true prices.  Each fleet's schedule is
+    checked against that LP (`lpcore.max_violation`; the surcharge moves no
+    row or bound), raising FleetStructureError above 100 * FEAS_TOL.
 
     `memo` maps fleet id to the fleet's `_FleetLp` and belongs to one
     scenario (one search).  A fleet's offers, the only inputs of its LP

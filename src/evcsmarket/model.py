@@ -335,10 +335,20 @@ def _non_finite(value, at, name=None):
 
 
 def validate(scenario: Scenario) -> ValidationReport:
-    """Collect every invariant violation with a dotted path; an empty report
-    means the DAM and fleet LP builders cannot hit structural errors.  Every
-    NaN is named down to its entry, and so is every infinity that would
-    enter an LP objective or rhs or make a NaN bound (`_FINITE`)."""
+    """Collect every invariant violation with a dotted path.  Every NaN is
+    named down to its entry, and so is every infinity that would enter an
+    LP objective or rhs or make a NaN bound (`_FINITE`).
+
+    The rules of one part are stated once, below, and each layer that
+    reads a part raises the first issue of that part's rules as its own
+    error, with the path and message this report gives it:
+    `dam.build_dam` the network's (`DamStructureError`), `fleet.build_fleet`
+    and `fleet.solve_fleet` a fleet's and those of the stations that serve
+    it (`FleetStructureError`), and `bilevel.offer_parameters` and
+    `bilevel.optimize` the settings' (ValueError).  The rules that span
+    parts are checked here only: numbers that are not finite, duplicate
+    ids, the horizon, a fleet's bus, a station's fleet, and whether a
+    fleet can recover its driving discharge."""
     issues: list[ValidationIssue] = []
 
     def bad(path, message):
@@ -370,6 +380,66 @@ def validate(scenario: Scenario) -> ValidationReport:
     check_ids(scenario.fleets, "fleets")
     check_ids(scenario.stations, "stations")
 
+    _network_rules(net, bad)
+
+    bus_ids = set(net.bus_ids())
+    station_ids = {s.id for s in scenario.stations}
+    for i, f in enumerate(scenario.fleets):
+        path = f"fleets[{i}]"
+        if f.bus not in bus_ids:
+            bad(path, f"bus {f.bus!r} not in network")
+        _fleet_rules(f, path, T, station_ids, bad)
+        series_ok = (
+            len(f.home_connectivity) == T
+            and len(f.driving) == T
+            and len(f.tou) == T
+            and all(len(v) == T for _, v in f.station_connectivity)
+            and set(dict(f.station_connectivity)) == set(dict(f.station_caps))
+        )
+        if series_ok and f.discharge_efficiency > 0.0:  # the recursion divides by it
+            t_bad = fleet_infeasibility_period(f, T)
+            if t_bad is not None:
+                bad(
+                    f"{path}",
+                    f"driving discharge cannot be recovered: energy floor violated at period {t_bad}",
+                )
+
+    known_fleets = {f.id for f in scenario.fleets}
+    for i, s in enumerate(scenario.stations):
+        path = f"stations[{i}]"
+        if s.fleet_id not in known_fleets:
+            bad(path, f"fleet {s.fleet_id!r} not in scenario")
+        else:
+            _station_rules(s, path, T, scenario.fleet(s.fleet_id), bad)
+
+    _settings_rules(scenario.settings, bad)
+    return ValidationReport(tuple(issues))
+
+
+# The rules of one part each: `rules(part, ..., bad)` calls `bad(path,
+# message)` for each issue of that part, in `validate`'s order.  `validate`
+# collects them; a layer passes `_raising(its error)` and stops at the first.
+
+
+def _raising(error):
+    """A `bad` that raises `error` with the issue as `validate` reports it."""
+
+    def bad(path, message):
+        raise error(str(ValidationIssue(path, message)))
+
+    return bad
+
+
+def _series_rule(series, path, T, bad):
+    if len(series) != T:
+        bad(path, f"series length {len(series)} != horizon {T}")
+
+
+def _network_rules(net: Network, bad) -> None:
+    """The reference bus, bus angle bounds, line endpoints, reactances and
+    flow bounds, and the bus, bounds, cost segments and series of each
+    generator, solar unit and demand."""
+    T = net.horizon
     bus_ids = set(net.bus_ids())
     refs = [b.id for b in net.buses if b.reference]
     if len(refs) == 0:
@@ -410,124 +480,109 @@ def validate(scenario: Scenario) -> ValidationReport:
         if not g.segments:
             bad(path, "generator needs at least one cost segment")
 
-    def check_series(series, path):
-        if len(series) != T:
-            bad(path, f"series length {len(series)} != horizon {T}")
-
     for i, s in enumerate(net.solar_units):
         if s.bus not in bus_ids:
             bad(f"network.solar_units[{i}]", f"bus {s.bus!r} not in network")
-        check_series(s.available, f"network.solar_units[{i}].available")
+        _series_rule(s.available, f"network.solar_units[{i}].available", T, bad)
         if any(v < 0 for v in s.available):
             bad(f"network.solar_units[{i}].available", "negative availability")
 
     for i, d in enumerate(net.demands):
         if d.bus not in bus_ids:
             bad(f"network.demands[{i}]", f"bus {d.bus!r} not in network")
-        check_series(d.load, f"network.demands[{i}].load")
+        _series_rule(d.load, f"network.demands[{i}].load", T, bad)
         if any(v < 0 for v in d.load):
             bad(f"network.demands[{i}].load", "negative load")
 
-    station_ids = {s.id for s in scenario.stations}
-    known_fleets = {f.id for f in scenario.fleets}
 
-    for i, f in enumerate(scenario.fleets):
-        path = f"fleets[{i}]"
-        series_ok = (
-            len(f.home_connectivity) == T
-            and len(f.driving) == T
-            and len(f.tou) == T
-            and all(len(v) == T for _, v in f.station_connectivity)
-            and set(dict(f.station_connectivity)) == set(dict(f.station_caps))
+def _fleet_rules(f: EVFleet, path: str, T: int, station_ids, bad) -> None:
+    """Fleet `f`'s series lengths, ratios, efficiencies, caps and energy
+    window, and its station caps (each at a station in `station_ids`) and
+    connectivity series."""
+    _series_rule(f.home_connectivity, f"{path}.home_connectivity", T, bad)
+    _series_rule(f.driving, f"{path}.driving", T, bad)
+    _series_rule(f.tou, f"{path}.tou", T, bad)
+    if any(not (0.0 <= v <= 1.0) for v in f.home_connectivity):
+        bad(f"{path}.home_connectivity", "ratios must lie in [0, 1]")
+    if any(v < 0 for v in f.driving):
+        bad(f"{path}.driving", "negative driving discharge")
+    if not (0.0 < f.charge_efficiency <= 1.0):
+        bad(f"{path}.charge_efficiency", "must lie in (0, 1]")
+    if not (0.0 < f.discharge_efficiency <= 1.0):
+        bad(f"{path}.discharge_efficiency", "must lie in (0, 1]")
+    if f.max_charge < 0 or f.home_cap < 0:
+        bad(path, "charge caps must be non-negative")
+    if not (f.energy_min <= f.initial_energy <= f.energy_max):
+        bad(
+            f"{path}.initial_energy",
+            f"initial energy {f.initial_energy} outside [{f.energy_min}, {f.energy_max}]",
         )
-        if f.bus not in bus_ids:
-            bad(path, f"bus {f.bus!r} not in network")
-        check_series(f.home_connectivity, f"{path}.home_connectivity")
-        check_series(f.driving, f"{path}.driving")
-        check_series(f.tou, f"{path}.tou")
-        if any(not (0.0 <= v <= 1.0) for v in f.home_connectivity):
-            bad(f"{path}.home_connectivity", "ratios must lie in [0, 1]")
-        if any(v < 0 for v in f.driving):
-            bad(f"{path}.driving", "negative driving discharge")
-        if not (0.0 < f.charge_efficiency <= 1.0):
-            bad(f"{path}.charge_efficiency", "must lie in (0, 1]")
-        if not (0.0 < f.discharge_efficiency <= 1.0):
-            bad(f"{path}.discharge_efficiency", "must lie in (0, 1]")
-        if f.max_charge < 0 or f.home_cap < 0:
-            bad(path, "charge caps must be non-negative")
-        if not (f.energy_min <= f.initial_energy <= f.energy_max):
-            bad(
-                f"{path}.initial_energy",
-                f"initial energy {f.initial_energy} outside [{f.energy_min}, {f.energy_max}]",
-            )
-        if f.final_energy_min is not None and not (
-            f.energy_min <= f.final_energy_min <= f.energy_max
-        ):
-            bad(f"{path}.final_energy_min", "outside the battery energy window")
-        conn = dict(f.station_connectivity)
-        for cid, cap in f.station_caps:
-            if cid not in station_ids:
-                bad(f"{path}.station_caps[{cid}]", "unknown station id")
-            if cap < 0:
-                bad(f"{path}.station_caps[{cid}]", "negative cap")
-            if cid not in conn:
-                bad(f"{path}.station_connectivity", f"missing series for station {cid!r}")
-            else:
-                check_series(conn[cid], f"{path}.station_connectivity[{cid}]")
-                if any(not (0.0 <= v <= 1.0) for v in conn[cid]):
-                    bad(f"{path}.station_connectivity[{cid}]", "ratios must lie in [0, 1]")
-        for cid in conn:
-            if cid not in dict(f.station_caps):
-                bad(f"{path}.station_connectivity[{cid}]", "series without a matching cap")
-        if series_ok and f.discharge_efficiency > 0.0:  # the recursion divides by it
-            t_bad = fleet_infeasibility_period(f, T)
-            if t_bad is not None:
-                bad(
-                    f"{path}",
-                    f"driving discharge cannot be recovered: energy floor violated at period {t_bad}",
-                )
+    if f.final_energy_min is not None and not (
+        f.energy_min <= f.final_energy_min <= f.energy_max
+    ):
+        bad(f"{path}.final_energy_min", "outside the battery energy window")
+    conn = dict(f.station_connectivity)
+    for cid, cap in f.station_caps:
+        if cid not in station_ids:
+            bad(f"{path}.station_caps[{cid}]", "unknown station id")
+        if cap < 0:
+            bad(f"{path}.station_caps[{cid}]", "negative cap")
+        if cid not in conn:
+            bad(f"{path}.station_connectivity", f"missing series for station {cid!r}")
+        else:
+            _series_rule(conn[cid], f"{path}.station_connectivity[{cid}]", T, bad)
+            if any(not (0.0 <= v <= 1.0) for v in conn[cid]):
+                bad(f"{path}.station_connectivity[{cid}]", "ratios must lie in [0, 1]")
+    for cid in conn:
+        if cid not in dict(f.station_caps):
+            bad(f"{path}.station_connectivity[{cid}]", "series without a matching cap")
 
-    for i, s in enumerate(scenario.stations):
-        path = f"stations[{i}]"
-        if s.fleet_id not in known_fleets:
-            bad(path, f"fleet {s.fleet_id!r} not in scenario")
-            continue
-        fleet = scenario.fleet(s.fleet_id)
-        check_series(s.offer_min, f"{path}.offer_min")
-        check_series(s.offer_max, f"{path}.offer_max")
-        if any(lo > hi for lo, hi in zip(s.offer_min, s.offer_max)):
-            bad(f"{path}", "offer_min exceeds offer_max")
-        width_total = 0.0
-        for m, seg in enumerate(s.segments):
-            if seg.width < 0:
-                bad(f"{path}.wtp_segments[{m}].width", "negative width")
-            check_series(seg.wtp_min, f"{path}.wtp_segments[{m}].wtp_min")
-            check_series(seg.wtp_max, f"{path}.wtp_segments[{m}].wtp_max")
-            if any(lo > hi for lo, hi in zip(seg.wtp_min, seg.wtp_max)):
-                bad(f"{path}.wtp_segments[{m}]", "wtp_min exceeds wtp_max")
-            width_total += seg.width
-        if s.id not in dict(fleet.station_caps):
-            bad(path, f"fleet {fleet.id!r} has no access entry for this station")
-        elif width_total < fleet.station_cap(s.id) - 1e-9:
-            bad(path, "bid segment widths do not cover the station charging cap")
+
+def _station_rules(s: ChargingStation, path: str, T: int, fleet: EVFleet, bad) -> None:
+    """Station `s`'s offer band and bid segments, and its access entry and
+    charging cap at `fleet`, the fleet it serves."""
+    _series_rule(s.offer_min, f"{path}.offer_min", T, bad)
+    _series_rule(s.offer_max, f"{path}.offer_max", T, bad)
+    if any(lo > hi for lo, hi in zip(s.offer_min, s.offer_max)):
+        bad(f"{path}", "offer_min exceeds offer_max")
+    width_total = 0.0
+    for m, seg in enumerate(s.segments):
+        if seg.width < 0:
+            bad(f"{path}.wtp_segments[{m}].width", "negative width")
+        _series_rule(seg.wtp_min, f"{path}.wtp_segments[{m}].wtp_min", T, bad)
+        _series_rule(seg.wtp_max, f"{path}.wtp_segments[{m}].wtp_max", T, bad)
+        if any(lo > hi for lo, hi in zip(seg.wtp_min, seg.wtp_max)):
+            bad(f"{path}.wtp_segments[{m}]", "wtp_min exceeds wtp_max")
+        width_total += seg.width
+    if s.id not in dict(fleet.station_caps):
+        bad(path, f"fleet {fleet.id!r} has no access entry for this station")
+    elif width_total < fleet.station_cap(s.id) - 1e-9:
+        bad(path, "bid segment widths do not cover the station charging cap")
+
+
+def _settings_rules(settings: SolverSettings, bad) -> None:
+    """The search settings: integer counts, a positive step floor and a
+    known parameterization (`_parameterization_rule`)."""
 
     def number(value, kinds=(int, float)):
         return isinstance(value, kinds) and not isinstance(value, bool)
 
-    settings = scenario.settings
     for name, least in (("budget", 1), ("multistarts", 1), ("block_width", 1), ("seed", 0)):
         value = getattr(settings, name)
         if not (number(value, int) and value >= least):
             bad(f"settings.{name}", f"must be an integer >= {least}, got {value!r}")
     if not (number(settings.step_min) and settings.step_min > 0):
         bad("settings.step_min", f"must be > 0, got {settings.step_min!r}")
+    _parameterization_rule(settings, bad)
+
+
+def _parameterization_rule(settings: SolverSettings, bad) -> None:
+    """The one settings rule a document reader enforces itself."""
     if settings.parameterization not in _PARAM_MODES:
         bad(
             "settings.parameterization",
             f"must be one of {_PARAM_MODES}, got {settings.parameterization!r}",
         )
-
-    return ValidationReport(tuple(issues))
 
 
 # ---------------------------------------------------------------------------
@@ -821,11 +876,7 @@ def scenario_from_json(data: Mapping[str, Any], base_dir=None) -> Scenario:
             raise ScenarioFormatError(f"schema_version: unsupported version {version}")
         T = _integer(data["network"]["horizon"], ("network",), "horizon")
         scenario = _object(Scenario, data, (), partial(_resolve_series, T, base_dir))
-        mode = scenario.settings.parameterization
-        if mode not in _PARAM_MODES:
-            raise ScenarioFormatError(
-                f"settings.parameterization: must be one of {_PARAM_MODES}, got {mode!r}"
-            )
+        _parameterization_rule(scenario.settings, _raising(ScenarioFormatError))
         return scenario
     except ScenarioFormatError:
         raise

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -370,7 +371,10 @@ class TestOfferParameters:
         ]
 
     def test_unknown_parameterization_raises(self):
-        with pytest.raises(ValueError, match="unknown parameterization 'hourly'"):
+        with pytest.raises(ValueError, match=re.escape(
+            "settings.parameterization: must be one of "
+            "('full', 'per_station_period', 'station_blocks'), got 'hourly'"
+        )):
             bl.offer_parameters(five_period_scenario("hourly"))
 
     @pytest.mark.parametrize("width", [0, -3])
@@ -379,9 +383,10 @@ class TestOfferParameters:
         scenario = dataclasses.replace(
             scenario, settings=dataclasses.replace(scenario.settings, block_width=width)
         )
-        with pytest.raises(ValueError, match=r"^settings\.block_width must be >= 1$"):
+        message = rf"^settings\.block_width: must be an integer >= 1, got {width}$"
+        with pytest.raises(ValueError, match=message):
             bl.offer_parameters(scenario)
-        with pytest.raises(ValueError, match=r"^settings\.block_width must be >= 1$"):
+        with pytest.raises(ValueError, match=message):
             bl.optimize(scenario)
 
 
@@ -461,8 +466,12 @@ class TestCertify:
             lambda net: dataclasses.replace(
                 net, buses=(dataclasses.replace(net.buses[0], reference=False),)
             ),
+            lambda net: dataclasses.replace(
+                net, lines=(md.Line("l9", "b1", "b1", 0.0, -10.0, 10.0),)
+            ),
+            lambda net: dataclasses.replace(net, solar_units=(md.SolarUnit("s1", "b1", (1.0,)),)),
         ],
-        ids=["unknown_line_endpoint", "no_reference_bus"],
+        ids=["unknown_line_endpoint", "no_reference_bus", "zero_reactance", "short_solar_series"],
     )
     def test_network_the_market_cannot_build_fails_without_raising(self, break_network):
         # `validate` refuses such a scenario first on the command line;
@@ -472,6 +481,22 @@ class TestCertify:
         cert = bl.certify(dataclasses.replace(out, scenario=scenario))
         assert cert.residuals["dam_feasibility"] == math.inf
         assert cert.residuals["dam_strong_duality"] == math.inf
+        assert not cert.passed
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"tou": (30.0,)}, {"home_connectivity": (1.0,)}, {"station_connectivity": {}}],
+        ids=["tou", "home_connectivity", "station_connectivity"],
+    )
+    def test_fleet_whose_lp_cannot_be_built_fails_without_raising(self, change):
+        # `certify` reports a fleet that `fleet.build_fleet` refuses
+        out = toy_outcome()
+        fleets = (dataclasses.replace(out.scenario.fleets[0], **change),)
+        scenario = dataclasses.replace(out.scenario, fleets=fleets)
+        cert = bl.certify(dataclasses.replace(out, scenario=scenario))
+        assert cert.residuals["fleet_feasibility"] == math.inf
+        assert cert.residuals["fleet_strong_duality"] == math.inf
+        assert cert.worst["fleet_feasibility"] == "f1"
         assert not cert.passed
 
     def test_segment_above_width_fails_without_raising(self):

@@ -204,13 +204,13 @@ class TestBuildAndSolve:
         "field, make, match",
         [
             ("generators", lambda net: (dataclasses.replace(net.generators[0], bus="ghost"),),
-             "g1: bus 'ghost' not in network"),
+             re.escape("network.generators[0]: bus 'ghost' not in network")),
             ("solar_units", lambda net: (md.SolarUnit("s1", "ghost", (1.0,)),),
-             "s1: bus 'ghost' not in network"),
+             re.escape("network.solar_units[0]: bus 'ghost' not in network")),
             ("demands", lambda net: (md.Demand("d2", "ghost", (1.0,)),),
-             "d2: bus 'ghost' not in network"),
+             re.escape("network.demands[0]: bus 'ghost' not in network")),
             ("demands", lambda net: (md.Demand("d2", "b1", (1.0, 2.0)),),
-             "demand d2: series length != horizon"),
+             re.escape("network.demands[0].load: series length 2 != horizon 1")),
         ],
         ids=["generator_bus", "solar_bus", "demand_bus", "demand_length"],
     )

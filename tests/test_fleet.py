@@ -503,11 +503,11 @@ class TestStructure:
         "change, offer, message",
         [
             (lambda f, s: (dataclasses.replace(f, station_caps={"ghost": 5.0}), s), (30.0, 10.0),
-             "fleet f1: unknown station 'ghost'"),
+             "fleets[0].station_caps[ghost]: unknown station id"),
             (lambda f, s: (dataclasses.replace(f, tou=(20.0,)), s), (30.0, 10.0),
-             "fleet f1: series length != horizon"),
+             "fleets[0].tou: series length 1 != horizon 2"),
             (lambda f, s: (f, dataclasses.replace(s, offer_min=(0.0,))), (30.0, 10.0),
-             "station c1: offer bound series length != horizon"),
+             "stations[0].offer_min: series length 1 != horizon 2"),
             (lambda f, s: (f, s), (30.0,), "station c1: offer series length != horizon"),
         ],
         ids=["unknown_station", "series_length", "offer_bound_length", "offer_length"],

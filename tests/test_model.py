@@ -3,10 +3,12 @@
 import dataclasses
 import json
 import math
+import re
 import sys
 
 import pytest
 
+from evcsmarket import bilevel as bl
 from evcsmarket import dam, fleet, model as md
 from evcsmarket import scenarios as sc
 from conftest import (
@@ -56,62 +58,106 @@ def edited(obj, keys, **changes):
     return dataclasses.replace(obj, **{key: edited(getattr(obj, key), rest, **changes)})
 
 
-# one scenario edit per `validate` rule: (scenario, dataclass at, changes, path, message)
+# one scenario edit per `validate` rule: (part, scenario, dataclass at, changes,
+# path, message).  The part's layer raises the issue too (`_LAYERS`); a
+# "scenario" rule spans parts, and only `validate` states it.
 _RULE_CASES = [
-    ("one_bus", ("network",), {"horizon": 0},
+    ("scenario", "one_bus", ("network",), {"horizon": 0},
      "network.horizon", "horizon must be >= 1, got 0"),
-    ("one_bus", ("network",), {"demands": (md.Demand("d1", "b1", (1.0, 1.0)),) * 2},
+    ("scenario", "one_bus", ("network",), {"demands": (md.Demand("d1", "b1", (1.0, 1.0)),) * 2},
      "network.demands[1].id", "duplicate id 'd1'"),
-    ("desk", ("network", "buses", 1), {"angle_min": 0.6, "angle_max": 0.4},
+    ("network", "desk", ("network", "buses", 1), {"angle_min": 0.6, "angle_max": 0.4},
      "network.buses[1]", "angle_min exceeds angle_max"),
-    ("one_bus", ("network", "buses", 0), {"angle_min": 0.1},
+    ("network", "one_bus", ("network", "buses", 0), {"angle_min": 0.1},
      "network.buses[0]", "reference bus angle bounds must contain 0"),
-    ("desk", ("network", "lines", 0), {"flow_min": 1e4},
+    ("network", "desk", ("network", "lines", 0), {"flow_min": 1e4},
      "network.lines[0]", "flow_min exceeds flow_max"),
-    ("one_bus", ("network", "generators", 0), {"bus": "nowhere"},
+    ("network", "desk", ("network", "lines", 0), {"reactance": 0.0},
+     "network.lines[0].reactance", "must be > 0, got 0.0"),
+    ("network", "one_bus", ("network", "generators", 0), {"bus": "nowhere"},
      "network.generators[0]", "bus 'nowhere' not in network"),
-    ("one_bus", ("network", "generators", 0), {"p_min": 300.0},
+    ("network", "one_bus", ("network", "generators", 0), {"p_min": 300.0},
      "network.generators[0]", "p_min exceeds p_max"),
-    ("one_bus", ("network", "generators", 0, "segments", 0), {"p_min": -1.0},
+    ("network", "one_bus", ("network", "generators", 0, "segments", 0), {"p_min": -1.0},
      "network.generators[0].segments[0]", "segment width must be non-negative"),
-    ("one_bus", ("network", "generators", 0), {"segments": ()},
+    ("network", "one_bus", ("network", "generators", 0), {"segments": ()},
      "network.generators[0]", "generator needs at least one cost segment"),
-    ("one_bus", ("network",), {"solar_units": (md.SolarUnit("s1", "nowhere", (1.0, 1.0)),)},
+    ("network", "one_bus", ("network",),
+     {"solar_units": (md.SolarUnit("s1", "nowhere", (1.0, 1.0)),)},
      "network.solar_units[0]", "bus 'nowhere' not in network"),
-    ("one_bus", ("network",), {"solar_units": (md.SolarUnit("s1", "b1", (-1.0, 1.0)),)},
+    ("network", "one_bus", ("network",), {"solar_units": (md.SolarUnit("s1", "b1", (-1.0, 1.0)),)},
      "network.solar_units[0].available", "negative availability"),
-    ("one_bus", ("network", "demands", 0), {"bus": "nowhere"},
+    ("network", "desk", ("network", "solar_units", 1), {"available": (1.0,) * 3},
+     "network.solar_units[1].available", "series length 3 != horizon 24"),
+    ("network", "one_bus", ("network", "demands", 0), {"bus": "nowhere"},
      "network.demands[0]", "bus 'nowhere' not in network"),
-    ("one_bus", ("fleets", 0), {"home_connectivity": (1.5, 1.0)},
+    ("fleet", "one_bus", ("fleets", 0), {"home_connectivity": (1.5, 1.0)},
      "fleets[0].home_connectivity", "ratios must lie in [0, 1]"),
-    ("one_bus", ("fleets", 0), {"driving": (-1.0, 10.0)},
+    ("fleet", "one_bus", ("fleets", 0), {"home_connectivity": (1.0,)},
+     "fleets[0].home_connectivity", "series length 1 != horizon 2"),
+    ("fleet", "one_bus", ("fleets", 0), {"driving": (-1.0, 10.0)},
      "fleets[0].driving", "negative driving discharge"),
-    ("one_bus", ("fleets", 0), {"charge_efficiency": 1.5},
+    ("fleet", "one_bus", ("fleets", 0), {"charge_efficiency": 1.5},
      "fleets[0].charge_efficiency", "must lie in (0, 1]"),
-    ("one_bus", ("fleets", 0), {"discharge_efficiency": 0.0},
+    ("fleet", "one_bus", ("fleets", 0), {"discharge_efficiency": 0.0},
      "fleets[0].discharge_efficiency", "must lie in (0, 1]"),
-    ("one_bus", ("fleets", 0), {"home_cap": -1.0},
+    ("fleet", "one_bus", ("fleets", 0), {"home_cap": -1.0},
      "fleets[0]", "charge caps must be non-negative"),
-    ("one_bus", ("fleets", 0), {"final_energy_min": 25.0},
+    ("fleet", "one_bus", ("fleets", 0), {"final_energy_min": 25.0},
      "fleets[0].final_energy_min", "outside the battery energy window"),
-    ("one_bus", ("fleets", 0), {"station_caps": {"c1": -1.0}},
+    ("fleet", "one_bus", ("fleets", 0), {"station_caps": {"c1": -1.0}},
      "fleets[0].station_caps[c1]", "negative cap"),
-    ("one_bus", ("fleets", 0), {"station_connectivity": {}},
+    ("fleet", "one_bus", ("fleets", 0), {"station_connectivity": {}},
      "fleets[0].station_connectivity", "missing series for station 'c1'"),
-    ("one_bus", ("fleets", 0), {"station_connectivity": {"c1": (1.0, 2.0)}},
+    ("fleet", "desk", ("fleets", 1), {"station_connectivity": {}},
+     "fleets[1].station_connectivity", "missing series for station 'c5'"),
+    ("fleet", "one_bus", ("fleets", 0), {"station_connectivity": {"c1": (1.0, 2.0)}},
      "fleets[0].station_connectivity[c1]", "ratios must lie in [0, 1]"),
-    ("one_bus", ("fleets", 0),
+    ("fleet", "desk", ("fleets", 1), {"station_connectivity": {"c5": (1.0,) * 3}},
+     "fleets[1].station_connectivity[c5]", "series length 3 != horizon 24"),
+    ("fleet", "one_bus", ("fleets", 0),
      {"station_connectivity": {"c1": (1.0, 1.0), "c2": (1.0, 1.0)}},
      "fleets[0].station_connectivity[c2]", "series without a matching cap"),
-    ("one_bus", ("stations", 0), {"fleet_id": "nowhere"},
+    ("scenario", "one_bus", ("stations", 0), {"fleet_id": "nowhere"},
      "stations[0]", "fleet 'nowhere' not in scenario"),
-    ("one_bus", ("stations", 0), {"offer_min": (50.0, 10.0)},
+    ("station", "one_bus", ("stations", 0), {"offer_min": (50.0, 10.0)},
      "stations[0]", "offer_min exceeds offer_max"),
-    ("one_bus", ("stations", 0, "segments", 0), {"width": -1.0},
+    ("station", "one_bus", ("stations", 0, "segments", 0), {"width": -1.0},
      "stations[0].wtp_segments[0].width", "negative width"),
-    ("one_bus", ("stations", 0, "segments", 0), {"wtp_min": (60.0, 0.0)},
+    ("station", "one_bus", ("stations", 0, "segments", 0), {"wtp_min": (60.0, 0.0)},
      "stations[0].wtp_segments[0]", "wtp_min exceeds wtp_max"),
+    ("station", "one_bus", ("fleets", 0), {"station_caps": {}, "station_connectivity": {}},
+     "stations[0]", "fleet 'f1' has no access entry for this station"),
+    ("settings", "one_bus", ("settings",), {"budget": 0},
+     "settings.budget", "must be an integer >= 1, got 0"),
+    ("settings", "one_bus", ("settings",), {"multistarts": 0},
+     "settings.multistarts", "must be an integer >= 1, got 0"),
+    ("settings", "one_bus", ("settings",), {"block_width": 0},
+     "settings.block_width", "must be an integer >= 1, got 0"),
+    ("settings", "one_bus", ("settings",), {"seed": -3},
+     "settings.seed", "must be an integer >= 0, got -3"),
+    ("settings", "one_bus", ("settings",), {"step_min": 0.0},
+     "settings.step_min", "must be > 0, got 0.0"),
+    ("settings", "one_bus", ("settings",), {"parameterization": "hourly"},
+     "settings.parameterization",
+     "must be one of ('full', 'per_station_period', 'station_blocks'), got 'hourly'"),
 ]
+
+
+def _build_fleets(scenario):
+    """Build every fleet's LP, each station offering its band floor."""
+    offers = {s.id: s.offer_min for s in scenario.stations}
+    for f in scenario.fleets:
+        fleet.build_fleet(fleet.fleet_input(scenario, offers), f)
+
+
+# the layer that reads each part: the error it raises and a call that reads the part
+_LAYERS = {
+    "network": (dam.DamStructureError, lambda s: dam.build_dam(dam.DamInput(s.network, (), ()))),
+    "fleet": (fleet.FleetStructureError, _build_fleets),
+    "station": (fleet.FleetStructureError, _build_fleets),
+    "settings": (ValueError, bl.offer_parameters),
+}
 
 
 class TestValidate:
@@ -208,19 +254,25 @@ class TestValidate:
         )]
 
     @pytest.mark.parametrize(
-        "base, keys, changes, path, message",
+        "part, base, keys, changes, path, message",
         _RULE_CASES,
-        # "_conn" keeps the three station-connectivity ids apart within 100 characters
+        # "_conn" keeps the station-connectivity ids apart within 100 characters
         ids=[
             f"{path}: {message}".replace("_connectivity", "_conn")
             for *_, path, message in _RULE_CASES
         ],
     )
-    def test_each_rule_is_named_by_its_path(self, base, keys, changes, path, message):
+    def test_each_rule_is_named_by_its_path(self, part, base, keys, changes, path, message):
         scenario = one_bus_scenario() if base == "one_bus" else sc.desk_scenario()
         assert md.validate(scenario).ok
-        report = md.validate(edited(scenario, keys, **changes))
+        scenario = edited(scenario, keys, **changes)
+        report = md.validate(scenario)
         assert [i.message for i in report.issues if i.path == path] == [message], str(report)
+        if part in _LAYERS:
+            error, read = _LAYERS[part]
+            with pytest.raises(error, match=f"^{re.escape(f'{path}: {message}')}$") as raised:
+                read(scenario)
+            assert raised.type is error
 
     def test_unknown_station_reference(self):
         f, c = two_period_fleet()
