@@ -63,7 +63,8 @@ from .model import (
     scenario_to_json,
 )
 from .model import _document, _integer, _list, _object  # the document I/O
-from .model import _raising, _settings_rules  # `validate`'s settings rules
+# `validate`'s settings and offer-band rules
+from .model import _offer_band_rules, _raising, _settings_rules
 
 BRUTE_FORCE_CAP = 1_000_000
 OUTCOME_SCHEMA_VERSION = 1
@@ -93,10 +94,12 @@ def offer_parameters(scenario: Scenario) -> tuple[OfferParameter, ...]:
     `full` and `per_station_period` coincide here because every station
     serves exactly one fleet; `station_blocks` shares one parameter across
     `settings.block_width` consecutive periods.  Raises ValueError with the
-    first issue of `model.validate`'s settings rules, as `validate` reports
-    it (``path: message``).
+    first issue of `model.validate`'s settings rules, and then of its
+    offer-band rules (`_check_bands`), as `validate` reports it (``path:
+    message``).
     """
     _settings_rules(scenario.settings, _raising(ValueError))
+    _check_bands(scenario)
     settings = scenario.settings
     width = settings.block_width if settings.parameterization == PARAM_STATION_BLOCKS else 1
     T = scenario.network.horizon
@@ -114,6 +117,14 @@ def offer_parameters(scenario: Scenario) -> tuple[OfferParameter, ...]:
     )
 
 
+def _check_bands(scenario: Scenario) -> None:
+    """Raise ValueError with the first issue of `model.validate`'s
+    offer-band rules for the scenario's stations, as `validate` reports it."""
+    bad = _raising(ValueError)
+    for k, st in enumerate(scenario.stations):
+        _offer_band_rules(st, f"stations[{k}]", scenario.network.horizon, bad)
+
+
 @dataclass(frozen=True)
 class Strategy:
     """A point in the offer-parameter space; expands to per-period offers."""
@@ -129,13 +140,16 @@ class Strategy:
 
     def offers(self, scenario: Scenario) -> dict[str, tuple[float, ...]]:
         """Expand to a per-station offer series, clipped into each period's
-        admissible band so the result always satisfies the offer bounds."""
+        admissible band so the result always satisfies the offer bounds.
+        Raises ValueError for a band `model.validate` refuses
+        (`_check_bands`)."""
+        _check_bands(scenario)
         stations = {st.id: st for st in scenario.stations}
         series = {sid: list(st.offer_min) for sid, st in stations.items()}
         for p, v in zip(self.parameters, self.values):
-            st = stations[p.station_id]
+            st, row = stations[p.station_id], series[p.station_id]
             for t in range(p.t_start, p.t_end):
-                series[st.id][t] = min(max(v, st.offer_min[t]), st.offer_max[t])
+                row[t] = min(max(v, st.offer_min[t]), st.offer_max[t])
         return {k: tuple(v) for k, v in series.items()}
 
 
@@ -146,10 +160,12 @@ def midpoint_strategy(scenario: Scenario, params=None) -> Strategy:
 
 @dataclass(frozen=True)
 class SearchInfo:
+    """What one search did: the distinct strategies it evaluated and the
+    starts it took.  Its budget and seed are the embedded scenario's
+    settings."""
+
     evaluations: int
     starts: int
-    seed: int
-    budget: int
 
 
 @dataclass(frozen=True)
@@ -246,7 +262,8 @@ def evaluate(
 class _Evaluator:
     """Memoizing wrapper; the budget counts distinct strategy evaluations.
 
-    `cache` maps rounded strategy values to outcomes; `memo` is the
+    `cache` maps rounded strategy values to outcomes, one entry per
+    evaluation, so its size is what the budget counts; `memo` is the
     lower-level `Memo` that every evaluation of this search shares, so each
     distinct fleet response is cleared once per search."""
 
@@ -254,7 +271,6 @@ class _Evaluator:
         self.scenario = scenario
         self.params = params
         self.budget = budget
-        self.used = 0
         self.cache: dict[tuple, EquilibriumOutcome] = {}
         self.memo = Memo()
 
@@ -264,9 +280,8 @@ class _Evaluator:
         lasts, else None.  This is the search's one budget rule."""
         key = tuple(round(v, 9) for v in values)
         if key not in self.cache:
-            if self.used >= self.budget:
+            if len(self.cache) >= self.budget:
                 return None
-            self.used += 1
             self.cache[key] = evaluate(Strategy(self.params, values), self.scenario, memo=self.memo)
         return self.cache[key]
 
@@ -333,12 +348,9 @@ def optimize(scenario: Scenario) -> EquilibriumOutcome:
         while outcome is not None and float(np.max(frac * span, initial=0.0)) >= settings.step_min:
             improved = None
             for d, sgn in itertools.product(range(len(params)), (1.0, -1.0)):
-                step = frac * span[d]
-                if step <= 0.0:
-                    continue
                 cand = x.copy()
-                cand[d] = min(max(cand[d] + sgn * step, lo[d]), hi[d])
-                if cand[d] == x[d]:
+                cand[d] = min(max(cand[d] + sgn * (frac * span[d]), lo[d]), hi[d])
+                if cand[d] == x[d]:  # a point band, or a step the band clips away
                     continue
                 outcome = ev(tuple(cand))
                 if outcome is None:
@@ -356,10 +368,7 @@ def optimize(scenario: Scenario) -> EquilibriumOutcome:
                     best = current
 
     assert best is not None
-    info = SearchInfo(
-        evaluations=ev.used, starts=n_started, seed=settings.seed, budget=settings.budget
-    )
-    return replace(best, search=info)
+    return replace(best, search=SearchInfo(evaluations=len(ev.cache), starts=n_started))
 
 
 def brute_force(scenario: Scenario, levels: int) -> EquilibriumOutcome:
@@ -387,7 +396,7 @@ def brute_force(scenario: Scenario, levels: int) -> EquilibriumOutcome:
         if _better(outcome, best):
             best = outcome
     assert best is not None
-    return replace(best, search=SearchInfo(evaluations=count, starts=0, seed=-1, budget=count))
+    return replace(best, search=SearchInfo(evaluations=count, starts=0))
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +493,10 @@ def certify(outcome: EquilibriumOutcome | None) -> Certificate:
         viol = 0.0
         for st in scenario.stations:
             tau = outcome.offers[st.id][t]
-            viol = max(viol, _band_violation(tau, st.offer_min[t], st.offer_max[t]))
+            if t < min(len(st.offer_min), len(st.offer_max)):
+                viol = max(viol, _band_violation(tau, st.offer_min[t], st.offer_max[t]))
+            else:  # a band shorter than the horizon bounds nothing there
+                viol = math.inf
         per_period.append((t, viol))
     residuals["offer_bounds"], worst["offer_bounds"] = _peak(per_period)
 
@@ -514,13 +526,15 @@ def certify(outcome: EquilibriumOutcome | None) -> Certificate:
     residuals["dam_feasibility"], worst["dam_feasibility"] = dam_feas
     residuals["dam_strong_duality"], worst["dam_strong_duality"] = dam_gap
 
-    # profit decomposition recomputed from raw outputs
+    # profit decomposition recomputed from raw outputs; a station whose
+    # fleet is unknown has no price to buy at
     recomputed = 0.0
+    buses = {f.id: f.bus for f in scenario.fleets}
     for st in scenario.stations:
-        fleet = scenario.fleet(st.fleet_id)
         series = outcome.schedule.station[st.fleet_id][st.id]
+        lmp = outcome.dam.lmp.get(buses.get(st.fleet_id), (math.nan,) * T)
         for t in range(T):
-            recomputed += series[t] * (outcome.offers[st.id][t] - outcome.dam.lmp[fleet.bus][t])
+            recomputed += series[t] * (outcome.offers[st.id][t] - lmp[t])
     residuals["profit_identity"] = _rel_gap(recomputed, outcome.profit)
 
     return Certificate(residuals, worst)
@@ -531,8 +545,9 @@ def _padded(outcome: EquilibriumOutcome) -> EquilibriumOutcome:
     up to the horizon with NaN, so that a missing entity or period fails the
     family reading it, as a NaN there does, instead of raising KeyError or
     IndexError.  The entity keys (buses, generators, lines, solar units,
-    fleets, stations, segments) come from the scenario; a fleet without a
-    cost gets a NaN one."""
+    fleets, stations, segments) come from the scenario, and prices are also
+    kept for every fleet's bus, known to the network or not; a fleet
+    without a cost gets a NaN one."""
     scenario = outcome.scenario
     net = scenario.network
     T = net.horizon
@@ -578,7 +593,7 @@ def _padded(outcome: EquilibriumOutcome) -> EquilibriumOutcome:
         solar=ids(net.solar_units),
         flow=ids(net.lines),
         angle=ids(net.buses),
-        lmp=ids(net.buses),
+        lmp={**ids(net.buses), **dict.fromkeys(f.bus for f in scenario.fleets)},
         wtp={st.id: len(st.segments) for st in scenario.stations},
     )
     return with_padded(replace(outcome, schedule=schedule, dam=dam), offers=ids(scenario.stations))

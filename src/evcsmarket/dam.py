@@ -179,9 +179,10 @@ def build_dam(inp: DamInput) -> tuple[tuple[LinearProgram, ...], PeriodIndex]:
 
     Periods do not couple, so the market clears one period LP at a time.
     Variables: gen/seg/solar/angle/flow; rows: gen_split (dispatch equals
-    the sum of its cost segments), dc_flow (flow follows angle difference
-    over reactance), balance (nodal balance with fixed demand plus fleet
-    withdrawals on the rhs).  The reference bus angle is pinned to zero.
+    the sum of its cost segments), dc_flow (flow in MW equals the angle
+    difference over the reactance, so reactances are per-unit on a 1 MVA
+    base), balance (nodal balance with fixed demand plus fleet withdrawals
+    on the rhs).  The reference bus angle is pinned to zero.
     Only the solar upper bounds and the balance rhs depend on the period,
     so the input is checked and the structure built once: the period LPs
     share its matrix, objective, lower bounds, relations and labels (which

@@ -25,7 +25,8 @@ import numpy as np
 from . import lpcore
 from .lpcore import EQ, LinearProgram, LpBuilder
 from .model import ChargingStation, EVFleet, Scenario, fleet_infeasibility_period
-from .model import _fleet_rules, _raising, _station_rules  # `validate`'s fleet and station rules
+# `validate`'s fleet and station rules
+from .model import _fleet_rules, _raising, _station_fleet_rule, _station_rules
 
 TIE_BREAK_EPS = 1e-6
 # cleared bid price by station id, bid segment and period: prices[c][m][t]
@@ -137,7 +138,7 @@ def _check_offers(inp: FleetInput, stations) -> None:
 
 def _fleet_stations(inp: FleetInput, fleet: EVFleet) -> list[ChargingStation]:
     """The stations of `fleet` it has a cap at, in cap order."""
-    stations = (inp.station(cid) for cid, _ in fleet.station_caps)
+    stations = (inp.station(cid) for cid in fleet.station_caps)
     return [s for s in stations if s.fleet_id == fleet.id]
 
 
@@ -190,7 +191,7 @@ def build_fleet(
             station[k].append(lp.add_variable(
                 f"station[{f.id},{s.id},{t}]",
                 0.0,
-                f.station_conn(s.id)[t] * f.station_cap(s.id),
+                f.station_connectivity[s.id][t] * f.station_caps[s.id],
                 objective=inp.offers[s.id][t],
             ))
             for m, seg in enumerate(s.segments):
@@ -335,15 +336,16 @@ class _FleetLp:
 def solve_fleet(inp: FleetInput, *, memo: dict | None = None) -> FleetSchedule:
     """Clear every fleet; returns the merged schedule.
 
-    Before solving, each fleet and the stations that serve it are checked
-    against `model.validate`'s rules, raising FleetStructureError with the
-    first issue as `validate` reports it (`_check_fleet`), and infeasible
-    fleets are diagnosed (first period whose cumulative driving cannot be
-    recovered).  Each fleet's LP is solved once, with the surcharge that
-    breaks ties toward station charging (see the module docstring);
-    reported costs are at the true prices.  Each fleet's schedule is
-    checked against that LP (`lpcore.max_violation`; the surcharge moves no
-    row or bound), raising FleetStructureError above 100 * FEAS_TOL.
+    Before solving, each station's fleet, and each fleet and the stations
+    that serve it, are checked against `model.validate`'s rules, raising
+    FleetStructureError with the first issue as `validate` reports it
+    (`_check_fleet`), and infeasible fleets are diagnosed (first period
+    whose cumulative driving cannot be recovered).  Each fleet's LP is
+    solved once, with the surcharge that breaks ties toward station
+    charging (see the module docstring); reported costs are at the true
+    prices.  Each fleet's schedule is checked against that LP
+    (`lpcore.max_violation`; the surcharge moves no row or bound), raising
+    FleetStructureError above 100 * FEAS_TOL.
 
     `memo` maps fleet id to the fleet's `_FleetLp` and belongs to one
     scenario (one search).  A fleet's offers, the only inputs of its LP
@@ -365,13 +367,17 @@ def solve_fleet(inp: FleetInput, *, memo: dict | None = None) -> FleetSchedule:
     (the phase-1 state depends on no offer, so a solve keeps it whatever
     the post-check finds).  A fleet in the memo passed the checks that read
     no offer (`_check_fleet`) and the infeasibility diagnosis, and neither
-    runs for it again; every call checks the offers (`_check_offers`).
+    runs for it again; every call checks each station's fleet and the
+    offers (`_check_offers`).
 
     Without a memo every fleet takes the same steps on a new `_FleetLp`,
     which is dropped once the fleet is answered: a one-shot call keeps no
     LP, phase-1 state or basis.
     """
     known = {} if memo is None else memo
+    fleet_ids = {f.id for f in inp.fleets}
+    for k, s in enumerate(inp.stations):
+        _station_fleet_rule(s, f"stations[{k}]", fleet_ids, _raising(FleetStructureError))
     _check_offers(inp, inp.stations)
     for f in inp.fleets:
         if f.id not in known:
@@ -479,7 +485,7 @@ def build_fleet_paper_dual(
         var("home_up", t, objective=-f.home_connectivity[t] * f.home_cap)
         for s in stations:
             var("st_lo", s.id, t)
-            var("st_up", s.id, t, objective=-f.station_conn(s.id)[t] * f.station_cap(s.id))
+            var("st_up", s.id, t, objective=-f.station_connectivity[s.id][t] * f.station_caps[s.id])
             for m, seg in enumerate(s.segments):
                 var("seg_lo", s.id, m, t)
                 # positive sign as printed; the exact dual carries -width

@@ -7,25 +7,24 @@ interconvert 1:1).  Retail-style cents/kWh values are accepted at the I/O
 boundary and converted on load (1 cent/kWh = 10 $/MWh).
 
 All types are frozen dataclasses with tuple-valued series; instances are
-immutable after construction and safe to share across worker threads.
-Numbers are stored as given, converted by no constructor: the document
-readers return floats and float tuples, and a scenario built in Python
-passes them too.  Only the two station mappings of `EVFleet` are frozen
-into tuples of (station id, value) pairs, sorted by id.
+immutable after construction.  Numbers are stored as given, converted by no
+constructor: the document readers return floats and float tuples, and a
+scenario built in Python passes them too.  The two station maps of
+`EVFleet` are read-only mappings in station-id order.
 
 A document is written by one walk over the fields (`_document`) and read
 by its mirror (`_object`); `bilevel` uses both for outcomes, and the first
 for certificates.  Both, and `validate`'s walk for NaN and infinity, read
 one plan per class (`_plan`), which is the whole format.  Each field is
 under its name, or under the key its metadata names (`fleet`,
-`wtp_segments`, `station`), and the reader reads it by its type hint.  The
-rest of the format is field metadata too: "mapping" marks a station
-mapping (written as an object), "price" a field that also takes
-`<key>_cents_per_kwh`, "default" the document value an absent key
-stands for (where the constructor has no default of its own), and
-"transient" a field that is no part of the document at all.  An object
-may carry only those keys and its class's document-only keys
-(`_DOCUMENT_ONLY`); any other key is refused.
+`wtp_segments`, `station`), and the reader reads it by its type hint; a
+mapping is written as an object.  The rest of the format is field
+metadata too: "price" marks a field that also takes
+`<key>_cents_per_kwh`, "default" the document value an absent key stands
+for (where the constructor has no default of its own), and "transient" a
+field that is no part of the document at all.  An object may carry only
+those keys and its class's document-only keys (`_DOCUMENT_ONLY`); any
+other key is refused.
 """
 
 from __future__ import annotations
@@ -35,7 +34,9 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cache, partial
+from operator import gt
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
 from .lpcore import DUALITY_TOL, FEAS_TOL
@@ -58,8 +59,13 @@ class ScenarioFormatError(ValueError):
     """
 
 
-def _freeze_mapping(mapping):
-    return tuple(sorted((str(k), v) for k, v in dict(mapping).items()))
+# the mappings the document walkers write as objects and walk by key
+_MAPS = (dict, MappingProxyType)
+
+
+def _frozen_map(mapping):
+    """A dict or (key, value) pairs as a read-only mapping in key order."""
+    return MappingProxyType(dict(sorted((str(k), v) for k, v in dict(mapping).items())))
 
 
 @dataclass(frozen=True)
@@ -146,9 +152,11 @@ class EVFleet:
     driving consumption, and the regulated retail rate it can fall back to.
 
     `station_caps[c]` and `station_connectivity[c]` describe access to
-    charging station `c`; `driving` is battery-side discharge in MW and is a
-    parameter, not a decision.  `final_energy_min` is optional: the horizon
-    ends with free terminal energy when it is None.
+    charging station `c`; both are read-only mappings in station-id order
+    (the order of the fleet's LP columns), built from a dict or pairs.
+    `driving` is battery-side discharge in MW and is a parameter, not a
+    decision.  `final_energy_min` is optional: the horizon ends with free
+    terminal energy when it is None.
     """
 
     id: str
@@ -156,10 +164,8 @@ class EVFleet:
     max_charge: float
     home_cap: float = field(metadata={"default": 0.0})
     home_connectivity: tuple[float, ...] = field(metadata={"default": 0.0})
-    station_caps: dict[str, float] = field(metadata={"mapping": True, "default": {}})
-    station_connectivity: dict[str, tuple[float, ...]] = field(
-        metadata={"mapping": True, "default": {}}
-    )
+    station_caps: Mapping[str, float] = field(metadata={"default": {}})
+    station_connectivity: Mapping[str, tuple[float, ...]] = field(metadata={"default": {}})
     energy_min: float
     energy_max: float
     initial_energy: float
@@ -170,14 +176,8 @@ class EVFleet:
     final_energy_min: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "station_caps", _freeze_mapping(self.station_caps))
-        object.__setattr__(self, "station_connectivity", _freeze_mapping(self.station_connectivity))
-
-    def station_cap(self, station_id: str) -> float:
-        return dict(self.station_caps)[station_id]
-
-    def station_conn(self, station_id: str) -> tuple[float, ...]:
-        return dict(self.station_connectivity)[station_id]
+        object.__setattr__(self, "station_caps", _frozen_map(self.station_caps))
+        object.__setattr__(self, "station_connectivity", _frozen_map(self.station_connectivity))
 
 
 @dataclass(frozen=True)
@@ -273,9 +273,8 @@ class ValidationReport:
 def max_charge_rate(fleet: EVFleet, t: int) -> float:
     """Connectivity-limited total charge rate available to a fleet at t."""
     cap = fleet.home_connectivity[t] * fleet.home_cap
-    conn = dict(fleet.station_connectivity)
-    for cid, ccap in fleet.station_caps:
-        series = conn.get(cid)
+    for cid, ccap in fleet.station_caps.items():
+        series = fleet.station_connectivity.get(cid)
         if series is not None:
             cap += series[t] * ccap
     return min(fleet.max_charge, cap)
@@ -311,18 +310,19 @@ _FINITE = frozenset({
 
 def _non_finite(value, at, name=None):
     """(path, field name, number) for each NaN or infinity inside `value`, a
-    model dataclass or a tuple or list at the path parts `at`, named down to
-    the entry as the document readers name it (``fleets[0].tou[3]``)."""
+    model dataclass, a station map or a tuple or list at the path parts
+    `at`, named down to the entry as the document readers name it
+    (``fleets[0].tou[3]``, ``fleets[0].station_caps.c4``)."""
     if hasattr(value, "__dataclass_fields__"):
         # fields are read by name: vars() would give the object a __dict__,
         # and CPython reads every attribute of such an object slower then
         steps = _plan(type(value))[0]
         entries = ((key, attr, getattr(value, attr)) for attr, key, *_ in steps)
+    elif isinstance(value, _MAPS):
+        entries = ((key, name, entry) for key, entry in value.items())
     else:
         entries = ((i, name, entry) for i, entry in enumerate(value))
     for key, field_name, entry in entries:
-        if isinstance(entry, tuple) and entry and isinstance(entry[0], str):
-            key, entry = entry  # a station mapping's (station id, value) pair
         if isinstance(entry, float):
             if not math.isfinite(entry):
                 yield _path(at, key), field_name, entry
@@ -330,7 +330,7 @@ def _non_finite(value, at, name=None):
             # a series whose sum is finite holds no NaN and no infinity
             if not (entry and isinstance(entry[0], float) and math.isfinite(sum(entry))):
                 yield from _non_finite(entry, (*at, key), field_name)
-        elif hasattr(entry, "__dataclass_fields__"):  # a model dataclass
+        elif isinstance(entry, _MAPS) or hasattr(entry, "__dataclass_fields__"):
             yield from _non_finite(entry, (*at, key), field_name)
 
 
@@ -344,11 +344,12 @@ def validate(scenario: Scenario) -> ValidationReport:
     error, with the path and message this report gives it:
     `dam.build_dam` the network's (`DamStructureError`), `fleet.build_fleet`
     and `fleet.solve_fleet` a fleet's and those of the stations that serve
-    it (`FleetStructureError`), and `bilevel.offer_parameters` and
-    `bilevel.optimize` the settings' (ValueError).  The rules that span
-    parts are checked here only: numbers that are not finite, duplicate
-    ids, the horizon, a fleet's bus, a station's fleet, and whether a
-    fleet can recover its driving discharge."""
+    it, and `solve_fleet` each station's fleet (`FleetStructureError`),
+    `bilevel.offer_parameters` and `bilevel.optimize` the settings' and,
+    with `bilevel.Strategy.offers`, each station's offer band (ValueError).
+    The rules that span parts are checked here only: numbers that are not
+    finite, duplicate ids, the horizon, a fleet's bus, and whether a fleet
+    can recover its driving discharge."""
     issues: list[ValidationIssue] = []
 
     def bad(path, message):
@@ -393,8 +394,8 @@ def validate(scenario: Scenario) -> ValidationReport:
             len(f.home_connectivity) == T
             and len(f.driving) == T
             and len(f.tou) == T
-            and all(len(v) == T for _, v in f.station_connectivity)
-            and set(dict(f.station_connectivity)) == set(dict(f.station_caps))
+            and all(len(v) == T for v in f.station_connectivity.values())
+            and f.station_connectivity.keys() == f.station_caps.keys()
         )
         if series_ok and f.discharge_efficiency > 0.0:  # the recursion divides by it
             t_bad = fleet_infeasibility_period(f, T)
@@ -407,9 +408,8 @@ def validate(scenario: Scenario) -> ValidationReport:
     known_fleets = {f.id for f in scenario.fleets}
     for i, s in enumerate(scenario.stations):
         path = f"stations[{i}]"
-        if s.fleet_id not in known_fleets:
-            bad(path, f"fleet {s.fleet_id!r} not in scenario")
-        else:
+        _station_fleet_rule(s, path, known_fleets, bad)
+        if s.fleet_id in known_fleets:
             _station_rules(s, path, T, scenario.fleet(s.fleet_id), bad)
 
     _settings_rules(scenario.settings, bad)
@@ -521,8 +521,8 @@ def _fleet_rules(f: EVFleet, path: str, T: int, station_ids, bad) -> None:
         f.energy_min <= f.final_energy_min <= f.energy_max
     ):
         bad(f"{path}.final_energy_min", "outside the battery energy window")
-    conn = dict(f.station_connectivity)
-    for cid, cap in f.station_caps:
+    conn = f.station_connectivity
+    for cid, cap in f.station_caps.items():
         if cid not in station_ids:
             bad(f"{path}.station_caps[{cid}]", "unknown station id")
         if cap < 0:
@@ -534,17 +534,29 @@ def _fleet_rules(f: EVFleet, path: str, T: int, station_ids, bad) -> None:
             if any(not (0.0 <= v <= 1.0) for v in conn[cid]):
                 bad(f"{path}.station_connectivity[{cid}]", "ratios must lie in [0, 1]")
     for cid in conn:
-        if cid not in dict(f.station_caps):
+        if cid not in f.station_caps:
             bad(f"{path}.station_connectivity[{cid}]", "series without a matching cap")
 
 
-def _station_rules(s: ChargingStation, path: str, T: int, fleet: EVFleet, bad) -> None:
-    """Station `s`'s offer band and bid segments, and its access entry and
-    charging cap at `fleet`, the fleet it serves."""
+def _station_fleet_rule(s: ChargingStation, path: str, fleet_ids, bad) -> None:
+    """Station `s` serves a fleet in `fleet_ids`."""
+    if s.fleet_id not in fleet_ids:
+        bad(path, f"fleet {s.fleet_id!r} not in scenario")
+
+
+def _offer_band_rules(s: ChargingStation, path: str, T: int, bad) -> None:
+    """Station `s`'s offer band: a floor and a ceiling over the horizon,
+    the floor nowhere above the ceiling."""
     _series_rule(s.offer_min, f"{path}.offer_min", T, bad)
     _series_rule(s.offer_max, f"{path}.offer_max", T, bad)
-    if any(lo > hi for lo, hi in zip(s.offer_min, s.offer_max)):
-        bad(f"{path}", "offer_min exceeds offer_max")
+    if any(map(gt, s.offer_min, s.offer_max)):
+        bad(path, "offer_min exceeds offer_max")
+
+
+def _station_rules(s: ChargingStation, path: str, T: int, fleet: EVFleet, bad) -> None:
+    """Station `s`'s offer band (`_offer_band_rules`) and bid segments, and
+    its access entry and charging cap at `fleet`, the fleet it serves."""
+    _offer_band_rules(s, path, T, bad)
     width_total = 0.0
     for m, seg in enumerate(s.segments):
         if seg.width < 0:
@@ -554,9 +566,9 @@ def _station_rules(s: ChargingStation, path: str, T: int, fleet: EVFleet, bad) -
         if any(lo > hi for lo, hi in zip(seg.wtp_min, seg.wtp_max)):
             bad(f"{path}.wtp_segments[{m}]", "wtp_min exceeds wtp_max")
         width_total += seg.width
-    if s.id not in dict(fleet.station_caps):
+    if s.id not in fleet.station_caps:
         bad(path, f"fleet {fleet.id!r} has no access entry for this station")
-    elif width_total < fleet.station_cap(s.id) - 1e-9:
+    elif width_total < fleet.station_caps[s.id] - 1e-9:
         bad(path, "bid segment widths do not cover the station charging cap")
 
 
@@ -630,7 +642,7 @@ def scale_penetration(scenario: Scenario, level: float) -> Scenario:
             f,
             max_charge=f.max_charge * factor,
             home_cap=f.home_cap * factor,
-            station_caps={cid: cap * factor for cid, cap in f.station_caps},
+            station_caps={cid: cap * factor for cid, cap in f.station_caps.items()},
             energy_min=f.energy_min * factor,
             energy_max=f.energy_max * factor,
             initial_energy=f.initial_energy * factor,
@@ -749,6 +761,7 @@ _DOCUMENT_ONLY = {
     "Scenario": {"schema_version": None, "sweeps": None},
     "SolverSettings": {"feas_tol": FEAS_TOL, "duality_tol": DUALITY_TOL, "workers": None},
     "FleetSchedule": {"tie_break_applied": None},
+    "SearchInfo": {"budget": None, "seed": None},
     "EquilibriumOutcome": {"schema_version": None},
 }
 _OWN = object()  # an absent key stands for the constructor's own default
@@ -781,19 +794,18 @@ def _reader(hint):
 @cache
 def _plan(cls) -> tuple[tuple, frozenset]:
     """The document format of a dataclass, its type hints resolved once:
-    (field name, document key, is a station mapping, reader, is a price,
-    default) for each field, and every key its object may carry (the
-    fields' keys, `<key>_cents_per_kwh` for a price, and its document-only
-    keys).  `default` is the field's "default" metadata, `_OWN` when the
+    (field name, document key, reader, is a price, default) for each
+    field, and every key its object may carry (the fields' keys,
+    `<key>_cents_per_kwh` for a price, and its document-only keys).
+    `default` is the field's "default" metadata, `_OWN` when the
     constructor has a default, and MISSING when the key is required.  A
-    "transient" field has no step: it is neither written nor read, and
-    its key is refused like any other unknown key."""
+    "transient" field has no step: it is neither written nor read, and its
+    key is refused like any other unknown key."""
     hints = get_type_hints(cls)
     steps = tuple(
         (
             f.name,
             f.metadata.get("key", f.name),
-            f.metadata.get("mapping", False),
             _reader(hints[f.name]),
             f.metadata.get("price", False),
             f.metadata.get("default", MISSING if f.default is MISSING else _OWN),
@@ -802,7 +814,7 @@ def _plan(cls) -> tuple[tuple, frozenset]:
         if not f.metadata.get("transient", False)
     )
     keys = {key for _, key, *_ in steps}
-    keys |= {f"{key}_cents_per_kwh" for _, key, _, _, price, _ in steps if price}
+    keys |= {f"{key}_cents_per_kwh" for _, key, _, price, _ in steps if price}
     return steps, frozenset(keys | _DOCUMENT_ONLY.get(cls.__name__, {}).keys())
 
 
@@ -824,7 +836,7 @@ def _object(cls, obj, at, series, **given):
         if fixed is not None and key in obj and (value := _number(obj[key], at, key)) != fixed:
             raise ScenarioFormatError(f"{_path(at, key)}: must be {fixed!r}, got {value!r}")
     values = {}
-    for name, key, _, read, price, default in steps:
+    for name, key, read, price, default in steps:
         if name in given:
             continue
         if price and (alt := f"{key}_cents_per_kwh") in obj:
@@ -887,14 +899,11 @@ def scenario_from_json(data: Mapping[str, Any], base_dir=None) -> Scenario:
 
 def _document(value):
     """`value` as JSON data: a dataclass as an object of its fields under
-    their document keys (a station mapping field as an object), a dict as
-    an object and a tuple or list as a list; anything else as it is."""
+    their document keys, a mapping as an object and a tuple or list as a
+    list; anything else as it is."""
     if hasattr(value, "__dataclass_fields__"):
-        return {
-            key: _document(dict(getattr(value, name)) if mapping else getattr(value, name))
-            for name, key, mapping, *_ in _plan(type(value))[0]
-        }
-    if isinstance(value, dict):
+        return {key: _document(getattr(value, name)) for name, key, *_ in _plan(type(value))[0]}
+    if isinstance(value, _MAPS):
         return {k: _document(v) for k, v in value.items()}
     if isinstance(value, (tuple, list)):
         if value and isinstance(value[0], float):  # a series of numbers

@@ -132,7 +132,7 @@ def no_station_payment(scenario: Scenario, offers) -> float:
     fleets = tuple(
         replace(
             f,
-            station_connectivity={cid: (0.0,) * scenario.network.horizon for cid, _ in f.station_caps},
+            station_connectivity={cid: (0.0,) * scenario.network.horizon for cid in f.station_caps},
         )
         for f in scenario.fleets
     )

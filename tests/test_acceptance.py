@@ -250,8 +250,11 @@ def test_criterion_8_sweep_trends(desk_penetration_sweep, desk_pv_sweep):
 # outcome.json re-pinned when `--budget` and `--seed` came to be written into
 # the scenario's settings: as JSON it differs from the one before only in
 # scenario.settings.budget 60 -> 25 and scenario.settings.seed 0 -> 11.
+# outcome.json re-pinned when `search` stopped copying the settings: as
+# JSON it differs from the one before only in lacking search.budget (25) and
+# search.seed (11).
 CRITERION_9_SHA256 = {
-    "outcome.json": "b22070f28ba63fe28768bff229402ffbd7d3325cb350c9b199f16de279ab5f6b",
+    "outcome.json": "fe43031ecf83d57ac37a89dac9510ca18ec773ce2a03e9729736581d06ec8662",
     "certificate.json": "3bc3ed09ad67e35ee2c2755193c205fc5c74a87235c5a1360c76ab2568590284",
     "metrics.csv": "925f7d2a1f590ae7c4cef294ae38b1680421773572cec20b3a69344161097000",
     "hourly_profile.csv": "64c464eaad054ceb581a6fff98829ba1756f468084df17d01c6e3480f45b84b1",

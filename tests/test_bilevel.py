@@ -178,6 +178,16 @@ class TestOptimize:
         assert a.strategy.values == b.strategy.values
         assert a.profit == b.profit
 
+    def test_point_band_parameter_is_never_moved(self, monkeypatch):
+        scenario = one_bus_scenario(budget=60)
+        band = dataclasses.replace(
+            scenario.stations[0], offer_min=(10.0, 25.0), offer_max=(40.0, 25.0)
+        )
+        scenario = dataclasses.replace(scenario, stations=(band,))
+        out, path = searched_path(scenario, monkeypatch)
+        assert len(path) > 1 and {values[1] for values in path} == {25.0}
+        assert out.offers["c1"][1] == 25.0
+
     def test_bad_budget(self):
         with pytest.raises(ValueError):
             bl.optimize(one_bus_scenario(budget=0))
@@ -212,47 +222,47 @@ class TestSearchPath:
     mid-sweep of a later start.  The digest is the sha256 of the repr of
     (evaluated values in order, returned strategy values)."""
 
-    # (evaluations, starts, seed, budget) of `SearchInfo`
+    # (evaluations, starts) of `SearchInfo`
     @pytest.mark.parametrize(
         "case, kwargs, info, digest",
         [
             pytest.param(
-                "one_bus", {"budget": 1}, (1, 1, 0, 1),
+                "one_bus", {"budget": 1}, (1, 1),
                 "8de45592ca926ca63b978033b69adab564304ff7446621568c32bc37d308e347",
                 id="one_bus-1",
             ),
             pytest.param(
-                "one_bus", {"budget": 2}, (2, 1, 0, 2),
+                "one_bus", {"budget": 2}, (2, 1),
                 "eb5bc77918a19cef84087a79468cd3f2012f39c03c04d3a03d20e3ca8b7560a5",
                 id="one_bus-2",
             ),
             pytest.param(
-                "one_bus", {"budget": 7}, (7, 1, 0, 7),
+                "one_bus", {"budget": 7}, (7, 1),
                 "cfeb340f1943061a865f813bee045fda057443f8ff454ba3db54d86e0968b34e",
                 id="one_bus-7",
             ),
             pytest.param(
-                "one_bus", {"budget": 25}, (25, 1, 0, 25),
+                "one_bus", {"budget": 25}, (25, 1),
                 "d5ae4c8bb12817ce88777c4c52d572686fbaafcc2a56bce10430bddebbd674ca",
                 id="one_bus-25",
             ),
             pytest.param(
-                "one_bus", {}, (120, 4, 0, 120),
+                "one_bus", {}, (120, 4),
                 "44973bc67c6d923107316b439b6214d1e6122af755744306baccb9bc6a9e708d",
                 id="one_bus-120",
             ),
             pytest.param(
-                "desk", {"budget": 25, "seed": 11}, (25, 3, 11, 25),
+                "desk", {"budget": 25, "seed": 11}, (25, 3),
                 "ac3e27e8f26098746357227a9f181bf33132176ca4933706b8568677b500761b",
                 id="desk-25-seed11",
             ),
             pytest.param(
-                "rand3", {}, (400, 6, 3, 400),
+                "rand3", {}, (400, 6),
                 "7bf0517d56b24e2fe9ecd70f76c0899eb8e2ff30047e71fa9f3e7f45deab1d0b",
                 id="rand3-400",
             ),
             pytest.param(
-                "rand4", {}, (400, 6, 4, 400),
+                "rand4", {}, (400, 6),
                 "5209b16eb228a8dc4f63c30a6b4cb3736c60fa757f9ed908a5e52dcdb871a051",
                 id="rand4-400",
             ),
@@ -497,6 +507,26 @@ class TestCertify:
         assert cert.residuals["fleet_feasibility"] == math.inf
         assert cert.residuals["fleet_strong_duality"] == math.inf
         assert cert.worst["fleet_feasibility"] == "f1"
+        assert not cert.passed
+
+    @pytest.mark.parametrize(
+        "part, change, family, worst",
+        [
+            ("stations", {"offer_min": (10.0,)}, "offer_bounds", 1),
+            ("stations", {"fleet_id": "zz"}, "profit_identity", None),
+            ("fleets", {"bus": "ghost"}, "profit_identity", None),
+        ],
+        ids=["short_offer_band", "station_fleet", "fleet_bus"],
+    )
+    def test_refused_station_or_fleet_fails_without_raising(self, part, change, family, worst):
+        # a band shorter than the horizon bounds nothing at the periods it
+        # lacks, and a station bought at no known bus has no price
+        out = toy_outcome()
+        edited = (dataclasses.replace(getattr(out.scenario, part)[0], **change),)
+        scenario = dataclasses.replace(out.scenario, **{part: edited})
+        cert = bl.certify(dataclasses.replace(out, scenario=scenario))
+        assert cert.residuals[family] == math.inf
+        assert cert.worst.get(family) == worst
         assert not cert.passed
 
     def test_segment_above_width_fails_without_raising(self):
@@ -1135,11 +1165,12 @@ class TestOutcomeRoundTrip:
 
     def test_older_cache_format_reads_and_certifies(self):
         # earlier outcome.json files also carry `schedule.tie_break_applied`,
-        # `scenario.settings.workers` and `scenario.sweeps`, keys that are no
-        # longer written
-        out = toy_outcome()
+        # `scenario.settings.workers`, `scenario.sweeps` and `search.budget`
+        # and `search.seed`, keys that are no longer written
+        out = dataclasses.replace(toy_outcome(), search=bl.SearchInfo(evaluations=1, starts=1))
         current = bl.outcome_to_json(out)
         older = json.loads(json.dumps(current))
+        older["search"].update(budget=1, seed=0)
         older["schedule"]["tie_break_applied"] = True
         older["scenario"]["settings"]["workers"] = 1
         older["scenario"]["sweeps"] = {"penetration_levels": [0.1], "pv_multipliers": []}

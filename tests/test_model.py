@@ -59,7 +59,7 @@ def edited(obj, keys, **changes):
 
 
 # one scenario edit per `validate` rule: (part, scenario, dataclass at, changes,
-# path, message).  The part's layer raises the issue too (`_LAYERS`); a
+# path, message).  The part's layers raise the issue too (`_LAYERS`); a
 # "scenario" rule spans parts, and only `validate` states it.
 _RULE_CASES = [
     ("scenario", "one_bus", ("network",), {"horizon": 0},
@@ -118,10 +118,16 @@ _RULE_CASES = [
     ("fleet", "one_bus", ("fleets", 0),
      {"station_connectivity": {"c1": (1.0, 1.0), "c2": (1.0, 1.0)}},
      "fleets[0].station_connectivity[c2]", "series without a matching cap"),
-    ("scenario", "one_bus", ("stations", 0), {"fleet_id": "nowhere"},
+    ("station_fleet", "one_bus", ("stations", 0), {"fleet_id": "nowhere"},
      "stations[0]", "fleet 'nowhere' not in scenario"),
-    ("station", "one_bus", ("stations", 0), {"offer_min": (50.0, 10.0)},
+    ("station_fleet", "desk", ("stations", 1), {"fleet_id": "zz"},
+     "stations[1]", "fleet 'zz' not in scenario"),
+    ("offers", "one_bus", ("stations", 0), {"offer_min": (50.0, 10.0)},
      "stations[0]", "offer_min exceeds offer_max"),
+    ("offers", "desk", ("stations", 0), {"offer_min": (1.0,) * 3},
+     "stations[0].offer_min", "series length 3 != horizon 24"),
+    ("offers", "desk", ("stations", 1), {"offer_max": (500.0,) * 25},
+     "stations[1].offer_max", "series length 25 != horizon 24"),
     ("station", "one_bus", ("stations", 0, "segments", 0), {"width": -1.0},
      "stations[0].wtp_segments[0].width", "negative width"),
     ("station", "one_bus", ("stations", 0, "segments", 0), {"wtp_min": (60.0, 0.0)},
@@ -151,12 +157,20 @@ def _build_fleets(scenario):
         fleet.build_fleet(fleet.fleet_input(scenario, offers), f)
 
 
-# the layer that reads each part: the error it raises and a call that reads the part
+# the layers that read each part: the error each raises and a call that reads the part
 _LAYERS = {
-    "network": (dam.DamStructureError, lambda s: dam.build_dam(dam.DamInput(s.network, (), ()))),
-    "fleet": (fleet.FleetStructureError, _build_fleets),
-    "station": (fleet.FleetStructureError, _build_fleets),
-    "settings": (ValueError, bl.offer_parameters),
+    "network": ((dam.DamStructureError, lambda s: dam.build_dam(dam.DamInput(s.network, (), ()))),),
+    "fleet": ((fleet.FleetStructureError, _build_fleets),),
+    "station": ((fleet.FleetStructureError, _build_fleets),),
+    "station_fleet": (
+        (fleet.FleetStructureError, lambda s: bl.evaluate(bl.midpoint_strategy(s), s)),
+    ),
+    "offers": (
+        (ValueError, bl.offer_parameters),
+        (ValueError, lambda s: bl.Strategy((), ()).offers(s)),
+        (fleet.FleetStructureError, _build_fleets),
+    ),
+    "settings": ((ValueError, bl.offer_parameters),),
 }
 
 
@@ -268,8 +282,7 @@ class TestValidate:
         scenario = edited(scenario, keys, **changes)
         report = md.validate(scenario)
         assert [i.message for i in report.issues if i.path == path] == [message], str(report)
-        if part in _LAYERS:
-            error, read = _LAYERS[part]
+        for error, read in _LAYERS.get(part, ()):
             with pytest.raises(error, match=f"^{re.escape(f'{path}: {message}')}$") as raised:
                 read(scenario)
             assert raised.type is error
@@ -414,7 +427,7 @@ class TestPenetrationScaling:
         s = self.scenario(100.0, 900.0)
         scaled = md.scale_penetration(s, 0.20)
         f = scaled.fleets[0]
-        assert f.station_caps[0][1] == pytest.approx(2250.0)
+        assert f.station_caps["c1"] == pytest.approx(2250.0)
         assert scaled.stations[0].segments[0].width == pytest.approx(2250.0)
         assert f.energy_max - f.energy_min == pytest.approx(2.25 * 2000.0)
         assert md.validate(scaled).ok
@@ -446,6 +459,25 @@ class TestPenetrationScaling:
         # 0 * inf would make a NaN bound for every unit idle at some hour
         with pytest.raises(ValueError, match="solar multiplier must be finite and >= 0"):
             md.scale_solar(sc.desk_scenario(), bad)
+
+
+class TestStationMaps:
+    def test_read_only_in_station_id_order_from_a_dict_or_pairs(self):
+        f, _ = two_period_fleet()
+        caps = {"c9": 1.0, "c1": 2.0, "c5": 3.0}
+        conn = {cid: (1.0, 0.5) for cid in caps}
+        from_dict = dataclasses.replace(f, station_caps=caps, station_connectivity=conn)
+        from_pairs = dataclasses.replace(
+            f, station_caps=list(caps.items()), station_connectivity=tuple(conn.items())
+        )
+        assert from_dict == from_pairs
+        ids = ["c1", "c5", "c9"]
+        assert list(from_dict.station_caps) == list(from_dict.station_connectivity) == ids
+        assert from_dict.station_caps["c5"] == 3.0
+        with pytest.raises(TypeError):
+            from_dict.station_caps["c1"] = 0.0
+        with pytest.raises(TypeError):
+            from_dict.station_connectivity["c7"] = (1.0, 1.0)
 
 
 class TestSerialization:

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -130,6 +131,24 @@ class TestSweeps:
         entries = []
         assert sc.trend_verdicts(entries) == {
             f: "n/a" for f in sc.TREND_FIELDS
+        }
+        columns = {
+            "revenue": (3.0, 2.0, 2.0),
+            "cost": (1.0, 3.0, 2.0),
+            "profit": (2.0, 2.0, 2.0),
+            "profit_pct": (1.0, 2.0, 3.0),
+            "purchased_price": (None, 5.0, None),
+            "retail_price_c_kwh": (5.0, 4.0, 6.0),
+        }
+        rows = [SimpleNamespace(**{f: v[k] for f, v in columns.items()}) for k in range(3)]
+        entries = [SimpleNamespace(row=r) for r in (rows[0], None, *rows[1:])]
+        assert sc.trend_verdicts(entries) == {
+            "revenue": "non-increasing",
+            "cost": "mixed",
+            "profit": "constant",
+            "profit_pct": "non-decreasing",
+            "purchased_price": "n/a",
+            "retail_price_c_kwh": "mixed",
         }
 
     def test_metrics_csv_layout(self, desk_pv_sweep):
